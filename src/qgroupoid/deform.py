@@ -6,6 +6,14 @@ product (star product), the source and target maps and the coproduct; the
 deformed coproduct is computed on the canonical lifted representative
 G . Delta(u) . F where G is the lifted inverse of F.
 
+Two paths compute G . S . F (``DeformedEnvAlgebroid.conjugate``).  A
+twistor built by ``exp_twistor`` remembers its exponent r, so F = exp(h r)
+and the Hadamard expansion G . Y . F = sum_m h^m/m! ad_{-r}^m(Y) costs two
+products with r per order.  Every other twistor (``trivial_twistor``, the
+explicit per-order series of a spec file) takes the two Cauchy products
+against the dense series F and G.  ``twistor_validate`` never takes the
+shortcut.
+
 All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
 basis decompositions and tensor reductions exact triangular solves.
@@ -14,7 +22,7 @@ basis decompositions and tensor reductions exact triangular solves.
 import itertools
 from fractions import Fraction
 
-from .envelope import EnvElement, mul_poly_right, pbw_mul
+from .envelope import EnvElement, pbw_mul
 from .errors import ConfigError, TriangularityViolation
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto
@@ -205,8 +213,8 @@ def twistor_validate(spec, twistor, order=None, samples=None):
             if not any(ar):  # eps on the right leg
                 left = EnvElement.monomial(spec.nvars, spec.rank, al,
                                            CPoly.monomial(spec.nvars, gl))
-                right_eps = right_eps + mul_poly_right(
-                    spec, left, CPoly.monomial(spec.nvars, gr, c))
+                right_eps = right_eps + pbw_mul(spec, left, EnvElement.from_poly(
+                    spec.rank, CPoly.monomial(spec.nvars, gr, c)))
         want = one if n == 0 else EnvElement.zero(spec.nvars, spec.rank)
         if left_eps != want or right_eps != want:
             ok, witness = False, "counit condition fails at order h^%d" % n
@@ -328,11 +336,37 @@ class DeformedEnvAlgebroid:
             spec = self.spec
             base = _copro_of_mono(spec, gamma, alpha)
             zero = TensorElement.zero(spec.nvars, spec.rank, 2)
-            ser = hs_const(base, self.order, zero)
-            mt = _tmul(spec)
-            hit = hseries_mul(self.G, hseries_mul(ser, self.twistor.series, mt), mt)
+            hit = self.conjugate(hs_const(base, self.order, zero), 0)
             self._lift[key] = hit
         return hit
+
+    def conjugate(self, S, leg):
+        """G . S . F for a tensor series S, with F and G at legs leg, leg+1.
+
+        An exponential twistor F = exp(h r) takes the Hadamard expansion
+        G . Y . F = sum_m h^m/m! ad_{-r}^m(Y), ad_{-r}(Y) = Y r - r Y, so
+        every order costs two products with r.  The series is exp(h r)
+        because ``twistor_invert`` matched its inverse with exp(-h r).
+        Other twistors take the two Cauchy products.
+        """
+        spec = self.spec
+        legs = S.zero.legs
+        r = self.twistor.exponent
+        if r is None:
+            mt = _tmul(spec)
+            Gmb = self.G.map(lambda t: t.embed(legs, leg))
+            Fmb = self.twistor.series.map(lambda t: t.embed(legs, leg))
+            return hseries_mul(Gmb, hseries_mul(S, Fmb, mt), mt)
+        r = r.embed(legs, leg)
+        out = list(S.coeffs)
+        for k, Y in enumerate(S.coeffs):
+            for m in range(1, self.order - k + 1):
+                if Y.is_zero():
+                    break
+                Y = (tensor_mul(spec, Y, r) - tensor_mul(spec, r, Y)).scale(
+                    Fraction(1, m))
+                out[k + m] = out[k + m] + Y
+        return HSeries(self.order, out, S.zero)
 
     # -- decompositions --------------------------------------------------------------
 
@@ -404,16 +438,8 @@ def twisted_coproduct(dfa, u):
 
 def deformed_coproduct_leg(dfa, HT, leg):
     """Apply the twisted coproduct at one leg of a lifted tensor series."""
-    spec = dfa.spec
-    mt = _tmul(spec)
-    legs = None
-    for t in HT.coeffs:
-        legs = t.legs
-        break
-    spliced = HT.map(lambda t: tensor_coproduct_leg(spec, t, leg))
-    Gmb = dfa.G.map(lambda t: t.embed(legs + 1, leg))
-    Fmb = dfa.twistor.series.map(lambda t: t.embed(legs + 1, leg))
-    return hseries_mul(Gmb, hseries_mul(spliced, Fmb, mt), mt)
+    spliced = HT.map(lambda t: tensor_coproduct_leg(dfa.spec, t, leg))
+    return dfa.conjugate(spliced, leg)
 
 
 def iterated_twisted_coproduct(dfa, u, n, max_legs=8):

@@ -16,8 +16,8 @@ from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
 __all__ = [
-    "EnvElement", "pbw_mul", "env_counit", "anchor_action",
-    "mul_gen_right", "mul_poly_right", "right_from_left", "renv_mul",
+    "EnvElement", "pbw_mul", "monomial_product", "env_counit",
+    "anchor_action", "right_from_left", "renv_mul",
 ]
 
 
@@ -140,55 +140,72 @@ def _first_nonzero(alpha):
 
 
 # -- left normal form ----------------------------------------------------------
+#
+# Every product goes through one table on the structure, keyed by
+# (alpha, gamma, beta) and holding the normal form of e^alpha x^gamma e^beta.
+# An entry is built by peeling the last generator e_j off e^alpha:
+#
+#   e^alpha x^gamma e^beta = e^(alpha - e_j) (e_j x^gamma e^beta),
+#   e_j x^gamma e^beta     = x^gamma (e_j e^beta) + anchor(e_j)(x^gamma) e^beta,
+#   e_j e^beta             = e_i (e_j e^(beta - e_i)) - [e_i, e_j] e^(beta - e_i)
+#
+# where i < j is the first generator of e^beta; the last line is the only
+# rewriting step, and it stops once e_j sorts before e^beta.
 
 
-def _mono_times_gen(spec, beta, i):
-    """Normal form of e^beta * e_i (cached per spec)."""
-    cache = spec._gen_cache
-    key = (beta, i)
-    hit = cache.get(key)
+def monomial_product(spec, alpha, gamma, beta):
+    """Normal form of e^alpha * x^gamma * e^beta (the structure's table)."""
+    table = spec._mono_table
+    key = (alpha, gamma, beta)
+    hit = table.get(key)
     if hit is not None:
         return hit
-    j = _last_nonzero(beta)
-    if j is None or j <= i:
-        res = EnvElement.monomial(spec.nvars, spec.rank, _bump(beta, i))
+    nvars, rank = spec.nvars, spec.rank
+    j = _last_nonzero(alpha)
+    if j is None:
+        res = EnvElement(nvars, rank, {beta: CPoly.monomial(nvars, gamma)})
+    elif sum(alpha) > 1:
+        head = _bump(alpha, j, -1)
+        tail = monomial_product(spec, _bump((0,) * rank, j), gamma, beta)
+        res = EnvElement(nvars, rank, _mul_terms(spec, {head: CPoly.one(nvars)},
+                                                 tail.terms))
+    elif any(gamma):
+        res = monomial_product(spec, alpha, (0,) * nvars, beta).scale(
+            CPoly.monomial(nvars, gamma))
+        res = res + EnvElement(
+            nvars, rank, {beta: spec.anchor_apply(j, CPoly.monomial(nvars, gamma))})
     else:
-        beta2 = _bump(beta, j, -1)
-        res = mul_gen_right(spec, _mono_times_gen(spec, beta2, i), j)
-        for k, c in enumerate(spec.bracket_basis(i, j)):
-            if not c.is_zero():
-                head = mul_poly_right(
-                    spec, EnvElement.monomial(spec.nvars, spec.rank, beta2), c)
-                res = res - mul_gen_right(spec, head, k)
-    cache[key] = res
+        i = _first_nonzero(beta)
+        if i is None or j <= i:
+            res = EnvElement(nvars, rank, {_bump(beta, j): CPoly.one(nvars)})
+        else:
+            rest = _bump(beta, i, -1)
+            zeros = (0,) * nvars
+            terms = _mul_terms(spec, {_bump((0,) * rank, i): CPoly.one(nvars)},
+                               monomial_product(spec, alpha, zeros, rest).terms)
+            for k, c in enumerate(spec.bracket_basis(i, j)):
+                if not c.is_zero():
+                    _acc_elem(terms, monomial_product(
+                        spec, _bump((0,) * rank, k), zeros, rest), -c)
+            res = EnvElement(nvars, rank, terms)
+    table[key] = res
     return res
 
 
-def mul_gen_right(spec, u, i):
-    """Normal form of u * e_i."""
-    out = EnvElement.zero(spec.nvars, spec.rank)
-    for beta, c in u.terms.items():
-        out = out + _mono_times_gen(spec, beta, i).scale(c)
-    return out
+def _acc_elem(out, w, coeff):
+    """out += coeff * w for a normal form w and a polynomial coeff."""
+    for delta, c in w.terms.items():
+        cur = out.get(delta)
+        out[delta] = coeff * c if cur is None else cur + coeff * c
 
 
-def _mono_times_poly(spec, beta, a):
-    """Normal form of e^beta * a for a polynomial a."""
-    if a.is_zero():
-        return EnvElement.zero(spec.nvars, spec.rank)
-    j = _last_nonzero(beta)
-    if j is None:
-        return EnvElement.from_poly(spec.rank, a)
-    beta2 = _bump(beta, j, -1)
-    head = mul_gen_right(spec, _mono_times_poly(spec, beta2, a), j)
-    return head + _mono_times_poly(spec, beta2, spec.anchor_apply(j, a))
-
-
-def mul_poly_right(spec, u, a):
-    """Normal form of u * a."""
-    out = EnvElement.zero(spec.nvars, spec.rank)
-    for beta, c in u.terms.items():
-        out = out + _mono_times_poly(spec, beta, a).scale(c)
+def _mul_terms(spec, uterms, vterms):
+    """Term dict of the product of two normal forms given by their terms."""
+    out = {}
+    for beta, b in vterms.items():
+        for gamma, q in b.terms.items():
+            for alpha, a in uterms.items():
+                _acc_elem(out, monomial_product(spec, alpha, gamma, beta), a * q)
     return out
 
 
@@ -196,14 +213,7 @@ def pbw_mul(spec, u, v):
     """Associative product in PBW normal form."""
     if u.rank != v.rank or u.nvars != v.nvars:
         raise ConfigError("operands over different structures")
-    out = EnvElement.zero(spec.nvars, spec.rank)
-    for beta, b in v.terms.items():
-        t = mul_poly_right(spec, u, b)
-        for i in range(spec.rank):
-            for _ in range(beta[i]):
-                t = mul_gen_right(spec, t, i)
-        out = out + t
-    return out
+    return EnvElement(spec.nvars, spec.rank, _mul_terms(spec, u.terms, v.terms))
 
 
 def env_counit(u):
@@ -235,8 +245,8 @@ def anchor_action(spec, u, a):
 
 def _r_gen_times_mono(spec, i, beta):
     """Right normal form of e_i * e^beta."""
-    cache = spec._poly_cache
-    key = ("rg", i, beta)
+    cache = spec._rgen_table
+    key = (i, beta)
     hit = cache.get(key)
     if hit is not None:
         return hit

@@ -165,8 +165,12 @@ def jet_counit(ctx, lam):
 
 
 def _pair_mono(ctx, lam, key):
-    """lam on a basis monomial x^gamma e^alpha, via the flavor decomposition."""
-    ckey = (id(ctx.dfa), key)
+    """lam on a basis monomial x^gamma e^alpha, via the flavor decomposition.
+
+    The memo is keyed by the deformation object itself, not its id: the key
+    keeps it alive, so a later deformation can never reuse the entry.
+    """
+    ckey = (ctx.dfa, key)
     hit = lam._pair_cache.get(ckey)
     if hit is not None:
         return hit

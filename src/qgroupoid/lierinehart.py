@@ -7,6 +7,8 @@ Module elements are sparse maps {generator index: CPoly}; multivectors and
 forms are sparse maps from strictly increasing index tuples to CPoly.
 """
 
+from types import MappingProxyType
+
 from .errors import ConfigError, DegreeUnsupportedError
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto
@@ -19,14 +21,19 @@ __all__ = [
 
 
 class LieRinehartSpec:
-    """Structure constants and anchor for (A, L) with L free of rank m."""
+    """Structure constants and anchor for (A, L) with L free of rank m.
+
+    ``bracket`` is a read-only mapping and ``anchor`` a tuple of tuples:
+    the normal-form product tables below are memoised on the structure,
+    so it must not change after construction.
+    """
 
     def __init__(self, nvars, rank, bracket=None, anchor=None, name=""):
         self.nvars = nvars
         self.rank = rank
         self.name = name
         zero = CPoly.zero(nvars)
-        self.bracket = {}
+        table = {}
         for (i, j), vec in (bracket or {}).items():
             if not 0 <= i < j < rank:
                 raise ConfigError("bracket table needs i < j within rank")
@@ -36,14 +43,16 @@ class LieRinehartSpec:
             if any(v.nvars != nvars for v in vec):
                 raise ConfigError("bracket coefficients over wrong variables")
             if any(not v.is_zero() for v in vec):
-                self.bracket[(i, j)] = vec
+                table[(i, j)] = vec
+        self.bracket = MappingProxyType(table)
         if anchor is None:
             anchor = [[zero] * nvars for _ in range(rank)]
         self.anchor = tuple(tuple(row) for row in anchor)
         if len(self.anchor) != rank or any(len(r) != nvars for r in self.anchor):
             raise ConfigError("anchor matrix must be rank x nvars")
-        self._gen_cache = {}
-        self._poly_cache = {}
+        self._mono_table = {}   # (alpha, gamma, beta) -> e^alpha x^gamma e^beta
+        self._copro_table = {}  # alpha -> Delta(e^alpha), a lifted 2-tensor
+        self._rgen_table = {}   # (i, beta) -> e_i e^beta in right normal form
 
     # -- basic structure maps ------------------------------------------------
 

@@ -9,7 +9,7 @@ into the last leg; class equality is reduction equality.
 
 import itertools
 
-from .envelope import EnvElement, mul_poly_right, pbw_mul
+from .envelope import EnvElement, monomial_product, pbw_mul
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
@@ -147,20 +147,21 @@ class TensorElement:
 # -- products -------------------------------------------------------------------
 
 
+def _basis_terms(u):
+    """The monomials q x^gamma e^alpha of u as [((gamma, alpha), q)]."""
+    return [((gamma, alpha), q) for alpha, poly in u.terms.items()
+            for gamma, q in poly.terms.items()]
+
+
 def _mono_mul(spec, ka, kb):
-    """PBW product of two basis monomials, cached on the spec."""
-    cache = spec._poly_cache
-    key = ("mm", ka, kb)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    """PBW product of two basis monomials, x^ga (e^aa x^gb e^ab), as basis terms."""
     ga, aa = ka
     gb, ab = kb
-    ua = EnvElement.monomial(spec.nvars, spec.rank, aa, CPoly.monomial(spec.nvars, ga))
-    ub = EnvElement.monomial(spec.nvars, spec.rank, ab, CPoly.monomial(spec.nvars, gb))
-    res = pbw_mul(spec, ua, ub)
-    cache[key] = res
-    return res
+    terms = _basis_terms(monomial_product(spec, aa, gb, ab))
+    if any(ga):
+        terms = [((tuple(x + y for x, y in zip(g, ga)), a), q)
+                 for (g, a), q in terms]
+    return terms
 
 
 def tensor_mul(spec, s, t):
@@ -175,17 +176,10 @@ def tensor_mul(spec, s, t):
     return TensorElement(s.nvars, s.rank, s.legs, out)
 
 
-def _expand_product(out, factors, coeff):
-    """Accumulate the outer product of EnvElements into a term dict."""
-    legchoices = []
-    for u in factors:
-        if not u.terms:
-            return
-        opts = []
-        for alpha, poly in u.terms.items():
-            for gamma, q in poly.terms.items():
-                opts.append(((gamma, alpha), q))
-        legchoices.append(opts)
+def _expand_product(out, legchoices, coeff):
+    """Accumulate the outer product of per-leg basis terms into a term dict."""
+    if not all(legchoices):
+        return
     for combo in itertools.product(*legchoices):
         key = tuple(k for k, _ in combo)
         c = coeff
@@ -203,10 +197,9 @@ def _expand_product(out, factors, coeff):
 
 
 def _copro_mono(spec, alpha):
-    """Delta(e^alpha) as a lifted 2-tensor, cached per spec."""
-    cache = spec._poly_cache
-    key = ("cp", alpha)
-    hit = cache.get(key)
+    """Delta(e^alpha) as a lifted 2-tensor, memoised on the structure."""
+    cache = spec._copro_table
+    hit = cache.get(alpha)
     if hit is not None:
         return hit
     T = TensorElement.unit(spec.nvars, spec.rank, 2)
@@ -218,7 +211,7 @@ def _copro_mono(spec, alpha):
         prim = TensorElement.of(gen, one) + TensorElement.of(one, gen)
         for _ in range(alpha[i]):
             T = tensor_mul(spec, T, prim)
-    cache[key] = T
+    cache[alpha] = T
     return T
 
 
@@ -317,13 +310,14 @@ def takeuchi_check(spec, T, samples):
     sum (u_i t(a)) (x) u'_i and sum u_i (x) (u'_i s(a)) must agree.
     """
     for a in samples:
+        a_env = EnvElement.from_poly(spec.rank, a)
         lhs = {}
         rhs = {}
         for key, c in T.terms.items():
-            left = mul_poly_right(spec, T.leg_env(key[0]), a)
-            _expand_product(lhs, [left, T.leg_env(key[1])], c)
-            right = mul_poly_right(spec, T.leg_env(key[1]), a)
-            _expand_product(rhs, [T.leg_env(key[0]), right], c)
+            left = pbw_mul(spec, T.leg_env(key[0]), a_env)
+            _expand_product(lhs, [_basis_terms(left), [(key[1], 1)]], c)
+            right = pbw_mul(spec, T.leg_env(key[1]), a_env)
+            _expand_product(rhs, [[(key[0], 1)], _basis_terms(right)], c)
         L = tensor_reduce(spec, TensorElement(T.nvars, T.rank, 2, lhs))
         R = tensor_reduce(spec, TensorElement(T.nvars, T.rank, 2, rhs))
         if L != R:

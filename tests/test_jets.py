@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgroupoid import jets
 from qgroupoid.deform import DeformedEnvAlgebroid, defelem_from_env, exp_twistor, trivial_twistor
 from qgroupoid.envelope import EnvElement, pbw_mul
 from qgroupoid.errors import FlavorError
@@ -69,6 +70,22 @@ def test_pairing_basics():
     eps = unit_functional(ctx)
     u = EnvElement(2, 2, {(0, 0): x2, (1, 0): CPoly.one(2)})
     assert_val(jet_pair(ctx, eps, u), {0: x2})
+
+
+def test_pairing_memo_follows_the_deformation(monkeypatch):
+    """One functional paired against two deformations built in turn: the
+    memo entry made for the first must not answer for the second.  A memo
+    keyed by id() fails this once a freed deformation's id is reused; here
+    every id() collides, so that case is certain."""
+    monkeypatch.setattr(jets, "id", lambda obj: 0, raising=False)
+    key = ((1, 0), (0, 0))  # x1 = s_F(x1) - (h/2) x1 d2 + ... when twisted
+    ctx = make_ctx(LEFT, order=3)
+    lam = xi_functional(ctx, 1)
+    deformed = jet_pair(ctx, lam, key)
+    ctx = make_trivial_ctx(LEFT, order=3)
+    fresh = xi_functional(ctx, 1)
+    assert jet_pair(ctx, lam, key).eq_to_order(jet_pair(ctx, fresh, key))
+    assert not deformed.eq_to_order(jet_pair(ctx, fresh, key))
 
 
 def test_product_table_left_dual():

@@ -33,6 +33,14 @@ def bad_jacobi_spec():
     return LieRinehartSpec(0, 3, c, None)
 
 
+def test_structure_bracket_is_read_only():
+    spec = axplusb_spec()
+    assert spec.bracket == {(0, 1): (CPoly.one(0), CPoly.zero(0))}
+    with pytest.raises(TypeError):
+        spec.bracket[(0, 1)] = (CPoly.zero(0), CPoly.one(0))
+    assert isinstance(spec.anchor, tuple)
+
+
 def test_validate_der():
     assert lr_validate(der_spec()).ok()
     assert lr_validate(der_spec(2)).ok()

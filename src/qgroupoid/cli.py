@@ -3,7 +3,9 @@
 Reports are emitted as line-delimited JSON on stdout (header record with
 the truncation parameters, one record per check, one summary record) plus
 a human summary on stderr; --json-only suppresses the summary.  Exit
-codes: 0 pass, 1 fail, 2 indeterminate, 3 usage or parse error.
+codes: 0 pass, 1 fail, 2 indeterminate, 3 usage or parse error.  A failed
+internal cross-check (``InvariantViolation``) is a failing check; any
+other engine error leaves the verdict indeterminate.
 """
 
 import argparse
@@ -15,12 +17,15 @@ from .drinfeld import (
     duality_roundtrip, hprime_member, semiclassical_cobracket,
     semiclassical_dual_bracket, vee_build, vee_semiclassical,
 )
-from .errors import EngineError, NonIntegralError, ParseError, SemanticError
+from .errors import (
+    EngineError, InvariantViolation, NonIntegralError, ParseError,
+    SemanticError,
+)
 from .jets import LEFT, RIGHT, JetContext, jet_axiom_suite
 from .properties import structure_property_suite
 from .report import Check, Report
 from .scalars import parse_poly
-from .specfile import load_spec_file
+from .specfile import check_truncation, load_spec_file
 
 EXIT = {"pass": 0, "fail": 1, "indeterminate": 2}
 
@@ -68,9 +73,12 @@ def main(argv=None):
         return 3
     except EngineError as exc:
         report = Report(args.command)
-        report.add(Check("engine", True, str(exc), status="indeterminate"))
+        if isinstance(exc, InvariantViolation):
+            report.add(Check("engine", False, str(exc)))
+        else:
+            report.add(Check("engine", True, str(exc), status="indeterminate"))
         _emit(report, args)
-        return 2
+        return EXIT[report.verdict()]
     _emit(report, args)
     return EXIT[report.verdict()]
 
@@ -93,6 +101,8 @@ def _load(args):
         espec.n_max = args.n_max
     if args.seed is not None:
         espec.seed = args.seed
+    check_truncation(espec.h_order, espec.jet_degree, espec.n_max,
+                     espec.pbw_degree, espec.sample_degree)
     return espec
 
 
@@ -111,6 +121,7 @@ def _run(args):
         n = args.h_order if args.h_order is not None else 4
         d = args.jet_degree if args.jet_degree is not None else 4
         n_max = args.n_max if args.n_max is not None else min(3, n)
+        check_truncation(n, d, n_max)
         bundle = build_axb(n, d)
         report = Report("example-axb",
                         {"h_order": n, "jet_degree": d, "n_max": n_max,

@@ -14,6 +14,14 @@ explicit per-order series of a spec file) takes the two Cauchy products
 against the dense series F and G.  ``twistor_validate`` never takes the
 shortcut.
 
+The base maps (star product, s_F, t_F) let the legs of F act on the base
+through the anchor; every chain reads the structure's action table
+(``envelope.monomial_action``).  ``reduce_series`` moves coefficients
+rightward by the Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v; the
+deformation caches, per leg monomial w, the s_F-images of its
+t_F-decomposition (``DeformedEnvAlgebroid.migrants``), never the products
+with the next leg.
+
 All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
 basis decompositions and tensor reductions exact triangular solves.
@@ -22,8 +30,8 @@ basis decompositions and tensor reductions exact triangular solves.
 import itertools
 from fractions import Fraction
 
-from .envelope import EnvElement, pbw_mul
-from .errors import ConfigError, TriangularityViolation
+from .envelope import EnvElement, monomial_action, pbw_mul
+from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto
 from .series import HSeries, hs_const, hs_zero, hseries_invert, hseries_mul
@@ -101,17 +109,14 @@ def defelem_mul(spec, a, b):
 
 
 def _act_mono(spec, key, a):
-    """Anchor action of the basis monomial x^gamma e^alpha on a polynomial."""
+    """Anchor action of the basis monomial x^gamma e^alpha on a polynomial:
+    x^gamma sum_m a_m (e^alpha . x^m), read from the structure's table."""
     gamma, alpha = key
-    val = a
-    for i in range(spec.rank - 1, -1, -1):
-        for _ in range(alpha[i]):
-            val = spec.anchor_apply(i, val)
-            if val.is_zero():
-                return val
-    if any(gamma):
-        val = CPoly.monomial(spec.nvars, gamma) * val
-    return val
+    out = {}
+    for m, c in a.terms.items():
+        for mu, v in monomial_action(spec, alpha, m).terms.items():
+            _bump_term(out, tuple(x + y for x, y in zip(gamma, mu)), c * v)
+    return CPoly(spec.nvars, out)
 
 
 def _source_from(spec, F, a):
@@ -180,7 +185,8 @@ def twistor_invert(spec, twistor, order=None):
     if twistor.exponent is not None:
         closed = exp_twistor(spec, -twistor.exponent, order).series
         if closed != G:
-            raise ConfigError("closed-form inverse disagrees with series inverse")
+            raise InvariantViolation(
+                "closed-form inverse disagrees with series inverse")
     return G
 
 
@@ -282,6 +288,7 @@ class DeformedEnvAlgebroid:
         self._tF = {}
         self._star = {}
         self._decomp = {}
+        self._migrants = {}
         self._lift = {}
         # warm the base-variable tables so the object is effectively
         # immutable after construction
@@ -383,6 +390,19 @@ class DeformedEnvAlgebroid:
                 self.order)
             hit = basis_decompose(self, u, flavor)
             self._decomp[ckey] = hit
+        return hit
+
+    def migrants(self, w):
+        """[(beta, s_F(a_beta) per h-order)] for w = sum t_F(a_beta) e^beta.
+
+        The Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v moves each
+        a_beta onto the next leg; ``reduce_series`` reads this cache.
+        """
+        hit = self._migrants.get(w)
+        if hit is None:
+            hit = self._migrants[w] = [
+                (beta, self.source_series(aser).coeffs)
+                for beta, aser in self.decompose_mono(w, "target").items()]
         return hit
 
 
@@ -496,12 +516,8 @@ def reduce_series(dfa, HT):
     """Canonical representative of a lifted tensor series in the deformed
     tensor product: all legs but the last become pure PBW monomials, the
     coefficients migrate rightward through t_F-decompositions."""
-    legs = None
-    for t in HT.coeffs:
-        legs = t.legs
-        break
     out = HT
-    for leg in range(legs - 1):
+    for leg in range(HT.zero.legs - 1):
         out = _reduce_leg(dfa, out, leg)
     return out
 
@@ -510,14 +526,7 @@ def _reduce_leg(dfa, HT, leg):
     spec = dfa.spec
     n = dfa.order
     zeros_g = (0,) * spec.nvars
-    zero_t = None
-    legs = None
-    for t in HT.coeffs:
-        legs = t.legs
-        zero_t = TensorElement.zero(spec.nvars, spec.rank, legs)
-        break
     acc = [dict() for _ in range(n + 1)]
-    idkey = (zeros_g, (0,) * spec.rank)
     for k, Tk in enumerate(HT.coeffs):
         for key, c in Tk.terms.items():
             w = key[leg]
@@ -528,9 +537,8 @@ def _reduce_leg(dfa, HT, leg):
             nxt = key[leg + 1]
             nxt_env = EnvElement.monomial(spec.nvars, spec.rank, nxt[1],
                                           CPoly.monomial(spec.nvars, nxt[0]))
-            for beta, aser in dfa.decompose_mono(w, "target").items():
-                sser = dfa.source_series(aser)
-                for j, w_env in enumerate(sser.coeffs):
+            for beta, moved in dfa.migrants(w):
+                for j, w_env in enumerate(moved):
                     if k + j > n or w_env.is_zero():
                         continue
                     prod = pbw_mul(spec, w_env, nxt_env)
@@ -539,8 +547,9 @@ def _reduce_leg(dfa, HT, leg):
                             k2 = key[:leg] + ((zeros_g, beta), (g2, alpha2)) \
                                 + key[leg + 2:]
                             _bump_term(acc[k + j], k2, c * q2)
+    legs = HT.zero.legs
     coeffs = [TensorElement(spec.nvars, spec.rank, legs, d) for d in acc]
-    return HSeries(n, coeffs, zero_t)
+    return HSeries(n, coeffs, HT.zero)
 
 
 def _bump_term(d, key, c):

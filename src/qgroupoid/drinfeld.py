@@ -11,11 +11,14 @@ and compares generators and relations with the originals at truncation.
 import itertools
 
 from .deform import (
-    defelem_from_env, defelem_mul, iterated_twisted_coproduct,
+    _bump_term, defelem_from_env, defelem_mul, iterated_twisted_coproduct,
     twisted_coproduct,
 )
 from .envelope import EnvElement, env_counit, pbw_mul
-from .errors import ConfigError, NonIntegralError, TruncationInsufficientError
+from .errors import (
+    ConfigError, InvariantViolation, NonIntegralError,
+    TruncationInsufficientError,
+)
 from .jets import (
     coordinate_functional, jet_pair, jet_product, jets_equal, pbw_indices,
     unit_functional, xi_functional,
@@ -180,7 +183,7 @@ def _project_leg(dfa, HT, leg, flavor):
             zero_t = Tk
         for key, c in Tk.terms.items():
             gamma, alpha = key[leg]
-            _bump(acc[k], key, c)
+            _bump_term(acc[k], key, c)
             if alpha != zeros_a:
                 continue
             ser = mapper(CPoly.monomial(spec.nvars, gamma))
@@ -190,20 +193,11 @@ def _project_leg(dfa, HT, leg, flavor):
                 for a2, p2 in env.terms.items():
                     for g2, q2 in p2.terms.items():
                         k2 = key[:leg] + ((g2, a2),) + key[leg + 1:]
-                        _bump(acc[k + j], k2, -c * q2)
+                        _bump_term(acc[k + j], k2, -c * q2)
     from .tensorspace import TensorElement
     legs = zero_t.legs if zero_t is not None else 2
     coeffs = [TensorElement(spec.nvars, spec.rank, legs, d) for d in acc]
     return HSeries(n, coeffs, TensorElement.zero(spec.nvars, spec.rank, legs))
-
-
-def _bump(d, key, c):
-    cur = d.get(key)
-    s = c if cur is None else cur + c
-    if s:
-        d[key] = s
-    else:
-        d.pop(key, None)
 
 
 def reduced_coproduct_power(dfa, u, n, flavor="source"):
@@ -282,7 +276,8 @@ def hprime_basis(dfa, jctx, degree, n_max=None):
                         % (alpha, beta))
         member = cand.shift(sum(alpha))
         if n_max and not hprime_member(dfa, member, n_max):
-            raise ConfigError("dual basis member fails the membership test")
+            raise InvariantViolation(
+                "dual basis member fails the membership test")
         basis[alpha] = member
     return basis
 

@@ -16,8 +16,8 @@ from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
 __all__ = [
-    "EnvElement", "pbw_mul", "monomial_product", "env_counit",
-    "anchor_action", "right_from_left", "renv_mul",
+    "EnvElement", "pbw_mul", "monomial_product", "monomial_action",
+    "env_counit", "anchor_action", "right_from_left", "renv_mul",
 ]
 
 
@@ -173,7 +173,7 @@ def monomial_product(spec, alpha, gamma, beta):
         res = monomial_product(spec, alpha, (0,) * nvars, beta).scale(
             CPoly.monomial(nvars, gamma))
         res = res + EnvElement(
-            nvars, rank, {beta: spec.anchor_apply(j, CPoly.monomial(nvars, gamma))})
+            nvars, rank, {beta: monomial_action(spec, alpha, gamma)})
     else:
         i = _first_nonzero(beta)
         if i is None or j <= i:
@@ -188,6 +188,35 @@ def monomial_product(spec, alpha, gamma, beta):
                     _acc_elem(terms, monomial_product(
                         spec, _bump((0,) * rank, k), zeros, rest), -c)
             res = EnvElement(nvars, rank, terms)
+    table[key] = res
+    return res
+
+
+# -- anchor action -----------------------------------------------------------
+#
+# e^alpha acts on the base by composing anchors, the last generator first.
+# The structure's second table holds e^alpha acting on the monomial x^gamma,
+# built by peeling the first generator e_i off e^alpha:
+#
+#   e^alpha . x^gamma = anchor(e_i)(e^(alpha - e_i) . x^gamma).
+#
+# Every anchor chain reads this table; a polynomial acts by linearity.
+
+
+def monomial_action(spec, alpha, gamma):
+    """e^alpha acting on x^gamma through the anchor (the structure's table)."""
+    table = spec._act_table
+    key = (alpha, gamma)
+    hit = table.get(key)
+    if hit is not None:
+        return hit
+    i = _first_nonzero(alpha)
+    if i is None:
+        res = CPoly.monomial(spec.nvars, gamma)
+    else:
+        res = monomial_action(spec, _bump(alpha, i, -1), gamma)
+        if not res.is_zero():
+            res = spec.anchor_apply(i, res)
     table[key] = res
     return res
 
@@ -222,19 +251,13 @@ def env_counit(u):
 
 
 def anchor_action(spec, u, a):
-    """u acting on the base: counit(u * a), computed by composing derivations."""
+    """u acting on the base: counit(u * a), read from the action table."""
     out = CPoly.zero(spec.nvars)
     for beta, c in u.terms.items():
-        val = a
-        for i in range(spec.rank - 1, -1, -1):
-            for _ in range(beta[i]):
-                val = spec.anchor_apply(i, val)
-                if val.is_zero():
-                    break
-            if val.is_zero():
-                break
-        if not val.is_zero():
-            out = out + c * val
+        for gamma, q in a.terms.items():
+            val = monomial_action(spec, beta, gamma)
+            if not val.is_zero():
+                out = out + c * val * q
     return out
 
 

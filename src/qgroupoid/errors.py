@@ -9,6 +9,12 @@ class ConfigError(EngineError):
     """Incompatible engine parameters (mixed truncation orders, bad ranks)."""
 
 
+class InvariantViolation(ConfigError):
+    """The engine's own cross-check failed, e.g. a closed form disagreeing
+    with the series it must equal.  The CLI reports it as a failing check,
+    not as an indeterminate one."""
+
+
 class NotAUnitError(EngineError):
     """Leading coefficient of a truncated series is not invertible."""
 

@@ -24,7 +24,7 @@ class LieRinehartSpec:
     """Structure constants and anchor for (A, L) with L free of rank m.
 
     ``bracket`` is a read-only mapping and ``anchor`` a tuple of tuples:
-    the normal-form product tables below are memoised on the structure,
+    the product and anchor-action tables below are memoised on the structure,
     so it must not change after construction.
     """
 
@@ -51,6 +51,7 @@ class LieRinehartSpec:
         if len(self.anchor) != rank or any(len(r) != nvars for r in self.anchor):
             raise ConfigError("anchor matrix must be rank x nvars")
         self._mono_table = {}   # (alpha, gamma, beta) -> e^alpha x^gamma e^beta
+        self._act_table = {}    # (alpha, gamma) -> e^alpha acting on x^gamma
         self._copro_table = {}  # alpha -> Delta(e^alpha), a lifted 2-tensor
         self._rgen_table = {}   # (i, beta) -> e_i e^beta in right normal form
 

@@ -25,7 +25,14 @@ from .errors import ParseError, SemanticError
 from .lierinehart import LieRinehartSpec
 from .scalars import CPoly, parse_poly
 
-__all__ = ["EngineSpec", "load_spec", "load_spec_file", "parse_env_monomial"]
+__all__ = [
+    "EngineSpec", "load_spec", "load_spec_file", "parse_env_monomial",
+    "check_truncation", "MAX_TRUNCATION",
+]
+
+# Input budget: the largest h_order and jet_degree a run accepts.  Cost
+# grows about sixfold from order 4 to order 6; the shipped spec uses 4.
+MAX_TRUNCATION = 10
 
 _SECTIONS = ("base", "generators", "bracket", "anchor", "twistor",
              "truncation", "samples", "rng")
@@ -262,7 +269,14 @@ def _validate(spec):
     for (i, j, _, line) in spec.anchor_entries:
         if not 1 <= i <= m or not 1 <= j <= spec.nvars:
             raise SemanticError("line %d: anchor index out of range" % line)
-    for val in (spec.h_order, spec.jet_degree, spec.n_max, spec.pbw_degree,
-                spec.sample_degree):
-        if val < 1:
-            raise SemanticError("all truncation degrees must be >= 1")
+    check_truncation(spec.h_order, spec.jet_degree, spec.n_max,
+                     spec.pbw_degree, spec.sample_degree)
+
+
+def check_truncation(h_order, jet_degree, *degrees):
+    """Bounds on the truncation parameters, for spec files and overrides."""
+    if min((h_order, jet_degree) + degrees) < 1:
+        raise SemanticError("all truncation degrees must be >= 1")
+    if max(h_order, jet_degree) > MAX_TRUNCATION:
+        raise SemanticError("h_order and jet_degree must be <= %d"
+                            % MAX_TRUNCATION)

@@ -131,3 +131,47 @@ def test_usage_error_exit_code():
 def test_help_exits_zero():
     code, _, _ = run_cli(["--help"])
     assert code == 0
+
+
+def test_truncation_overrides_are_bounded():
+    for argv in (["twist", SPEC, "--h-order", "0"],
+                 ["twist", SPEC, "--h-order", "-1"],
+                 ["dualize", SPEC, "--jet-degree", "0"],
+                 ["example", "axb", "--h-order", "0"],
+                 ["example", "axb", "--jet-degree", "-2"]):
+        code, out, err = run_cli(argv + ["--json-only"])
+        assert code == 3, argv
+        assert out == ""
+        assert "all truncation degrees must be >= 1" in err
+
+
+def test_truncation_budget(tmp_path):
+    text = open(SPEC).read().replace("h_order = 4", "h_order = 11")
+    big = tmp_path / "big.spec"
+    big.write_text(text)
+    runs = [["twist", str(big)],
+            ["twist", SPEC, "--h-order", "11"],
+            ["semiclassical", SPEC, "--jet-degree", "11"],
+            ["example", "axb", "--h-order", "11"],
+            ["example", "axb", "--jet-degree", "11"]]
+    for argv in runs:
+        code, out, err = run_cli(argv + ["--json-only"])
+        assert code == 3, argv
+        assert "h_order and jet_degree must be <= 10" in err
+
+
+def test_invariant_violation_is_a_failing_check(monkeypatch):
+    import qgroupoid.specfile as specfile
+    from qgroupoid.deform import Twistor, exp_twistor
+
+    def mismatched(spec, r, order):
+        return Twistor(exp_twistor(spec, r, order).series, exponent=r.scale(2))
+
+    monkeypatch.setattr(specfile, "exp_twistor", mismatched)
+    code, out, _ = run_cli(["twist", SPEC, "--h-order", "2", "--json-only"])
+    assert code == 1
+    lines = parse_lines(out)
+    assert lines[-1]["verdict"] == "fail"
+    engine = [l for l in lines[1:-1] if l["check"] == "engine"]
+    assert engine[0]["status"] == "fail"
+    assert "closed-form inverse" in engine[0]["witness"]

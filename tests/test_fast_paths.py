@@ -4,9 +4,13 @@
   the generator-by-generator rewriting u * b * e_i * ... kept below.
 - An exponential twistor F = exp(h r) conjugates by the Hadamard expansion;
   the oracle is the two Cauchy products G . (S . F) by ``hseries_mul``.
+- Anchor chains read one memo table of e^alpha acting on x^gamma; the
+  oracle is the chain of ``anchor_apply`` calls on the whole polynomial.
+- ``reduce_series`` reads the deformation's migration cache; the oracle is
+  the reduction that re-derives every decomposition per term.
 
-Both run on the axb spec and on a bracketed structure with a non-constant
-anchor.
+They run on the axb spec and on a bracketed structure with a non-constant
+anchor; the reduction also runs on an explicit per-order twistor.
 """
 
 import itertools
@@ -17,15 +21,18 @@ from fractions import Fraction
 import pytest
 
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, defelem_from_env, deformed_coproduct_leg,
-    exp_twistor, twisted_coproduct,
+    DeformedEnvAlgebroid, Twistor, _act_mono, _bump_term, defelem_from_env,
+    deformed_coproduct_leg, exp_twistor, reduce_series, sample_defelems,
+    twisted_coproduct,
 )
-from qgroupoid.envelope import EnvElement, pbw_mul
+from qgroupoid.envelope import (
+    EnvElement, anchor_action, monomial_action, pbw_mul,
+)
 from qgroupoid.errors import ConfigError
 from qgroupoid.lierinehart import LieRinehartSpec, lr_validate
-from qgroupoid.scalars import CPoly
-from qgroupoid.series import hs_const, hseries_mul
-from qgroupoid.specfile import load_spec_file
+from qgroupoid.scalars import CPoly, monomials_upto
+from qgroupoid.series import HSeries, hs_const, hseries_mul
+from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
     TensorElement, env_coproduct, tensor_coproduct_leg, tensor_mul,
 )
@@ -223,3 +230,170 @@ def test_series_exponent_mismatch_rejected():
         DeformedEnvAlgebroid(spec, Twistor(series, exponent=r.scale(2)),
                              validate=False)
 
+
+# -- the anchor-chain oracle for the action table ----------------------------------
+
+
+def chain_act_mono(spec, key, a):
+    """x^gamma e^alpha acting on a, applying the last generator first."""
+    gamma, alpha = key
+    val = a
+    for i in range(spec.rank - 1, -1, -1):
+        for _ in range(alpha[i]):
+            val = spec.anchor_apply(i, val)
+            if val.is_zero():
+                return val
+    if any(gamma):
+        val = CPoly.monomial(spec.nvars, gamma) * val
+    return val
+
+
+def random_poly(spec, rng):
+    gammas = [g for g in itertools.product(range(4), repeat=spec.nvars)
+              if sum(g) <= 3]
+    out = CPoly.zero(spec.nvars)
+    for _ in range(3):
+        out = out + CPoly.monomial(spec.nvars, rng.choice(gammas),
+                                   Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return out
+
+
+# e^alpha . x^gamma whose chain reaches zero before its first generators act:
+# d2^3 kills x2^2 on axb, e3^2 = d2^2 kills x2 on the bracketed structure.
+EARLY_ZEROS = {axb_structure: ((2, 3), (1, 2)),
+               bracketed_structure: ((1, 0, 2), (0, 1))}
+
+
+@pytest.mark.parametrize("make", STRUCTURES)
+def test_action_table_matches_anchor_chain(make):
+    spec = make()
+    alphas = [a for a in itertools.product(range(4), repeat=spec.rank)
+              if sum(a) <= 4]
+    gammas = list(itertools.product(range(4), repeat=spec.nvars))
+    for alpha in alphas:
+        for gamma in gammas:
+            assert monomial_action(spec, alpha, gamma) == chain_act_mono(
+                spec, ((0,) * spec.nvars, alpha), CPoly.monomial(spec.nvars, gamma))
+    alpha, gamma = EARLY_ZEROS[make]
+    assert monomial_action(spec, alpha, gamma).is_zero()
+    assert (alpha, gamma) in spec._act_table
+
+
+@pytest.mark.parametrize("make", STRUCTURES)
+def test_act_mono_and_anchor_action_match_anchor_chain(make):
+    spec = make()
+    rng = random.Random(7)
+    keys = low_monomials(spec, 3)
+    keys.append(((1,) * spec.nvars, EARLY_ZEROS[make][0]))
+    for _ in range(4):
+        a = random_poly(spec, rng)
+        for key in keys:
+            assert _act_mono(spec, key, a) == chain_act_mono(spec, key, a)
+        u = random_elem(spec, rng)
+        want = CPoly.zero(spec.nvars)
+        for alpha, c in u.terms.items():
+            want = want + c * chain_act_mono(spec, ((0,) * spec.nvars, alpha), a)
+        assert anchor_action(spec, u, a) == want
+
+
+# -- the uncached oracle for reduce_series ------------------------------------------
+
+
+def uncached_reduce_series(dfa, HT):
+    out = HT
+    for leg in range(HT.zero.legs - 1):
+        out = uncached_reduce_leg(dfa, out, leg)
+    return out
+
+
+def uncached_reduce_leg(dfa, HT, leg):
+    """Move the coefficient of every leg-`leg` monomial onto the next leg,
+    decomposing it through t_F and mapping through s_F term by term."""
+    spec = dfa.spec
+    n = dfa.order
+    zeros_g = (0,) * spec.nvars
+    acc = [dict() for _ in range(n + 1)]
+    for k, Tk in enumerate(HT.coeffs):
+        for key, c in Tk.terms.items():
+            w = key[leg]
+            if w[0] == zeros_g:
+                _bump_term(acc[k], key, c)
+                continue
+            nxt = key[leg + 1]
+            nxt_env = EnvElement.monomial(spec.nvars, spec.rank, nxt[1],
+                                          CPoly.monomial(spec.nvars, nxt[0]))
+            for beta, aser in dfa.decompose_mono(w, "target").items():
+                sser = dfa.source_series(aser)
+                for j, w_env in enumerate(sser.coeffs):
+                    if k + j > n or w_env.is_zero():
+                        continue
+                    prod = pbw_mul(spec, w_env, nxt_env)
+                    for alpha2, poly2 in prod.terms.items():
+                        for g2, q2 in poly2.terms.items():
+                            k2 = key[:leg] + ((zeros_g, beta), (g2, alpha2)) \
+                                + key[leg + 2:]
+                            _bump_term(acc[k + j], k2, c * q2)
+    legs = HT.zero.legs
+    coeffs = [TensorElement(spec.nvars, spec.rank, legs, d) for d in acc]
+    return HSeries(n, coeffs, TensorElement.zero(spec.nvars, spec.rank, legs))
+
+
+ORDERS_SPEC = """
+[base]
+vars = x1 x2
+[generators]
+names = d1 d2
+[anchor]
+w 1 1 = 1
+w 2 2 = 1
+[twistor]
+form = orders
+order 1 = 1 | x1*d1 | d2
+order 2 = -1/3 | d1 | x2*d2
+[truncation]
+h_order = 3
+"""
+
+
+def axb_exp_dfa():
+    espec = load_spec_file(SPEC)
+    spec = espec.build_structure()
+    return DeformedEnvAlgebroid(spec, espec.build_twistor(spec, 3),
+                                validate=False)
+
+
+def orders_dfa():
+    espec = load_spec(ORDERS_SPEC)
+    spec = espec.build_structure()
+    return DeformedEnvAlgebroid(spec, espec.build_twistor(spec, 3),
+                                validate=False)
+
+
+def reduction_inputs(dfa):
+    """Two-leg Takeuchi products and three-leg coproducts of lifts."""
+    spec = dfa.spec
+    one = EnvElement.one(spec.nvars, spec.rank)
+
+    def mt(a, b):
+        return tensor_mul(spec, a, b)
+
+    out = []
+    for u in sample_defelems(dfa, 2):
+        lift = twisted_coproduct(dfa, u)
+        for a in monomials_upto(spec.nvars, 2)[1:]:
+            ta = dfa.target(a).map(lambda w: TensorElement.of(w, one))
+            out.append(hseries_mul(lift, ta, mt))
+        out.append(deformed_coproduct_leg(dfa, lift, 0))
+    return out
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa])
+def test_reduce_series_matches_uncached(make):
+    dfa = make()
+    inputs = reduction_inputs(dfa)
+    assert {t.zero.legs for t in inputs} == {2, 3}
+    want = [uncached_reduce_series(dfa, HT) for HT in inputs]
+    assert [reduce_series(dfa, HT) for HT in inputs] == want
+    assert dfa._migrants
+    # the second pass reads every migration from the cache
+    assert [reduce_series(dfa, HT) for HT in inputs] == want

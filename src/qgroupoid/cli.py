@@ -5,7 +5,9 @@ the truncation parameters, one record per check, one summary record) plus
 a human summary on stderr; --json-only suppresses the summary.  Exit
 codes: 0 pass, 1 fail, 2 indeterminate, 3 usage or parse error.  A failed
 internal cross-check (``InvariantViolation``) is a failing check; any
-other engine error leaves the verdict indeterminate.
+other engine error leaves the verdict indeterminate.  Every command built
+on the spec's twistor validates it once: ``twist`` reports those checks,
+the others report them only when one fails, and then certify nothing else.
 """
 
 import argparse
@@ -107,9 +109,20 @@ def _load(args):
 
 
 def _dfa_from(espec):
+    """The deformation of the spec and the one validation of its twistor."""
     spec = espec.build_structure()
     tw = espec.build_twistor(spec, espec.h_order)
-    return spec, DeformedEnvAlgebroid(spec, tw, validate=False)
+    dfa = DeformedEnvAlgebroid(spec, tw, validate=False)
+    return spec, dfa, twistor_validate(spec, tw)
+
+
+def _twistor_failed(report, twrep):
+    """Put a failed twistor validation into the report, so nothing is
+    certified on that twistor; True if it failed."""
+    if twrep.ok():
+        return False
+    report.extend(twrep, prefix="twistor")
+    return True
 
 
 def _extras(espec):
@@ -151,21 +164,23 @@ def _run(args):
         return report
 
     if args.command == "twist":
-        spec, dfa = _dfa_from(espec)
+        spec, dfa, twrep = _dfa_from(espec)
         report = Report("twist", {"h_order": espec.h_order,
                                   "seed": espec.seed})
-        report.extend(twistor_validate(spec, dfa.twistor), prefix="twistor")
+        report.extend(twrep, prefix="twistor")
         report.extend(deformed_axiom_suite(
             dfa, min(espec.sample_degree, 2), _extras(espec)), prefix="axioms")
         return report
 
     if args.command == "dualize":
-        spec, dfa = _dfa_from(espec)
-        flavor = LEFT if args.side == "left" else RIGHT
-        ctx = JetContext(dfa, flavor, espec.jet_degree)
+        spec, dfa, twrep = _dfa_from(espec)
         report = Report("dualize-%s" % args.side,
                         {"h_order": espec.h_order,
                          "jet_degree": espec.jet_degree, "seed": espec.seed})
+        if _twistor_failed(report, twrep):
+            return report
+        flavor = LEFT if args.side == "left" else RIGHT
+        ctx = JetContext(dfa, flavor, espec.jet_degree)
         report.extend(jet_axiom_suite(ctx, min(espec.sample_degree, 2)),
                       prefix="axioms")
         v = vee_build(ctx, degree=min(espec.jet_degree, 3))
@@ -177,11 +192,13 @@ def _run(args):
         return report
 
     if args.command == "drinfeld":
-        spec, dfa = _dfa_from(espec)
-        ctx = JetContext(dfa, LEFT, espec.jet_degree)
+        spec, dfa, twrep = _dfa_from(espec)
         report = Report("drinfeld-%s" % args.functor,
                         {"h_order": espec.h_order, "n_max": espec.n_max,
                          "jet_degree": espec.jet_degree, "seed": espec.seed})
+        if _twistor_failed(report, twrep):
+            return report
+        ctx = JetContext(dfa, LEFT, espec.jet_degree)
         if args.functor == "vee":
             try:
                 v = vee_build(ctx, degree=min(espec.jet_degree, 3))
@@ -211,9 +228,11 @@ def _run(args):
         return report
 
     if args.command == "semiclassical":
-        spec, dfa = _dfa_from(espec)
+        spec, dfa, twrep = _dfa_from(espec)
         report = Report("semiclassical", {"h_order": espec.h_order,
                                           "seed": espec.seed})
+        if _twistor_failed(report, twrep):
+            return report
         delta, dual, rep = semiclassical_cobracket(dfa)
         report.extend(rep, prefix="cobracket")
         ctxR = JetContext(dfa, RIGHT, espec.jet_degree)

@@ -25,6 +25,9 @@ with the next leg.
 All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
 basis decompositions and tensor reductions exact triangular solves.
+``basis_decompose`` keeps its remainder as one term dict per h-order and
+multiplies out only the orders a term's image contributes below the
+truncation, skipping order zero, which cancels the term itself.
 """
 
 import itertools
@@ -476,29 +479,52 @@ def iterated_twisted_coproduct(dfa, u, n, max_legs=8):
 def basis_decompose(dfa, u, flavor="source"):
     """u = sum_beta map_F(a_beta) e^beta, solved by triangular back-substitution.
 
-    ``flavor`` picks the source or the target map.  Exact at truncation;
-    round-trips by construction because map_F(a) = a + O(h).
+    ``flavor`` picks the source or the target map.  The remainder is kept
+    as one term dict per h-order.  A term a h^k e^alpha goes into a_alpha
+    and its image map_F(a) e^alpha h^k comes off the remainder; the image
+    is a + O(h) because F_0 = 1 (x) 1, so order k cancels the term itself
+    and only the orders k + j, 1 <= j <= N - k, that survive the
+    truncation are multiplied out.  a is mapped monomial by monomial
+    through the deformation's cached base maps.  Exact at truncation.
     """
     if flavor not in ("source", "target"):
         raise ConfigError("flavor must be source or target")
     spec = dfa.spec
+    nvars, rank = spec.nvars, spec.rank
     n = dfa.order
-    zero_p = CPoly.zero(spec.nvars)
-    remaining = u
-    coeffs = {}
+    zero_p = CPoly.zero(nvars)
     mapper = dfa.source if flavor == "source" else dfa.target
+    remaining = [dict(uk.terms) for uk in u.coeffs]
+    coeffs = {}
     for k in range(n + 1):
-        layer = remaining.coeffs[k]
-        if layer.is_zero():
-            continue
-        for alpha, poly in sorted(layer.terms.items()):
-            cur = coeffs.setdefault(alpha, [zero_p] * (n + 1))
-            cur[k] = cur[k] + poly
-            mono = EnvElement.monomial(spec.nvars, spec.rank, alpha)
-            mapped = mapper(poly)
-            correction = mapped.map(lambda w: pbw_mul(spec, w, mono)).shift(k)
-            remaining = remaining - correction
+        layer = remaining[k]
+        for alpha in sorted(layer):
+            poly = layer[alpha]
+            coeffs.setdefault(alpha, [zero_p] * (n + 1))[k] = poly
+            if k == n:
+                continue
+            mono = EnvElement.monomial(nvars, rank, alpha)
+            for gamma, c in poly.terms.items():
+                mapped = mapper(CPoly.monomial(nvars, gamma)).coeffs
+                for j in range(1, n - k + 1):
+                    if mapped[j].is_zero():
+                        continue
+                    _subtract_terms(remaining[k + j],
+                                    pbw_mul(spec, mapped[j], mono).terms, c)
     return {beta: HSeries(n, cs, zero_p) for beta, cs in coeffs.items()}
+
+
+def _subtract_terms(out, terms, c):
+    """out -= c * terms for term dicts {alpha: CPoly}, dropping zeros."""
+    for alpha, p in terms.items():
+        cur = out.get(alpha)
+        if c != 1:
+            p = p * c
+        s = -p if cur is None else cur - p
+        if s.is_zero():
+            out.pop(alpha, None)
+        else:
+            out[alpha] = s
 
 
 def reexpand(dfa, decomposition, flavor="source"):
@@ -546,7 +572,8 @@ def _reduce_leg(dfa, HT, leg):
                         for g2, q2 in poly2.terms.items():
                             k2 = key[:leg] + ((zeros_g, beta), (g2, alpha2)) \
                                 + key[leg + 2:]
-                            _bump_term(acc[k + j], k2, c * q2)
+                            _bump_term(acc[k + j], k2, q2 if c == 1 else
+                                       c if q2 == 1 else c * q2)
     legs = HT.zero.legs
     coeffs = [TensorElement(spec.nvars, spec.rank, legs, d) for d in acc]
     return HSeries(n, coeffs, HT.zero)

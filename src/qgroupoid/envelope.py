@@ -234,7 +234,8 @@ def _mul_terms(spec, uterms, vterms):
     for beta, b in vterms.items():
         for gamma, q in b.terms.items():
             for alpha, a in uterms.items():
-                _acc_elem(out, monomial_product(spec, alpha, gamma, beta), a * q)
+                _acc_elem(out, monomial_product(spec, alpha, gamma, beta),
+                          a if q == 1 else a * q)
     return out
 
 

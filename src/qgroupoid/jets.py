@@ -200,7 +200,7 @@ def _pair_env(ctx, lam, w):
     for alpha, poly in w.terms.items():
         for gamma, q in poly.terms.items():
             v = _pair_mono(ctx, lam, (gamma, alpha))
-            out = out + v.map(lambda t: t * q)
+            out = out + (v if q == 1 else v.map(lambda t: t * q))
     return out
 
 

@@ -1,24 +1,88 @@
-"""Kernel backend selection.
+"""Kernels for sparse polynomial dictionaries.
 
-Prefers the compiled extension when it has been built; falls back to the
-pure-Python implementation with identical semantics.  Set QGROUPOID_PURE=1
-to force the fallback (used by the benchmark and the parity tests).
+A polynomial is a dict mapping exponent tuples (one int per variable) to
+nonzero Fraction coefficients.  These functions are the hot loops of the
+whole engine.  Most products have a single-term operand with coefficient
+1 (a PBW basis monomial), and most scalings are by 1; those take a fast
+path that returns exactly what the general loop returns, with no
+``Fraction`` arithmetic.
 """
 
-import os
+from fractions import Fraction
+from operator import add
 
-if os.environ.get("QGROUPOID_PURE"):
-    from . import _kernel_py as _impl
-else:
-    try:
-        from . import _kernel_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _impl
+BACKEND = "pure"
 
-BACKEND = _impl.BACKEND
-poly_add = _impl.poly_add
-poly_sub = _impl.poly_sub
-poly_neg = _impl.poly_neg
-poly_scale = _impl.poly_scale
-poly_mul = _impl.poly_mul
-poly_diff = _impl.poly_diff
+_ZERO = Fraction(0)
+
+
+def poly_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, _ZERO) + v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def poly_sub(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, _ZERO) - v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
+
+
+def poly_neg(a):
+    return {k: -v for k, v in a.items()}
+
+
+def poly_scale(a, c):
+    if not c:
+        return {}
+    if c == 1:
+        return dict(a)
+    return {k: v * c for k, v in a.items()}
+
+
+def poly_mul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial shifts the exponents injectively: no two terms meet
+        (ka, va), = a.items()
+        if va == 1:
+            return {tuple(map(add, ka, kb)): vb for kb, vb in b.items()}
+        return {tuple(map(add, ka, kb)): va if vb == 1 else va * vb
+                for kb, vb in b.items()}
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(map(add, ka, kb))
+            s = out.get(k, _ZERO) + (va if vb == 1 else va * vb)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def poly_diff(a, j):
+    out = {}
+    for k, v in a.items():
+        e = k[j]
+        if e:
+            kk = k[:j] + (e - 1,) + k[j + 1:]
+            s = out.get(kk, _ZERO) + v * e
+            if s:
+                out[kk] = s
+            else:
+                del out[kk]
+    return out

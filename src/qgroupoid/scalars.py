@@ -103,7 +103,9 @@ class CPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CPoly(self.nvars, poly_scale(self.terms, Fraction(other)))
+            if type(other) is not Fraction:
+                other = Fraction(other)
+            return CPoly(self.nvars, poly_scale(self.terms, other))
         self._check(other)
         return CPoly(self.nvars, poly_mul(self.terms, other.terms))
 

@@ -170,7 +170,7 @@ def tensor_mul(spec, s, t):
     out = {}
     for ka, ca in s.terms.items():
         for kb, cb in t.terms.items():
-            c = ca * cb
+            c = cb if ca == 1 else ca if cb == 1 else ca * cb
             factors = [_mono_mul(spec, ka[l], kb[l]) for l in range(s.legs)]
             _expand_product(out, factors, c)
     return TensorElement(s.nvars, s.rank, s.legs, out)
@@ -184,7 +184,8 @@ def _expand_product(out, legchoices, coeff):
         key = tuple(k for k, _ in combo)
         c = coeff
         for _, q in combo:
-            c *= q
+            if q != 1:
+                c *= q
         cur = out.get(key)
         s = c if cur is None else cur + c
         if s:

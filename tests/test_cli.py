@@ -175,3 +175,51 @@ def test_invariant_violation_is_a_failing_check(monkeypatch):
     engine = [l for l in lines[1:-1] if l["check"] == "engine"]
     assert engine[0]["status"] == "fail"
     assert "closed-form inverse" in engine[0]["witness"]
+
+
+INVALID_TWISTOR_SPEC = """
+[base]
+vars = x1 x2
+[generators]
+names = d1 d2
+[anchor]
+w 1 1 = 1
+w 2 2 = 1
+[twistor]
+form = orders
+order 1 = 1 | x1*d1 | d2
+[truncation]
+h_order = 3
+"""
+
+
+def test_no_command_certifies_an_invalid_twistor(tmp_path, monkeypatch):
+    import qgroupoid.cli as cli
+
+    spec = tmp_path / "cocycle.spec"
+    spec.write_text(INVALID_TWISTOR_SPEC)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cli_validate(*args, **kwargs)
+
+    cli_validate = cli.twistor_validate
+    monkeypatch.setattr(cli, "twistor_validate", counted)
+    commands = [["twist"], ["dualize"], ["drinfeld", "--functor", "roundtrip"],
+                ["drinfeld", "--functor", "prime"],
+                ["drinfeld", "--functor", "vee"], ["semiclassical"]]
+    for argv in commands:
+        del calls[:]
+        code, out, _ = run_cli(argv + [str(spec), "--json-only"])
+        assert code == 1, argv
+        assert len(calls) == 1, argv
+        lines = parse_lines(out)
+        assert lines[-1]["verdict"] == "fail"
+        failing = {l["check"]: l["witness"] for l in lines[1:-1]
+                   if l["status"] == "fail"}
+        assert failing["twistor/cocycle-identity"] == \
+            "cocycle identity fails at order h^2", argv
+        if argv[0] != "twist":
+            assert all(l["check"].startswith("twistor/")
+                       for l in lines[1:-1]), argv

@@ -8,6 +8,11 @@
   oracle is the chain of ``anchor_apply`` calls on the whole polynomial.
 - ``reduce_series`` reads the deformation's migration cache; the oracle is
   the reduction that re-derives every decomposition per term.
+- The polynomial kernel and ``tensor_mul`` skip multiplications by 1 and
+  shift by a monomial operand; the oracles are the plain loops kept below.
+- ``basis_decompose`` multiplies out only the orders that survive the
+  truncation; the oracle is the back-substitution that maps and subtracts
+  the whole series per term.
 
 They run on the axb spec and on a bracketed structure with a non-constant
 anchor; the reduction also runs on an explicit per-order twistor.
@@ -20,10 +25,11 @@ from fractions import Fraction
 
 import pytest
 
+from qgroupoid import kernel
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, _act_mono, _bump_term, defelem_from_env,
-    deformed_coproduct_leg, exp_twistor, reduce_series, sample_defelems,
-    twisted_coproduct,
+    DeformedEnvAlgebroid, Twistor, _act_mono, _bump_term, basis_decompose,
+    defelem_from_env, deformed_coproduct_leg, exp_twistor, reduce_series,
+    reexpand, sample_defelems, twisted_coproduct,
 )
 from qgroupoid.envelope import (
     EnvElement, anchor_action, monomial_action, pbw_mul,
@@ -397,3 +403,151 @@ def test_reduce_series_matches_uncached(make):
     assert dfa._migrants
     # the second pass reads every migration from the cache
     assert [reduce_series(dfa, HT) for HT in inputs] == want
+
+
+# -- plain loops for the kernel and tensor_mul ------------------------------------
+
+
+def plain_poly_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, Fraction(0)) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def plain_poly_scale(a, c):
+    return {k: v * c for k, v in a.items() if v * c}
+
+
+def random_kernel_poly(rng, nvars=3):
+    """Empty, unit monomials, scaled monomials and sums with unit terms."""
+    shape = rng.choice(("empty", "unit", "monomial", "sum", "sum"))
+    if shape == "empty":
+        return {}
+    size = 1 if shape in ("unit", "monomial") else rng.randint(2, 5)
+    out = {}
+    for _ in range(size):
+        key = tuple(rng.randint(0, 3) for _ in range(nvars))
+        if shape == "unit" or rng.random() < 0.4:
+            out[key] = Fraction(1)
+        else:
+            out[key] = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+    return out
+
+
+def test_kernel_fast_paths_match_plain_loops():
+    rng = random.Random(5)
+    for _ in range(400):
+        a, b = random_kernel_poly(rng), random_kernel_poly(rng)
+        a0, b0 = dict(a), dict(b)
+        want = plain_poly_mul(a, b)
+        for got in (kernel.poly_mul(a, b), kernel.poly_mul(b, a)):
+            assert got == want
+            assert all(type(v) is Fraction for v in got.values())
+        for c in (Fraction(1), Fraction(0), Fraction(-1), Fraction(3, 2)):
+            got = kernel.poly_scale(a, c)
+            assert got == plain_poly_scale(a, c)
+            assert got is not a
+        assert (a, b) == (a0, b0)
+
+
+def plain_tensor_mul(s, t, spec):
+    out = {}
+    for ka, ca in s.terms.items():
+        for kb, cb in t.terms.items():
+            legs = [s.leg_env(x) for x in ka]
+            prods = [pbw_mul(spec, legs[l], t.leg_env(kb[l]))
+                     for l in range(s.legs)]
+            for combo in itertools.product(*[
+                    [((g, al), q) for al, poly in p.terms.items()
+                     for g, q in poly.terms.items()] for p in prods]):
+                key = tuple(k for k, _ in combo)
+                c = ca * cb
+                for _, q in combo:
+                    c = c * q
+                out[key] = out.get(key, Fraction(0)) + c
+    return TensorElement(s.nvars, s.rank, s.legs, out)
+
+
+@pytest.mark.parametrize("make", STRUCTURES)
+def test_tensor_mul_matches_plain_loop(make):
+    spec = make()
+    r = arbitrary_exponent(spec)
+    gens = [TensorElement.of(EnvElement.gen(spec.nvars, spec.rank, i),
+                             EnvElement.one(spec.nvars, spec.rank))
+            for i in range(spec.rank)]
+    factors = [r, r.flip(), r.scale(3), TensorElement.unit(spec.nvars,
+                                                          spec.rank)] + gens
+    for s in factors:
+        for t in factors:
+            assert tensor_mul(spec, s, t) == plain_tensor_mul(s, t, spec)
+
+
+# -- the whole-series oracle for basis_decompose -------------------------------------
+
+
+def backsubstitution_decompose(dfa, u, flavor):
+    """Map each term's whole polynomial, multiply every order by e^alpha,
+    shift by k and subtract the whole series."""
+    spec = dfa.spec
+    n = dfa.order
+    zero_p = CPoly.zero(spec.nvars)
+    remaining = u
+    coeffs = {}
+    mapper = dfa.source if flavor == "source" else dfa.target
+    for k in range(n + 1):
+        layer = remaining.coeffs[k]
+        for alpha, poly in sorted(layer.terms.items()):
+            cur = coeffs.setdefault(alpha, [zero_p] * (n + 1))
+            cur[k] = cur[k] + poly
+            mono = EnvElement.monomial(spec.nvars, spec.rank, alpha)
+            correction = mapper(poly).map(
+                lambda w: pbw_mul(spec, w, mono)).shift(k)
+            remaining = remaining - correction
+    return {beta: HSeries(n, cs, zero_p) for beta, cs in coeffs.items()}
+
+
+def bracketed_exp_dfa():
+    return exp_dfa(bracketed_structure(), 3)
+
+
+def decomposition_inputs(dfa, flavor):
+    """Monomials at every order, random multi-order, multi-term series, and
+    images map_F(a) e^beta, whose higher orders cancel exactly."""
+    spec = dfa.spec
+    n = dfa.order
+    zero = EnvElement.zero(spec.nvars, spec.rank)
+    out = []
+    for k in range(n + 1):
+        for gamma, alpha in low_monomials(spec):
+            u = EnvElement.monomial(spec.nvars, spec.rank, alpha,
+                                    CPoly.monomial(spec.nvars, gamma))
+            out.append(HSeries(n, [u if j == k else zero
+                                   for j in range(n + 1)], zero))
+    rng = random.Random(11)
+    for _ in range(8):
+        out.append(HSeries(n, [random_elem(spec, rng, 2)
+                               if rng.random() < 0.7 else zero
+                               for _ in range(n + 1)], zero))
+    for _ in range(4):
+        images = {}
+        for alpha, a in random_elem(spec, rng, 2).terms.items():
+            images[alpha] = HSeries(n, [a] + [random_poly(spec, rng)] * n,
+                                    CPoly.zero(spec.nvars))
+        out.append(reexpand(dfa, images, flavor))
+    return out
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
+@pytest.mark.parametrize("flavor", ["source", "target"])
+def test_basis_decompose_matches_backsubstitution(make, flavor):
+    dfa = make()
+    for u in decomposition_inputs(dfa, flavor):
+        want = backsubstitution_decompose(dfa, u, flavor)
+        got = basis_decompose(dfa, u, flavor)
+        assert list(got) == list(want)
+        assert got == want
+        assert not any(aser.is_zero() for aser in got.values())
+        assert reexpand(dfa, got, flavor) == u

@@ -7,6 +7,10 @@ phi(s_F(a) u) = a * phi(u) and pair through source decompositions; right
 duals satisfy psi(t_F(a) u) = psi(u) * a and pair through target ones.
 Dual products are the transposes of the twisted coproduct, evaluated on
 the canonical lifted representatives.
+
+Each functional memoises its pairings, their images under t_F or s_F, and
+per partner functional the paired factor of each lift term (see
+``JetElement``); every entry is keyed by the deformation object.
 """
 
 import itertools
@@ -22,7 +26,7 @@ __all__ = [
     "jet_source_target", "jet_counit", "jet_coproduct_functional",
     "tensor_functional_from_pair", "jet_coproduct_decompose",
     "jet_axiom_suite", "xi_functional",
-    "coordinate_functional", "unit_functional", "jets_equal", "jet_shift",
+    "coordinate_functional", "unit_functional", "jets_equal",
     "pbw_indices",
 ]
 
@@ -67,7 +71,20 @@ def pbw_indices(rank, max_degree):
 
 
 class JetElement:
-    """Sparse value table {beta: HLaurent base value}; absent keys are zero."""
+    """Sparse value table {beta: HLaurent base value}; absent keys are zero.
+
+    ``_pair_cache`` memoises work on this functional, keyed by the
+    deformation object first (the key keeps it alive, so a later
+    deformation never reuses an entry):
+
+    - ``(dfa, w)``: the pairing with the basis monomial w;
+    - ``(dfa, "mapped", w)``: that value mapped by t_F (left dual) or s_F
+      (right dual), or None when it vanishes;
+    - ``(dfa, mu)``: for the dual product with mu, a dict from lift keys
+      (w1, w2) to the paired factor, or None when it vanishes.
+
+    The table must not change after construction.
+    """
 
     __slots__ = ("flavor", "table", "_pair_cache")
 
@@ -118,10 +135,6 @@ class JetElement:
             "%s: %r" % (b, self.table[b]) for b in keys))
 
 
-def jet_shift(lam, k):
-    return lam.shift(k)
-
-
 def jets_equal(ctx, a, b, upto=None, domain=None):
     """Value-by-value equality on the shared certified window."""
     keys = set(a.table) | set(b.table)
@@ -165,11 +178,8 @@ def jet_counit(ctx, lam):
 
 
 def _pair_mono(ctx, lam, key):
-    """lam on a basis monomial x^gamma e^alpha, via the flavor decomposition.
-
-    The memo is keyed by the deformation object itself, not its id: the key
-    keeps it alive, so a later deformation can never reuse the entry.
-    """
+    """lam on a basis monomial x^gamma e^alpha, via the flavor decomposition,
+    memoised on lam."""
     ckey = (ctx.dfa, key)
     hit = lam._pair_cache.get(ckey)
     if hit is not None:
@@ -259,11 +269,48 @@ def _apply_series_map(ctx, val, mapper):
 # -- dual product ------------------------------------------------------------------
 
 
+def _mapped_leg(ctx, lam, w):
+    """t_F(lam(w)) (left dual) or s_F(lam(w)) (right dual), memoised on lam;
+    None when lam(w) vanishes."""
+    ckey = (ctx.dfa, "mapped", w)
+    cache = lam._pair_cache
+    if ckey in cache:
+        return cache[ckey]
+    v = _pair_mono(ctx, lam, w)
+    if v.is_zero():
+        out = None
+    else:
+        mapper = ctx.dfa.target if lam.flavor == LEFT else ctx.dfa.source
+        out = _apply_series_map(ctx, v, mapper)
+    cache[ckey] = out
+    return out
+
+
+def _dual_leg_product(ctx, lam, mu, key):
+    """mu(t_F(lam(w2)) . w1) (left) or mu(s_F(lam(w1)) . w2) (right) for the
+    lift key (w1, w2); None when the pairing with lam vanishes."""
+    w1, w2 = key
+    paired, other = (w2, w1) if lam.flavor == LEFT else (w1, w2)
+    W = _mapped_leg(ctx, lam, paired)
+    if W is None:
+        return None
+    spec = ctx.spec
+    other = EnvElement.monomial(spec.nvars, spec.rank, other[1],
+                                CPoly.monomial(spec.nvars, other[0]))
+    W = HLaurent(W.val, W.top,
+                 [pbw_mul(spec, t, other) if t.terms else t for t in W.coeffs],
+                 W.zero)
+    return _pair_env_laurent(ctx, mu, W)
+
+
 def jet_product_eval(ctx, lam, mu, arg):
     """(lam mu) evaluated on one monomial, through the coproduct lift.
 
     Left dual:  (phi phi')(u) = phi'( t_F(phi(u_(2))) . u_(1) ).
     Right dual: (psi psi')(u) = psi'( s_F(psi(u_(1))) . u_(2) ).
+
+    The paired factor of each lift term (w1, w2) is memoised on lam, per mu
+    and per deformation, so a term costs a shift, a scale and an add.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
@@ -271,27 +318,21 @@ def jet_product_eval(ctx, lam, mu, arg):
     if isinstance(arg, tuple) and (not arg or not isinstance(arg[0], tuple)):
         arg = ((0,) * spec.nvars, tuple(arg))
     lift = ctx.dfa.lift_mono(arg)
+    memo = lam._pair_cache.get((ctx.dfa, mu))
+    if memo is None:
+        memo = lam._pair_cache[(ctx.dfa, mu)] = {}
     out = None
     for k, Tk in enumerate(lift.coeffs):
         for key, c in Tk.terms.items():
-            w1, w2 = key
-            if lam.flavor == LEFT:
-                v = _pair_mono(ctx, lam, w2)
-                if v.is_zero():
-                    continue
-                W = _apply_series_map(ctx, v, ctx.dfa.target)
-                other = EnvElement.monomial(spec.nvars, spec.rank, w1[1],
-                                            CPoly.monomial(spec.nvars, w1[0]))
-                W = W.map(lambda t: pbw_mul(spec, t, other))
+            if key in memo:
+                P = memo[key]
             else:
-                v = _pair_mono(ctx, lam, w1)
-                if v.is_zero():
-                    continue
-                W = _apply_series_map(ctx, v, ctx.dfa.source)
-                other = EnvElement.monomial(spec.nvars, spec.rank, w2[1],
-                                            CPoly.monomial(spec.nvars, w2[0]))
-                W = W.map(lambda t: pbw_mul(spec, t, other))
-            piece = _pair_env_laurent(ctx, mu, W).shift(k).map(lambda t: t * c)
+                P = memo[key] = _dual_leg_product(ctx, lam, mu, key)
+            if P is None:
+                continue
+            piece = P.shift(k)
+            if c != 1:
+                piece = piece.map(lambda t: t * c)
             out = piece if out is None else out + piece
     if out is None:
         return ctx.zero_value()
@@ -516,21 +557,22 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
     report.add(Check("dual-unit", ok, witness))
 
     ok, witness = True, None
-    for a in sample[:2]:
-        for b in sample[:2]:
-            for c in sample[:2]:
-                ab = jet_product(ctx, a, b, degree=ctx.jet_degree)
-                bc = jet_product(ctx, b, c, degree=ctx.jet_degree)
-                for beta in pbw_indices(spec.rank, min(2, ctx.jet_degree)):
-                    l = jet_product_eval(ctx, ab, c, beta)
-                    r = jet_product_eval(ctx, a, bc, beta)
-                    if not l.eq_to_order(r):
-                        ok, witness = False, \
-                            "associativity fails on %s" % (beta,)
-                        break
-                if not ok:
-                    break
-            if not ok:
+    checked = pbw_indices(spec.rank, min(2, ctx.jet_degree))
+    # (ab)c and a(bc) read ab and bc on the legs of the lifts of the checked
+    # monomials, which reach above the jet degree when h_order is larger
+    reach = max([ctx.jet_degree] + [
+        sum(alpha) for beta in checked
+        for T in ctx.dfa.lift_mono(((0,) * spec.nvars, beta)).coeffs
+        for key in T.terms for _, alpha in key])
+    pool = sample[:2]
+    prods = {(i, j): jet_product(ctx, pool[i], pool[j], degree=reach)
+             for i in range(len(pool)) for j in range(len(pool))}
+    for i, j, k in itertools.product(range(len(pool)), repeat=3):
+        for beta in checked:
+            l = jet_product_eval(ctx, prods[i, j], pool[k], beta)
+            r = jet_product_eval(ctx, pool[i], prods[j, k], beta)
+            if not l.eq_to_order(r):
+                ok, witness = False, "associativity fails on %s" % (beta,)
                 break
         if not ok:
             break

@@ -14,7 +14,7 @@ from .report import Check, Report
 from .scalars import CPoly, monomials_upto
 
 __all__ = [
-    "LieRinehartSpec", "MultiVector", "FormElement", "CobracketData",
+    "LieRinehartSpec", "MultiVector", "CobracketData",
     "lr_validate", "lr_differential", "schouten_bracket",
     "lr_bialgebra_validate", "poisson_from_pair", "cobracket_from_dual_spec",
 ]
@@ -51,6 +51,7 @@ class LieRinehartSpec:
         if len(self.anchor) != rank or any(len(r) != nvars for r in self.anchor):
             raise ConfigError("anchor matrix must be rank x nvars")
         self._mono_table = {}   # (alpha, gamma, beta) -> e^alpha x^gamma e^beta
+        self._leg_table = {}    # (leg, leg) -> their product as basis terms
         self._act_table = {}    # (alpha, gamma) -> e^alpha acting on x^gamma
         self._copro_table = {}  # alpha -> Delta(e^alpha), a lifted 2-tensor
         self._rgen_table = {}   # (i, beta) -> e_i e^beta in right normal form
@@ -95,9 +96,6 @@ class LieRinehartSpec:
                 _acc(out, j, a * self.anchor_apply(i, b))
                 _acc(out, i, -(b * self.anchor_apply(j, a)))
         return _strip(out)
-
-    def derivation_on(self, X, f):
-        return self.anchor_elem(X, f)
 
     def basis_elem(self, i):
         return {i: CPoly.one(self.nvars)}
@@ -207,9 +205,6 @@ class MultiVector:
             return "0"
         return " + ".join("(%s)%s" % (c, "^".join("e%d" % (i + 1) for i in idx))
                           for idx, c in sorted(self.terms.items()))
-
-
-FormElement = MultiVector  # forms are indexed over the dual basis e*_i
 
 
 # -- validation ---------------------------------------------------------------

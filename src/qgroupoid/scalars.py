@@ -16,6 +16,9 @@ from .kernel import poly_add, poly_diff, poly_mul, poly_neg, poly_scale, poly_su
 __all__ = ["Fraction", "CPoly", "parse_poly", "monomials_upto"]
 
 
+_ONES = {}  # nvars -> CPoly.one(nvars); safe to share, as a CPoly never changes
+
+
 class CPoly:
     __slots__ = ("nvars", "terms", "_hash")
 
@@ -39,7 +42,11 @@ class CPoly:
 
     @classmethod
     def one(cls, nvars):
-        return cls.const(nvars, 1)
+        """The unit, one shared instance per variable count."""
+        hit = _ONES.get(nvars)
+        if hit is None:
+            hit = _ONES[nvars] = cls.const(nvars, 1)
+        return hit
 
     @classmethod
     def var(cls, nvars, j, power=1):

@@ -5,6 +5,11 @@ x^gamma e^alpha, so a term is a tuple of legs (gamma, alpha) with a
 rational coefficient.  The class in the tensor product over the base ring
 is represented by the canonical reduction that moves every coefficient
 into the last leg; class equality is reduction equality.
+
+``tensor_mul`` multiplies leg by leg.  A unit leg passes the other leg
+through; every other leg product is read from the structure's leg table
+(``spec._leg_table``: a pair of legs to their product as basis terms),
+which is filled only from the monomial product table.
 """
 
 import itertools
@@ -165,14 +170,49 @@ def _mono_mul(spec, ka, kb):
 
 
 def tensor_mul(spec, s, t):
-    """Factorwise multiplication of lifted tensors."""
+    """Factorwise multiplication of lifted tensors.
+
+    A unit leg x^0 e^0 passes the other operand's leg through; every other
+    leg product is read from the structure's leg table, filled here from
+    ``_mono_mul``.  When each leg product is a single term, the pair adds
+    one term to the result directly.
+    """
     s._check(t)
+    unit = ((0,) * s.nvars, (0,) * s.rank)
+    table = spec._leg_table
     out = {}
     for ka, ca in s.terms.items():
         for kb, cb in t.terms.items():
             c = cb if ca == 1 else ca if cb == 1 else ca * cb
-            factors = [_mono_mul(spec, ka[l], kb[l]) for l in range(s.legs)]
-            _expand_product(out, factors, c)
+            factors = []
+            single = True
+            for la, lb in zip(ka, kb):
+                if la == unit:
+                    factors.append(((lb, 1),))
+                elif lb == unit:
+                    factors.append(((la, 1),))
+                else:
+                    f = table.get((la, lb))
+                    if f is None:
+                        f = table[(la, lb)] = tuple(_mono_mul(spec, la, lb))
+                    if len(f) != 1:
+                        single = False
+                    factors.append(f)
+            if not single:
+                _expand_product(out, factors, c)
+                continue
+            key = []
+            for ((k, q),) in factors:
+                key.append(k)
+                if q != 1:
+                    c *= q
+            key = tuple(key)
+            cur = out.get(key)
+            v = c if cur is None else cur + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
     return TensorElement(s.nvars, s.rank, s.legs, out)
 
 

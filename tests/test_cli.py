@@ -92,6 +92,15 @@ def test_dualize_subcommand():
     assert any(l["check"].startswith("relation/") for l in lines[1:-1])
 
 
+def test_dual_associativity_tabulates_through_the_lift():
+    # the lifts of degree-1 monomials reach leg degree 2 at h_order 2
+    for side in ("left", "right"):
+        code, out, _ = run_cli(["dualize", SPEC, "--side", side,
+                                "--h-order", "2", "--jet-degree", "1",
+                                "--json-only"])
+        assert code == 0, [l for l in parse_lines(out) if l.get("status") == "fail"]
+
+
 def test_drinfeld_roundtrip_subcommand():
     code, out, _ = run_cli(["drinfeld", SPEC, "--functor", "roundtrip",
                             "--h-order", "3", "--jet-degree", "3",

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from qgroupoid import drinfeld
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, defelem_from_env, defelem_mul, exp_twistor,
     star_product, trivial_twistor,
@@ -10,6 +13,7 @@ from qgroupoid.drinfeld import (
     vee_semiclassical,
 )
 from qgroupoid.envelope import EnvElement
+from qgroupoid.errors import InvariantViolation
 from qgroupoid.jets import LEFT, RIGHT, JetContext, jets_equal, xi_functional
 from qgroupoid.lierinehart import LieRinehartSpec, poisson_from_pair
 from qgroupoid.scalars import CPoly
@@ -83,6 +87,14 @@ def test_hprime_basis_deformed():
     assert theta10.coeffs[1] == EnvElement.gen(2, 2, 0)
     for member in basis.values():
         assert hprime_member(dfa, member, n_max=3)
+
+
+def test_hprime_basis_rejects_a_nonmember(monkeypatch):
+    dfa = make_dfa(2)
+    ctx = JetContext(dfa, LEFT, 2)
+    monkeypatch.setattr(drinfeld, "hprime_member", lambda *args: False)
+    with pytest.raises(InvariantViolation, match="membership test"):
+        hprime_basis(dfa, ctx, degree=1, n_max=2)
 
 
 # -- semiclassical limits -------------------------------------------------------

@@ -10,6 +10,10 @@
   the reduction that re-derives every decomposition per term.
 - The polynomial kernel and ``tensor_mul`` skip multiplications by 1 and
   shift by a monomial operand; the oracles are the plain loops kept below.
+  ``tensor_mul`` also passes unit legs through and reads the leg table; a
+  per-leg loop with no table pins the order of the result's terms.
+- ``jet_product_eval`` memoises the paired factor of each lift term; the
+  oracle is the unmemoised body that maps and multiplies every term.
 - ``basis_decompose`` multiplies out only the orders that survive the
   truncation; the oracle is the back-substitution that maps and subtracts
   the whole series per term.
@@ -25,7 +29,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgroupoid import kernel
+from qgroupoid import jets, kernel
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, _act_mono, _bump_term, basis_decompose,
     defelem_from_env, deformed_coproduct_leg, exp_twistor, reduce_series,
@@ -35,12 +39,17 @@ from qgroupoid.envelope import (
     EnvElement, anchor_action, monomial_action, pbw_mul,
 )
 from qgroupoid.errors import ConfigError
+from qgroupoid.jets import (
+    LEFT, RIGHT, JetContext, JetElement, coordinate_functional, jet_pair,
+    jet_product, jet_product_eval, pbw_indices, xi_functional,
+)
 from qgroupoid.lierinehart import LieRinehartSpec, lr_validate
 from qgroupoid.scalars import CPoly, monomials_upto
 from qgroupoid.series import HSeries, hs_const, hseries_mul
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
-    TensorElement, env_coproduct, tensor_coproduct_leg, tensor_mul,
+    TensorElement, _expand_product, _mono_mul, env_coproduct,
+    tensor_coproduct_leg, tensor_mul,
 )
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
@@ -471,6 +480,37 @@ def plain_tensor_mul(s, t, spec):
     return TensorElement(s.nvars, s.rank, s.legs, out)
 
 
+def per_leg_tensor_mul(s, t, spec):
+    """Every leg product through _mono_mul and _expand_product, with no leg
+    table: pins the order of the result's terms."""
+    out = {}
+    for ka, ca in s.terms.items():
+        for kb, cb in t.terms.items():
+            _expand_product(out, [_mono_mul(spec, x, y) for x, y in zip(ka, kb)],
+                            ca * cb)
+    return out
+
+
+def wide_tensors(spec, legs):
+    """(1 + e + e^2) and (e^2 - e + 1) on the first leg, whose product
+    cancels e, e^2 and e^3 and then adds e^2 again; r at every slot (unit legs
+    elsewhere); outer products of random elements with a unit at every slot."""
+    rng = random.Random(legs)
+    one = EnvElement.one(spec.nvars, spec.rank)
+    e = EnvElement.gen(spec.nvars, spec.rank, 0)
+    e2 = EnvElement.gen(spec.nvars, spec.rank, 0, 2)
+    out = [TensorElement.of(first, *[one] * (legs - 1))
+           for first in (one + e + e2, e2 - e + one)]
+    r = arbitrary_exponent(spec)
+    out += [r.embed(legs, pos) for pos in range(legs - 1)]
+    for pos in range(legs):
+        out.append(TensorElement.of(*[
+            one if l == pos else random_elem(spec, rng, 2)
+            for l in range(legs)]))
+    out.append(TensorElement.unit(spec.nvars, spec.rank, legs).scale(3))
+    return out
+
+
 @pytest.mark.parametrize("make", STRUCTURES)
 def test_tensor_mul_matches_plain_loop(make):
     spec = make()
@@ -483,6 +523,22 @@ def test_tensor_mul_matches_plain_loop(make):
     for s in factors:
         for t in factors:
             assert tensor_mul(spec, s, t) == plain_tensor_mul(s, t, spec)
+    pairs = []
+    for legs in (2, 3, 4):
+        wide = wide_tensors(spec, legs)
+        # two outer products of random elements make too many term pairs
+        few = wide[:legs + 1] + wide[-1:]
+        pairs += [(s, t) for s in wide for t in few]
+        pairs += [(t, s) for s in wide[legs + 1:-1] for t in few]
+    spec._leg_table.clear()
+    want = [plain_tensor_mul(s, t, spec) for s, t in pairs]
+    order = [list(per_leg_tensor_mul(s, t, spec).items()) for s, t in pairs]
+    for _ in range(2):
+        # the second pass reads every leg product from the leg table
+        got = [tensor_mul(spec, s, t) for s, t in pairs]
+        assert got == want
+        assert [list(g.terms.items()) for g in got] == order
+        assert spec._leg_table
 
 
 # -- the whole-series oracle for basis_decompose -------------------------------------
@@ -551,3 +607,70 @@ def test_basis_decompose_matches_backsubstitution(make, flavor):
         assert got == want
         assert not any(aser.is_zero() for aser in got.values())
         assert reexpand(dfa, got, flavor) == u
+
+
+# -- the unmemoised oracle for jet_product_eval -------------------------------------
+
+
+def unmemoised_jet_product_eval(ctx, lam, mu, arg):
+    """The body before the memo: every lift term maps lam's pairing and
+    multiplies it out again."""
+    spec = ctx.spec
+    lift = ctx.dfa.lift_mono(arg)
+    out = None
+    for k, Tk in enumerate(lift.coeffs):
+        for key, c in Tk.terms.items():
+            w1, w2 = key
+            if lam.flavor == LEFT:
+                v = jet_pair(ctx, lam, w2)
+                if v.is_zero():
+                    continue
+                W = jets._apply_series_map(ctx, v, ctx.dfa.target)
+                other = EnvElement.monomial(spec.nvars, spec.rank, w1[1],
+                                            CPoly.monomial(spec.nvars, w1[0]))
+                W = W.map(lambda t: pbw_mul(spec, t, other))
+            else:
+                v = jet_pair(ctx, lam, w1)
+                if v.is_zero():
+                    continue
+                W = jets._apply_series_map(ctx, v, ctx.dfa.source)
+                other = EnvElement.monomial(spec.nvars, spec.rank, w2[1],
+                                            CPoly.monomial(spec.nvars, w2[0]))
+                W = W.map(lambda t: pbw_mul(spec, t, other))
+            piece = jets._pair_env_laurent(ctx, mu, W).shift(k).map(
+                lambda t: t * c)
+            out = piece if out is None else out + piece
+    return out if out is not None else ctx.zero_value()
+
+
+def window(v):
+    return v.val, v.top, v.coeffs
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa])
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_jet_product_eval_matches_unmemoised(make, flavor):
+    dfa = make()
+    spec = dfa.spec
+    ctx = JetContext(dfa, flavor, 2)
+    gens = [xi_functional(ctx, i) for i in range(spec.rank)]
+    x1 = coordinate_functional(ctx, 0)
+    # h^-1-rescaled and scaled functionals put the values at negative
+    # valuation and make the windows differ
+    funcs = gens + [x1, gens[0].shift(-1), gens[-1].add(x1).scale(3),
+                    jet_product(ctx, gens[0], gens[-1])]
+    args = [((0,) * spec.nvars, beta) for beta in pbw_indices(spec.rank, 2)]
+    args.append(((1,) + (0,) * (spec.nvars - 1), (0,) * (spec.rank - 1) + (1,)))
+    for lam in funcs:
+        for mu in funcs:
+            # fresh copies keep the oracle off the memo under test
+            plain_lam, plain_mu = (JetElement(f.flavor, f.table)
+                                   for f in (lam, mu))
+            want = [window(unmemoised_jet_product_eval(ctx, plain_lam,
+                                                       plain_mu, a))
+                    for a in args]
+            for _ in range(2):
+                # the second call reads every paired factor from the memo
+                got = [window(jet_product_eval(ctx, lam, mu, a)) for a in args]
+                assert got == want
+            assert (dfa, mu) in lam._pair_cache

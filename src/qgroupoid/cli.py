@@ -150,7 +150,7 @@ def _run(args):
                                  EnvElement.gen(2, 2, i), n).shift(1)
             ok = hprime_member(bundle.dfa, u, n_max=n_max)
             report.add(Check("membership/h-d%d" % (i + 1), ok,
-                             None if ok else "rescaled generator rejected"))
+                             "rescaled generator rejected"))
         return report
 
     espec = _load(args)
@@ -215,12 +215,12 @@ def _run(args):
                     spec.nvars, spec.rank, i), espec.h_order).shift(1)
                 ok = hprime_member(dfa, u, n_max=min(espec.n_max, espec.h_order))
                 report.add(Check("member/h-gen%d" % (i + 1), ok,
-                                 None if ok else "rescaled generator rejected"))
+                                 "rescaled generator rejected"))
                 u0 = defelem_from_env(spec, EnvElement.gen(
                     spec.nvars, spec.rank, i), espec.h_order)
                 ok = not hprime_member(dfa, u0, n_max=1)
                 report.add(Check("nonmember/gen%d" % (i + 1), ok,
-                                 None if ok else "unrescaled generator accepted"))
+                                 "unrescaled generator accepted"))
         else:
             report.extend(duality_roundtrip(
                 ctx, n_max=min(espec.n_max, 3),
@@ -240,7 +240,7 @@ def _run(args):
         report.extend(repR, prefix="dual-bracket")
         ok = dualR.bracket == dual.bracket and dualR.anchor == dual.anchor
         report.add(Check("dual-bracket-matches-cobracket", ok,
-                         None if ok else "right-dual structure differs"))
+                         "right-dual structure differs"))
         return report
 
     raise SemanticError("unknown command %r" % args.command)

@@ -208,27 +208,27 @@ def twistor_validate(spec, twistor, order=None, samples=None):
     if F.coeffs[0] != unit2:
         return report
 
-    ok, witness = True, None
-    for n in range(order + 1):
-        left_eps = EnvElement.zero(spec.nvars, spec.rank)
-        right_eps = EnvElement.zero(spec.nvars, spec.rank)
-        for key, c in F.coeffs[n].terms.items():
-            (gl, al), (gr, ar) = key
-            if not any(al):  # eps on the left leg
-                right = EnvElement.monomial(spec.nvars, spec.rank, ar,
-                                            CPoly.monomial(spec.nvars, gr))
-                left_eps = left_eps + right.scale(
-                    CPoly.monomial(spec.nvars, gl, c))
-            if not any(ar):  # eps on the right leg
-                left = EnvElement.monomial(spec.nvars, spec.rank, al,
-                                           CPoly.monomial(spec.nvars, gl))
-                right_eps = right_eps + pbw_mul(spec, left, EnvElement.from_poly(
-                    spec.rank, CPoly.monomial(spec.nvars, gr, c)))
-        want = one if n == 0 else EnvElement.zero(spec.nvars, spec.rank)
-        if left_eps != want or right_eps != want:
-            ok, witness = False, "counit condition fails at order h^%d" % n
-            break
-    report.add(Check("counit-conditions", ok, witness))
+    def counit_failures():
+        for n in range(order + 1):
+            left_eps = EnvElement.zero(spec.nvars, spec.rank)
+            right_eps = EnvElement.zero(spec.nvars, spec.rank)
+            for key, c in F.coeffs[n].terms.items():
+                (gl, al), (gr, ar) = key
+                if not any(al):  # eps on the left leg
+                    right = EnvElement.monomial(spec.nvars, spec.rank, ar,
+                                                CPoly.monomial(spec.nvars, gr))
+                    left_eps = left_eps + right.scale(
+                        CPoly.monomial(spec.nvars, gl, c))
+                if not any(ar):  # eps on the right leg
+                    left = EnvElement.monomial(spec.nvars, spec.rank, al,
+                                               CPoly.monomial(spec.nvars, gl))
+                    right_eps = right_eps + pbw_mul(spec, left, EnvElement.from_poly(
+                        spec.rank, CPoly.monomial(spec.nvars, gr, c)))
+            want = one if n == 0 else EnvElement.zero(spec.nvars, spec.rank)
+            if left_eps != want or right_eps != want:
+                yield "counit condition fails at order h^%d" % n
+
+    report.check("counit-conditions", counit_failures())
 
     mt = _tmul(spec)
     cop0 = F.map(lambda t: tensor_coproduct_leg(spec, t, 0))
@@ -237,28 +237,22 @@ def twistor_validate(spec, twistor, order=None, samples=None):
     f23 = F.map(lambda t: t.embed(3, 1))
     lhs = hseries_mul(cop0, f12, mt)
     rhs = hseries_mul(cop1, f23, mt)
-    ok, witness = True, None
-    for n in range(order + 1):
-        if tensor_reduce(spec, lhs.coeffs[n]) != tensor_reduce(spec, rhs.coeffs[n]):
-            ok, witness = False, "cocycle identity fails at order h^%d" % n
-            break
-    report.add(Check("cocycle-identity", ok, witness))
+    report.check("cocycle-identity", (
+        "cocycle identity fails at order h^%d" % n for n in range(order + 1)
+        if tensor_reduce(spec, lhs.coeffs[n]) != tensor_reduce(spec, rhs.coeffs[n])))
 
-    ok, witness = True, None
-    for a in samples:
-        sa = _source_from(spec, twistor, a)
-        ta = _target_from(spec, twistor, a)
-        left = ta.map(lambda u: TensorElement.of(u, one))
-        right = sa.map(lambda u: TensorElement.of(one, u))
-        diff = hseries_mul(F, left - right, mt)
-        for n in range(order + 1):
-            if not tensor_reduce(spec, diff.coeffs[n]).is_zero():
-                ok = False
-                witness = "F (t_F(a) (x) 1 - 1 (x) s_F(a)) != 0 for a=%s at h^%d" % (a, n)
-                break
-        if not ok:
-            break
-    report.add(Check("source-target-compatibility", ok, witness))
+    def compatibility_failures():
+        for a in samples:
+            sa = _source_from(spec, twistor, a)
+            ta = _target_from(spec, twistor, a)
+            left = ta.map(lambda u: TensorElement.of(u, one))
+            right = sa.map(lambda u: TensorElement.of(one, u))
+            diff = hseries_mul(F, left - right, mt)
+            for n in range(order + 1):
+                if not tensor_reduce(spec, diff.coeffs[n]).is_zero():
+                    yield "F (t_F(a) (x) 1 - 1 (x) s_F(a)) != 0 for a=%s at h^%d" % (a, n)
+
+    report.check("source-target-compatibility", compatibility_failures())
     return report
 
 
@@ -657,109 +651,77 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
     psers = [hs_const(a, n, CPoly.zero(spec.nvars)) for a in polys]
     elems = sample_defelems(dfa, sample_degree)
 
-    ok, witness = True, None
-    for a in psers:
-        for b in psers:
-            for c in psers:
-                lhs = star_product(dfa, star_product(dfa, a, b), c)
-                rhs = star_product(dfa, a, star_product(dfa, b, c))
-                if lhs != rhs:
-                    ok, witness = False, "star product not associative"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("star-associativity", ok, witness))
+    report.check("star-associativity", (
+        "star product not associative"
+        for a in psers for b in psers for c in psers
+        if star_product(dfa, star_product(dfa, a, b), c)
+        != star_product(dfa, a, star_product(dfa, b, c))))
 
     one = hs_const(CPoly.one(spec.nvars), n, CPoly.zero(spec.nvars))
-    ok = all(star_product(dfa, a, one) == a and star_product(dfa, one, a) == a
-             for a in psers)
-    report.add(Check("star-unitality", ok, None if ok else "unit law fails"))
+    report.check("star-unitality", (
+        "unit law fails" for a in psers
+        if star_product(dfa, a, one) != a or star_product(dfa, one, a) != a))
 
-    ok, witness = True, None
-    for a in psers:
-        for b in psers:
-            sab = dfa.source_series(star_product(dfa, a, b))
-            if defelem_mul(spec, dfa.source_series(a), dfa.source_series(b)) != sab:
-                ok, witness = False, "source map not a star morphism"
-                break
-            tba = dfa.target_series(star_product(dfa, b, a))
-            if defelem_mul(spec, dfa.target_series(a), dfa.target_series(b)) != tba:
-                ok, witness = False, "target map not a star antimorphism"
-                break
-        if not ok:
-            break
-    report.add(Check("source-target-morphisms", ok, witness))
+    def morphism_failures():
+        for a in psers:
+            for b in psers:
+                sab = dfa.source_series(star_product(dfa, a, b))
+                if defelem_mul(spec, dfa.source_series(a), dfa.source_series(b)) != sab:
+                    yield "source map not a star morphism"
+                tba = dfa.target_series(star_product(dfa, b, a))
+                if defelem_mul(spec, dfa.target_series(a), dfa.target_series(b)) != tba:
+                    yield "target map not a star antimorphism"
 
-    ok, witness = True, None
-    for a in psers:
-        for b in psers:
-            st = defelem_mul(spec, dfa.source_series(a), dfa.target_series(b))
-            ts = defelem_mul(spec, dfa.target_series(b), dfa.source_series(a))
-            if st != ts:
-                ok, witness = False, "source and target images do not commute"
-                break
-        if not ok:
-            break
-    report.add(Check("source-target-commute", ok, witness))
+    report.check("source-target-morphisms", morphism_failures())
 
-    ok, witness = True, None
-    for u in elems:
-        lift = twisted_coproduct(dfa, u)
-        A = deformed_coproduct_leg(dfa, lift, 0)
-        B = deformed_coproduct_leg(dfa, lift, 1)
-        if reduce_series(dfa, A) != reduce_series(dfa, B):
-            ok, witness = False, "coassociativity fails on %r" % (u.coeffs[0],)
-            break
-    report.add(Check("coassociativity", ok, witness))
+    report.check("source-target-commute", (
+        "source and target images do not commute"
+        for a in psers for b in psers
+        if defelem_mul(spec, dfa.source_series(a), dfa.target_series(b))
+        != defelem_mul(spec, dfa.target_series(b), dfa.source_series(a))))
 
-    ok, witness = True, None
-    for u in elems:
-        lift = twisted_coproduct(dfa, u)
-        if _counit_contract(dfa, lift, "left") != u:
-            ok, witness = False, "left counit axiom fails on %r" % (u.coeffs[0],)
-            break
-        if _counit_contract(dfa, lift, "right") != u:
-            ok, witness = False, "right counit axiom fails on %r" % (u.coeffs[0],)
-            break
-    report.add(Check("counit-axioms", ok, witness))
+    def coassociativity_failures():
+        for u in elems:
+            lift = twisted_coproduct(dfa, u)
+            A = deformed_coproduct_leg(dfa, lift, 0)
+            B = deformed_coproduct_leg(dfa, lift, 1)
+            if reduce_series(dfa, A) != reduce_series(dfa, B):
+                yield "coassociativity fails on %r" % (u.coeffs[0],)
 
-    ok, witness = True, None
+    report.check("coassociativity", coassociativity_failures())
+
+    def counit_failures():
+        for u in elems:
+            lift = twisted_coproduct(dfa, u)
+            if _counit_contract(dfa, lift, "left") != u:
+                yield "left counit axiom fails on %r" % (u.coeffs[0],)
+            if _counit_contract(dfa, lift, "right") != u:
+                yield "right counit axiom fails on %r" % (u.coeffs[0],)
+
+    report.check("counit-axioms", counit_failures())
+
     mt = _tmul(spec)
-    for u in elems[:3]:
-        for v in elems[:3]:
-            uv = defelem_mul(spec, u, v)
-            lhs = twisted_coproduct(dfa, uv)
-            rhs = hseries_mul(twisted_coproduct(dfa, u),
-                              twisted_coproduct(dfa, v), mt)
-            if not series_reduced_equal(dfa, lhs, rhs):
-                ok, witness = False, "coproduct not multiplicative"
-                break
-        if not ok:
-            break
-    report.add(Check("coproduct-multiplicative", ok, witness))
+    report.check("coproduct-multiplicative", (
+        "coproduct not multiplicative"
+        for u in elems[:3] for v in elems[:3]
+        if not series_reduced_equal(
+            dfa, twisted_coproduct(dfa, defelem_mul(spec, u, v)),
+            hseries_mul(twisted_coproduct(dfa, u), twisted_coproduct(dfa, v), mt))))
 
-    ok, witness = True, None
-    for u in elems:
-        if not takeuchi_check_deformed(dfa, twisted_coproduct(dfa, u),
-                                       polys):
-            ok, witness = False, "coproduct image outside Takeuchi subspace"
-            break
-    report.add(Check("takeuchi-membership", ok, witness))
+    report.check("takeuchi-membership", (
+        "coproduct image outside Takeuchi subspace" for u in elems
+        if not takeuchi_check_deformed(dfa, twisted_coproduct(dfa, u), polys)))
 
-    ok, witness = True, None
-    for a in polys:
-        if dfa.source(a).coeffs[0] != EnvElement.from_poly(spec.rank, a):
-            ok, witness = False, "source map deformed at order zero"
-            break
-        if dfa.target(a).coeffs[0] != EnvElement.from_poly(spec.rank, a):
-            ok, witness = False, "target map deformed at order zero"
-            break
-    for u in elems:
-        lift0 = twisted_coproduct(dfa, u).coeffs[0]
-        if tensor_reduce(spec, lift0) != tensor_reduce(spec, env_coproduct(spec, u.coeffs[0])):
-            ok, witness = False, "coproduct deformed at order zero"
-            break
-    report.add(Check("classical-limit", ok, witness))
+    def classical_failures():
+        for a in polys:
+            if dfa.source(a).coeffs[0] != EnvElement.from_poly(spec.rank, a):
+                yield "source map deformed at order zero"
+            if dfa.target(a).coeffs[0] != EnvElement.from_poly(spec.rank, a):
+                yield "target map deformed at order zero"
+        for u in elems:
+            lift0 = twisted_coproduct(dfa, u).coeffs[0]
+            if tensor_reduce(spec, lift0) != tensor_reduce(spec, env_coproduct(spec, u.coeffs[0])):
+                yield "coproduct deformed at order zero"
+
+    report.check("classical-limit", classical_failures())
     return report

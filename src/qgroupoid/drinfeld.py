@@ -103,8 +103,7 @@ def vee_semiclassical(v):
     m, p = spec.rank, spec.nvars
     zero = CPoly.zero(p)
 
-    bracket = {}
-    ok, witness = True, None
+    bracket, below_scale = {}, []
     for i in range(m):
         for j in range(i + 1, m):
             comm = v.relations[(v.gen_names[i], v.gen_names[j])]
@@ -117,13 +116,14 @@ def vee_semiclassical(v):
             if any(not c.is_zero() for c in vec):
                 bracket[(i, j)] = tuple(vec)
             # nothing below the generator scale may survive
-            for beta, val in comm.table.items():
+            for val in comm.table.values():
                 norm = val.normalize()
                 if norm.coeffs and norm.val < -1:
-                    ok, witness = False, \
-                        "relation [%s,%s] has terms below the generator scale" \
-                        % (v.gen_names[i], v.gen_names[j])
-    report.add(Check("relations-at-generator-scale", ok, witness))
+                    below_scale.append(
+                        "relation [%s,%s] has terms below the generator scale"
+                        % (v.gen_names[i], v.gen_names[j]))
+                    break
+    report.check("relations-at-generator-scale", below_scale)
 
     anchor = [[zero] * p for _ in range(m)]
     for i in range(m):
@@ -137,28 +137,27 @@ def vee_semiclassical(v):
     rep = lr_validate(dual)
     report.add(Check("dual-structure-valid", rep.ok(), rep.first_failure()))
 
-    ok, witness = True, None
     from .jets import tensor_functional_from_pair, jet_coproduct_functional
     eps = unit_functional(jctx)
-    for i, name in enumerate(v.gen_names):
-        g = v.gens[name]
-        T = jet_coproduct_functional(jctx, g, degree=2)
-        W1 = tensor_functional_from_pair(jctx, g, eps, degree=2)
-        W2 = tensor_functional_from_pair(jctx, eps, g, degree=2)
-        keys = set(T) | set(W1) | set(W2)
-        zval = jctx.zero_value()
-        for key in keys:
-            diff = T.get(key, zval) - (W1.get(key, zval) + W2.get(key, zval))
-            norm = diff.normalize()
-            # the correction must lie in h * (rescaled x rescaled), whose
-            # table entries at depth (b1, b2) reach down to h^(1-|b1|-|b2|)
-            depth = 1 - sum(key[0]) - sum(key[1])
-            if norm.coeffs and norm.val < depth:
-                ok, witness = False, "%s not primitive modulo h" % name
-                break
-        if not ok:
-            break
-    report.add(Check("generators-primitive-mod-h", ok, witness))
+
+    def primitivity_failures():
+        for name in v.gen_names:
+            g = v.gens[name]
+            T = jet_coproduct_functional(jctx, g, degree=2)
+            W1 = tensor_functional_from_pair(jctx, g, eps, degree=2)
+            W2 = tensor_functional_from_pair(jctx, eps, g, degree=2)
+            keys = set(T) | set(W1) | set(W2)
+            zval = jctx.zero_value()
+            for key in keys:
+                diff = T.get(key, zval) - (W1.get(key, zval) + W2.get(key, zval))
+                norm = diff.normalize()
+                # the correction must lie in h * (rescaled x rescaled), whose
+                # table entries at depth (b1, b2) reach down to h^(1-|b1|-|b2|)
+                depth = 1 - sum(key[0]) - sum(key[1])
+                if norm.coeffs and norm.val < depth:
+                    yield "%s not primitive modulo h" % name
+
+    report.check("generators-primitive-mod-h", primitivity_failures())
     return dual, report
 
 
@@ -294,28 +293,25 @@ def semiclassical_cobracket(dfa):
     report = Report("semiclassical-cobracket", {"h_order": dfa.order})
     zero = CPoly.zero(p)
 
-    delta_base = []
-    ok, witness = True, None
+    delta_base, witnesses = [], []
     for j in range(p):
         xj = CPoly.var(p, j)
         diff = dfa.target(xj) - dfa.source(xj)
         if not diff.coeffs[0].is_zero():
-            ok, witness = False, "source/target differ at order zero"
+            witnesses.append("source/target differ at order zero")
         val = diff.coeffs[1] if dfa.order >= 1 else EnvElement.zero(p, m)
         terms = {}
         for alpha, poly in val.terms.items():
             if sum(alpha) != 1:
-                ok, witness = False, \
-                    "delta(x%d) is not module-valued" % (j + 1)
+                witnesses.append("delta(x%d) is not module-valued" % (j + 1))
                 continue
             i = alpha.index(1)
             terms[(i,)] = terms.get((i,), zero) + poly
         delta_base.append(MultiVector(p, 1, terms))
-    report.add(Check("delta-on-base-is-linear", ok, witness))
+    report.check("delta-on-base-is-linear", witnesses)
 
     from .tensorspace import TensorElement, tensor_reduce
-    delta_gens = []
-    ok, witness = True, None
+    delta_gens, witnesses = [], []
     for i in range(m):
         u = defelem_from_env(spec, EnvElement.gen(p, m, i), dfa.order)
         lift = twisted_coproduct(dfa, u)
@@ -328,19 +324,19 @@ def semiclassical_cobracket(dfa):
         for key, c in anti.terms.items():
             (g1, a1), (g2, a2) = key
             if sum(a1) != 1 or sum(a2) != 1:
-                ok, witness = False, \
-                    "antisymmetrized order-h coproduct of e%d is not bilinear" % (i + 1)
+                witnesses.append("antisymmetrized order-h coproduct of e%d "
+                                 "is not bilinear" % (i + 1))
                 continue
             ia, ib = a1.index(1), a2.index(1)
             coeff = CPoly.monomial(p, tuple(x + y for x, y in zip(g1, g2)), c)
             if ia == ib:
                 if not coeff.is_zero():
-                    ok, witness = False, "diagonal term in delta(e%d)" % (i + 1)
+                    witnesses.append("diagonal term in delta(e%d)" % (i + 1))
                 continue
             if ia < ib:
                 terms[(ia, ib)] = terms.get((ia, ib), zero) + coeff
         delta_gens.append(MultiVector(p, 2, terms))
-    report.add(Check("delta-on-generators-in-wedge2", ok, witness))
+    report.check("delta-on-generators-in-wedge2", witnesses)
 
     # read the dual structure off delta
     anchor = [[delta_base[j].terms.get((i,), zero) for j in range(p)]
@@ -372,8 +368,7 @@ def semiclassical_dual_bracket(jctx):
     gens = [xi_functional(jctx, i) for i in range(spec.rank)]
     coords = [coordinate_functional(jctx, j) for j in range(p)]
 
-    bracket = {}
-    ok, witness = True, None
+    bracket, witnesses = {}, []
     for i in range(m):
         for j in range(i + 1, m):
             comm = jet_product(jctx, gens[i], gens[j], degree=2).sub(
@@ -386,8 +381,8 @@ def semiclassical_dual_bracket(jctx):
                 bracket[(i, j)] = tuple(vec)
             unitval = comm.value(jctx, (0,) * m).normalize()
             if unitval.coeffs and unitval.val < 1:
-                ok, witness = False, "commutator has a counit component"
-    report.add(Check("bracket-lands-in-augmentation", ok, witness))
+                witnesses.append("commutator has a counit component")
+    report.check("bracket-lands-in-augmentation", witnesses)
 
     anchor = [[zero] * p for _ in range(m)]
     for i in range(m):
@@ -459,43 +454,42 @@ def duality_roundtrip(jctx, generators=None, n_max=3, degree=None):
     degree = degree if degree is not None else jctx.jet_degree
 
     checked = [g.shift(-1) for g in gens]
-    ok, witness = True, None
-    for i, a in enumerate(checked):
-        for j in range(i + 1, len(checked)):
-            comm = jet_product(jctx, a, checked[j], degree).sub(
-                jet_product(jctx, checked[j], a, degree))
-            for beta, val in comm.table.items():
-                norm = val.normalize()
-                if norm.coeffs and norm.val < -sum(beta):
-                    ok, witness = False, \
-                        "rescaled commutator exceeds depth at %s" % (beta,)
-    report.add(Check("vee-relations-integral", ok, witness))
+
+    def integrality_failures():
+        for i, a in enumerate(checked):
+            for j in range(i + 1, len(checked)):
+                comm = jet_product(jctx, a, checked[j], degree).sub(
+                    jet_product(jctx, checked[j], a, degree))
+                for beta, val in comm.table.items():
+                    norm = val.normalize()
+                    if norm.coeffs and norm.val < -sum(beta):
+                        yield "rescaled commutator exceeds depth at %s" % (beta,)
+
+    report.check("vee-relations-integral", integrality_failures())
 
     recovered = [g.shift(1) for g in checked]
-    ok, witness = True, None
-    for i, r in enumerate(recovered):
-        member, why = functional_prime_member(jctx, r, n_max)
-        if not member:
-            ok, witness = False, "recovered generator %d: %s" % (i + 1, why)
-            break
-    report.add(Check("recovered-generators-pass-membership", ok, witness))
 
-    ok, witness = True, None
-    for i, r in enumerate(recovered):
-        if not jets_equal(jctx, r, canonical[i]):
-            ok, witness = False, \
-                "recovered generator %d differs from the canonical one" % (i + 1)
-    report.add(Check("generator-tables-recovered", ok, witness))
+    def membership_failures():
+        for i, r in enumerate(recovered):
+            member, why = functional_prime_member(jctx, r, n_max)
+            if not member:
+                yield "recovered generator %d: %s" % (i + 1, why)
 
-    ok, witness = True, None
-    for i in range(len(recovered)):
-        for j in range(i + 1, len(recovered)):
-            got = jet_product(jctx, recovered[i], recovered[j], degree).sub(
-                jet_product(jctx, recovered[j], recovered[i], degree))
-            want = jet_product(jctx, canonical[i], canonical[j], degree).sub(
-                jet_product(jctx, canonical[j], canonical[i], degree))
-            if not jets_equal(jctx, got, want):
-                ok, witness = False, \
-                    "relation table differs on pair (%d, %d)" % (i + 1, j + 1)
-    report.add(Check("relation-table-recovered", ok, witness))
+    report.check("recovered-generators-pass-membership", membership_failures())
+
+    report.check("generator-tables-recovered", (
+        "recovered generator %d differs from the canonical one" % (i + 1)
+        for i, r in enumerate(recovered) if not jets_equal(jctx, r, canonical[i])))
+
+    def relation_failures():
+        for i in range(len(recovered)):
+            for j in range(i + 1, len(recovered)):
+                got = jet_product(jctx, recovered[i], recovered[j], degree).sub(
+                    jet_product(jctx, recovered[j], recovered[i], degree))
+                want = jet_product(jctx, canonical[i], canonical[j], degree).sub(
+                    jet_product(jctx, canonical[j], canonical[i], degree))
+                if not jets_equal(jctx, got, want):
+                    yield "relation table differs on pair (%d, %d)" % (i + 1, j + 1)
+
+    report.check("relation-table-recovered", relation_failures())
     return report

@@ -17,7 +17,7 @@ import itertools
 
 from .envelope import EnvElement, env_counit, pbw_mul
 from .errors import ConfigError, FlavorError
-from .report import Check, Report
+from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto
 from .series import HLaurent, HSeries, laurent_mul
 
@@ -547,16 +547,11 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
     polys = monomials_upto(spec.nvars, 1)[1:]  # the variables
     dom = pbw_indices(spec.rank, min(ctx.jet_degree, sample_degree))
 
-    ok = True
-    witness = None
-    for lam in sample:
-        if not jets_equal(ctx, jet_product(ctx, lam, unit), lam, domain=dom) or \
-           not jets_equal(ctx, jet_product(ctx, unit, lam), lam, domain=dom):
-            ok, witness = False, "counit is not a two-sided unit"
-            break
-    report.add(Check("dual-unit", ok, witness))
+    report.check("dual-unit", (
+        "counit is not a two-sided unit" for lam in sample
+        if not jets_equal(ctx, jet_product(ctx, lam, unit), lam, domain=dom)
+        or not jets_equal(ctx, jet_product(ctx, unit, lam), lam, domain=dom)))
 
-    ok, witness = True, None
     checked = pbw_indices(spec.rank, min(2, ctx.jet_degree))
     # (ab)c and a(bc) read ab and bc on the legs of the lifts of the checked
     # monomials, which reach above the jet degree when h_order is larger
@@ -567,99 +562,75 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
     pool = sample[:2]
     prods = {(i, j): jet_product(ctx, pool[i], pool[j], degree=reach)
              for i in range(len(pool)) for j in range(len(pool))}
-    for i, j, k in itertools.product(range(len(pool)), repeat=3):
-        for beta in checked:
-            l = jet_product_eval(ctx, prods[i, j], pool[k], beta)
-            r = jet_product_eval(ctx, pool[i], prods[j, k], beta)
-            if not l.eq_to_order(r):
-                ok, witness = False, "associativity fails on %s" % (beta,)
-                break
-        if not ok:
-            break
-    report.add(Check("dual-associativity", ok, witness))
+    report.check("dual-associativity", (
+        "associativity fails on %s" % (beta,)
+        for i, j, k in itertools.product(range(len(pool)), repeat=3)
+        for beta in checked
+        if not jet_product_eval(ctx, prods[i, j], pool[k], beta).eq_to_order(
+            jet_product_eval(ctx, pool[i], prods[j, k], beta))))
 
-    ok, witness = True, None
-    for xj in polys:
-        src, tgt = jet_source_target(ctx, xj)
+    def action_failures():
+        for xj in polys:
+            src, tgt = jet_source_target(ctx, xj)
+            for lam in sample:
+                left_action = jet_product(ctx, src, lam)
+                for beta in dom:
+                    mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
+                    if ctx.flavor == LEFT:
+                        moved = ctx.dfa.target(xj).map(
+                            lambda w: pbw_mul(spec, w, mono))
+                    else:
+                        moved = ctx.dfa.source(xj).map(
+                            lambda w: pbw_mul(spec, mono, w))
+                    direct = jet_pair(ctx, lam, moved)
+                    if not left_action.value(ctx, beta).eq_to_order(direct):
+                        yield "source-action compatibility fails at %s" % (beta,)
+
+    report.check("action-compatibility", action_failures())
+
+    def commutativity_failures():
         for lam in sample:
-            left_action = jet_product(ctx, src, lam)
-            for beta in dom:
-                mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-                if ctx.flavor == LEFT:
-                    moved = ctx.dfa.target(xj).map(
-                        lambda w: pbw_mul(spec, w, mono))
-                else:
-                    moved = ctx.dfa.source(xj).map(
-                        lambda w: pbw_mul(spec, mono, w))
-                direct = jet_pair(ctx, lam, moved)
-                if not left_action.value(ctx, beta).eq_to_order(direct):
-                    ok, witness = False, \
-                        "source-action compatibility fails at %s" % (beta,)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("action-compatibility", ok, witness))
+            for mu in sample:
+                prod = jet_product(ctx, lam, mu)
+                flip = jet_product(ctx, mu, lam)
+                for beta in dom:
+                    dn = (prod.value(ctx, beta) - flip.value(ctx, beta)).normalize()
+                    if dn.coeffs and dn.val < 1:
+                        yield "dual ring not commutative at h^0 on %s" % (beta,)
 
-    ok, witness = True, None
-    for lam in sample:
-        for mu in sample:
-            prod = jet_product(ctx, lam, mu)
-            flip = jet_product(ctx, mu, lam)
-            for beta in dom:
-                d = prod.value(ctx, beta) - flip.value(ctx, beta)
-                dn = d.normalize()
-                if dn.coeffs and dn.val < 1:
-                    ok, witness = False, \
-                        "dual ring not commutative at h^0 on %s" % (beta,)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("commutative-at-h0", ok, witness))
+    report.check("commutative-at-h0", commutativity_failures())
 
-    ok, witness = True, None
-    for u0 in witnesses:
-        for r in range(1, min(3, n) + 1):
-            for combo in itertools.product(range(len(gens)), repeat=r):
-                prod = gens[combo[0]]
-                for idx in combo[1:]:
-                    prod = jet_product(ctx, prod, gens[idx],
-                                       degree=ctx.jet_degree)
-                val = jet_pair(ctx, prod, u0)
-                norm = val.normalize()
-                if norm.coeffs and norm.val < r:
-                    ok, witness = False, \
-                        "filtration pairing below h^%d on %s" % (r, combo)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("filtration-growth", ok, witness))
+    def filtration_failures():
+        for u0 in witnesses:
+            for r in range(1, min(3, n) + 1):
+                for combo in itertools.product(range(len(gens)), repeat=r):
+                    prod = gens[combo[0]]
+                    for idx in combo[1:]:
+                        prod = jet_product(ctx, prod, gens[idx],
+                                           degree=ctx.jet_degree)
+                    norm = jet_pair(ctx, prod, u0).normalize()
+                    if norm.coeffs and norm.val < r:
+                        yield "filtration pairing below h^%d on %s" % (r, combo)
 
-    ok, witness = True, None
+    report.check("filtration-growth", filtration_failures())
+
     # classical limit: at h^0 the product table is the undeformed one
     from .deform import DeformedEnvAlgebroid, trivial_twistor
     triv = DeformedEnvAlgebroid(spec, trivial_twistor(spec, n), validate=False)
     ctx0 = JetContext(triv, ctx.flavor, ctx.jet_degree)
-    for i, lam in enumerate(gens):
-        lam0 = xi_functional(ctx0, i)
-        for j, mu in enumerate(gens):
-            mu0 = xi_functional(ctx0, j)
-            prod = jet_product(ctx, lam, mu)
-            prod0 = jet_product(ctx0, lam0, mu0)
-            for beta in dom:
-                if prod.value(ctx, beta).coeff(0) != prod0.value(ctx0, beta).coeff(0):
-                    ok, witness = False, "classical limit mismatch at %s" % (beta,)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("classical-limit", ok, witness))
+
+    def classical_failures():
+        for i, lam in enumerate(gens):
+            lam0 = xi_functional(ctx0, i)
+            for j, mu in enumerate(gens):
+                mu0 = xi_functional(ctx0, j)
+                prod = jet_product(ctx, lam, mu)
+                prod0 = jet_product(ctx0, lam0, mu0)
+                for beta in dom:
+                    if prod.value(ctx, beta).coeff(0) != prod0.value(ctx0, beta).coeff(0):
+                        yield "classical limit mismatch at %s" % (beta,)
+
+    report.check("classical-limit", classical_failures())
     return report
 
 

@@ -216,73 +216,54 @@ def lr_validate(spec, sample_degree=2):
     samples = monomials_upto(spec.nvars, sample_degree)
     m = spec.rank
 
-    ok = True
-    witness = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                ei, ej, ek = (spec.basis_elem(t) for t in (i, j, k))
-                jac = {}
-                for term in (spec.bracket_elems(spec.bracket_elems(ei, ej), ek),
-                             spec.bracket_elems(spec.bracket_elems(ej, ek), ei),
-                             spec.bracket_elems(spec.bracket_elems(ek, ei), ej)):
-                    for t, c in term.items():
-                        _acc(jac, t, c)
-                if _strip(jac):
-                    ok = False
-                    witness = "jacobi(e%d,e%d,e%d) = %s" % (i + 1, j + 1, k + 1,
-                                                            _strip(jac))
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("jacobi-basis-triples", ok, witness))
+    def jacobi_failures():
+        for i in range(m):
+            for j in range(i + 1, m):
+                for k in range(j + 1, m):
+                    ei, ej, ek = (spec.basis_elem(t) for t in (i, j, k))
+                    jac = {}
+                    for term in (spec.bracket_elems(spec.bracket_elems(ei, ej), ek),
+                                 spec.bracket_elems(spec.bracket_elems(ej, ek), ei),
+                                 spec.bracket_elems(spec.bracket_elems(ek, ei), ej)):
+                        for t, c in term.items():
+                            _acc(jac, t, c)
+                    jac = _strip(jac)
+                    if jac:
+                        yield "jacobi(e%d,e%d,e%d) = %s" % (i + 1, j + 1, k + 1, jac)
 
-    ok = True
-    witness = None
-    for i in range(m):
-        for j in range(i + 1, m):
-            bij = spec.bracket_basis(i, j)
-            for f in samples:
-                lhs = CPoly.zero(spec.nvars)
-                for k, c in enumerate(bij):
-                    if not c.is_zero():
-                        lhs = lhs + c * spec.anchor_apply(k, f)
-                rhs = spec.anchor_apply(i, spec.anchor_apply(j, f)) \
-                    - spec.anchor_apply(j, spec.anchor_apply(i, f))
-                if lhs != rhs:
-                    ok = False
-                    witness = "anchor([e%d,e%d]) != [anchor(e%d),anchor(e%d)] on %s" \
-                        % (i + 1, j + 1, i + 1, j + 1, f)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("anchor-lie-morphism", ok, witness))
+    report.check("jacobi-basis-triples", jacobi_failures())
 
-    ok = True
-    witness = None
-    for i in range(m):
-        for j in range(m):
-            for f in samples:
-                lhs = spec.bracket_elems(spec.basis_elem(i),
-                                         {j: f})
-                rhs = dict(spec.bracket_elems(spec.basis_elem(i),
-                                              spec.basis_elem(j)))
-                rhs = {k: v * f for k, v in rhs.items()}
-                _acc(rhs, j, spec.anchor_apply(i, f))
-                if not _elem_eq(lhs, _strip(rhs)):
-                    ok = False
-                    witness = "[e%d, f e%d] != anchor(e%d)(f) e%d + f [e%d,e%d] for f=%s" \
-                        % (i + 1, j + 1, i + 1, j + 1, i + 1, j + 1, f)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("leibniz-compatibility", ok, witness))
+    def anchor_failures():
+        for i in range(m):
+            for j in range(i + 1, m):
+                bij = spec.bracket_basis(i, j)
+                for f in samples:
+                    lhs = CPoly.zero(spec.nvars)
+                    for k, c in enumerate(bij):
+                        if not c.is_zero():
+                            lhs = lhs + c * spec.anchor_apply(k, f)
+                    rhs = spec.anchor_apply(i, spec.anchor_apply(j, f)) \
+                        - spec.anchor_apply(j, spec.anchor_apply(i, f))
+                    if lhs != rhs:
+                        yield "anchor([e%d,e%d]) != [anchor(e%d),anchor(e%d)] on %s" \
+                            % (i + 1, j + 1, i + 1, j + 1, f)
+
+    report.check("anchor-lie-morphism", anchor_failures())
+
+    def leibniz_failures():
+        for i in range(m):
+            for j in range(m):
+                for f in samples:
+                    lhs = spec.bracket_elems(spec.basis_elem(i), {j: f})
+                    rhs = dict(spec.bracket_elems(spec.basis_elem(i),
+                                                  spec.basis_elem(j)))
+                    rhs = {k: v * f for k, v in rhs.items()}
+                    _acc(rhs, j, spec.anchor_apply(i, f))
+                    if not _elem_eq(lhs, _strip(rhs)):
+                        yield "[e%d, f e%d] != anchor(e%d)(f) e%d + f [e%d,e%d] for f=%s" \
+                            % (i + 1, j + 1, i + 1, j + 1, i + 1, j + 1, f)
+
+    report.check("leibniz-compatibility", leibniz_failures())
     return report
 
 
@@ -457,28 +438,22 @@ def lr_bialgebra_validate(specL, specLstar, sample_degree=2):
 
     delta = cobracket_from_dual_spec(specL, specLstar)
     samples = monomials_upto(specL.nvars, sample_degree)
-    ok = True
-    witness = None
-    for i in range(specL.rank):
-        for j in range(specL.rank):
-            for f in samples:
-                X = specL.basis_elem(i)
-                Y = {j: f}
-                lhs = delta.on_elem(specL.bracket_elems(X, Y))
-                mvX = MultiVector.from_elem(specL.nvars, X)
-                mvY = MultiVector.from_elem(specL.nvars, Y)
-                rhs = schouten_bracket(specL, mvX, delta.on_elem(Y)) \
-                    - schouten_bracket(specL, mvY, delta.on_elem(X))
-                if lhs != rhs:
-                    ok = False
-                    witness = "delta[e%d, f e%d] mismatch for f=%s" \
-                        % (i + 1, j + 1, f)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add(Check("cobracket-derivation", ok, witness))
+
+    def derivation_failures():
+        for i in range(specL.rank):
+            for j in range(specL.rank):
+                for f in samples:
+                    X = specL.basis_elem(i)
+                    Y = {j: f}
+                    lhs = delta.on_elem(specL.bracket_elems(X, Y))
+                    mvX = MultiVector.from_elem(specL.nvars, X)
+                    mvY = MultiVector.from_elem(specL.nvars, Y)
+                    rhs = schouten_bracket(specL, mvX, delta.on_elem(Y)) \
+                        - schouten_bracket(specL, mvY, delta.on_elem(X))
+                    if lhs != rhs:
+                        yield "delta[e%d, f e%d] mismatch for f=%s" % (i + 1, j + 1, f)
+
+    report.check("cobracket-derivation", derivation_failures())
     return report
 
 

@@ -119,59 +119,49 @@ def structure_property_suite(spec, seed=0, sample_degree=2, h_order=2,
         return report
 
     elems = [_random_env(spec, rng) for _ in range(4)]
-    ok, witness = True, None
-    for _ in range(4):
-        u, v, w = rng.sample(elems, 3)
-        lhs = pbw_mul(spec, pbw_mul(spec, u, v), w)
-        rhs = pbw_mul(spec, u, pbw_mul(spec, v, w))
-        if lhs != rhs:
-            ok, witness = False, "associativity fails"
-            break
-    report.add(Check("pbw-associativity", ok, witness))
+    report.check("pbw-associativity", (
+        "associativity fails"
+        for u, v, w in (rng.sample(elems, 3) for _ in range(4))
+        if pbw_mul(spec, pbw_mul(spec, u, v), w)
+        != pbw_mul(spec, u, pbw_mul(spec, v, w))))
 
-    ok, witness = True, None
-    for u in elems:
-        left = iterated_coproduct(spec, u, 2)
-        right = tensor_coproduct_leg(spec, env_coproduct(spec, u), 1)
-        if tensor_reduce(spec, left) != tensor_reduce(spec, right):
-            ok, witness = False, "coassociativity fails"
-            break
-    report.add(Check("coassociativity", ok, witness))
+    report.check("coassociativity", (
+        "coassociativity fails" for u in elems
+        if tensor_reduce(spec, iterated_coproduct(spec, u, 2))
+        != tensor_reduce(spec, tensor_coproduct_leg(spec, env_coproduct(spec, u), 1))))
 
     from .envelope import env_counit
-    ok, witness = True, None
-    for u in elems:
-        T = env_coproduct(spec, u)
-        left = EnvElement.zero(spec.nvars, spec.rank)
-        right = EnvElement.zero(spec.nvars, spec.rank)
-        for key, c in T.terms.items():
-            w1, w2 = T.leg_env(key[0]), T.leg_env(key[1])
-            left = left + w2.scale(env_counit(w1)).scale(c)
-            right = right + w1.scale(env_counit(w2)).scale(c)
-        if left != u or right != u:
-            ok, witness = False, "counit axioms fail"
-            break
-    report.add(Check("counit-axioms", ok, witness))
+
+    def counit_failures():
+        for u in elems:
+            T = env_coproduct(spec, u)
+            left = EnvElement.zero(spec.nvars, spec.rank)
+            right = EnvElement.zero(spec.nvars, spec.rank)
+            for key, c in T.terms.items():
+                w1, w2 = T.leg_env(key[0]), T.leg_env(key[1])
+                left = left + w2.scale(env_counit(w1)).scale(c)
+                right = right + w1.scale(env_counit(w2)).scale(c)
+            if left != u or right != u:
+                yield "counit axioms fail"
+
+    report.check("counit-axioms", counit_failures())
 
     samples = monomials_upto(spec.nvars, sample_degree)
-    ok = all(takeuchi_check(spec, env_coproduct(spec, u), samples)
-             for u in elems)
-    report.add(Check("takeuchi-membership", ok,
-                     None if ok else "coproduct image escapes the subspace"))
+    report.check("takeuchi-membership", (
+        "coproduct image escapes the subspace" for u in elems
+        if not takeuchi_check(spec, env_coproduct(spec, u), samples)))
 
-    ok, witness = True, None
-    for f in samples:
-        df = lr_differential_function(spec, f)
-        if not lr_differential(spec, df).is_zero():
-            ok, witness = False, "d^2 f != 0 for f=%s" % f
-            break
-    for i in range(spec.rank):
-        lam = MultiVector(spec.nvars, 1, {(i,): CPoly.one(spec.nvars)})
-        dd = lr_differential(spec, lr_differential(spec, lam))
-        if not dd.is_zero():
-            ok, witness = False, "d^2 e*%d != 0" % (i + 1)
-            break
-    report.add(Check("differential-squares-to-zero", ok, witness))
+    def differential_failures():
+        for f in samples:
+            df = lr_differential_function(spec, f)
+            if not lr_differential(spec, df).is_zero():
+                yield "d^2 f != 0 for f=%s" % f
+        for i in range(spec.rank):
+            lam = MultiVector(spec.nvars, 1, {(i,): CPoly.one(spec.nvars)})
+            if not lr_differential(spec, lr_differential(spec, lam)).is_zero():
+                yield "d^2 e*%d != 0" % (i + 1)
+
+    report.check("differential-squares-to-zero", differential_failures())
 
     dfa = DeformedEnvAlgebroid(spec, trivial_twistor(spec, h_order),
                                validate=False)

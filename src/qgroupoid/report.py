@@ -4,6 +4,14 @@ A report is a list of named checks, each pass/fail/indeterminate with an
 optional witness string.  Serialization is deterministic: checks sort by
 name and the header carries the truncation parameters, so identical runs
 produce byte-identical output.
+
+Most checks certify an identity over a finite set of cases and fail on
+the first case that breaks it.  ``Report.check(name, witnesses)`` is the
+one runner for them: ``witnesses`` yields a witness string for each
+failing case (nothing for a passing one) and is read lazily, so the check
+passes when it yields nothing and otherwise fails with the first witness,
+without evaluating the cases after it.  Loops that also build data collect
+their witnesses in a list and hand that over instead.
 """
 
 import json
@@ -41,6 +49,11 @@ class Report:
     def add(self, check):
         self.checks.append(check)
         return check
+
+    def check(self, name, witnesses):
+        """Pass if ``witnesses`` yields nothing, else fail with its first item."""
+        witness = next(iter(witnesses), None)
+        return self.add(Check(name, witness is None, witness))
 
     def extend(self, other, prefix=None):
         for c in other.checks:

@@ -1,11 +1,15 @@
+import hashlib
 import io
 import json
 import os
 import sys
 
+import pytest
+
 from qgroupoid.cli import main
 
-SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SPEC = os.path.join(ROOT, "specs", "axb.spec")
 
 
 def run_cli(argv):
@@ -232,3 +236,23 @@ def test_no_command_certifies_an_invalid_twistor(tmp_path, monkeypatch):
         if argv[0] != "twist":
             assert all(l["check"].startswith("twistor/")
                        for l in lines[1:-1]), argv
+
+
+with open(os.path.join(ROOT, "perfbench", "reference.json")) as _fh:
+    REFERENCE_DIGESTS = json.load(_fh)["digests"]
+
+DEFAULT_SPEC_COMMANDS = (
+    ["validate"], ["twist"], ["dualize"], ["dualize", "--side", "right"],
+    ["drinfeld", "--functor", "roundtrip"], ["drinfeld", "--functor", "prime"],
+    ["drinfeld", "--functor", "vee"], ["semiclassical"],
+)
+
+
+@pytest.mark.parametrize("cmd", DEFAULT_SPEC_COMMANDS, ids=" ".join)
+def test_report_bytes_match_the_reference_digest(cmd):
+    # the benchmark's reference digests of `qgroupoid <cmd> specs/axb.spec
+    # --json-only` at the spec's own truncation
+    code, out, err = run_cli([cmd[0], SPEC] + cmd[1:] + ["--json-only"])
+    assert code == 0 and err == ""
+    digest = hashlib.md5(out.encode()).hexdigest()
+    assert digest == REFERENCE_DIGESTS["axb %s" % " ".join(cmd)]

@@ -92,7 +92,11 @@ def _emit(report, args):
 
 
 def _load(args):
-    espec = load_spec_file(args.specfile)
+    try:
+        espec = load_spec_file(args.specfile)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SemanticError("cannot read spec file %s: %s" % (
+            args.specfile, getattr(exc, "strerror", None) or exc)) from None
     if args.h_order is not None:
         espec.h_order = args.h_order
     if args.pbw_degree is not None:

@@ -18,16 +18,20 @@ The base maps (star product, s_F, t_F) let the legs of F act on the base
 through the anchor; every chain reads the structure's action table
 (``envelope.monomial_action``).  ``reduce_series`` moves coefficients
 rightward by the Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v; the
-deformation caches, per leg monomial w, the s_F-images of its
-t_F-decomposition (``DeformedEnvAlgebroid.migrants``), never the products
-with the next leg.
+deformation caches, per leg monomial w, the basis terms of the s_F-images
+of its t_F-decomposition (``DeformedEnvAlgebroid.migrants``), and each of
+those terms is multiplied by the next leg through the structure's leg
+table (``tensorspace.leg_product``), which memoises the products at
+monomial granularity.
 
 All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
 basis decompositions and tensor reductions exact triangular solves.
-``basis_decompose`` keeps its remainder as one term dict per h-order and
-multiplies out only the orders a term's image contributes below the
-truncation, skipping order zero, which cancels the term itself.
+``basis_decompose`` keeps its remainder as {alpha: {gamma: coefficient}}
+per h-order, multiplies the basis terms of each image by e^alpha through
+the leg table, and multiplies out only the orders a term's image
+contributes below the truncation, skipping order zero, which cancels the
+term itself.
 """
 
 import itertools
@@ -39,8 +43,8 @@ from .report import Check, Report
 from .scalars import CPoly, monomials_upto
 from .series import HSeries, hs_const, hs_zero, hseries_invert, hseries_mul
 from .tensorspace import (
-    TensorElement, env_coproduct, scale_leg, tensor_coproduct_leg, tensor_mul,
-    tensor_reduce,
+    TensorElement, _basis_terms, env_coproduct, leg_product, scale_leg,
+    tensor_coproduct_leg, tensor_mul, tensor_reduce,
 )
 
 __all__ = [
@@ -390,15 +394,18 @@ class DeformedEnvAlgebroid:
         return hit
 
     def migrants(self, w):
-        """[(beta, s_F(a_beta) per h-order)] for w = sum t_F(a_beta) e^beta.
+        """[(beta, per h-order the basis terms of s_F(a_beta))] for
+        w = sum t_F(a_beta) e^beta, each order a tuple ((gamma, alpha), q).
 
         The Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v moves each
-        a_beta onto the next leg; ``reduce_series`` reads this cache.
+        a_beta onto the next leg; ``reduce_series`` reads this cache and
+        multiplies each basis term by the next leg through ``leg_product``.
         """
         hit = self._migrants.get(w)
         if hit is None:
             hit = self._migrants[w] = [
-                (beta, self.source_series(aser).coeffs)
+                (beta, [tuple(_basis_terms(u))
+                        for u in self.source_series(aser).coeffs])
                 for beta, aser in self.decompose_mono(w, "target").items()]
         return hit
 
@@ -474,51 +481,47 @@ def basis_decompose(dfa, u, flavor="source"):
     """u = sum_beta map_F(a_beta) e^beta, solved by triangular back-substitution.
 
     ``flavor`` picks the source or the target map.  The remainder is kept
-    as one term dict per h-order.  A term a h^k e^alpha goes into a_alpha
-    and its image map_F(a) e^alpha h^k comes off the remainder; the image
-    is a + O(h) because F_0 = 1 (x) 1, so order k cancels the term itself
-    and only the orders k + j, 1 <= j <= N - k, that survive the
-    truncation are multiplied out.  a is mapped monomial by monomial
-    through the deformation's cached base maps.  Exact at truncation.
+    per h-order as {alpha: {gamma: coefficient}}.  A term a h^k e^alpha
+    goes into a_alpha and its image map_F(a) e^alpha h^k comes off the
+    remainder; the image is a + O(h) because F_0 = 1 (x) 1, so order k
+    cancels the term itself and only the orders k + j, 1 <= j <= N - k,
+    that survive the truncation are multiplied out.  a is mapped monomial
+    by monomial through the deformation's cached base maps, and each basis
+    term of the image is multiplied by e^alpha through ``leg_product`` and
+    subtracted in place.  Exact at truncation.
     """
     if flavor not in ("source", "target"):
         raise ConfigError("flavor must be source or target")
     spec = dfa.spec
-    nvars, rank = spec.nvars, spec.rank
+    nvars = spec.nvars
     n = dfa.order
+    zeros_g = (0,) * nvars
     zero_p = CPoly.zero(nvars)
     mapper = dfa.source if flavor == "source" else dfa.target
-    remaining = [dict(uk.terms) for uk in u.coeffs]
+    remaining = [{alpha: dict(p.terms) for alpha, p in uk.terms.items()}
+                 for uk in u.coeffs]
     coeffs = {}
     for k in range(n + 1):
         layer = remaining[k]
         for alpha in sorted(layer):
-            poly = layer[alpha]
-            coeffs.setdefault(alpha, [zero_p] * (n + 1))[k] = poly
+            terms = layer[alpha]
+            coeffs.setdefault(alpha, [zero_p] * (n + 1))[k] = CPoly(nvars, terms)
             if k == n:
                 continue
-            mono = EnvElement.monomial(nvars, rank, alpha)
-            for gamma, c in poly.terms.items():
+            mono = (zeros_g, alpha)
+            for gamma, c in terms.items():
                 mapped = mapper(CPoly.monomial(nvars, gamma)).coeffs
                 for j in range(1, n - k + 1):
-                    if mapped[j].is_zero():
-                        continue
-                    _subtract_terms(remaining[k + j],
-                                    pbw_mul(spec, mapped[j], mono).terms, c)
+                    out = remaining[k + j]
+                    for a1, p1 in mapped[j].terms.items():
+                        for g1, q1 in p1.terms.items():
+                            cq = q1 if c == 1 else c if q1 == 1 else c * q1
+                            for (g2, a2), q2 in leg_product(spec, (g1, a1), mono):
+                                row = out.setdefault(a2, {})
+                                _bump_term(row, g2, -cq if q2 == 1 else -cq * q2)
+                                if not row:
+                                    del out[a2]
     return {beta: HSeries(n, cs, zero_p) for beta, cs in coeffs.items()}
-
-
-def _subtract_terms(out, terms, c):
-    """out -= c * terms for term dicts {alpha: CPoly}, dropping zeros."""
-    for alpha, p in terms.items():
-        cur = out.get(alpha)
-        if c != 1:
-            p = p * c
-        s = -p if cur is None else cur - p
-        if s.is_zero():
-            out.pop(alpha, None)
-        else:
-            out[alpha] = s
 
 
 def reexpand(dfa, decomposition, flavor="source"):
@@ -555,19 +558,18 @@ def _reduce_leg(dfa, HT, leg):
                 _bump_term(acc[k], key, c)
                 continue
             nxt = key[leg + 1]
-            nxt_env = EnvElement.monomial(spec.nvars, spec.rank, nxt[1],
-                                          CPoly.monomial(spec.nvars, nxt[0]))
+            head, tail = key[:leg], key[leg + 2:]
             for beta, moved in dfa.migrants(w):
-                for j, w_env in enumerate(moved):
-                    if k + j > n or w_env.is_zero():
-                        continue
-                    prod = pbw_mul(spec, w_env, nxt_env)
-                    for alpha2, poly2 in prod.terms.items():
-                        for g2, q2 in poly2.terms.items():
-                            k2 = key[:leg] + ((zeros_g, beta), (g2, alpha2)) \
-                                + key[leg + 2:]
-                            _bump_term(acc[k + j], k2, q2 if c == 1 else
-                                       c if q2 == 1 else c * q2)
+                pure = (zeros_g, beta)
+                for j, terms in enumerate(moved):
+                    if k + j > n:
+                        break
+                    out = acc[k + j]
+                    for wl, cw in terms:
+                        cc = cw if c == 1 else c if cw == 1 else c * cw
+                        for l2, q in leg_product(spec, wl, nxt):
+                            _bump_term(out, head + (pure, l2) + tail,
+                                       cc if q == 1 else cc * q)
     legs = HT.zero.legs
     coeffs = [TensorElement(spec.nvars, spec.rank, legs, d) for d in acc]
     return HSeries(n, coeffs, HT.zero)

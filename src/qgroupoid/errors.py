@@ -52,4 +52,4 @@ class ParseError(EngineError):
 
 
 class SemanticError(EngineError):
-    """Spec file parsed but is structurally invalid."""
+    """Spec file unreadable, or parsed but structurally invalid."""

@@ -205,7 +205,11 @@ def parse_poly(text, nvars, line=0):
             if not m:
                 raise ParseError(line, "bad factor %r" % factor)
             if m.group("num") is not None:
-                coeff *= Fraction(m.group("num"))
+                try:
+                    coeff *= Fraction(m.group("num"))
+                except ZeroDivisionError:
+                    raise ParseError(line, "zero denominator in %r"
+                                     % factor) from None
             else:
                 j = int(m.group("var")[1:]) - 1
                 if not 0 <= j < nvars:

@@ -2,8 +2,9 @@
 
 Sections in square brackets, key = value entries, comments with '#'.
 Polynomials use the x1..xp syntax of the scalar parser; envelope monomials
-additionally allow generator names (as declared in [generators]) with '^'
-powers, e.g. ``1/2 | x1*d1 | d2`` for one twistor term.
+additionally allow generator names (as declared in [generators]) and
+powers '^n' with n a non-negative integer, e.g. ``1/2 | x1*d1 | d2`` for
+one twistor term.
 
     [base]        vars = x1 x2
     [generators]  names = d1 d2            (or: rank = 2)
@@ -105,6 +106,7 @@ class EngineSpec:
 
 
 _INT = re.compile(r"-?\d+$")
+_POWER = re.compile(r"\d+")
 
 
 def parse_env_monomial(text, var_names, gen_names, line=0):
@@ -117,14 +119,17 @@ def parse_env_monomial(text, var_names, gen_names, line=0):
         factor = factor.strip()
         if not factor:
             raise ParseError(line, "empty factor in %r" % text)
-        name, _, power = factor.partition("^")
-        power = int(power) if power else 1
+        name, caret, power = factor.partition("^")
+        if caret and not _POWER.fullmatch(power):
+            raise ParseError(line, "power must be a non-negative integer "
+                             "in %r" % factor)
+        power = int(power) if caret else 1
         if name in var_names:
             gamma[var_names.index(name)] += power
         elif name in gen_names:
             alpha[gen_names.index(name)] += power
         elif re.fullmatch(r"-?\d+(/\d+)?", name):
-            coeff *= Fraction(name) ** power
+            coeff *= _fraction(name, line, "coefficient") ** power
         else:
             raise ParseError(line, "unknown factor %r" % name)
     return EnvElement.monomial(p, m, tuple(alpha),
@@ -132,7 +137,7 @@ def parse_env_monomial(text, var_names, gen_names, line=0):
 
 
 def load_spec_file(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return load_spec(fh.read())
 
 
@@ -201,10 +206,7 @@ def _dispatch(spec, section, key, value, lineno):
             bits = [b.strip() for b in value.split("|")]
             if len(bits) != 3:
                 raise ParseError(lineno, "term reads: weight | left | right")
-            try:
-                weight = Fraction(bits[0])
-            except ValueError:
-                raise ParseError(lineno, "bad weight %r" % bits[0])
+            weight = _fraction(bits[0], lineno, "weight")
             spec.twistor_terms.append((weight, bits[1], bits[2], lineno))
         elif key.split()[0] == "order":
             parts = key.split()
@@ -214,10 +216,7 @@ def _dispatch(spec, section, key, value, lineno):
             bits = [b.strip() for b in value.split("|")]
             if len(bits) != 3:
                 raise ParseError(lineno, "order reads: weight | left | right")
-            try:
-                weight = Fraction(bits[0])
-            except ValueError:
-                raise ParseError(lineno, "bad weight %r" % bits[0])
+            weight = _fraction(bits[0], lineno, "weight")
             spec.twistor_orders.append(
                 (_int(parts[1], lineno), weight, bits[1], bits[2], lineno))
         else:
@@ -237,6 +236,13 @@ def _dispatch(spec, section, key, value, lineno):
         if key != "seed":
             raise ParseError(lineno, "unknown rng key %r" % key)
         spec.seed = _int(value, lineno)
+
+
+def _fraction(text, lineno, what):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(lineno, "bad %s %r" % (what, text)) from None
 
 
 def _int(value, lineno):

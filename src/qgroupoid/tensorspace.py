@@ -6,10 +6,12 @@ rational coefficient.  The class in the tensor product over the base ring
 is represented by the canonical reduction that moves every coefficient
 into the last leg; class equality is reduction equality.
 
-``tensor_mul`` multiplies leg by leg.  A unit leg passes the other leg
-through; every other leg product is read from the structure's leg table
-(``spec._leg_table``: a pair of legs to their product as basis terms),
-which is filled only from the monomial product table.
+``leg_product`` reads the structure's leg table (``spec._leg_table``: a
+pair of basis legs to their product as basis terms) and fills a missing
+entry from the monomial product table.  It is behind every product of
+basis legs: ``tensor_mul`` multiplies leg by leg through it, passing the
+other leg through where one leg is the unit, and the tensor reduction and
+basis decomposition of ``deform`` multiply their basis terms by it.
 """
 
 import itertools
@@ -19,8 +21,8 @@ from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
 __all__ = [
-    "TensorElement", "env_coproduct", "tensor_mul", "tensor_reduce",
-    "takeuchi_check", "iterated_coproduct", "primitive_check",
+    "TensorElement", "env_coproduct", "leg_product", "tensor_mul",
+    "tensor_reduce", "takeuchi_check", "iterated_coproduct", "primitive_check",
 ]
 
 
@@ -169,17 +171,25 @@ def _mono_mul(spec, ka, kb):
     return terms
 
 
+def leg_product(spec, la, lb):
+    """Product of two basis legs as a tuple of basis terms ((gamma, alpha), q),
+    read from the structure's leg table and filled there from ``_mono_mul``."""
+    key = (la, lb)
+    hit = spec._leg_table.get(key)
+    if hit is None:
+        hit = spec._leg_table[key] = tuple(_mono_mul(spec, la, lb))
+    return hit
+
+
 def tensor_mul(spec, s, t):
     """Factorwise multiplication of lifted tensors.
 
     A unit leg x^0 e^0 passes the other operand's leg through; every other
-    leg product is read from the structure's leg table, filled here from
-    ``_mono_mul``.  When each leg product is a single term, the pair adds
-    one term to the result directly.
+    leg product is a ``leg_product``.  When each leg product is a single
+    term, the pair adds one term to the result directly.
     """
     s._check(t)
     unit = ((0,) * s.nvars, (0,) * s.rank)
-    table = spec._leg_table
     out = {}
     for ka, ca in s.terms.items():
         for kb, cb in t.terms.items():
@@ -192,9 +202,7 @@ def tensor_mul(spec, s, t):
                 elif lb == unit:
                     factors.append(((la, 1),))
                 else:
-                    f = table.get((la, lb))
-                    if f is None:
-                        f = table[(la, lb)] = tuple(_mono_mul(spec, la, lb))
+                    f = leg_product(spec, la, lb)
                     if len(f) != 1:
                         single = False
                     factors.append(f)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -238,21 +239,94 @@ def test_no_command_certifies_an_invalid_twistor(tmp_path, monkeypatch):
                        for l in lines[1:-1]), argv
 
 
+NUMERIC_BASE = """
+[base]
+vars = x1 x2
+[generators]
+names = d1 d2
+[anchor]
+w 1 1 = {w11}
+w 2 2 = 1
+"""
+
+# the spec file's text (None: the input is a path that cannot be read)
+UNREADABLE_INPUTS = {
+    "weight-zero-denominator": NUMERIC_BASE.format(w11=1)
+    + "[twistor]\nform = exp\nterm = 1/0 | x1*d1 | d2\n",
+    "order-weight-zero-denominator": NUMERIC_BASE.format(w11=1)
+    + "[twistor]\nform = orders\norder 1 = 1/0 | d1 | d1\n",
+    "factor-zero-denominator": NUMERIC_BASE.format(w11=1)
+    + "[twistor]\nform = exp\nterm = 1 | 3/0*d1 | d2\n",
+    "poly-zero-denominator": NUMERIC_BASE.format(w11="1/0"),
+    "non-integer-power": NUMERIC_BASE.format(w11=1)
+    + "[twistor]\nform = exp\nterm = 1 | d1^x | d2\n",
+    "negative-power": NUMERIC_BASE.format(w11=1)
+    + "[twistor]\nform = exp\nterm = 1 | d1^-1 | d2\n",
+    "missing-file": None,
+    "directory": None,
+    "non-utf8-bytes": None,
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_INPUTS))
+def test_unreadable_spec_is_a_usage_error(case, tmp_path):
+    path = tmp_path / "in.spec"
+    text = UNREADABLE_INPUTS[case]
+    if text is not None:
+        path.write_text(text)
+    elif case == "directory":
+        path.mkdir()
+    elif case == "non-utf8-bytes":
+        path.write_bytes(b"\xff\xfe[base]\nvars = x1\n")
+    code, out, err = run_cli(["twist", str(path), "--json-only"])
+    assert code == 3, err
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 with open(os.path.join(ROOT, "perfbench", "reference.json")) as _fh:
     REFERENCE_DIGESTS = json.load(_fh)["digests"]
+
+
+def _bracket_spec_text(a):
+    """The benchmark's generated bracketed structure at weight a, read from
+    the BRACKET_SPEC literal of perfbench/run.py without running it."""
+    with open(os.path.join(ROOT, "perfbench", "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    template, = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets]
+                 == ["BRACKET_SPEC"]]
+    return template.format(a=a, neg_a=-a)
+
 
 DEFAULT_SPEC_COMMANDS = (
     ["validate"], ["twist"], ["dualize"], ["dualize", "--side", "right"],
     ["drinfeld", "--functor", "roundtrip"], ["drinfeld", "--functor", "prime"],
     ["drinfeld", "--functor", "vee"], ["semiclassical"],
 )
+# (spec label, command): every default command on axb, the N=6 twist, and
+# the twist and both duals of the bracketed structure at a=2
+DIGEST_RUNS = [("axb", cmd) for cmd in DEFAULT_SPEC_COMMANDS] \
+    + [("axb", ["twist", "--h-order", "6"])] \
+    + [("bracket(a=2)", cmd)
+       for cmd in (["twist"], ["dualize"], ["dualize", "--side", "right"])]
 
 
-@pytest.mark.parametrize("cmd", DEFAULT_SPEC_COMMANDS, ids=" ".join)
-def test_report_bytes_match_the_reference_digest(cmd):
-    # the benchmark's reference digests of `qgroupoid <cmd> specs/axb.spec
-    # --json-only` at the spec's own truncation
-    code, out, err = run_cli([cmd[0], SPEC] + cmd[1:] + ["--json-only"])
+@pytest.mark.parametrize(
+    "label,cmd", DIGEST_RUNS,
+    ids=[" ".join(cmd) if label == "axb" else "%s %s" % (label, " ".join(cmd))
+         for label, cmd in DIGEST_RUNS])
+def test_report_bytes_match_the_reference_digest(label, cmd, tmp_path):
+    # the benchmark's reference digests of `qgroupoid <cmd> <spec>
+    # --json-only`, at the spec's own truncation unless cmd overrides it
+    if label == "axb":
+        spec = SPEC
+    else:
+        spec = tmp_path / "bracket.spec"
+        spec.write_text(_bracket_spec_text(2))
+    code, out, err = run_cli([cmd[0], str(spec)] + cmd[1:] + ["--json-only"])
     assert code == 0 and err == ""
     digest = hashlib.md5(out.encode()).hexdigest()
-    assert digest == REFERENCE_DIGESTS["axb %s" % " ".join(cmd)]
+    assert digest == REFERENCE_DIGESTS["%s %s" % (label, " ".join(cmd))]

@@ -6,8 +6,11 @@
   the oracle is the two Cauchy products G . (S . F) by ``hseries_mul``.
 - Anchor chains read one memo table of e^alpha acting on x^gamma; the
   oracle is the chain of ``anchor_apply`` calls on the whole polynomial.
-- ``reduce_series`` reads the deformation's migration cache; the oracle is
-  the reduction that re-derives every decomposition per term.
+- ``leg_product`` reads and fills the structure's leg table; the oracle is
+  ``pbw_mul`` of the two legs.
+- ``reduce_series`` reads the deformation's migration cache and multiplies
+  by the next leg through the leg table; the oracle is the reduction that
+  re-derives the decompositions per call and multiplies with ``pbw_mul``.
 - The polynomial kernel and ``tensor_mul`` skip multiplications by 1 and
   shift by a monomial operand; the oracles are the plain loops kept below.
   ``tensor_mul`` also passes unit legs through and reads the leg table; a
@@ -15,8 +18,8 @@
 - ``jet_product_eval`` memoises the paired factor of each lift term; the
   oracle is the unmemoised body that maps and multiplies every term.
 - ``basis_decompose`` multiplies out only the orders that survive the
-  truncation; the oracle is the back-substitution that maps and subtracts
-  the whole series per term.
+  truncation, term by term through the leg table; the oracle is the
+  back-substitution that maps and subtracts the whole series per term.
 
 They run on the axb spec and on a bracketed structure with a non-constant
 anchor; the reduction also runs on an explicit per-order twistor.
@@ -48,7 +51,7 @@ from qgroupoid.scalars import CPoly, monomials_upto
 from qgroupoid.series import HSeries, hs_const, hseries_mul
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
-    TensorElement, _expand_product, _mono_mul, env_coproduct,
+    TensorElement, _expand_product, _mono_mul, env_coproduct, leg_product,
     tensor_coproduct_leg, tensor_mul,
 )
 
@@ -323,11 +326,14 @@ def uncached_reduce_series(dfa, HT):
 
 def uncached_reduce_leg(dfa, HT, leg):
     """Move the coefficient of every leg-`leg` monomial onto the next leg,
-    decomposing it through t_F and mapping through s_F term by term."""
+    decomposing it through t_F and mapping through s_F (once per monomial
+    and call, in a local dict), and multiplying by the next leg with
+    ``pbw_mul`` term by term."""
     spec = dfa.spec
     n = dfa.order
     zeros_g = (0,) * spec.nvars
     acc = [dict() for _ in range(n + 1)]
+    images = {}
     for k, Tk in enumerate(HT.coeffs):
         for key, c in Tk.terms.items():
             w = key[leg]
@@ -337,8 +343,11 @@ def uncached_reduce_leg(dfa, HT, leg):
             nxt = key[leg + 1]
             nxt_env = EnvElement.monomial(spec.nvars, spec.rank, nxt[1],
                                           CPoly.monomial(spec.nvars, nxt[0]))
-            for beta, aser in dfa.decompose_mono(w, "target").items():
-                sser = dfa.source_series(aser)
+            if w not in images:
+                images[w] = [
+                    (beta, dfa.source_series(aser))
+                    for beta, aser in dfa.decompose_mono(w, "target").items()]
+            for beta, sser in images[w]:
                 for j, w_env in enumerate(sser.coeffs):
                     if k + j > n or w_env.is_zero():
                         continue
@@ -384,6 +393,10 @@ def orders_dfa():
                                 validate=False)
 
 
+def bracketed_exp_dfa():
+    return exp_dfa(bracketed_structure(), 3)
+
+
 def reduction_inputs(dfa):
     """Two-leg Takeuchi products and three-leg coproducts of lifts."""
     spec = dfa.spec
@@ -402,16 +415,23 @@ def reduction_inputs(dfa):
     return out
 
 
-@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa])
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
 def test_reduce_series_matches_uncached(make):
     dfa = make()
+    table = dfa.spec._leg_table
     inputs = reduction_inputs(dfa)
     assert {t.zero.legs for t in inputs} == {2, 3}
     want = [uncached_reduce_series(dfa, HT) for HT in inputs]
+    # the oracle has decomposed every leg monomial already, so what the
+    # first pass adds to the leg table are the products with the next leg
+    before = len(table)
     assert [reduce_series(dfa, HT) for HT in inputs] == want
+    filled = len(table)
+    assert filled > before
     assert dfa._migrants
-    # the second pass reads every migration from the cache
+    # the second pass reads every migration and leg product from the caches
     assert [reduce_series(dfa, HT) for HT in inputs] == want
+    assert len(table) == filled
 
 
 # -- plain loops for the kernel and tensor_mul ------------------------------------
@@ -541,6 +561,36 @@ def test_tensor_mul_matches_plain_loop(make):
         assert spec._leg_table
 
 
+# -- pbw_mul as the oracle for the leg table --------------------------------------
+
+
+@pytest.mark.parametrize("make", STRUCTURES)
+def test_leg_product_matches_pbw_mul(make):
+    spec = make()
+    spec._leg_table.clear()
+    alphas = [a for a in itertools.product(range(3), repeat=spec.rank)
+              if sum(a) <= 2]
+    gammas = [(0,) * spec.nvars, _bump((0,) * spec.nvars, 0),
+              (1,) * spec.nvars]
+    legs = [(g, a) for a in alphas for g in gammas]
+    sizes = set()
+    for la in legs:
+        for lb in legs:
+            got = leg_product(spec, la, lb)
+            want = pbw_mul(spec, *(EnvElement.monomial(
+                spec.nvars, spec.rank, a, CPoly.monomial(spec.nvars, g))
+                for g, a in (la, lb)))
+            assert dict(got) == {(g, a): q for a, p in want.terms.items()
+                                 for g, q in p.terms.items()}
+            assert len(dict(got)) == len(got) and all(q for _, q in got)
+            assert spec._leg_table[(la, lb)] is got
+            assert leg_product(spec, la, lb) is got
+            sizes.add(len(got))
+    assert len(spec._leg_table) == len(legs) ** 2
+    # products that expand into several basis terms are covered
+    assert max(sizes) > 2
+
+
 # -- the whole-series oracle for basis_decompose -------------------------------------
 
 
@@ -563,10 +613,6 @@ def backsubstitution_decompose(dfa, u, flavor):
                 lambda w: pbw_mul(spec, w, mono)).shift(k)
             remaining = remaining - correction
     return {beta: HSeries(n, cs, zero_p) for beta, cs in coeffs.items()}
-
-
-def bracketed_exp_dfa():
-    return exp_dfa(bracketed_structure(), 3)
 
 
 def decomposition_inputs(dfa, flavor):

@@ -26,7 +26,6 @@ from .errors import (
 from .jets import LEFT, RIGHT, JetContext, jet_axiom_suite
 from .properties import structure_property_suite
 from .report import Check, Report
-from .scalars import parse_poly
 from .specfile import check_truncation, load_spec_file
 
 EXIT = {"pass": 0, "fail": 1, "indeterminate": 2}
@@ -129,10 +128,6 @@ def _twistor_failed(report, twrep):
     return True
 
 
-def _extras(espec):
-    return [parse_poly(t, espec.nvars) for t in espec.extra_polys]
-
-
 def _run(args):
     if args.command == "example":
         n = args.h_order if args.h_order is not None else 4
@@ -173,7 +168,8 @@ def _run(args):
                                   "seed": espec.seed})
         report.extend(twrep, prefix="twistor")
         report.extend(deformed_axiom_suite(
-            dfa, min(espec.sample_degree, 2), _extras(espec)), prefix="axioms")
+            dfa, min(espec.sample_degree, 2), espec.extra_polys),
+            prefix="axioms")
         return report
 
     if args.command == "dualize":

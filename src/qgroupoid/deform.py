@@ -16,7 +16,14 @@ shortcut.
 
 The base maps (star product, s_F, t_F) let the legs of F act on the base
 through the anchor; every chain reads the structure's action table
-(``envelope.monomial_action``).  ``reduce_series`` moves coefficients
+(``envelope.monomial_action``).  The maps are linear in the base element,
+so the deformation sweeps F once per basis monomial x^m (s_F, t_F) or
+pair (x^m, x^m') (star product), keeps those images in monomial-keyed
+tables, and maps a polynomial as the linear combination of its
+monomials' images; per-polynomial memos sit in front of the tables.
+The coproduct lift of a monomial is also cached grouped by the monomial
+on one leg (``DeformedEnvAlgebroid.lift_legs``), which is how the jet
+dual product reads it.  ``reduce_series`` moves coefficients
 rightward by the Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v; the
 deformation caches, per leg monomial w, the basis terms of the s_F-images
 of its t_F-decomposition (``DeformedEnvAlgebroid.migrants``), and each of
@@ -288,9 +295,15 @@ class DeformedEnvAlgebroid:
         self._sF = {}
         self._tF = {}
         self._star = {}
+        # the base maps on basis monomials: exponent m -> s_F(x^m), t_F(x^m);
+        # (m, m') -> x^m *_F x^m'
+        self._sF_mono = {}
+        self._tF_mono = {}
+        self._star_mono = {}
         self._decomp = {}
         self._migrants = {}
         self._lift = {}
+        self._lift_legs = {}
         # warm the base-variable tables so the object is effectively
         # immutable after construction
         for j in range(spec.nvars):
@@ -303,13 +316,13 @@ class DeformedEnvAlgebroid:
     def source(self, a):
         hit = self._sF.get(a)
         if hit is None:
-            hit = self._sF[a] = _source_from(self.spec, self.twistor, a)
+            hit = self._sF[a] = self._linear_image(self._sF_mono, _source_from, a)
         return hit
 
     def target(self, a):
         hit = self._tF.get(a)
         if hit is None:
-            hit = self._tF[a] = _target_from(self.spec, self.twistor, a)
+            hit = self._tF[a] = self._linear_image(self._tF_mono, _target_from, a)
         return hit
 
     def star_coeffs(self, a, b):
@@ -317,8 +330,56 @@ class DeformedEnvAlgebroid:
         key = (a, b)
         hit = self._star.get(key)
         if hit is None:
-            hit = self._star[key] = _star_from(self.spec, self.twistor, a, b)
+            hit = self._star[key] = self._star_image(a, b)
         return hit
+
+    def _linear_image(self, table, sweep, a):
+        """sum_m a_m map(x^m) for the base map computed by ``sweep``, which
+        runs once per monomial x^m and fills ``table``."""
+        spec = self.spec
+        nvars = spec.nvars
+        single = len(a.terms) == 1
+        out = [{} for _ in range(self.order + 1)]
+        for m, c in a.terms.items():
+            img = table.get(m)
+            if img is None:
+                img = table[m] = sweep(spec, self.twistor,
+                                       CPoly.monomial(nvars, m))
+            if single and c == 1:
+                return img
+            for acc, u in zip(out, img.coeffs):
+                for alpha, p in u.terms.items():
+                    row = acc.setdefault(alpha, {})
+                    for g, q in p.terms.items():
+                        _bump_term(row, g, q if c == 1 else c * q)
+        zero = EnvElement.zero(nvars, spec.rank)
+        return HSeries(self.order, [
+            EnvElement(nvars, spec.rank,
+                       {alpha: CPoly(nvars, row) for alpha, row in acc.items()})
+            for acc in out], zero)
+
+    def _star_image(self, a, b):
+        """sum a_m b_m' (x^m *_F x^m'), one ``_star_from`` sweep per new
+        monomial pair."""
+        spec = self.spec
+        nvars = spec.nvars
+        table = self._star_mono
+        single = len(a.terms) == 1 and len(b.terms) == 1
+        out = [{} for _ in range(self.order + 1)]
+        for m, ca in a.terms.items():
+            for m2, cb in b.terms.items():
+                img = table.get((m, m2))
+                if img is None:
+                    img = table[m, m2] = _star_from(
+                        spec, self.twistor, CPoly.monomial(nvars, m),
+                        CPoly.monomial(nvars, m2))
+                c = ca * cb
+                if single and c == 1:
+                    return img
+                for acc, p in zip(out, img):
+                    for g, q in p.terms.items():
+                        _bump_term(acc, g, q if c == 1 else c * q)
+        return [CPoly(nvars, acc) for acc in out]
 
     def source_series(self, aser):
         out = defelem_zero(self.spec, self.order)
@@ -346,6 +407,22 @@ class DeformedEnvAlgebroid:
             zero = TensorElement.zero(spec.nvars, spec.rank, 2)
             hit = self.conjugate(hs_const(base, self.order, zero), 0)
             self._lift[key] = hit
+        return hit
+
+    def lift_legs(self, key, leg):
+        """The lift of x^gamma e^alpha grouped by its leg ``leg`` (cached):
+        a tuple of (w, ((k, other leg, c), ...)), one entry per distinct
+        monomial w on that leg, holding each term c h^k of the lift once."""
+        ckey = (leg, key)
+        hit = self._lift_legs.get(ckey)
+        if hit is None:
+            groups = {}
+            for k, Tk in enumerate(self.lift_mono(key).coeffs):
+                for pair, c in Tk.terms.items():
+                    groups.setdefault(pair[leg], []).append(
+                        (k, pair[1 - leg], c))
+            hit = self._lift_legs[ckey] = tuple(
+                (w, tuple(terms)) for w, terms in groups.items())
         return hit
 
     def conjugate(self, S, leg):

@@ -9,8 +9,9 @@ Dual products are the transposes of the twisted coproduct, evaluated on
 the canonical lifted representatives.
 
 Each functional memoises its pairings, their images under t_F or s_F, and
-per partner functional the paired factor of each lift term (see
-``JetElement``); every entry is keyed by the deformation object.
+per partner functional the paired factor of each lift term whose paired
+leg pairs nonzero (see ``JetElement``); every entry is keyed by the
+deformation object.
 """
 
 import itertools
@@ -80,8 +81,9 @@ class JetElement:
     - ``(dfa, w)``: the pairing with the basis monomial w;
     - ``(dfa, "mapped", w)``: that value mapped by t_F (left dual) or s_F
       (right dual), or None when it vanishes;
-    - ``(dfa, mu)``: for the dual product with mu, a dict from lift keys
-      (w1, w2) to the paired factor, or None when it vanishes.
+    - ``(dfa, mu)``: for the dual product with mu, a dict from each lift
+      leg w that lam pairs with nonzero to {other leg: paired factor}; a
+      leg whose pairing vanishes gets no entry, and no factor is None.
 
     The table must not change after construction.
     """
@@ -286,14 +288,8 @@ def _mapped_leg(ctx, lam, w):
     return out
 
 
-def _dual_leg_product(ctx, lam, mu, key):
-    """mu(t_F(lam(w2)) . w1) (left) or mu(s_F(lam(w1)) . w2) (right) for the
-    lift key (w1, w2); None when the pairing with lam vanishes."""
-    w1, w2 = key
-    paired, other = (w2, w1) if lam.flavor == LEFT else (w1, w2)
-    W = _mapped_leg(ctx, lam, paired)
-    if W is None:
-        return None
+def _leg_factor(ctx, mu, W, other):
+    """mu(W . other) for a mapped leg W and the monomial key of the other leg."""
     spec = ctx.spec
     other = EnvElement.monomial(spec.nvars, spec.rank, other[1],
                                 CPoly.monomial(spec.nvars, other[0]))
@@ -309,27 +305,32 @@ def jet_product_eval(ctx, lam, mu, arg):
     Left dual:  (phi phi')(u) = phi'( t_F(phi(u_(2))) . u_(1) ).
     Right dual: (psi psi')(u) = psi'( s_F(psi(u_(1))) . u_(2) ).
 
-    The paired factor of each lift term (w1, w2) is memoised on lam, per mu
-    and per deformation, so a term costs a shift, a scale and an add.
+    The lift is read grouped by the leg lam pairs with (u_(2) left, u_(1)
+    right), so a group whose pairing with lam vanishes is skipped whole.
+    The paired factor of each other leg is memoised on lam, per mu and per
+    deformation, so a term costs a shift, a scale and an add.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
     spec = ctx.spec
     if isinstance(arg, tuple) and (not arg or not isinstance(arg[0], tuple)):
         arg = ((0,) * spec.nvars, tuple(arg))
-    lift = ctx.dfa.lift_mono(arg)
+    groups = ctx.dfa.lift_legs(arg, 1 if lam.flavor == LEFT else 0)
     memo = lam._pair_cache.get((ctx.dfa, mu))
     if memo is None:
         memo = lam._pair_cache[(ctx.dfa, mu)] = {}
     out = None
-    for k, Tk in enumerate(lift.coeffs):
-        for key, c in Tk.terms.items():
-            if key in memo:
-                P = memo[key]
-            else:
-                P = memo[key] = _dual_leg_product(ctx, lam, mu, key)
+    for paired, terms in groups:
+        W = _mapped_leg(ctx, lam, paired)
+        if W is None:
+            continue
+        row = memo.get(paired)
+        if row is None:
+            row = memo[paired] = {}
+        for k, other, c in terms:
+            P = row.get(other)
             if P is None:
-                continue
+                P = row[other] = _leg_factor(ctx, mu, W, other)
             piece = P.shift(k)
             if c != 1:
                 piece = piece.map(lambda t: t * c)
@@ -429,6 +430,9 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
 
     Left dual:  (lam (x) mu)(u (x) u') = mu( u . s_F(lam(u')) ).
     Right dual: (lam (x) mu)(u (x) u') = lam( u' . t_F(mu(u)) ).
+
+    An entry whose first pairing, lam(u') or mu(u), vanishes is zero and
+    is skipped before anything is mapped or multiplied.
     """
     degree = degree if degree is not None else ctx.jet_degree
     spec = ctx.spec
@@ -439,11 +443,15 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
             m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
             if ctx.flavor == LEFT:
                 v = _pair_env(ctx, lam, m2)
+                if v.is_zero():
+                    continue
                 W = _apply_series_map(ctx, v, ctx.dfa.source)
                 W = W.map(lambda t: pbw_mul(spec, m1, t))
                 val = _pair_env_laurent(ctx, mu, W)
             else:
                 v = _pair_env(ctx, mu, m1)
+                if v.is_zero():
+                    continue
                 W = _apply_series_map(ctx, v, ctx.dfa.target)
                 W = W.map(lambda t: pbw_mul(spec, m2, t))
                 val = _pair_env_laurent(ctx, lam, W)

@@ -13,7 +13,7 @@ one twistor term.
     [twistor]     form = exp | none
                   term = <weight> | <left monomial> | <right monomial>
     [truncation]  h_order / pbw_degree / jet_degree / n_max
-    [samples]     max_degree = 2, extra = <poly>; <poly>
+    [samples]     max_degree = 2, extra = <poly>; <poly>  (lines add up)
     [rng]         seed = 7
 """
 
@@ -53,7 +53,8 @@ class EngineSpec:
         self.jet_degree = 2
         self.n_max = 2
         self.sample_degree = 2
-        self.extra_polys = []
+        self.extra_entries = []     # (poly-text, line)
+        self.extra_polys = []       # the entries parsed, at load time
         self.seed = 0
 
     @property
@@ -168,6 +169,8 @@ def load_spec(text):
     if not seen_any:
         raise ParseError(0, "empty spec file")
     _validate(spec)
+    spec.extra_polys = [parse_poly(poly, spec.nvars, line)
+                        for poly, line in spec.extra_entries]
     return spec
 
 
@@ -229,7 +232,8 @@ def _dispatch(spec, section, key, value, lineno):
         if key == "max_degree":
             spec.sample_degree = _int(value, lineno)
         elif key == "extra":
-            spec.extra_polys = [s.strip() for s in value.split(";") if s.strip()]
+            spec.extra_entries += [(s.strip(), lineno)
+                                   for s in value.split(";") if s.strip()]
         else:
             raise ParseError(lineno, "unknown samples key %r" % key)
     elif section == "rng":

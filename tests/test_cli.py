@@ -306,12 +306,12 @@ DEFAULT_SPEC_COMMANDS = (
     ["drinfeld", "--functor", "roundtrip"], ["drinfeld", "--functor", "prime"],
     ["drinfeld", "--functor", "vee"], ["semiclassical"],
 )
-# (spec label, command): every default command on axb, the N=6 twist, and
-# the twist and both duals of the bracketed structure at a=2
+# (spec label, command): every default command on axb and on the bracketed
+# structure at a=2, the N=6 twist, and the N=6 worked example (no spec)
 DIGEST_RUNS = [("axb", cmd) for cmd in DEFAULT_SPEC_COMMANDS] \
     + [("axb", ["twist", "--h-order", "6"])] \
-    + [("bracket(a=2)", cmd)
-       for cmd in (["twist"], ["dualize"], ["dualize", "--side", "right"])]
+    + [("bracket(a=2)", cmd) for cmd in DEFAULT_SPEC_COMMANDS] \
+    + [("example", ["axb", "--h-order", "6", "--jet-degree", "6"])]
 
 
 @pytest.mark.parametrize(
@@ -320,13 +320,32 @@ DIGEST_RUNS = [("axb", cmd) for cmd in DEFAULT_SPEC_COMMANDS] \
          for label, cmd in DIGEST_RUNS])
 def test_report_bytes_match_the_reference_digest(label, cmd, tmp_path):
     # the benchmark's reference digests of `qgroupoid <cmd> <spec>
-    # --json-only`, at the spec's own truncation unless cmd overrides it
-    if label == "axb":
-        spec = SPEC
+    # --json-only`, at the spec's own truncation unless cmd overrides it,
+    # and of `qgroupoid example <cmd> --json-only`
+    if label == "example":
+        argv = ["example"] + cmd
+    elif label == "axb":
+        argv = [cmd[0], SPEC] + cmd[1:]
     else:
         spec = tmp_path / "bracket.spec"
         spec.write_text(_bracket_spec_text(2))
-    code, out, err = run_cli([cmd[0], str(spec)] + cmd[1:] + ["--json-only"])
+        argv = [cmd[0], str(spec)] + cmd[1:]
+    code, out, err = run_cli(argv + ["--json-only"])
     assert code == 0 and err == ""
     digest = hashlib.md5(out.encode()).hexdigest()
     assert digest == REFERENCE_DIGESTS["%s %s" % (label, " ".join(cmd))]
+
+
+@pytest.mark.parametrize("cmd", DEFAULT_SPEC_COMMANDS,
+                         ids=[" ".join(cmd) for cmd in DEFAULT_SPEC_COMMANDS])
+def test_bad_extra_sample_is_a_usage_error_in_every_command(cmd, tmp_path):
+    # every command loads the spec, and the load parses [samples] extra
+    lines = open(SPEC).read().splitlines()
+    assert lines[26] == "max_degree = 2" and lines[27] == ""
+    lines[27] = "extra = x1 + 1/0"
+    path = tmp_path / "extra.spec"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli([cmd[0], str(path)] + cmd[1:] + ["--json-only"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: line 28: zero denominator in '1/0'\n"

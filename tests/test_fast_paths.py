@@ -15,8 +15,14 @@
   shift by a monomial operand; the oracles are the plain loops kept below.
   ``tensor_mul`` also passes unit legs through and reads the leg table; a
   per-leg loop with no table pins the order of the result's terms.
-- ``jet_product_eval`` memoises the paired factor of each lift term; the
-  oracle is the unmemoised body that maps and multiplies every term.
+- The deformation's s_F, t_F and star product read tables of monomial
+  images; the oracles are the sweeps over the twistor for the whole
+  polynomial (``_source_from``, ``_target_from``, ``_star_from``).
+- ``jet_product_eval`` reads the lift grouped by the paired leg and
+  memoises the paired factor of each lift term; the oracle is the
+  unmemoised body that maps and multiplies every term.
+- ``tensor_functional_from_pair`` skips entries whose first pairing
+  vanishes; the oracle is the body that maps and multiplies every entry.
 - ``basis_decompose`` multiplies out only the orders that survive the
   truncation, term by term through the leg table; the oracle is the
   back-substitution that maps and subtracts the whole series per term.
@@ -28,13 +34,15 @@ anchor; the reduction also runs on an explicit per-order twistor.
 import itertools
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qgroupoid import jets, kernel
+from qgroupoid import deform, jets, kernel
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, _act_mono, _bump_term, basis_decompose,
+    DeformedEnvAlgebroid, Twistor, _act_mono, _bump_term, _source_from,
+    _star_from, _target_from, basis_decompose,
     defelem_from_env, deformed_coproduct_leg, exp_twistor, reduce_series,
     reexpand, sample_defelems, twisted_coproduct,
 )
@@ -434,6 +442,98 @@ def test_reduce_series_matches_uncached(make):
     assert len(table) == filled
 
 
+# -- the per-polynomial sweeps as oracles for the monomial-keyed base maps ----------
+
+
+def flat_terms(image):
+    """{(order, ...basis key): coefficient} of a series of envelope
+    elements or a list of polynomials."""
+    out = {}
+    for k, c in enumerate(getattr(image, "coeffs", image)):
+        if isinstance(c, CPoly):
+            out.update(((k, g), q) for g, q in c.terms.items())
+        else:
+            out.update(((k, a, g), q) for a, p in c.terms.items()
+                       for g, q in p.terms.items())
+    return out
+
+
+def cancelling_poly(nvars, images):
+    """q' x^m - q x^m' for two monomials whose images share a term, with
+    coefficients q and q' there, so the term cancels in the image of the
+    combination; returns the polynomial and the cancelled term, or None
+    when no two images share a term."""
+    for (m, A), (m2, B) in itertools.combinations(images.items(), 2):
+        A, B = flat_terms(A), flat_terms(B)
+        for key, q in A.items():
+            q2 = B.get(key)
+            if q2 is not None:
+                return CPoly(nvars, {m: q2, m2: -q}), key
+    return None
+
+
+def base_map_inputs(dfa):
+    """Monomials with unit and other coefficients and random multi-term
+    polynomials."""
+    spec = dfa.spec
+    rng = random.Random(5)
+    monos = monomials_upto(spec.nvars, 2)
+    return monos + [p * Fraction(-3, 2) for p in monos[1:]] \
+        + [random_poly(spec, rng) for _ in range(6)]
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
+@pytest.mark.parametrize("which", ["source", "target"])
+def test_source_target_match_sweeps(make, which, monkeypatch):
+    dfa = make()
+    spec = dfa.spec
+    sweep = _source_from if which == "source" else _target_from
+    table = dfa._sF_mono if which == "source" else dfa._tF_mono
+    memo = dfa._sF if which == "source" else dfa._tF
+    polys = base_map_inputs(dfa)
+    # a combination whose image cancels a term, where two images of
+    # monomials share one (on the axb and explicit-order twistors each
+    # image term remembers its monomial, so none do)
+    images = {m: sweep(spec, dfa.twistor, CPoly.monomial(spec.nvars, m))
+              for m in itertools.product(range(3), repeat=spec.nvars)}
+    cancel = cancelling_poly(spec.nvars, images)
+    if cancel is not None:
+        polys.append(cancel[0])
+        assert cancel[1] not in flat_terms(getattr(dfa, which)(cancel[0]))
+    want = [sweep(spec, dfa.twistor, p) for p in polys]
+    assert [getattr(dfa, which)(p) for p in polys] == want
+    assert set(table) >= {m for p in polys for m in p.terms}
+    # with the polynomial memo emptied, the map only reads the monomial table
+    filled = dict(table)
+    memo.clear()
+    monkeypatch.setattr(deform, sweep.__name__, None)
+    assert [getattr(dfa, which)(p) for p in polys] == want
+    assert table == filled
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
+def test_star_coeffs_match_sweeps(make, monkeypatch):
+    dfa = make()
+    spec = dfa.spec
+    polys = base_map_inputs(dfa)
+    polys = polys[:4] + polys[-7:]
+    # (x1 + x1 x2)(x2 - 1): the two x1 x2 terms cancel at order zero
+    x1, x2 = CPoly.var(spec.nvars, 0), CPoly.var(spec.nvars, 1)
+    cancel = (x1 + x1 * x2, x2 - 1)
+    pairs = [(p, q) for p in polys for q in polys] + [cancel]
+    want = [_star_from(spec, dfa.twistor, p, q) for p, q in pairs]
+    assert [dfa.star_coeffs(p, q) for p, q in pairs] == want
+    assert (0, (1, 1)) not in flat_terms(dfa.star_coeffs(*cancel))
+    assert set(dfa._star_mono) == {(m, m2) for p, q in pairs
+                                   for m in p.terms for m2 in q.terms}
+    # with the polynomial memo emptied, the product only reads the table
+    filled = dict(dfa._star_mono)
+    dfa._star.clear()
+    monkeypatch.setattr(deform, "_star_from", None)
+    assert [dfa.star_coeffs(p, q) for p, q in pairs] == want
+    assert dfa._star_mono == filled
+
+
 # -- plain loops for the kernel and tensor_mul ------------------------------------
 
 
@@ -693,7 +793,7 @@ def window(v):
     return v.val, v.top, v.coeffs
 
 
-@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa])
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_jet_product_eval_matches_unmemoised(make, flavor):
     dfa = make()
@@ -719,4 +819,70 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
                 # the second call reads every paired factor from the memo
                 got = [window(jet_product_eval(ctx, lam, mu, a)) for a in args]
                 assert got == want
-            assert (dfa, mu) in lam._pair_cache
+            # factors only under the legs lam pairs with nonzero, none None
+            memo = lam._pair_cache[(dfa, mu)]
+            for paired, row in memo.items():
+                assert not jet_pair(ctx, plain_lam, paired).is_zero()
+                assert row and None not in row.values()
+    # the grouped lift holds each term of the lift exactly once, under the
+    # leg the dual pairs on
+    leg = 1 if flavor == LEFT else 0
+    for a in args:
+        want = Counter((k, key, c) for k, T in enumerate(dfa.lift_mono(a).coeffs)
+                       for key, c in T.terms.items())
+        groups = dfa.lift_legs(a, leg)
+        got = Counter((k, (other, w) if leg else (w, other), c)
+                      for w, terms in groups for k, other, c in terms)
+        assert got == want and set(got.values()) == {1}
+        assert len({w for w, _ in groups}) == len(groups)
+
+
+# -- the unskipped oracle for tensor_functional_from_pair -----------------------------
+
+
+def unskipped_tensor_functional_from_pair(ctx, lam, mu, degree):
+    """The body that maps and multiplies every entry, vanishing first
+    pairings included."""
+    spec = ctx.spec
+    out = {}
+    for b1 in pbw_indices(spec.rank, degree):
+        for b2 in pbw_indices(spec.rank, degree - sum(b1)):
+            m1 = EnvElement.monomial(spec.nvars, spec.rank, b1)
+            m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
+            if ctx.flavor == LEFT:
+                v = jets._pair_env(ctx, lam, m2)
+                W = jets._apply_series_map(ctx, v, ctx.dfa.source)
+                W = W.map(lambda t: pbw_mul(spec, m1, t))
+                val = jets._pair_env_laurent(ctx, mu, W)
+            else:
+                v = jets._pair_env(ctx, mu, m1)
+                W = jets._apply_series_map(ctx, v, ctx.dfa.target)
+                W = W.map(lambda t: pbw_mul(spec, m2, t))
+                val = jets._pair_env_laurent(ctx, lam, W)
+            if not val.is_zero():
+                out[(b1, b2)] = val
+    return out
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, bracketed_exp_dfa])
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_tensor_functional_from_pair_matches_unskipped(make, flavor):
+    dfa = make()
+    spec = dfa.spec
+    ctx = JetContext(dfa, flavor, 2)
+    gens = [xi_functional(ctx, i) for i in range(spec.rank)]
+    x1 = coordinate_functional(ctx, 0)
+    funcs = gens + [x1, gens[0].shift(-1), gens[-1].add(x1).scale(3),
+                    jet_product(ctx, gens[0], gens[-1])]
+    skipped = 0
+    for lam in funcs:
+        for mu in funcs:
+            want = unskipped_tensor_functional_from_pair(ctx, lam, mu, 2)
+            got = jets.tensor_functional_from_pair(ctx, lam, mu, 2)
+            assert {k: window(v) for k, v in got.items()} \
+                == {k: window(v) for k, v in want.items()}
+            first = lam if flavor == LEFT else mu
+            skipped += sum(jet_pair(ctx, first, ((0,) * spec.nvars, beta))
+                           .is_zero() for beta in pbw_indices(spec.rank, 2))
+    # the skip is taken
+    assert skipped

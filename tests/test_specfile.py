@@ -54,6 +54,22 @@ def test_parse_errors_carry_line():
     assert err.value.line == 6
 
 
+def test_extra_samples_are_parsed_at_load_with_their_line():
+    # [samples] before [base]: the extras are parsed once the variables are known
+    text = "[samples]\nextra = x1*x2 + 1/2; -x2^2\nextra = x1\n" \
+        "[base]\nvars = x1 x2\n[generators]\nrank = 1\n"
+    assert load_spec(text).extra_polys == [parse_poly("x1*x2 + 1/2", 2),
+                                           parse_poly("-x2^2", 2),
+                                           parse_poly("x1", 2)]
+    # a later extra line adds to the earlier ones, so each is parsed
+    bad = "[base]\nvars = x1\n[generators]\nrank = 1\n[samples]\n" \
+        "max_degree = 2\nextra = x1; x1 + 1/0\nextra = x1^2\n"
+    with pytest.raises(ParseError) as err:
+        load_spec(bad)
+    assert err.value.line == 7
+    assert str(err.value) == "line 7: zero denominator in '1/0'"
+
+
 def test_semantic_errors():
     with pytest.raises(SemanticError):
         load_spec("[base]\nvars = x1\n[generators]\nrank = 2\n"

@@ -17,8 +17,7 @@ from .drinfeld import (
     semiclassical_cobracket, semiclassical_dual_bracket, vee_build,
     vee_semiclassical,
 )
-from .envelope import EnvElement, anchor_action, env_counit, pbw_mul, \
-    right_from_left
+from .envelope import EnvElement, anchor_action, env_counit, pbw_mul
 from .jets import (
     JetContext, JetElement, jet_axiom_suite, jet_coproduct_functional,
     jet_counit, jet_pair, jet_product, jet_source_target,

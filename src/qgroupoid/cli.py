@@ -14,11 +14,15 @@ import argparse
 import sys
 
 from .axb import axb_iso_phi, axb_relation_suite, build_axb
-from .deform import DeformedEnvAlgebroid, deformed_axiom_suite, twistor_validate
+from .deform import (
+    DeformedEnvAlgebroid, defelem_from_env, deformed_axiom_suite,
+    twistor_validate,
+)
 from .drinfeld import (
     duality_roundtrip, hprime_member, semiclassical_cobracket,
     semiclassical_dual_bracket, vee_build, vee_semiclassical,
 )
+from .envelope import EnvElement
 from .errors import (
     EngineError, InvariantViolation, NonIntegralError, ParseError,
     SemanticError,
@@ -142,8 +146,6 @@ def _run(args):
         report.extend(axb_iso_phi(n, d, bundle=bundle), prefix="iso")
         report.extend(duality_roundtrip(bundle.left, n_max=n_max,
                                         degree=min(d, 3)), prefix="roundtrip")
-        from .deform import defelem_from_env
-        from .envelope import EnvElement
         for i in (0, 1):
             u = defelem_from_env(bundle.spec,
                                  EnvElement.gen(2, 2, i), n).shift(1)
@@ -208,8 +210,6 @@ def _run(args):
             dual, rep = vee_semiclassical(v)
             report.extend(rep, prefix="vee")
         elif args.functor == "prime":
-            from .deform import defelem_from_env
-            from .envelope import EnvElement
             for i in range(spec.rank):
                 u = defelem_from_env(spec, EnvElement.gen(
                     spec.nvars, spec.rank, i), espec.h_order).shift(1)

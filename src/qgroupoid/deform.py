@@ -17,8 +17,9 @@ shortcut.
 The base maps (star product, s_F, t_F) let the legs of F act on the base
 through the anchor; every chain reads the structure's action table
 (``envelope.monomial_action``).  The maps are linear in the base element,
-so the deformation sweeps F once per basis monomial x^m (s_F, t_F) or
-pair (x^m, x^m') (star product), keeps those images in monomial-keyed
+so the deformation sweeps F once per basis monomial x^m (s_F, t_F, one
+sweep ``_base_map_from`` that takes the acting leg) or pair (x^m, x^m')
+(star product, ``_star_from``), keeps those images in monomial-keyed
 tables, and maps a polynomial as the linear combination of its
 monomials' images; per-polynomial memos sit in front of the tables.
 The coproduct lift of a monomial is also cached grouped by the monomial
@@ -50,8 +51,8 @@ from .report import Check, Report
 from .scalars import CPoly, monomials_upto
 from .series import HSeries, hs_const, hs_zero, hseries_invert, hseries_mul
 from .tensorspace import (
-    TensorElement, _basis_terms, env_coproduct, leg_product, scale_leg,
-    tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    TensorElement, _basis_terms, _copro_mono, env_coproduct, leg_product,
+    scale_leg, tensor_coproduct_leg, tensor_mul, tensor_reduce,
 )
 
 __all__ = [
@@ -59,7 +60,7 @@ __all__ = [
     "twistor_invert", "DeformedEnvAlgebroid", "star_product",
     "twisted_source_target", "twisted_coproduct", "basis_decompose",
     "deformed_axiom_suite", "reduce_series", "takeuchi_check_deformed",
-    "defelem_from_env", "defelem_mul", "defelem_zero", "defelem_one",
+    "defelem_from_env", "defelem_mul", "defelem_zero",
 ]
 
 
@@ -109,11 +110,6 @@ def defelem_zero(spec, order):
     return hs_zero(order, EnvElement.zero(spec.nvars, spec.rank))
 
 
-def defelem_one(spec, order):
-    return hs_const(EnvElement.one(spec.nvars, spec.rank), order,
-                    EnvElement.zero(spec.nvars, spec.rank))
-
-
 def defelem_from_env(spec, u, order):
     return hs_const(u, order, EnvElement.zero(spec.nvars, spec.rank))
 
@@ -133,36 +129,21 @@ def _act_mono(spec, key, a):
     return CPoly(spec.nvars, out)
 
 
-def _source_from(spec, F, a):
-    """s_F(a): left legs act on a, right legs multiply."""
+def _base_map_from(spec, F, a, leg):
+    """s_F(a) (leg 0) or t_F(a) (leg 1): the legs ``leg`` of F act on a,
+    the other legs multiply."""
     zero = EnvElement.zero(spec.nvars, spec.rank)
     out = []
     for Fn in F.series.coeffs:
         acc = zero
         for key, c in Fn.terms.items():
-            va = _act_mono(spec, key[0], a)
+            va = _act_mono(spec, key[leg], a)
             if va.is_zero():
                 continue
-            right = EnvElement.monomial(spec.nvars, spec.rank, key[1][1],
-                                        CPoly.monomial(spec.nvars, key[1][0]))
-            acc = acc + right.scale(va * c)
-        out.append(acc)
-    return HSeries(F.order, out, zero)
-
-
-def _target_from(spec, F, a):
-    """t_F(a): right legs act on a, left legs multiply."""
-    zero = EnvElement.zero(spec.nvars, spec.rank)
-    out = []
-    for Fn in F.series.coeffs:
-        acc = zero
-        for key, c in Fn.terms.items():
-            va = _act_mono(spec, key[1], a)
-            if va.is_zero():
-                continue
-            left = EnvElement.monomial(spec.nvars, spec.rank, key[0][1],
-                                       CPoly.monomial(spec.nvars, key[0][0]))
-            acc = acc + left.scale(va * c)
+            gamma, alpha = key[1 - leg]
+            other = EnvElement.monomial(spec.nvars, spec.rank, alpha,
+                                        CPoly.monomial(spec.nvars, gamma))
+            acc = acc + other.scale(va * c)
         out.append(acc)
     return HSeries(F.order, out, zero)
 
@@ -254,8 +235,8 @@ def twistor_validate(spec, twistor, order=None, samples=None):
 
     def compatibility_failures():
         for a in samples:
-            sa = _source_from(spec, twistor, a)
-            ta = _target_from(spec, twistor, a)
+            sa = _base_map_from(spec, twistor, a, 0)
+            ta = _base_map_from(spec, twistor, a, 1)
             left = ta.map(lambda u: TensorElement.of(u, one))
             right = sa.map(lambda u: TensorElement.of(one, u))
             diff = hseries_mul(F, left - right, mt)
@@ -316,13 +297,13 @@ class DeformedEnvAlgebroid:
     def source(self, a):
         hit = self._sF.get(a)
         if hit is None:
-            hit = self._sF[a] = self._linear_image(self._sF_mono, _source_from, a)
+            hit = self._sF[a] = self._linear_image(self._sF_mono, 0, a)
         return hit
 
     def target(self, a):
         hit = self._tF.get(a)
         if hit is None:
-            hit = self._tF[a] = self._linear_image(self._tF_mono, _target_from, a)
+            hit = self._tF[a] = self._linear_image(self._tF_mono, 1, a)
         return hit
 
     def star_coeffs(self, a, b):
@@ -333,9 +314,9 @@ class DeformedEnvAlgebroid:
             hit = self._star[key] = self._star_image(a, b)
         return hit
 
-    def _linear_image(self, table, sweep, a):
-        """sum_m a_m map(x^m) for the base map computed by ``sweep``, which
-        runs once per monomial x^m and fills ``table``."""
+    def _linear_image(self, table, leg, a):
+        """sum_m a_m map(x^m) for the base map whose F-legs ``leg`` act
+        (``_base_map_from``), swept once per monomial x^m into ``table``."""
         spec = self.spec
         nvars = spec.nvars
         single = len(a.terms) == 1
@@ -343,8 +324,8 @@ class DeformedEnvAlgebroid:
         for m, c in a.terms.items():
             img = table.get(m)
             if img is None:
-                img = table[m] = sweep(spec, self.twistor,
-                                       CPoly.monomial(nvars, m))
+                img = table[m] = _base_map_from(
+                    spec, self.twistor, CPoly.monomial(nvars, m), leg)
             if single and c == 1:
                 return img
             for acc, u in zip(out, img.coeffs):
@@ -488,7 +469,6 @@ class DeformedEnvAlgebroid:
 
 
 def _copro_of_mono(spec, gamma, alpha):
-    from .tensorspace import _copro_mono
     T = _copro_mono(spec, alpha)
     if any(gamma):
         T = scale_leg(T, 0, CPoly.monomial(spec.nvars, gamma))
@@ -681,30 +661,23 @@ def takeuchi_check_deformed(dfa, HT, samples=None):
     return True
 
 
-def _counit_contract(dfa, HT, side):
-    """Contract the lift with the counit on one leg.
+def _counit_contract(dfa, HT, leg):
+    """Contract the lift with the counit on leg ``leg``.
 
-    side 'left':  sum s_F(eps(w1)) . w2;  side 'right': sum t_F(eps(w2)) . w1.
+    leg 0:  sum s_F(eps(w1)) . w2;  leg 1: sum t_F(eps(w2)) . w1.
     """
     spec = dfa.spec
+    mapper = dfa.source if leg == 0 else dfa.target
     out = defelem_zero(spec, dfa.order)
     for k, Tk in enumerate(HT.coeffs):
         for key, c in Tk.terms.items():
-            (g1, a1), (g2, a2) = key
-            if side == "left":
-                if any(a1):
-                    continue
-                eps = CPoly.monomial(spec.nvars, g1, c)
-                other = EnvElement.monomial(spec.nvars, spec.rank, a2,
-                                            CPoly.monomial(spec.nvars, g2))
-                piece = dfa.source(eps).map(lambda w: pbw_mul(spec, w, other))
-            else:
-                if any(a2):
-                    continue
-                eps = CPoly.monomial(spec.nvars, g2, c)
-                other = EnvElement.monomial(spec.nvars, spec.rank, a1,
-                                            CPoly.monomial(spec.nvars, g1))
-                piece = dfa.target(eps).map(lambda w: pbw_mul(spec, w, other))
+            (g_eps, a_eps), (gamma, alpha) = key[leg], key[1 - leg]
+            if any(a_eps):
+                continue
+            eps = CPoly.monomial(spec.nvars, g_eps, c)
+            other = EnvElement.monomial(spec.nvars, spec.rank, alpha,
+                                        CPoly.monomial(spec.nvars, gamma))
+            piece = mapper(eps).map(lambda w: pbw_mul(spec, w, other))
             out = out + piece.shift(k)
     return out
 
@@ -772,9 +745,9 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
     def counit_failures():
         for u in elems:
             lift = twisted_coproduct(dfa, u)
-            if _counit_contract(dfa, lift, "left") != u:
+            if _counit_contract(dfa, lift, 0) != u:
                 yield "left counit axiom fails on %r" % (u.coeffs[0],)
-            if _counit_contract(dfa, lift, "right") != u:
+            if _counit_contract(dfa, lift, 1) != u:
                 yield "right counit axiom fails on %r" % (u.coeffs[0],)
 
     report.check("counit-axioms", counit_failures())

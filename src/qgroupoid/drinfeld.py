@@ -20,16 +20,18 @@ from .errors import (
     TruncationInsufficientError,
 )
 from .jets import (
-    coordinate_functional, jet_pair, jet_product, jets_equal, pbw_indices,
-    unit_functional, xi_functional,
+    coordinate_functional, divided_xi_powers, jet_coproduct_functional,
+    jet_pair, jet_product, jets_equal, pbw_indices,
+    tensor_functional_from_pair, unit_functional, xi_functional,
 )
 from .lierinehart import (
     LieRinehartSpec, MultiVector, cobracket_from_dual_spec,
     lr_bialgebra_validate, lr_validate,
 )
 from .report import Check, Report
-from .scalars import CPoly, Fraction, monomials_upto
+from .scalars import CPoly, monomials_upto
 from .series import HSeries
+from .tensorspace import TensorElement, tensor_reduce
 
 __all__ = [
     "VeeAlgebroid", "vee_build", "vee_semiclassical", "hprime_member",
@@ -137,7 +139,6 @@ def vee_semiclassical(v):
     rep = lr_validate(dual)
     report.add(Check("dual-structure-valid", rep.ok(), rep.first_failure()))
 
-    from .jets import tensor_functional_from_pair, jet_coproduct_functional
     eps = unit_functional(jctx)
 
     def primitivity_failures():
@@ -193,7 +194,6 @@ def _project_leg(dfa, HT, leg, flavor):
                     for g2, q2 in p2.terms.items():
                         k2 = key[:leg] + ((g2, a2),) + key[leg + 1:]
                         _bump_term(acc[k + j], k2, -c * q2)
-    from .tensorspace import TensorElement
     legs = zero_t.legs if zero_t is not None else 2
     coeffs = [TensorElement(spec.nvars, spec.rank, legs, d) for d in acc]
     return HSeries(n, coeffs, TensorElement.zero(spec.nvars, spec.rank, legs))
@@ -236,17 +236,7 @@ def hprime_basis(dfa, jctx, degree, n_max=None):
     spec = dfa.spec
     n = dfa.order
     idx = pbw_indices(spec.rank, degree)
-    gens = [xi_functional(jctx, i) for i in range(spec.rank)]
-
-    powers = {}
-    for kappa in idx:
-        prod = unit_functional(jctx)
-        fact = 1
-        for i in range(spec.rank):
-            for t in range(kappa[i]):
-                prod = jet_product(jctx, prod, gens[i], degree)
-                fact *= t + 1
-        powers[kappa] = prod.scale(Fraction(1, fact))
+    powers = divided_xi_powers(jctx, degree)
 
     basis = {}
     for alpha in idx:
@@ -310,7 +300,6 @@ def semiclassical_cobracket(dfa):
         delta_base.append(MultiVector(p, 1, terms))
     report.check("delta-on-base-is-linear", witnesses)
 
-    from .tensorspace import TensorElement, tensor_reduce
     delta_gens, witnesses = [], []
     for i in range(m):
         u = defelem_from_env(spec, EnvElement.gen(p, m, i), dfa.order)

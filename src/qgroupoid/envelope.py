@@ -6,10 +6,6 @@ on the left and e^alpha = e_1^a1 ... e_m^am in fixed generator order.
 Multiplication rewrites e_i a -> a e_i + anchor(e_i)(a) and
 e_j e_i -> e_i e_j - [e_i, e_j] (j > i) until normal; rewriting terminates
 because every step lowers (total degree, inversion count) lexicographically.
-
-The mirrored right-handed normal form (coefficients on the right) backs the
-algebra anti-isomorphism ``right_from_left`` that presents the right-handed
-enveloping algebra.
 """
 
 from .errors import ConfigError
@@ -17,7 +13,7 @@ from .scalars import CPoly, Fraction
 
 __all__ = [
     "EnvElement", "pbw_mul", "monomial_product", "monomial_action",
-    "env_counit", "anchor_action", "right_from_left", "renv_mul",
+    "env_counit", "anchor_action",
 ]
 
 
@@ -73,13 +69,6 @@ class EnvElement:
             poly = CPoly.const(self.nvars, poly)
         return EnvElement(self.nvars, self.rank,
                           {a: poly * c for a, c in self.terms.items()})
-
-    def rscale(self, poly):
-        """Coefficient multiplication on the right (right normal forms)."""
-        if isinstance(poly, (int, Fraction)):
-            poly = CPoly.const(self.nvars, poly)
-        return EnvElement(self.nvars, self.rank,
-                          {a: c * poly for a, c in self.terms.items()})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -261,87 +250,3 @@ def anchor_action(spec, u, a):
                 out = out + c * val * q
     return out
 
-
-# -- right normal form (coefficients on the right) -----------------------------
-#
-# Elements are the same container read as sum_alpha e^alpha * a_alpha.
-
-
-def _r_gen_times_mono(spec, i, beta):
-    """Right normal form of e_i * e^beta."""
-    cache = spec._rgen_table
-    key = (i, beta)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    j = _first_nonzero(beta)
-    if j is None or i <= j:
-        res = EnvElement.monomial(spec.nvars, spec.rank, _bump(beta, i))
-    else:
-        beta2 = _bump(beta, j, -1)
-        res = renv_mul_gen_left(spec, _r_gen_times_mono(spec, i, beta2), j)
-        for k, c in enumerate(spec.bracket_basis(i, j)):
-            if not c.is_zero():
-                tail = _r_gen_times_mono(spec, k, beta2)
-                res = res + renv_mul_poly_left(spec, c, tail)
-    cache[key] = res
-    return res
-
-
-def renv_mul_gen_left(spec, w, i):
-    """Right normal form of e_i * w."""
-    out = EnvElement.zero(spec.nvars, spec.rank)
-    for beta, c in w.terms.items():
-        out = out + _r_gen_times_mono(spec, i, beta).rscale(c)
-    return out
-
-
-def _r_poly_times_mono(spec, a, gamma):
-    """Right normal form of a * e^gamma."""
-    if a.is_zero():
-        return EnvElement.zero(spec.nvars, spec.rank)
-    j = _first_nonzero(gamma)
-    if j is None:
-        return EnvElement.from_poly(spec.rank, a)
-    gamma2 = _bump(gamma, j, -1)
-    head = renv_mul_gen_left(spec, _r_poly_times_mono(spec, a, gamma2), j)
-    return head - _r_poly_times_mono(spec, spec.anchor_apply(j, a), gamma2)
-
-
-def renv_mul_poly_left(spec, a, w):
-    """Right normal form of a * w."""
-    out = EnvElement.zero(spec.nvars, spec.rank)
-    for gamma, c in w.terms.items():
-        out = out + _r_poly_times_mono(spec, a, gamma).rscale(c)
-    return out
-
-
-def renv_mul(spec, w1, w2):
-    """Product of two right-normal-form elements."""
-    out = EnvElement.zero(spec.nvars, spec.rank)
-    for alpha, a in w1.terms.items():
-        for beta, b in w2.terms.items():
-            t = _r_poly_times_mono(spec, a, beta).rscale(b)
-            for i in range(spec.rank - 1, -1, -1):
-                for _ in range(alpha[i]):
-                    t = renv_mul_gen_left(spec, t, i)
-            out = out + t
-    return out
-
-
-def right_from_left(spec, u):
-    """Anti-isomorphism to the right-handed envelope: a -> a, e_i -> -e_i.
-
-    Input is a left normal form; output is a right normal form (read the
-    returned element as sum e^alpha * a_alpha).
-    """
-    out = EnvElement.zero(spec.nvars, spec.rank)
-    for alpha, a in u.terms.items():
-        sign = -1 if sum(alpha) % 2 else 1
-        t = EnvElement.from_poly(spec.rank, a * sign)
-        # image of a e^alpha is (-1)^|alpha| e_m^am ... e_1^a1 * a
-        for i in range(spec.rank):
-            for _ in range(alpha[i]):
-                t = renv_mul_gen_left(spec, t, i)
-        out = out + t
-    return out

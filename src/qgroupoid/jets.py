@@ -16,8 +16,9 @@ deformation object.
 
 import itertools
 
+from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import EnvElement, env_counit, pbw_mul
-from .errors import ConfigError, FlavorError
+from .errors import ConfigError, FlavorError, TruncationInsufficientError
 from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto
 from .series import HLaurent, HSeries, laurent_mul
@@ -26,7 +27,7 @@ __all__ = [
     "JetContext", "JetElement", "jet_pair", "jet_product", "jet_product_eval",
     "jet_source_target", "jet_counit", "jet_coproduct_functional",
     "tensor_functional_from_pair", "jet_coproduct_decompose",
-    "jet_axiom_suite", "xi_functional",
+    "jet_axiom_suite", "xi_functional", "divided_xi_powers",
     "coordinate_functional", "unit_functional", "jets_equal",
     "pbw_indices",
 ]
@@ -100,11 +101,6 @@ class JetElement:
         v = self.table.get(tuple(beta))
         return v if v is not None else ctx.zero_value()
 
-    def support_degree(self):
-        if not self.table:
-            return -1
-        return max(sum(b) for b in self.table)
-
     def add(self, other):
         if self.flavor != other.flavor:
             raise FlavorError("mixed dual flavors")
@@ -157,6 +153,24 @@ def xi_functional(ctx, i):
     beta[i] = 1
     one = HLaurent.const(CPoly.one(ctx.spec.nvars), ctx.order, ctx.zero_poly())
     return JetElement(ctx.flavor, {tuple(beta): one})
+
+
+def divided_xi_powers(ctx, degree):
+    """{kappa: xi^kappa / kappa!} for |kappa| <= degree, each power the
+    iterated dual product of the xi_i in generator order, tabulated at
+    ``degree``."""
+    rank = ctx.spec.rank
+    gens = [xi_functional(ctx, i) for i in range(rank)]
+    powers = {}
+    for kappa in pbw_indices(rank, degree):
+        prod = unit_functional(ctx)
+        fact = 1
+        for i in range(rank):
+            for t in range(kappa[i]):
+                prod = jet_product(ctx, prod, gens[i], degree)
+                fact *= t + 1
+        powers[kappa] = prod.scale(Fraction(1, fact))
+    return powers
 
 
 def coordinate_functional(ctx, j):
@@ -364,6 +378,20 @@ def _tabulate(ctx, fn, degree=None):
     return table
 
 
+def _base_image(ctx, a):
+    """t_F(a) for the left dual, s_F(a) for the right dual."""
+    return (ctx.dfa.target if ctx.flavor == LEFT else ctx.dfa.source)(a)
+
+
+def _times_mono(ctx, U, beta, mono_right):
+    """U . e^beta (``mono_right``) or e^beta . U, order by order."""
+    spec = ctx.spec
+    mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
+    if mono_right:
+        return U.map(lambda w: pbw_mul(spec, w, mono))
+    return U.map(lambda w: pbw_mul(spec, mono, w))
+
+
 def jet_source_target(ctx, a, degree=None):
     """The dual source and target images of a base element, per flavor.
 
@@ -371,37 +399,18 @@ def jet_source_target(ctx, a, degree=None):
     Right dual: source(a)(u) = eps(u s_F(a)),   target(a)(u) = eps(s_F(a) u).
     Returns (source, target) as JetElements of the context flavor.
     """
-    spec = ctx.spec
     n = ctx.order
     zero_p = ctx.zero_poly()
+    image = _base_image(ctx, a)
 
-    def eps_series(U):
-        return HLaurent(0, n, [env_counit(c) for c in U.coeffs], zero_p)
+    def counit_table(mono_right):
+        def value(beta):
+            U = _times_mono(ctx, image, beta, mono_right)
+            return HLaurent(0, n, [env_counit(c) for c in U.coeffs], zero_p)
+        return JetElement(ctx.flavor, _tabulate(ctx, value, degree))
 
-    if ctx.flavor == LEFT:
-        ta = ctx.dfa.target(a)
-
-        def src(beta):
-            mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-            return eps_series(ta.map(lambda w: pbw_mul(spec, w, mono)))
-
-        def tgt(beta):
-            mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-            return eps_series(ta.map(lambda w: pbw_mul(spec, mono, w)))
-    else:
-        sa = ctx.dfa.source(a)
-
-        def src(beta):
-            mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-            return eps_series(sa.map(lambda w: pbw_mul(spec, mono, w)))
-
-        def tgt(beta):
-            mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-            return eps_series(sa.map(lambda w: pbw_mul(spec, w, mono)))
-
-    source = JetElement(ctx.flavor, _tabulate(ctx, src, degree))
-    target = JetElement(ctx.flavor, _tabulate(ctx, tgt, degree))
-    return source, target
+    left = ctx.flavor == LEFT
+    return counit_table(left), counit_table(not left)
 
 
 # -- dual coproduct (functional level) -------------------------------------------------
@@ -436,25 +445,21 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     """
     degree = degree if degree is not None else ctx.jet_degree
     spec = ctx.spec
+    left = ctx.flavor == LEFT
+    first, second = (lam, mu) if left else (mu, lam)
+    mapper = ctx.dfa.source if left else ctx.dfa.target
     out = {}
     for b1 in pbw_indices(spec.rank, degree):
         for b2 in pbw_indices(spec.rank, degree - sum(b1)):
             m1 = EnvElement.monomial(spec.nvars, spec.rank, b1)
             m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
-            if ctx.flavor == LEFT:
-                v = _pair_env(ctx, lam, m2)
-                if v.is_zero():
-                    continue
-                W = _apply_series_map(ctx, v, ctx.dfa.source)
-                W = W.map(lambda t: pbw_mul(spec, m1, t))
-                val = _pair_env_laurent(ctx, mu, W)
-            else:
-                v = _pair_env(ctx, mu, m1)
-                if v.is_zero():
-                    continue
-                W = _apply_series_map(ctx, v, ctx.dfa.target)
-                W = W.map(lambda t: pbw_mul(spec, m2, t))
-                val = _pair_env_laurent(ctx, lam, W)
+            paired, moved = (m2, m1) if left else (m1, m2)
+            v = _pair_env(ctx, first, paired)
+            if v.is_zero():
+                continue
+            W = _apply_series_map(ctx, v, mapper)
+            W = W.map(lambda t: pbw_mul(spec, moved, t))
+            val = _pair_env_laurent(ctx, second, W)
             if not val.is_zero():
                 out[(b1, b2)] = val
     return out
@@ -479,21 +484,11 @@ def jet_coproduct_decompose(ctx, lam, degree=None):
     Raises TruncationInsufficientError when the re-woven table does not
     reproduce the coproduct on the requested range.
     """
-    from .errors import TruncationInsufficientError
     degree = degree if degree is not None else ctx.jet_degree
     spec = ctx.spec
     n = ctx.order
     target = jet_coproduct_functional(ctx, lam, degree)
-    gens = [xi_functional(ctx, i) for i in range(spec.rank)]
-    powers = {}
-    for kappa in pbw_indices(spec.rank, degree):
-        prod = unit_functional(ctx)
-        fact = 1
-        for i in range(spec.rank):
-            for t in range(kappa[i]):
-                prod = jet_product(ctx, prod, gens[i], degree)
-                fact *= t + 1
-        powers[kappa] = prod.scale(Fraction(1, fact))
+    powers = divided_xi_powers(ctx, degree)
 
     idx = pbw_indices(spec.rank, degree)
     zero = ctx.zero_value()
@@ -580,16 +575,11 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
     def action_failures():
         for xj in polys:
             src, tgt = jet_source_target(ctx, xj)
+            image = _base_image(ctx, xj)
             for lam in sample:
                 left_action = jet_product(ctx, src, lam)
                 for beta in dom:
-                    mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-                    if ctx.flavor == LEFT:
-                        moved = ctx.dfa.target(xj).map(
-                            lambda w: pbw_mul(spec, w, mono))
-                    else:
-                        moved = ctx.dfa.source(xj).map(
-                            lambda w: pbw_mul(spec, mono, w))
+                    moved = _times_mono(ctx, image, beta, ctx.flavor == LEFT)
                     direct = jet_pair(ctx, lam, moved)
                     if not left_action.value(ctx, beta).eq_to_order(direct):
                         yield "source-action compatibility fails at %s" % (beta,)
@@ -623,7 +613,6 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
     report.check("filtration-growth", filtration_failures())
 
     # classical limit: at h^0 the product table is the undeformed one
-    from .deform import DeformedEnvAlgebroid, trivial_twistor
     triv = DeformedEnvAlgebroid(spec, trivial_twistor(spec, n), validate=False)
     ctx0 = JetContext(triv, ctx.flavor, ctx.jet_degree)
 
@@ -650,22 +639,8 @@ def evaluation_iso_check(ctx, degree):
     evaluation respects products through the convolution identity
     <xi^k/k!, u v> = sum_{k1+k2=k} <xi^k1/k1!, u><xi^k2/k2!, v> at h^0."""
     spec = ctx.spec
-    gens = [xi_functional(ctx, i) for i in range(spec.rank)]
-
-    def xi_power(kappa):
-        prod = unit_functional(ctx)
-        for i in range(spec.rank):
-            for _ in range(kappa[i]):
-                prod = jet_product(ctx, prod, gens[i],
-                                   degree=ctx.jet_degree)
-        fact = 1
-        for k in kappa:
-            for t in range(1, k + 1):
-                fact *= t
-        return prod.scale(Fraction(1, fact))
-
     idx = pbw_indices(spec.rank, degree)
-    powers = {kappa: xi_power(kappa) for kappa in idx}
+    powers = divided_xi_powers(ctx, degree)
     for kappa in idx:
         for beta in idx:
             mono = EnvElement.monomial(spec.nvars, spec.rank, beta)

@@ -7,6 +7,7 @@ Module elements are sparse maps {generator index: CPoly}; multivectors and
 forms are sparse maps from strictly increasing index tuples to CPoly.
 """
 
+import itertools
 from types import MappingProxyType
 
 from .errors import ConfigError, DegreeUnsupportedError
@@ -54,7 +55,6 @@ class LieRinehartSpec:
         self._leg_table = {}    # (leg, leg) -> their product as basis terms
         self._act_table = {}    # (alpha, gamma) -> e^alpha acting on x^gamma
         self._copro_table = {}  # alpha -> Delta(e^alpha), a lifted 2-tensor
-        self._rgen_table = {}   # (i, beta) -> e_i e^beta in right normal form
 
     # -- basic structure maps ------------------------------------------------
 
@@ -277,7 +277,6 @@ def lr_differential(spec, form):
     if n + 1 > m:
         return MultiVector.zero(spec.nvars, n + 1)
     out = {}
-    import itertools
     for idx in itertools.combinations(range(m), n + 1):
         val = CPoly.zero(spec.nvars)
         for pos, i in enumerate(idx):

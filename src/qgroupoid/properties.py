@@ -9,7 +9,7 @@ seeded samples, exactly.
 import random
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
-from .envelope import EnvElement, pbw_mul
+from .envelope import EnvElement, env_counit, pbw_mul
 from .jets import LEFT, JetContext, jet_axiom_suite
 from .lierinehart import LieRinehartSpec, MultiVector, lr_differential, \
     lr_differential_function, lr_validate
@@ -129,8 +129,6 @@ def structure_property_suite(spec, seed=0, sample_degree=2, h_order=2,
         "coassociativity fails" for u in elems
         if tensor_reduce(spec, iterated_coproduct(spec, u, 2))
         != tensor_reduce(spec, tensor_coproduct_leg(spec, env_coproduct(spec, u), 1))))
-
-    from .envelope import env_counit
 
     def counit_failures():
         for u in elems:

@@ -68,15 +68,6 @@ class CPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_one(self):
-        return self.terms == {(0,) * self.nvars: Fraction(1)}
-
-    def is_constant(self):
-        return all(not any(k) for k in self.terms)
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def degree(self):
         if not self.terms:
             return -1

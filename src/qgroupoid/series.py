@@ -221,14 +221,6 @@ class HLaurent:
             hi = upto
         return all(_is_zero(self.coeff(n) - other.coeff(n)) for n in range(lo, hi + 1))
 
-    def to_hseries(self, order):
-        norm = self.normalize()
-        if norm.val < 0:
-            raise NonIntegralError(norm.val)
-        if norm.top < order:
-            raise ConfigError("laurent certified only to order %d" % norm.top)
-        return HSeries(order, [norm.coeff(n) for n in range(order + 1)], self.zero)
-
     def __repr__(self):
         return "HLaurent[v=%d,t=%d: %s]" % (
             self.val, self.top, ", ".join(str(c) for c in self.coeffs))

@@ -25,6 +25,8 @@ from .envelope import EnvElement
 from .errors import ParseError, SemanticError
 from .lierinehart import LieRinehartSpec
 from .scalars import CPoly, parse_poly
+from .series import HSeries
+from .tensorspace import TensorElement
 
 __all__ = [
     "EngineSpec", "load_spec", "load_spec_file", "parse_env_monomial",
@@ -79,8 +81,6 @@ class EngineSpec:
         return LieRinehartSpec(p, m, bracket, anchor, name="specfile")
 
     def build_twistor(self, spec, order):
-        from .series import HSeries
-        from .tensorspace import TensorElement
         if self.twistor_form == "none":
             return trivial_twistor(spec, order)
         if self.twistor_form == "exp":

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, basis_decompose, defelem_from_env,
+    DeformedEnvAlgebroid, _counit_contract, basis_decompose, defelem_from_env,
     deformed_axiom_suite, exp_twistor, reduce_series, reexpand, star_product,
     takeuchi_check_deformed, trivial_twistor, twisted_coproduct,
     twisted_source_target, twistor_invert, twistor_validate,
@@ -179,6 +179,28 @@ def test_twisted_coproduct_of_unit():
     lift = twisted_coproduct(dfa, one)
     assert lift == hs_const(TensorElement.unit(2, 2, 2), 2,
                             TensorElement.zero(2, 2, 2))
+
+
+def test_counit_contract_reads_the_named_leg():
+    """Leg 0 contracts w1 and maps it by s_F, leg 1 contracts w2 and maps
+    it by t_F; a term whose counit leg has positive degree drops out."""
+    dfa = make_dfa(order=2)
+    spec = dfa.spec
+    x1 = CPoly.var(2, 0)
+    a, e1 = EnvElement.from_poly(2, x1), EnvElement.gen(2, 2, 0)
+    zero = TensorElement.zero(2, 2, 2)
+
+    def contract(w1, w2, leg):
+        lift = hs_const(TensorElement.of(w1, w2), dfa.order, zero)
+        return _counit_contract(dfa, lift, leg)
+
+    assert contract(a, e1, 0) == dfa.source(x1).map(
+        lambda w: pbw_mul(spec, w, e1))
+    assert contract(e1, a, 1) == dfa.target(x1).map(
+        lambda w: pbw_mul(spec, w, e1))
+    assert dfa.source(x1) != dfa.target(x1)
+    for w1, w2, leg in ((a, e1, 1), (e1, a, 0)):
+        assert all(c.is_zero() for c in contract(w1, w2, leg).coeffs)
 
 
 def test_basis_decompose_roundtrip():

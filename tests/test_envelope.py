@@ -1,10 +1,7 @@
 import itertools
 import random
 
-from qgroupoid.envelope import (
-    EnvElement, anchor_action, env_counit, pbw_mul, renv_mul,
-    right_from_left,
-)
+from qgroupoid.envelope import EnvElement, anchor_action, env_counit, pbw_mul
 from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly, Fraction, parse_poly
 
@@ -118,20 +115,3 @@ def test_anchor_action_agrees_with_counit_route():
             via_product = env_counit(pbw_mul(spec, u, EnvElement.from_poly(1, a)))
             assert anchor_action(spec, u, a) == via_product
 
-
-def test_xi_fixes_base_and_negates_generators():
-    spec = axb_lie()
-    a = EnvElement.from_poly(2, CPoly.const(0, 7))
-    assert right_from_left(spec, a) == a
-    e1 = EnvElement.gen(0, 2, 0)
-    assert right_from_left(spec, e1) == -e1
-
-
-def test_xi_antimultiplicative():
-    rng = random.Random(3)
-    for spec in (axb_lie(), der1()):
-        for _ in range(5):
-            u, v = _random_elem(spec, rng), _random_elem(spec, rng)
-            lhs = right_from_left(spec, pbw_mul(spec, u, v))
-            rhs = renv_mul(spec, right_from_left(spec, v), right_from_left(spec, u))
-            assert lhs == rhs

@@ -17,7 +17,8 @@
   per-leg loop with no table pins the order of the result's terms.
 - The deformation's s_F, t_F and star product read tables of monomial
   images; the oracles are the sweeps over the twistor for the whole
-  polynomial (``_source_from``, ``_target_from``, ``_star_from``).
+  polynomial (``_base_map_from`` with the acting leg 0 for s_F and 1 for
+  t_F, and ``_star_from``).
 - ``jet_product_eval`` reads the lift grouped by the paired leg and
   memoises the paired factor of each lift term; the oracle is the
   unmemoised body that maps and multiplies every term.
@@ -41,8 +42,8 @@ import pytest
 
 from qgroupoid import deform, jets, kernel
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, _act_mono, _bump_term, _source_from,
-    _star_from, _target_from, basis_decompose,
+    DeformedEnvAlgebroid, Twistor, _act_mono, _base_map_from, _bump_term,
+    _star_from, basis_decompose,
     defelem_from_env, deformed_coproduct_leg, exp_twistor, reduce_series,
     reexpand, sample_defelems, twisted_coproduct,
 )
@@ -487,26 +488,27 @@ def base_map_inputs(dfa):
 def test_source_target_match_sweeps(make, which, monkeypatch):
     dfa = make()
     spec = dfa.spec
-    sweep = _source_from if which == "source" else _target_from
+    leg = 0 if which == "source" else 1
     table = dfa._sF_mono if which == "source" else dfa._tF_mono
     memo = dfa._sF if which == "source" else dfa._tF
     polys = base_map_inputs(dfa)
     # a combination whose image cancels a term, where two images of
     # monomials share one (on the axb and explicit-order twistors each
     # image term remembers its monomial, so none do)
-    images = {m: sweep(spec, dfa.twistor, CPoly.monomial(spec.nvars, m))
+    images = {m: _base_map_from(spec, dfa.twistor,
+                                CPoly.monomial(spec.nvars, m), leg)
               for m in itertools.product(range(3), repeat=spec.nvars)}
     cancel = cancelling_poly(spec.nvars, images)
     if cancel is not None:
         polys.append(cancel[0])
         assert cancel[1] not in flat_terms(getattr(dfa, which)(cancel[0]))
-    want = [sweep(spec, dfa.twistor, p) for p in polys]
+    want = [_base_map_from(spec, dfa.twistor, p, leg) for p in polys]
     assert [getattr(dfa, which)(p) for p in polys] == want
     assert set(table) >= {m for p in polys for m in p.terms}
     # with the polynomial memo emptied, the map only reads the monomial table
     filled = dict(table)
     memo.clear()
-    monkeypatch.setattr(deform, sweep.__name__, None)
+    monkeypatch.setattr(deform, "_base_map_from", None)
     assert [getattr(dfa, which)(p) for p in polys] == want
     assert table == filled
 

@@ -231,9 +231,13 @@ def test_axiom_suite_deformed_right():
     assert rep.ok(), rep.first_failure()
 
 
-def test_evaluation_iso_undeformed():
-    ctx = make_trivial_ctx(RIGHT, order=2, d=4)
-    assert evaluation_iso_check(ctx, 2)
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+@pytest.mark.parametrize("jet_degree,degree", [(4, 2), (2, 3)])
+def test_evaluation_iso_undeformed(flavor, jet_degree, degree):
+    """The xi-powers are tabulated at the checked degree, so checking above
+    the context's jet degree reads no zeros past the table."""
+    ctx = make_trivial_ctx(flavor, order=2, d=jet_degree)
+    assert evaluation_iso_check(ctx, degree)
 
 
 def test_opcoop_flavor_duality_on_generators():

@@ -51,8 +51,8 @@ from .report import Check, Report
 from .scalars import CPoly, monomials_upto
 from .series import HSeries, hs_const, hs_zero, hseries_invert, hseries_mul
 from .tensorspace import (
-    TensorElement, _basis_terms, _copro_mono, env_coproduct, leg_product,
-    scale_leg, tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    MAX_LEGS, TensorElement, _basis_terms, _copro_mono, env_coproduct,
+    leg_product, scale_leg, tensor_coproduct_leg, tensor_mul, tensor_reduce,
 )
 
 __all__ = [
@@ -168,32 +168,31 @@ def _star_from(spec, F, a, b):
 # -- twistor validation -----------------------------------------------------------
 
 
-def twistor_invert(spec, twistor, order=None):
+def twistor_invert(spec, twistor):
     """Lifted inverse G with F . G = G . F = 1 (x) 1 up to order N.
 
     For exponential presets the closed form exp(-h r) is computed as well
     and cross-checked against the order-by-order inversion.
     """
-    order = order if order is not None else twistor.order
     unit = TensorElement.unit(spec.nvars, spec.rank, 2)
     G = hseries_invert(twistor.series, _tmul(spec), a0_inv=unit, one=unit)
     if twistor.exponent is not None:
-        closed = exp_twistor(spec, -twistor.exponent, order).series
+        closed = exp_twistor(spec, -twistor.exponent, twistor.order).series
         if closed != G:
             raise InvariantViolation(
                 "closed-form inverse disagrees with series inverse")
     return G
 
 
-def twistor_validate(spec, twistor, order=None, samples=None):
+def twistor_validate(spec, twistor):
     """Counit conditions, 3-leg cocycle identity and the derived
-    source/target compatibility, all checked per h-order."""
-    order = order if order is not None else twistor.order
+    source/target compatibility on the base monomials of degree <= 2, all
+    checked per h-order."""
+    order = twistor.order
     report = Report("twistor-validate", {"h_order": order})
     F = twistor.series
     unit2 = TensorElement.unit(spec.nvars, spec.rank, 2)
     one = EnvElement.one(spec.nvars, spec.rank)
-    samples = samples if samples is not None else monomials_upto(spec.nvars, 2)
 
     report.add(Check("leading-term-is-unit", F.coeffs[0] == unit2,
                      "F_0 != 1 (x) 1"))
@@ -234,7 +233,7 @@ def twistor_validate(spec, twistor, order=None, samples=None):
         if tensor_reduce(spec, lhs.coeffs[n]) != tensor_reduce(spec, rhs.coeffs[n])))
 
     def compatibility_failures():
-        for a in samples:
+        for a in monomials_upto(spec.nvars, 2):
             sa = _base_map_from(spec, twistor, a, 0)
             ta = _base_map_from(spec, twistor, a, 1)
             left = ta.map(lambda u: TensorElement.of(u, one))
@@ -258,21 +257,18 @@ class DeformedEnvAlgebroid:
     monomials so results are shared across operations.
     """
 
-    def __init__(self, spec, twistor, order=None, validate=True):
+    def __init__(self, spec, twistor, validate=True):
         self.spec = spec
-        self.order = order if order is not None else twistor.order
-        if twistor.order != self.order:
-            raise ConfigError("twistor truncated at %d, engine at %d"
-                              % (twistor.order, self.order))
+        self.order = twistor.order
         self.twistor = twistor
         unit = TensorElement.unit(spec.nvars, spec.rank, 2)
         if twistor.series.coeffs[0] != unit:
             raise TriangularityViolation("twistor order-0 term must be 1 (x) 1")
         if validate:
-            rep = twistor_validate(spec, twistor, self.order)
+            rep = twistor_validate(spec, twistor)
             if not rep.ok():
                 raise ConfigError("invalid twistor: %s" % rep.first_failure())
-        self.G = twistor_invert(spec, twistor, self.order)
+        self.G = twistor_invert(spec, twistor)
         self._sF = {}
         self._tF = {}
         self._star = {}
@@ -523,10 +519,10 @@ def deformed_coproduct_leg(dfa, HT, leg):
     return dfa.conjugate(spliced, leg)
 
 
-def iterated_twisted_coproduct(dfa, u, n, max_legs=8):
+def iterated_twisted_coproduct(dfa, u, n):
     if n < 1:
         raise ConfigError("need n >= 1")
-    if n + 1 > max_legs:
+    if n + 1 > MAX_LEGS:
         raise ConfigError("iterated coproduct beyond configured bound")
     T = twisted_coproduct(dfa, u)
     for _ in range(n - 1):

@@ -20,8 +20,8 @@ from .errors import (
     TruncationInsufficientError,
 )
 from .jets import (
-    coordinate_functional, divided_xi_powers, jet_coproduct_functional,
-    jet_pair, jet_product, jets_equal, pbw_indices,
+    coordinate_functional, divided_xi_powers, jet_commutator,
+    jet_coproduct_functional, jet_pair, jets_equal, pbw_indices,
     tensor_functional_from_pair, unit_functional, xi_functional,
 )
 from .lierinehart import (
@@ -78,8 +78,7 @@ def vee_build(jctx, degree=None, gen_names=None, base_names=None):
     for ia, na in enumerate(names):
         for nb in names[ia + 1:]:
             a, b = v.gens[na], v.gens[nb]
-            comm = jet_product(jctx, a, b, degree).sub(
-                jet_product(jctx, b, a, degree))
+            comm = jet_commutator(jctx, a, b, degree)
             for beta, val in comm.table.items():
                 norm = val.normalize()
                 if norm.coeffs and norm.val < -sum(beta):
@@ -211,19 +210,18 @@ def reduced_coproduct_power(dfa, u, n, flavor="source"):
     return HT
 
 
-def hprime_member(dfa, u, n_max=None, cross_check=True):
+def hprime_member(dfa, u, n_max=None):
     """delta^n(u) divisible by h^n for every n <= n_max, on lifted
-    representatives; certification is relative to (N, n_max)."""
+    representatives, with the source and the target projections each;
+    certification is relative to (N, n_max)."""
     n_max = n_max if n_max is not None else dfa.order
     if n_max > dfa.order:
         raise ConfigError("membership order exceeds the truncation")
     for n in range(1, n_max + 1):
-        d = reduced_coproduct_power(dfa, u, n, "source")
-        if any(not d.coeffs[k].is_zero() for k in range(min(n, dfa.order + 1))):
-            return False
-        if cross_check:
-            dt = reduced_coproduct_power(dfa, u, n, "target")
-            if any(not dt.coeffs[k].is_zero() for k in range(min(n, dfa.order + 1))):
+        for flavor in ("source", "target"):
+            d = reduced_coproduct_power(dfa, u, n, flavor)
+            if any(not d.coeffs[k].is_zero()
+                   for k in range(min(n, dfa.order + 1))):
                 return False
     return True
 
@@ -360,8 +358,7 @@ def semiclassical_dual_bracket(jctx):
     bracket, witnesses = {}, []
     for i in range(m):
         for j in range(i + 1, m):
-            comm = jet_product(jctx, gens[i], gens[j], degree=2).sub(
-                jet_product(jctx, gens[j], gens[i], degree=2)).shift(-1)
+            comm = jet_commutator(jctx, gens[i], gens[j], 2).shift(-1)
             vec = []
             for k in range(m):
                 beta = tuple(1 if t == k else 0 for t in range(m))
@@ -376,8 +373,7 @@ def semiclassical_dual_bracket(jctx):
     anchor = [[zero] * p for _ in range(m)]
     for i in range(m):
         for j in range(p):
-            comm = jet_product(jctx, gens[i], coords[j], degree=1).sub(
-                jet_product(jctx, coords[j], gens[i], degree=1)).shift(-1)
+            comm = jet_commutator(jctx, gens[i], coords[j], 1).shift(-1)
             anchor[i][j] = comm.value(jctx, (0,) * m).coeff(0)
 
     dual = LieRinehartSpec(p, m, bracket, anchor,
@@ -447,8 +443,7 @@ def duality_roundtrip(jctx, generators=None, n_max=3, degree=None):
     def integrality_failures():
         for i, a in enumerate(checked):
             for j in range(i + 1, len(checked)):
-                comm = jet_product(jctx, a, checked[j], degree).sub(
-                    jet_product(jctx, checked[j], a, degree))
+                comm = jet_commutator(jctx, a, checked[j], degree)
                 for beta, val in comm.table.items():
                     norm = val.normalize()
                     if norm.coeffs and norm.val < -sum(beta):
@@ -473,10 +468,8 @@ def duality_roundtrip(jctx, generators=None, n_max=3, degree=None):
     def relation_failures():
         for i in range(len(recovered)):
             for j in range(i + 1, len(recovered)):
-                got = jet_product(jctx, recovered[i], recovered[j], degree).sub(
-                    jet_product(jctx, recovered[j], recovered[i], degree))
-                want = jet_product(jctx, canonical[i], canonical[j], degree).sub(
-                    jet_product(jctx, canonical[j], canonical[i], degree))
+                got = jet_commutator(jctx, recovered[i], recovered[j], degree)
+                want = jet_commutator(jctx, canonical[i], canonical[j], degree)
                 if not jets_equal(jctx, got, want):
                     yield "relation table differs on pair (%d, %d)" % (i + 1, j + 1)
 

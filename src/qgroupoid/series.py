@@ -212,13 +212,9 @@ class HLaurent:
         return HLaurent(self.val, self.top, [f(c) for c in self.coeffs],
                         f(self.zero))
 
-    def eq_to_order(self, other, upto=None):
+    def eq_to_order(self, other):
         lo = min(self.val, other.val)
         hi = min(self.top, other.top)
-        if upto is not None:
-            if hi < upto:
-                return False
-            hi = upto
         return all(_is_zero(self.coeff(n) - other.coeff(n)) for n in range(lo, hi + 1))
 
     def __repr__(self):

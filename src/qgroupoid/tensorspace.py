@@ -20,6 +20,9 @@ from .envelope import EnvElement, monomial_product, pbw_mul
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
+# the most legs an iterated coproduct may build
+MAX_LEGS = 8
+
 __all__ = [
     "TensorElement", "env_coproduct", "leg_product", "tensor_mul",
     "tensor_reduce", "takeuchi_check", "iterated_coproduct", "primitive_check",
@@ -309,11 +312,11 @@ def tensor_coproduct_leg(spec, T, leg):
     return TensorElement(T.nvars, T.rank, T.legs + 1, out)
 
 
-def iterated_coproduct(spec, u, n, max_legs=8):
+def iterated_coproduct(spec, u, n):
     """Left-nested n-fold coproduct on a lifted representative."""
     if n < 1:
         raise ConfigError("need n >= 1")
-    if n + 1 > max_legs:
+    if n + 1 > MAX_LEGS:
         raise ConfigError("iterated coproduct beyond configured bound")
     T = env_coproduct(spec, u)
     for _ in range(n - 1):

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -286,7 +287,9 @@ def test_unreadable_spec_is_a_usage_error(case, tmp_path):
 
 
 with open(os.path.join(ROOT, "perfbench", "reference.json")) as _fh:
-    REFERENCE_DIGESTS = json.load(_fh)["digests"]
+    _REFERENCE = json.load(_fh)
+REFERENCE_DIGESTS = _REFERENCE["digests"]
+REFERENCE_FINGERPRINTS = _REFERENCE["fingerprints"]
 
 
 def _bracket_spec_text(a):
@@ -334,6 +337,32 @@ def test_report_bytes_match_the_reference_digest(label, cmd, tmp_path):
     assert code == 0 and err == ""
     digest = hashlib.md5(out.encode()).hexdigest()
     assert digest == REFERENCE_DIGESTS["%s %s" % (label, " ".join(cmd))]
+
+
+def _load_values():
+    """The benchmark's value-fingerprint module, loaded by path."""
+    path = os.path.join(ROOT, "perfbench", "values.py")
+    spec = importlib.util.spec_from_file_location("perfbench_values", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("label", ["axb", "bracket(a=2)"])
+def test_values_match_the_reference_fingerprint(label, tmp_path):
+    # the benchmark's reference fingerprint of `values.py fingerprint <spec>
+    # --h-order 4 --jet-degree 4`, computed as its main does; the report
+    # digests cannot see these values (the dual product windows among them)
+    values = _load_values()
+    if label == "axb":
+        spec = SPEC
+    else:
+        spec = tmp_path / "bracket.spec"
+        spec.write_text(_bracket_spec_text(2))
+    dfa = values.build(str(spec), "deformation", 4, 4)
+    parts = values.fingerprint_parts(dfa, 4)
+    total = hashlib.md5(json.dumps(parts, sort_keys=True).encode()).hexdigest()
+    assert total == REFERENCE_FINGERPRINTS["%s n4" % label]
 
 
 @pytest.mark.parametrize("cmd", DEFAULT_SPEC_COMMANDS,

@@ -10,7 +10,6 @@ from qgroupoid.deform import (
     twisted_source_target, twistor_invert, twistor_validate,
 )
 from qgroupoid.envelope import EnvElement, pbw_mul
-from qgroupoid.errors import ConfigError
 from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly, parse_poly
 from qgroupoid.series import HSeries, hs_const, hseries_mul
@@ -295,12 +294,6 @@ def test_axiom_suite_detects_corruption():
     dfa = DeformedEnvAlgebroid(spec, bad, validate=False)
     rep2 = deformed_axiom_suite(dfa, sample_degree=1)
     assert not rep2.ok()
-
-
-def test_mixed_orders_error():
-    spec = der2()
-    with pytest.raises(ConfigError):
-        DeformedEnvAlgebroid(spec, std_twistor(spec, 2), order=3, validate=False)
 
 
 def test_bad_leading_term_rejected():

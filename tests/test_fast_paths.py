@@ -817,15 +817,19 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
             want = [window(unmemoised_jet_product_eval(ctx, plain_lam,
                                                        plain_mu, a))
                     for a in args]
+            memo = {}
             for _ in range(2):
-                # the second call reads every paired factor from the memo
-                got = [window(jet_product_eval(ctx, lam, mu, a)) for a in args]
+                # the second pass reads every paired factor from the memo
+                got = [window(jet_product_eval(ctx, lam, mu, a, memo))
+                       for a in args]
                 assert got == want
-            # factors only under the legs lam pairs with nonzero, none None
-            memo = lam._pair_cache[(dfa, mu)]
-            for paired, row in memo.items():
-                assert not jet_pair(ctx, plain_lam, paired).is_zero()
-                assert row and None not in row.values()
+            # a mapped image exactly under the legs lam pairs with nonzero,
+            # and factors only under those, none None
+            for paired, (W, row) in memo.items():
+                if jet_pair(ctx, plain_lam, paired).is_zero():
+                    assert W is None and not row
+                else:
+                    assert W is not None and row and None not in row.values()
     # the grouped lift holds each term of the lift exactly once, under the
     # leg the dual pairs on
     leg = 1 if flavor == LEFT else 0

@@ -1,3 +1,5 @@
+import gc
+import types
 from fractions import Fraction
 
 import pytest
@@ -86,6 +88,43 @@ def test_pairing_memo_follows_the_deformation(monkeypatch):
     fresh = xi_functional(ctx, 1)
     assert jet_pair(ctx, lam, key).eq_to_order(jet_pair(ctx, fresh, key))
     assert not deformed.eq_to_order(jet_pair(ctx, fresh, key))
+
+
+def _reachable(obj):
+    """Every object reachable from obj, not entering classes, modules or
+    functions."""
+    seen, stack = {}, [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(
+                x, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(x)] = x
+        stack.extend(gc.get_referents(x))
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_pair_cache_holds_only_pairings(flavor):
+    """After a tabulated product and a direct evaluation, the memo on lam
+    maps (deformation, basis monomial) to a pairing, and nothing in it
+    refers to the partner functional, which it would keep alive."""
+    ctx = make_ctx(flavor, order=3, d=2)
+    spec = ctx.spec
+    lam = xi_functional(ctx, 0).add(coordinate_functional(ctx, 1))
+    mu = xi_functional(ctx, 1)
+    jet_product(ctx, lam, mu)
+    jet_product_eval(ctx, lam, mu, (1, 1))
+    assert lam._pair_cache
+    for ckey, val in lam._pair_cache.items():
+        assert len(ckey) == 2 and ckey[0] is ctx.dfa
+        assert isinstance(ckey[1], tuple) and len(ckey[1]) == 2
+        gamma, alpha = ckey[1]
+        assert len(gamma) == spec.nvars and len(alpha) == spec.rank
+        assert all(isinstance(t, int) for t in gamma + alpha)
+        assert isinstance(val, HLaurent)
+    partner = {id(mu), id(mu.table), id(mu._pair_cache)}
+    assert not any(id(x) in partner for x in _reachable(lam._pair_cache))
 
 
 def test_product_table_left_dual():

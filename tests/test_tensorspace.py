@@ -183,4 +183,4 @@ def test_iterated_coproduct_guard():
     spec = der1()
     e = EnvElement.gen(1, 1, 0)
     with pytest.raises(ConfigError):
-        iterated_coproduct(spec, e, 9, max_legs=8)
+        iterated_coproduct(spec, e, 9)

@@ -27,10 +27,12 @@ on one leg (``DeformedEnvAlgebroid.lift_legs``), which is how the jet
 dual product reads it.  ``reduce_series`` moves coefficients
 rightward by the Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v; the
 deformation caches, per leg monomial w, the basis terms of the s_F-images
-of its t_F-decomposition (``DeformedEnvAlgebroid.migrants``), and each of
-those terms is multiplied by the next leg through the structure's leg
-table (``tensorspace.leg_product``), which memoises the products at
-monomial granularity.
+of its t_F-decomposition (``DeformedEnvAlgebroid.migrants``) as integer
+numerators over one denominator, and each of those terms is multiplied by
+the next leg through the structure's leg table
+(``tensorspace.leg_product``), which memoises the products at monomial
+granularity.  Like every tensor operation, the reduction works on the
+tensors' integer numerators over one denominator.
 
 All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
@@ -44,6 +46,7 @@ term itself.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from .envelope import EnvElement, monomial_action, pbw_mul
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
@@ -51,8 +54,9 @@ from .report import Check, Report
 from .scalars import CPoly, monomials_upto
 from .series import HSeries, hs_const, hs_zero, hseries_invert, hseries_mul
 from .tensorspace import (
-    MAX_LEGS, TensorElement, _basis_terms, _copro_mono, env_coproduct,
-    leg_product, scale_leg, tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    MAX_LEGS, TensorElement, _basis_terms, _tensor_cleared, copro_basis,
+    env_coproduct, leg_product, tensor_coproduct_leg, tensor_mul,
+    tensor_reduce,
 )
 
 __all__ = [
@@ -378,9 +382,8 @@ class DeformedEnvAlgebroid:
         """G . Delta(x^gamma e^alpha) . F as a tensor series (cached)."""
         hit = self._lift.get(key)
         if hit is None:
-            gamma, alpha = key
             spec = self.spec
-            base = _copro_of_mono(spec, gamma, alpha)
+            base = copro_basis(spec, key)
             zero = TensorElement.zero(spec.nvars, spec.rank, 2)
             hit = self.conjugate(hs_const(base, self.order, zero), 0)
             self._lift[key] = hit
@@ -448,8 +451,9 @@ class DeformedEnvAlgebroid:
         return hit
 
     def migrants(self, w):
-        """[(beta, per h-order the basis terms of s_F(a_beta))] for
-        w = sum t_F(a_beta) e^beta, each order a tuple ((gamma, alpha), q).
+        """(d, [(beta, per h-order the basis terms of s_F(a_beta))]) for
+        w = sum t_F(a_beta) e^beta, each order a tuple ((gamma, alpha), n)
+        of integer numerators n over the one denominator d.
 
         The Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v moves each
         a_beta onto the next leg; ``reduce_series`` reads this cache and
@@ -457,18 +461,16 @@ class DeformedEnvAlgebroid:
         """
         hit = self._migrants.get(w)
         if hit is None:
-            hit = self._migrants[w] = [
-                (beta, [tuple(_basis_terms(u))
-                        for u in self.source_series(aser).coeffs])
-                for beta, aser in self.decompose_mono(w, "target").items()]
+            moved = [(beta, [_basis_terms(u)
+                             for u in self.source_series(aser).coeffs])
+                     for beta, aser in self.decompose_mono(w, "target").items()]
+            d = lcm(*[q.denominator for _, orders in moved
+                      for terms in orders for _, q in terms])
+            hit = self._migrants[w] = (d, [
+                (beta, [tuple((key, q.numerator * (d // q.denominator))
+                              for key, q in terms) for terms in orders])
+                for beta, orders in moved])
         return hit
-
-
-def _copro_of_mono(spec, gamma, alpha):
-    T = _copro_mono(spec, alpha)
-    if any(gamma):
-        T = scale_leg(T, 0, CPoly.monomial(spec.nvars, gamma))
-    return T
 
 
 # -- public operations ---------------------------------------------------------------
@@ -599,32 +601,46 @@ def reduce_series(dfa, HT):
 
 
 def _reduce_leg(dfa, HT, leg):
+    """One reduction step on integer numerators.  A term c / den_k of order k
+    whose leg monomial w moves lands over den_k d_w, d_w the denominator of
+    ``migrants(w)``; the lcm of the den_k times the lcm of the d_w is a
+    common denominator of the whole result."""
     spec = dfa.spec
     n = dfa.order
     zeros_g = (0,) * spec.nvars
+    moving = {}
+    for Tk in HT.coeffs:
+        for key in Tk.num:
+            w = key[leg]
+            if w[0] != zeros_g and w not in moving:
+                moving[w] = dfa.migrants(w)
+    den = lcm(*[Tk.den for Tk in HT.coeffs]) \
+        * lcm(*[d for d, _ in moving.values()])
     acc = [dict() for _ in range(n + 1)]
     for k, Tk in enumerate(HT.coeffs):
-        for key, c in Tk.terms.items():
+        up = den // Tk.den
+        for key, c in Tk.num.items():
             w = key[leg]
             if w[0] == zeros_g:
                 # already a pure monomial: keep as is
-                _bump_term(acc[k], key, c)
+                _bump_term(acc[k], key, c * up)
                 continue
+            d, moved = moving[w]
+            c *= up // d
             nxt = key[leg + 1]
             head, tail = key[:leg], key[leg + 2:]
-            for beta, moved in dfa.migrants(w):
+            for beta, orders in moved:
                 pure = (zeros_g, beta)
-                for j, terms in enumerate(moved):
+                for j, terms in enumerate(orders):
                     if k + j > n:
                         break
                     out = acc[k + j]
                     for wl, cw in terms:
-                        cc = cw if c == 1 else c if cw == 1 else c * cw
+                        cc = c * cw
                         for l2, q in leg_product(spec, wl, nxt):
-                            _bump_term(out, head + (pure, l2) + tail,
-                                       cc if q == 1 else cc * q)
+                            _bump_term(out, head + (pure, l2) + tail, cc * q)
     legs = HT.zero.legs
-    coeffs = [TensorElement(spec.nvars, spec.rank, legs, d) for d in acc]
+    coeffs = [_tensor_cleared(spec.nvars, spec.rank, legs, d, den) for d in acc]
     return HSeries(n, coeffs, HT.zero)
 
 

@@ -5,6 +5,10 @@ denominator).  A ``CPoly`` is a polynomial over the rationals in a fixed
 number of variables x1..xp, stored as a sparse map from exponent tuples to
 coefficients.  Instances are immutable and hashable so they can key caches
 throughout the engine.
+
+Lifted tensors (``tensorspace.TensorElement``) do not keep lowest-terms
+Fractions internally: they hold integer numerators over one denominator
+and give Fractions only through their read-only ``.terms`` view.
 """
 
 import re

@@ -6,15 +6,30 @@ rational coefficient.  The class in the tensor product over the base ring
 is represented by the canonical reduction that moves every coefficient
 into the last leg; class equality is reduction equality.
 
+A ``TensorElement`` keeps its coefficients as integer numerators over one
+denominator, as FLINT's ``fmpq_poly`` keeps a polynomial: ``num`` maps each
+key to a nonzero ``int`` and ``den`` is one positive ``int``.  Products
+multiply the denominators, sums align them to their lcm, and negation,
+``flip``, ``embed`` and the reduction copy the numerators, so the layer does
+integer arithmetic only.  ``den`` is not kept in lowest terms: content is
+removed only where a value leaves the layer.  ``.terms`` is a read-only
+``{key: Fraction}`` view in lowest terms, built once per tensor, and
+``__hash__`` reads it; ``__eq__`` cross-multiplies and needs no gcd.
+
 ``leg_product`` reads the structure's leg table (``spec._leg_table``: a
-pair of basis legs to their product as basis terms) and fills a missing
-entry from the monomial product table.  It is behind every product of
-basis legs: ``tensor_mul`` multiplies leg by leg through it, passing the
-other leg through where one leg is the unit, and the tensor reduction and
-basis decomposition of ``deform`` multiply their basis terms by it.
+pair of basis legs to their product as basis terms, an integral
+coefficient stored as an ``int``) and fills a missing entry from the
+monomial product table.  It is behind every product of basis legs:
+``tensor_mul`` multiplies leg by leg through it, passing the other leg
+through where one leg is the unit, and the tensor reduction and basis
+decomposition of ``deform`` multiply their basis terms by it.  A structure
+with rational structure functions may store a ``Fraction``; ``tensor_mul``
+then brings its result back to integer numerators once.
 """
 
 import itertools
+from math import lcm
+from types import MappingProxyType
 
 from .envelope import EnvElement, monomial_product, pbw_mul
 from .errors import ConfigError
@@ -29,15 +44,56 @@ __all__ = [
 ]
 
 
+def _common_den(terms):
+    """(num, den) of a {key: int or Fraction} dict: integer numerators over
+    the lcm of the denominators, zero entries dropped."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items() if c}, den
+
+
+def _tensor(nvars, rank, legs, num, den=1):
+    """A TensorElement on the numerators ``num`` (nonzero ints, not copied)
+    over the positive int ``den``."""
+    T = object.__new__(TensorElement)
+    T.nvars = nvars
+    T.rank = rank
+    T.legs = legs
+    T.num = num
+    T.den = den
+    T._terms = None
+    T._hash = None
+    return T
+
+
 class TensorElement:
-    __slots__ = ("nvars", "rank", "legs", "terms", "_hash")
+    """Integer numerators ``num`` {key: int} over one denominator ``den``.
+
+    ``TensorElement(nvars, rank, legs, terms)`` takes rational (``int`` or
+    ``Fraction``) coefficients and brings them over the lcm of their
+    denominators.  Every operation returns a new tensor and none changes
+    ``num`` in place, so tensors may share it.  ``.terms`` is the value as
+    a read-only {key: Fraction} view in lowest terms.
+    """
+
+    __slots__ = ("nvars", "rank", "legs", "num", "den", "_terms", "_hash")
 
     def __init__(self, nvars, rank, legs, terms=None):
         self.nvars = nvars
         self.rank = rank
         self.legs = legs
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.num, self.den = _common_den(terms) if terms else ({}, 1)
+        self._terms = None
         self._hash = None
+
+    @property
+    def terms(self):
+        view = self._terms
+        if view is None:
+            den = self.den
+            view = self._terms = MappingProxyType(
+                {k: Fraction(c, den) for k, c in self.num.items()})
+        return view
 
     # -- constructors --------------------------------------------------------
 
@@ -48,7 +104,7 @@ class TensorElement:
     @classmethod
     def unit(cls, nvars, rank, legs=2):
         key = (((0,) * nvars, (0,) * rank),) * legs
-        return cls(nvars, rank, legs, {key: Fraction(1)})
+        return _tensor(nvars, rank, legs, {key: 1})
 
     @classmethod
     def of(cls, *factors):
@@ -75,56 +131,84 @@ class TensorElement:
     # -- ring-ish operations ---------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
+        if not other.num:
+            return self
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        out = dict(self.num) if ma == 1 else \
+            {k: c * ma for k, c in self.num.items()}
+        for k, c in other.num.items():
             cur = out.get(k)
-            s = c if cur is None else cur + c
+            s = c * mb if cur is None else cur + c * mb
             if s:
                 out[k] = s
             else:
                 del out[k]
-        return TensorElement(self.nvars, self.rank, self.legs, out)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return _tensor(self.nvars, self.rank, self.legs, out, den if out else 1)
 
     def __neg__(self):
-        return TensorElement(self.nvars, self.rank, self.legs,
-                             {k: -c for k, c in self.terms.items()})
+        return _tensor(self.nvars, self.rank, self.legs,
+                       {k: -c for k, c in self.num.items()}, self.den)
 
     def scale(self, c):
-        c = Fraction(c)
+        """c times this tensor: c's numerator multiplies the numerators and
+        its denominator the denominator."""
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if not c:
             return TensorElement.zero(self.nvars, self.rank, self.legs)
-        return TensorElement(self.nvars, self.rank, self.legs,
-                             {k: v * c for k, v in self.terms.items()})
+        p = c.numerator
+        num = self.num if p == 1 else {k: v * p for k, v in self.num.items()}
+        return _tensor(self.nvars, self.rank, self.legs, num,
+                       self.den * c.denominator)
 
     def flip(self):
         """Swap the two legs of a 2-leg tensor."""
         if self.legs != 2:
             raise ConfigError("flip is for 2-leg tensors")
-        return TensorElement(self.nvars, self.rank, 2,
-                             {(k[1], k[0]): c for k, c in self.terms.items()})
+        return _tensor(self.nvars, self.rank, 2,
+                       {(k[1], k[0]): c for k, c in self.num.items()}, self.den)
 
     def embed(self, legs, pos):
         """Place this tensor at slots pos..pos+self.legs-1 of a wider tensor."""
         idkey = ((0,) * self.nvars, (0,) * self.rank)
         pre = (idkey,) * pos
         post = (idkey,) * (legs - pos - self.legs)
-        return TensorElement(self.nvars, self.rank, legs,
-                             {pre + k + post: c for k, c in self.terms.items()})
+        return _tensor(self.nvars, self.rank, legs,
+                       {pre + k + post: c for k, c in self.num.items()},
+                       self.den)
 
     def _check(self, other):
         if self.legs != other.legs or self.rank != other.rank:
             raise ConfigError("tensor shape mismatch")
 
     def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.legs == other.legs \
-            and self.terms == other.terms
+        if not isinstance(other, TensorElement) or self.legs != other.legs:
+            return False
+        a, b = self.num, other.num
+        da, db = self.den, other.den
+        if da == db:
+            return a == b
+        if len(a) != len(b):
+            return False
+        for k, c in a.items():
+            d = b.get(k)
+            if d is None or c * db != d * da:
+                return False
+        return True
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -135,7 +219,7 @@ class TensorElement:
         return self._hash
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
 
         def leg_str(key):
@@ -146,9 +230,10 @@ class TensorElement:
                      for i, a in enumerate(alpha) if a]
             return "*".join(bits) or "1"
 
+        terms = self.terms
         parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
+        for key in sorted(terms):
+            c = terms[key]
             body = " (x) ".join(leg_str(k) for k in key)
             parts.append("%s[%s]" % ("" if c == 1 else str(c) + " ", body))
         return " + ".join(parts)
@@ -176,11 +261,14 @@ def _mono_mul(spec, ka, kb):
 
 def leg_product(spec, la, lb):
     """Product of two basis legs as a tuple of basis terms ((gamma, alpha), q),
-    read from the structure's leg table and filled there from ``_mono_mul``."""
+    read from the structure's leg table and filled there from ``_mono_mul``;
+    an integral q is stored as an ``int``."""
     key = (la, lb)
     hit = spec._leg_table.get(key)
     if hit is None:
-        hit = spec._leg_table[key] = tuple(_mono_mul(spec, la, lb))
+        hit = spec._leg_table[key] = tuple(
+            (k, q.numerator if q.denominator == 1 else q)
+            for k, q in _mono_mul(spec, la, lb))
     return hit
 
 
@@ -189,14 +277,16 @@ def tensor_mul(spec, s, t):
 
     A unit leg x^0 e^0 passes the other operand's leg through; every other
     leg product is a ``leg_product``.  When each leg product is a single
-    term, the pair adds one term to the result directly.
+    term, the pair adds one term to the result directly.  The numerators
+    multiply with the leg coefficients and the denominators multiply; a
+    ``Fraction`` leg coefficient is cleared from the result at the end.
     """
     s._check(t)
     unit = ((0,) * s.nvars, (0,) * s.rank)
     out = {}
-    for ka, ca in s.terms.items():
-        for kb, cb in t.terms.items():
-            c = cb if ca == 1 else ca if cb == 1 else ca * cb
+    for ka, ca in s.num.items():
+        for kb, cb in t.num.items():
+            c = ca * cb
             factors = []
             single = True
             for la, lb in zip(ka, kb):
@@ -224,7 +314,17 @@ def tensor_mul(spec, s, t):
                 out[key] = v
             else:
                 del out[key]
-    return TensorElement(s.nvars, s.rank, s.legs, out)
+    return _tensor_cleared(s.nvars, s.rank, s.legs, out, s.den * t.den)
+
+
+def _tensor_cleared(nvars, rank, legs, out, den):
+    """The tensor ``out`` / ``den`` for an accumulated ``out`` whose values
+    are ints, or Fractions where a leg coefficient was one; the Fractions'
+    denominators are cleared into ``den`` once, exactly."""
+    if any(type(c) is not int for c in out.values()):
+        out, d = _common_den(out)
+        den *= d
+    return _tensor(nvars, rank, legs, out, den)
 
 
 def _expand_product(out, legchoices, coeff):
@@ -267,21 +367,36 @@ def _copro_mono(spec, alpha):
     return T
 
 
+def copro_basis(spec, key):
+    """Delta(x^gamma e^alpha) for key = (gamma, alpha): the memoised
+    Delta(e^alpha) with gamma added to the exponents of its left legs,
+    where the base coefficient loads."""
+    gamma, alpha = key
+    T = _copro_mono(spec, alpha)
+    if not any(gamma):
+        return T
+    return _tensor(spec.nvars, spec.rank, 2, {
+        ((tuple(a + b for a, b in zip(g, gamma)), al), right): c
+        for ((g, al), right), c in T.num.items()}, T.den)
+
+
 def scale_leg(T, leg, poly):
     """Multiply the coefficient of one leg by a polynomial (on the left)."""
+    pnum, pden = _common_den(poly.terms)
     out = {}
-    for key, c in T.terms.items():
+    for key, c in T.num.items():
         gamma, alpha = key[leg]
-        for g2, q in poly.terms.items():
+        head, tail = key[:leg], key[leg + 1:]
+        for g2, q in pnum.items():
             gg = tuple(a + b for a, b in zip(gamma, g2))
-            k2 = key[:leg] + ((gg, alpha),) + key[leg + 1:]
+            k2 = head + ((gg, alpha),) + tail
             cur = out.get(k2)
             s = c * q if cur is None else cur + c * q
             if s:
                 out[k2] = s
             else:
                 del out[k2]
-    return TensorElement(T.nvars, T.rank, T.legs, out)
+    return _tensor(T.nvars, T.rank, T.legs, out, T.den * pden)
 
 
 def env_coproduct(spec, u):
@@ -295,21 +410,27 @@ def env_coproduct(spec, u):
 
 def tensor_coproduct_leg(spec, T, leg):
     """Apply the coproduct at one leg of a lifted tensor (legs grow by one)."""
+    pieces = {}
+    for key in T.num:
+        w = key[leg]
+        if w not in pieces:
+            pieces[w] = copro_basis(spec, w)
+    den = lcm(*[p.den for p in pieces.values()])
     out = {}
-    for key, c in T.terms.items():
-        gamma, alpha = key[leg]
-        piece = _copro_mono(spec, alpha)
-        if any(gamma):
-            piece = scale_leg(piece, 0, CPoly.monomial(spec.nvars, gamma))
-        for k2, c2 in piece.terms.items():
-            kk = key[:leg] + k2 + key[leg + 1:]
+    for key, c in T.num.items():
+        piece = pieces[key[leg]]
+        if piece.den != den:
+            c *= den // piece.den
+        head, tail = key[:leg], key[leg + 1:]
+        for k2, c2 in piece.num.items():
+            kk = head + k2 + tail
             cur = out.get(kk)
             s = c * c2 if cur is None else cur + c * c2
             if s:
                 out[kk] = s
             else:
                 del out[kk]
-    return TensorElement(T.nvars, T.rank, T.legs + 1, out)
+    return _tensor(T.nvars, T.rank, T.legs + 1, out, T.den * den)
 
 
 def iterated_coproduct(spec, u, n):
@@ -335,7 +456,7 @@ def tensor_reduce(spec, T):
     """
     out = {}
     zeros = (0,) * spec.nvars
-    for key, c in T.terms.items():
+    for key, c in T.num.items():
         total = [0] * spec.nvars
         newkey = []
         for gamma, alpha in key[:-1]:
@@ -352,7 +473,7 @@ def tensor_reduce(spec, T):
             out[kk] = s
         else:
             del out[kk]
-    return TensorElement(T.nvars, T.rank, T.legs, out)
+    return _tensor(T.nvars, T.rank, T.legs, out, T.den)
 
 
 def takeuchi_check(spec, T, samples):

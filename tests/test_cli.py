@@ -339,6 +339,23 @@ def test_report_bytes_match_the_reference_digest(label, cmd, tmp_path):
     assert digest == REFERENCE_DIGESTS["%s %s" % (label, " ".join(cmd))]
 
 
+# report digests beyond the benchmark's reference: the N=10 twist, where the
+# divided powers of exp(h r) reach the denominator 2^10 10!, and the worked
+# example at its default truncation
+PINNED_DIGESTS = [
+    (["twist", SPEC, "--h-order", "10"], "a99e8b317b9fa677a033dfb7ba8260c8"),
+    (["example", "axb"], "54717f203e186fa1bec9b7813e68a19d"),
+]
+
+
+@pytest.mark.parametrize("argv,want", PINNED_DIGESTS,
+                         ids=["twist --h-order 10", "example axb"])
+def test_report_bytes_match_the_pinned_digest(argv, want):
+    code, out, err = run_cli(argv + ["--json-only"])
+    assert code == 0 and err == ""
+    assert hashlib.md5(out.encode()).hexdigest() == want
+
+
 def _load_values():
     """The benchmark's value-fingerprint module, loaded by path."""
     path = os.path.join(ROOT, "perfbench", "values.py")

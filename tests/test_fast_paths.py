@@ -27,6 +27,10 @@
 - ``basis_decompose`` multiplies out only the orders that survive the
   truncation, term by term through the leg table; the oracle is the
   back-substitution that maps and subtracts the whole series per term.
+- The tensor layer keeps integer numerators over one denominator; the
+  oracles are the Fraction loops over ``.terms`` for the product, sum,
+  scale, leg scale, coproduct leg and reduction.  A third structure puts
+  halves into the leg table, so ``tensor_mul`` clears a Fraction there.
 
 They run on the axb spec and on a bracketed structure with a non-constant
 anchor; the reduction also runs on an explicit per-order twistor.
@@ -39,6 +43,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgroupoid import deform, jets, kernel
 from qgroupoid.deform import (
@@ -61,7 +66,7 @@ from qgroupoid.series import HSeries, hs_const, hseries_mul
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
     TensorElement, _expand_product, _mono_mul, env_coproduct, leg_product,
-    tensor_coproduct_leg, tensor_mul,
+    scale_leg, tensor_coproduct_leg, tensor_mul, tensor_reduce,
 )
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
@@ -80,6 +85,12 @@ def bracketed_structure(a=2):
                (0, 2): (zero, zero, CPoly.const(2, -a))}
     anchor = [[x1, x2 * a], [one, zero], [zero, one]]
     return LieRinehartSpec(2, 3, bracket, anchor, name="bracket")
+
+
+def rational_structure():
+    """The bracketed structure at a = 1/2: rho(e1) = x1 d1 + x2 d2 / 2 and
+    [e1, e3] = -e3 / 2 put halves into the leg table."""
+    return bracketed_structure(Fraction(1, 2))
 
 
 STRUCTURES = [axb_structure, bracketed_structure]
@@ -406,6 +417,10 @@ def bracketed_exp_dfa():
     return exp_dfa(bracketed_structure(), 3)
 
 
+def rational_exp_dfa():
+    return exp_dfa(rational_structure(), 2)
+
+
 def reduction_inputs(dfa):
     """Two-leg Takeuchi products and three-leg coproducts of lifts."""
     spec = dfa.spec
@@ -424,7 +439,8 @@ def reduction_inputs(dfa):
     return out
 
 
-@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa])
 def test_reduce_series_matches_uncached(make):
     dfa = make()
     table = dfa.spec._leg_table
@@ -434,7 +450,11 @@ def test_reduce_series_matches_uncached(make):
     # the oracle has decomposed every leg monomial already, so what the
     # first pass adds to the leg table are the products with the next leg
     before = len(table)
-    assert [reduce_series(dfa, HT) for HT in inputs] == want
+    got = [reduce_series(dfa, HT) for HT in inputs]
+    assert got == want
+    for HT in got:
+        for T in HT.coeffs:
+            assert_integral(T)
     filled = len(table)
     assert filled > before
     assert dfa._migrants
@@ -691,6 +711,195 @@ def test_leg_product_matches_pbw_mul(make):
     assert len(spec._leg_table) == len(legs) ** 2
     # products that expand into several basis terms are covered
     assert max(sizes) > 2
+
+
+# -- the Fraction loops as oracles for the integer tensor layer -------------------
+
+
+INTEGER_LAYER_STRUCTURES = [axb_structure, bracketed_structure,
+                            rational_structure]
+
+
+def test_rational_structure_is_lie_rinehart():
+    rep = lr_validate(rational_structure())
+    assert rep.ok(), rep.first_failure()
+
+
+def assert_integral(T):
+    """Integer numerators, none zero, over one positive int denominator."""
+    assert type(T.den) is int and T.den > 0
+    assert all(type(c) is int and c for c in T.num.values())
+    return T
+
+
+def frac_bump(out, key, c):
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def frac_add(s, t, sign=1):
+    out = dict(s.terms)
+    for k, c in t.terms.items():
+        frac_bump(out, k, sign * c)
+    return out
+
+
+def frac_scale(T, c):
+    c = Fraction(c)
+    return {k: v * c for k, v in T.terms.items() if v * c}
+
+
+def frac_tensor_mul(spec, s, t):
+    """Leg products from the monomial product table, coefficients as
+    Fractions."""
+    out = {}
+    for ka, ca in s.terms.items():
+        for kb, cb in t.terms.items():
+            _expand_product(out, [_mono_mul(spec, x, y) for x, y in zip(ka, kb)],
+                            ca * cb)
+    return out
+
+
+def frac_scale_leg(T, leg, poly):
+    out = {}
+    for key, c in T.terms.items():
+        gamma, alpha = key[leg]
+        for g2, q in poly.terms.items():
+            gg = tuple(a + b for a, b in zip(gamma, g2))
+            frac_bump(out, key[:leg] + ((gg, alpha),) + key[leg + 1:], c * q)
+    return out
+
+
+def frac_copro_mono(spec, alpha):
+    """Delta(e^alpha) as the product of the primitive (e_i (x) 1 + 1 (x) e_i)
+    over the generators of e^alpha, in Fractions."""
+    one = EnvElement.one(spec.nvars, spec.rank)
+    out = {((((0,) * spec.nvars, (0,) * spec.rank),) * 2): Fraction(1)}
+    for i, a in enumerate(alpha):
+        gen = EnvElement.gen(spec.nvars, spec.rank, i)
+        prim = TensorElement(spec.nvars, spec.rank, 2, frac_add(
+            TensorElement.of(gen, one), TensorElement.of(one, gen)))
+        for _ in range(a):
+            out = frac_tensor_mul(
+                spec, TensorElement(spec.nvars, spec.rank, 2, out), prim)
+    return TensorElement(spec.nvars, spec.rank, 2, out)
+
+
+def frac_coproduct_leg(spec, T, leg):
+    """Delta(x^gamma e^alpha) as Delta(e^alpha) with its left leg scaled by
+    the polynomial x^gamma."""
+    out = {}
+    for key, c in T.terms.items():
+        gamma, alpha = key[leg]
+        piece = frac_scale_leg(frac_copro_mono(spec, alpha), 0,
+                               CPoly.monomial(spec.nvars, gamma))
+        for k2, c2 in piece.items():
+            frac_bump(out, key[:leg] + k2 + key[leg + 1:], c * c2)
+    return out
+
+
+def frac_reduce(spec, T):
+    out = {}
+    zeros = (0,) * spec.nvars
+    for key, c in T.terms.items():
+        total = [sum(g) for g in zip(*(gamma for gamma, _ in key))]
+        newkey = tuple((zeros, alpha) for _, alpha in key[:-1]) \
+            + ((tuple(total), key[-1][1]),)
+        frac_bump(out, newkey, c)
+    return out
+
+
+def integer_layer_inputs(spec):
+    """2-leg tensors with denominators 1, 3 and 12, the unit, a zero and
+    3-leg tensors."""
+    r = arbitrary_exponent(spec)
+    one = EnvElement.one(spec.nvars, spec.rank)
+    gen = EnvElement.gen(spec.nvars, spec.rank, spec.rank - 1)
+    x1 = EnvElement.from_poly(spec.rank, CPoly.var(spec.nvars, 0))
+    two = [r, r.flip(), r.scale(Fraction(-3, 4)), r + r.flip().scale(3),
+           TensorElement.unit(spec.nvars, spec.rank),
+           TensorElement.of(gen, x1), r - r]
+    return two, wide_tensors(spec, 3)[:4] + [r.embed(3, 1).scale(Fraction(1, 4))]
+
+
+@pytest.mark.parametrize("make", INTEGER_LAYER_STRUCTURES)
+def test_integer_layer_matches_fraction_loops(make):
+    spec = make()
+    two, three = integer_layer_inputs(spec)
+    poly = CPoly(spec.nvars, {(0,) * spec.nvars: Fraction(-1, 3),
+                              (1,) + (0,) * (spec.nvars - 1): Fraction(5, 2)})
+    for T in two + three:
+        assert_integral(T)
+        assert assert_integral(-T).terms == frac_scale(T, -1)
+        assert assert_integral(tensor_reduce(spec, T)).terms \
+            == frac_reduce(spec, T)
+        for c in (0, 1, -1, 5, Fraction(3, 4), Fraction(-7, 6)):
+            assert assert_integral(T.scale(c)).terms == frac_scale(T, c)
+        for leg in range(T.legs):
+            assert assert_integral(scale_leg(T, leg, poly)).terms \
+                == frac_scale_leg(T, leg, poly)
+            assert assert_integral(tensor_coproduct_leg(spec, T, leg)).terms \
+                == frac_coproduct_leg(spec, T, leg)
+    # the memo may hold Delta(e^alpha) over any denominator; the coproduct
+    # leg aligns pieces over different ones
+    for i, alpha in enumerate(list(spec._copro_table)):
+        spec._copro_table[alpha] = spec._copro_table[alpha].scale(i + 2) \
+            .scale(Fraction(1, i + 2))
+    assert len({T.den for T in spec._copro_table.values()}) > 2
+    for T in two + three:
+        for leg in range(T.legs):
+            assert assert_integral(tensor_coproduct_leg(spec, T, leg)).terms \
+                == frac_coproduct_leg(spec, T, leg)
+    for group in (two, three):
+        for s in group:
+            for t in group:
+                assert assert_integral(s + t).terms == frac_add(s, t)
+                assert assert_integral(s - t).terms == frac_add(s, t, -1)
+                assert assert_integral(tensor_mul(spec, s, t)).terms \
+                    == frac_tensor_mul(spec, s, t)
+    assert_integral(two[0].flip())
+    assert_integral(two[0].embed(4, 2))
+    entries = [q for hit in spec._leg_table.values() for _, q in hit]
+    assert all(type(q) in (int, Fraction) for q in entries)
+    # integral entries are ints; the rational structure has a non-integral one
+    assert all(type(q) is int for q in entries if q.denominator == 1)
+    assert any(type(q) is Fraction for q in entries) \
+        == (make is rational_structure)
+
+
+def small_tensors():
+    """Tensors on axb's legs with integer numerators over a denominator."""
+    legs = [(g, a) for g in ((0, 0), (1, 0), (0, 2))
+            for a in ((0, 0), (1, 0), (0, 1))]
+    leg = st.sampled_from(legs)
+    terms = st.dictionaries(st.tuples(leg, leg),
+                            st.integers(-6, 6).filter(bool), max_size=4)
+    return st.builds(
+        lambda t, d: TensorElement(2, 2, 2, t).scale(Fraction(1, d)),
+        terms, st.integers(1, 12))
+
+
+NONZERO_FRACTIONS = st.fractions(min_value=-5, max_value=5,
+                                 max_denominator=9).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_tensors(), NONZERO_FRACTIONS, small_tensors())
+def test_equal_values_over_different_denominators(T, c, U):
+    # scale(c) then scale(1/c) multiplies both numerators and denominator
+    V = T.scale(c).scale(1 / c)
+    assert V.den == T.den * c.denominator * abs(c.numerator)
+    assert V == T and hash(V) == hash(T)
+    assert V.terms == T.terms
+    # the sum aligns to the lcm; the difference cancels to zero
+    W = (T + U) - U
+    assert W == T and hash(W) == hash(T)
+    assert (T.scale(c) - V.scale(c)).is_zero()
+    assert assert_integral(W) is W and assert_integral(V) is V
+    assert (T == U) == (T.terms == U.terms)
 
 
 # -- the whole-series oracle for basis_decompose -------------------------------------

@@ -138,6 +138,9 @@ def _run(args):
         d = args.jet_degree if args.jet_degree is not None else 4
         n_max = args.n_max if args.n_max is not None else min(3, n)
         check_truncation(n, d, n_max)
+        if n_max > n:
+            raise SemanticError("n_max (%d) must be <= h_order (%d)"
+                                % (n_max, n))
         bundle = build_axb(n, d)
         report = Report("example-axb",
                         {"h_order": n, "jet_degree": d, "n_max": n_max,

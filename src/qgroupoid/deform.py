@@ -14,14 +14,16 @@ explicit per-order series of a spec file) takes the two Cauchy products
 against the dense series F and G.  ``twistor_validate`` never takes the
 shortcut.
 
-The base maps (star product, s_F, t_F) let the legs of F act on the base
-through the anchor; every chain reads the structure's action table
+The base maps s_F and t_F let the legs of F act on the base through the
+anchor; every chain reads the structure's action table
 (``envelope.monomial_action``).  The maps are linear in the base element,
-so the deformation sweeps F once per basis monomial x^m (s_F, t_F, one
-sweep ``_base_map_from`` that takes the acting leg) or pair (x^m, x^m')
-(star product, ``_star_from``), keeps those images in monomial-keyed
-tables, and maps a polynomial as the linear combination of its
-monomials' images; per-polynomial memos sit in front of the tables.
+so the deformation sweeps F once per basis monomial x^m (one sweep
+``_base_map_from`` that takes the acting leg), keeps those images in
+monomial-keyed tables, and maps a polynomial as the linear combination of
+its monomials' images; per-polynomial memos sit in front of the tables.
+The star product reads the source image: with s_F(a) = sum (F1 . a) F2,
+a *_F b = sum (F1 . a)(F2 . b) is s_F(a) acting on b
+(``envelope.anchor_action``).
 The coproduct lift of a monomial is also cached grouped by the monomial
 on one leg (``DeformedEnvAlgebroid.lift_legs``), which is how the jet
 dual product reads it.  ``reduce_series`` moves coefficients
@@ -30,7 +32,7 @@ deformation caches, per leg monomial w, the basis terms of the s_F-images
 of its t_F-decomposition (``DeformedEnvAlgebroid.migrants``) as integer
 numerators over one denominator, and each of those terms is multiplied by
 the next leg through the structure's leg table
-(``tensorspace.leg_product``), which memoises the products at monomial
+(``envelope.leg_product``), which memoises the products at monomial
 granularity.  Like every tensor operation, the reduction works on the
 tensors' integer numerators over one denominator.
 
@@ -48,14 +50,17 @@ import itertools
 from fractions import Fraction
 from math import lcm
 
-from .envelope import EnvElement, monomial_action, pbw_mul
+from .envelope import (
+    EnvElement, _bump_term, anchor_action, leg_product, monomial_action,
+    pbw_mul,
+)
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto
 from .series import HSeries, hs_const, hs_zero, hseries_invert, hseries_mul
 from .tensorspace import (
     MAX_LEGS, TensorElement, _basis_terms, _tensor_cleared, copro_basis,
-    env_coproduct, leg_product, tensor_coproduct_leg, tensor_mul,
+    env_coproduct, tensor_coproduct_leg, tensor_mul,
     tensor_reduce,
 )
 
@@ -150,23 +155,6 @@ def _base_map_from(spec, F, a, leg):
             acc = acc + other.scale(va * c)
         out.append(acc)
     return HSeries(F.order, out, zero)
-
-
-def _star_from(spec, F, a, b):
-    """a *_F b as an h-expansion (list of CPoly per order)."""
-    out = []
-    for Fn in F.series.coeffs:
-        acc = CPoly.zero(spec.nvars)
-        for key, c in Fn.terms.items():
-            va = _act_mono(spec, key[0], a)
-            if va.is_zero():
-                continue
-            vb = _act_mono(spec, key[1], b)
-            if vb.is_zero():
-                continue
-            acc = acc + va * vb * c
-        out.append(acc)
-    return out
 
 
 # -- twistor validation -----------------------------------------------------------
@@ -276,11 +264,9 @@ class DeformedEnvAlgebroid:
         self._sF = {}
         self._tF = {}
         self._star = {}
-        # the base maps on basis monomials: exponent m -> s_F(x^m), t_F(x^m);
-        # (m, m') -> x^m *_F x^m'
+        # the base maps on basis monomials: exponent m -> s_F(x^m), t_F(x^m)
         self._sF_mono = {}
         self._tF_mono = {}
-        self._star_mono = {}
         self._decomp = {}
         self._migrants = {}
         self._lift = {}
@@ -307,11 +293,13 @@ class DeformedEnvAlgebroid:
         return hit
 
     def star_coeffs(self, a, b):
-        """h-expansion (list of CPoly) of a *_F b for plain polynomials."""
+        """h-expansion (list of CPoly) of a *_F b for plain polynomials:
+        s_F(a) acting on b."""
         key = (a, b)
         hit = self._star.get(key)
         if hit is None:
-            hit = self._star[key] = self._star_image(a, b)
+            hit = self._star[key] = [anchor_action(self.spec, u, b)
+                                     for u in self.source(a).coeffs]
         return hit
 
     def _linear_image(self, table, leg, a):
@@ -338,29 +326,6 @@ class DeformedEnvAlgebroid:
             EnvElement(nvars, spec.rank,
                        {alpha: CPoly(nvars, row) for alpha, row in acc.items()})
             for acc in out], zero)
-
-    def _star_image(self, a, b):
-        """sum a_m b_m' (x^m *_F x^m'), one ``_star_from`` sweep per new
-        monomial pair."""
-        spec = self.spec
-        nvars = spec.nvars
-        table = self._star_mono
-        single = len(a.terms) == 1 and len(b.terms) == 1
-        out = [{} for _ in range(self.order + 1)]
-        for m, ca in a.terms.items():
-            for m2, cb in b.terms.items():
-                img = table.get((m, m2))
-                if img is None:
-                    img = table[m, m2] = _star_from(
-                        spec, self.twistor, CPoly.monomial(nvars, m),
-                        CPoly.monomial(nvars, m2))
-                c = ca * cb
-                if single and c == 1:
-                    return img
-                for acc, p in zip(out, img):
-                    for g, q in p.terms.items():
-                        _bump_term(acc, g, q if c == 1 else c * q)
-        return [CPoly(nvars, acc) for acc in out]
 
     def source_series(self, aser):
         out = defelem_zero(self.spec, self.order)
@@ -642,15 +607,6 @@ def _reduce_leg(dfa, HT, leg):
     legs = HT.zero.legs
     coeffs = [_tensor_cleared(spec.nvars, spec.rank, legs, d, den) for d in acc]
     return HSeries(n, coeffs, HT.zero)
-
-
-def _bump_term(d, key, c):
-    cur = d.get(key)
-    s = c if cur is None else cur + c
-    if s:
-        d[key] = s
-    else:
-        d.pop(key, None)
 
 
 def series_reduced_equal(dfa, A, B):

@@ -11,10 +11,10 @@ and compares generators and relations with the originals at truncation.
 import itertools
 
 from .deform import (
-    _bump_term, defelem_from_env, defelem_mul, iterated_twisted_coproduct,
+    defelem_from_env, defelem_mul, iterated_twisted_coproduct,
     twisted_coproduct,
 )
-from .envelope import EnvElement, env_counit, pbw_mul
+from .envelope import EnvElement, _bump_term, env_counit, pbw_mul
 from .errors import (
     ConfigError, InvariantViolation, NonIntegralError,
     TruncationInsufficientError,

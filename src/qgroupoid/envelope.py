@@ -6,13 +6,19 @@ on the left and e^alpha = e_1^a1 ... e_m^am in fixed generator order.
 Multiplication rewrites e_i a -> a e_i + anchor(e_i)(a) and
 e_j e_i -> e_i e_j - [e_i, e_j] (j > i) until normal; rewriting terminates
 because every step lowers (total degree, inversion count) lexicographically.
+The rewriting runs once per pair of basis monomials x^gamma e^alpha, into
+the structure's one product table (``leg_product``), which every product
+of the engine reads: ``pbw_mul`` here, and the tensor product, reduction
+and decompositions of ``tensorspace`` and ``deform``.
 """
+
+from operator import add
 
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
 __all__ = [
-    "EnvElement", "pbw_mul", "monomial_product", "monomial_action",
+    "EnvElement", "pbw_mul", "leg_product", "monomial_action",
     "env_counit", "anchor_action",
 ]
 
@@ -128,11 +134,15 @@ def _first_nonzero(alpha):
     return None
 
 
-# -- left normal form ----------------------------------------------------------
+# -- the product table -----------------------------------------------------------
 #
-# Every product goes through one table on the structure, keyed by
-# (alpha, gamma, beta) and holding the normal form of e^alpha x^gamma e^beta.
-# An entry is built by peeling the last generator e_j off e^alpha:
+# By the PBW theorem the monomials x^gamma e^alpha are a basis, so the
+# product of two basis monomials fixes every product.  The structure keeps
+# these products in one table (``spec._leg_table``), keyed by the two
+# monomials and holding the product as basis terms ((gamma, alpha), q), an
+# integral q stored as an ``int``.  A left coordinate x^ga only shifts the
+# entry of (x^0 e^alpha, x^gamma e^beta), which is built by peeling the last
+# generator e_j off e^alpha:
 #
 #   e^alpha x^gamma e^beta = e^(alpha - e_j) (e_j x^gamma e^beta),
 #   e_j x^gamma e^beta     = x^gamma (e_j e^beta) + anchor(e_j)(x^gamma) e^beta,
@@ -142,43 +152,75 @@ def _first_nonzero(alpha):
 # rewriting step, and it stops once e_j sorts before e^beta.
 
 
-def monomial_product(spec, alpha, gamma, beta):
-    """Normal form of e^alpha * x^gamma * e^beta (the structure's table)."""
-    table = spec._mono_table
-    key = (alpha, gamma, beta)
+def leg_product(spec, la, lb):
+    """Product of two basis monomials la = (gamma, alpha) and lb as a tuple
+    of basis terms ((gamma, alpha), q), read from the structure's product
+    table and filled there."""
+    table = spec._leg_table
+    key = (la, lb)
     hit = table.get(key)
-    if hit is not None:
-        return hit
-    nvars, rank = spec.nvars, spec.rank
+    if hit is None:
+        ga, aa = la
+        if any(ga):
+            hit = tuple(((tuple(map(add, g, ga)), a), q) for (g, a), q
+                        in leg_product(spec, ((0,) * spec.nvars, aa), lb))
+        else:
+            hit = _leg_entry(spec, aa, *lb)
+        table[key] = hit
+    return hit
+
+
+def _leg_entry(spec, alpha, gamma, beta):
+    """e^alpha x^gamma e^beta as basis terms, by the rules above."""
+    rank = spec.rank
+    zeros = (0,) * spec.nvars
     j = _last_nonzero(alpha)
     if j is None:
-        res = EnvElement(nvars, rank, {beta: CPoly.monomial(nvars, gamma)})
-    elif sum(alpha) > 1:
-        head = _bump(alpha, j, -1)
-        tail = monomial_product(spec, _bump((0,) * rank, j), gamma, beta)
-        res = EnvElement(nvars, rank, _mul_terms(spec, {head: CPoly.one(nvars)},
-                                                 tail.terms))
+        return (((gamma, beta), 1),)
+    ej = (zeros, _bump((0,) * rank, j))
+    rows = {}
+    if sum(alpha) > 1:
+        head = (zeros, _bump(alpha, j, -1))
+        for w, q in leg_product(spec, ej, (gamma, beta)):
+            _acc_rows(rows, leg_product(spec, head, w), q)
     elif any(gamma):
-        res = monomial_product(spec, alpha, (0,) * nvars, beta).scale(
-            CPoly.monomial(nvars, gamma))
-        res = res + EnvElement(
-            nvars, rank, {beta: monomial_action(spec, alpha, gamma)})
+        _acc_rows(rows, leg_product(spec, ej, (zeros, beta)), 1, gamma)
+        row = rows.setdefault(beta, {})
+        for mu, v in monomial_action(spec, alpha, gamma).terms.items():
+            _bump_term(row, mu, v)
     else:
         i = _first_nonzero(beta)
         if i is None or j <= i:
-            res = EnvElement(nvars, rank, {_bump(beta, j): CPoly.one(nvars)})
-        else:
-            rest = _bump(beta, i, -1)
-            zeros = (0,) * nvars
-            terms = _mul_terms(spec, {_bump((0,) * rank, i): CPoly.one(nvars)},
-                               monomial_product(spec, alpha, zeros, rest).terms)
-            for k, c in enumerate(spec.bracket_basis(i, j)):
-                if not c.is_zero():
-                    _acc_elem(terms, monomial_product(
-                        spec, _bump((0,) * rank, k), zeros, rest), -c)
-            res = EnvElement(nvars, rank, terms)
-    table[key] = res
-    return res
+            return (((zeros, _bump(beta, j)), 1),)
+        rest = (zeros, _bump(beta, i, -1))
+        ei = (zeros, _bump((0,) * rank, i))
+        for w, q in leg_product(spec, ej, rest):
+            _acc_rows(rows, leg_product(spec, ei, w), q)
+        for k, c in enumerate(spec.bracket_basis(i, j)):
+            if c.terms:
+                ek = leg_product(spec, (zeros, _bump((0,) * rank, k)), rest)
+                for mu, v in c.terms.items():
+                    _acc_rows(rows, ek, -v, mu)
+    return tuple(((g, a), q.numerator if q.denominator == 1 else q)
+                 for a, row in rows.items() for g, q in row.items())
+
+
+def _acc_rows(rows, terms, c, mu=None):
+    """rows += c x^mu * terms, rows kept as {alpha: {gamma: q}}."""
+    for (g, a), q in terms:
+        if mu:
+            g = tuple(map(add, g, mu))
+        _bump_term(rows.setdefault(a, {}), g, c * q)
+
+
+def _bump_term(d, key, c):
+    """d[key] += c, dropping the key when the sum vanishes."""
+    cur = d.get(key)
+    s = c if cur is None else cur + c
+    if s:
+        d[key] = s
+    else:
+        d.pop(key, None)
 
 
 # -- anchor action -----------------------------------------------------------
@@ -210,29 +252,37 @@ def monomial_action(spec, alpha, gamma):
     return res
 
 
-def _acc_elem(out, w, coeff):
-    """out += coeff * w for a normal form w and a polynomial coeff."""
-    for delta, c in w.terms.items():
-        cur = out.get(delta)
-        out[delta] = coeff * c if cur is None else cur + coeff * c
-
-
-def _mul_terms(spec, uterms, vterms):
-    """Term dict of the product of two normal forms given by their terms."""
-    out = {}
-    for beta, b in vterms.items():
-        for gamma, q in b.terms.items():
-            for alpha, a in uterms.items():
-                _acc_elem(out, monomial_product(spec, alpha, gamma, beta),
-                          a if q == 1 else a * q)
-    return out
-
-
 def pbw_mul(spec, u, v):
-    """Associative product in PBW normal form."""
+    """Associative product in PBW normal form: each monomial of u's
+    coefficients times the table entry of e^alpha x^gamma e^beta."""
     if u.rank != v.rank or u.nvars != v.nvars:
         raise ConfigError("operands over different structures")
-    return EnvElement(spec.nvars, spec.rank, _mul_terms(spec, u.terms, v.terms))
+    nvars = spec.nvars
+    zeros = (0,) * nvars
+    rows = {}
+    for beta, b in v.terms.items():
+        for gamma, q in b.terms.items():
+            for alpha, a in u.terms.items():
+                entry = leg_product(spec, (zeros, alpha), (gamma, beta))
+                for mu, p in a.terms.items():
+                    c = p if q == 1 else q if p == 1 else p * q
+                    shift = any(mu)
+                    for (g, d), r in entry:
+                        if shift:
+                            g = tuple(map(add, g, mu))
+                        row = rows.get(d)
+                        if row is None:
+                            row = rows[d] = {}
+                        cr = c if r == 1 else c * r
+                        cur = row.get(g)
+                        if cur is None:
+                            row[g] = cr
+                        elif cur + cr:
+                            row[g] = cur + cr
+                        else:
+                            del row[g]
+    return EnvElement(nvars, spec.rank,
+                      {d: CPoly(nvars, row) for d, row in rows.items() if row})
 
 
 def env_counit(u):

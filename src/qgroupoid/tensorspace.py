@@ -16,22 +16,22 @@ removed only where a value leaves the layer.  ``.terms`` is a read-only
 ``{key: Fraction}`` view in lowest terms, built once per tensor, and
 ``__hash__`` reads it; ``__eq__`` cross-multiplies and needs no gcd.
 
-``leg_product`` reads the structure's leg table (``spec._leg_table``: a
-pair of basis legs to their product as basis terms, an integral
-coefficient stored as an ``int``) and fills a missing entry from the
-monomial product table.  It is behind every product of basis legs:
-``tensor_mul`` multiplies leg by leg through it, passing the other leg
-through where one leg is the unit, and the tensor reduction and basis
-decomposition of ``deform`` multiply their basis terms by it.  A structure
-with rational structure functions may store a ``Fraction``; ``tensor_mul``
-then brings its result back to integer numerators once.
+Legs are multiplied through ``envelope.leg_product``, the accessor of the
+structure's one product table (``spec._leg_table``: a pair of basis legs
+to their product as basis terms, an integral coefficient stored as an
+``int``), which ``pbw_mul`` reads as well.  ``tensor_mul`` multiplies leg
+by leg through it, passing the other leg through where one leg is the
+unit, and the tensor reduction and basis decomposition of ``deform``
+multiply their basis terms by it.  A structure with rational structure
+functions may store a ``Fraction``; ``tensor_mul`` then brings its result
+back to integer numerators once.
 """
 
 import itertools
 from math import lcm
 from types import MappingProxyType
 
-from .envelope import EnvElement, monomial_product, pbw_mul
+from .envelope import EnvElement, leg_product, pbw_mul
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
@@ -39,7 +39,7 @@ from .scalars import CPoly, Fraction
 MAX_LEGS = 8
 
 __all__ = [
-    "TensorElement", "env_coproduct", "leg_product", "tensor_mul",
+    "TensorElement", "env_coproduct", "tensor_mul",
     "tensor_reduce", "takeuchi_check", "iterated_coproduct", "primitive_check",
 ]
 
@@ -246,30 +246,6 @@ def _basis_terms(u):
     """The monomials q x^gamma e^alpha of u as [((gamma, alpha), q)]."""
     return [((gamma, alpha), q) for alpha, poly in u.terms.items()
             for gamma, q in poly.terms.items()]
-
-
-def _mono_mul(spec, ka, kb):
-    """PBW product of two basis monomials, x^ga (e^aa x^gb e^ab), as basis terms."""
-    ga, aa = ka
-    gb, ab = kb
-    terms = _basis_terms(monomial_product(spec, aa, gb, ab))
-    if any(ga):
-        terms = [((tuple(x + y for x, y in zip(g, ga)), a), q)
-                 for (g, a), q in terms]
-    return terms
-
-
-def leg_product(spec, la, lb):
-    """Product of two basis legs as a tuple of basis terms ((gamma, alpha), q),
-    read from the structure's leg table and filled there from ``_mono_mul``;
-    an integral q is stored as an ``int``."""
-    key = (la, lb)
-    hit = spec._leg_table.get(key)
-    if hit is None:
-        hit = spec._leg_table[key] = tuple(
-            (k, q.numerator if q.denominator == 1 else q)
-            for k, q in _mono_mul(spec, la, lb))
-    return hit
 
 
 def tensor_mul(spec, s, t):

@@ -160,6 +160,14 @@ def test_truncation_overrides_are_bounded():
         assert "all truncation degrees must be >= 1" in err
 
 
+def test_example_membership_order_beyond_the_truncation():
+    code, out, err = run_cli(["example", "axb", "--h-order", "2",
+                              "--n-max", "3", "--json-only"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: n_max (3) must be <= h_order (2)\n"
+
+
 def test_truncation_budget(tmp_path):
     text = open(SPEC).read().replace("h_order = 4", "h_order = 11")
     big = tmp_path / "big.spec"
@@ -339,17 +347,21 @@ def test_report_bytes_match_the_reference_digest(label, cmd, tmp_path):
     assert digest == REFERENCE_DIGESTS["%s %s" % (label, " ".join(cmd))]
 
 
-# report digests beyond the benchmark's reference: the N=10 twist, where the
-# divided powers of exp(h r) reach the denominator 2^10 10!, and the worked
-# example at its default truncation
+# report digests beyond the benchmark's reference: the N=10 twist and worked
+# example, where the divided powers of exp(h r) reach the denominator
+# 2^10 10!, and the worked example at its default truncation
 PINNED_DIGESTS = [
     (["twist", SPEC, "--h-order", "10"], "a99e8b317b9fa677a033dfb7ba8260c8"),
+    (["example", "axb", "--h-order", "10", "--jet-degree", "10"],
+     "d4a937c2227adaef3fc5b98e8a939bb5"),
     (["example", "axb"], "54717f203e186fa1bec9b7813e68a19d"),
 ]
 
 
 @pytest.mark.parametrize("argv,want", PINNED_DIGESTS,
-                         ids=["twist --h-order 10", "example axb"])
+                         ids=["twist --h-order 10",
+                              "example axb --h-order 10 --jet-degree 10",
+                              "example axb"])
 def test_report_bytes_match_the_pinned_digest(argv, want):
     code, out, err = run_cli(argv + ["--json-only"])
     assert code == 0 and err == ""

@@ -1,24 +1,25 @@
 """Fast paths against their slow oracles.
 
-- ``pbw_mul`` reads one memo table of e^alpha x^gamma e^beta; the oracle is
-  the generator-by-generator rewriting u * b * e_i * ... kept below.
+- ``pbw_mul`` reads the structure's one product table of basis monomials;
+  the oracle is the generator-by-generator rewriting u * b * e_i * ... kept
+  below.
 - An exponential twistor F = exp(h r) conjugates by the Hadamard expansion;
   the oracle is the two Cauchy products G . (S . F) by ``hseries_mul``.
 - Anchor chains read one memo table of e^alpha acting on x^gamma; the
   oracle is the chain of ``anchor_apply`` calls on the whole polynomial.
-- ``leg_product`` reads and fills the structure's leg table; the oracle is
-  ``pbw_mul`` of the two legs.
+- ``leg_product`` reads and fills that table, and ``pbw_mul`` fills the
+  same entries; the oracle is the rewriting of the two legs.
 - ``reduce_series`` reads the deformation's migration cache and multiplies
   by the next leg through the leg table; the oracle is the reduction that
   re-derives the decompositions per call and multiplies with ``pbw_mul``.
 - The polynomial kernel and ``tensor_mul`` skip multiplications by 1 and
   shift by a monomial operand; the oracles are the plain loops kept below.
-  ``tensor_mul`` also passes unit legs through and reads the leg table; a
-  per-leg loop with no table pins the order of the result's terms.
-- The deformation's s_F, t_F and star product read tables of monomial
-  images; the oracles are the sweeps over the twistor for the whole
-  polynomial (``_base_map_from`` with the acting leg 0 for s_F and 1 for
-  t_F, and ``_star_from``).
+  ``tensor_mul`` also passes unit legs through; a per-leg loop over the
+  table's entries pins the order of the result's terms.
+- The deformation's s_F and t_F read tables of monomial images, and the
+  star product reads s_F; the oracles are the sweeps over the twistor for
+  the whole polynomial (``_base_map_from`` with the acting leg 0 for s_F
+  and 1 for t_F, and ``star_from`` below for a *_F b).
 - ``jet_product_eval`` reads the lift grouped by the paired leg and
   memoises the paired factor of each lift term; the oracle is the
   unmemoised body that maps and multiplies every term.
@@ -47,13 +48,13 @@ from hypothesis import given, settings, strategies as st
 
 from qgroupoid import deform, jets, kernel
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, _act_mono, _base_map_from, _bump_term,
-    _star_from, basis_decompose,
+    DeformedEnvAlgebroid, Twistor, _act_mono, _base_map_from, basis_decompose,
     defelem_from_env, deformed_coproduct_leg, exp_twistor, reduce_series,
     reexpand, sample_defelems, twisted_coproduct,
 )
 from qgroupoid.envelope import (
-    EnvElement, anchor_action, monomial_action, pbw_mul,
+    EnvElement, _bump_term, anchor_action, leg_product, monomial_action,
+    pbw_mul,
 )
 from qgroupoid.errors import ConfigError
 from qgroupoid.jets import (
@@ -65,8 +66,8 @@ from qgroupoid.scalars import CPoly, monomials_upto
 from qgroupoid.series import HSeries, hs_const, hseries_mul
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
-    TensorElement, _expand_product, _mono_mul, env_coproduct, leg_product,
-    scale_leg, tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    TensorElement, _expand_product, env_coproduct, scale_leg,
+    tensor_coproduct_leg, tensor_mul, tensor_reduce,
 )
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
@@ -533,6 +534,24 @@ def test_source_target_match_sweeps(make, which, monkeypatch):
     assert table == filled
 
 
+def star_from(spec, F, a, b):
+    """a *_F b as an h-expansion (list of CPoly per order): the legs of F
+    act on a and on b."""
+    out = []
+    for Fn in F.series.coeffs:
+        acc = CPoly.zero(spec.nvars)
+        for key, c in Fn.terms.items():
+            va = _act_mono(spec, key[0], a)
+            if va.is_zero():
+                continue
+            vb = _act_mono(spec, key[1], b)
+            if vb.is_zero():
+                continue
+            acc = acc + va * vb * c
+        out.append(acc)
+    return out
+
+
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
 def test_star_coeffs_match_sweeps(make, monkeypatch):
     dfa = make()
@@ -543,17 +562,17 @@ def test_star_coeffs_match_sweeps(make, monkeypatch):
     x1, x2 = CPoly.var(spec.nvars, 0), CPoly.var(spec.nvars, 1)
     cancel = (x1 + x1 * x2, x2 - 1)
     pairs = [(p, q) for p in polys for q in polys] + [cancel]
-    want = [_star_from(spec, dfa.twistor, p, q) for p, q in pairs]
+    want = [star_from(spec, dfa.twistor, p, q) for p, q in pairs]
     assert [dfa.star_coeffs(p, q) for p, q in pairs] == want
     assert (0, (1, 1)) not in flat_terms(dfa.star_coeffs(*cancel))
-    assert set(dfa._star_mono) == {(m, m2) for p, q in pairs
-                                   for m in p.terms for m2 in q.terms}
-    # with the polynomial memo emptied, the product only reads the table
-    filled = dict(dfa._star_mono)
+    # with the polynomial memos emptied, the product only reads the
+    # monomial table of s_F
+    filled = dict(dfa._sF_mono)
     dfa._star.clear()
-    monkeypatch.setattr(deform, "_star_from", None)
+    dfa._sF.clear()
+    monkeypatch.setattr(deform, "_base_map_from", None)
     assert [dfa.star_coeffs(p, q) for p, q in pairs] == want
-    assert dfa._star_mono == filled
+    assert dfa._sF_mono == filled
 
 
 # -- plain loops for the kernel and tensor_mul ------------------------------------
@@ -623,12 +642,12 @@ def plain_tensor_mul(s, t, spec):
 
 
 def per_leg_tensor_mul(s, t, spec):
-    """Every leg product through _mono_mul and _expand_product, with no leg
-    table: pins the order of the result's terms."""
+    """Every leg product through leg_product and _expand_product, with no
+    unit or single-term shortcut: pins the order of the result's terms."""
     out = {}
     for ka, ca in s.terms.items():
         for kb, cb in t.terms.items():
-            _expand_product(out, [_mono_mul(spec, x, y) for x, y in zip(ka, kb)],
+            _expand_product(out, [leg_product(spec, x, y) for x, y in zip(ka, kb)],
                             ca * cb)
     return out
 
@@ -683,11 +702,12 @@ def test_tensor_mul_matches_plain_loop(make):
         assert spec._leg_table
 
 
-# -- pbw_mul as the oracle for the leg table --------------------------------------
+# -- the rewriting as the oracle for the product table -----------------------------
 
 
 @pytest.mark.parametrize("make", STRUCTURES)
 def test_leg_product_matches_pbw_mul(make):
+    # pbw_mul reads the same table, so the rewriting is the oracle
     spec = make()
     spec._leg_table.clear()
     alphas = [a for a in itertools.product(range(3), repeat=spec.rank)
@@ -699,7 +719,7 @@ def test_leg_product_matches_pbw_mul(make):
     for la in legs:
         for lb in legs:
             got = leg_product(spec, la, lb)
-            want = pbw_mul(spec, *(EnvElement.monomial(
+            want = rewriting_mul(spec, *(EnvElement.monomial(
                 spec.nvars, spec.rank, a, CPoly.monomial(spec.nvars, g))
                 for g, a in (la, lb)))
             assert dict(got) == {(g, a): q for a, p in want.terms.items()
@@ -708,9 +728,32 @@ def test_leg_product_matches_pbw_mul(make):
             assert spec._leg_table[(la, lb)] is got
             assert leg_product(spec, la, lb) is got
             sizes.add(len(got))
-    assert len(spec._leg_table) == len(legs) ** 2
+    # the rewriting of an entry fills the entries it recurses into
+    assert len(spec._leg_table) >= len(legs) ** 2
     # products that expand into several basis terms are covered
     assert max(sizes) > 2
+
+
+@pytest.mark.parametrize("make", STRUCTURES)
+def test_pbw_mul_fills_the_one_product_table(make):
+    spec = make()
+    assert not hasattr(spec, "_mono_table")
+    spec._leg_table.clear()
+    nvars, rank = spec.nvars, spec.rank
+    # e_m * x_p e_1 rewrites through the anchor and past e_1
+    x_last = _bump((0,) * nvars, nvars - 1)
+    e_last = _bump((0,) * rank, rank - 1)
+    e_first = _bump((0,) * rank, 0)
+    u = EnvElement.monomial(nvars, rank, e_last)
+    v = EnvElement.monomial(nvars, rank, e_first,
+                            CPoly.monomial(nvars, x_last))
+    prod = pbw_mul(spec, u, v)
+    key = (((0,) * nvars, e_last), (x_last, e_first))
+    entry = spec._leg_table[key]
+    assert leg_product(spec, *key) is entry
+    assert {(g, a): q for (g, a), q in entry} == {
+        (g, a): q for a, p in prod.terms.items() for g, q in p.terms.items()}
+    assert len(entry) > 1
 
 
 # -- the Fraction loops as oracles for the integer tensor layer -------------------
@@ -753,12 +796,11 @@ def frac_scale(T, c):
 
 
 def frac_tensor_mul(spec, s, t):
-    """Leg products from the monomial product table, coefficients as
-    Fractions."""
+    """Leg products from the product table, coefficients as Fractions."""
     out = {}
     for ka, ca in s.terms.items():
         for kb, cb in t.terms.items():
-            _expand_product(out, [_mono_mul(spec, x, y) for x, y in zip(ka, kb)],
+            _expand_product(out, [leg_product(spec, x, y) for x, y in zip(ka, kb)],
                             ca * cb)
     return out
 

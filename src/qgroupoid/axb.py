@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .jets import (
     LEFT, RIGHT, JetContext, JetElement, coordinate_functional,
     jet_commutator, jet_coproduct_functional, jet_counit, jet_product_eval,
-    jet_source_target, jets_equal, tensor_functional_from_pair,
+    jet_source_target, jets_equal, table_sum, tensor_functional_from_pair,
     tensor_tables_equal, unit_functional, xi_functional,
 )
 from .lierinehart import LieRinehartSpec
@@ -173,11 +173,8 @@ def axb_relation_suite(h_order=4, jet_degree=4, bundle=None, table_range=3):
                              "coproduct table differs"))
 
             T = jet_coproduct_functional(ctx, dv_i)
-            W1 = tensor_functional_from_pair(ctx, dv_i, eps)
-            W2 = tensor_functional_from_pair(ctx, eps, dv_i)
-            merged = dict(W1)
-            for key, val in W2.items():
-                merged[key] = merged[key] + val if key in merged else val
+            merged = table_sum((tensor_functional_from_pair(ctx, dv_i, eps),
+                                tensor_functional_from_pair(ctx, eps, dv_i)))
             ok = tensor_tables_equal(ctx, T, merged)
             report.add(Check("%s/coproduct-dv%d-primitive" % (tag, i + 1), ok,
                              "not primitive"))
@@ -238,11 +235,8 @@ def axb_iso_phi(h_order=4, jet_degree=4, bundle=None):
         want = tensor_functional_from_pair(ctx, eps, phi_e[i])
         merged_ok = tensor_tables_equal(ctx, T, want)
         T2 = jet_coproduct_functional(ctx, phi_dv[i])
-        W1 = tensor_functional_from_pair(ctx, phi_dv[i], eps)
-        W2 = tensor_functional_from_pair(ctx, eps, phi_dv[i])
-        merged = dict(W1)
-        for key, val in W2.items():
-            merged[key] = merged[key] + val if key in merged else val
+        merged = table_sum((tensor_functional_from_pair(ctx, phi_dv[i], eps),
+                            tensor_functional_from_pair(ctx, eps, phi_dv[i])))
         ok = merged_ok and tensor_tables_equal(ctx, T2, merged)
         report.add(Check("coproduct-transport-%d" % (i + 1), ok,
                          "coproduct transport differs"))

@@ -15,15 +15,18 @@ against the dense series F and G.  ``twistor_validate`` never takes the
 shortcut.
 
 The base maps s_F and t_F let the legs of F act on the base through the
-anchor; every chain reads the structure's action table
-(``envelope.monomial_action``).  The maps are linear in the base element,
-so the deformation sweeps F once per basis monomial x^m (one sweep
-``_base_map_from`` that takes the acting leg), keeps those images in
-monomial-keyed tables, and maps a polynomial as the linear combination of
-its monomials' images; per-polynomial memos sit in front of the tables.
+anchor (``envelope.basis_action``, which reads the structure's action
+table).  The maps are linear in the base element, so the deformation
+sweeps F once per basis monomial x^m (one sweep ``_base_map_from`` that
+takes the acting leg), keeps those images in monomial-keyed tables, and
+maps a polynomial as the linear combination of its monomials' images;
+per-polynomial memos sit in front of the tables.
 The star product reads the source image: with s_F(a) = sum (F1 . a) F2,
 a *_F b = sum (F1 . a)(F2 . b) is s_F(a) acting on b
-(``envelope.anchor_action``).
+(``envelope.anchor_action``); on series it is the h-adic product
+``series.laurent_mul`` over those coefficients, as in the jet pairing.
+The twistor's counit conditions contract a classical 2-tensor by
+``tensorspace.counit_contract``.
 The coproduct lift of a monomial is also cached grouped by the monomial
 on one leg (``DeformedEnvAlgebroid.lift_legs``), which is how the jet
 dual product reads it.  ``reduce_series`` moves coefficients
@@ -51,16 +54,18 @@ from fractions import Fraction
 from math import lcm
 
 from .envelope import (
-    EnvElement, _bump_term, anchor_action, leg_product, monomial_action,
-    pbw_mul,
+    EnvElement, _bump_term, anchor_action, basis_action, leg_product, pbw_mul,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto
-from .series import HSeries, hs_const, hs_zero, hseries_invert, hseries_mul
+from .series import (
+    HLaurent, HSeries, hs_const, hs_zero, hseries_invert, hseries_mul,
+    laurent_mul,
+)
 from .tensorspace import (
     MAX_LEGS, TensorElement, _basis_terms, _tensor_cleared, copro_basis,
-    env_coproduct, tensor_coproduct_leg, tensor_mul,
+    counit_contract, env_coproduct, tensor_coproduct_leg, tensor_mul,
     tensor_reduce,
 )
 
@@ -127,17 +132,6 @@ def defelem_mul(spec, a, b):
     return hseries_mul(a, b, _emul(spec))
 
 
-def _act_mono(spec, key, a):
-    """Anchor action of the basis monomial x^gamma e^alpha on a polynomial:
-    x^gamma sum_m a_m (e^alpha . x^m), read from the structure's table."""
-    gamma, alpha = key
-    out = {}
-    for m, c in a.terms.items():
-        for mu, v in monomial_action(spec, alpha, m).terms.items():
-            _bump_term(out, tuple(x + y for x, y in zip(gamma, mu)), c * v)
-    return CPoly(spec.nvars, out)
-
-
 def _base_map_from(spec, F, a, leg):
     """s_F(a) (leg 0) or t_F(a) (leg 1): the legs ``leg`` of F act on a,
     the other legs multiply."""
@@ -146,7 +140,7 @@ def _base_map_from(spec, F, a, leg):
     for Fn in F.series.coeffs:
         acc = zero
         for key, c in Fn.terms.items():
-            va = _act_mono(spec, key[leg], a)
+            va = basis_action(spec, key[leg], a)
             if va.is_zero():
                 continue
             gamma, alpha = key[1 - leg]
@@ -192,23 +186,9 @@ def twistor_validate(spec, twistor):
         return report
 
     def counit_failures():
-        for n in range(order + 1):
-            left_eps = EnvElement.zero(spec.nvars, spec.rank)
-            right_eps = EnvElement.zero(spec.nvars, spec.rank)
-            for key, c in F.coeffs[n].terms.items():
-                (gl, al), (gr, ar) = key
-                if not any(al):  # eps on the left leg
-                    right = EnvElement.monomial(spec.nvars, spec.rank, ar,
-                                                CPoly.monomial(spec.nvars, gr))
-                    left_eps = left_eps + right.scale(
-                        CPoly.monomial(spec.nvars, gl, c))
-                if not any(ar):  # eps on the right leg
-                    left = EnvElement.monomial(spec.nvars, spec.rank, al,
-                                               CPoly.monomial(spec.nvars, gl))
-                    right_eps = right_eps + pbw_mul(spec, left, EnvElement.from_poly(
-                        spec.rank, CPoly.monomial(spec.nvars, gr, c)))
+        for n, Fn in enumerate(F.coeffs):
             want = one if n == 0 else EnvElement.zero(spec.nvars, spec.rank)
-            if left_eps != want or right_eps != want:
+            if counit_contract(Fn, 0) != want or counit_contract(Fn, 1) != want:
                 yield "counit condition fails at order h^%d" % n
 
     report.check("counit-conditions", counit_failures())
@@ -442,24 +422,12 @@ class DeformedEnvAlgebroid:
 
 
 def star_product(dfa, aser, bser):
-    """Associative unital product on the deformed base ring."""
-    zero = CPoly.zero(dfa.spec.nvars)
-    n = dfa.order
+    """Associative unital product on the deformed base ring: the h-adic
+    product of two series whose coefficients multiply by ``star_coeffs``."""
     aser._check(bser)
-    out = [zero] * (n + 1)
-    for i, ai in enumerate(aser.coeffs):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(bser.coeffs):
-            if i + j > n or bj.is_zero():
-                continue
-            conv = dfa.star_coeffs(ai, bj)
-            for k, c in enumerate(conv):
-                if i + j + k > n:
-                    break
-                if not c.is_zero():
-                    out[i + j + k] = out[i + j + k] + c
-    return HSeries(n, out, zero)
+    prod = laurent_mul(HLaurent.from_hseries(aser), HLaurent.from_hseries(bser),
+                       dfa.star_coeffs, dfa.order)
+    return HSeries(prod.top, prod.coeffs, aser.zero)
 
 
 def twisted_source_target(dfa, aser):
@@ -609,10 +577,6 @@ def _reduce_leg(dfa, HT, leg):
     return HSeries(n, coeffs, HT.zero)
 
 
-def series_reduced_equal(dfa, A, B):
-    return reduce_series(dfa, A) == reduce_series(dfa, B)
-
-
 def takeuchi_check_deformed(dfa, HT, samples=None):
     """sum (u_i t_F(a)) (x) u'_i == sum u_i (x) (u'_i s_F(a)) after reduction."""
     spec = dfa.spec
@@ -624,7 +588,7 @@ def takeuchi_check_deformed(dfa, HT, samples=None):
         sa = dfa.source(a).map(lambda u: TensorElement.of(one, u))
         lhs = hseries_mul(HT, ta, mt)
         rhs = hseries_mul(HT, sa, mt)
-        if not series_reduced_equal(dfa, lhs, rhs):
+        if reduce_series(dfa, lhs) != reduce_series(dfa, rhs):
             return False
     return True
 
@@ -724,9 +688,9 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
     report.check("coproduct-multiplicative", (
         "coproduct not multiplicative"
         for u in elems[:3] for v in elems[:3]
-        if not series_reduced_equal(
-            dfa, twisted_coproduct(dfa, defelem_mul(spec, u, v)),
-            hseries_mul(twisted_coproduct(dfa, u), twisted_coproduct(dfa, v), mt))))
+        if reduce_series(dfa, twisted_coproduct(dfa, defelem_mul(spec, u, v)))
+        != reduce_series(dfa, hseries_mul(twisted_coproduct(dfa, u),
+                                          twisted_coproduct(dfa, v), mt))))
 
     report.check("takeuchi-membership", (
         "coproduct image outside Takeuchi subspace" for u in elems

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .jets import (
     coordinate_functional, divided_xi_powers, jet_commutator,
-    jet_coproduct_functional, jet_pair, jets_equal, pbw_indices,
+    jet_coproduct_functional, jet_pair, jets_equal,
     tensor_functional_from_pair, unit_functional, xi_functional,
 )
 from .lierinehart import (
@@ -29,7 +29,7 @@ from .lierinehart import (
     lr_bialgebra_validate, lr_validate,
 )
 from .report import Check, Report
-from .scalars import CPoly, monomials_upto
+from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import HSeries
 from .tensorspace import TensorElement, tensor_reduce
 

@@ -9,7 +9,10 @@ because every step lowers (total degree, inversion count) lexicographically.
 The rewriting runs once per pair of basis monomials x^gamma e^alpha, into
 the structure's one product table (``leg_product``), which every product
 of the engine reads: ``pbw_mul`` here, and the tensor product, reduction
-and decompositions of ``tensorspace`` and ``deform``.
+and decompositions of ``tensorspace`` and ``deform``.  The anchor action
+reads a second table, of e^alpha acting on x^gamma: ``basis_action`` is
+a basis monomial acting on a polynomial, and ``anchor_action`` sums it
+over the basis terms of an element.
 """
 
 from operator import add
@@ -19,7 +22,7 @@ from .scalars import CPoly, Fraction
 
 __all__ = [
     "EnvElement", "pbw_mul", "leg_product", "monomial_action",
-    "env_counit", "anchor_action",
+    "basis_action", "env_counit", "anchor_action",
 ]
 
 
@@ -92,9 +95,6 @@ class EnvElement:
 
     def __eq__(self, other):
         return isinstance(other, EnvElement) and self.terms == other.terms
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         if self._hash is None:
@@ -231,7 +231,9 @@ def _bump_term(d, key, c):
 #
 #   e^alpha . x^gamma = anchor(e_i)(e^(alpha - e_i) . x^gamma).
 #
-# Every anchor chain reads this table; a polynomial acts by linearity.
+# Every anchor chain reads this table: a basis monomial x^gamma e^alpha acts
+# on a polynomial by linearity (``basis_action``), and an element acts as
+# the sum of its basis terms' actions (``anchor_action``).
 
 
 def monomial_action(spec, alpha, gamma):
@@ -250,6 +252,28 @@ def monomial_action(spec, alpha, gamma):
             res = spec.anchor_apply(i, res)
     table[key] = res
     return res
+
+
+def basis_action(spec, key, a):
+    """The basis monomial x^gamma e^alpha (key = (gamma, alpha)) acting on
+    the polynomial a: x^gamma sum_m a_m (e^alpha . x^m)."""
+    return CPoly(spec.nvars, _act_into({}, spec, key, a, 1))
+
+
+def _act_into(out, spec, key, a, c):
+    """out += c x^gamma (e^alpha . a) on {exponent: coefficient}, read from
+    the action table; returns out."""
+    gamma, alpha = key
+    shift = any(gamma)
+    scaled = c != 1
+    for m, am in a.terms.items():
+        if scaled:
+            am = c if am == 1 else am * c
+        for mu, v in monomial_action(spec, alpha, m).terms.items():
+            if shift:
+                mu = tuple(map(add, gamma, mu))
+            _bump_term(out, mu, am if v == 1 else am * v)
+    return out
 
 
 def pbw_mul(spec, u, v):
@@ -291,12 +315,10 @@ def env_counit(u):
 
 
 def anchor_action(spec, u, a):
-    """u acting on the base: counit(u * a), read from the action table."""
-    out = CPoly.zero(spec.nvars)
-    for beta, c in u.terms.items():
-        for gamma, q in a.terms.items():
-            val = monomial_action(spec, beta, gamma)
-            if not val.is_zero():
-                out = out + c * val * q
-    return out
-
+    """u acting on the base: counit(u * a), the sum of its basis terms'
+    actions."""
+    out = {}
+    for alpha, poly in u.terms.items():
+        for gamma, q in poly.terms.items():
+            _act_into(out, spec, (gamma, alpha), a, q)
+    return CPoly(spec.nvars, out)

@@ -20,7 +20,7 @@ from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import EnvElement, env_counit, pbw_mul
 from .errors import ConfigError, FlavorError, TruncationInsufficientError
 from .report import Report
-from .scalars import CPoly, Fraction, monomials_upto
+from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
 from .series import HLaurent, HSeries, laurent_mul
 
 __all__ = [
@@ -62,13 +62,6 @@ class JetContext:
         return HLaurent.zero_upto(self.order, self.zero_poly())
 
 
-def pbw_indices(rank, max_degree):
-    out = [a for a in itertools.product(range(max_degree + 1), repeat=rank)
-           if sum(a) <= max_degree]
-    out.sort(key=lambda a: (sum(a), a))
-    return out
-
-
 class JetElement:
     """Sparse value table {beta: HLaurent base value}; absent keys are zero.
 
@@ -95,11 +88,7 @@ class JetElement:
     def add(self, other):
         if self.flavor != other.flavor:
             raise FlavorError("mixed dual flavors")
-        out = dict(self.table)
-        for b, v in other.table.items():
-            cur = out.get(b)
-            out[b] = v if cur is None else cur + v
-        return JetElement(self.flavor, out)
+        return JetElement(self.flavor, table_sum((self.table, other.table)))
 
     def sub(self, other):
         return self.add(other.neg())
@@ -439,6 +428,17 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     return out
 
 
+def table_sum(tables):
+    """Key-wise sum of an iterable of value tables; a key missing from a
+    table is zero."""
+    out = {}
+    for table in tables:
+        for key, v in table.items():
+            cur = out.get(key)
+            out[key] = v if cur is None else cur + v
+    return out
+
+
 def tensor_tables_equal(ctx, A, B):
     keys = set(A) | set(B)
     zero = ctx.zero_value()
@@ -469,14 +469,9 @@ def jet_coproduct_decompose(ctx, lam, degree=None):
     left = {kappa: {} for kappa in idx}
 
     def weave():
-        out = {}
-        for kappa in idx:
-            lam_k = JetElement(ctx.flavor, left[kappa])
-            piece = tensor_functional_from_pair(ctx, lam_k, powers[kappa],
-                                                degree)
-            for key, val in piece.items():
-                out[key] = out[key] + val if key in out else val
-        return out
+        return table_sum(tensor_functional_from_pair(
+            ctx, JetElement(ctx.flavor, left[kappa]), powers[kappa], degree)
+            for kappa in idx)
 
     base = min(v.val for v in target.values()) if target else 0
     for q in range(base, n + 1):

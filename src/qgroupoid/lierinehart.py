@@ -196,9 +196,6 @@ class MultiVector:
         return isinstance(other, MultiVector) and self.degree == other.degree \
             and self.terms == other.terms
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -303,16 +300,6 @@ def lr_differential(spec, form):
         if not val.is_zero():
             out[idx] = val
     return MultiVector(spec.nvars, n + 1, out)
-
-
-def lr_differential_function(spec, f):
-    """d of a degree-0 element f in A: the 1-form X -> anchor(X)(f)."""
-    terms = {}
-    for i in range(spec.rank):
-        v = spec.anchor_apply(i, f)
-        if not v.is_zero():
-            terms[(i,)] = v
-    return MultiVector(spec.nvars, 1, terms)
 
 
 # -- Schouten bracket (the degree range the derivation condition needs) -------
@@ -461,10 +448,5 @@ def poisson_from_pair(specL, specLstar, f, g):
     dg = delta.on_poly(g)   # element of L
     out = CPoly.zero(specL.nvars)
     for (i,), c in dg.terms.items():
-        out = out + spec_pair_df(specL, f, i) * c
+        out = out + specL.anchor_apply(i, f) * c
     return out
-
-
-def spec_pair_df(specL, f, i):
-    """<df, e-side basis i> = anchor(e_i)(f)."""
-    return specL.anchor_apply(i, f)

@@ -11,13 +11,14 @@ Fractions internally: they hold integer numerators over one denominator
 and give Fractions only through their read-only ``.terms`` view.
 """
 
+import itertools
 import re
 from fractions import Fraction
 
 from .errors import ConfigError, ParseError
 from .kernel import poly_add, poly_diff, poly_mul, poly_neg, poly_scale, poly_sub
 
-__all__ = ["Fraction", "CPoly", "parse_poly", "monomials_upto"]
+__all__ = ["Fraction", "CPoly", "parse_poly", "pbw_indices", "monomials_upto"]
 
 
 _ONES = {}  # nvars -> CPoly.one(nvars); safe to share, as a CPoly never changes
@@ -136,9 +137,6 @@ class CPoly:
         return isinstance(other, CPoly) and self.nvars == other.nvars \
             and self.terms == other.terms
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.nvars, tuple(sorted(self.terms.items()))))
@@ -214,11 +212,16 @@ def parse_poly(text, nvars, line=0):
     return out
 
 
+def pbw_indices(n, max_degree):
+    """All exponent tuples of length n with sum <= max_degree, sorted by
+    (degree, tuple): the PBW indices e^alpha of a rank-n structure or the
+    monomials x^gamma of n variables."""
+    out = [a for a in itertools.product(range(max_degree + 1), repeat=n)
+           if sum(a) <= max_degree]
+    out.sort(key=lambda a: (sum(a), a))
+    return out
+
+
 def monomials_upto(nvars, max_degree):
     """All monomials x^gamma with |gamma| <= max_degree, as CPoly, sorted."""
-    exps = [()]
-    for _ in range(nvars):
-        exps = [e + (k,) for e in exps for k in range(max_degree + 1)]
-    exps = [e for e in exps if sum(e) <= max_degree]
-    exps.sort(key=lambda e: (sum(e), e))
-    return [CPoly.monomial(nvars, e) for e in exps]
+    return [CPoly.monomial(nvars, e) for e in pbw_indices(nvars, max_degree)]

@@ -79,9 +79,6 @@ class HSeries:
             and all((a - b).is_zero() if hasattr(a, "is_zero") else a == b
                     for a, b in zip(self.coeffs, other.coeffs))
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __repr__(self):
         return "HSeries[%s]" % ", ".join(str(c) for c in self.coeffs)
 
@@ -234,17 +231,15 @@ def laurent_mul(x, y, mulser, series_order):
     if top < val:
         raise ConfigError("laurent product has empty certified window")
     out = [x.zero] * (top - val + 1)
-    for i in range(x.val, x.top + 1):
-        xi = x.coeff(i)
+    for i, xi in enumerate(x.coeffs, x.val):
         if _is_zero(xi):
             continue
-        for j in range(y.val, y.top + 1):
-            yj = y.coeff(j)
+        for j, yj in enumerate(y.coeffs, y.val):
+            if i + j > top:
+                break
             if _is_zero(yj):
                 continue
-            prod = mulser(xi, yj)
-            for k, c in enumerate(prod):
-                n = i + j + k
+            for n, c in enumerate(mulser(xi, yj), i + j):
                 if n > top:
                     break
                 if not _is_zero(c):

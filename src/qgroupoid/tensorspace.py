@@ -25,13 +25,20 @@ unit, and the tensor reduction and basis decomposition of ``deform``
 multiply their basis terms by it.  A structure with rational structure
 functions may store a ``Fraction``; ``tensor_mul`` then brings its result
 back to integer numerators once.
+
+Every coproduct reads the memoised Delta(x^gamma e^alpha) of a basis leg
+(``copro_basis``): ``tensor_coproduct_leg`` splices it into one leg, and
+the coproduct of an element is that splice on the element as a 1-leg
+tensor.  ``counit_contract`` is the one counit contraction of a classical
+2-tensor, multiplying the other leg on the left.
 """
 
 import itertools
 from math import lcm
+from operator import add
 from types import MappingProxyType
 
-from .envelope import EnvElement, leg_product, pbw_mul
+from .envelope import EnvElement, _bump_term, leg_product, pbw_mul
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
@@ -39,7 +46,7 @@ from .scalars import CPoly, Fraction
 MAX_LEGS = 8
 
 __all__ = [
-    "TensorElement", "env_coproduct", "tensor_mul",
+    "TensorElement", "env_coproduct", "tensor_mul", "counit_contract",
     "tensor_reduce", "takeuchi_check", "iterated_coproduct", "primitive_check",
 ]
 
@@ -210,9 +217,6 @@ class TensorElement:
                 return False
         return True
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         if self._hash is None:
             self._hash = hash((self.legs, tuple(sorted(self.terms.items()))))
@@ -356,32 +360,11 @@ def copro_basis(spec, key):
         for ((g, al), right), c in T.num.items()}, T.den)
 
 
-def scale_leg(T, leg, poly):
-    """Multiply the coefficient of one leg by a polynomial (on the left)."""
-    pnum, pden = _common_den(poly.terms)
-    out = {}
-    for key, c in T.num.items():
-        gamma, alpha = key[leg]
-        head, tail = key[:leg], key[leg + 1:]
-        for g2, q in pnum.items():
-            gg = tuple(a + b for a, b in zip(gamma, g2))
-            k2 = head + ((gg, alpha),) + tail
-            cur = out.get(k2)
-            s = c * q if cur is None else cur + c * q
-            if s:
-                out[k2] = s
-            else:
-                del out[k2]
-    return _tensor(T.nvars, T.rank, T.legs, out, T.den * pden)
-
-
 def env_coproduct(spec, u):
     """Multiplicative coproduct on the lift: generators are primitive,
-    base coefficients load the left leg."""
-    out = TensorElement.zero(spec.nvars, spec.rank, 2)
-    for alpha, poly in u.terms.items():
-        out = out + scale_leg(_copro_mono(spec, alpha), 0, poly)
-    return out
+    base coefficients load the left leg (the coproduct at the one leg of
+    u as a 1-leg tensor)."""
+    return tensor_coproduct_leg(spec, TensorElement.of(u), 0)
 
 
 def tensor_coproduct_leg(spec, T, leg):
@@ -450,6 +433,22 @@ def tensor_reduce(spec, T):
         else:
             del out[kk]
     return _tensor(T.nvars, T.rank, T.legs, out, T.den)
+
+
+def counit_contract(T, leg):
+    """(eps (x) id) T for leg 0, (id (x) eps) T for leg 1, on a classical
+    2-tensor: sum eps(w_leg) w_other, where eps(x^gamma e^alpha) is x^gamma
+    at alpha = 0 and zero otherwise.  The counit value multiplies the other
+    leg on the left, t(eps(v)) u = eps(v) u, which is well defined on the
+    tensor product over the base, where a u (x) v = u (x) a v."""
+    rows = {}
+    for key, c in T.terms.items():
+        (g_eps, a_eps), (gamma, alpha) = key[leg], key[1 - leg]
+        if not any(a_eps):
+            _bump_term(rows.setdefault(alpha, {}),
+                       tuple(map(add, g_eps, gamma)), c)
+    return EnvElement(T.nvars, T.rank, {alpha: CPoly(T.nvars, row)
+                                        for alpha, row in rows.items()})
 
 
 def takeuchi_check(spec, T, samples):

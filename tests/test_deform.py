@@ -3,11 +3,13 @@ from math import factorial
 
 import pytest
 
+from qgroupoid.axb import axb_spec
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, _counit_contract, basis_decompose, defelem_from_env,
-    deformed_axiom_suite, exp_twistor, reduce_series, reexpand, star_product,
-    takeuchi_check_deformed, trivial_twistor, twisted_coproduct,
-    twisted_source_target, twistor_invert, twistor_validate,
+    DeformedEnvAlgebroid, Twistor, _counit_contract, basis_decompose,
+    defelem_from_env, deformed_axiom_suite, exp_twistor, reduce_series,
+    reexpand, star_product, takeuchi_check_deformed, trivial_twistor,
+    twisted_coproduct, twisted_source_target, twistor_invert,
+    twistor_validate,
 )
 from qgroupoid.envelope import EnvElement, pbw_mul
 from qgroupoid.lierinehart import LieRinehartSpec
@@ -60,11 +62,36 @@ def test_unbalanced_twistor_cocycle_fails_at_h2():
     B = TensorElement.of(theta, d2)
     unit = TensorElement.unit(2, 2, 2)
     zero = TensorElement.zero(2, 2, 2)
-    from qgroupoid.deform import Twistor
     F = Twistor(HSeries(2, [unit, B, zero], zero))
     rep = twistor_validate(spec, F)
     assert not rep.ok()
     assert "cocycle identity fails at order h^2" in rep.first_failure()
+
+
+def counit_check(F1):
+    """The counit-conditions record of twistor_validate on axb_spec() for
+    F = 1 (x) 1 + h F1 at h_order 2."""
+    spec = axb_spec()
+    unit, zero = TensorElement.unit(2, 2, 2), TensorElement.zero(2, 2, 2)
+    rep = twistor_validate(spec, Twistor(HSeries(2, [unit, F1, zero], zero)))
+    return next(c for c in rep.checks if c.name == "counit-conditions")
+
+
+def test_counit_conditions_multiply_on_the_left():
+    """(id (x) eps)(u (x) v) = eps(v) u: d1 (x) x1 - x1 d1 (x) 1 is zero in
+    U (x)_A U, and the contraction on either leg reads zero; right
+    multiplication would give d1 x1 - x1 d1 = 1."""
+    x1 = EnvElement.from_poly(2, CPoly.var(2, 0))
+    d1, one = EnvElement.gen(2, 2, 0), EnvElement.one(2, 2)
+    x1d1 = EnvElement(2, 2, {(1, 0): CPoly.var(2, 0)})
+    assert counit_check(TensorElement.of(d1, x1)
+                        - TensorElement.of(x1d1, one)).status == "pass"
+    # d1 (x) x1 alone is x1 d1 (x) 1, whose right contraction is x1 d1
+    alone = counit_check(TensorElement.of(d1, x1))
+    assert alone.status == "fail"
+    assert alone.witness == "counit condition fails at order h^1"
+    assert counit_check(TensorElement.of(x1, d1)
+                        - TensorElement.of(one, x1d1)).status == "pass"
 
 
 def test_invert_trivial():
@@ -88,7 +115,6 @@ def test_invert_generic_geometric():
     B = theta_tensor(spec)
     unit = TensorElement.unit(2, 2, 2)
     zero = TensorElement.zero(2, 2, 2)
-    from qgroupoid.deform import Twistor
     F = Twistor(HSeries(2, [unit, B, zero], zero))
     G = twistor_invert(spec, F)
     B2 = tensor_mul(spec, B, B)
@@ -286,7 +312,6 @@ def test_axiom_suite_detects_corruption():
     series = tw.series
     doubled = HSeries(2, [series.coeffs[0], series.coeffs[1],
                           series.coeffs[2].scale(2)], series.zero)
-    from qgroupoid.deform import Twistor
     bad = Twistor(doubled)
     rep = twistor_validate(spec, bad)
     assert not rep.ok()
@@ -302,7 +327,6 @@ def test_bad_leading_term_rejected():
     theta = EnvElement(2, 2, {(1, 0): CPoly.var(2, 0)})
     bad0 = TensorElement.of(theta, EnvElement.one(2, 2))
     zero = TensorElement.zero(2, 2, 2)
-    from qgroupoid.deform import Twistor
     tw = Twistor(HSeries(1, [bad0, zero], zero))
     with pytest.raises(TriangularityViolation):
         DeformedEnvAlgebroid(spec, tw, validate=False)

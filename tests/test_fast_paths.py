@@ -30,8 +30,9 @@
   back-substitution that maps and subtracts the whole series per term.
 - The tensor layer keeps integer numerators over one denominator; the
   oracles are the Fraction loops over ``.terms`` for the product, sum,
-  scale, leg scale, coproduct leg and reduction.  A third structure puts
-  halves into the leg table, so ``tensor_mul`` clears a Fraction there.
+  scale, coproduct leg, the coproduct of an element and reduction.  A
+  third structure puts halves into the leg table, so ``tensor_mul``
+  clears a Fraction there.
 
 They run on the axb spec and on a bracketed structure with a non-constant
 anchor; the reduction also runs on an explicit per-order twistor.
@@ -48,13 +49,13 @@ from hypothesis import given, settings, strategies as st
 
 from qgroupoid import deform, jets, kernel
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, _act_mono, _base_map_from, basis_decompose,
+    DeformedEnvAlgebroid, Twistor, _base_map_from, basis_decompose,
     defelem_from_env, deformed_coproduct_leg, exp_twistor, reduce_series,
     reexpand, sample_defelems, twisted_coproduct,
 )
 from qgroupoid.envelope import (
-    EnvElement, _bump_term, anchor_action, leg_product, monomial_action,
-    pbw_mul,
+    EnvElement, _bump_term, anchor_action, basis_action, leg_product,
+    monomial_action, pbw_mul,
 )
 from qgroupoid.errors import ConfigError
 from qgroupoid.jets import (
@@ -66,7 +67,7 @@ from qgroupoid.scalars import CPoly, monomials_upto
 from qgroupoid.series import HSeries, hs_const, hseries_mul
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
-    TensorElement, _expand_product, env_coproduct, scale_leg,
+    TensorElement, _expand_product, env_coproduct,
     tensor_coproduct_leg, tensor_mul, tensor_reduce,
 )
 
@@ -319,7 +320,7 @@ def test_action_table_matches_anchor_chain(make):
 
 
 @pytest.mark.parametrize("make", STRUCTURES)
-def test_act_mono_and_anchor_action_match_anchor_chain(make):
+def test_basis_action_and_anchor_action_match_anchor_chain(make):
     spec = make()
     rng = random.Random(7)
     keys = low_monomials(spec, 3)
@@ -327,7 +328,7 @@ def test_act_mono_and_anchor_action_match_anchor_chain(make):
     for _ in range(4):
         a = random_poly(spec, rng)
         for key in keys:
-            assert _act_mono(spec, key, a) == chain_act_mono(spec, key, a)
+            assert basis_action(spec, key, a) == chain_act_mono(spec, key, a)
         u = random_elem(spec, rng)
         want = CPoly.zero(spec.nvars)
         for alpha, c in u.terms.items():
@@ -541,10 +542,10 @@ def star_from(spec, F, a, b):
     for Fn in F.series.coeffs:
         acc = CPoly.zero(spec.nvars)
         for key, c in Fn.terms.items():
-            va = _act_mono(spec, key[0], a)
+            va = basis_action(spec, key[0], a)
             if va.is_zero():
                 continue
-            vb = _act_mono(spec, key[1], b)
+            vb = basis_action(spec, key[1], b)
             if vb.is_zero():
                 continue
             acc = acc + va * vb * c
@@ -881,10 +882,15 @@ def test_integer_layer_matches_fraction_loops(make):
         for c in (0, 1, -1, 5, Fraction(3, 4), Fraction(-7, 6)):
             assert assert_integral(T.scale(c)).terms == frac_scale(T, c)
         for leg in range(T.legs):
-            assert assert_integral(scale_leg(T, leg, poly)).terms \
-                == frac_scale_leg(T, leg, poly)
             assert assert_integral(tensor_coproduct_leg(spec, T, leg)).terms \
                 == frac_coproduct_leg(spec, T, leg)
+    # the coproduct of an element is the coproduct leg of its 1-leg tensor;
+    # the rational coefficient poly loads the left leg
+    gens = [EnvElement.monomial(spec.nvars, spec.rank, alpha, poly)
+            for alpha in pbw_indices(spec.rank, 2)]
+    for u in gens + [sum(gens[1:], gens[0])]:
+        assert assert_integral(env_coproduct(spec, u)).terms \
+            == frac_coproduct_leg(spec, TensorElement.of(u), 0)
     # the memo may hold Delta(e^alpha) over any denominator; the coproduct
     # leg aligns pieces over different ones
     for i, alpha in enumerate(list(spec._copro_table)):

@@ -4,8 +4,9 @@ from qgroupoid.envelope import EnvElement, env_counit, pbw_mul
 from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
 from qgroupoid.tensorspace import (
-    TensorElement, env_coproduct, iterated_coproduct, primitive_check,
-    takeuchi_check, tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    TensorElement, counit_contract, env_coproduct, iterated_coproduct,
+    primitive_check, takeuchi_check, tensor_coproduct_leg, tensor_mul,
+    tensor_reduce,
 )
 
 
@@ -92,6 +93,8 @@ def test_counit_recovery():
             right = right + w1.scale(env_counit(w2)).scale(c)
         assert left == u
         assert right == u
+        assert counit_contract(T, 0) == left
+        assert counit_contract(T, 1) == right
 
 
 def test_counit_multiplicativity_bialgebroid():

@@ -12,6 +12,12 @@ Each functional memoises only its pairings with basis monomials, keyed by
 the deformation object.  A dual product keeps its own memo for the length
 of one tabulation: per paired lift leg, that leg's mapped image and the
 paired factor of each other leg (see ``jet_product_eval``).
+
+Every sum of this layer is accumulated in place in one
+``series.LaurentSum`` per result: the star pairings over a decomposition,
+the pairings of an element's monomials (of every h-order of a series at
+once) and the terms c h^k P of a dual product.  Each sum equals the chain
+of ``HLaurent`` additions it stands for, window included.
 """
 
 import itertools
@@ -21,7 +27,7 @@ from .envelope import EnvElement, env_counit, pbw_mul
 from .errors import ConfigError, FlavorError, TruncationInsufficientError
 from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
-from .series import HLaurent, HSeries, laurent_mul
+from .series import HLaurent, HSeries, LaurentSum
 
 __all__ = [
     "JetContext", "JetElement", "jet_pair", "jet_product", "jet_product_eval",
@@ -46,6 +52,7 @@ class JetContext:
         self.dfa = dfa
         self.flavor = flavor
         self.jet_degree = jet_degree
+        self._zero = HLaurent.zero_upto(dfa.order, CPoly.zero(dfa.spec.nvars))
 
     @property
     def spec(self):
@@ -56,10 +63,12 @@ class JetContext:
         return self.dfa.order
 
     def zero_poly(self):
-        return CPoly.zero(self.spec.nvars)
+        return self._zero.zero
 
     def zero_value(self):
-        return HLaurent.zero_upto(self.order, self.zero_poly())
+        """zero up to the truncation order: one shared instance, as an
+        ``HLaurent`` never changes."""
+        return self._zero
 
 
 class JetElement:
@@ -180,42 +189,54 @@ def _pair_mono(ctx, lam, key):
     else:
         flavor = "source" if lam.flavor == LEFT else "target"
         dec = ctx.dfa.decompose_mono(key, flavor)
-        out = ctx.zero_value()
+        acc = LaurentSum(ctx.zero_poly(), ctx.order)
         for beta, aser in dec.items():
             lv = lam.value(ctx, beta)
             if lv.is_zero():
                 continue
             al = HLaurent.from_hseries(aser)
             if lam.flavor == LEFT:
-                out = out + laurent_mul(al, lv, ctx.dfa.star_coeffs, ctx.order)
+                acc.add_product(al, lv, ctx.dfa.star_coeffs, ctx.order)
             else:
-                out = out + laurent_mul(lv, al, ctx.dfa.star_coeffs, ctx.order)
+                acc.add_product(lv, al, ctx.dfa.star_coeffs, ctx.order)
+        out = acc.value()
     lam._pair_cache[ckey] = out
     return out
 
 
-def _pair_env(ctx, lam, w):
-    """lam on a plain normal-form element."""
-    out = ctx.zero_value()
+def _add_env(acc, ctx, lam, w, k=0):
+    """Add h^k lam(w) for a plain normal-form element w into ``acc``."""
     for alpha, poly in w.terms.items():
         for gamma, q in poly.terms.items():
-            v = _pair_mono(ctx, lam, (gamma, alpha))
-            out = out + (v if q == 1 else v.map(lambda t: t * q))
-    return out
+            acc.add(_pair_mono(ctx, lam, (gamma, alpha)), q, k)
+
+
+def _pair_env(ctx, lam, w):
+    """lam on a plain normal-form element: a sum that starts from zero up
+    to the truncation order."""
+    acc = LaurentSum(ctx.zero_poly(), ctx.order)
+    _add_env(acc, ctx, lam, w)
+    return acc.value()
 
 
 def _pair_env_laurent(ctx, lam, W):
-    """lam on a Laurent series of normal-form elements (k[[h]]-linearity)."""
-    out = None
+    """lam on a Laurent series of normal-form elements (k[[h]]-linearity).
+
+    The sum of the shifted ``_pair_env(w_q) h^q``: each of those starts
+    from zero up to the truncation order N before its shift, so the one
+    sum starts from zero up to N + (the lowest q with w_q nonzero)."""
+    zero = ctx.zero_poly()
+    acc = None
     for q in range(W.val, W.top + 1):
         w = W.coeff(q)
         if w.is_zero():
             continue
-        piece = _pair_env(ctx, lam, w).shift(q)
-        out = piece if out is None else out + piece
-    if out is None:
-        return HLaurent.zero_upto(W.top, ctx.zero_poly())
-    return out
+        if acc is None:
+            acc = LaurentSum(zero, ctx.order + q)
+        _add_env(acc, ctx, lam, w, q)
+    if acc is None:
+        return HLaurent.zero_upto(W.top, zero)
+    return acc.value()
 
 
 def jet_pair(ctx, lam, u):
@@ -294,8 +315,9 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
     right), so a group whose pairing with lam vanishes is skipped whole.
     ``memo`` maps each paired leg to its mapped image (None when lam
     vanishes on it) and its {other leg: paired factor} row; ``jet_product``
-    shares one across a tabulation, so a term costs a shift, a scale and
-    an add.  A call without one starts afresh.
+    shares one across a tabulation, so a term costs one scaled, shifted
+    add into the result's ``LaurentSum``.  A call without one starts
+    afresh.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
@@ -305,7 +327,7 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
     groups = ctx.dfa.lift_legs(arg, 1 if lam.flavor == LEFT else 0)
     if memo is None:
         memo = {}
-    out = None
+    acc = LaurentSum(ctx.zero_poly())
     for paired, terms in groups:
         entry = memo.get(paired)
         if entry is None:
@@ -317,13 +339,11 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
             P = row.get(other)
             if P is None:
                 P = row[other] = _leg_factor(ctx, mu, W, other)
-            piece = P.shift(k)
-            if c != 1:
-                piece = piece.map(lambda t: t * c)
-            out = piece if out is None else out + piece
-    if out is None:
+            acc.add(P, c, k)
+    if acc.top is None:
+        # no lift term survived
         return ctx.zero_value()
-    return out
+    return acc.value()
 
 
 def jet_product(ctx, lam, mu, degree=None):

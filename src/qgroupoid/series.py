@@ -6,13 +6,20 @@ additive coefficient type (polynomials, enveloping elements, tensors).
 explicit certified top order, so that products of rescaled objects keep
 honest precision bookkeeping.  Coefficient types must support +, -, unary
 minus and be falsy exactly when zero (or expose ``is_zero``).
+
+A long sum of Laurent values over polynomial coefficients (the jet
+pairings, the star product) goes through one ``LaurentSum``: it keeps a
+{exponent: coefficient} row per h-order and the window, and builds each
+``CPoly`` and the ``HLaurent`` once, where a chain of ``+`` would build a
+whole series per term.
 """
 
 from .errors import ConfigError, NonIntegralError, NotAUnitError
+from .scalars import CPoly
 
 __all__ = [
     "HSeries", "hs_const", "hs_zero", "hseries_mul", "hseries_invert",
-    "HLaurent", "laurent_normalize",
+    "HLaurent", "LaurentSum", "laurent_normalize",
 ]
 
 
@@ -219,32 +226,114 @@ class HLaurent:
             self.val, self.top, ", ".join(str(c) for c in self.coeffs))
 
 
+class LaurentSum:
+    """An in-place sum of Laurent values with ``CPoly`` coefficients.
+
+    The value equals the chain ``start + p1 + p2 + ...`` of
+    ``HLaurent.__add__``, window included: ``val`` is the lowest valuation
+    and ``top`` the lowest top over the start and every piece, and orders
+    above ``top`` are dropped.  A window never has val > top + 1, so when
+    the two cross the result is the empty window val = top + 1.  ``start``
+    is ``zero_upto(top)``; without a top there is no start, and ``value``
+    must not be read before a piece is added.
+    """
+
+    __slots__ = ("zero", "val", "top", "rows")
+
+    def __init__(self, zero, top=None):
+        self.zero = zero
+        self.top = top
+        self.val = None if top is None else top + 1
+        self.rows = {}  # h-order -> {exponent: coefficient}, no zero entries
+
+    def _narrow(self, val, top):
+        """Lower the valuation and the top to a piece's where they are
+        lower; returns the top, above which nothing is written."""
+        if self.top is None or top < self.top:
+            self.top = top
+        if self.val is None or val < self.val:
+            self.val = val
+        return self.top
+
+    def add(self, x, c=1, k=0):
+        """Add c * h^k * x for a Laurent value x."""
+        top = self._narrow(x.val + k, x.top + k)
+        if not c:
+            return
+        scaled = c != 1
+        for n, p in enumerate(x.coeffs, x.val + k):
+            if n > top:
+                break
+            if p.terms:
+                _add_terms(self.rows, n, p.terms, c if scaled else None)
+
+    def add_product(self, x, y, mulser, series_order):
+        """Add the product of x and y, whose coefficients ``a``, ``b``
+        multiply into the h-expansion ``mulser(a, b)`` (a list of CPoly
+        for orders 0..series_order)."""
+        val = x.val + y.val
+        top = min(x.top + y.val, y.top + x.val, series_order + val)
+        if top < val:
+            raise ConfigError("laurent product has empty certified window")
+        top = self._narrow(val, top)
+        rows = self.rows
+        for i, xi in enumerate(x.coeffs, x.val):
+            if not xi.terms:
+                continue
+            for j, yj in enumerate(y.coeffs, y.val):
+                if i + j > top:
+                    break
+                if not yj.terms:
+                    continue
+                for n, c in enumerate(mulser(xi, yj), i + j):
+                    if n > top:
+                        break
+                    if c.terms:
+                        _add_terms(rows, n, c.terms, None)
+
+    def value(self):
+        """The sum as an ``HLaurent``."""
+        rows, zero = self.rows, self.zero
+        coeffs = []
+        for n in range(self.val, self.top + 1):
+            row = rows.get(n)
+            coeffs.append(CPoly(zero.nvars, row) if row else zero)
+        return HLaurent(self.val, self.top, coeffs, zero)
+
+
+def _add_terms(rows, n, terms, c):
+    """rows[n] += c * terms in place (c None: unscaled), dropping entries
+    that cancel."""
+    row = rows.get(n)
+    if row is None:
+        rows[n] = dict(terms) if c is None \
+            else {e: v * c for e, v in terms.items()}
+        return
+    for e, v in terms.items():
+        if c is not None:
+            v = v * c
+        cur = row.get(e)
+        if cur is None:
+            row[e] = v
+        else:
+            s = cur + v
+            if s:
+                row[e] = s
+            else:
+                del row[e]
+
+
 def laurent_mul(x, y, mulser, series_order):
     """Product of Laurent values whose coefficients multiply into series.
 
-    ``mulser(a, b)`` returns the h-expansion (list of coefficients for
-    orders 0..series_order) of the product of two plain coefficients; for
-    an ordinary commutative coefficient ring pass lambda a, b: [a*b] + zeros.
+    The coefficients are ``CPoly``; ``mulser(a, b)`` returns the
+    h-expansion (list of CPoly for orders 0..series_order) of the product
+    of two of them, for the plain product pass lambda a, b: [a * b].  The
+    terms are written into the per-order rows of one ``LaurentSum``.
     """
-    val = x.val + y.val
-    top = min(x.top + y.val, y.top + x.val, series_order + x.val + y.val)
-    if top < val:
-        raise ConfigError("laurent product has empty certified window")
-    out = [x.zero] * (top - val + 1)
-    for i, xi in enumerate(x.coeffs, x.val):
-        if _is_zero(xi):
-            continue
-        for j, yj in enumerate(y.coeffs, y.val):
-            if i + j > top:
-                break
-            if _is_zero(yj):
-                continue
-            for n, c in enumerate(mulser(xi, yj), i + j):
-                if n > top:
-                    break
-                if not _is_zero(c):
-                    out[n - val] = out[n - val] + c
-    return HLaurent(val, top, out, x.zero)
+    acc = LaurentSum(x.zero)
+    acc.add_product(x, y, mulser, series_order)
+    return acc.value()
 
 
 def laurent_normalize(a, demand_integral=False):

@@ -377,21 +377,25 @@ def _load_values():
     return module
 
 
-@pytest.mark.parametrize("label", ["axb", "bracket(a=2)"])
-def test_values_match_the_reference_fingerprint(label, tmp_path):
+@pytest.mark.parametrize("label,n", [
+    pytest.param("axb", 4, id="axb"),
+    pytest.param("bracket(a=2)", 4, id="bracket(a=2)"),
+    pytest.param("axb", 6, id="axb n6"),
+])
+def test_values_match_the_reference_fingerprint(label, n, tmp_path):
     # the benchmark's reference fingerprint of `values.py fingerprint <spec>
-    # --h-order 4 --jet-degree 4`, computed as its main does; the report
+    # --h-order n --jet-degree n`, computed as its main does; the report
     # digests cannot see these values (the dual product windows among them)
     values = _load_values()
     if label == "axb":
-        spec = SPEC
+        spec = SPEC if n == 4 else "axb"
     else:
         spec = tmp_path / "bracket.spec"
         spec.write_text(_bracket_spec_text(2))
-    dfa = values.build(str(spec), "deformation", 4, 4)
-    parts = values.fingerprint_parts(dfa, 4)
+    dfa = values.build(str(spec), "deformation", n, n)
+    parts = values.fingerprint_parts(dfa, n)
     total = hashlib.md5(json.dumps(parts, sort_keys=True).encode()).hexdigest()
-    assert total == REFERENCE_FINGERPRINTS["%s n4" % label]
+    assert total == REFERENCE_FINGERPRINTS["%s n%d" % (label, n)]
 
 
 @pytest.mark.parametrize("cmd", DEFAULT_SPEC_COMMANDS,

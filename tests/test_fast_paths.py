@@ -23,6 +23,10 @@
 - ``jet_product_eval`` reads the lift grouped by the paired leg and
   memoises the paired factor of each lift term; the oracle is the
   unmemoised body that maps and multiplies every term.
+- The jet pairings, ``laurent_mul`` and the dual product sum their terms
+  in place in one ``LaurentSum``; the oracles are the chains of
+  ``HLaurent`` additions they replace, and the unmemoised dual product
+  pairs through those chains.
 - ``tensor_functional_from_pair`` skips entries whose first pairing
   vanishes; the oracle is the body that maps and multiplies every entry.
 - ``basis_decompose`` multiplies out only the orders that survive the
@@ -64,7 +68,9 @@ from qgroupoid.jets import (
 )
 from qgroupoid.lierinehart import LieRinehartSpec, lr_validate
 from qgroupoid.scalars import CPoly, monomials_upto
-from qgroupoid.series import HSeries, hs_const, hseries_mul
+from qgroupoid.series import (
+    HLaurent, HSeries, hs_const, hseries_mul, laurent_mul,
+)
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
     TensorElement, _expand_product, env_coproduct,
@@ -1014,38 +1020,121 @@ def test_basis_decompose_matches_backsubstitution(make, flavor):
         assert reexpand(dfa, got, flavor) == u
 
 
+# -- the + chains behind the pairing sums -----------------------------------------
+
+
+def chain_laurent_mul(x, y, mulser, series_order):
+    """laurent_mul as a chain of per-order coefficient additions."""
+    val = x.val + y.val
+    top = min(x.top + y.val, y.top + x.val, series_order + x.val + y.val)
+    if top < val:
+        raise ConfigError("laurent product has empty certified window")
+    out = [x.zero] * (top - val + 1)
+    for i, xi in enumerate(x.coeffs, x.val):
+        if xi.is_zero():
+            continue
+        for j, yj in enumerate(y.coeffs, y.val):
+            if i + j > top:
+                break
+            if yj.is_zero():
+                continue
+            for n, c in enumerate(mulser(xi, yj), i + j):
+                if n > top:
+                    break
+                if not c.is_zero():
+                    out[n - val] = out[n - val] + c
+    return HLaurent(val, top, out, x.zero)
+
+
+def chain_zero(ctx, top=None):
+    """A fresh zero up to ``top`` (the truncation order by default)."""
+    return HLaurent.zero_upto(ctx.order if top is None else top,
+                              CPoly.zero(ctx.spec.nvars))
+
+
+def chain_pair_mono(ctx, lam, key, memo):
+    """lam on a basis monomial: the star pairings over the flavor
+    decomposition, added to a zero up to the truncation order.  ``memo``
+    holds this oracle's own pairings, keyed by (lam, key)."""
+    hit = memo.get((lam, key))
+    if hit is not None:
+        return hit
+    gamma, alpha = key
+    if not any(gamma):
+        out = lam.value(ctx, alpha)
+    else:
+        flavor = "source" if lam.flavor == LEFT else "target"
+        out = chain_zero(ctx)
+        for beta, aser in ctx.dfa.decompose_mono(key, flavor).items():
+            lv = lam.value(ctx, beta)
+            if lv.is_zero():
+                continue
+            al = HLaurent.from_hseries(aser)
+            x, y = (al, lv) if lam.flavor == LEFT else (lv, al)
+            out = out + chain_laurent_mul(x, y, ctx.dfa.star_coeffs,
+                                          ctx.order)
+    memo[lam, key] = out
+    return out
+
+
+def chain_pair_env(ctx, lam, w, memo):
+    """lam on a normal-form element: a zero plus each scaled pairing."""
+    out = chain_zero(ctx)
+    for alpha, poly in w.terms.items():
+        for gamma, q in poly.terms.items():
+            v = chain_pair_mono(ctx, lam, (gamma, alpha), memo)
+            out = out + (v if q == 1 else v.map(lambda t: t * q))
+    return out
+
+
+def chain_pair_env_laurent(ctx, lam, W, memo):
+    """lam on a Laurent series: the sum of the shifted pairings of its
+    nonzero coefficients, or a zero up to W's top when there are none."""
+    out = None
+    for q in range(W.val, W.top + 1):
+        w = W.coeff(q)
+        if w.is_zero():
+            continue
+        piece = chain_pair_env(ctx, lam, w, memo).shift(q)
+        out = piece if out is None else out + piece
+    if out is None:
+        return chain_zero(ctx, W.top)
+    return out
+
+
 # -- the unmemoised oracle for jet_product_eval -------------------------------------
 
 
-def unmemoised_jet_product_eval(ctx, lam, mu, arg):
-    """The body before the memo: every lift term maps lam's pairing and
-    multiplies it out again."""
+def unmemoised_images(ctx, lam, arg, memo):
+    """The body before the memo, up to the pairing with mu: for every lift
+    term on whose paired leg lam does not vanish, (k, c, W) with W lam's
+    pairing mapped and multiplied by the other leg afresh.  The chain
+    oracles above pair, keeping their pairings in ``memo``."""
     spec = ctx.spec
-    lift = ctx.dfa.lift_mono(arg)
+    left = lam.flavor == LEFT
+    mapper = ctx.dfa.target if left else ctx.dfa.source
+    out = []
+    for k, Tk in enumerate(ctx.dfa.lift_mono(arg).coeffs):
+        for (w1, w2), c in Tk.terms.items():
+            paired, other = (w2, w1) if left else (w1, w2)
+            v = chain_pair_mono(ctx, lam, paired, memo)
+            if v.is_zero():
+                continue
+            W = jets._apply_series_map(ctx, v, mapper)
+            other = EnvElement.monomial(spec.nvars, spec.rank, other[1],
+                                        CPoly.monomial(spec.nvars, other[0]))
+            out.append((k, c, W.map(lambda t: pbw_mul(spec, t, other))))
+    return out
+
+
+def unmemoised_sum(ctx, mu, images, memo):
+    """sum c h^k mu(W) over the images, as a chain of additions."""
     out = None
-    for k, Tk in enumerate(lift.coeffs):
-        for key, c in Tk.terms.items():
-            w1, w2 = key
-            if lam.flavor == LEFT:
-                v = jet_pair(ctx, lam, w2)
-                if v.is_zero():
-                    continue
-                W = jets._apply_series_map(ctx, v, ctx.dfa.target)
-                other = EnvElement.monomial(spec.nvars, spec.rank, w1[1],
-                                            CPoly.monomial(spec.nvars, w1[0]))
-                W = W.map(lambda t: pbw_mul(spec, t, other))
-            else:
-                v = jet_pair(ctx, lam, w1)
-                if v.is_zero():
-                    continue
-                W = jets._apply_series_map(ctx, v, ctx.dfa.source)
-                other = EnvElement.monomial(spec.nvars, spec.rank, w2[1],
-                                            CPoly.monomial(spec.nvars, w2[0]))
-                W = W.map(lambda t: pbw_mul(spec, t, other))
-            piece = jets._pair_env_laurent(ctx, mu, W).shift(k).map(
-                lambda t: t * c)
-            out = piece if out is None else out + piece
-    return out if out is not None else ctx.zero_value()
+    for k, c, W in images:
+        piece = chain_pair_env_laurent(ctx, mu, W, memo).shift(k).map(
+            lambda t: t * c)
+        out = piece if out is None else out + piece
+    return out if out is not None else chain_zero(ctx)
 
 
 def window(v):
@@ -1066,14 +1155,14 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
                     jet_product(ctx, gens[0], gens[-1])]
     args = [((0,) * spec.nvars, beta) for beta in pbw_indices(spec.rank, 2)]
     args.append(((1,) + (0,) * (spec.nvars - 1), (0,) * (spec.rank - 1) + (1,)))
+    # the oracle keeps its pairings apart from the functionals' own memos;
+    # its images depend on lam only, so each is multiplied out once per lam
+    chain_memo = {}
     for lam in funcs:
+        images = [unmemoised_images(ctx, lam, a, chain_memo) for a in args]
         for mu in funcs:
-            # fresh copies keep the oracle off the memo under test
-            plain_lam, plain_mu = (JetElement(f.flavor, f.table)
-                                   for f in (lam, mu))
-            want = [window(unmemoised_jet_product_eval(ctx, plain_lam,
-                                                       plain_mu, a))
-                    for a in args]
+            want = [window(unmemoised_sum(ctx, mu, im, chain_memo))
+                    for im in images]
             memo = {}
             for _ in range(2):
                 # the second pass reads every paired factor from the memo
@@ -1083,7 +1172,7 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
             # a mapped image exactly under the legs lam pairs with nonzero,
             # and factors only under those, none None
             for paired, (W, row) in memo.items():
-                if jet_pair(ctx, plain_lam, paired).is_zero():
+                if chain_pair_mono(ctx, lam, paired, chain_memo).is_zero():
                     assert W is None and not row
                 else:
                     assert W is not None and row and None not in row.values()
@@ -1098,6 +1187,98 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
                       for w, terms in groups for k, other, c in terms)
         assert got == want and set(got.values()) == {1}
         assert len({w for w, _ in groups}) == len(groups)
+
+
+# -- the in-place pairing sums against their chains ----------------------------------
+
+
+def edge_functionals(ctx):
+    """One that vanishes everywhere (no pieces), one whose pairings cancel
+    on e_0 + e_last, an h^-1-rescaled value beside an unrescaled one
+    (negative valuation, different tops), a Fraction scale and a dual
+    product."""
+    gens = [xi_functional(ctx, i) for i in range(ctx.spec.rank)]
+    x1 = coordinate_functional(ctx, 0)
+    return [JetElement(ctx.flavor), gens[0].sub(gens[-1]),
+            gens[0].shift(-1).add(gens[-1]),
+            gens[-1].add(x1).scale(Fraction(-3, 2)),
+            jet_product(ctx, gens[0], gens[-1])]
+
+
+def edge_elements(spec):
+    """Zero (no pieces), e_0 + e_last and e_0 - e_last, a coordinate and a
+    Fraction coefficient, and random elements."""
+    p, m = spec.nvars, spec.rank
+    e0 = EnvElement.monomial(p, m, _bump((0,) * m, 0))
+    el = EnvElement.monomial(p, m, _bump((0,) * m, m - 1))
+    x1e0 = EnvElement.monomial(p, m, _bump((0,) * m, 0), CPoly.var(p, 0))
+    rng = random.Random(14)
+    return [EnvElement.zero(p, m), e0 + el, e0 - el,
+            x1e0 - el.scale(CPoly.const(p, Fraction(2, 3)))] \
+        + [random_elem(spec, rng, 2) for _ in range(2)]
+
+
+def edge_series(ctx, elems):
+    """Laurent series of elements: all zero (no pieces); zero at the
+    valuation -1, so the first nonzero order is 0; a nonzero h^-1 term and
+    a top below the truncation order; a top above it."""
+    n = ctx.order
+    zero = EnvElement.zero(ctx.spec.nvars, ctx.spec.rank)
+    e0l, x1e0, r = elems[1], elems[3], elems[4]
+    return [HLaurent(-1, n, [zero] * (n + 2), zero),
+            HLaurent(-1, n, [zero, e0l, zero, x1e0] + [zero] * (n - 2), zero),
+            HLaurent(-1, n - 1, [x1e0, zero, r] + [zero] * (n - 2), zero),
+            HLaurent(0, n + 2, [r, x1e0] + [e0l] * (n + 1), zero)]
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa])
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_pairing_sums_match_chains(make, flavor):
+    dfa = make()
+    spec = dfa.spec
+    ctx = JetContext(dfa, flavor, 2)
+    funcs = edge_functionals(ctx)
+    elems = edge_elements(spec)
+    series = edge_series(ctx, elems)
+    keys = [(g, a) for g in pbw_indices(spec.nvars, 2)
+            for a in pbw_indices(spec.rank, 2)]
+    memo = {}
+    for lam in funcs:
+        for key in keys:
+            assert window(jets._pair_mono(ctx, lam, key)) \
+                == window(chain_pair_mono(ctx, lam, key, memo))
+        for w in elems:
+            assert window(jets._pair_env(ctx, lam, w)) \
+                == window(chain_pair_env(ctx, lam, w, memo))
+        for W in series:
+            assert window(jets._pair_env_laurent(ctx, lam, W)) \
+                == window(chain_pair_env_laurent(ctx, lam, W, memo))
+    # xi_0 - xi_last on e_0 + e_last: two pieces that cancel to zero
+    val, top, coeffs = window(jets._pair_env(ctx, funcs[1], elems[1]))
+    assert (val, top) == (0, ctx.order)
+    assert all(c.is_zero() for c in coeffs)
+    # products of values at valuations -1 and 0, with different tops
+    values = [v for lam in funcs[1:] for v in lam.table.values()]
+    values += [v.shift(1) for v in values[:2]]
+    for x in values:
+        for y in values:
+            assert window(laurent_mul(x, y, dfa.star_coeffs, ctx.order)) \
+                == window(chain_laurent_mul(x, y, dfa.star_coeffs, ctx.order))
+    empty = HLaurent.zero_upto(-1, ctx.zero_poly())
+    for mul in (laurent_mul, chain_laurent_mul):
+        with pytest.raises(ConfigError):
+            mul(empty, values[0], dfa.star_coeffs, ctx.order)
+    # the dual product's sum of c h^k P
+    args = [((0,) * spec.nvars, beta) for beta in pbw_indices(spec.rank, 1)]
+    args.append(((1,) + (0,) * (spec.nvars - 1), (0,) * (spec.rank - 1) + (1,)))
+    for lam in funcs:
+        images = [unmemoised_images(ctx, lam, a, memo) for a in args]
+        for mu in funcs:
+            factors = {}
+            assert [window(jet_product_eval(ctx, lam, mu, a, factors))
+                    for a in args] \
+                == [window(unmemoised_sum(ctx, mu, im, memo)) for im in images]
 
 
 # -- the unskipped oracle for tensor_functional_from_pair -----------------------------

@@ -377,3 +377,17 @@ def test_coproduct_decomposition():
             dec2 = jet_coproduct_decompose(ctx, dv, degree=2)
             gen_leg = (1, 0) if i == 0 else (0, 1)
             assert gen_leg in dec2 and (0, 0) in dec2
+
+
+def test_zero_value_is_one_shared_instance_that_never_changes():
+    ctx = make_ctx(LEFT)
+    n = ctx.order
+    zero = ctx.zero_value()
+    assert ctx.zero_value() is zero
+    x1, x2 = xi_functional(ctx, 0), xi_functional(ctx, 1)
+    jet_product(ctx, x1, x2)
+    jets.jet_commutator(ctx, x1, x2)
+    # a key missing from the table reads the shared zero
+    assert x1.value(ctx, (3, 3)) is zero
+    assert (zero.val, zero.top, zero.coeffs) == (n + 1, n, ())
+    assert zero.zero.is_zero() and zero.zero.terms == {}

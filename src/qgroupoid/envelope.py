@@ -8,8 +8,10 @@ e_j e_i -> e_i e_j - [e_i, e_j] (j > i) until normal; rewriting terminates
 because every step lowers (total degree, inversion count) lexicographically.
 The rewriting runs once per pair of basis monomials x^gamma e^alpha, into
 the structure's one product table (``leg_product``), which every product
-of the engine reads: ``pbw_mul`` here, and the tensor product, reduction
-and decompositions of ``tensorspace`` and ``deform``.  The anchor action
+of the engine reads: ``pbw_mul`` here, the tensor product, reduction and
+decompositions of ``tensorspace`` and ``deform``, and the jet pairings of
+``jets``, which pair a functional with a product read from the table
+without building it.  The anchor action
 reads a second table, of e^alpha acting on x^gamma: ``basis_action`` is
 a basis monomial acting on a polynomial, and ``anchor_action`` sums it
 over the basis terms of an element.

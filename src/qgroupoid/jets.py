@@ -18,12 +18,19 @@ Every sum of this layer is accumulated in place in one
 the pairings of an element's monomials (of every h-order of a series at
 once) and the terms c h^k P of a dual product.  Each sum equals the chain
 of ``HLaurent`` additions it stands for, window included.
+
+A product that is only paired or counit-evaluated is never built as an
+element: its basis terms are read straight from the structure's product
+table (``envelope.leg_product``), one flat row per h-order with like
+terms merged and zeros dropped, the terms the product's normal form
+holds (``_product_row``, ``_pair_product``).
 """
 
 import itertools
+from operator import add
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
-from .envelope import EnvElement, env_counit, pbw_mul
+from .envelope import EnvElement, _bump_term, leg_product
 from .errors import ConfigError, FlavorError, TruncationInsufficientError
 from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
@@ -204,39 +211,78 @@ def _pair_mono(ctx, lam, key):
     return out
 
 
-def _add_env(acc, ctx, lam, w, k=0):
-    """Add h^k lam(w) for a plain normal-form element w into ``acc``."""
-    for alpha, poly in w.terms.items():
-        for gamma, q in poly.terms.items():
-            acc.add(_pair_mono(ctx, lam, (gamma, alpha)), q, k)
+def _pair_rows(ctx, lam, rows, top):
+    """sum_q h^q lam(row_q) for rows (q, basis terms ((gamma, alpha), c))
+    in increasing q, an empty row skipped.  The pairing of each row, as of
+    a plain element, starts from zero up to the truncation order N before
+    its shift, so the one sum starts from zero up to N + (the first q with
+    a term); with no terms it is zero up to ``top``."""
+    acc = None
+    for q, terms in rows:
+        if not terms:
+            continue
+        if acc is None:
+            acc = LaurentSum(ctx.zero_poly(), ctx.order + q)
+        for key, c in terms:
+            acc.add(_pair_mono(ctx, lam, key), c, q)
+    if acc is None:
+        return HLaurent.zero_upto(top, ctx.zero_poly())
+    return acc.value()
+
+
+def _env_terms(w):
+    """The basis terms ((gamma, alpha), c) of a normal-form element."""
+    return [((gamma, alpha), q) for alpha, poly in w.terms.items()
+            for gamma, q in poly.terms.items()]
 
 
 def _pair_env(ctx, lam, w):
     """lam on a plain normal-form element: a sum that starts from zero up
     to the truncation order."""
-    acc = LaurentSum(ctx.zero_poly(), ctx.order)
-    _add_env(acc, ctx, lam, w)
-    return acc.value()
+    return _pair_rows(ctx, lam, [(0, _env_terms(w))], ctx.order)
 
 
 def _pair_env_laurent(ctx, lam, W):
-    """lam on a Laurent series of normal-form elements (k[[h]]-linearity).
+    """lam on a Laurent series of normal-form elements (k[[h]]-linearity)."""
+    return _pair_rows(ctx, lam, ((q, _env_terms(w))
+                                 for q, w in enumerate(W.coeffs, W.val)),
+                      W.top)
 
-    The sum of the shifted ``_pair_env(w_q) h^q``: each of those starts
-    from zero up to the truncation order N before its shift, so the one
-    sum starts from zero up to N + (the lowest q with w_q nonzero)."""
-    zero = ctx.zero_poly()
-    acc = None
-    for q in range(W.val, W.top + 1):
-        w = W.coeff(q)
-        if w.is_zero():
-            continue
-        if acc is None:
-            acc = LaurentSum(zero, ctx.order + q)
-        _add_env(acc, ctx, lam, w, q)
-    if acc is None:
-        return HLaurent.zero_upto(W.top, zero)
-    return acc.value()
+
+def _product_row(spec, w, m, mono_right):
+    """w . m (``mono_right``) or m . w for an element w and a basis
+    monomial key m, as one flat {basis key: coefficient} read from the
+    product table: like terms merged and zeros dropped, so it holds the
+    basis terms of the product's normal form."""
+    zeros = (0,) * spec.nvars
+    row = {}
+    for alpha, poly in w.terms.items():
+        for gamma, q in poly.terms.items():
+            la, lb = ((gamma, alpha), m) if mono_right else (m, (gamma, alpha))
+            shift = la[0] if any(la[0]) else None
+            for (g, a), r in leg_product(spec, (zeros, la[1]), lb):
+                if shift is not None:
+                    g = tuple(map(add, g, shift))
+                _bump_term(row, (g, a), q if r == 1 else q * r)
+    return row
+
+
+def _pair_product(ctx, lam, W, m, mono_right=True):
+    """lam(W . m) (``mono_right``) or lam(m . W) for a Laurent series W of
+    elements and a basis monomial key m, without building the product:
+    equal to ``_pair_env_laurent`` of the product series, window
+    included, as each row holds exactly the product's basis terms."""
+    spec = ctx.spec
+    return _pair_rows(ctx, lam, (
+        (q, _product_row(spec, w, m, mono_right).items())
+        for q, w in enumerate(W.coeffs, W.val) if w.terms), W.top)
+
+
+def _pair_entry(ctx, lam, la, lb):
+    """lam on the product of two basis monomials: their table entry,
+    paired as a plain element."""
+    return _pair_rows(ctx, lam, [(0, leg_product(ctx.spec, la, lb))],
+                      ctx.order)
 
 
 def jet_pair(ctx, lam, u):
@@ -294,17 +340,6 @@ def _mapped_leg(ctx, lam, w):
     return _apply_series_map(ctx, v, mapper)
 
 
-def _leg_factor(ctx, mu, W, other):
-    """mu(W . other) for a mapped leg W and the monomial key of the other leg."""
-    spec = ctx.spec
-    other = EnvElement.monomial(spec.nvars, spec.rank, other[1],
-                                CPoly.monomial(spec.nvars, other[0]))
-    W = HLaurent(W.val, W.top,
-                 [pbw_mul(spec, t, other) if t.terms else t for t in W.coeffs],
-                 W.zero)
-    return _pair_env_laurent(ctx, mu, W)
-
-
 def jet_product_eval(ctx, lam, mu, arg, memo=None):
     """(lam mu) evaluated on one monomial, through the coproduct lift.
 
@@ -338,7 +373,7 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
         for k, other, c in terms:
             P = row.get(other)
             if P is None:
-                P = row[other] = _leg_factor(ctx, mu, W, other)
+                P = row[other] = _pair_product(ctx, mu, W, other)
             acc.add(P, c, k)
     if acc.top is None:
         # no lift term survived
@@ -366,15 +401,6 @@ def _base_image(ctx, a):
     return (ctx.dfa.target if ctx.flavor == LEFT else ctx.dfa.source)(a)
 
 
-def _times_mono(ctx, U, beta, mono_right):
-    """U . e^beta (``mono_right``) or e^beta . U, order by order."""
-    spec = ctx.spec
-    mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-    if mono_right:
-        return U.map(lambda w: pbw_mul(spec, w, mono))
-    return U.map(lambda w: pbw_mul(spec, mono, w))
-
-
 def jet_source_target(ctx, a, degree=None):
     """The dual source and target images of a base element, per flavor.
 
@@ -382,14 +408,19 @@ def jet_source_target(ctx, a, degree=None):
     Right dual: source(a)(u) = eps(u s_F(a)),   target(a)(u) = eps(s_F(a) u).
     Returns (source, target) as JetElements of the context flavor.
     """
-    n = ctx.order
-    zero_p = ctx.zero_poly()
+    spec = ctx.spec
+    zeros, unit = (0,) * spec.nvars, (0,) * spec.rank
     image = _base_image(ctx, a)
 
     def counit_table(mono_right):
         def value(beta):
-            U = _times_mono(ctx, image, beta, mono_right)
-            return HLaurent(0, n, [env_counit(c) for c in U.coeffs], zero_p)
+            # the counit of each order of image . e^beta (or e^beta . image)
+            # is the e^0 part of its normal form
+            mono = (zeros, beta)
+            return HLaurent(0, ctx.order, [
+                CPoly(spec.nvars, {g: c for (g, al), c in _product_row(
+                    spec, w, mono, mono_right).items() if al == unit})
+                for w in image.coeffs], ctx.zero_poly())
         return JetElement(ctx.flavor, _tabulate(ctx, value, degree))
 
     left = ctx.flavor == LEFT
@@ -404,14 +435,12 @@ def jet_coproduct_functional(ctx, lam, degree=None):
     (right): the transpose of the (opposite) multiplication."""
     degree = degree if degree is not None else ctx.jet_degree
     spec = ctx.spec
+    zeros = (0,) * spec.nvars
     out = {}
     for b1 in pbw_indices(spec.rank, degree):
         for b2 in pbw_indices(spec.rank, degree - sum(b1)):
-            m1 = EnvElement.monomial(spec.nvars, spec.rank, b1)
-            m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
-            prod = pbw_mul(spec, m1, m2) if ctx.flavor == LEFT \
-                else pbw_mul(spec, m2, m1)
-            v = _pair_env(ctx, lam, prod)
+            la, lb = (b1, b2) if ctx.flavor == LEFT else (b2, b1)
+            v = _pair_entry(ctx, lam, (zeros, la), (zeros, lb))
             if not v.is_zero():
                 out[(b1, b2)] = v
     return out
@@ -428,21 +457,21 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     """
     degree = degree if degree is not None else ctx.jet_degree
     spec = ctx.spec
+    zeros = (0,) * spec.nvars
     left = ctx.flavor == LEFT
     first, second = (lam, mu) if left else (mu, lam)
     mapper = ctx.dfa.source if left else ctx.dfa.target
     out = {}
     for b1 in pbw_indices(spec.rank, degree):
         for b2 in pbw_indices(spec.rank, degree - sum(b1)):
-            m1 = EnvElement.monomial(spec.nvars, spec.rank, b1)
-            m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
-            paired, moved = (m2, m1) if left else (m1, m2)
-            v = _pair_env(ctx, first, paired)
+            paired, moved = (b2, b1) if left else (b1, b2)
+            # the value on e^paired seen through a plain element's window
+            v = _pair_env(ctx, first, EnvElement.monomial(
+                spec.nvars, spec.rank, paired))
             if v.is_zero():
                 continue
             W = _apply_series_map(ctx, v, mapper)
-            W = W.map(lambda t: pbw_mul(spec, moved, t))
-            val = _pair_env_laurent(ctx, second, W)
+            val = _pair_product(ctx, second, W, (zeros, moved), False)
             if not val.is_zero():
                 out[(b1, b2)] = val
     return out
@@ -567,14 +596,15 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
     report.check("dual-associativity", associativity_failures())
 
     def action_failures():
+        zeros = (0,) * spec.nvars
         for xj in polys:
             src, tgt = jet_source_target(ctx, xj)
-            image = _base_image(ctx, xj)
+            image = HLaurent.from_hseries(_base_image(ctx, xj))
             for lam in sample:
                 left_action = jet_product(ctx, src, lam)
                 for beta in dom:
-                    moved = _times_mono(ctx, image, beta, ctx.flavor == LEFT)
-                    direct = jet_pair(ctx, lam, moved)
+                    direct = _pair_product(ctx, lam, image, (zeros, beta),
+                                           ctx.flavor == LEFT)
                     if not left_action.value(ctx, beta).eq_to_order(direct):
                         yield "source-action compatibility fails at %s" % (beta,)
 
@@ -645,14 +675,15 @@ def evaluation_iso_check(ctx, degree):
             want = CPoly.one(spec.nvars) if kappa == beta else CPoly.zero(spec.nvars)
             if val != want:
                 return False
+    zeros = (0,) * spec.nvars
     half = [b for b in idx if 2 * sum(b) <= degree]
     for b1 in half:
         for b2 in half:
             m1 = EnvElement.monomial(spec.nvars, spec.rank, b1)
             m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
-            uv = pbw_mul(spec, m1, m2)
             for kappa in idx:
-                lhs = jet_pair(ctx, powers[kappa], uv).coeff(0)
+                lhs = _pair_entry(ctx, powers[kappa], (zeros, b1),
+                                  (zeros, b2)).coeff(0)
                 rhs = CPoly.zero(spec.nvars)
                 for k1 in idx:
                     k2 = tuple(a - b for a, b in zip(kappa, k1))

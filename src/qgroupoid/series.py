@@ -194,9 +194,6 @@ class HLaurent:
     def _aligned(self, other):
         val = min(self.val, other.val)
         top = min(self.top, other.top)
-        if top < val:
-            # at least one side is an empty window (zero up to its top)
-            val = top + 1
         a = [self.coeff(n) for n in range(val, top + 1)]
         b = [other.coeff(n) for n in range(val, top + 1)]
         return val, top, a, b

@@ -380,6 +380,9 @@ def _load_values():
 @pytest.mark.parametrize("label,n", [
     pytest.param("axb", 4, id="axb"),
     pytest.param("bracket(a=2)", 4, id="bracket(a=2)"),
+    pytest.param("bracket(a=-1)", 4, id="bracket(a=-1)"),
+    pytest.param("bracket(a=3)", 4, id="bracket(a=3)"),
+    pytest.param("bracket(a=5)", 4, id="bracket(a=5)"),
     pytest.param("axb", 6, id="axb n6"),
 ])
 def test_values_match_the_reference_fingerprint(label, n, tmp_path):
@@ -390,8 +393,10 @@ def test_values_match_the_reference_fingerprint(label, n, tmp_path):
     if label == "axb":
         spec = SPEC if n == 4 else "axb"
     else:
+        # the bracket weight a is read from the label "bracket(a=...)"
+        weight = int(label[len("bracket(a="):-1])
         spec = tmp_path / "bracket.spec"
-        spec.write_text(_bracket_spec_text(2))
+        spec.write_text(_bracket_spec_text(weight))
     dfa = values.build(str(spec), "deformation", n, n)
     parts = values.fingerprint_parts(dfa, n)
     total = hashlib.md5(json.dumps(parts, sort_keys=True).encode()).hexdigest()

@@ -29,6 +29,12 @@
   pairs through those chains.
 - ``tensor_functional_from_pair`` skips entries whose first pairing
   vanishes; the oracle is the body that maps and multiplies every entry.
+- The jet layer pairs (or takes the counit of) a product with a basis
+  monomial without building it, reading the product table into one
+  merged row per h-order (``_pair_product``); the oracles build the
+  product with ``pbw_mul`` and pair it through the ``+`` chains, and the
+  bodies of ``jet_coproduct_functional`` and ``jet_source_target`` that
+  built their products are kept below.
 - ``basis_decompose`` multiplies out only the orders that survive the
   truncation, term by term through the leg table; the oracle is the
   back-substitution that maps and subtracts the whole series per term.
@@ -58,8 +64,8 @@ from qgroupoid.deform import (
     reexpand, sample_defelems, twisted_coproduct,
 )
 from qgroupoid.envelope import (
-    EnvElement, _bump_term, anchor_action, basis_action, leg_product,
-    monomial_action, pbw_mul,
+    EnvElement, _bump_term, anchor_action, basis_action, env_counit,
+    leg_product, monomial_action, pbw_mul,
 )
 from qgroupoid.errors import ConfigError
 from qgroupoid.jets import (
@@ -1330,3 +1336,144 @@ def test_tensor_functional_from_pair_matches_unskipped(make, flavor):
                            .is_zero() for beta in pbw_indices(spec.rank, 2))
     # the skip is taken
     assert skipped
+
+
+# -- products paired without being built ---------------------------------------------
+
+
+def built_product_series(spec, W, key, mono_right):
+    """W . m or m . W for the basis monomial key m = (gamma, alpha), built
+    order by order with ``pbw_mul``."""
+    gamma, alpha = key
+    mono = EnvElement.monomial(spec.nvars, spec.rank, alpha,
+                               CPoly.monomial(spec.nvars, gamma))
+    if mono_right:
+        return W.map(lambda t: pbw_mul(spec, t, mono))
+    return W.map(lambda t: pbw_mul(spec, mono, t))
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa])
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_pair_product_matches_built_product(make, flavor):
+    dfa = make()
+    spec = dfa.spec
+    p, m = spec.nvars, spec.rank
+    ctx = JetContext(dfa, flavor, 2)
+    funcs = edge_functionals(ctx)
+    series = edge_series(ctx, edge_elements(spec))
+    # the unit, the first and last generators and x1 e_0 (a coordinate the
+    # table entry is shifted by when the monomial is on the left)
+    monos = [((0,) * p, (0,) * m), ((0,) * p, _bump((0,) * m, 0)),
+             ((0,) * p, _bump((0,) * m, m - 1)),
+             (_bump((0,) * p, 0), _bump((0,) * m, 0))]
+    memo = {}
+    for key in monos:
+        for mono_right in (True, False):
+            built = [built_product_series(spec, W, key, mono_right)
+                     for W in series]
+            for lam in funcs:
+                for W, P in zip(series, built):
+                    assert window(jets._pair_product(ctx, lam, W, key,
+                                                     mono_right)) \
+                        == window(chain_pair_env_laurent(ctx, lam, P, memo))
+
+
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_pair_product_merges_cancelling_terms(flavor):
+    """On the bracketed structure anchor(e_0) x1 = x1, so
+    e_0 . (x1 - x1 e_0) = x1 e_0 + x1 - x1 e_0^2 - x1 e_0: the two basis
+    terms of w land on x1 e_0 with cancelling coefficients.  lam pairs
+    there with a lower top than on the surviving keys, so pairing the
+    unmerged terms would lower the window's top."""
+    dfa = bracketed_exp_dfa()
+    spec = dfa.spec
+    p, m = spec.nvars, spec.rank
+    n = dfa.order
+    ctx = JetContext(dfa, flavor, 2)
+    x1, e0 = _bump((0,) * p, 0), _bump((0,) * m, 0)
+    zero = EnvElement.zero(p, m)
+    w = EnvElement(p, m, {(0,) * m: CPoly.var(p, 0), e0: -CPoly.var(p, 0)})
+    W = HLaurent(0, n, [w] + [zero] * n, zero)
+    mono = ((0,) * p, e0)
+    gens = [xi_functional(ctx, i) for i in range(m)]
+    lam = gens[0].shift(-1).add(gens[-1])
+    unmerged = [(t, q * r) for alpha, poly in w.terms.items()
+                for gamma, q in poly.terms.items()
+                for t, r in leg_product(spec, mono, (gamma, alpha))]
+    cancelled = (x1, e0)
+    assert [c for t, c in unmerged if t == cancelled] == [1, -1]
+    assert cancelled not in jets._product_row(spec, w, mono, False)
+    got = jets._pair_product(ctx, lam, W, mono, False)
+    built = built_product_series(spec, W, mono, False)
+    assert window(got) == window(chain_pair_env_laurent(ctx, lam, built, {}))
+    assert got.top == n
+    assert jets._pair_mono(ctx, lam, cancelled).top < got.top
+
+
+# -- the built-product bodies of the coproduct functional and the dual
+# -- source/target -------------------------------------------------------------------
+
+
+def built_coproduct_functional(ctx, lam, degree):
+    """lam(e^b1 e^b2) (left) or lam(e^b2 e^b1) (right), the product built
+    with ``pbw_mul`` and paired as a plain element."""
+    spec = ctx.spec
+    out = {}
+    for b1 in pbw_indices(spec.rank, degree):
+        for b2 in pbw_indices(spec.rank, degree - sum(b1)):
+            m1 = EnvElement.monomial(spec.nvars, spec.rank, b1)
+            m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
+            prod = pbw_mul(spec, m1, m2) if ctx.flavor == LEFT \
+                else pbw_mul(spec, m2, m1)
+            v = jets._pair_env(ctx, lam, prod)
+            if not v.is_zero():
+                out[(b1, b2)] = v
+    return out
+
+
+def built_source_target(ctx, a, degree):
+    """The counits of the image of a times e^beta (or e^beta times it),
+    each order of the product built with ``pbw_mul``."""
+    spec = ctx.spec
+    n = ctx.order
+    image = jets._base_image(ctx, a)
+
+    def counit_table(mono_right):
+        table = {}
+        for beta in pbw_indices(spec.rank, degree):
+            mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
+            U = image.map(lambda w: pbw_mul(spec, w, mono)) if mono_right \
+                else image.map(lambda w: pbw_mul(spec, mono, w))
+            v = HLaurent(0, n, [env_counit(c) for c in U.coeffs],
+                         ctx.zero_poly())
+            if not v.is_zero():
+                table[beta] = v
+        return table
+
+    left = ctx.flavor == LEFT
+    return counit_table(left), counit_table(not left)
+
+
+def windows(table):
+    return {k: window(v) for k, v in table.items()}
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa])
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_coproduct_and_source_target_match_built_products(make, flavor):
+    dfa = make()
+    spec = dfa.spec
+    p = spec.nvars
+    ctx = JetContext(dfa, flavor, 2)
+    for lam in edge_functionals(ctx):
+        assert windows(jets.jet_coproduct_functional(ctx, lam, 2)) \
+            == windows(built_coproduct_functional(ctx, lam, 2))
+    # zero, a coordinate, a constant and a mixed polynomial with a Fraction
+    x1, xl = CPoly.var(p, 0), CPoly.var(p, p - 1)
+    for a in (CPoly.zero(p), x1, CPoly.const(p, 2),
+              x1 * xl - CPoly.const(p, Fraction(2, 3)) + x1 * x1):
+        got = jets.jet_source_target(ctx, a, 2)
+        want = built_source_target(ctx, a, 2)
+        assert [windows(j.table) for j in got] == [windows(t) for t in want]

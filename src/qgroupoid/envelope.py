@@ -11,7 +11,10 @@ the structure's one product table (``leg_product``), which every product
 of the engine reads: ``pbw_mul`` here, the tensor product, reduction and
 decompositions of ``tensorspace`` and ``deform``, and the jet pairings of
 ``jets``, which pair a functional with a product read from the table
-without building it.  The anchor action
+without building it.  The table is keyed by the monomials' interned ids
+(``leg_id``): every basis monomial (gamma, alpha) gets a small int the
+first time it is seen, so a lookup hashes a pair of ints instead of
+nested exponent tuples.  The anchor action
 reads a second table, of e^alpha acting on x^gamma: ``basis_action`` is
 a basis monomial acting on a polynomial, and ``anchor_action`` sums it
 over the basis terms of an element.
@@ -23,7 +26,7 @@ from .errors import ConfigError
 from .scalars import CPoly, Fraction
 
 __all__ = [
-    "EnvElement", "pbw_mul", "leg_product", "monomial_action",
+    "EnvElement", "pbw_mul", "leg_id", "leg_product", "monomial_action",
     "basis_action", "env_counit", "anchor_action",
 ]
 
@@ -136,12 +139,44 @@ def _first_nonzero(alpha):
     return None
 
 
+# -- interned basis monomials -----------------------------------------------------
+#
+# Every basis monomial (gamma, alpha) gets an int id the first time it is
+# seen, in that order, and keeps it for the life of the process.  The
+# naming is injective and depends on nothing but the exponent pair, so one
+# registry serves every structure and can never go stale.  Ids follow the
+# order of first use, which depends on the call order: a result's order
+# must never come from sorting ids, only from the monomials (``LEGS[i]``).
+
+_LEG_IDS = {}   # (gamma, alpha) -> id
+LEGS = []       # id -> (gamma, alpha)
+PURE = []       # id -> the id of (0, alpha)
+
+
+def leg_id(leg):
+    """The interned id of the basis monomial leg = (gamma, alpha)."""
+    i = _LEG_IDS.get(leg)
+    if i is None:
+        gamma, alpha = leg
+        pure = leg_id(((0,) * len(gamma), alpha)) if any(gamma) else len(LEGS)
+        i = _LEG_IDS[leg] = len(LEGS)
+        LEGS.append(leg)
+        PURE.append(pure)
+    return i
+
+
+def shift_id(i, mu):
+    """The id of x^mu times the monomial with id i."""
+    gamma, alpha = LEGS[i]
+    return leg_id((tuple(map(add, gamma, mu)), alpha))
+
+
 # -- the product table -----------------------------------------------------------
 #
 # By the PBW theorem the monomials x^gamma e^alpha are a basis, so the
 # product of two basis monomials fixes every product.  The structure keeps
-# these products in one table (``spec._leg_table``), keyed by the two
-# monomials and holding the product as basis terms ((gamma, alpha), q), an
+# these products in one table (``spec._leg_table``), keyed by the ids of
+# the two monomials and holding the product as basis terms (id, q), an
 # integral q stored as an ``int``.  A left coordinate x^ga only shifts the
 # entry of (x^0 e^alpha, x^gamma e^beta), which is built by peeling the last
 # generator e_j off e^alpha:
@@ -154,20 +189,20 @@ def _first_nonzero(alpha):
 # rewriting step, and it stops once e_j sorts before e^beta.
 
 
-def leg_product(spec, la, lb):
-    """Product of two basis monomials la = (gamma, alpha) and lb as a tuple
-    of basis terms ((gamma, alpha), q), read from the structure's product
-    table and filled there."""
+def leg_product(spec, ia, ib):
+    """Product of the basis monomials with ids ia and ib as a tuple of
+    basis terms (id, q), read from the structure's product table and
+    filled there."""
     table = spec._leg_table
-    key = (la, lb)
+    key = (ia, ib)
     hit = table.get(key)
     if hit is None:
-        ga, aa = la
+        ga, aa = LEGS[ia]
         if any(ga):
-            hit = tuple(((tuple(map(add, g, ga)), a), q) for (g, a), q
-                        in leg_product(spec, ((0,) * spec.nvars, aa), lb))
+            hit = tuple((shift_id(i, ga), q)
+                        for i, q in leg_product(spec, PURE[ia], ib))
         else:
-            hit = _leg_entry(spec, aa, *lb)
+            hit = _leg_entry(spec, aa, *LEGS[ib])
         table[key] = hit
     return hit
 
@@ -178,38 +213,40 @@ def _leg_entry(spec, alpha, gamma, beta):
     zeros = (0,) * spec.nvars
     j = _last_nonzero(alpha)
     if j is None:
-        return (((gamma, beta), 1),)
-    ej = (zeros, _bump((0,) * rank, j))
+        return ((leg_id((gamma, beta)), 1),)
+    ej = leg_id((zeros, _bump((0,) * rank, j)))
     rows = {}
     if sum(alpha) > 1:
-        head = (zeros, _bump(alpha, j, -1))
-        for w, q in leg_product(spec, ej, (gamma, beta)):
+        head = leg_id((zeros, _bump(alpha, j, -1)))
+        for w, q in leg_product(spec, ej, leg_id((gamma, beta))):
             _acc_rows(rows, leg_product(spec, head, w), q)
     elif any(gamma):
-        _acc_rows(rows, leg_product(spec, ej, (zeros, beta)), 1, gamma)
+        _acc_rows(rows, leg_product(spec, ej, leg_id((zeros, beta))), 1, gamma)
         row = rows.setdefault(beta, {})
         for mu, v in monomial_action(spec, alpha, gamma).terms.items():
             _bump_term(row, mu, v)
     else:
         i = _first_nonzero(beta)
         if i is None or j <= i:
-            return (((zeros, _bump(beta, j)), 1),)
-        rest = (zeros, _bump(beta, i, -1))
-        ei = (zeros, _bump((0,) * rank, i))
+            return ((leg_id((zeros, _bump(beta, j))), 1),)
+        rest = leg_id((zeros, _bump(beta, i, -1)))
+        ei = leg_id((zeros, _bump((0,) * rank, i)))
         for w, q in leg_product(spec, ej, rest):
             _acc_rows(rows, leg_product(spec, ei, w), q)
         for k, c in enumerate(spec.bracket_basis(i, j)):
             if c.terms:
-                ek = leg_product(spec, (zeros, _bump((0,) * rank, k)), rest)
+                ek = leg_product(spec, leg_id((zeros, _bump((0,) * rank, k))),
+                                 rest)
                 for mu, v in c.terms.items():
                     _acc_rows(rows, ek, -v, mu)
-    return tuple(((g, a), q.numerator if q.denominator == 1 else q)
+    return tuple((leg_id((g, a)), q.numerator if q.denominator == 1 else q)
                  for a, row in rows.items() for g, q in row.items())
 
 
 def _acc_rows(rows, terms, c, mu=None):
     """rows += c x^mu * terms, rows kept as {alpha: {gamma: q}}."""
-    for (g, a), q in terms:
+    for i, q in terms:
+        g, a = LEGS[i]
         if mu:
             g = tuple(map(add, g, mu))
         _bump_term(rows.setdefault(a, {}), g, c * q)
@@ -285,15 +322,22 @@ def pbw_mul(spec, u, v):
         raise ConfigError("operands over different structures")
     nvars = spec.nvars
     zeros = (0,) * nvars
+    table = spec._leg_table
+    legs = LEGS
+    lefts = [(leg_id((zeros, alpha)), a.terms) for alpha, a in u.terms.items()]
     rows = {}
     for beta, b in v.terms.items():
         for gamma, q in b.terms.items():
-            for alpha, a in u.terms.items():
-                entry = leg_product(spec, (zeros, alpha), (gamma, beta))
-                for mu, p in a.terms.items():
+            ib = leg_id((gamma, beta))
+            for ia, aterms in lefts:
+                entry = table.get((ia, ib))
+                if entry is None:
+                    entry = leg_product(spec, ia, ib)
+                for mu, p in aterms.items():
                     c = p if q == 1 else q if p == 1 else p * q
                     shift = any(mu)
-                    for (g, d), r in entry:
+                    for i, r in entry:
+                        g, d = legs[i]
                         if shift:
                             g = tuple(map(add, g, mu))
                         row = rows.get(d)

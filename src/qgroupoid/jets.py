@@ -30,7 +30,7 @@ import itertools
 from operator import add
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
-from .envelope import EnvElement, _bump_term, leg_product
+from .envelope import LEGS, EnvElement, _bump_term, leg_id, leg_product
 from .errors import ConfigError, FlavorError, TruncationInsufficientError
 from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
@@ -253,14 +253,32 @@ def _product_row(spec, w, m, mono_right):
     """w . m (``mono_right``) or m . w for an element w and a basis
     monomial key m, as one flat {basis key: coefficient} read from the
     product table: like terms merged and zeros dropped, so it holds the
-    basis terms of the product's normal form."""
+    basis terms of the product's normal form.  The left factor's x^gamma
+    shifts the entry of its pure part e^alpha."""
     zeros = (0,) * spec.nvars
+    table, legs = spec._leg_table, LEGS
     row = {}
+    if mono_right:
+        ib = leg_id(m)
+    else:
+        ia = leg_id((zeros, m[1]))
+        shift = m[0] if any(m[0]) else None
     for alpha, poly in w.terms.items():
+        if mono_right:
+            ia = leg_id((zeros, alpha))
+            entry = table.get((ia, ib))
+            if entry is None:
+                entry = leg_product(spec, ia, ib)
         for gamma, q in poly.terms.items():
-            la, lb = ((gamma, alpha), m) if mono_right else (m, (gamma, alpha))
-            shift = la[0] if any(la[0]) else None
-            for (g, a), r in leg_product(spec, (zeros, la[1]), lb):
+            if mono_right:
+                shift = gamma if any(gamma) else None
+            else:
+                ib = leg_id((gamma, alpha))
+                entry = table.get((ia, ib))
+                if entry is None:
+                    entry = leg_product(spec, ia, ib)
+            for i, r in entry:
+                g, a = legs[i]
                 if shift is not None:
                     g = tuple(map(add, g, shift))
                 _bump_term(row, (g, a), q if r == 1 else q * r)
@@ -281,7 +299,8 @@ def _pair_product(ctx, lam, W, m, mono_right=True):
 def _pair_entry(ctx, lam, la, lb):
     """lam on the product of two basis monomials: their table entry,
     paired as a plain element."""
-    return _pair_rows(ctx, lam, [(0, leg_product(ctx.spec, la, lb))],
+    entry = leg_product(ctx.spec, leg_id(la), leg_id(lb))
+    return _pair_rows(ctx, lam, [(0, [(LEGS[i], q) for i, q in entry])],
                       ctx.order)
 
 

@@ -13,20 +13,39 @@ multiply the denominators, sums align them to their lcm, and negation,
 ``flip``, ``embed`` and the reduction copy the numerators, so the layer does
 integer arithmetic only.  ``den`` is not kept in lowest terms: content is
 removed only where a value leaves the layer.  ``.terms`` is a read-only
-``{key: Fraction}`` view in lowest terms, built once per tensor, and
-``__hash__`` reads it; ``__eq__`` cross-multiplies and needs no gcd.
+``{monomial key: Fraction}`` view in lowest terms, built once per tensor,
+and ``__hash__`` reads it; ``__eq__`` cross-multiplies and needs no gcd.
+
+A leg is a basis monomial x^gamma e^alpha, and inside the layer it is
+its interned id (``envelope.leg_id``: one process-wide registry that
+names each exponent pair (gamma, alpha) by a small int the first time it
+is seen, for every structure alike).  ``num`` is keyed by tuples of leg
+ids, so a lookup hashes a tuple of ints, where a tuple of nested exponent
+tuples costs about three times as much.  The public face keeps the
+monomials: the constructor takes nested keys ((gamma, alpha), ...),
+``.terms`` gives them back, and ``__hash__``, ``__repr__`` and
+``DeformedEnvAlgebroid.lift_legs`` read ``.terms``.  Ids follow the order
+in which monomials are first seen, so nothing sorts by id; every ordered
+output sorts the monomials.
 
 Legs are multiplied through ``envelope.leg_product``, the accessor of the
-structure's one product table (``spec._leg_table``: a pair of basis legs
-to their product as basis terms, an integral coefficient stored as an
-``int``), which ``pbw_mul`` reads as well.  ``tensor_mul`` multiplies leg
-by leg through it, passing the other leg through where one leg is the
+structure's one product table (``spec._leg_table``: a pair of leg ids to
+their product as basis terms (id, q), an integral coefficient stored as
+an ``int``), which ``pbw_mul`` reads as well.  ``tensor_mul`` multiplies
+leg by leg through it, passing the other leg through where one leg is the
 unit, and the tensor reduction and basis decomposition of ``deform``
 multiply their basis terms by it.  A structure with rational structure
 functions may store a ``Fraction``; ``tensor_mul`` then brings its result
-back to integer numerators once.
+back to integer numerators once.  ``tensor_reduce`` reads, per leg id,
+the id of its pure part (0, alpha) from the registry (``PURE``) and
+migrates the gamma of every leg that is not pure.
 
-Every coproduct reads the memoised Delta(x^gamma e^alpha) of a basis leg
+A Cauchy product of tensor series (``tensor_series_mul``) sums each
+h-order into one dict of integer numerators over one denominator, the lcm
+of the den_i den_j of its products, where a chain of ``+`` would realign
+the denominators and copy the dict once per product.
+
+Every coproduct reads the memoised Delta(x^gamma e^alpha) of a leg id
 (``copro_basis``): ``tensor_coproduct_leg`` splices it into one leg, and
 the coproduct of an element is that splice on the element as a 1-leg
 tensor.  ``counit_contract`` is the one counit contraction of a classical
@@ -38,16 +57,20 @@ from math import lcm
 from operator import add
 from types import MappingProxyType
 
-from .envelope import EnvElement, _bump_term, leg_product, pbw_mul
+from .envelope import (
+    LEGS, PURE, EnvElement, _bump_term, leg_id, leg_product, pbw_mul, shift_id,
+)
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
+from .series import HSeries
 
 # the most legs an iterated coproduct may build
 MAX_LEGS = 8
 
 __all__ = [
-    "TensorElement", "env_coproduct", "tensor_mul", "counit_contract",
-    "tensor_reduce", "takeuchi_check", "iterated_coproduct", "primitive_check",
+    "TensorElement", "env_coproduct", "tensor_mul", "tensor_series_mul",
+    "counit_contract", "tensor_reduce", "takeuchi_check", "iterated_coproduct",
+    "primitive_check",
 ]
 
 
@@ -57,6 +80,11 @@ def _common_den(terms):
     den = lcm(*[c.denominator for c in terms.values()])
     return {k: c.numerator * (den // c.denominator)
             for k, c in terms.items() if c}, den
+
+
+def _unit_id(nvars, rank):
+    """The id of the unit leg x^0 e^0."""
+    return leg_id(((0,) * nvars, (0,) * rank))
 
 
 def _tensor(nvars, rank, legs, num, den=1):
@@ -74,13 +102,15 @@ def _tensor(nvars, rank, legs, num, den=1):
 
 
 class TensorElement:
-    """Integer numerators ``num`` {key: int} over one denominator ``den``.
+    """Integer numerators ``num`` {key of leg ids: int} over one
+    denominator ``den``.
 
-    ``TensorElement(nvars, rank, legs, terms)`` takes rational (``int`` or
-    ``Fraction``) coefficients and brings them over the lcm of their
-    denominators.  Every operation returns a new tensor and none changes
-    ``num`` in place, so tensors may share it.  ``.terms`` is the value as
-    a read-only {key: Fraction} view in lowest terms.
+    ``TensorElement(nvars, rank, legs, terms)`` takes nested keys
+    ((gamma, alpha), ...) with rational (``int`` or ``Fraction``)
+    coefficients and brings them over the lcm of their denominators.
+    Every operation returns a new tensor and none changes ``num`` in
+    place, so tensors may share it.  ``.terms`` is the value as a
+    read-only {nested key: Fraction} view in lowest terms.
     """
 
     __slots__ = ("nvars", "rank", "legs", "num", "den", "_terms", "_hash")
@@ -89,7 +119,8 @@ class TensorElement:
         self.nvars = nvars
         self.rank = rank
         self.legs = legs
-        self.num, self.den = _common_den(terms) if terms else ({}, 1)
+        num, self.den = _common_den(terms) if terms else ({}, 1)
+        self.num = {tuple(map(leg_id, k)): c for k, c in num.items()}
         self._terms = None
         self._hash = None
 
@@ -98,8 +129,10 @@ class TensorElement:
         view = self._terms
         if view is None:
             den = self.den
+            leg = LEGS.__getitem__
             view = self._terms = MappingProxyType(
-                {k: Fraction(c, den) for k, c in self.num.items()})
+                {tuple(map(leg, k)): Fraction(c, den)
+                 for k, c in self.num.items()})
         return view
 
     # -- constructors --------------------------------------------------------
@@ -110,8 +143,7 @@ class TensorElement:
 
     @classmethod
     def unit(cls, nvars, rank, legs=2):
-        key = (((0,) * nvars, (0,) * rank),) * legs
-        return _tensor(nvars, rank, legs, {key: 1})
+        return _tensor(nvars, rank, legs, {(_unit_id(nvars, rank),) * legs: 1})
 
     @classmethod
     def of(cls, *factors):
@@ -119,16 +151,18 @@ class TensorElement:
         first = factors[0]
         terms = {(): Fraction(1)}
         for u in factors:
+            legs = [(leg_id((gamma, alpha)), q) for alpha, poly in u.terms.items()
+                    for gamma, q in poly.terms.items()]
             new = {}
             for key, c in terms.items():
-                for alpha, poly in u.terms.items():
-                    for gamma, q in poly.terms.items():
-                        k2 = key + ((gamma, alpha),)
-                        cur = new.get(k2)
-                        val = c * q
-                        new[k2] = val if cur is None else cur + val
+                for i, q in legs:
+                    k2 = key + (i,)
+                    cur = new.get(k2)
+                    val = c * q
+                    new[k2] = val if cur is None else cur + val
             terms = new
-        return cls(first.nvars, first.rank, len(factors), terms)
+        num, den = _common_den(terms)
+        return _tensor(first.nvars, first.rank, len(factors), num, den)
 
     def leg_env(self, key):
         gamma, alpha = key
@@ -191,9 +225,9 @@ class TensorElement:
 
     def embed(self, legs, pos):
         """Place this tensor at slots pos..pos+self.legs-1 of a wider tensor."""
-        idkey = ((0,) * self.nvars, (0,) * self.rank)
-        pre = (idkey,) * pos
-        post = (idkey,) * (legs - pos - self.legs)
+        unit = _unit_id(self.nvars, self.rank)
+        pre = (unit,) * pos
+        post = (unit,) * (legs - pos - self.legs)
         return _tensor(self.nvars, self.rank, legs,
                        {pre + k + post: c for k, c in self.num.items()},
                        self.den)
@@ -262,10 +296,21 @@ def tensor_mul(spec, s, t):
     ``Fraction`` leg coefficient is cleared from the result at the end.
     """
     s._check(t)
-    unit = ((0,) * s.nvars, (0,) * s.rank)
-    out = {}
+    out = _mul_into({}, spec, s, t, 1)
+    return _tensor_cleared(s.nvars, s.rank, s.legs, out, s.den * t.den)
+
+
+def _mul_into(out, spec, s, t, m):
+    """out += m * (numerators of s times those of t), leg by leg; returns
+    out, whose values are ints or, where a leg coefficient was one,
+    Fractions."""
+    unit = _unit_id(s.nvars, s.rank)
+    table = spec._leg_table
+    tnum = t.num.items()
     for ka, ca in s.num.items():
-        for kb, cb in t.num.items():
+        if m != 1:
+            ca *= m
+        for kb, cb in tnum:
             c = ca * cb
             factors = []
             single = True
@@ -275,7 +320,9 @@ def tensor_mul(spec, s, t):
                 elif lb == unit:
                     factors.append(((la, 1),))
                 else:
-                    f = leg_product(spec, la, lb)
+                    f = table.get((la, lb))
+                    if f is None:
+                        f = leg_product(spec, la, lb)
                     if len(f) != 1:
                         single = False
                     factors.append(f)
@@ -294,7 +341,32 @@ def tensor_mul(spec, s, t):
                 out[key] = v
             else:
                 del out[key]
-    return _tensor_cleared(s.nvars, s.rank, s.legs, out, s.den * t.den)
+    return out
+
+
+def tensor_series_mul(spec, a, b):
+    """Cauchy product of two tensor series under truncation.  Each order
+    sums its products a_i b_(k-i) into one dict of numerators over the
+    lcm of their denominators den(a_i) den(b_(k-i)), a Fraction leg
+    coefficient cleared once; an order with no product is ``a.zero``."""
+    a._check(b)
+    n = a.order
+    zero = a.zero
+    nvars, rank, legs = zero.nvars, zero.rank, zero.legs
+    out = []
+    for k in range(n + 1):
+        pairs = [(s, t) for s, t in zip(a.coeffs[:k + 1], b.coeffs[k::-1])
+                 if s.num and t.num]
+        if not pairs:
+            out.append(zero)
+            continue
+        den = lcm(*[s.den * t.den for s, t in pairs])
+        acc = {}
+        for s, t in pairs:
+            s._check(t)
+            _mul_into(acc, spec, s, t, den // (s.den * t.den))
+        out.append(_tensor_cleared(nvars, rank, legs, acc, den if acc else 1))
+    return HSeries(n, out, zero)
 
 
 def _tensor_cleared(nvars, rank, legs, out, den):
@@ -348,16 +420,16 @@ def _copro_mono(spec, alpha):
 
 
 def copro_basis(spec, key):
-    """Delta(x^gamma e^alpha) for key = (gamma, alpha): the memoised
-    Delta(e^alpha) with gamma added to the exponents of its left legs,
-    where the base coefficient loads."""
-    gamma, alpha = key
+    """Delta(x^gamma e^alpha) for the leg id ``key`` of (gamma, alpha): the
+    memoised Delta(e^alpha) with gamma added to the exponents of its left
+    legs, where the base coefficient loads."""
+    gamma, alpha = LEGS[key]
     T = _copro_mono(spec, alpha)
     if not any(gamma):
         return T
     return _tensor(spec.nvars, spec.rank, 2, {
-        ((tuple(a + b for a, b in zip(g, gamma)), al), right): c
-        for ((g, al), right), c in T.num.items()}, T.den)
+        (shift_id(left, gamma), right): c
+        for (left, right), c in T.num.items()}, T.den)
 
 
 def env_coproduct(spec, u):
@@ -412,19 +484,22 @@ def tensor_reduce(spec, T):
 
     All coefficients migrate to the last leg; earlier legs become pure PBW
     monomials.  Idempotent; class equality is equality of reductions.
+    Each earlier leg is replaced by its pure id, and the gammas of those
+    that are not pure shift the last leg.
     """
     out = {}
-    zeros = (0,) * spec.nvars
+    legs, pure = LEGS, PURE
     for key, c in T.num.items():
-        total = [0] * spec.nvars
+        total = None
         newkey = []
-        for gamma, alpha in key[:-1]:
-            for j, g in enumerate(gamma):
-                total[j] += g
-            newkey.append((zeros, alpha))
-        lgamma, lalpha = key[-1]
-        lg = tuple(a + b for a, b in zip(total, lgamma))
-        newkey.append((lg, lalpha))
+        for i in key[:-1]:
+            p = pure[i]
+            if p != i:
+                g = legs[i][0]
+                total = g if total is None else tuple(map(add, total, g))
+            newkey.append(p)
+        last = key[-1]
+        newkey.append(last if total is None else shift_id(last, total))
         kk = tuple(newkey)
         cur = out.get(kk)
         s = c if cur is None else cur + c

@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -366,6 +367,38 @@ def test_report_bytes_match_the_pinned_digest(argv, want):
     code, out, err = run_cli(argv + ["--json-only"])
     assert code == 0 and err == ""
     assert hashlib.md5(out.encode()).hexdigest() == want
+
+
+# interns every leg of the axb shape up to degree 4 in a shuffled order,
+# then runs the CLI: the report must not depend on the order of the ids
+SHUFFLED_LEG_IDS = r"""
+import itertools, random, sys
+from qgroupoid.cli import main
+from qgroupoid.envelope import LEGS, leg_id
+exps = list(itertools.product(range(5), repeat=2))
+legs = [(g, a) for g in exps for a in exps]
+random.Random(int(sys.argv[1])).shuffle(legs)
+for leg in legs:
+    leg_id(leg)
+assert LEGS != sorted(LEGS)
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_reports_do_not_depend_on_leg_id_order(seed):
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    runs = [(["twist", SPEC], REFERENCE_DIGESTS["axb twist"]),
+            (["example", "axb"], dict((tuple(a), d) for a, d in
+                                      PINNED_DIGESTS)[("example", "axb")])]
+    for argv, want in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", SHUFFLED_LEG_IDS, seed] + argv
+            + ["--json-only"], env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.md5(proc.stdout).hexdigest() == want
 
 
 def _load_values():

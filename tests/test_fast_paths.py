@@ -5,6 +5,11 @@
   below.
 - An exponential twistor F = exp(h r) conjugates by the Hadamard expansion;
   the oracle is the two Cauchy products G . (S . F) by ``hseries_mul``.
+  Its inverse is the closed form exp(-h r) once the series is checked to
+  be exp(h r); the oracle is the order-by-order ``hseries_invert``.
+- Cauchy products of tensor series sum each order into one dict over one
+  denominator (``tensor_series_mul``); the oracle is ``hseries_mul``'s
+  chain of ``+``.
 - Anchor chains read one memo table of e^alpha acting on x^gamma; the
   oracle is the chain of ``anchor_apply`` calls on the whole polynomial.
 - ``leg_product`` reads and fills that table, and ``pbw_mul`` fills the
@@ -19,7 +24,9 @@
 - The deformation's s_F and t_F read tables of monomial images, and the
   star product reads s_F; the oracles are the sweeps over the twistor for
   the whole polynomial (``_base_map_from`` with the acting leg 0 for s_F
-  and 1 for t_F, and ``star_from`` below for a *_F b).
+  and 1 for t_F, and ``star_from`` below for a *_F b).  Their images of a
+  base series are summed into one row per order; the oracle is the chain
+  of shifted ``HSeries`` additions.
 - ``jet_product_eval`` reads the lift grouped by the paired leg and
   memoises the paired factor of each lift term; the oracle is the
   unmemoised body that maps and multiplies every term.
@@ -43,6 +50,10 @@
   scale, coproduct leg, the coproduct of an element and reduction.  A
   third structure puts halves into the leg table, so ``tensor_mul``
   clears a Fraction there.
+- The tensor layer and the product table key legs by interned ids; the
+  oracles are the same loops on nested keys ((gamma, alpha), ...) for
+  ``tensor_mul``, ``tensor_reduce``, ``copro_basis``, the coproduct leg
+  and one reduction step ``_reduce_leg``, compared term by term.
 
 They run on the axb spec and on a bracketed structure with a non-constant
 anchor; the reduction also runs on an explicit per-order twistor.
@@ -53,6 +64,8 @@ import os
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,12 +73,12 @@ from hypothesis import given, settings, strategies as st
 from qgroupoid import deform, jets, kernel
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, _base_map_from, basis_decompose,
-    defelem_from_env, deformed_coproduct_leg, exp_twistor, reduce_series,
-    reexpand, sample_defelems, twisted_coproduct,
+    defelem_from_env, defelem_zero, deformed_coproduct_leg, exp_twistor,
+    reduce_series, reexpand, sample_defelems, twisted_coproduct,
 )
 from qgroupoid.envelope import (
-    EnvElement, _bump_term, anchor_action, basis_action, env_counit,
-    leg_product, monomial_action, pbw_mul,
+    LEGS, EnvElement, _bump_term, anchor_action, basis_action, env_counit,
+    leg_id, leg_product, monomial_action, pbw_mul,
 )
 from qgroupoid.errors import ConfigError
 from qgroupoid.jets import (
@@ -75,12 +88,13 @@ from qgroupoid.jets import (
 from qgroupoid.lierinehart import LieRinehartSpec, lr_validate
 from qgroupoid.scalars import CPoly, monomials_upto
 from qgroupoid.series import (
-    HLaurent, HSeries, hs_const, hseries_mul, laurent_mul,
+    HLaurent, HSeries, hs_const, hseries_invert, hseries_mul, laurent_mul,
 )
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
-    TensorElement, _expand_product, env_coproduct,
-    tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    TensorElement, _basis_terms, _common_den, _copro_mono, _expand_product,
+    copro_basis, env_coproduct, tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    tensor_series_mul,
 )
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
@@ -108,6 +122,13 @@ def rational_structure():
 
 
 STRUCTURES = [axb_structure, bracketed_structure]
+
+
+def nested_leg_product(spec, la, lb):
+    """The table entry of the basis monomials la and lb with its terms'
+    ids read back as monomials ((gamma, alpha), q)."""
+    return tuple((LEGS[i], q)
+                 for i, q in leg_product(spec, leg_id(la), leg_id(lb)))
 
 
 def test_bracketed_structure_is_lie_rinehart():
@@ -281,6 +302,31 @@ def test_series_exponent_mismatch_rejected():
     with pytest.raises(ConfigError, match="closed-form inverse"):
         DeformedEnvAlgebroid(spec, Twistor(series, exponent=r.scale(2)),
                              validate=False)
+    # a series that is exp(h r) except at its top order
+    top = series.coeffs[:3] + (series.coeffs[3] + r.scale(Fraction(1, 7)),)
+    with pytest.raises(ConfigError, match="closed-form inverse"):
+        deform.twistor_invert(spec, Twistor(HSeries(3, top, series.zero),
+                                            exponent=r))
+
+
+def test_exp_twistor_inverse_matches_series_inversion():
+    # the spec file's exp twistor at every order 1..10, and an arbitrary
+    # exponent on the bracketed structure at low orders
+    espec = load_spec_file(SPEC)
+    cases = [(espec.build_structure(), None, order) for order in range(1, 11)]
+    cases += [(bracketed_structure(), arbitrary_exponent, order)
+              for order in range(1, 4)]
+    for spec, make_r, order in cases:
+        if make_r is None:
+            tw = espec.build_twistor(spec, order)
+        else:
+            tw = exp_twistor(spec, make_r(spec), order)
+        assert tw.exponent is not None
+        unit = TensorElement.unit(spec.nvars, spec.rank, 2)
+        want = hseries_invert(tw.series, lambda a, b: tensor_mul(spec, a, b),
+                              a0_inv=unit, one=unit)
+        got = deform.twistor_invert(spec, tw)
+        assert [T.terms for T in got.coeffs] == [T.terms for T in want.coeffs]
 
 
 # -- the anchor-chain oracle for the action table ----------------------------------
@@ -588,6 +634,40 @@ def test_star_coeffs_match_sweeps(make, monkeypatch):
     assert dfa._sF_mono == filled
 
 
+def chain_series_image(dfa, mapper, aser):
+    """sum_k h^k mapper(a_k) as the chain of shifted series additions."""
+    out = defelem_zero(dfa.spec, dfa.order)
+    for k, ak in enumerate(aser.coeffs):
+        if not ak.is_zero():
+            out = out + mapper(ak).shift(k)
+    return out
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
+def test_series_images_match_chains(make):
+    dfa = make()
+    n = dfa.order
+    rng = random.Random(11)
+    polys = base_map_inputs(dfa)
+    zero = CPoly.zero(dfa.spec.nvars)
+    # constant series, a monomial at the top order, and random series with
+    # zero orders; a and -a at two orders, whose images cancel from the
+    # higher order up
+    sers = [hs_const(p, n, zero) for p in polys[:3]]
+    sers.append(HSeries(n, [zero] * n + [polys[1]], zero))
+    for _ in range(4):
+        sers.append(HSeries(n, [rng.choice(polys + [zero, zero])
+                                for _ in range(n + 1)], zero))
+    a = polys[-1]
+    sers.append(HSeries(n, [a, -a] + [zero] * (n - 1), zero))
+    for aser in sers:
+        for got, mapper in ((dfa.source_series(aser), dfa.source),
+                            (dfa.target_series(aser), dfa.target)):
+            want = chain_series_image(dfa, mapper, aser)
+            assert got == want
+            assert flat_terms(got) == flat_terms(want)
+
+
 # -- plain loops for the kernel and tensor_mul ------------------------------------
 
 
@@ -660,7 +740,8 @@ def per_leg_tensor_mul(s, t, spec):
     out = {}
     for ka, ca in s.terms.items():
         for kb, cb in t.terms.items():
-            _expand_product(out, [leg_product(spec, x, y) for x, y in zip(ka, kb)],
+            _expand_product(out, [nested_leg_product(spec, x, y)
+                                  for x, y in zip(ka, kb)],
                             ca * cb)
     return out
 
@@ -731,15 +812,17 @@ def test_leg_product_matches_pbw_mul(make):
     sizes = set()
     for la in legs:
         for lb in legs:
-            got = leg_product(spec, la, lb)
+            ids = (leg_id(la), leg_id(lb))
+            entry = leg_product(spec, *ids)
+            got = tuple((LEGS[i], q) for i, q in entry)
             want = rewriting_mul(spec, *(EnvElement.monomial(
                 spec.nvars, spec.rank, a, CPoly.monomial(spec.nvars, g))
                 for g, a in (la, lb)))
             assert dict(got) == {(g, a): q for a, p in want.terms.items()
                                  for g, q in p.terms.items()}
             assert len(dict(got)) == len(got) and all(q for _, q in got)
-            assert spec._leg_table[(la, lb)] is got
-            assert leg_product(spec, la, lb) is got
+            assert spec._leg_table[ids] is entry
+            assert leg_product(spec, *ids) is entry
             sizes.add(len(got))
     # the rewriting of an entry fills the entries it recurses into
     assert len(spec._leg_table) >= len(legs) ** 2
@@ -761,10 +844,10 @@ def test_pbw_mul_fills_the_one_product_table(make):
     v = EnvElement.monomial(nvars, rank, e_first,
                             CPoly.monomial(nvars, x_last))
     prod = pbw_mul(spec, u, v)
-    key = (((0,) * nvars, e_last), (x_last, e_first))
+    key = (leg_id(((0,) * nvars, e_last)), leg_id((x_last, e_first)))
     entry = spec._leg_table[key]
     assert leg_product(spec, *key) is entry
-    assert {(g, a): q for (g, a), q in entry} == {
+    assert {LEGS[i]: q for i, q in entry} == {
         (g, a): q for a, p in prod.terms.items() for g, q in p.terms.items()}
     assert len(entry) > 1
 
@@ -813,7 +896,8 @@ def frac_tensor_mul(spec, s, t):
     out = {}
     for ka, ca in s.terms.items():
         for kb, cb in t.terms.items():
-            _expand_product(out, [leg_product(spec, x, y) for x, y in zip(ka, kb)],
+            _expand_product(out, [nested_leg_product(spec, x, y)
+                                  for x, y in zip(ka, kb)],
                             ca * cb)
     return out
 
@@ -960,6 +1044,242 @@ def test_equal_values_over_different_denominators(T, c, U):
     assert (T.scale(c) - V.scale(c)).is_zero()
     assert assert_integral(W) is W and assert_integral(V) is V
     assert (T == U) == (T.terms == U.terms)
+
+
+# -- the nested-key tensor layer as the oracle for the interned leg ids --------------
+#
+# The tensor layer keys numerators by tuples of leg ids and the product table
+# by pairs of them.  The oracles below are the same loops on nested keys
+# ((gamma, alpha), ...), reading the table through ``nested_leg_product``;
+# each returns (terms in order, den), compared term by term, order and
+# denominator included, with the interned result read back as monomials.
+
+
+def nested(T):
+    """(terms, den) of a tensor, its keys read back as monomials, in the
+    tensor's own order."""
+    return [(tuple(LEGS[i] for i in k), c) for k, c in T.num.items()], T.den
+
+
+def nested_cleared(out, den):
+    """(terms, den) of accumulated int or Fraction values over den."""
+    if any(type(c) is not int for c in out.values()):
+        out, d = _common_den(out)
+        den *= d
+    return list(out.items()), den
+
+
+def nested_tensor_mul(spec, s, t):
+    unit = ((0,) * s.nvars, (0,) * s.rank)
+    out = {}
+    for ka, ca in nested(s)[0]:
+        for kb, cb in nested(t)[0]:
+            c = ca * cb
+            factors = []
+            single = True
+            for la, lb in zip(ka, kb):
+                if la == unit:
+                    factors.append(((lb, 1),))
+                elif lb == unit:
+                    factors.append(((la, 1),))
+                else:
+                    f = nested_leg_product(spec, la, lb)
+                    if len(f) != 1:
+                        single = False
+                    factors.append(f)
+            if not single:
+                _expand_product(out, factors, c)
+                continue
+            key = []
+            for ((k, q),) in factors:
+                key.append(k)
+                if q != 1:
+                    c *= q
+            _bump_term(out, tuple(key), c)
+    return nested_cleared(out, s.den * t.den)
+
+
+def nested_tensor_reduce(spec, T):
+    out = {}
+    zeros = (0,) * spec.nvars
+    for key, c in nested(T)[0]:
+        total = [0] * spec.nvars
+        newkey = []
+        for gamma, alpha in key[:-1]:
+            for j, g in enumerate(gamma):
+                total[j] += g
+            newkey.append((zeros, alpha))
+        lgamma, lalpha = key[-1]
+        newkey.append((tuple(a + b for a, b in zip(total, lgamma)), lalpha))
+        _bump_term(out, tuple(newkey), c)
+    return list(out.items()), T.den
+
+
+def nested_copro_basis(spec, key):
+    gamma, alpha = key
+    terms, den = nested(_copro_mono(spec, alpha))
+    if not any(gamma):
+        return terms, den
+    return [(((tuple(map(add, g, gamma)), al), right), c)
+            for ((g, al), right), c in terms], den
+
+
+def nested_coproduct_leg(spec, T, leg):
+    terms, tden = nested(T)
+    pieces = {}
+    for key, _ in terms:
+        if key[leg] not in pieces:
+            pieces[key[leg]] = nested_copro_basis(spec, key[leg])
+    den = lcm(*[d for _, d in pieces.values()])
+    out = {}
+    for key, c in terms:
+        piece, pden = pieces[key[leg]]
+        if pden != den:
+            c *= den // pden
+        for k2, c2 in piece:
+            _bump_term(out, key[:leg] + k2 + key[leg + 1:], c * c2)
+    return list(out.items()), tden * den
+
+
+def nested_migrants(dfa, w):
+    moved = [(beta, [_basis_terms(u) for u in dfa.source_series(aser).coeffs])
+             for beta, aser in dfa.decompose_mono(w, "target").items()]
+    d = lcm(*[q.denominator for _, orders in moved
+              for terms in orders for _, q in terms])
+    return d, [(beta, [tuple((key, q.numerator * (d // q.denominator))
+                             for key, q in terms) for terms in orders])
+               for beta, orders in moved]
+
+
+def nested_reduce_leg(dfa, HT, leg):
+    """One reduction step on nested keys: a leg with gamma != 0 moves its
+    coefficient onto the next leg through its migrants."""
+    spec = dfa.spec
+    n = dfa.order
+    zeros_g = (0,) * spec.nvars
+    coeffs = [nested(Tk) for Tk in HT.coeffs]
+    moving = {}
+    for terms, _ in coeffs:
+        for key, _ in terms:
+            w = key[leg]
+            if w[0] != zeros_g and w not in moving:
+                moving[w] = nested_migrants(dfa, w)
+    den = lcm(*[d for _, d in coeffs]) * lcm(*[d for d, _ in moving.values()])
+    acc = [dict() for _ in range(n + 1)]
+    for k, (terms, tden) in enumerate(coeffs):
+        up = den // tden
+        for key, c in terms:
+            w = key[leg]
+            if w[0] == zeros_g:
+                _bump_term(acc[k], key, c * up)
+                continue
+            d, moved = moving[w]
+            c *= up // d
+            nxt = key[leg + 1]
+            head, tail = key[:leg], key[leg + 2:]
+            for beta, orders in moved:
+                pure = (zeros_g, beta)
+                for j, terms_j in enumerate(orders):
+                    if k + j > n:
+                        break
+                    for wl, cw in terms_j:
+                        for l2, q in nested_leg_product(spec, wl, nxt):
+                            _bump_term(acc[k + j], head + (pure, l2) + tail,
+                                       c * cw * q)
+    return [nested_cleared(d, den) for d in acc]
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa])
+def test_tensor_series_mul_matches_chain(make):
+    dfa = make()
+    spec = dfa.spec
+    n = dfa.order
+    F, G = dfa.twistor.series, dfa.G
+    one = EnvElement.one(spec.nvars, spec.rank)
+    ta = dfa.target(CPoly.var(spec.nvars, 0)).map(
+        lambda u: TensorElement.of(u, one))
+    lifts = [twisted_coproduct(dfa, u) for u in sample_defelems(dfa, 1)]
+    zero3 = TensorElement.zero(spec.nvars, spec.rank, 3)
+    r3 = hs_const(arbitrary_exponent(spec).embed(3, 1).scale(Fraction(1, 6)),
+                  n, zero3)
+    pairs = [(F, G), (G, F), (lifts[0], lifts[-1]), (lifts[-1], ta),
+             (F, ta - ta.shift(1)),
+             (deformed_coproduct_leg(dfa, lifts[0], 1), r3),
+             (F.map(lambda t: t.embed(3, 0)), r3)]
+    for a, b in pairs:
+        got = tensor_series_mul(spec, a, b)
+        want = hseries_mul(a, b, lambda s, t: tensor_mul(spec, s, t))
+        assert [T.terms for T in got.coeffs] == [T.terms for T in want.coeffs]
+        for T in got.coeffs:
+            assert_integral(T)
+    # F G = 1 (x) 1: every order above zero cancels to the empty tensor
+    FG = tensor_series_mul(spec, F, G)
+    assert all(not T.num and T.den == 1 for T in FG.coeffs[1:])
+
+
+@pytest.mark.parametrize("make", INTEGER_LAYER_STRUCTURES)
+def test_interned_tensor_layer_matches_nested_keys(make):
+    spec = make()
+    two, three = integer_layer_inputs(spec)
+    four = wide_tensors(spec, 4)
+    # the outer products of random elements only as left factors
+    groups = [(two, two), (three, three), (four, four[:5] + four[-1:])]
+    for group, right in groups:
+        for T in group:
+            assert nested(tensor_reduce(spec, T)) == nested_tensor_reduce(spec, T)
+            for leg in range(T.legs):
+                assert nested(tensor_coproduct_leg(spec, T, leg)) \
+                    == nested_coproduct_leg(spec, T, leg)
+            for key, _ in nested(T)[0]:
+                for w in key:
+                    assert nested(copro_basis(spec, leg_id(w))) \
+                        == nested_copro_basis(spec, w)
+            for t in right:
+                assert nested(tensor_mul(spec, T, t)) \
+                    == nested_tensor_mul(spec, T, t)
+    # the inputs reach every shape the loops distinguish: legs that are not
+    # pure on several legs, and products of several basis terms
+    assert any(k[0] != (0,) * spec.nvars for T in four
+               for key, _ in nested(T)[0] for k in key[:-1])
+    assert any(len(hit) > 1 for hit in spec._leg_table.values())
+
+
+def four_leg_inputs(dfa):
+    """The coproduct at the first leg of 3-leg coproducts of lifts of the
+    generators."""
+    out = []
+    for u in sample_defelems(dfa, 1):
+        lift = twisted_coproduct(dfa, u)
+        out.append(deformed_coproduct_leg(
+            dfa, deformed_coproduct_leg(dfa, lift, 0), 0))
+    return out
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa])
+def test_reduce_leg_matches_nested_keys(make):
+    dfa = make()
+    inputs = reduction_inputs(dfa)[:6] + four_leg_inputs(dfa)[:1]
+    assert {HT.zero.legs for HT in inputs} == {2, 3, 4}
+    moved = 0
+    for HT in inputs:
+        chained = HT
+        for leg in range(HT.zero.legs - 1):
+            # each leg of the raw input, and each leg after the earlier
+            # ones were reduced
+            for src in (HT, chained):
+                got = deform._reduce_leg(dfa, src, leg)
+                assert [nested(T) for T in got.coeffs] \
+                    == nested_reduce_leg(dfa, src, leg)
+                for T in got.coeffs:
+                    assert_integral(T)
+            moved += sum(1 for T in HT.coeffs for key, _ in nested(T)[0]
+                         if any(key[leg][0]))
+            chained = deform._reduce_leg(dfa, chained, leg)
+        assert [nested(T) for T in chained.coeffs] \
+            == [nested(T) for T in reduce_series(dfa, HT).coeffs]
+    assert moved
 
 
 # -- the whole-series oracle for basis_decompose -------------------------------------
@@ -1400,7 +1720,7 @@ def test_pair_product_merges_cancelling_terms(flavor):
     lam = gens[0].shift(-1).add(gens[-1])
     unmerged = [(t, q * r) for alpha, poly in w.terms.items()
                 for gamma, q in poly.terms.items()
-                for t, r in leg_product(spec, mono, (gamma, alpha))]
+                for t, r in nested_leg_product(spec, mono, (gamma, alpha))]
     cancelled = (x1, e0)
     assert [c for t, c in unmerged if t == cancelled] == [1, -1]
     assert cancelled not in jets._product_row(spec, w, mono, False)

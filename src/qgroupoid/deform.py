@@ -39,16 +39,26 @@ The coproduct lift of a monomial is also cached grouped by the monomial
 on one leg (``DeformedEnvAlgebroid.lift_legs``), which is how the jet
 dual product reads it; like ``.terms`` it keeps nested monomial keys.
 ``reduce_series`` moves coefficients rightward by the Takeuchi relation
-t_F(a) u (x) v = u (x) s_F(a) v; the deformation caches, per leg id w
-(``envelope.leg_id``), the basis terms of the s_F-images of its
-t_F-decomposition (``DeformedEnvAlgebroid.migrants``) as leg ids with
-integer numerators over one denominator, and each of those terms is
-multiplied by the next leg through the structure's leg table
-(``envelope.leg_product``, keyed by pairs of leg ids), which memoises the
-products at monomial granularity.  A leg moves unless it is its own pure
-part (0, alpha) (``envelope.PURE``).  Like every tensor operation, the
-reduction works on the tensors' integer numerators over one denominator,
-keyed by tuples of leg ids.
+t_F(a) u (x) v = u (x) s_F(a) v.  A leg moves unless it is its own pure
+part (0, alpha) (``envelope.PURE``), and it moves through the
+t_F-decomposition of its base monomial alone: x^gamma = sum_beta
+t_F(c_beta) e^beta gives x^gamma e^alpha = sum_beta t_F(c_beta)
+(e^beta e^alpha), so the leg becomes e^beta e^alpha, read from the
+structure's leg table (``envelope.leg_product``, keyed by pairs of leg ids
+and memoising the products at monomial granularity), and s_F(c_beta)
+multiplies the next leg through the same table.  The deformation caches,
+per leg id of x^gamma (``envelope.leg_id``), the basis terms of the
+s_F(c_beta) (``DeformedEnvAlgebroid.migrants``) as leg ids with integer
+numerators over one denominator: one entry per gamma, whatever the alpha.
+Where the structure functions are polynomial, e^beta e^alpha can have
+terms x^g e^delta with g != 0; c_beta = O(h) for beta != 0, so those land
+at least one h-order up and another pass moves them (at most N more
+passes).  The representative is unique, since the envelope is free over
+t_F(A) on the e^beta; where every product of generators is pure this is
+the decomposition of the whole leg for any twistor, and in general the two
+agree when s_F is multiplicative, as for a valid twistor.  Like every
+tensor operation, the reduction works on the tensors' integer numerators
+over one denominator, keyed by tuples of leg ids.
 
 All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
@@ -62,6 +72,7 @@ term itself.
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .envelope import (
@@ -404,25 +415,31 @@ class DeformedEnvAlgebroid:
             self._decomp[ckey] = hit
         return hit
 
-    def migrants(self, w):
-        """(d, [(id of e^beta, per h-order the basis terms of s_F(a_beta))])
-        for the leg id w of sum t_F(a_beta) e^beta, each order a tuple
-        (leg id, n) of integer numerators n over the one denominator d.
+    def migrants(self, g):
+        """(d, [(id of e^beta, per h-order the basis terms of s_F(c_beta))])
+        for the leg id g of a pure base monomial x^gamma = (gamma, 0) and
+        its t_F-decomposition x^gamma = sum_beta t_F(c_beta) e^beta, each
+        order a tuple (leg id, n) of integer numerators n over the one
+        denominator d.
 
-        The Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v moves each
-        a_beta onto the next leg; ``reduce_series`` reads this cache and
-        multiplies each basis term by the next leg through ``leg_product``.
+        A leg x^gamma e^alpha is sum_beta t_F(c_beta) (e^beta e^alpha), so
+        the Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v moves each
+        c_beta onto the next leg; ``_reduce_leg`` reads this cache, one
+        entry per gamma whatever the alpha, takes e^beta e^alpha and the
+        products of each basis term with the next leg from the leg table
+        (``leg_product``).  c_beta = O(h) for beta != 0, because t_F is
+        plain multiplication at order zero.
         """
-        hit = self._migrants.get(w)
+        hit = self._migrants.get(g)
         if hit is None:
             zeros = (0,) * self.spec.nvars
             moved = [(leg_id((zeros, beta)),
-                      [_basis_terms(u) for u in self.source_series(aser).coeffs])
-                     for beta, aser
-                     in self.decompose_mono(LEGS[w], "target").items()]
+                      [_basis_terms(u) for u in self.source_series(cser).coeffs])
+                     for beta, cser
+                     in self.decompose_mono(LEGS[g], "target").items()]
             d = lcm(*[q.denominator for _, orders in moved
                       for terms in orders for _, q in terms])
-            hit = self._migrants[w] = (d, [
+            hit = self._migrants[g] = (d, [
                 (pure, [tuple((leg_id(key), q.numerator * (d // q.denominator))
                               for key, q in terms) for terms in orders])
                 for pure, orders in moved])
@@ -570,47 +587,84 @@ def reduce_series(dfa, HT):
 
 
 def _reduce_leg(dfa, HT, leg):
-    """One reduction step on integer numerators.  A term c / den_k of order k
-    whose leg monomial w moves lands over den_k d_w, d_w the denominator of
-    ``migrants(w)``; the lcm of the den_k times the lcm of the d_w is a
-    common denominator of the whole result.  A leg id w moves unless it is
-    its own pure id (gamma = 0)."""
+    """One reduction step on integer numerators.
+
+    A leg w = x^gamma e^alpha moves unless it is its own pure id (gamma = 0).
+    It moves through the migrants of x^gamma alone: with x^gamma =
+    sum_beta t_F(c_beta) e^beta, w (x) v = sum_beta (e^beta e^alpha) (x)
+    s_F(c_beta) v, e^beta e^alpha read from the leg table.  Where the
+    structure functions are polynomial, e^beta e^alpha can have terms
+    x^g e^delta with g != 0; those come only from beta != 0, where c_beta
+    = O(h), so they land at least one h-order up and the next pass moves
+    them again.  Each pass raises the lowest order it holds, so at most N
+    passes follow the first.  A pass multiplies the common denominator den
+    by the lcm s of the denominators d of the migrants it reads, so a term
+    c / den moved by a migrant numerator m / d lands as c (s / d) m over
+    den s.
+
+    Where every product of generators is pure (constant structure
+    functions) this is the t_F-decomposition of x^gamma e^alpha itself,
+    for any twistor; in general the two agree when s_F is multiplicative,
+    as it is for a valid twistor.  The representative is unique because
+    the envelope is free over t_F(A) on the e^beta.
+    """
     spec = dfa.spec
     n = dfa.order
     table, pure = spec._leg_table, PURE
-    moving = {}
-    for Tk in HT.coeffs:
-        for key in Tk.num:
-            w = key[leg]
-            if pure[w] != w and w not in moving:
-                moving[w] = dfa.migrants(w)
-    den = lcm(*[Tk.den for Tk in HT.coeffs]) \
-        * lcm(*[d for d, _ in moving.values()])
+    zeros = (0,) * spec.rank
+    den = lcm(*[Tk.den for Tk in HT.coeffs])
+    pending = [(Tk.num, den // Tk.den) for Tk in HT.coeffs]
     acc = [dict() for _ in range(n + 1)]
-    for k, Tk in enumerate(HT.coeffs):
-        up = den // Tk.den
-        for key, c in Tk.num.items():
-            w = key[leg]
-            if pure[w] == w:
-                # already a pure monomial: keep as is
-                _bump_term(acc[k], key, c * up)
-                continue
-            d, moved = moving[w]
-            c *= up // d
-            nxt = key[leg + 1]
-            head, tail = key[:leg], key[leg + 2:]
-            for p, orders in moved:
-                for j, terms in enumerate(orders):
-                    if k + j > n:
-                        break
-                    out = acc[k + j]
-                    for wl, cw in terms:
-                        cc = c * cw
-                        entry = table.get((wl, nxt))
-                        if entry is None:
-                            entry = leg_product(spec, wl, nxt)
-                        for l2, q in entry:
-                            _bump_term(out, head + (p, l2) + tail, cc * q)
+    base = {}     # moving leg id -> the id of its x^gamma
+    while pending:
+        moving = {}
+        for terms, _ in pending:
+            for key in terms:
+                w = key[leg]
+                if pure[w] != w:
+                    g = base.get(w)
+                    if g is None:
+                        g = base[w] = leg_id((LEGS[w][0], zeros))
+                    if g not in moving:
+                        moving[g] = dfa.migrants(g)
+        scale = lcm(*[d for d, _ in moving.values()])
+        if scale != 1:
+            den *= scale
+            for out in acc:
+                for key in out:
+                    out[key] *= scale
+        carry = [dict() for _ in range(n + 1)]
+        for k, (terms, up) in enumerate(pending):
+            up *= scale
+            for key, c in terms.items():
+                w = key[leg]
+                if pure[w] == w:
+                    _bump_term(acc[k], key, c * up)
+                    continue
+                d, moved = moving[base[w]]
+                c *= up // d
+                a, nxt = pure[w], key[leg + 1]
+                head, tail = key[:leg], key[leg + 2:]
+                for p, orders in moved:
+                    entry = table.get((p, a))
+                    if entry is None:
+                        entry = leg_product(spec, p, a)
+                    for l, q in entry:
+                        dest = acc if pure[l] == l else carry
+                        cl = c * q
+                        for j, terms_j in enumerate(orders):
+                            if k + j > n:
+                                break
+                            out = dest[k + j]
+                            for wl, cw in terms_j:
+                                cc = cl * cw
+                                prod = table.get((wl, nxt))
+                                if prod is None:
+                                    prod = leg_product(spec, wl, nxt)
+                                for l2, q2 in prod:
+                                    _bump_term(out, head + (l, l2) + tail,
+                                               cc * q2)
+        pending = [(t, 1) for t in carry] if any(carry) else None
     legs = HT.zero.legs
     coeffs = [_tensor_cleared(spec.nvars, spec.rank, legs, d, den) for d in acc]
     return HSeries(n, coeffs, HT.zero)
@@ -665,19 +719,41 @@ def sample_defelems(dfa, max_degree=2):
 
 
 def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
-    """Verify the twisted-bialgebroid axioms at the engine truncation."""
+    """Verify the twisted-bialgebroid axioms at the engine truncation.
+
+    Each sample's lift, its s_F and t_F series and each star product of
+    two samples are built once per suite, on first use, so every check
+    still stops at its first failure.
+    """
     spec = dfa.spec
     n = dfa.order
     report = Report("deformed-axioms", {"h_order": n})
     polys = monomials_upto(spec.nvars, sample_degree) + list(extra_polys)
     psers = [hs_const(a, n, CPoly.zero(spec.nvars)) for a in polys]
     elems = sample_defelems(dfa, sample_degree)
+    pidx, eidx = range(len(psers)), range(len(elems))
+
+    @cache
+    def star(i, j):
+        return star_product(dfa, psers[i], psers[j])
+
+    @cache
+    def src(i):
+        return dfa.source_series(psers[i])
+
+    @cache
+    def tgt(i):
+        return dfa.target_series(psers[i])
+
+    @cache
+    def lift(i):
+        return twisted_coproduct(dfa, elems[i])
 
     report.check("star-associativity", (
         "star product not associative"
-        for a in psers for b in psers for c in psers
-        if star_product(dfa, star_product(dfa, a, b), c)
-        != star_product(dfa, a, star_product(dfa, b, c))))
+        for a in pidx for b in pidx for c in pidx
+        if star_product(dfa, star(a, b), psers[c])
+        != star_product(dfa, psers[a], star(b, c))))
 
     one = hs_const(CPoly.one(spec.nvars), n, CPoly.zero(spec.nvars))
     report.check("star-unitality", (
@@ -685,53 +761,50 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
         if star_product(dfa, a, one) != a or star_product(dfa, one, a) != a))
 
     def morphism_failures():
-        for a in psers:
-            for b in psers:
-                sab = dfa.source_series(star_product(dfa, a, b))
-                if defelem_mul(spec, dfa.source_series(a), dfa.source_series(b)) != sab:
+        for a in pidx:
+            for b in pidx:
+                if defelem_mul(spec, src(a), src(b)) \
+                        != dfa.source_series(star(a, b)):
                     yield "source map not a star morphism"
-                tba = dfa.target_series(star_product(dfa, b, a))
-                if defelem_mul(spec, dfa.target_series(a), dfa.target_series(b)) != tba:
+                if defelem_mul(spec, tgt(a), tgt(b)) \
+                        != dfa.target_series(star(b, a)):
                     yield "target map not a star antimorphism"
 
     report.check("source-target-morphisms", morphism_failures())
 
     report.check("source-target-commute", (
         "source and target images do not commute"
-        for a in psers for b in psers
-        if defelem_mul(spec, dfa.source_series(a), dfa.target_series(b))
-        != defelem_mul(spec, dfa.target_series(b), dfa.source_series(a))))
+        for a in pidx for b in pidx
+        if defelem_mul(spec, src(a), tgt(b)) != defelem_mul(spec, tgt(b), src(a))))
 
     def coassociativity_failures():
-        for u in elems:
-            lift = twisted_coproduct(dfa, u)
-            A = deformed_coproduct_leg(dfa, lift, 0)
-            B = deformed_coproduct_leg(dfa, lift, 1)
+        for i in eidx:
+            A = deformed_coproduct_leg(dfa, lift(i), 0)
+            B = deformed_coproduct_leg(dfa, lift(i), 1)
             if reduce_series(dfa, A) != reduce_series(dfa, B):
-                yield "coassociativity fails on %r" % (u.coeffs[0],)
+                yield "coassociativity fails on %r" % (elems[i].coeffs[0],)
 
     report.check("coassociativity", coassociativity_failures())
 
     def counit_failures():
-        for u in elems:
-            lift = twisted_coproduct(dfa, u)
-            if _counit_contract(dfa, lift, 0) != u:
+        for i, u in enumerate(elems):
+            if _counit_contract(dfa, lift(i), 0) != u:
                 yield "left counit axiom fails on %r" % (u.coeffs[0],)
-            if _counit_contract(dfa, lift, 1) != u:
+            if _counit_contract(dfa, lift(i), 1) != u:
                 yield "right counit axiom fails on %r" % (u.coeffs[0],)
 
     report.check("counit-axioms", counit_failures())
 
     report.check("coproduct-multiplicative", (
         "coproduct not multiplicative"
-        for u in elems[:3] for v in elems[:3]
-        if reduce_series(dfa, twisted_coproduct(dfa, defelem_mul(spec, u, v)))
-        != reduce_series(dfa, tensor_series_mul(spec, twisted_coproduct(dfa, u),
-                                                twisted_coproduct(dfa, v)))))
+        for i in eidx[:3] for j in eidx[:3]
+        if reduce_series(dfa, twisted_coproduct(
+            dfa, defelem_mul(spec, elems[i], elems[j])))
+        != reduce_series(dfa, tensor_series_mul(spec, lift(i), lift(j)))))
 
     report.check("takeuchi-membership", (
-        "coproduct image outside Takeuchi subspace" for u in elems
-        if not takeuchi_check_deformed(dfa, twisted_coproduct(dfa, u), polys)))
+        "coproduct image outside Takeuchi subspace" for i in eidx
+        if not takeuchi_check_deformed(dfa, lift(i), polys)))
 
     def classical_failures():
         for a in polys:
@@ -739,9 +812,9 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
                 yield "source map deformed at order zero"
             if dfa.target(a).coeffs[0] != EnvElement.from_poly(spec.rank, a):
                 yield "target map deformed at order zero"
-        for u in elems:
-            lift0 = twisted_coproduct(dfa, u).coeffs[0]
-            if tensor_reduce(spec, lift0) != tensor_reduce(spec, env_coproduct(spec, u.coeffs[0])):
+        for i, u in enumerate(elems):
+            if tensor_reduce(spec, lift(i).coeffs[0]) \
+                    != tensor_reduce(spec, env_coproduct(spec, u.coeffs[0])):
                 yield "coproduct deformed at order zero"
 
     report.check("classical-limit", classical_failures())

@@ -485,9 +485,11 @@ def tensor_reduce(spec, T):
     All coefficients migrate to the last leg; earlier legs become pure PBW
     monomials.  Idempotent; class equality is equality of reductions.
     Each earlier leg is replaced by its pure id, and the gammas of those
-    that are not pure shift the last leg.
+    that are not pure shift the last leg, each (last id, total gamma)
+    interned once per call.
     """
     out = {}
+    shifted = {}
     legs, pure = LEGS, PURE
     for key, c in T.num.items():
         total = None
@@ -499,7 +501,12 @@ def tensor_reduce(spec, T):
                 total = g if total is None else tuple(map(add, total, g))
             newkey.append(p)
         last = key[-1]
-        newkey.append(last if total is None else shift_id(last, total))
+        if total is not None:
+            sk = (last, total)
+            last = shifted.get(sk)
+            if last is None:
+                last = shifted[sk] = shift_id(*sk)
+        newkey.append(last)
         kk = tuple(newkey)
         cur = out.get(kk)
         s = c if cur is None else cur + c

@@ -14,9 +14,10 @@
   oracle is the chain of ``anchor_apply`` calls on the whole polynomial.
 - ``leg_product`` reads and fills that table, and ``pbw_mul`` fills the
   same entries; the oracle is the rewriting of the two legs.
-- ``reduce_series`` reads the deformation's migration cache and multiplies
-  by the next leg through the leg table; the oracle is the reduction that
-  re-derives the decompositions per call and multiplies with ``pbw_mul``.
+- ``reduce_series`` reads the deformation's migration cache, one entry per
+  base monomial x^gamma, and multiplies by the next leg through the leg
+  table; the oracle is the reduction that re-derives the decomposition of
+  each whole leg x^gamma e^alpha per call and multiplies with ``pbw_mul``.
 - The polynomial kernel and ``tensor_mul`` skip multiplications by 1 and
   shift by a monomial operand; the oracles are the plain loops kept below.
   ``tensor_mul`` also passes unit legs through; a per-leg loop over the
@@ -53,10 +54,14 @@
 - The tensor layer and the product table key legs by interned ids; the
   oracles are the same loops on nested keys ((gamma, alpha), ...) for
   ``tensor_mul``, ``tensor_reduce``, ``copro_basis``, the coproduct leg
-  and one reduction step ``_reduce_leg``, compared term by term.
+  and one reduction step ``_reduce_leg``, compared term by term.  Each
+  reduction step is also compared in value with the step that moves each
+  whole leg through its own t_F-decomposition.
 
 They run on the axb spec and on a bracketed structure with a non-constant
-anchor; the reduction also runs on an explicit per-order twistor.
+anchor; the reduction also runs on an explicit per-order twistor, and on a
+structure with a polynomial structure function, where e^beta e^alpha is
+not a pure monomial and the reduction step takes more than one pass.
 """
 
 import itertools
@@ -73,8 +78,9 @@ from hypothesis import given, settings, strategies as st
 from qgroupoid import deform, jets, kernel
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, _base_map_from, basis_decompose,
-    defelem_from_env, defelem_zero, deformed_coproduct_leg, exp_twistor,
-    reduce_series, reexpand, sample_defelems, twisted_coproduct,
+    defelem_from_env, defelem_zero, deformed_axiom_suite,
+    deformed_coproduct_leg, exp_twistor, reduce_series, reexpand,
+    sample_defelems, twisted_coproduct, twistor_validate,
 )
 from qgroupoid.envelope import (
     LEGS, EnvElement, _bump_term, anchor_action, basis_action, env_counit,
@@ -481,6 +487,33 @@ def rational_exp_dfa():
     return exp_dfa(rational_structure(), 2)
 
 
+def polynomial_structure():
+    """rho(e1) = d1, rho(e2) = x1^2 d1 + d2, [e1, e2] = 2 x1 e1: a polynomial
+    structure function, so e2 e1 = e1 e2 - 2 x1 e1 is not a pure monomial."""
+    one, zero = CPoly.one(2), CPoly.zero(2)
+    x1 = CPoly.var(2, 0)
+    return LieRinehartSpec(2, 2, {(0, 1): (x1 * 2, zero)},
+                           [[one, zero], [x1 * x1, one]], name="polynomial")
+
+
+def polynomial_exp_dfa():
+    """The abelian twist exp(h r), r = (X (x) Y - Y (x) X) / 2 with X = e1 and
+    Y = e2 - x1^2 e1, so [X, Y] = 0, rho(X) = d1 and rho(Y) = d2."""
+    spec = polynomial_structure()
+    X = EnvElement.monomial(2, 2, (1, 0))
+    Y = EnvElement.monomial(2, 2, (0, 1)) \
+        - EnvElement.monomial(2, 2, (1, 0), CPoly.var(2, 0) * CPoly.var(2, 0))
+    r = (TensorElement.of(X, Y) - TensorElement.of(Y, X)).scale(Fraction(1, 2))
+    return DeformedEnvAlgebroid(spec, exp_twistor(spec, r, 3), validate=False)
+
+
+def test_polynomial_fixture_is_a_valid_twist():
+    dfa = polynomial_exp_dfa()
+    for rep in (lr_validate(dfa.spec), twistor_validate(dfa.spec, dfa.twistor),
+                deformed_axiom_suite(dfa)):
+        assert rep.ok(), rep.first_failure()
+
+
 def reduction_inputs(dfa):
     """Two-leg Takeuchi products and three-leg coproducts of lifts."""
     spec = dfa.spec
@@ -500,7 +533,7 @@ def reduction_inputs(dfa):
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
-                                  rational_exp_dfa])
+                                  rational_exp_dfa, polynomial_exp_dfa])
 def test_reduce_series_matches_uncached(make):
     dfa = make()
     table = dfa.spec._leg_table
@@ -521,6 +554,40 @@ def test_reduce_series_matches_uncached(make):
     # the second pass reads every migration and leg product from the caches
     assert [reduce_series(dfa, HT) for HT in inputs] == want
     assert len(table) == filled
+
+
+def takeuchi_inputs(dfa):
+    """Both sides of ``takeuchi_check_deformed`` on the lifts of the sample
+    elements: HT (t_F(a) (x) 1) and HT (1 (x) s_F(a))."""
+    spec = dfa.spec
+    one = EnvElement.one(spec.nvars, spec.rank)
+    out = []
+    for u in sample_defelems(dfa, 2):
+        lift = twisted_coproduct(dfa, u)
+        for a in monomials_upto(spec.nvars, 2):
+            ta = dfa.target(a).map(lambda w: TensorElement.of(w, one))
+            sa = dfa.source(a).map(lambda w: TensorElement.of(one, w))
+            out += [tensor_series_mul(spec, lift, ta),
+                    tensor_series_mul(spec, lift, sa)]
+    return out
+
+
+def test_migrants_are_keyed_by_base_monomial():
+    espec = load_spec_file(SPEC)
+    spec = espec.build_structure()
+    dfa = DeformedEnvAlgebroid(spec, espec.build_twistor(spec, 6),
+                               validate=False)
+    inputs = takeuchi_inputs(dfa)
+    moving = {LEGS[key[0]] for HT in inputs for T in HT.coeffs
+              for key in T.num if any(LEGS[key[0]][0])}
+    gammas = {gamma for gamma, _ in moving}
+    assert (len(moving), len(gammas)) == (113, 5)
+    for HT in inputs:
+        reduce_series(dfa, HT)
+    # one t_F-decomposition and one set of s_F images per x^gamma
+    zeros = (0,) * spec.rank
+    assert set(dfa._decomp) == {("target", (g, zeros)) for g in gammas}
+    assert {LEGS[g] for g in dfa._migrants} == {(g, zeros) for g in gammas}
 
 
 # -- the per-polynomial sweeps as oracles for the monomial-keyed base maps ----------
@@ -1152,8 +1219,59 @@ def nested_migrants(dfa, w):
 
 
 def nested_reduce_leg(dfa, HT, leg):
-    """One reduction step on nested keys: a leg with gamma != 0 moves its
-    coefficient onto the next leg through its migrants."""
+    """One reduction step on nested keys: a leg x^gamma e^alpha with
+    gamma != 0 moves through the migrants of x^gamma, and each term
+    x^g e^delta of e^beta e^alpha with g != 0 goes round another pass."""
+    spec = dfa.spec
+    n = dfa.order
+    zeros_g, zeros_a = (0,) * spec.nvars, (0,) * spec.rank
+    coeffs = [nested(Tk) for Tk in HT.coeffs]
+    den = lcm(*[d for _, d in coeffs])
+    pending = [(terms, den // tden) for terms, tden in coeffs]
+    acc = [dict() for _ in range(n + 1)]
+    while pending:
+        moving = {}
+        for terms, _ in pending:
+            for key, _ in terms:
+                gamma = key[leg][0]
+                if gamma != zeros_g and gamma not in moving:
+                    moving[gamma] = nested_migrants(dfa, (gamma, zeros_a))
+        scale = lcm(*[d for d, _ in moving.values()])
+        den *= scale
+        for out in acc:
+            for key in out:
+                out[key] *= scale
+        carry = [dict() for _ in range(n + 1)]
+        for k, (terms, up) in enumerate(pending):
+            for key, c in terms:
+                gamma, alpha = key[leg]
+                if gamma == zeros_g:
+                    _bump_term(acc[k], key, c * up * scale)
+                    continue
+                d, moved = moving[gamma]
+                c *= up * scale // d
+                nxt = key[leg + 1]
+                head, tail = key[:leg], key[leg + 2:]
+                for beta, orders in moved:
+                    for l, q in nested_leg_product(spec, (zeros_g, beta),
+                                                   (zeros_g, alpha)):
+                        dest = acc if l[0] == zeros_g else carry
+                        for j, terms_j in enumerate(orders):
+                            if k + j > n:
+                                break
+                            for wl, cw in terms_j:
+                                for l2, q2 in nested_leg_product(spec, wl, nxt):
+                                    _bump_term(dest[k + j],
+                                               head + (l, l2) + tail,
+                                               c * q * cw * q2)
+        pending = [(list(t.items()), 1) for t in carry] if any(carry) else None
+    return [nested_cleared(d, den) for d in acc]
+
+
+def full_reduce_leg(dfa, HT, leg):
+    """One reduction step through the migrants of the t_F-decomposition of
+    each whole leg x^gamma e^alpha (``decompose_mono(w, "target")``), on
+    nested keys; its values are those of the reduction step."""
     spec = dfa.spec
     n = dfa.order
     zeros_g = (0,) * spec.nvars
@@ -1187,6 +1305,29 @@ def nested_reduce_leg(dfa, HT, leg):
                             _bump_term(acc[k + j], head + (pure, l2) + tail,
                                        c * cw * q)
     return [nested_cleared(d, den) for d in acc]
+
+
+def nested_values(coeffs):
+    """The per-order {monomial key: Fraction} of (terms, den) pairs."""
+    return [{key: Fraction(c, den) for key, c in terms} for terms, den in coeffs]
+
+
+def carries(dfa, HT, leg):
+    """Whether reducing ``leg`` of HT meets a product e^beta e^alpha with a
+    term x^g e^delta, g != 0, for some beta of the migrants of x^gamma."""
+    spec = dfa.spec
+    zeros_g, zeros_a = (0,) * spec.nvars, (0,) * spec.rank
+    for T in HT.coeffs:
+        for key, _ in nested(T)[0]:
+            gamma, alpha = key[leg]
+            if gamma == zeros_g:
+                continue
+            for beta, orders in nested_migrants(dfa, (gamma, zeros_a))[1]:
+                if any(orders) and any(
+                        l[0] != zeros_g for l, _ in nested_leg_product(
+                            spec, (zeros_g, beta), (zeros_g, alpha))):
+                    return True
+    return False
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
@@ -1257,12 +1398,13 @@ def four_leg_inputs(dfa):
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
-                                  rational_exp_dfa])
+                                  rational_exp_dfa, polynomial_exp_dfa])
 def test_reduce_leg_matches_nested_keys(make):
     dfa = make()
     inputs = reduction_inputs(dfa)[:6] + four_leg_inputs(dfa)[:1]
     assert {HT.zero.legs for HT in inputs} == {2, 3, 4}
     moved = 0
+    carried = False
     for HT in inputs:
         chained = HT
         for leg in range(HT.zero.legs - 1):
@@ -1272,14 +1414,19 @@ def test_reduce_leg_matches_nested_keys(make):
                 got = deform._reduce_leg(dfa, src, leg)
                 assert [nested(T) for T in got.coeffs] \
                     == nested_reduce_leg(dfa, src, leg)
+                assert nested_values([nested(T) for T in got.coeffs]) \
+                    == nested_values(full_reduce_leg(dfa, src, leg))
                 for T in got.coeffs:
                     assert_integral(T)
+                carried = carried or carries(dfa, src, leg)
             moved += sum(1 for T in HT.coeffs for key, _ in nested(T)[0]
                          if any(key[leg][0]))
             chained = deform._reduce_leg(dfa, chained, leg)
         assert [nested(T) for T in chained.coeffs] \
             == [nested(T) for T in reduce_series(dfa, HT).coeffs]
     assert moved
+    # only the polynomial structure function makes e^beta e^alpha impure
+    assert carried == (make is polynomial_exp_dfa)
 
 
 # -- the whole-series oracle for basis_decompose -------------------------------------

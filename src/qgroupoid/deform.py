@@ -68,6 +68,18 @@ per h-order, multiplies the basis terms of each image by e^alpha through
 the leg table, and multiplies out only the orders a term's image
 contributes below the truncation, skipping order zero, which cancels the
 term itself.
+``DeformedEnvAlgebroid.decompose_mono`` solves only the pure base monomial
+x^gamma this way, once per flavor and gamma, and builds x^gamma e^alpha
+from it: x^gamma = sum_beta map(c_beta) e^beta gives x^gamma e^alpha =
+sum_beta map(c_beta) (e^beta e^alpha), with e^beta e^alpha read from the
+leg table, so a pure term q e^delta adds q c_beta to a_delta.  Terms
+q x^g e^delta with g != 0, which only polynomial structure functions make
+(and only for beta != 0, where c_beta = O(h)), are summed into one
+remainder series sum_beta map(c_beta) q x^g e^delta that one more
+``basis_decompose`` solves.  Only associativity and linearity over Q are
+used, so for any twistor with F_0 = 1 (x) 1 the result is exact mod
+h^(N+1), and by the uniqueness of the triangular decomposition it is that
+of the whole monomial.
 """
 
 import itertools
@@ -401,19 +413,81 @@ class DeformedEnvAlgebroid:
     # -- decompositions --------------------------------------------------------------
 
     def decompose_mono(self, key, flavor):
-        """x^gamma e^alpha = sum_beta map(a_beta) e^beta, triangular in h."""
+        """x^gamma e^alpha = sum_beta map(a_beta) e^beta, triangular in h
+        (cached).
+
+        Only a pure base monomial x^gamma (alpha = 0) is solved by
+        ``basis_decompose``.  With its decomposition x^gamma = sum_beta
+        map(c_beta) e^beta, associativity gives x^gamma e^alpha = sum_beta
+        map(c_beta) (e^beta e^alpha), with e^beta e^alpha read from the leg
+        table: a pure term q e^delta of it adds q c_beta to a_delta.  Where
+        the structure functions are polynomial, a term q x^g e^delta with
+        g != 0 can occur, only for beta != 0, where c_beta = O(h); those
+        terms are summed into one series sum_beta map(c_beta) q x^g e^delta,
+        and one ``basis_decompose`` of it adds the rest.  Each step is exact
+        mod h^(N+1) and linear over Q, so for any twistor with F_0 = 1 (x) 1
+        the result is the unique triangular decomposition of the whole
+        monomial.  As in ``basis_decompose``, no a_delta is zero and the keys
+        come by first nonzero order, then by delta.
+        """
         ckey = (flavor, key)
         hit = self._decomp.get(ckey)
         if hit is None:
             gamma, alpha = key
-            u = defelem_from_env(
-                self.spec,
-                EnvElement.monomial(self.spec.nvars, self.spec.rank, alpha,
-                                    CPoly.monomial(self.spec.nvars, gamma)),
-                self.order)
-            hit = basis_decompose(self, u, flavor)
+            if any(alpha):
+                hit = self._decompose_product(gamma, alpha, flavor)
+            else:
+                u = defelem_from_env(
+                    self.spec,
+                    EnvElement.from_poly(self.spec.rank,
+                                         CPoly.monomial(self.spec.nvars, gamma)),
+                    self.order)
+                hit = basis_decompose(self, u, flavor)
             self._decomp[ckey] = hit
         return hit
+
+    def _decompose_product(self, gamma, alpha, flavor):
+        """The decomposition of x^gamma e^alpha from that of x^gamma, as
+        ``decompose_mono`` describes."""
+        spec = self.spec
+        n = self.order
+        nvars = spec.nvars
+        zeros_g = (0,) * nvars
+        mapper = self.source_series if flavor == "source" else self.target_series
+        a = leg_id((zeros_g, alpha))
+        rows = [{} for _ in range(n + 1)]   # per h-order {delta: {gamma: q}}
+        rest = [{} for _ in range(n + 1)]   # the same, of the impure terms
+
+        def add(delta, coeffs, q):
+            for acc, ck in zip(rows, coeffs):
+                if ck.terms:
+                    row = acc.setdefault(delta, {})
+                    for m, c in ck.terms.items():
+                        _bump_term(row, m, c if q == 1 else q * c)
+
+        base = self.decompose_mono((gamma, (0,) * spec.rank), flavor)
+        for beta, cser in base.items():
+            for l, q in leg_product(spec, leg_id((zeros_g, beta)), a):
+                g, delta = LEGS[l]
+                if any(g):
+                    mono = EnvElement.monomial(nvars, spec.rank, delta,
+                                               CPoly.monomial(nvars, g))
+                    _add_rows(rest, [pbw_mul(spec, u, mono)
+                                     for u in mapper(cser).coeffs], q)
+                else:
+                    add(delta, cser.coeffs, q)
+        if any(rest):
+            for delta, rser in basis_decompose(
+                    self, _rows_series(spec, n, rest), flavor).items():
+                add(delta, rser.coeffs, 1)
+        zero_p = CPoly.zero(nvars)
+        coeffs = {}
+        for k, acc in enumerate(rows):
+            for delta in sorted(acc):
+                if acc[delta]:
+                    coeffs.setdefault(delta, [zero_p] * (n + 1))[k] = \
+                        CPoly(nvars, acc[delta])
+        return {delta: HSeries(n, cs, zero_p) for delta, cs in coeffs.items()}
 
     def migrants(self, g):
         """(d, [(id of e^beta, per h-order the basis terms of s_F(c_beta))])

@@ -5,6 +5,13 @@ degree d; values are Laurent-truncated base series so that h-rescaled
 functionals keep honest precision.  Left-dual functionals satisfy
 phi(s_F(a) u) = a * phi(u) and pair through source decompositions; right
 duals satisfy psi(t_F(a) u) = psi(u) * a and pair through target ones.
+The decomposition of x^gamma e^alpha is built from that of x^gamma alone
+(``DeformedEnvAlgebroid.decompose_mono``): x^gamma e^alpha = sum_beta
+map(c_beta) (e^beta e^alpha), with e^beta e^alpha read from the leg table
+and its impure terms, which only polynomial structure functions make,
+solved as one remainder series.  That is exact for any twistor with
+F_0 = 1 (x) 1, so one triangular solve per (flavor, x^gamma) serves every
+pairing with a basis monomial.
 Dual products are the transposes of the twisted coproduct, evaluated on
 the canonical lifted representatives.
 

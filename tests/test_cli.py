@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from qgroupoid import deform
 from qgroupoid.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -97,6 +98,34 @@ def test_dualize_subcommand():
     assert code == 0
     lines = parse_lines(out)
     assert any(l["check"].startswith("relation/") for l in lines[1:-1])
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["example", "axb", "--json-only"], 6),
+    (["dualize", SPEC, "--json-only"], 2),
+])
+def test_one_triangular_solve_per_base_monomial(argv, solves, monkeypatch):
+    """The pairings decompose each x^gamma e^alpha through x^gamma alone:
+    one ``basis_decompose`` per distinct (flavor, x^gamma) decomposed.  A
+    whole-monomial solve per pairing key would make 119 and 51."""
+    real_solve = deform.basis_decompose
+    real_mono = deform.DeformedEnvAlgebroid.decompose_mono
+    solved, bases = [], set()
+
+    def solve(dfa, u, flavor):
+        solved.append(flavor)
+        return real_solve(dfa, u, flavor)
+
+    def decompose_mono(dfa, key, flavor):
+        bases.add((flavor, key[0]))
+        return real_mono(dfa, key, flavor)
+
+    monkeypatch.setattr(deform, "basis_decompose", solve)
+    monkeypatch.setattr(deform.DeformedEnvAlgebroid, "decompose_mono",
+                        decompose_mono)
+    code, _, _ = run_cli(argv)
+    assert code == 0
+    assert len(solved) == len(bases) == solves
 
 
 def test_dual_associativity_tabulates_through_the_lift():

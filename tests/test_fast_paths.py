@@ -18,6 +18,10 @@
   base monomial x^gamma, and multiplies by the next leg through the leg
   table; the oracle is the reduction that re-derives the decomposition of
   each whole leg x^gamma e^alpha per call and multiplies with ``pbw_mul``.
+- ``decompose_mono`` solves only x^gamma and composes x^gamma e^alpha from
+  it through the leg table; the oracle is one ``basis_decompose`` of the
+  whole monomial (``whole_decompose``), which the pairing and reduction
+  oracles read too.
 - The polynomial kernel and ``tensor_mul`` skip multiplications by 1 and
   shift by a monomial operand; the oracles are the plain loops kept below.
   ``tensor_mul`` also passes unit legs through; a per-leg loop over the
@@ -67,6 +71,7 @@ not a pure monomial and the reduction step takes more than one pass.
 import itertools
 import os
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -400,6 +405,30 @@ def test_basis_action_and_anchor_action_match_anchor_chain(make):
         assert anchor_action(spec, u, a) == want
 
 
+# -- the whole-monomial oracle for decompose_mono ------------------------------------
+
+
+_WHOLE = weakref.WeakKeyDictionary()   # deformation -> {(flavor, key): result}
+
+
+def whole_decompose(dfa, key, flavor):
+    """The decomposition of the whole monomial x^gamma e^alpha by one
+    ``basis_decompose``, memoised per deformation apart from its own
+    cache.  The pairing and reduction oracles below read it, so they share
+    no code with ``decompose_mono``'s composition."""
+    memo = _WHOLE.setdefault(dfa, {})
+    hit = memo.get((flavor, key))
+    if hit is None:
+        spec = dfa.spec
+        gamma, alpha = key
+        u = defelem_from_env(
+            spec, EnvElement.monomial(spec.nvars, spec.rank, alpha,
+                                      CPoly.monomial(spec.nvars, gamma)),
+            dfa.order)
+        hit = memo[flavor, key] = basis_decompose(dfa, u, flavor)
+    return hit
+
+
 # -- the uncached oracle for reduce_series ------------------------------------------
 
 
@@ -432,7 +461,7 @@ def uncached_reduce_leg(dfa, HT, leg):
             if w not in images:
                 images[w] = [
                     (beta, dfa.source_series(aser))
-                    for beta, aser in dfa.decompose_mono(w, "target").items()]
+                    for beta, aser in whole_decompose(dfa, w, "target").items()]
             for beta, sser in images[w]:
                 for j, w_env in enumerate(sser.coeffs):
                     if k + j > n or w_env.is_zero():
@@ -1210,7 +1239,7 @@ def nested_coproduct_leg(spec, T, leg):
 
 def nested_migrants(dfa, w):
     moved = [(beta, [_basis_terms(u) for u in dfa.source_series(aser).coeffs])
-             for beta, aser in dfa.decompose_mono(w, "target").items()]
+             for beta, aser in whole_decompose(dfa, w, "target").items()]
     d = lcm(*[q.denominator for _, orders in moved
               for terms in orders for _, q in terms])
     return d, [(beta, [tuple((key, q.numerator * (d // q.denominator))
@@ -1270,7 +1299,7 @@ def nested_reduce_leg(dfa, HT, leg):
 
 def full_reduce_leg(dfa, HT, leg):
     """One reduction step through the migrants of the t_F-decomposition of
-    each whole leg x^gamma e^alpha (``decompose_mono(w, "target")``), on
+    each whole leg x^gamma e^alpha (``whole_decompose(dfa, w, "target")``), on
     nested keys; its values are those of the reduction step."""
     spec = dfa.spec
     n = dfa.order
@@ -1493,6 +1522,41 @@ def test_basis_decompose_matches_backsubstitution(make, flavor):
         assert reexpand(dfa, got, flavor) == u
 
 
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa, polynomial_exp_dfa])
+@pytest.mark.parametrize("flavor", ["source", "target"])
+def test_decompose_mono_matches_whole_monomial(make, flavor, monkeypatch):
+    dfa = make()
+    spec = dfa.spec
+    solved = []
+    real = deform.basis_decompose
+
+    def recording(dfa_, u, flavor_):
+        solved.append(u)
+        return real(dfa_, u, flavor_)
+
+    monkeypatch.setattr(deform, "basis_decompose", recording)
+    gammas = pbw_indices(spec.nvars, 2)
+    for gamma in gammas:
+        for alpha in pbw_indices(spec.rank, 2):
+            got = dfa.decompose_mono((gamma, alpha), flavor)
+            want = whole_decompose(dfa, (gamma, alpha), flavor)
+            assert list(got) == list(want)
+            assert got == want
+            assert not any(aser.is_zero() for aser in got.values())
+    # one solve per x^gamma; the others are the impure remainders, which
+    # only a polynomial structure function makes, all O(h)
+    bases = [defelem_from_env(spec, EnvElement.from_poly(
+        spec.rank, CPoly.monomial(spec.nvars, g)), dfa.order) for g in gammas]
+    assert [sum(u == b for u in solved) for b in bases] == [1] * len(bases)
+    rest = [u for u in solved if u not in bases]
+    assert bool(rest) == (make is polynomial_exp_dfa)
+    assert all(u.coeffs[0].is_zero() for u in rest)
+    composed = ((1,) + (0,) * (spec.nvars - 1), (0,) * (spec.rank - 1) + (1,))
+    with pytest.raises(ConfigError):
+        dfa.decompose_mono(composed, "sideways")
+
+
 # -- the + chains behind the pairing sums -----------------------------------------
 
 
@@ -1538,7 +1602,7 @@ def chain_pair_mono(ctx, lam, key, memo):
     else:
         flavor = "source" if lam.flavor == LEFT else "target"
         out = chain_zero(ctx)
-        for beta, aser in ctx.dfa.decompose_mono(key, flavor).items():
+        for beta, aser in whole_decompose(ctx.dfa, key, flavor).items():
             lv = lam.value(ctx, beta)
             if lv.is_zero():
                 continue
@@ -1705,7 +1769,7 @@ def edge_series(ctx, elems):
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
-                                  rational_exp_dfa])
+                                  rational_exp_dfa, polynomial_exp_dfa])
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_pairing_sums_match_chains(make, flavor):
     dfa = make()

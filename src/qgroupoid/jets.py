@@ -34,6 +34,7 @@ holds (``_product_row``, ``_pair_product``).
 """
 
 import itertools
+from bisect import bisect_right
 from operator import add
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
@@ -463,13 +464,24 @@ def jet_coproduct_functional(ctx, lam, degree=None):
     spec = ctx.spec
     zeros = (0,) * spec.nvars
     out = {}
-    for b1 in pbw_indices(spec.rank, degree):
-        for b2 in pbw_indices(spec.rank, degree - sum(b1)):
+    for b1, inner in _index_pairs(spec.rank, degree):
+        for b2 in inner:
             la, lb = (b1, b2) if ctx.flavor == LEFT else (b2, b1)
             v = _pair_entry(ctx, lam, (zeros, la), (zeros, lb))
             if not v.is_zero():
                 out[(b1, b2)] = v
     return out
+
+
+def _index_pairs(rank, degree):
+    """[(b1, [b2 with |b1| + |b2| <= degree])] over the PBW indices b1 of
+    degree at most ``degree``, both in ``pbw_indices`` order.  The index
+    list is built once; as it is sorted by (degree, tuple), each range of
+    b2 is a prefix of it."""
+    idx = pbw_indices(rank, degree)
+    sums = [sum(b) for b in idx]
+    return [(b1, idx[:bisect_right(sums, degree - s)])
+            for b1, s in zip(idx, sums)]
 
 
 def tensor_functional_from_pair(ctx, lam, mu, degree=None):
@@ -478,8 +490,10 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     Left dual:  (lam (x) mu)(u (x) u') = mu( u . s_F(lam(u')) ).
     Right dual: (lam (x) mu)(u (x) u') = lam( u' . t_F(mu(u)) ).
 
-    An entry whose first pairing, lam(u') or mu(u), vanishes is zero and
-    is skipped before anything is mapped or multiplied.
+    The first pairing, lam(u') or mu(u), and its image under s_F or t_F
+    depend only on the paired index, so both are computed once per index
+    before the table is filled; an entry whose first pairing vanishes is
+    zero and is skipped before anything is multiplied.
     """
     degree = degree if degree is not None else ctx.jet_degree
     spec = ctx.spec
@@ -487,16 +501,22 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     left = ctx.flavor == LEFT
     first, second = (lam, mu) if left else (mu, lam)
     mapper = ctx.dfa.source if left else ctx.dfa.target
+    pairs = _index_pairs(spec.rank, degree)
+    # the mapped first pairing per paired index, None where it vanishes; the
+    # value on e^paired is seen through a plain element's window
+    images = {}
+    for beta, _ in pairs:
+        v = _pair_env(ctx, first, EnvElement.monomial(
+            spec.nvars, spec.rank, beta))
+        images[beta] = None if v.is_zero() else \
+            _apply_series_map(ctx, v, mapper)
     out = {}
-    for b1 in pbw_indices(spec.rank, degree):
-        for b2 in pbw_indices(spec.rank, degree - sum(b1)):
+    for b1, inner in pairs:
+        for b2 in inner:
             paired, moved = (b2, b1) if left else (b1, b2)
-            # the value on e^paired seen through a plain element's window
-            v = _pair_env(ctx, first, EnvElement.monomial(
-                spec.nvars, spec.rank, paired))
-            if v.is_zero():
+            W = images[paired]
+            if W is None:
                 continue
-            W = _apply_series_map(ctx, v, mapper)
             val = _pair_product(ctx, second, W, (zeros, moved), False)
             if not val.is_zero():
                 out[(b1, b2)] = val

@@ -34,11 +34,16 @@ their product as basis terms (id, q), an integral coefficient stored as
 an ``int``), which ``pbw_mul`` reads as well.  ``tensor_mul`` multiplies
 leg by leg through it, passing the other leg through where one leg is the
 unit, and the tensor reduction and basis decomposition of ``deform``
-multiply their basis terms by it.  A structure with rational structure
-functions may store a ``Fraction``; ``tensor_mul`` then brings its result
-back to integer numerators once.  ``tensor_reduce`` reads, per leg id,
-the id of its pure part (0, alpha) from the registry (``PURE``) and
-migrates the gamma of every leg that is not pure.
+multiply their basis terms by it.  A 2- or 3-leg product, which is every
+product the CLI makes, resolves each pair of legs (la, lb) that meet at
+one position once per call and expands each pair of terms in a fixed loop
+nest.  A wider product looks each leg product up per pair of terms; that
+general loop is also the oracle of the nests in the tests.  A structure with
+rational structure functions may store a ``Fraction``; ``tensor_mul``
+then brings its result back to integer numerators once.
+``tensor_reduce`` reads, per leg id, the id of its pure part (0, alpha)
+from the registry (``PURE``) and migrates the gamma of every leg that is
+not pure.
 
 A Cauchy product of tensor series (``tensor_series_mul``) sums each
 h-order into one dict of integer numerators over one denominator, the lcm
@@ -290,10 +295,12 @@ def tensor_mul(spec, s, t):
     """Factorwise multiplication of lifted tensors.
 
     A unit leg x^0 e^0 passes the other operand's leg through; every other
-    leg product is a ``leg_product``.  When each leg product is a single
-    term, the pair adds one term to the result directly.  The numerators
-    multiply with the leg coefficients and the denominators multiply; a
-    ``Fraction`` leg coefficient is cleared from the result at the end.
+    leg product is a ``leg_product``.  A 2- or 3-leg pair expands its leg
+    products in a fixed loop nest, which adds a single-term product as one
+    term; a wider pair adds one directly when each leg product is a single
+    term.  The numerators multiply with the leg coefficients and the
+    denominators multiply; a ``Fraction`` leg coefficient is cleared from
+    the result at the end.
     """
     s._check(t)
     out = _mul_into({}, spec, s, t, 1)
@@ -303,7 +310,92 @@ def tensor_mul(spec, s, t):
 def _mul_into(out, spec, s, t, m):
     """out += m * (numerators of s times those of t), leg by leg; returns
     out, whose values are ints or, where a leg coefficient was one,
-    Fractions."""
+    Fractions.  Every product of the CLI has 2 or 3 legs and takes a fixed
+    loop nest over the leg products of ``_leg_rows``; a wider one takes
+    the general loop ``_mul_into_legs``.  Both add the same terms in the
+    same order."""
+    if not (s.num and t.num):
+        return out
+    if s.legs == 2:
+        return _mul2_into(out, _leg_rows(spec, s, t), s.num, t.num, m)
+    if s.legs == 3:
+        return _mul3_into(out, _leg_rows(spec, s, t), s.num, t.num, m)
+    return _mul_into_legs(out, spec, s, t, m)
+
+
+def _leg_rows(spec, s, t):
+    """{la: {lb: the basis terms (id, q) of la lb}} for every la that s and
+    lb that t hold at the same position, each resolved once: a unit leg
+    passes the other through, every other entry is the ``leg_product``."""
+    unit = _unit_id(s.nvars, s.rank)
+    rows = {}
+    for left, right in zip(zip(*s.num), zip(*t.num)):
+        right = dict.fromkeys(right)
+        for la in dict.fromkeys(left):
+            row = rows.setdefault(la, {})
+            for lb in right:
+                if lb in row:
+                    continue
+                if la == unit:
+                    row[lb] = ((lb, 1),)
+                elif lb == unit:
+                    row[lb] = ((la, 1),)
+                else:
+                    row[lb] = leg_product(spec, la, lb)
+    return rows
+
+
+def _mul2_into(out, rows, snum, tnum, m):
+    """``_mul_into`` for 2-leg tensors."""
+    tnum = tnum.items()
+    for (a0, a1), ca in snum.items():
+        if m != 1:
+            ca *= m
+        r0, r1 = rows[a0], rows[a1]
+        for (b0, b1), cb in tnum:
+            c = ca * cb
+            for k0, q0 in r0[b0]:
+                c0 = c if q0 == 1 else c * q0
+                for k1, q1 in r1[b1]:
+                    c1 = c0 if q1 == 1 else c0 * q1
+                    key = (k0, k1)
+                    cur = out.get(key)
+                    v = c1 if cur is None else cur + c1
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+    return out
+
+
+def _mul3_into(out, rows, snum, tnum, m):
+    """``_mul_into`` for 3-leg tensors."""
+    tnum = tnum.items()
+    for (a0, a1, a2), ca in snum.items():
+        if m != 1:
+            ca *= m
+        r0, r1, r2 = rows[a0], rows[a1], rows[a2]
+        for (b0, b1, b2), cb in tnum:
+            c = ca * cb
+            for k0, q0 in r0[b0]:
+                c0 = c if q0 == 1 else c * q0
+                for k1, q1 in r1[b1]:
+                    c1 = c0 if q1 == 1 else c0 * q1
+                    for k2, q2 in r2[b2]:
+                        c2 = c1 if q2 == 1 else c1 * q2
+                        key = (k0, k1, k2)
+                        cur = out.get(key)
+                        v = c2 if cur is None else cur + c2
+                        if v:
+                            out[key] = v
+                        else:
+                            del out[key]
+    return out
+
+
+def _mul_into_legs(out, spec, s, t, m):
+    """``_mul_into`` for any number of legs, each leg product looked up per
+    pair of terms."""
     unit = _unit_id(s.nvars, s.rank)
     table = spec._leg_table
     tnum = t.num.items()

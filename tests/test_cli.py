@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from qgroupoid import deform
+from qgroupoid import deform, jets, tensorspace
 from qgroupoid.cli import main
+from qgroupoid.scalars import pbw_indices
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SPEC = os.path.join(ROOT, "specs", "axb.spec")
@@ -126,6 +128,75 @@ def test_one_triangular_solve_per_base_monomial(argv, solves, monkeypatch):
     code, _, _ = run_cli(argv)
     assert code == 0
     assert len(solved) == len(bases) == solves
+
+
+def test_first_pairings_are_mapped_once_per_index(monkeypatch):
+    """Within one ``tensor_functional_from_pair`` call the first pairing
+    (``_pair_env``) runs once per PBW index, and ``_apply_series_map`` once
+    per index whose first pairing is nonzero.  Pairing once per table
+    entry made 3,780 first pairings on ``example axb`` at N=6 where 504
+    were distinct."""
+    real_tf = jets.tensor_functional_from_pair
+    real_pair, real_map = jets._pair_env, jets._apply_series_map
+    active, records = [], []
+
+    def tensor_functional_from_pair(ctx, lam, mu, degree=None):
+        degree = ctx.jet_degree if degree is None else degree
+        record = (pbw_indices(ctx.spec.rank, degree), [], [])
+        active.append(record)
+        try:
+            return real_tf(ctx, lam, mu, degree)
+        finally:
+            records.append(active.pop())
+
+    def pair_env(ctx, lam, w):
+        v = real_pair(ctx, lam, w)
+        if active:
+            alpha, = w.terms
+            active[-1][1].append((alpha, v.is_zero()))
+        return v
+
+    def apply_series_map(ctx, val, mapper):
+        if active:
+            active[-1][2].append(val)
+        return real_map(ctx, val, mapper)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qgroupoid") and \
+                getattr(module, "tensor_functional_from_pair", None) is real_tf:
+            monkeypatch.setattr(module, "tensor_functional_from_pair",
+                                tensor_functional_from_pair)
+    monkeypatch.setattr(jets, "_pair_env", pair_env)
+    monkeypatch.setattr(jets, "_apply_series_map", apply_series_map)
+    code, _, _ = run_cli(["example", "axb", "--json-only"])
+    assert code == 0
+    assert records
+    for indices, paired, mapped in records:
+        assert sorted(alpha for alpha, _ in paired) == sorted(indices)
+        assert len(mapped) == sum(not zero for _, zero in paired)
+    # some first pairing vanishes, so an index is left unmapped
+    assert any(zero for _, paired, _ in records for _, zero in paired)
+
+
+def test_cli_tensor_products_have_two_or_three_legs(monkeypatch):
+    """Every tensor product of ``example axb`` and of the eight spec
+    commands on axb at N=4 has 2 or 3 legs, so it takes a fixed loop nest
+    of ``tensorspace._mul_into``.  A command that multiplies wider tensors
+    fails here: it takes the general loop, which is slower."""
+    real = tensorspace._mul_into
+    legs = Counter()
+
+    def counted(out, spec, s, t, m):
+        legs[s.legs] += 1
+        return real(out, spec, s, t, m)
+
+    monkeypatch.setattr(tensorspace, "_mul_into", counted)
+    runs = [["example", "axb"]] + [[cmd[0], SPEC] + cmd[1:]
+                                   for cmd in DEFAULT_SPEC_COMMANDS]
+    for argv in runs:
+        code, _, _ = run_cli(argv + ["--json-only"])
+        assert code == 0, argv
+    assert set(legs) == {2, 3}
 
 
 def test_dual_associativity_tabulates_through_the_lift():

@@ -26,6 +26,10 @@
   shift by a monomial operand; the oracles are the plain loops kept below.
   ``tensor_mul`` also passes unit legs through; a per-leg loop over the
   table's entries pins the order of the result's terms.
+- ``_mul_into`` expands 2- and 3-leg products in fixed loop nests over leg
+  products resolved once per call; the oracle is the general loop
+  ``_mul_into_legs`` kept in the module for wider tensors, compared term
+  by term, in order and in type.
 - The deformation's s_F and t_F read tables of monomial images, and the
   star product reads s_F; the oracles are the sweeps over the twistor for
   the whole polynomial (``_base_map_from`` with the acting leg 0 for s_F
@@ -39,8 +43,9 @@
   in place in one ``LaurentSum``; the oracles are the chains of
   ``HLaurent`` additions they replace, and the unmemoised dual product
   pairs through those chains.
-- ``tensor_functional_from_pair`` skips entries whose first pairing
-  vanishes; the oracle is the body that maps and multiplies every entry.
+- ``tensor_functional_from_pair`` maps each first pairing once per index
+  and skips entries whose first pairing vanishes; the oracle is the body
+  that pairs, maps and multiplies every entry.
 - The jet layer pairs (or takes the counit of) a product with a basis
   monomial without building it, reading the product table into one
   merged row per h-order (``_pair_product``); the oracles build the
@@ -80,7 +85,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgroupoid import deform, jets, kernel
+from qgroupoid import deform, jets, kernel, tensorspace
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, _base_map_from, basis_decompose,
     defelem_from_env, defelem_zero, deformed_axiom_suite,
@@ -1110,6 +1115,59 @@ def test_integer_layer_matches_fraction_loops(make):
         == (make is rational_structure)
 
 
+# -- the general loop as the oracle for the 2- and 3-leg loop nests ---------------
+
+
+def loop_nest_inputs(dfa):
+    """2- and 3-leg tensors: the integer-layer inputs, the twistor's
+    coefficients, and their 3-leg images as the cocycle identity builds
+    them (F12, F23 and (Delta (x) id) F)."""
+    spec = dfa.spec
+    two, three = integer_layer_inputs(spec)
+    F = dfa.twistor.series.coeffs[1:3]
+    two += F
+    three += [T for Fk in F for T in (Fk.embed(3, 0), Fk.embed(3, 1),
+                                      tensor_coproduct_leg(spec, Fk, 0))]
+    return two, three
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa, polynomial_exp_dfa])
+def test_loop_nests_match_general_loop(make):
+    """``_mul_into`` on 2- and 3-leg tensors against the general loop
+    ``_mul_into_legs``: the same terms in the same order, the same int or
+    Fraction values, from empty and non-empty accumulators, with m = 1 and
+    m != 1, and into an accumulator that the product cancels to empty."""
+    dfa = make()
+    spec = dfa.spec
+    spec._leg_table.clear()
+    fractions = cancelled = 0
+    for group in loop_nest_inputs(dfa):
+        prev = {}
+        for s in group:
+            for t in group:
+                # the nests run first and fill the product table
+                for start, m in (({}, 1), (prev, 6), (prev, 1)):
+                    nest = tensorspace._mul_into(dict(start), spec, s, t, m)
+                    general = tensorspace._mul_into_legs(dict(start), spec,
+                                                         s, t, m)
+                    assert list(nest.items()) == list(general.items())
+                    assert [type(c) for c in nest.values()] \
+                        == [type(c) for c in general.values()]
+                    fractions += any(type(c) is Fraction
+                                     for c in nest.values())
+                want = tensorspace._mul_into_legs({}, spec, s, t, 1)
+                negated = {k: -c for k, c in want.items()}
+                assert tensorspace._mul_into(negated, spec, s, t, 1) == {}
+                cancelled += bool(want)
+                prev = want
+    multi = sum(len(hit) > 1 for hit in spec._leg_table.values())
+    # a leg product with several terms, a cancelling product and, on the
+    # rational structure only, Fraction leg coefficients
+    assert multi and cancelled
+    assert bool(fractions) == (make is rational_exp_dfa)
+
+
 def small_tensors():
     """Tensors on axb's legs with integer numerators over a denominator."""
     legs = [(g, a) for g in ((0, 0), (1, 0), (0, 2))
@@ -1845,12 +1903,18 @@ def unskipped_tensor_functional_from_pair(ctx, lam, mu, degree):
     return out
 
 
-@pytest.mark.parametrize("make", [axb_exp_dfa, bracketed_exp_dfa])
+# the jet degree of each fixture's tables
+UNSKIPPED_DEGREES = {axb_exp_dfa: 2, bracketed_exp_dfa: 2,
+                     rational_exp_dfa: 3, polynomial_exp_dfa: 3}
+
+
+@pytest.mark.parametrize("make", list(UNSKIPPED_DEGREES))
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_tensor_functional_from_pair_matches_unskipped(make, flavor):
     dfa = make()
     spec = dfa.spec
-    ctx = JetContext(dfa, flavor, 2)
+    degree = UNSKIPPED_DEGREES[make]
+    ctx = JetContext(dfa, flavor, degree)
     gens = [xi_functional(ctx, i) for i in range(spec.rank)]
     x1 = coordinate_functional(ctx, 0)
     funcs = gens + [x1, gens[0].shift(-1), gens[-1].add(x1).scale(3),
@@ -1858,13 +1922,14 @@ def test_tensor_functional_from_pair_matches_unskipped(make, flavor):
     skipped = 0
     for lam in funcs:
         for mu in funcs:
-            want = unskipped_tensor_functional_from_pair(ctx, lam, mu, 2)
-            got = jets.tensor_functional_from_pair(ctx, lam, mu, 2)
+            want = unskipped_tensor_functional_from_pair(ctx, lam, mu,
+                                                         degree)
+            got = jets.tensor_functional_from_pair(ctx, lam, mu, degree)
             assert {k: window(v) for k, v in got.items()} \
                 == {k: window(v) for k, v in want.items()}
             first = lam if flavor == LEFT else mu
             skipped += sum(jet_pair(ctx, first, ((0,) * spec.nvars, beta))
-                           .is_zero() for beta in pbw_indices(spec.rank, 2))
+                           .is_zero() for beta in pbw_indices(spec.rank, degree))
     # the skip is taken
     assert skipped
 

@@ -20,7 +20,7 @@ condition and the multiplicativity check) is ``tensor_series_mul``, which
 sums each order into one dict of integer numerators over one denominator.
 
 The base maps s_F and t_F let the legs of F act on the base through the
-anchor (``envelope.basis_action``, which reads the structure's action
+anchor (``envelope._act_into``, which reads the structure's action
 table).  The maps are linear in the base element, so the deformation
 sweeps F once per basis monomial x^m (one sweep ``_base_map_from`` that
 takes the acting leg), keeps those images in monomial-keyed tables, and
@@ -63,11 +63,13 @@ over one denominator, keyed by tuples of leg ids.
 All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
 basis decompositions and tensor reductions exact triangular solves.
-``basis_decompose`` keeps its remainder as {alpha: {gamma: coefficient}}
-per h-order, multiplies the basis terms of each image by e^alpha through
-the leg table, and multiplies out only the orders a term's image
-contributes below the truncation, skipping order zero, which cancels the
-term itself.
+Envelope series (``defelem_mul``, the sweeps behind s_F and t_F, the
+counit contraction, ``reexpand``) are summed in the envelope's rows,
+one {alpha: {gamma: coefficient}} per h-order, by its one product loop
+(``envelope._mul_mono_into``).  ``basis_decompose`` keeps its remainder
+in such rows, subtracts each image times e^alpha in place, and
+multiplies out only the orders a term's image contributes below the
+truncation, skipping order zero, which cancels the term itself.
 ``DeformedEnvAlgebroid.decompose_mono`` solves only the pure base monomial
 x^gamma this way, once per flavor and gamma, and builds x^gamma e^alpha
 from it: x^gamma = sum_beta map(c_beta) e^beta gives x^gamma e^alpha =
@@ -86,20 +88,20 @@ import itertools
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import add
 
 from .envelope import (
-    LEGS, PURE, EnvElement, _bump_term, anchor_action, basis_action, leg_id,
-    leg_product, pbw_mul,
+    LEGS, PURE, EnvElement, _act_into, _add_rows, _bump_term, _mul_mono_into,
+    _pbw_mul_into, _rows_series, anchor_action, leg_id, leg_product,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto
 from .series import (
-    HLaurent, HSeries, hs_const, hs_zero, hseries_invert, hseries_mul,
-    laurent_mul,
+    HLaurent, HSeries, hs_const, hs_zero, hseries_invert, laurent_mul,
 )
 from .tensorspace import (
-    MAX_LEGS, TensorElement, _basis_terms, _tensor_cleared, copro_basis,
+    TensorElement, _basis_terms, _tensor_cleared, copro_basis,
     counit_contract, env_coproduct, tensor_coproduct_leg, tensor_mul,
     tensor_reduce, tensor_series_mul,
 )
@@ -151,10 +153,6 @@ def _tmul(spec):
     return lambda a, b: tensor_mul(spec, a, b)
 
 
-def _emul(spec):
-    return lambda a, b: pbw_mul(spec, a, b)
-
-
 def defelem_zero(spec, order):
     return hs_zero(order, EnvElement.zero(spec.nvars, spec.rank))
 
@@ -164,26 +162,31 @@ def defelem_from_env(spec, u, order):
 
 
 def defelem_mul(spec, a, b):
-    return hseries_mul(a, b, _emul(spec))
+    """Cauchy product of envelope series under truncation, each order's
+    products a_i b_j summed into one row."""
+    a._check(b)
+    n = a.order
+    rows = [{} for _ in range(n + 1)]
+    for i, ai in enumerate(a.coeffs):
+        if ai.terms:
+            for row, bj in zip(rows[i:], b.coeffs):
+                _pbw_mul_into(row, spec, ai, bj)
+    return _rows_series(spec, n, rows)
 
 
 def _base_map_from(spec, F, a, leg):
     """s_F(a) (leg 0) or t_F(a) (leg 1): the legs ``leg`` of F act on a,
-    the other legs multiply."""
-    zero = EnvElement.zero(spec.nvars, spec.rank)
-    out = []
+    the other legs multiply: c x^g e^b (x) x^gamma e^alpha (acting leg
+    first) adds c x^(g + gamma) (e^b . a) e^alpha to the order's row."""
+    rows = []
     for Fn in F.series.coeffs:
-        acc = zero
+        acc = {}
         for key, c in Fn.terms.items():
-            va = basis_action(spec, key[leg], a)
-            if va.is_zero():
-                continue
-            gamma, alpha = key[1 - leg]
-            other = EnvElement.monomial(spec.nvars, spec.rank, alpha,
-                                        CPoly.monomial(spec.nvars, gamma))
-            acc = acc + other.scale(va * c)
-        out.append(acc)
-    return HSeries(F.order, out, zero)
+            (g, b), (gamma, alpha) = key[leg], key[1 - leg]
+            _act_into(acc.setdefault(alpha, {}), spec,
+                      (tuple(map(add, g, gamma)), b), a, c)
+        rows.append(acc)
+    return _rows_series(spec, F.order, rows)
 
 
 # -- twistor validation -----------------------------------------------------------
@@ -470,10 +473,8 @@ class DeformedEnvAlgebroid:
             for l, q in leg_product(spec, leg_id((zeros_g, beta)), a):
                 g, delta = LEGS[l]
                 if any(g):
-                    mono = EnvElement.monomial(nvars, spec.rank, delta,
-                                               CPoly.monomial(nvars, g))
-                    _add_rows(rest, [pbw_mul(spec, u, mono)
-                                     for u in mapper(cser).coeffs], q)
+                    for acc, u in zip(rest, mapper(cser).coeffs):
+                        _mul_mono_into(acc, spec, u, (g, delta), q)
                 else:
                     add(delta, cser.coeffs, q)
         if any(rest):
@@ -520,25 +521,6 @@ class DeformedEnvAlgebroid:
         return hit
 
 
-def _add_rows(rows, coeffs, c):
-    """rows[k] += c * coeffs[k] for envelope elements, each row kept as
-    {alpha: {gamma: q}}; stops at the shorter of the two."""
-    for acc, u in zip(rows, coeffs):
-        for alpha, p in u.terms.items():
-            row = acc.setdefault(alpha, {})
-            for g, q in p.terms.items():
-                _bump_term(row, g, q if c == 1 else c * q)
-
-
-def _rows_series(spec, order, rows):
-    """The series of envelope elements whose orders are the rows."""
-    nvars = spec.nvars
-    return HSeries(order, [
-        EnvElement(nvars, spec.rank,
-                   {alpha: CPoly(nvars, row) for alpha, row in acc.items()})
-        for acc in rows], EnvElement.zero(nvars, spec.rank))
-
-
 # -- public operations ---------------------------------------------------------------
 
 
@@ -575,17 +557,6 @@ def deformed_coproduct_leg(dfa, HT, leg):
     return dfa.conjugate(spliced, leg)
 
 
-def iterated_twisted_coproduct(dfa, u, n):
-    if n < 1:
-        raise ConfigError("need n >= 1")
-    if n + 1 > MAX_LEGS:
-        raise ConfigError("iterated coproduct beyond configured bound")
-    T = twisted_coproduct(dfa, u)
-    for _ in range(n - 1):
-        T = deformed_coproduct_leg(dfa, T, 0)
-    return T
-
-
 def basis_decompose(dfa, u, flavor="source"):
     """u = sum_beta map_F(a_beta) e^beta, solved by triangular back-substitution.
 
@@ -595,9 +566,9 @@ def basis_decompose(dfa, u, flavor="source"):
     remainder; the image is a + O(h) because F_0 = 1 (x) 1, so order k
     cancels the term itself and only the orders k + j, 1 <= j <= N - k,
     that survive the truncation are multiplied out.  a is mapped monomial
-    by monomial through the deformation's cached base maps, and each basis
-    term of the image is multiplied by e^alpha through ``leg_product`` and
-    subtracted in place.  Exact at truncation.
+    by monomial through the deformation's cached base maps, and each order
+    of the image times e^alpha is subtracted in place by the envelope's
+    product loop (``_mul_mono_into``).  Exact at truncation.
     """
     if flavor not in ("source", "target"):
         raise ConfigError("flavor must be source or target")
@@ -606,7 +577,6 @@ def basis_decompose(dfa, u, flavor="source"):
     n = dfa.order
     zeros_g = (0,) * nvars
     zero_p = CPoly.zero(nvars)
-    table, legs = spec._leg_table, LEGS
     mapper = dfa.source if flavor == "source" else dfa.target
     remaining = [{alpha: dict(p.terms) for alpha, p in uk.terms.items()}
                  for uk in u.coeffs]
@@ -618,36 +588,25 @@ def basis_decompose(dfa, u, flavor="source"):
             coeffs.setdefault(alpha, [zero_p] * (n + 1))[k] = CPoly(nvars, terms)
             if k == n:
                 continue
-            mono = leg_id((zeros_g, alpha))
+            mono = (zeros_g, alpha)
             for gamma, c in terms.items():
                 mapped = mapper(CPoly.monomial(nvars, gamma)).coeffs
                 for j in range(1, n - k + 1):
-                    out = remaining[k + j]
-                    for a1, p1 in mapped[j].terms.items():
-                        for g1, q1 in p1.terms.items():
-                            cq = q1 if c == 1 else c if q1 == 1 else c * q1
-                            ia = leg_id((g1, a1))
-                            entry = table.get((ia, mono))
-                            if entry is None:
-                                entry = leg_product(spec, ia, mono)
-                            for i2, q2 in entry:
-                                g2, a2 = legs[i2]
-                                row = out.setdefault(a2, {})
-                                _bump_term(row, g2, -cq if q2 == 1 else -cq * q2)
-                                if not row:
-                                    del out[a2]
+                    _mul_mono_into(remaining[k + j], spec, mapped[j], mono, -c)
     return {beta: HSeries(n, cs, zero_p) for beta, cs in coeffs.items()}
 
 
 def reexpand(dfa, decomposition, flavor="source"):
-    """Inverse of basis_decompose, for round-trip checks."""
+    """Inverse of basis_decompose, for round-trip checks: sum_beta
+    map_F(a_beta) e^beta, one row per order."""
     spec = dfa.spec
-    out = defelem_zero(spec, dfa.order)
+    zeros = (0,) * spec.nvars
+    rows = [{} for _ in range(dfa.order + 1)]
     mapper = dfa.source_series if flavor == "source" else dfa.target_series
     for beta, aser in decomposition.items():
-        mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-        out = out + mapper(aser).map(lambda w: pbw_mul(spec, w, mono))
-    return out
+        for acc, w in zip(rows, mapper(aser).coeffs):
+            _mul_mono_into(acc, spec, w, (zeros, beta))
+    return _rows_series(spec, dfa.order, rows)
 
 
 def reduce_series(dfa, HT):
@@ -760,24 +719,24 @@ def takeuchi_check_deformed(dfa, HT, samples=None):
 
 
 def _counit_contract(dfa, HT, leg):
-    """Contract the lift with the counit on leg ``leg``.
+    """Contract the lift with the counit on leg ``leg``, one row per
+    order.
 
     leg 0:  sum s_F(eps(w1)) . w2;  leg 1: sum t_F(eps(w2)) . w1.
     """
     spec = dfa.spec
+    n = dfa.order
     mapper = dfa.source if leg == 0 else dfa.target
-    out = defelem_zero(spec, dfa.order)
+    rows = [{} for _ in range(n + 1)]
     for k, Tk in enumerate(HT.coeffs):
         for key, c in Tk.terms.items():
-            (g_eps, a_eps), (gamma, alpha) = key[leg], key[1 - leg]
+            (g_eps, a_eps), other = key[leg], key[1 - leg]
             if any(a_eps):
                 continue
-            eps = CPoly.monomial(spec.nvars, g_eps, c)
-            other = EnvElement.monomial(spec.nvars, spec.rank, alpha,
-                                        CPoly.monomial(spec.nvars, gamma))
-            piece = mapper(eps).map(lambda w: pbw_mul(spec, w, other))
-            out = out + piece.shift(k)
-    return out
+            eps = mapper(CPoly.monomial(spec.nvars, g_eps)).coeffs
+            for acc, w in zip(rows[k:], eps):
+                _mul_mono_into(acc, spec, w, other, c)
+    return _rows_series(spec, n, rows)
 
 
 def sample_defelems(dfa, max_degree=2):

@@ -11,8 +11,7 @@ and compares generators and relations with the originals at truncation.
 import itertools
 
 from .deform import (
-    defelem_from_env, defelem_mul, iterated_twisted_coproduct,
-    twisted_coproduct,
+    defelem_from_env, defelem_mul, deformed_coproduct_leg, twisted_coproduct,
 )
 from .envelope import EnvElement, _bump_term, env_counit, pbw_mul
 from .errors import (
@@ -31,7 +30,7 @@ from .lierinehart import (
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import HSeries
-from .tensorspace import TensorElement, tensor_reduce
+from .tensorspace import MAX_LEGS, TensorElement, tensor_reduce
 
 __all__ = [
     "VeeAlgebroid", "vee_build", "vee_semiclassical", "hprime_member",
@@ -198,28 +197,35 @@ def _project_leg(dfa, HT, leg, flavor):
     return HSeries(n, coeffs, TensorElement.zero(spec.nvars, spec.rank, legs))
 
 
-def reduced_coproduct_power(dfa, u, n, flavor="source"):
-    """delta^n: the J-component of the n-fold coproduct on the lift."""
-    if n == 1:
-        eps = _counit_series(u)
-        mapper = dfa.source_series if flavor == "source" else dfa.target_series
-        return u - mapper(eps)
-    HT = iterated_twisted_coproduct(dfa, u, n - 1)
-    for leg in range(n):
-        HT = _project_leg(dfa, HT, leg, flavor)
-    return HT
-
-
 def hprime_member(dfa, u, n_max=None):
     """delta^n(u) divisible by h^n for every n <= n_max, on lifted
     representatives, with the source and the target projections each;
-    certification is relative to (N, n_max)."""
+    certification is relative to (N, n_max).
+
+    delta^1(u) = u - map_F(eps(u)); delta^n projects each leg of the
+    (n-1)-fold twisted coproduct, which is built once, one deformed
+    coproduct at leg 0 per n, and shared by the two projections.
+    """
     n_max = n_max if n_max is not None else dfa.order
     if n_max > dfa.order:
         raise ConfigError("membership order exceeds the truncation")
+    HT = None
     for n in range(1, n_max + 1):
+        if n > MAX_LEGS:
+            raise ConfigError("iterated coproduct beyond configured bound")
+        if n == 2:
+            HT = twisted_coproduct(dfa, u)
+        elif n > 2:
+            HT = deformed_coproduct_leg(dfa, HT, 0)
         for flavor in ("source", "target"):
-            d = reduced_coproduct_power(dfa, u, n, flavor)
+            if n == 1:
+                mapper = dfa.source_series if flavor == "source" \
+                    else dfa.target_series
+                d = u - mapper(_counit_series(u))
+            else:
+                d = HT
+                for leg in range(n):
+                    d = _project_leg(dfa, d, leg, flavor)
             if any(not d.coeffs[k].is_zero()
                    for k in range(min(n, dfa.order + 1))):
                 return False

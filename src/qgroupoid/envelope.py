@@ -8,10 +8,14 @@ e_j e_i -> e_i e_j - [e_i, e_j] (j > i) until normal; rewriting terminates
 because every step lowers (total degree, inversion count) lexicographically.
 The rewriting runs once per pair of basis monomials x^gamma e^alpha, into
 the structure's one product table (``leg_product``), which every product
-of the engine reads: ``pbw_mul`` here, the tensor product, reduction and
-decompositions of ``tensorspace`` and ``deform``, and the jet pairings of
-``jets``, which pair a functional with a product read from the table
-without building it.  The table is keyed by the monomials' interned ids
+of the engine reads.  Envelope products read it through one loop,
+``_mul_mono_into``: an element times a basis monomial, on either side,
+summed into rows {alpha: {gamma: q}} that hold exactly the nonzero terms.
+``pbw_mul`` sums it over the right factor's basis terms, and every sum
+of envelope elements in ``deform`` and ``jets`` goes into such rows, one
+per h-order (``_add_rows``, ``_rows_series``), never through a chain of
+``+``.  The tensor loops of ``tensorspace`` and ``deform`` read the table
+on leg ids.  The table is keyed by the monomials' interned ids
 (``leg_id``): every basis monomial (gamma, alpha) gets a small int the
 first time it is seen, so a lookup hashes a pair of ints instead of
 nested exponent tuples.  The anchor action
@@ -24,6 +28,7 @@ from operator import add
 
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
+from .series import HSeries
 
 __all__ = [
     "EnvElement", "pbw_mul", "leg_id", "leg_product", "monomial_action",
@@ -244,12 +249,14 @@ def _leg_entry(spec, alpha, gamma, beta):
 
 
 def _acc_rows(rows, terms, c, mu=None):
-    """rows += c x^mu * terms, rows kept as {alpha: {gamma: q}}."""
+    """rows += c x^mu * terms, rows kept as {alpha: {gamma: q}}; returns
+    rows."""
     for i, q in terms:
         g, a = LEGS[i]
         if mu:
             g = tuple(map(add, g, mu))
         _bump_term(rows.setdefault(a, {}), g, c * q)
+    return rows
 
 
 def _bump_term(d, key, c):
@@ -315,44 +322,98 @@ def _act_into(out, spec, key, a, c):
     return out
 
 
-def pbw_mul(spec, u, v):
-    """Associative product in PBW normal form: each monomial of u's
-    coefficients times the table entry of e^alpha x^gamma e^beta."""
-    if u.rank != v.rank or u.nvars != v.nvars:
-        raise ConfigError("operands over different structures")
-    nvars = spec.nvars
-    zeros = (0,) * nvars
-    table = spec._leg_table
-    legs = LEGS
-    lefts = [(leg_id((zeros, alpha)), a.terms) for alpha, a in u.terms.items()]
-    rows = {}
-    for beta, b in v.terms.items():
-        for gamma, q in b.terms.items():
-            ib = leg_id((gamma, beta))
-            for ia, aterms in lefts:
+# -- products and sums of elements ----------------------------------------------
+
+
+def _mul_mono_into(rows, spec, w, key, c=1, right=True):
+    """rows += c (w . x^gamma e^alpha) (``right``) or c (x^gamma e^alpha . w)
+    for a normal-form element w, the basis monomial key = (gamma, alpha)
+    and a nonzero rational c, read from the product table; returns rows.
+    The left factor's x^gamma shifts the entry of its pure part e^alpha.
+    Like terms merge, a term that cancels is dropped and so is a row it
+    empties, so rows hold exactly the nonzero terms of the sum."""
+    zeros = (0,) * spec.nvars
+    table, legs = spec._leg_table, LEGS
+    scaled = c != 1
+    if right:
+        ib = leg_id(key)
+    else:
+        ia = leg_id((zeros, key[1]))
+        shift = key[0] if any(key[0]) else None
+    for alpha, poly in w.terms.items():
+        if right:
+            ia = leg_id((zeros, alpha))
+            entry = table.get((ia, ib))
+            if entry is None:
+                entry = leg_product(spec, ia, ib)
+        for gamma, q in poly.terms.items():
+            if right:
+                shift = gamma if any(gamma) else None
+            else:
+                ib = leg_id((gamma, alpha))
                 entry = table.get((ia, ib))
                 if entry is None:
                     entry = leg_product(spec, ia, ib)
-                for mu, p in aterms.items():
-                    c = p if q == 1 else q if p == 1 else p * q
-                    shift = any(mu)
-                    for i, r in entry:
-                        g, d = legs[i]
-                        if shift:
-                            g = tuple(map(add, g, mu))
-                        row = rows.get(d)
-                        if row is None:
-                            row = rows[d] = {}
-                        cr = c if r == 1 else c * r
-                        cur = row.get(g)
-                        if cur is None:
-                            row[g] = cr
-                        elif cur + cr:
-                            row[g] = cur + cr
-                        else:
-                            del row[g]
+            if scaled:
+                q = c if q == 1 else q * c
+            for i, r in entry:
+                g, a = legs[i]
+                if shift is not None:
+                    g = tuple(map(add, g, shift))
+                v = q if r == 1 else q * r
+                row = rows.get(a)
+                if row is None:
+                    rows[a] = {g: v}
+                    continue
+                cur = row.get(g)
+                if cur is not None:
+                    v += cur
+                    if not v:
+                        del row[g]
+                        if not row:
+                            del rows[a]
+                        continue
+                row[g] = v
+    return rows
+
+
+def pbw_mul(spec, u, v):
+    """Associative product in PBW normal form."""
+    if u.rank != v.rank or u.nvars != v.nvars:
+        raise ConfigError("operands over different structures")
+    return _row_element(spec, _pbw_mul_into({}, spec, u, v))
+
+
+def _pbw_mul_into(rows, spec, u, v):
+    """rows += u v: u times each basis term q x^gamma e^beta of v."""
+    for beta, b in v.terms.items():
+        for gamma, q in b.terms.items():
+            _mul_mono_into(rows, spec, u, (gamma, beta), q)
+    return rows
+
+
+def _add_rows(rows, coeffs, c):
+    """rows[k] += c * coeffs[k] for envelope elements, each row kept as
+    {alpha: {gamma: q}}; stops at the shorter of the two."""
+    for acc, u in zip(rows, coeffs):
+        for alpha, p in u.terms.items():
+            row = acc.setdefault(alpha, {})
+            for g, q in p.terms.items():
+                _bump_term(row, g, q if c == 1 else c * q)
+
+
+def _row_element(spec, row):
+    """The normal-form element whose terms are the row {alpha: {gamma: q}};
+    an emptied alpha is dropped."""
+    nvars = spec.nvars
     return EnvElement(nvars, spec.rank,
-                      {d: CPoly(nvars, row) for d, row in rows.items() if row})
+                      {alpha: CPoly(nvars, r) for alpha, r in row.items()})
+
+
+def _rows_series(spec, order, rows):
+    """The series of envelope elements whose orders are the rows."""
+    return HSeries(order, [_row_element(spec, acc) for acc in rows],
+                   EnvElement.zero(spec.nvars, spec.rank))
 
 
 def env_counit(u):

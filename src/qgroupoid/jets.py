@@ -27,18 +27,23 @@ once) and the terms c h^k P of a dual product.  Each sum equals the chain
 of ``HLaurent`` additions it stands for, window included.
 
 A product that is only paired or counit-evaluated is never built as an
-element: its basis terms are read straight from the structure's product
-table (``envelope.leg_product``), one flat row per h-order with like
-terms merged and zeros dropped, the terms the product's normal form
-holds (``_product_row``, ``_pair_product``).
+element: the envelope's one product loop (``envelope._mul_mono_into``)
+sums its terms from the structure's product table into one
+{alpha: {gamma: q}} row per h-order, which holds exactly the nonzero
+terms of the product's normal form, and the pairing reads the row
+(``_pair_product``).  Every pairing reads that row format
+(``_pair_rows``), and the s_F or t_F image of a pairing is summed into
+such rows too (``_apply_series_map``).
 """
 
 import itertools
 from bisect import bisect_right
-from operator import add
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
-from .envelope import LEGS, EnvElement, _bump_term, leg_id, leg_product
+from .envelope import (
+    EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element, leg_id,
+    leg_product,
+)
 from .errors import ConfigError, FlavorError, TruncationInsufficientError
 from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
@@ -220,87 +225,51 @@ def _pair_mono(ctx, lam, key):
 
 
 def _pair_rows(ctx, lam, rows, top):
-    """sum_q h^q lam(row_q) for rows (q, basis terms ((gamma, alpha), c))
-    in increasing q, an empty row skipped.  The pairing of each row, as of
-    a plain element, starts from zero up to the truncation order N before
-    its shift, so the one sum starts from zero up to N + (the first q with
-    a term); with no terms it is zero up to ``top``."""
+    """sum_q h^q lam(row_q) for rows (q, {alpha: {gamma: c}}) in increasing
+    q, an empty row skipped.  The pairing of each row, as of a plain
+    element, starts from zero up to the truncation order N before its
+    shift, so the one sum starts from zero up to N + (the first q with a
+    term); with no terms it is zero up to ``top``."""
     acc = None
-    for q, terms in rows:
-        if not terms:
+    for q, row in rows:
+        if not row:
             continue
         if acc is None:
             acc = LaurentSum(ctx.zero_poly(), ctx.order + q)
-        for key, c in terms:
-            acc.add(_pair_mono(ctx, lam, key), c, q)
+        for alpha, terms in row.items():
+            for gamma, c in terms.items():
+                acc.add(_pair_mono(ctx, lam, (gamma, alpha)), c, q)
     if acc is None:
         return HLaurent.zero_upto(top, ctx.zero_poly())
     return acc.value()
 
 
-def _env_terms(w):
-    """The basis terms ((gamma, alpha), c) of a normal-form element."""
-    return [((gamma, alpha), q) for alpha, poly in w.terms.items()
-            for gamma, q in poly.terms.items()]
+def _env_row(w):
+    """A normal-form element as a row {alpha: {gamma: c}}."""
+    return {alpha: poly.terms for alpha, poly in w.terms.items()}
 
 
 def _pair_env(ctx, lam, w):
     """lam on a plain normal-form element: a sum that starts from zero up
     to the truncation order."""
-    return _pair_rows(ctx, lam, [(0, _env_terms(w))], ctx.order)
+    return _pair_rows(ctx, lam, [(0, _env_row(w))], ctx.order)
 
 
 def _pair_env_laurent(ctx, lam, W):
     """lam on a Laurent series of normal-form elements (k[[h]]-linearity)."""
-    return _pair_rows(ctx, lam, ((q, _env_terms(w))
+    return _pair_rows(ctx, lam, ((q, _env_row(w))
                                  for q, w in enumerate(W.coeffs, W.val)),
                       W.top)
-
-
-def _product_row(spec, w, m, mono_right):
-    """w . m (``mono_right``) or m . w for an element w and a basis
-    monomial key m, as one flat {basis key: coefficient} read from the
-    product table: like terms merged and zeros dropped, so it holds the
-    basis terms of the product's normal form.  The left factor's x^gamma
-    shifts the entry of its pure part e^alpha."""
-    zeros = (0,) * spec.nvars
-    table, legs = spec._leg_table, LEGS
-    row = {}
-    if mono_right:
-        ib = leg_id(m)
-    else:
-        ia = leg_id((zeros, m[1]))
-        shift = m[0] if any(m[0]) else None
-    for alpha, poly in w.terms.items():
-        if mono_right:
-            ia = leg_id((zeros, alpha))
-            entry = table.get((ia, ib))
-            if entry is None:
-                entry = leg_product(spec, ia, ib)
-        for gamma, q in poly.terms.items():
-            if mono_right:
-                shift = gamma if any(gamma) else None
-            else:
-                ib = leg_id((gamma, alpha))
-                entry = table.get((ia, ib))
-                if entry is None:
-                    entry = leg_product(spec, ia, ib)
-            for i, r in entry:
-                g, a = legs[i]
-                if shift is not None:
-                    g = tuple(map(add, g, shift))
-                _bump_term(row, (g, a), q if r == 1 else q * r)
-    return row
 
 
 def _pair_product(ctx, lam, W, m, mono_right=True):
     """lam(W . m) (``mono_right``) or lam(m . W) for a Laurent series W of
     elements and a basis monomial key m, without building the product:
     equal to ``_pair_env_laurent`` of the product series, window
-    included, as each row holds exactly the product's basis terms."""
+    included, as each row holds exactly the product's nonzero terms."""
     spec = ctx.spec
     return _pair_rows(ctx, lam, (
-        (q, _product_row(spec, w, m, mono_right).items())
+        (q, _mul_mono_into({}, spec, w, m, 1, mono_right))
         for q, w in enumerate(W.coeffs, W.val) if w.terms), W.top)
 
 
@@ -308,8 +277,7 @@ def _pair_entry(ctx, lam, la, lb):
     """lam on the product of two basis monomials: their table entry,
     paired as a plain element."""
     entry = leg_product(ctx.spec, leg_id(la), leg_id(lb))
-    return _pair_rows(ctx, lam, [(0, [(LEGS[i], q) for i, q in entry])],
-                      ctx.order)
+    return _pair_rows(ctx, lam, [(0, _acc_rows({}, entry, 1))], ctx.order)
 
 
 def jet_pair(ctx, lam, u):
@@ -325,23 +293,16 @@ def jet_pair(ctx, lam, u):
 
 def _apply_series_map(ctx, val, mapper):
     """Turn a base-valued Laurent into an envelope-valued one through a
-    base-to-envelope series map (source or target)."""
+    base-to-envelope series map (source or target), the images summed
+    into one row per order."""
     spec = ctx.spec
-    n = ctx.order
-    zero_env = EnvElement.zero(spec.nvars, spec.rank)
-    val_top = min(val.top, n + val.val)
-    out_coeffs = [zero_env] * (val_top - val.val + 1)
-    for q in range(val.val, val.top + 1):
-        c = val.coeff(q)
-        if c.is_zero():
-            continue
-        ser = mapper(c)
-        for j, w in enumerate(ser.coeffs):
-            if q + j > val_top:
-                break
-            if not w.is_zero():
-                out_coeffs[q + j - val.val] = out_coeffs[q + j - val.val] + w
-    return HLaurent(val.val, val_top, out_coeffs, zero_env)
+    val_top = min(val.top, ctx.order + val.val)
+    rows = [{} for _ in range(val_top - val.val + 1)]
+    for i, c in enumerate(val.coeffs[:len(rows)]):
+        if not c.is_zero():
+            _add_rows(rows[i:], mapper(c).coeffs, 1)
+    return HLaurent(val.val, val_top, [_row_element(spec, r) for r in rows],
+                    EnvElement.zero(spec.nvars, spec.rank))
 
 
 # -- dual product ------------------------------------------------------------------
@@ -445,8 +406,8 @@ def jet_source_target(ctx, a, degree=None):
             # is the e^0 part of its normal form
             mono = (zeros, beta)
             return HLaurent(0, ctx.order, [
-                CPoly(spec.nvars, {g: c for (g, al), c in _product_row(
-                    spec, w, mono, mono_right).items() if al == unit})
+                CPoly(spec.nvars, _mul_mono_into(
+                    {}, spec, w, mono, 1, mono_right).get(unit))
                 for w in image.coeffs], ctx.zero_poly())
         return JetElement(ctx.flavor, _tabulate(ctx, value, degree))
 

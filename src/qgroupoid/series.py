@@ -82,9 +82,11 @@ class HSeries:
         return HSeries(self.order, [f(c) for c in self.coeffs], f(self.zero))
 
     def __eq__(self, other):
+        # every coefficient type compares by value with ==: zero-free term
+        # dicts (CPoly, EnvElement) or cross-multiplied numerators
+        # (TensorElement), so no difference is built
         return isinstance(other, HSeries) and self.order == other.order \
-            and all((a - b).is_zero() if hasattr(a, "is_zero") else a == b
-                    for a, b in zip(self.coeffs, other.coeffs))
+            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __repr__(self):
         return "HSeries[%s]" % ", ".join(str(c) for c in self.coeffs)
@@ -216,7 +218,7 @@ class HLaurent:
     def eq_to_order(self, other):
         lo = min(self.val, other.val)
         hi = min(self.top, other.top)
-        return all(_is_zero(self.coeff(n) - other.coeff(n)) for n in range(lo, hi + 1))
+        return all(self.coeff(n) == other.coeff(n) for n in range(lo, hi + 1))
 
     def __repr__(self):
         return "HLaurent[v=%d,t=%d: %s]" % (

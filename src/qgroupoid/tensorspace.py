@@ -31,13 +31,14 @@ output sorts the monomials.
 Legs are multiplied through ``envelope.leg_product``, the accessor of the
 structure's one product table (``spec._leg_table``: a pair of leg ids to
 their product as basis terms (id, q), an integral coefficient stored as
-an ``int``), which ``pbw_mul`` reads as well.  ``tensor_mul`` multiplies
-leg by leg through it, passing the other leg through where one leg is the
-unit, and the tensor reduction and basis decomposition of ``deform``
-multiply their basis terms by it.  A 2- or 3-leg product, which is every
-product the CLI makes, resolves each pair of legs (la, lb) that meet at
-one position once per call and expands each pair of terms in a fixed loop
-nest.  A wider product looks each leg product up per pair of terms; that
+an ``int``), which the envelope's product loop reads as well.
+``tensor_mul`` multiplies leg by leg through it, passing the other leg
+through where one leg is the unit, and the tensor reduction of
+``deform`` multiplies its basis terms by it.  The classical Takeuchi
+check is two such products, T (a (x) 1) and T (1 (x) a), compared after
+reduction.  A 2- or 3-leg product, which is every product the CLI makes,
+resolves each pair of legs (la, lb) that meet at one position once per
+call and expands each pair of terms in a fixed loop nest.  A wider product looks each leg product up per pair of terms; that
 general loop is also the oracle of the nests in the tests.  A structure with
 rational structure functions may store a ``Fraction``; ``tensor_mul``
 then brings its result back to integer numerators once.
@@ -63,7 +64,7 @@ from operator import add
 from types import MappingProxyType
 
 from .envelope import (
-    LEGS, PURE, EnvElement, _bump_term, leg_id, leg_product, pbw_mul, shift_id,
+    LEGS, PURE, EnvElement, _bump_term, leg_id, leg_product, shift_id,
 )
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
@@ -629,19 +630,14 @@ def takeuchi_check(spec, T, samples):
     """Membership in the Takeuchi subspace, classical structure maps.
 
     For every sampled base element a the reductions of
-    sum (u_i t(a)) (x) u'_i and sum u_i (x) (u'_i s(a)) must agree.
+    sum (u_i t(a)) (x) u'_i = T (a (x) 1) and sum u_i (x) (u'_i s(a)) =
+    T (1 (x) a) must agree.
     """
+    one = EnvElement.one(spec.nvars, spec.rank)
     for a in samples:
         a_env = EnvElement.from_poly(spec.rank, a)
-        lhs = {}
-        rhs = {}
-        for key, c in T.terms.items():
-            left = pbw_mul(spec, T.leg_env(key[0]), a_env)
-            _expand_product(lhs, [_basis_terms(left), [(key[1], 1)]], c)
-            right = pbw_mul(spec, T.leg_env(key[1]), a_env)
-            _expand_product(rhs, [[(key[0], 1)], _basis_terms(right)], c)
-        L = tensor_reduce(spec, TensorElement(T.nvars, T.rank, 2, lhs))
-        R = tensor_reduce(spec, TensorElement(T.nvars, T.rank, 2, rhs))
+        L = tensor_reduce(spec, tensor_mul(spec, T, TensorElement.of(a_env, one)))
+        R = tensor_reduce(spec, tensor_mul(spec, T, TensorElement.of(one, a_env)))
         if L != R:
             return False
     return True

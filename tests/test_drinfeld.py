@@ -1,11 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from qgroupoid import drinfeld
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, defelem_from_env, defelem_mul, exp_twistor,
-    star_product, trivial_twistor,
+    DeformedEnvAlgebroid, defelem_from_env, defelem_mul,
+    deformed_coproduct_leg, exp_twistor, star_product, trivial_twistor,
+    twisted_coproduct,
 )
 from qgroupoid.drinfeld import (
     duality_roundtrip, functional_prime_member, hprime_basis, hprime_member,
@@ -13,7 +15,7 @@ from qgroupoid.drinfeld import (
     vee_semiclassical,
 )
 from qgroupoid.envelope import EnvElement
-from qgroupoid.errors import InvariantViolation
+from qgroupoid.errors import ConfigError, InvariantViolation
 from qgroupoid.jets import LEFT, RIGHT, JetContext, jets_equal, xi_functional
 from qgroupoid.lierinehart import LieRinehartSpec, poisson_from_pair
 from qgroupoid.scalars import CPoly
@@ -63,6 +65,87 @@ def test_hprime_members_closed_under_product():
     # source images are members too
     sx = dfa.source_series(hs_const(CPoly.var(2, 0), 3, CPoly.zero(2)))
     assert hprime_member(dfa, sx, n_max=3)
+
+
+def rebuilt_failure(dfa, u, n_max, visited):
+    """The first (n, flavor) whose delta^n is not divisible by h^n, each
+    (n, flavor) rebuilding the (n-1)-fold twisted coproduct from scratch;
+    ``visited`` records every (n, flavor) tested."""
+    for n in range(1, n_max + 1):
+        for flavor in ("source", "target"):
+            visited.append((n, flavor))
+            mapper = dfa.source_series if flavor == "source" \
+                else dfa.target_series
+            if n == 1:
+                d = u - mapper(drinfeld._counit_series(u))
+            else:
+                d = twisted_coproduct(dfa, u)
+                for _ in range(n - 2):
+                    d = deformed_coproduct_leg(dfa, d, 0)
+                for leg in range(n):
+                    d = drinfeld._project_leg(dfa, d, leg, flavor)
+            if any(not d.coeffs[k].is_zero() for k in range(n)):
+                return n, flavor
+    return None
+
+
+def test_hprime_member_shares_one_iterated_coproduct(monkeypatch):
+    """Each n >= 2 extends one twisted coproduct by one leg and projects it
+    with both flavors; the answer, and the (n, flavor) it stops at, are
+    those of rebuilding the coproduct per (n, flavor)."""
+    dfa = make_dfa(3)
+    spec = dfa.spec
+    gen = [defelem_from_env(spec, EnvElement.gen(2, 2, i), 3) for i in (0, 1)]
+    e12 = defelem_from_env(spec, EnvElement.monomial(2, 2, (1, 1)), 3)
+    sx = dfa.source_series(hs_const(CPoly.var(2, 0), 3, CPoly.zero(2)))
+    elems = (gen[0], gen[0].shift(1), gen[1].shift(1), e12.shift(1),
+             e12.shift(2), sx, defelem_mul(spec, gen[0], gen[1]).shift(2))
+    oracle = []
+    for u in elems:
+        visited = []
+        oracle.append((rebuilt_failure(dfa, u, 3, visited), visited))
+    assert {None, (1, "source"), (2, "source")} <= {w for w, _ in oracle}
+
+    counts = Counter()
+    real_tc, real_leg = drinfeld.twisted_coproduct, drinfeld.deformed_coproduct_leg
+    real_project = drinfeld._project_leg
+
+    def tc(*args):
+        counts["twisted"] += 1
+        return real_tc(*args)
+
+    def leg(*args):
+        counts["leg"] += 1
+        return real_leg(*args)
+
+    def project(dfa, HT, leg, flavor):
+        counts[HT.zero.legs, flavor] += 1
+        return real_project(dfa, HT, leg, flavor)
+
+    monkeypatch.setattr(drinfeld, "twisted_coproduct", tc)
+    monkeypatch.setattr(drinfeld, "deformed_coproduct_leg", leg)
+    monkeypatch.setattr(drinfeld, "_project_leg", project)
+    for u, (want, visited) in zip(elems, oracle):
+        counts.clear()
+        assert hprime_member(dfa, u, n_max=3) == (want is None)
+        top = visited[-1][0]
+        assert counts["twisted"] == (top >= 2)
+        assert counts["leg"] == max(top - 2, 0)
+        # each visited (n, flavor) with n >= 2 projects the n legs once
+        for n in range(2, top + 1):
+            for flavor in ("source", "target"):
+                assert counts[n, flavor] == \
+                    (n if (n, flavor) in visited else 0)
+
+
+def test_hprime_member_stops_at_the_leg_bound(monkeypatch):
+    dfa = make_dfa(3)
+    u = defelem_from_env(dfa.spec, EnvElement.gen(2, 2, 0), 3).shift(1)
+    monkeypatch.setattr(drinfeld, "MAX_LEGS", 2)
+    assert hprime_member(dfa, u, n_max=2)
+    with pytest.raises(ConfigError, match="iterated coproduct beyond "
+                                          "configured bound"):
+        hprime_member(dfa, u, n_max=3)
 
 
 def test_hprime_basis_undeformed():

@@ -52,6 +52,13 @@
   product with ``pbw_mul`` and pair it through the ``+`` chains, and the
   bodies of ``jet_coproduct_functional`` and ``jet_source_target`` that
   built their products are kept below.
+- Every envelope product reads the table through one loop,
+  ``envelope._mul_mono_into`` (an element times a basis monomial, either
+  side, into nested {alpha: {gamma: q}} rows); the oracles are the three
+  loops it replaced: ``pbw_mul``'s own loop, the flat product row of the
+  jet pairings and the product inlined in ``basis_decompose``.  The
+  Cauchy product of envelope series (``defelem_mul``) is checked against
+  ``hseries_mul``'s chain of ``+``.
 - ``basis_decompose`` multiplies out only the orders that survive the
   truncation, term by term through the leg table; the oracle is the
   back-substitution that maps and subtracts the whole series per term.
@@ -88,13 +95,13 @@ from hypothesis import given, settings, strategies as st
 from qgroupoid import deform, jets, kernel, tensorspace
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, _base_map_from, basis_decompose,
-    defelem_from_env, defelem_zero, deformed_axiom_suite,
+    defelem_from_env, defelem_mul, defelem_zero, deformed_axiom_suite,
     deformed_coproduct_leg, exp_twistor, reduce_series, reexpand,
     sample_defelems, twisted_coproduct, twistor_validate,
 )
 from qgroupoid.envelope import (
-    LEGS, EnvElement, _bump_term, anchor_action, basis_action, env_counit,
-    leg_id, leg_product, monomial_action, pbw_mul,
+    LEGS, EnvElement, _bump_term, _mul_mono_into, anchor_action, basis_action,
+    env_counit, leg_id, leg_product, monomial_action, pbw_mul,
 )
 from qgroupoid.errors import ConfigError
 from qgroupoid.jets import (
@@ -1999,12 +2006,156 @@ def test_pair_product_merges_cancelling_terms(flavor):
                 for t, r in nested_leg_product(spec, mono, (gamma, alpha))]
     cancelled = (x1, e0)
     assert [c for t, c in unmerged if t == cancelled] == [1, -1]
-    assert cancelled not in jets._product_row(spec, w, mono, False)
+    assert cancelled not in flat(_mul_mono_into({}, spec, w, mono, 1, False))
     got = jets._pair_product(ctx, lam, W, mono, False)
     built = built_product_series(spec, W, mono, False)
     assert window(got) == window(chain_pair_env_laurent(ctx, lam, built, {}))
     assert got.top == n
     assert jets._pair_mono(ctx, lam, cancelled).top < got.top
+
+
+# -- the one loop of envelope products against the loops it replaced ---------------
+
+
+def loop_pbw_mul(spec, u, v):
+    """``pbw_mul``'s own loop before it summed ``_mul_mono_into``: each
+    monomial of u's coefficients times the table entry of e^alpha and a
+    basis term of v, rows filtered at the end."""
+    zeros = (0,) * spec.nvars
+    lefts = [(leg_id((zeros, alpha)), a.terms) for alpha, a in u.terms.items()]
+    rows = {}
+    for beta, b in v.terms.items():
+        for gamma, q in b.terms.items():
+            ib = leg_id((gamma, beta))
+            for ia, aterms in lefts:
+                entry = leg_product(spec, ia, ib)
+                for mu, p in aterms.items():
+                    for i, r in entry:
+                        g, d = LEGS[i]
+                        g = tuple(map(add, g, mu))
+                        _bump_term(rows.setdefault(d, {}), g, p * q * r)
+    return EnvElement(spec.nvars, spec.rank, {
+        d: CPoly(spec.nvars, row) for d, row in rows.items() if row})
+
+
+def flat_product_row(spec, w, m, mono_right):
+    """w . m (``mono_right``) or m . w as the one flat {(gamma, alpha): q}
+    that the jet pairings read before the nested rows."""
+    zeros = (0,) * spec.nvars
+    row = {}
+    for alpha, poly in w.terms.items():
+        for gamma, q in poly.terms.items():
+            if mono_right:
+                ia, ib, shift = leg_id((zeros, alpha)), leg_id(m), gamma
+            else:
+                ia, ib = leg_id((zeros, m[1])), leg_id((gamma, alpha))
+                shift = m[0]
+            for i, r in leg_product(spec, ia, ib):
+                g, a = LEGS[i]
+                _bump_term(row, (tuple(map(add, g, shift)), a), q * r)
+    return row
+
+
+def inlined_decompose_product(spec, out, w, alpha, c):
+    """out -= c w e^alpha as ``basis_decompose`` inlined it: every basis
+    term x^g1 e^a1 of w by its own table entry with e^alpha, a row it
+    empties deleted."""
+    mono = leg_id(((0,) * spec.nvars, alpha))
+    for a1, p1 in w.terms.items():
+        for g1, q1 in p1.terms.items():
+            for i2, q2 in leg_product(spec, leg_id((g1, a1)), mono):
+                g2, a2 = LEGS[i2]
+                row = out.setdefault(a2, {})
+                _bump_term(row, g2, -c * q1 * q2)
+                if not row:
+                    del out[a2]
+    return out
+
+
+def flat(rows):
+    return {(g, a): q for a, row in rows.items() for g, q in row.items()}
+
+
+def env_rows(w):
+    return {alpha: dict(p.terms) for alpha, p in w.terms.items()}
+
+
+def assert_clean(rows):
+    """No empty row and no zero entry."""
+    assert all(rows.values())
+    assert all(q for row in rows.values() for q in row.values())
+
+
+def merged(start, terms, c):
+    out = dict(start)
+    for key, q in terms.items():
+        _bump_term(out, key, c * q)
+    return out
+
+
+def mono_loop_inputs(spec):
+    """Random elements, zero, one and x1 - x1 e_0, and the basis monomials
+    of degree <= 2 with and without x1."""
+    p, m = spec.nvars, spec.rank
+    rng = random.Random(11)
+    x1, e0 = _bump((0,) * p, 0), _bump((0,) * m, 0)
+    elems = [random_elem(spec, rng, 2) for _ in range(4)] + [
+        EnvElement.zero(p, m), EnvElement.one(p, m),
+        EnvElement(p, m, {(0,) * m: CPoly.var(p, 0), e0: -CPoly.var(p, 0)})]
+    keys = [(g, a) for a in pbw_indices(m, 2) for g in ((0,) * p, x1)]
+    return elems, keys
+
+
+@pytest.mark.parametrize("make", STRUCTURES + [rational_structure,
+                                               polynomial_structure])
+def test_mono_loop_matches_replaced_loops(make):
+    spec = make()
+    p, m = spec.nvars, spec.rank
+    elems, keys = mono_loop_inputs(spec)
+    for w in elems:
+        for key in keys:
+            mono = EnvElement.monomial(p, m, key[1], CPoly.monomial(p, key[0]))
+            assert pbw_mul(spec, w, mono) == loop_pbw_mul(spec, w, mono)
+            assert pbw_mul(spec, mono, w) == loop_pbw_mul(spec, mono, w)
+            for right in (True, False):
+                want = flat_product_row(spec, w, key, right)
+                for c in (1, Fraction(-3, 2)):
+                    got = _mul_mono_into({}, spec, w, key, c, right)
+                    assert_clean(got)
+                    assert flat(got) == merged({}, want, c)
+                    # into non-empty rows, some of which the product cancels
+                    for start in elems:
+                        got = _mul_mono_into(env_rows(start), spec, w, key,
+                                             c, right)
+                        assert_clean(got)
+                        assert flat(got) == merged(flat(env_rows(start)),
+                                                   want, c)
+                        if right and not any(key[0]):
+                            assert _mul_mono_into(
+                                env_rows(start), spec, w, key, -c) \
+                                == inlined_decompose_product(
+                                    spec, env_rows(start), w, key[1], c)
+    zero = EnvElement.zero(p, m)
+    a = HSeries(2, elems[:3], zero)
+    b = HSeries(2, [elems[3], zero, elems[-1]], zero)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert defelem_mul(spec, x, y) \
+            == hseries_mul(x, y, lambda u, v: pbw_mul(spec, u, v))
+
+
+def test_mono_loop_drops_a_row_it_empties():
+    """On the bracketed structure anchor(e_0) x1 = x1, so e_0 . (x1 - x1 e_0)
+    = x1 e_0 + x1 - x1 e_0^2 - x1 e_0: the row of e_0 cancels to empty and
+    is dropped, on its own and accumulated with c != 1."""
+    spec = bracketed_structure()
+    p, m = spec.nvars, spec.rank
+    x1, e0, e00 = _bump((0,) * p, 0), _bump((0,) * m, 0), _bump((0,) * m, 0, 2)
+    w = EnvElement(p, m, {(0,) * m: CPoly.var(p, 0), e0: -CPoly.var(p, 0)})
+    key = ((0,) * p, e0)
+    assert _mul_mono_into({}, spec, w, key, 1, False) \
+        == {(0,) * m: {x1: 1}, e00: {x1: -1}}
+    start = {(0,) * m: {x1: 3}, e00: {x1: 1}}
+    assert _mul_mono_into(start, spec, w, key, -3, False) == {e00: {x1: 4}}
 
 
 # -- the built-product bodies of the coproduct functional and the dual

@@ -130,3 +130,79 @@ def test_laurent_mul_precision():
     assert z.top == 3      # one order of precision spent on the rescaling
     assert z.coeff(-1) == ONE
     assert z.coeff(0) == X
+
+
+# -- equality by value, without differences ------------------------------------------
+
+
+def subtraction_eq(a, b):
+    """The relation ``==`` stands for: equal orders and every coefficient
+    difference zero."""
+    return a.order == b.order and all((x - y).is_zero()
+                                      for x, y in zip(a.coeffs, b.coeffs))
+
+
+def subtraction_eq_to_order(a, b):
+    lo, hi = min(a.val, b.val), min(a.top, b.top)
+    return all((a.coeff(n) - b.coeff(n)).is_zero() for n in range(lo, hi + 1))
+
+
+def equality_fixtures():
+    """Lists of series over one coefficient type each, built so that some
+    pairs are equal in value through different constructions."""
+    from qgroupoid.envelope import EnvElement
+    from qgroupoid.tensorspace import TensorElement
+    half = Fraction(1, 2)
+    polys = [S([X, ONE, ZERO]), S([X, ONE]), S([X + ONE - ONE, ONE, X - X]),
+             S([X, ONE, X * half]), S([ZERO, ZERO, ZERO]), S([X, ONE], 3)]
+    e0, e1 = EnvElement.one(1, 2), EnvElement.gen(1, 2, 0)
+    x_e1 = EnvElement.monomial(1, 2, (1, 0), X)
+    ezero = EnvElement.zero(1, 2)
+
+    def E(coeffs, order=2):
+        coeffs = list(coeffs) + [ezero] * (order + 1 - len(coeffs))
+        return HSeries(order, coeffs, ezero)
+
+    envs = [E([e1, x_e1]), E([e1 + x_e1 - x_e1, x_e1]), E([e1, x_e1.scale(2)]),
+            E([x_e1, e1]), E([]), E([e0 - e0]), E([e1, x_e1], 3)]
+    t = TensorElement.of(e1, x_e1).scale(half)
+    t2 = t.scale(Fraction(2)).scale(half)      # the same value over 2 den
+    u = TensorElement.of(x_e1, e0).scale(Fraction(1, 3))
+    tzero = TensorElement.zero(1, 2, 2)
+
+    def T(coeffs, order=1):
+        coeffs = list(coeffs) + [tzero] * (order + 1 - len(coeffs))
+        return HSeries(order, coeffs, tzero)
+
+    assert t.den != t2.den and t2.num != t.num
+    tensors = [T([t, u]), T([t2, u]), T([t2, u + u]), T([u, t]), T([]),
+               T([t - t2]), T([t, u], 2)]
+    return [polys, envs, tensors]
+
+
+def test_series_equality_matches_differences():
+    seen = set()
+    for series in equality_fixtures():
+        for a in series:
+            for b in series:
+                want = subtraction_eq(a, b)
+                assert (a == b) == want
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def test_eq_to_order_matches_differences():
+    half = Fraction(1, 2)
+    values = [HLaurent(0, 2, [X, ONE, ZERO], ZERO),
+              HLaurent(-1, 2, [ZERO, X, ONE, ZERO], ZERO),
+              HLaurent(0, 1, [X, ONE], ZERO),
+              HLaurent(0, 2, [X, ONE, X * half], ZERO),
+              HLaurent(1, 2, [ONE, ZERO], ZERO),
+              HLaurent.zero_upto(2, ZERO), HLaurent(0, 2, [X - X] * 3, ZERO)]
+    seen = set()
+    for a in values:
+        for b in values:
+            want = subtraction_eq_to_order(a, b)
+            assert a.eq_to_order(b) == want
+            seen.add(want)
+    assert seen == {True, False}

@@ -10,7 +10,7 @@ over exact rationals, certified at an explicit truncation order.
 from .deform import (
     DeformedEnvAlgebroid, Twistor, basis_decompose, deformed_axiom_suite,
     exp_twistor, star_product, trivial_twistor, twisted_coproduct,
-    twisted_source_target, twistor_invert, twistor_validate,
+    twistor_invert, twistor_validate,
 )
 from .drinfeld import (
     VeeAlgebroid, duality_roundtrip, hprime_basis, hprime_member,
@@ -24,16 +24,15 @@ from .jets import (
 )
 from .lierinehart import (
     LieRinehartSpec, MultiVector, lr_bialgebra_validate, lr_differential,
-    lr_validate, poisson_from_pair, schouten_bracket,
+    lr_validate, schouten_bracket,
 )
 from .report import Report
 from .scalars import CPoly, Fraction, parse_poly
-from .series import HLaurent, HSeries, hseries_invert, hseries_mul, \
-    laurent_normalize
+from .series import HLaurent, HSeries, hseries_invert, hseries_mul
 from .specfile import EngineSpec, load_spec, load_spec_file
 from .tensorspace import (
-    TensorElement, env_coproduct, iterated_coproduct, primitive_check,
-    takeuchi_check, tensor_mul, tensor_reduce,
+    TensorElement, env_coproduct, iterated_coproduct, takeuchi_check,
+    tensor_mul, tensor_reduce,
 )
 from .kernel import BACKEND as KERNEL_BACKEND
 

@@ -64,7 +64,7 @@ All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
 basis decompositions and tensor reductions exact triangular solves.
 Envelope series (``defelem_mul``, the sweeps behind s_F and t_F, the
-counit contraction, ``reexpand``) are summed in the envelope's rows,
+counit contraction) are summed in the envelope's rows,
 one {alpha: {gamma: coefficient}} per h-order, by its one product loop
 (``envelope._mul_mono_into``).  ``basis_decompose`` keeps its remainder
 in such rows, subtracts each image times e^alpha in place, and
@@ -84,7 +84,6 @@ h^(N+1), and by the uniqueness of the triangular decomposition it is that
 of the whole monomial.
 """
 
-import itertools
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -96,7 +95,7 @@ from .envelope import (
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
-from .scalars import CPoly, monomials_upto
+from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import (
     HLaurent, HSeries, hs_const, hs_zero, hseries_invert, laurent_mul,
 )
@@ -109,9 +108,9 @@ from .tensorspace import (
 __all__ = [
     "Twistor", "exp_twistor", "trivial_twistor", "twistor_validate",
     "twistor_invert", "DeformedEnvAlgebroid", "star_product",
-    "twisted_source_target", "twisted_coproduct", "basis_decompose",
-    "deformed_axiom_suite", "reduce_series", "takeuchi_check_deformed",
-    "defelem_from_env", "defelem_mul", "defelem_zero",
+    "twisted_coproduct", "basis_decompose", "deformed_axiom_suite",
+    "reduce_series", "takeuchi_check_deformed", "defelem_from_env",
+    "defelem_mul",
 ]
 
 
@@ -151,10 +150,6 @@ def exp_twistor(spec, r, order):
 
 def _tmul(spec):
     return lambda a, b: tensor_mul(spec, a, b)
-
-
-def defelem_zero(spec, order):
-    return hs_zero(order, EnvElement.zero(spec.nvars, spec.rank))
 
 
 def defelem_from_env(spec, u, order):
@@ -533,11 +528,6 @@ def star_product(dfa, aser, bser):
     return HSeries(prod.top, prod.coeffs, aser.zero)
 
 
-def twisted_source_target(dfa, aser):
-    """(s_F(a), t_F(a)) for a base series a."""
-    return dfa.source_series(aser), dfa.target_series(aser)
-
-
 def twisted_coproduct(dfa, u):
     """Lifted representative G . Delta(u) . F of the twisted coproduct."""
     spec = dfa.spec
@@ -594,19 +584,6 @@ def basis_decompose(dfa, u, flavor="source"):
                 for j in range(1, n - k + 1):
                     _mul_mono_into(remaining[k + j], spec, mapped[j], mono, -c)
     return {beta: HSeries(n, cs, zero_p) for beta, cs in coeffs.items()}
-
-
-def reexpand(dfa, decomposition, flavor="source"):
-    """Inverse of basis_decompose, for round-trip checks: sum_beta
-    map_F(a_beta) e^beta, one row per order."""
-    spec = dfa.spec
-    zeros = (0,) * spec.nvars
-    rows = [{} for _ in range(dfa.order + 1)]
-    mapper = dfa.source_series if flavor == "source" else dfa.target_series
-    for beta, aser in decomposition.items():
-        for acc, w in zip(rows, mapper(aser).coeffs):
-            _mul_mono_into(acc, spec, w, (zeros, beta))
-    return _rows_series(spec, dfa.order, rows)
 
 
 def reduce_series(dfa, HT):
@@ -703,10 +680,10 @@ def _reduce_leg(dfa, HT, leg):
     return HSeries(n, coeffs, HT.zero)
 
 
-def takeuchi_check_deformed(dfa, HT, samples=None):
-    """sum (u_i t_F(a)) (x) u'_i == sum u_i (x) (u'_i s_F(a)) after reduction."""
+def takeuchi_check_deformed(dfa, HT, samples):
+    """sum (u_i t_F(a)) (x) u'_i == sum u_i (x) (u'_i s_F(a)) after
+    reduction, for each base element a of ``samples``."""
     spec = dfa.spec
-    samples = samples if samples is not None else monomials_upto(spec.nvars, 2)
     one = EnvElement.one(spec.nvars, spec.rank)
     for a in samples:
         ta = dfa.target(a).map(lambda u: TensorElement.of(u, one))
@@ -740,15 +717,14 @@ def _counit_contract(dfa, HT, leg):
 
 
 def sample_defelems(dfa, max_degree=2):
-    """PBW monomials of total degree <= max_degree as constant series."""
+    """PBW monomials of total degree 1..max_degree as constant series, in
+    lexicographic order of their indices: a sample's position decides
+    which witness a failing check reports."""
     spec = dfa.spec
-    out = []
-    for alpha in itertools.product(range(max_degree + 1), repeat=spec.rank):
-        if 0 < sum(alpha) <= max_degree:
-            out.append(defelem_from_env(
-                spec, EnvElement.monomial(spec.nvars, spec.rank, alpha),
-                dfa.order))
-    return out
+    indices = sorted(a for a in pbw_indices(spec.rank, max_degree) if any(a))
+    return [defelem_from_env(
+        spec, EnvElement.monomial(spec.nvars, spec.rank, alpha), dfa.order)
+        for alpha in indices]
 
 
 def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):

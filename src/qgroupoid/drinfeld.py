@@ -13,7 +13,9 @@ import itertools
 from .deform import (
     defelem_from_env, defelem_mul, deformed_coproduct_leg, twisted_coproduct,
 )
-from .envelope import EnvElement, _bump_term, env_counit, pbw_mul
+from .envelope import (
+    EnvElement, _add_rows, _bump_term, _row_element, env_counit, pbw_mul,
+)
 from .errors import (
     ConfigError, InvariantViolation, NonIntegralError,
     TruncationInsufficientError,
@@ -46,13 +48,11 @@ class VeeAlgebroid:
     """Generators xi-check_i = h^-1 xi_i together with the base embeddings,
     and their computed relation table (all h-integral by construction)."""
 
-    def __init__(self, jctx, gen_names=None, base_names=None):
+    def __init__(self, jctx):
         self.jctx = jctx
         spec = jctx.spec
-        gen_names = gen_names or ["xv%d" % (i + 1) for i in range(spec.rank)]
-        base_names = base_names or ["b%d" % (j + 1) for j in range(spec.nvars)]
-        self.gen_names = list(gen_names)
-        self.base_names = list(base_names)
+        self.gen_names = ["xv%d" % (i + 1) for i in range(spec.rank)]
+        self.base_names = ["b%d" % (j + 1) for j in range(spec.nvars)]
         self.gens = {}
         for i, name in enumerate(self.gen_names):
             self.gens[name] = xi_functional(jctx, i).shift(-1)
@@ -64,7 +64,7 @@ class VeeAlgebroid:
         return self.gen_names + self.base_names
 
 
-def vee_build(jctx, degree=None, gen_names=None, base_names=None):
+def vee_build(jctx, degree=None):
     """Construct the rescaled dual algebroid and its relation table.
 
     Every pairwise commutator must stay inside the rescaled algebra: the
@@ -72,7 +72,7 @@ def vee_build(jctx, degree=None, gen_names=None, base_names=None):
     power per rescaled generator).  Anything deeper raises NonIntegralError
     naming the offending pair.
     """
-    v = VeeAlgebroid(jctx, gen_names, base_names)
+    v = VeeAlgebroid(jctx)
     names = v.names()
     for ia, na in enumerate(names):
         for nb in names[ia + 1:]:
@@ -168,6 +168,15 @@ def _counit_series(u):
     return HSeries(u.order, [env_counit(c) for c in u.coeffs], zero)
 
 
+def _difference(spec, a, b, orders):
+    """Orders 0..orders-1 of a - b for envelope series a and b, each order
+    summed in one row {alpha: {gamma: q}}."""
+    rows = [{} for _ in range(orders)]
+    _add_rows(rows, a.coeffs, 1)
+    _add_rows(rows, b.coeffs, -1)
+    return [_row_element(spec, row) for row in rows]
+
+
 def _project_leg(dfa, HT, leg, flavor):
     """Per-leg projection w -> w - map_F(eps(w)) on a lifted tensor series."""
     spec = dfa.spec
@@ -221,13 +230,13 @@ def hprime_member(dfa, u, n_max=None):
             if n == 1:
                 mapper = dfa.source_series if flavor == "source" \
                     else dfa.target_series
-                d = u - mapper(_counit_series(u))
+                low = _difference(dfa.spec, u, mapper(_counit_series(u)), 1)
             else:
                 d = HT
                 for leg in range(n):
                     d = _project_leg(dfa, d, leg, flavor)
-            if any(not d.coeffs[k].is_zero()
-                   for k in range(min(n, dfa.order + 1))):
+                low = d.coeffs[:n]
+            if any(not c.is_zero() for c in low):
                 return False
     return True
 
@@ -290,10 +299,10 @@ def semiclassical_cobracket(dfa):
     delta_base, witnesses = [], []
     for j in range(p):
         xj = CPoly.var(p, j)
-        diff = dfa.target(xj) - dfa.source(xj)
-        if not diff.coeffs[0].is_zero():
+        # orders 0 and 1 of t_F(x_j) - s_F(x_j)
+        d0, val = _difference(spec, dfa.target(xj), dfa.source(xj), 2)
+        if not d0.is_zero():
             witnesses.append("source/target differ at order zero")
-        val = diff.coeffs[1] if dfa.order >= 1 else EnvElement.zero(p, m)
         terms = {}
         for alpha, poly in val.terms.items():
             if sum(alpha) != 1:
@@ -408,7 +417,9 @@ def _membership_args(dfa, sample_degree=1):
     for g in monomials_upto(spec.nvars, sample_degree)[1:]:
         u = defelem_from_env(spec, EnvElement.from_poly(spec.rank, g),
                              dfa.order)
-        out.append(u - dfa.source_series(_counit_series(u)))
+        out.append(HSeries(dfa.order, _difference(
+            spec, u, dfa.source_series(_counit_series(u)), dfa.order + 1),
+            u.zero))
     return out
 
 

@@ -12,16 +12,17 @@ of the engine reads.  Envelope products read it through one loop,
 ``_mul_mono_into``: an element times a basis monomial, on either side,
 summed into rows {alpha: {gamma: q}} that hold exactly the nonzero terms.
 ``pbw_mul`` sums it over the right factor's basis terms, and every sum
-of envelope elements in ``deform`` and ``jets`` goes into such rows, one
-per h-order (``_add_rows``, ``_rows_series``), never through a chain of
+or difference of envelope elements that a command computes, in
+``deform``, ``jets`` and ``drinfeld``, goes into such rows, one per
+h-order (``_add_rows``, ``_rows_series``), never through a chain of
 ``+``.  The tensor loops of ``tensorspace`` and ``deform`` read the table
 on leg ids.  The table is keyed by the monomials' interned ids
 (``leg_id``): every basis monomial (gamma, alpha) gets a small int the
 first time it is seen, so a lookup hashes a pair of ints instead of
 nested exponent tuples.  The anchor action
-reads a second table, of e^alpha acting on x^gamma: ``basis_action`` is
-a basis monomial acting on a polynomial, and ``anchor_action`` sums it
-over the basis terms of an element.
+reads a second table, of e^alpha acting on x^gamma: ``_act_into`` sums
+a basis monomial acting on a polynomial into {exponent: coefficient},
+and ``anchor_action`` sums it over the basis terms of an element.
 """
 
 from operator import add
@@ -32,7 +33,7 @@ from .series import HSeries
 
 __all__ = [
     "EnvElement", "pbw_mul", "leg_id", "leg_product", "monomial_action",
-    "basis_action", "env_counit", "anchor_action",
+    "env_counit", "anchor_action",
 ]
 
 
@@ -278,7 +279,7 @@ def _bump_term(d, key, c):
 #   e^alpha . x^gamma = anchor(e_i)(e^(alpha - e_i) . x^gamma).
 #
 # Every anchor chain reads this table: a basis monomial x^gamma e^alpha acts
-# on a polynomial by linearity (``basis_action``), and an element acts as
+# on a polynomial by linearity (``_act_into``), and an element acts as
 # the sum of its basis terms' actions (``anchor_action``).
 
 
@@ -298,12 +299,6 @@ def monomial_action(spec, alpha, gamma):
             res = spec.anchor_apply(i, res)
     table[key] = res
     return res
-
-
-def basis_action(spec, key, a):
-    """The basis monomial x^gamma e^alpha (key = (gamma, alpha)) acting on
-    the polynomial a: x^gamma sum_m a_m (e^alpha . x^m)."""
-    return CPoly(spec.nvars, _act_into({}, spec, key, a, 1))
 
 
 def _act_into(out, spec, key, a, c):

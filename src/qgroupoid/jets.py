@@ -44,7 +44,7 @@ from .envelope import (
     EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element, leg_id,
     leg_product,
 )
-from .errors import ConfigError, FlavorError, TruncationInsufficientError
+from .errors import ConfigError, FlavorError
 from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
 from .series import HLaurent, HSeries, LaurentSum
@@ -52,10 +52,9 @@ from .series import HLaurent, HSeries, LaurentSum
 __all__ = [
     "JetContext", "JetElement", "jet_pair", "jet_product", "jet_product_eval",
     "jet_source_target", "jet_counit", "jet_coproduct_functional",
-    "tensor_functional_from_pair", "jet_coproduct_decompose",
-    "jet_axiom_suite", "xi_functional", "divided_xi_powers",
-    "coordinate_functional", "unit_functional", "jets_equal",
-    "jet_commutator", "pbw_indices",
+    "tensor_functional_from_pair", "jet_axiom_suite", "xi_functional",
+    "divided_xi_powers", "coordinate_functional", "unit_functional",
+    "jets_equal", "jet_commutator", "pbw_indices",
 ]
 
 LEFT, RIGHT = "left", "right"
@@ -504,60 +503,6 @@ def tensor_tables_equal(ctx, A, B):
     return True
 
 
-def jet_coproduct_decompose(ctx, lam, degree=None):
-    """Optional exact splitting of the transposed coproduct.
-
-    Solves Delta(lam) = sum_kappa lam_kappa (x) xi^kappa/kappa! against the
-    divided generator powers on the right legs, by the same triangular
-    iteration as the dual-basis solves: at order zero the weave is the
-    Kronecker pairing, so each residual order determines the left legs.
-    Raises TruncationInsufficientError when the re-woven table does not
-    reproduce the coproduct on the requested range.
-    """
-    degree = degree if degree is not None else ctx.jet_degree
-    spec = ctx.spec
-    n = ctx.order
-    target = jet_coproduct_functional(ctx, lam, degree)
-    powers = divided_xi_powers(ctx, degree)
-
-    idx = pbw_indices(spec.rank, degree)
-    zero = ctx.zero_value()
-    left = {kappa: {} for kappa in idx}
-
-    def weave():
-        return table_sum(tensor_functional_from_pair(
-            ctx, JetElement(ctx.flavor, left[kappa]), powers[kappa], degree)
-            for kappa in idx)
-
-    base = min(v.val for v in target.values()) if target else 0
-    for q in range(base, n + 1):
-        # updates at low PBW degree shift same-order residuals at higher
-        # degree, so sweep to a fixed point within each order
-        for _ in range(degree + 2):
-            woven = weave()
-            dirty = False
-            for (b1, b2) in sorted(set(target) | set(woven),
-                                   key=lambda k: (sum(k[0]), k)):
-                resid = target.get((b1, b2), zero) - woven.get((b1, b2), zero)
-                c = resid.coeff(q)
-                if c.is_zero() or b1 not in left:
-                    continue
-                dirty = True
-                bump = HLaurent(q, n, [c] + [ctx.zero_poly()] * (n - q),
-                                ctx.zero_poly())
-                cur = left[b1].get(b2)
-                left[b1][b2] = bump if cur is None else cur + bump
-            if not dirty:
-                break
-    result = {kappa: JetElement(ctx.flavor, left[kappa]) for kappa in idx
-              if any(not v.is_zero() for v in left[kappa].values())}
-    woven = weave()
-    if not tensor_tables_equal(ctx, target, woven):
-        raise TruncationInsufficientError(
-            "coproduct decomposition did not converge on the range")
-    return result
-
-
 # -- axioms -----------------------------------------------------------------------------
 
 
@@ -663,41 +608,3 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
 
     report.check("classical-limit", classical_failures())
     return report
-
-
-# -- double-dual evaluation (undeformed contexts) ----------------------------------------
-
-
-def evaluation_iso_check(ctx, degree):
-    """On monomials: the xi-power pairing matrix is the identity and the
-    evaluation respects products through the convolution identity
-    <xi^k/k!, u v> = sum_{k1+k2=k} <xi^k1/k1!, u><xi^k2/k2!, v> at h^0."""
-    spec = ctx.spec
-    idx = pbw_indices(spec.rank, degree)
-    powers = divided_xi_powers(ctx, degree)
-    for kappa in idx:
-        for beta in idx:
-            mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-            val = jet_pair(ctx, powers[kappa], mono).coeff(0)
-            want = CPoly.one(spec.nvars) if kappa == beta else CPoly.zero(spec.nvars)
-            if val != want:
-                return False
-    zeros = (0,) * spec.nvars
-    half = [b for b in idx if 2 * sum(b) <= degree]
-    for b1 in half:
-        for b2 in half:
-            m1 = EnvElement.monomial(spec.nvars, spec.rank, b1)
-            m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
-            for kappa in idx:
-                lhs = _pair_entry(ctx, powers[kappa], (zeros, b1),
-                                  (zeros, b2)).coeff(0)
-                rhs = CPoly.zero(spec.nvars)
-                for k1 in idx:
-                    k2 = tuple(a - b for a, b in zip(kappa, k1))
-                    if any(t < 0 for t in k2):
-                        continue
-                    rhs = rhs + jet_pair(ctx, powers[k1], m1).coeff(0) \
-                        * jet_pair(ctx, powers[k2], m2).coeff(0)
-                if lhs != rhs:
-                    return False
-    return True

@@ -17,7 +17,7 @@ from .scalars import CPoly, monomials_upto
 __all__ = [
     "LieRinehartSpec", "MultiVector", "CobracketData",
     "lr_validate", "lr_differential", "schouten_bracket",
-    "lr_bialgebra_validate", "poisson_from_pair", "cobracket_from_dual_spec",
+    "lr_bialgebra_validate", "cobracket_from_dual_spec",
 ]
 
 
@@ -440,13 +440,3 @@ def lr_bialgebra_validate(specL, specLstar, sample_degree=2):
 
     report.check("cobracket-derivation", derivation_failures())
     return report
-
-
-def poisson_from_pair(specL, specLstar, f, g):
-    """{f, g} = <df, d_* g> under the basis/dual-basis pairing."""
-    delta = cobracket_from_dual_spec(specL, specLstar)
-    dg = delta.on_poly(g)   # element of L
-    out = CPoly.zero(specL.nvars)
-    for (i,), c in dg.terms.items():
-        out = out + specL.anchor_apply(i, f) * c
-    return out

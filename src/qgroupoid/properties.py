@@ -1,9 +1,9 @@
-"""Randomized structure generators and the sampled property suite.
+"""The sampled property suite behind ``validate``.
 
-Valid structures are drawn from families whose axioms hold by
-construction (constant solvable brackets, derivation algebras, split
-anchors); the property suite then re-derives every axiom from scratch on
-seeded samples, exactly.
+``structure_property_suite`` re-derives every axiom of a Lie-Rinehart
+structure from scratch on seeded samples, exactly: the structure's own
+axioms, PBW associativity, coassociativity, the counit and Takeuchi
+conditions, d^2 = 0 and the pairing axioms of its undeformed jet dual.
 """
 
 import random
@@ -11,8 +11,7 @@ import random
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import EnvElement, pbw_mul
 from .jets import LEFT, JetContext, jet_axiom_suite
-from .lierinehart import LieRinehartSpec, MultiVector, lr_differential, \
-    lr_validate
+from .lierinehart import MultiVector, lr_differential, lr_validate
 from .report import Check, Report
 from .scalars import CPoly, Fraction, monomials_upto
 from .tensorspace import (
@@ -20,76 +19,7 @@ from .tensorspace import (
     tensor_coproduct_leg, tensor_reduce,
 )
 
-__all__ = ["random_valid_specs", "structure_property_suite",
-           "jacobi_violating_spec"]
-
-
-def random_valid_specs(seed, count=3):
-    """Seeded valid structures from axiom-safe families."""
-    rng = random.Random(seed)
-    out = []
-    makers = [_derivation_algebra, _solvable_rank2, _heisenberg,
-              _polynomial_solvable, _split_anchor, _line_vector_fields]
-    while len(out) < count:
-        out.append(makers[len(out) % len(makers)](rng))
-    return out
-
-
-def _derivation_algebra(rng):
-    p = rng.choice((1, 2))
-    one, zero = CPoly.one(p), CPoly.zero(p)
-    anchor = [[one if i == j else zero for j in range(p)] for i in range(p)]
-    return LieRinehartSpec(p, p, {}, anchor, name="derivations-p%d" % p)
-
-
-def _solvable_rank2(rng):
-    p = rng.choice((0, 1))
-    a = Fraction(rng.randint(-3, 3))
-    b = Fraction(rng.randint(-3, 3))
-    c = {(0, 1): (CPoly.const(p, a), CPoly.const(p, b))}
-    return LieRinehartSpec(p, 2, c, None, name="solvable-rank2")
-
-
-def _heisenberg(rng):
-    c = Fraction(rng.randint(1, 4))
-    zero = CPoly.zero(0)
-    table = {(0, 1): (zero, zero, CPoly.const(0, c))}
-    return LieRinehartSpec(0, 3, table, None, name="heisenberg")
-
-
-def _polynomial_solvable(rng):
-    f = CPoly.monomial(1, (rng.randint(0, 2),), Fraction(rng.randint(1, 3)))
-    table = {(0, 1): (f, CPoly.zero(1))}
-    return LieRinehartSpec(1, 2, table, None, name="poly-solvable")
-
-
-def _split_anchor(rng):
-    zero = CPoly.zero(2)
-    c1 = CPoly.const(2, rng.randint(1, 3))
-    c2 = CPoly.const(2, rng.randint(1, 3))
-    anchor = [[c1, zero], [zero, c2]]
-    return LieRinehartSpec(2, 2, {}, anchor, name="split-anchor")
-
-
-def _line_vector_fields(rng):
-    # e1 = d/dx, e2 = (a + b x) d/dx: [e1, e2] = b e1
-    a = Fraction(rng.randint(-2, 2))
-    b = Fraction(rng.randint(1, 3))
-    one = CPoly.one(1)
-    coeff = CPoly.const(1, a) + CPoly.var(1, 0) * b
-    bracket = {(0, 1): (CPoly.const(1, b), CPoly.zero(1))}
-    anchor = [[one], [coeff]]
-    return LieRinehartSpec(1, 2, bracket, anchor, name="line-fields")
-
-
-def jacobi_violating_spec():
-    one, zero = CPoly.one(0), CPoly.zero(0)
-    table = {
-        (0, 1): (zero, zero, one),
-        (1, 2): (one, zero, zero),
-        (0, 2): (one, zero, zero),
-    }
-    return LieRinehartSpec(0, 3, table, None, name="jacobi-violation")
+__all__ = ["structure_property_suite"]
 
 
 def _random_env(spec, rng, max_deg=2):

@@ -11,7 +11,6 @@ Fractions internally: they hold integer numerators over one denominator
 and give Fractions only through their read-only ``.terms`` view.
 """
 
-import itertools
 import re
 from fractions import Fraction
 
@@ -215,9 +214,11 @@ def parse_poly(text, nvars, line=0):
 def pbw_indices(n, max_degree):
     """All exponent tuples of length n with sum <= max_degree, sorted by
     (degree, tuple): the PBW indices e^alpha of a rank-n structure or the
-    monomials x^gamma of n variables."""
-    out = [a for a in itertools.product(range(max_degree + 1), repeat=n)
-           if sum(a) <= max_degree]
+    monomials x^gamma of n variables.  Each prefix is extended only by
+    the entries its sum leaves room for, so the work is polynomial in n."""
+    out = [()]
+    for _ in range(n):
+        out = [a + (k,) for a in out for k in range(max_degree - sum(a) + 1)]
     out.sort(key=lambda a: (sum(a), a))
     return out
 

@@ -14,12 +14,12 @@ pairings, the star product) goes through one ``LaurentSum``: it keeps a
 whole series per term.
 """
 
-from .errors import ConfigError, NonIntegralError, NotAUnitError
+from .errors import ConfigError, NotAUnitError
 from .scalars import CPoly
 
 __all__ = [
     "HSeries", "hs_const", "hs_zero", "hseries_mul", "hseries_invert",
-    "HLaurent", "LaurentSum", "laurent_normalize",
+    "HLaurent", "LaurentSum",
 ]
 
 
@@ -333,15 +333,3 @@ def laurent_mul(x, y, mulser, series_order):
     acc = LaurentSum(x.zero)
     acc.add_product(x, y, mulser, series_order)
     return acc.value()
-
-
-def laurent_normalize(a, demand_integral=False):
-    """Canonical form (leading zeros stripped).  Idempotent.
-
-    With ``demand_integral`` the result must have valuation >= 0; a
-    negative valuation raises NonIntegralError carrying the offending order.
-    """
-    norm = a.normalize()
-    if demand_integral and norm.val < 0 and norm.coeffs:
-        raise NonIntegralError(norm.val)
-    return norm

@@ -76,7 +76,6 @@ MAX_LEGS = 8
 __all__ = [
     "TensorElement", "env_coproduct", "tensor_mul", "tensor_series_mul",
     "counit_contract", "tensor_reduce", "takeuchi_check", "iterated_coproduct",
-    "primitive_check",
 ]
 
 
@@ -169,11 +168,6 @@ class TensorElement:
             terms = new
         num, den = _common_den(terms)
         return _tensor(first.nvars, first.rank, len(factors), num, den)
-
-    def leg_env(self, key):
-        gamma, alpha = key
-        return EnvElement.monomial(self.nvars, self.rank, alpha,
-                                   CPoly.monomial(self.nvars, gamma))
 
     # -- ring-ish operations ---------------------------------------------------
 
@@ -641,10 +635,3 @@ def takeuchi_check(spec, T, samples):
         if L != R:
             return False
     return True
-
-
-def primitive_check(spec, u):
-    """True iff Delta(u) - u (x) 1 - 1 (x) u reduces to zero."""
-    one = EnvElement.one(spec.nvars, spec.rank)
-    diff = env_coproduct(spec, u) - TensorElement.of(u, one) - TensorElement.of(one, u)
-    return tensor_reduce(spec, diff).is_zero()

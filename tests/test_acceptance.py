@@ -21,12 +21,11 @@ from qgroupoid.drinfeld import (
 )
 from qgroupoid.envelope import EnvElement
 from qgroupoid.jets import jet_product_eval, xi_functional
-from qgroupoid.lierinehart import poisson_from_pair
-from qgroupoid.properties import (
-    jacobi_violating_spec, random_valid_specs, structure_property_suite,
-)
+from qgroupoid.properties import structure_property_suite
 from qgroupoid.scalars import CPoly, monomials_upto
 from qgroupoid.series import HLaurent, hs_const
+
+from oracles import jacobi_violating_spec, poisson_from_pair, random_valid_specs
 
 
 def _line(num, ok, label):

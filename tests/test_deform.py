@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -7,15 +9,16 @@ from qgroupoid.axb import axb_spec
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, _counit_contract, basis_decompose,
     defelem_from_env, deformed_axiom_suite, exp_twistor, reduce_series,
-    reexpand, star_product, takeuchi_check_deformed, trivial_twistor,
-    twisted_coproduct, twisted_source_target, twistor_invert,
-    twistor_validate,
+    sample_defelems, star_product, takeuchi_check_deformed, trivial_twistor,
+    twisted_coproduct, twistor_invert, twistor_validate,
 )
 from qgroupoid.envelope import EnvElement, pbw_mul
 from qgroupoid.lierinehart import LieRinehartSpec
-from qgroupoid.scalars import CPoly, parse_poly
+from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
 from qgroupoid.series import HSeries, hs_const, hseries_mul
 from qgroupoid.tensorspace import TensorElement, tensor_mul
+
+from oracles import reexpand
 
 
 def der2():
@@ -148,8 +151,8 @@ def test_trivial_twistor_star_is_commutative_product():
 def test_source_target_series():
     dfa = make_dfa(4)
     x1, x2 = CPoly.var(2, 0), CPoly.var(2, 1)
-    s1, t1 = twisted_source_target(dfa, ser(x1, 4))
-    s2, t2 = twisted_source_target(dfa, ser(x2, 4))
+    s1, t1 = dfa.source_series(ser(x1, 4)), dfa.target_series(ser(x1, 4))
+    s2, t2 = dfa.source_series(ser(x2, 4)), dfa.target_series(ser(x2, 4))
     theta = EnvElement(2, 2, {(1, 0): x1})
     for n in range(5):
         # s_F(x1) at order n is x1 d2^n / (2^n n!)
@@ -168,7 +171,7 @@ def test_trivial_source_target():
     spec = der2()
     dfa = DeformedEnvAlgebroid(spec, trivial_twistor(spec, 2), validate=False)
     a = ser(parse_poly("x1*x2", 2), 2)
-    s, t = twisted_source_target(dfa, a)
+    s, t = dfa.source_series(a), dfa.target_series(a)
     assert s == t == a.map(lambda c: EnvElement.from_poly(2, c))
 
 
@@ -290,7 +293,8 @@ def test_reduce_series_idempotent():
 def test_takeuchi_deformed_coproduct():
     dfa = make_dfa(2)
     x1 = defelem_from_env(dfa.spec, EnvElement.from_poly(2, CPoly.var(2, 0)), 2)
-    assert takeuchi_check_deformed(dfa, twisted_coproduct(dfa, x1))
+    assert takeuchi_check_deformed(dfa, twisted_coproduct(dfa, x1),
+                                   monomials_upto(2, 2))
 
 
 def test_axiom_suite_trivial():
@@ -347,3 +351,16 @@ def test_lift_first_order_is_half_exponent_commutator():
         d0 = env_coproduct(spec, u0)
         comm = tensor_mul(spec, d0, r) - tensor_mul(spec, r, d0)
         assert lift.coeffs[1] == comm.scale(Fraction(1, 2))
+
+
+def test_sample_defelems_keep_the_lexicographic_order():
+    # a sample's position decides which witness a failing check reports,
+    # so the samples keep the order of the cube range(d + 1)^rank
+    for rank in range(1, 6):
+        dfa = SimpleNamespace(spec=SimpleNamespace(nvars=0, rank=rank), order=1)
+        for d in range(1, 5):
+            want = [a for a in itertools.product(range(d + 1), repeat=rank)
+                    if 0 < sum(a) <= d]
+            got = [alpha for u in sample_defelems(dfa, d)
+                   for alpha in u.coeffs[0].terms]
+            assert got == want

@@ -3,9 +3,11 @@ import pytest
 from qgroupoid.errors import DegreeUnsupportedError
 from qgroupoid.lierinehart import (
     LieRinehartSpec, MultiVector, lr_bialgebra_validate, lr_differential,
-    lr_validate, poisson_from_pair, schouten_bracket,
+    lr_validate, schouten_bracket,
 )
 from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
+
+from oracles import poisson_from_pair
 
 
 def der_spec(p=1):

@@ -1,10 +1,13 @@
+import itertools
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgroupoid.errors import ParseError
-from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
+from qgroupoid.scalars import CPoly, monomials_upto, parse_poly, pbw_indices
 
 
 def P(s, nvars=2):
@@ -76,3 +79,25 @@ def test_ring_axioms(a, b, c):
 @given(poly_strategy, poly_strategy)
 def test_leibniz_rule(a, b):
     assert (a * b).diff(0) == a.diff(0) * b + a * b.diff(0)
+
+
+def product_pbw_indices(n, d):
+    """Every tuple of range(d + 1)^n with sum <= d, sorted by (sum, tuple):
+    the oracle that walks the whole cube."""
+    out = [a for a in itertools.product(range(d + 1), repeat=n) if sum(a) <= d]
+    out.sort(key=lambda a: (sum(a), a))
+    return out
+
+
+def test_pbw_indices_match_the_product_form():
+    for n in range(6):
+        for d in range(6):
+            assert pbw_indices(n, d) == product_pbw_indices(n, d)
+
+
+def test_pbw_indices_cost_is_polynomial_in_the_rank():
+    # the cube range(5)^12 holds 244,140,625 tuples
+    start = time.perf_counter()
+    idx = pbw_indices(12, 4)
+    assert time.perf_counter() - start < 1
+    assert len(idx) == comb(16, 4) == 1820

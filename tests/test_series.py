@@ -3,11 +3,10 @@ from math import factorial
 
 import pytest
 
-from qgroupoid.errors import ConfigError, NonIntegralError, NotAUnitError
+from qgroupoid.errors import ConfigError, NotAUnitError
 from qgroupoid.scalars import CPoly
 from qgroupoid.series import (
     HLaurent, HSeries, hs_const, hseries_invert, hseries_mul, laurent_mul,
-    laurent_normalize,
 )
 
 ZERO = CPoly.zero(1)
@@ -98,15 +97,15 @@ def lmul(x, y):
 
 def test_laurent_normalize_strips():
     a = HLaurent(-1, 3, [ZERO, X, ZERO, ONE, ZERO], ZERO)
-    n = laurent_normalize(a)
+    n = a.normalize()
     assert (n.val, n.top) == (0, 3)
-    assert laurent_normalize(n) == n or n.eq_to_order(laurent_normalize(n))
+    assert n.normalize() == n or n.eq_to_order(n.normalize())
 
 
 def test_laurent_normalize_idempotent():
     a = HLaurent(-2, 2, [ZERO, ZERO, ONE, X, ZERO], ZERO)
-    once = laurent_normalize(a)
-    twice = laurent_normalize(once)
+    once = a.normalize()
+    twice = once.normalize()
     assert (once.val, once.top, once.coeffs) == (twice.val, twice.top, twice.coeffs)
 
 
@@ -114,12 +113,10 @@ def test_laurent_integrality():
     # h^-1 * (h u) -> u, valuation 0
     u = HLaurent(0, 4, [X, ONE, ZERO, ZERO, ZERO], ZERO)
     a = u.shift(1).shift(-1)
-    assert laurent_normalize(a, demand_integral=True).val == 0
-    # h^-1 u with u0 != 0: NonIntegral when integrality demanded
+    assert a.normalize().val == 0
+    # h^-1 u with u0 != 0 keeps its negative valuation
     b = u.shift(-1)
-    with pytest.raises(NonIntegralError):
-        laurent_normalize(b, demand_integral=True)
-    assert laurent_normalize(b).val == -1
+    assert b.normalize().val == -1
 
 
 def test_laurent_mul_precision():

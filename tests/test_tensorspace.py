@@ -5,13 +5,19 @@ from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
 from qgroupoid.tensorspace import (
     TensorElement, counit_contract, env_coproduct, iterated_coproduct,
-    primitive_check, takeuchi_check, tensor_coproduct_leg, tensor_mul,
-    tensor_reduce,
+    takeuchi_check, tensor_coproduct_leg, tensor_mul, tensor_reduce,
 )
 
 
 def der1():
     return LieRinehartSpec(1, 1, {}, [[CPoly.one(1)]])
+
+
+def leg_env(T, key):
+    """The leg key = (gamma, alpha) of a tensor as the element x^gamma e^alpha."""
+    gamma, alpha = key
+    return EnvElement.monomial(T.nvars, T.rank, alpha,
+                               CPoly.monomial(T.nvars, gamma))
 
 
 def axb_lie():
@@ -88,7 +94,7 @@ def test_counit_recovery():
         left = EnvElement.zero(1, 1)
         right = EnvElement.zero(1, 1)
         for key, c in T.terms.items():
-            w1, w2 = T.leg_env(key[0]), T.leg_env(key[1])
+            w1, w2 = leg_env(T, key[0]), leg_env(T, key[1])
             left = left + w2.scale(env_counit(w1)).scale(c)
             right = right + w1.scale(env_counit(w2)).scale(c)
         assert left == u
@@ -130,7 +136,7 @@ def test_iterated_on_e1e2():
         inner = env_coproduct(spec, a)
         for key, c in inner.terms.items():
             expected = expected + TensorElement.of(
-                inner.leg_env(key[0]), inner.leg_env(key[1]), b).scale(c)
+                leg_env(inner, key[0]), leg_env(inner, key[1]), b).scale(c)
     assert T == expected
     assert len(T.terms) == 9
 
@@ -153,6 +159,13 @@ def test_takeuchi_violation():
 
 
 def test_primitive_check():
+    def primitive_check(spec, u):
+        # Delta(u) - u (x) 1 - 1 (x) u reduces to zero
+        one = EnvElement.one(spec.nvars, spec.rank)
+        diff = env_coproduct(spec, u) - TensorElement.of(u, one) \
+            - TensorElement.of(one, u)
+        return tensor_reduce(spec, diff).is_zero()
+
     spec = axb_lie()
     e1, e2 = EnvElement.gen(0, 2, 0), EnvElement.gen(0, 2, 1)
     assert primitive_check(spec, e1)

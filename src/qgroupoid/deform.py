@@ -6,30 +6,47 @@ product (star product), the source and target maps and the coproduct; the
 deformed coproduct is computed on the canonical lifted representative
 G . Delta(u) . F where G is the lifted inverse of F.
 
-Two paths compute G . S . F (``DeformedEnvAlgebroid.conjugate``).  A
-twistor built by ``exp_twistor`` remembers its exponent r, so F = exp(h r)
-and the Hadamard expansion G . Y . F = sum_m h^m/m! ad_{-r}^m(Y) costs two
-products with r per order; ``twistor_invert`` checks that its series is
-exp_twistor(r) and takes G = exp(-h r) in closed form.  Every other
-twistor (``trivial_twistor``, the explicit per-order series of a spec
-file) is inverted order by order and takes the two Cauchy products
-against the dense series F and G.  ``twistor_validate`` never takes the
-shortcut.  Every Cauchy product of tensor series here (the conjugation,
-the cocycle identity and the source/target compatibility, the Takeuchi
-condition and the multiplicativity check) is ``tensor_series_mul``, which
-sums each order into one dict of integer numerators over one denominator.
+The lift G . Delta(u) . F is fixed by its values on PBW basis monomials,
+and it is multiplicative there: Delta is, and F . G = 1 mod h^(N+1).  So
+``DeformedEnvAlgebroid.lift_mono`` conjugates only x^gamma (x) 1 and the
+coproduct Delta(e_j) of a generator, and lifts x^gamma e^alpha as the
+truncated Cauchy product of the lifts of x^gamma e^(alpha - e_j) and e_j,
+e_j its last generator.  The twisted coproduct at one leg of a lifted
+tensor (``deformed_coproduct_leg``) puts F and G on the two slots that leg
+becomes, so it splices each leg monomial's cached lift in place; no series
+of three or more legs is conjugated.
+
+Two paths compute G . S . F for those 2-leg series
+(``DeformedEnvAlgebroid.conjugate``).  A twistor built by ``exp_twistor``
+remembers its exponent r, so F = exp(h r) and the Hadamard expansion
+G . Y . F = sum_m h^m/m! ad_{-r}^m(Y) costs two products with r per order;
+``twistor_invert`` checks that its series is exp_twistor(r) and takes
+G = exp(-h r) in closed form.  Every other twistor (``trivial_twistor``,
+the explicit per-order series of a spec file) is inverted order by order
+and takes the two Cauchy products against the dense series F and G.
+``twistor_validate`` never takes the shortcut.  Every Cauchy product of
+tensor series here (the conjugation, the lifts of products, the cocycle
+identity and the source/target compatibility, the Takeuchi condition and
+the multiplicativity check) is ``tensor_series_mul``, which sums each
+order into one dict of integer numerators over one denominator.
 
 The base maps s_F and t_F let the legs of F act on the base through the
-anchor (``envelope._act_into``, which reads the structure's action
-table).  The maps are linear in the base element, so the deformation
-sweeps F once per basis monomial x^m (one sweep ``_base_map_from`` that
-takes the acting leg), keeps those images in monomial-keyed tables, and
-maps a polynomial as the linear combination of its monomials' images;
-per-polynomial memos sit in front of the tables.
+anchor (the structure's action table, ``envelope.monomial_action``).  The
+maps are linear in the base element, so each image s_F(x^m), t_F(x^m) of a
+basis monomial is swept once per twistor and structure into one table on
+the twistor (``_monomial_image``), which ``twistor_validate`` and the
+deformation share; a sweep reads F's terms grouped by the acting leg
+e^b, takes e^b . x^m once per group and skips the groups where it
+vanishes.  A polynomial maps as the linear combination of its monomials'
+images; per-polynomial memos sit in front of the tables.
 The star product reads the source image: with s_F(a) = sum (F1 . a) F2,
 a *_F b = sum (F1 . a)(F2 . b) is s_F(a) acting on b
-(``envelope.anchor_action``); on series it is the h-adic product
-``series.laurent_mul`` over those coefficients, as in the jet pairing.
+(``envelope.anchor_action``), bilinear in (a, b), so
+``DeformedEnvAlgebroid.star_coeffs`` sums a table of products of basis
+monomials x^m *_F x^m' weighted by the coefficients; on series it is the
+h-adic product ``series.laurent_mul`` over those coefficients, as in the
+jet pairing.  The Takeuchi check builds t_F(a) (x) 1 and 1 (x) s_F(a) once
+per base element a (``DeformedEnvAlgebroid.takeuchi_sides``).
 The images of a base series (``source_series``, ``target_series``) sum
 the shifted images of its orders into one {alpha: {gamma: q}} row per
 h-order, as the linear images of polynomials do.
@@ -90,8 +107,9 @@ from math import lcm
 from operator import add
 
 from .envelope import (
-    LEGS, PURE, EnvElement, _act_into, _add_rows, _bump_term, _mul_mono_into,
-    _pbw_mul_into, _rows_series, anchor_action, leg_id, leg_product,
+    LEGS, PURE, EnvElement, _add_rows, _bump, _bump_term, _last_nonzero,
+    _mul_mono_into, _pbw_mul_into, _rows_series, anchor_action, leg_id,
+    leg_product, monomial_action,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
@@ -100,7 +118,7 @@ from .series import (
     HLaurent, HSeries, hs_const, hs_zero, hseries_invert, laurent_mul,
 )
 from .tensorspace import (
-    TensorElement, _basis_terms, _tensor_cleared, copro_basis,
+    TensorElement, _basis_terms, _tensor, _tensor_cleared, copro_basis,
     counit_contract, env_coproduct, tensor_coproduct_leg, tensor_mul,
     tensor_reduce, tensor_series_mul,
 )
@@ -115,11 +133,21 @@ __all__ = [
 
 
 class Twistor:
-    """Series F with F_0 = 1 (x) 1, optionally remembered as exp(h r)."""
+    """Series F with F_0 = 1 (x) 1, optionally remembered as exp(h r).
+
+    ``images`` holds, per structure the twistor is used with (keyed by
+    the structure object itself), the images s_F(x^m) and t_F(x^m) of base
+    monomials (``_monomial_image``), which ``twistor_validate`` and the
+    deformation share; ``acting`` holds F's terms grouped by the acting
+    leg, per leg.  Both fill on first use, so the series must not change
+    after that.
+    """
 
     def __init__(self, series, exponent=None):
         self.series = series
         self.exponent = exponent
+        self.images = {}
+        self.acting = {}
 
     @property
     def order(self):
@@ -169,19 +197,57 @@ def defelem_mul(spec, a, b):
     return _rows_series(spec, n, rows)
 
 
-def _base_map_from(spec, F, a, leg):
-    """s_F(a) (leg 0) or t_F(a) (leg 1): the legs ``leg`` of F act on a,
-    the other legs multiply: c x^g e^b (x) x^gamma e^alpha (acting leg
-    first) adds c x^(g + gamma) (e^b . a) e^alpha to the order's row."""
+def _monomial_image(spec, twistor, m, leg):
+    """s_F(x^m) (leg 0) or t_F(x^m) (leg 1) as a series of envelope
+    elements, read from the twistor's table for the structure ``spec`` and
+    swept into it on a miss (``_sweep_image``)."""
+    tables = twistor.images.get(spec)
+    if tables is None:
+        tables = twistor.images[spec] = ({}, {})
+    hit = tables[leg].get(m)
+    if hit is None:
+        hit = tables[leg][m] = _sweep_image(spec, twistor, m, leg)
+    return hit
+
+
+def _sweep_image(spec, twistor, m, leg):
+    """The legs ``leg`` of F act on x^m, the other legs multiply: a term
+    c x^g e^b (x) x^gamma e^alpha (acting leg first) adds
+    c x^(g + gamma) (e^b . x^m) e^alpha to its order's row.  F's terms are
+    grouped by the acting e^b once per twistor, so e^b . x^m is read from
+    the action table once per group, and a group whose action vanishes is
+    skipped."""
+    groups = twistor.acting.get(leg)
+    if groups is None:
+        groups = twistor.acting[leg] = [_acting_groups(Fn, leg)
+                                        for Fn in twistor.series.coeffs]
     rows = []
-    for Fn in F.series.coeffs:
+    for per_order in groups:
         acc = {}
-        for key, c in Fn.terms.items():
-            (g, b), (gamma, alpha) = key[leg], key[1 - leg]
-            _act_into(acc.setdefault(alpha, {}), spec,
-                      (tuple(map(add, g, gamma)), b), a, c)
+        for b, partners in per_order.items():
+            act = monomial_action(spec, b, m).terms
+            if not act:
+                continue
+            for shift, alpha, c in partners:
+                row = acc.setdefault(alpha, {})
+                for mu, v in act.items():
+                    if shift is not None:
+                        mu = tuple(map(add, shift, mu))
+                    _bump_term(row, mu, c if v == 1 else c * v)
         rows.append(acc)
-    return _rows_series(spec, F.order, rows)
+    return _rows_series(spec, twistor.order, rows)
+
+
+def _acting_groups(T, leg):
+    """The terms c x^g e^b (x) x^gamma e^alpha of a 2-tensor, acting leg
+    ``leg`` first, as {b: [(g + gamma or None for 0, alpha, c)]}."""
+    groups = {}
+    for key, c in T.terms.items():
+        (g, b), (gamma, alpha) = key[leg], key[1 - leg]
+        shift = tuple(map(add, g, gamma))
+        groups.setdefault(b, []).append(
+            (shift if any(shift) else None, alpha, c))
+    return groups
 
 
 # -- twistor validation -----------------------------------------------------------
@@ -241,8 +307,9 @@ def twistor_validate(spec, twistor):
 
     def compatibility_failures():
         for a in monomials_upto(spec.nvars, 2):
-            sa = _base_map_from(spec, twistor, a, 0)
-            ta = _base_map_from(spec, twistor, a, 1)
+            m, = a.terms
+            sa = _monomial_image(spec, twistor, m, 0)
+            ta = _monomial_image(spec, twistor, m, 1)
             left = ta.map(lambda u: TensorElement.of(u, one))
             right = sa.map(lambda u: TensorElement.of(one, u))
             diff = tensor_series_mul(spec, F, left - right)
@@ -279,13 +346,13 @@ class DeformedEnvAlgebroid:
         self._sF = {}
         self._tF = {}
         self._star = {}
-        # the base maps on basis monomials: exponent m -> s_F(x^m), t_F(x^m)
-        self._sF_mono = {}
-        self._tF_mono = {}
+        # a *_F b on pairs of basis monomials: (m, m') -> its h-expansion
+        self._star_mono = {}
         self._decomp = {}
         self._migrants = {}
         self._lift = {}
         self._lift_legs = {}
+        self._takeuchi = {}
         # warm the base-variable tables so the object is effectively
         # immutable after construction
         for j in range(spec.nvars):
@@ -298,36 +365,59 @@ class DeformedEnvAlgebroid:
     def source(self, a):
         hit = self._sF.get(a)
         if hit is None:
-            hit = self._sF[a] = self._linear_image(self._sF_mono, 0, a)
+            hit = self._sF[a] = self._linear_image(0, a)
         return hit
 
     def target(self, a):
         hit = self._tF.get(a)
         if hit is None:
-            hit = self._tF[a] = self._linear_image(self._tF_mono, 1, a)
+            hit = self._tF[a] = self._linear_image(1, a)
         return hit
 
     def star_coeffs(self, a, b):
-        """h-expansion (list of CPoly) of a *_F b for plain polynomials:
-        s_F(a) acting on b."""
+        """h-expansion (list of CPoly) of a *_F b for plain polynomials
+        (cached): sum_(m, m') a_m b_m' (x^m *_F x^m'), the products of basis
+        monomials read from a table that builds each as s_F(x^m) acting on
+        x^m'."""
         key = (a, b)
         hit = self._star.get(key)
         if hit is None:
-            hit = self._star[key] = [anchor_action(self.spec, u, b)
-                                     for u in self.source(a).coeffs]
+            pairs = [(m, ca, m2, cb) for m, ca in a.terms.items()
+                     for m2, cb in b.terms.items()]
+            if len(pairs) == 1 and pairs[0][1] == pairs[0][3] == 1:
+                hit = self._star_pair(pairs[0][0], pairs[0][2])
+            else:
+                rows = [{} for _ in range(self.order + 1)]
+                for m, ca, m2, cb in pairs:
+                    c = ca * cb
+                    for row, p in zip(rows, self._star_pair(m, m2)):
+                        for g, q in p.terms.items():
+                            _bump_term(row, g, q if c == 1 else c * q)
+                nvars = self.spec.nvars
+                hit = [CPoly(nvars, row) for row in rows]
+            self._star[key] = hit
         return hit
 
-    def _linear_image(self, table, leg, a):
-        """sum_m a_m map(x^m) for the base map whose F-legs ``leg`` act
-        (``_base_map_from``), swept once per monomial x^m into ``table``."""
+    def _star_pair(self, m, m2):
+        """x^m *_F x^m' = s_F(x^m) acting on x^m' (cached)."""
+        hit = self._star_mono.get((m, m2))
+        if hit is None:
+            spec = self.spec
+            b = CPoly.monomial(spec.nvars, m2)
+            hit = self._star_mono[(m, m2)] = [
+                anchor_action(spec, u, b)
+                for u in _monomial_image(spec, self.twistor, m, 0).coeffs]
+        return hit
+
+    def _linear_image(self, leg, a):
+        """sum_m a_m map(x^m) for the base map whose F-legs ``leg`` act,
+        the images of the monomials read from the twistor's table
+        (``_monomial_image``)."""
         spec = self.spec
         single = len(a.terms) == 1
         out = [{} for _ in range(self.order + 1)]
         for m, c in a.terms.items():
-            img = table.get(m)
-            if img is None:
-                img = table[m] = _base_map_from(
-                    spec, self.twistor, CPoly.monomial(spec.nvars, m), leg)
+            img = _monomial_image(spec, self.twistor, m, leg)
             if single and c == 1:
                 return img
             _add_rows(out, img.coeffs, c)
@@ -350,16 +440,44 @@ class DeformedEnvAlgebroid:
                 _add_rows(out[k:], mapper(ak).coeffs, 1)
         return _rows_series(self.spec, self.order, out)
 
+    def takeuchi_sides(self, a):
+        """(t_F(a) (x) 1, 1 (x) s_F(a)) as 2-leg tensor series (cached),
+        the right factors of the two sides of the Takeuchi condition."""
+        hit = self._takeuchi.get(a)
+        if hit is None:
+            one = EnvElement.one(self.spec.nvars, self.spec.rank)
+            hit = self._takeuchi[a] = (
+                self.target(a).map(lambda u: TensorElement.of(u, one)),
+                self.source(a).map(lambda u: TensorElement.of(one, u)))
+        return hit
+
     # -- coproduct lift ------------------------------------------------------------
 
     def lift_mono(self, key):
-        """G . Delta(x^gamma e^alpha) . F as a tensor series (cached)."""
+        """G . Delta(x^gamma e^alpha) . F as a tensor series (cached).
+
+        Only x^gamma (alpha = 0) and a single generator e_j are conjugated
+        (``conjugate``).  Every other monomial is x^gamma e^(alpha - e_j)
+        times e_j, with e_j its last generator; Delta is multiplicative
+        (``tensorspace._copro_mono`` multiplies the primitive factors in
+        generator order, x^gamma loading the left legs) and F . G = 1 mod
+        h^(N+1) on both ``twistor_invert`` paths, so the lift is the
+        truncated Cauchy product of the two factors' lifts, exactly.
+        """
         hit = self._lift.get(key)
         if hit is None:
             spec = self.spec
-            base = copro_basis(spec, leg_id(key))
-            zero = TensorElement.zero(spec.nvars, spec.rank, 2)
-            hit = self.conjugate(hs_const(base, self.order, zero), 0)
+            gamma, alpha = key
+            j = _last_nonzero(alpha)
+            if j is None or (sum(alpha) == 1 and not any(gamma)):
+                zero = TensorElement.zero(spec.nvars, spec.rank, 2)
+                hit = self.conjugate(hs_const(copro_basis(spec, leg_id(key)),
+                                              self.order, zero))
+            else:
+                gen = ((0,) * spec.nvars, _bump((0,) * spec.rank, j))
+                hit = tensor_series_mul(
+                    spec, self.lift_mono((gamma, _bump(alpha, j, -1))),
+                    self.lift_mono(gen))
             self._lift[key] = hit
         return hit
 
@@ -379,8 +497,9 @@ class DeformedEnvAlgebroid:
                 (w, tuple(terms)) for w, terms in groups.items())
         return hit
 
-    def conjugate(self, S, leg):
-        """G . S . F for a tensor series S, with F and G at legs leg, leg+1.
+    def conjugate(self, S):
+        """G . S . F for a 2-leg tensor series S (``lift_mono`` passes only
+        x^gamma (x) 1 and Delta(e_j)).
 
         An exponential twistor F = exp(h r) takes the Hadamard expansion
         G . Y . F = sum_m h^m/m! ad_{-r}^m(Y), ad_{-r}(Y) = Y r - r Y, so
@@ -390,14 +509,10 @@ class DeformedEnvAlgebroid:
         products (``tensor_series_mul``).
         """
         spec = self.spec
-        legs = S.zero.legs
         r = self.twistor.exponent
         if r is None:
-            Gmb = self.G.map(lambda t: t.embed(legs, leg))
-            Fmb = self.twistor.series.map(lambda t: t.embed(legs, leg))
-            return tensor_series_mul(spec, Gmb,
-                                     tensor_series_mul(spec, S, Fmb))
-        r = r.embed(legs, leg)
+            return tensor_series_mul(
+                spec, self.G, tensor_series_mul(spec, S, self.twistor.series))
         out = list(S.coeffs)
         for k, Y in enumerate(S.coeffs):
             for m in range(1, self.order - k + 1):
@@ -542,9 +657,57 @@ def twisted_coproduct(dfa, u):
 
 
 def deformed_coproduct_leg(dfa, HT, leg):
-    """Apply the twisted coproduct at one leg of a lifted tensor series."""
-    spliced = HT.map(lambda t: tensor_coproduct_leg(dfa.spec, t, leg))
-    return dfa.conjugate(spliced, leg)
+    """Apply the twisted coproduct at one leg of a lifted tensor series.
+
+    G and F sit on the two slots that leg ``leg`` becomes and are the unit
+    on every other, so G . (id (x) Delta (x) id)(T) . F replaces each
+    monomial w on that leg by its cached lift G . Delta(w) . F
+    (``lift_mono``): a term c h^k (x) w (x) v contributes c h^(k+j) times
+    each order j of the lift of w, spliced between its other legs.  Each
+    order sums its contributions into one dict of integer numerators over
+    the lcm of their denominators.
+    """
+    spec = dfa.spec
+    n = dfa.order
+    lifts = {}
+    groups = []     # per order of HT: {w: [(head, tail, numerator)]}
+    for T in HT.coeffs:
+        by_leg = {}
+        for key, c in T.num.items():
+            w = key[leg]
+            if w not in lifts:
+                lifts[w] = dfa.lift_mono(LEGS[w]).coeffs
+            by_leg.setdefault(w, []).append((key[:leg], key[leg + 1:], c))
+        groups.append(by_leg)
+    legs = HT.zero.legs + 1
+    zero = TensorElement.zero(spec.nvars, spec.rank, legs)
+    out = []
+    for total in range(n + 1):
+        pieces = [(terms, HT.coeffs[k].den, lifts[w][total - k])
+                  for k in range(total + 1)
+                  for w, terms in groups[k].items()
+                  if lifts[w][total - k].num]
+        if not pieces:
+            out.append(zero)
+            continue
+        den = lcm(*[d * L.den for _, d, L in pieces])
+        acc = {}
+        for terms, d, L in pieces:
+            up = den // (d * L.den)
+            lnum = L.num.items()
+            for head, tail, c in terms:
+                c *= up
+                for pair, cl in lnum:
+                    kk = head + pair + tail
+                    cur = acc.get(kk)
+                    v = c * cl if cur is None else cur + c * cl
+                    if v:
+                        acc[kk] = v
+                    else:
+                        del acc[kk]
+        out.append(_tensor(spec.nvars, spec.rank, legs, acc,
+                           den if acc else 1))
+    return HSeries(n, out, zero)
 
 
 def basis_decompose(dfa, u, flavor="source"):
@@ -684,10 +847,8 @@ def takeuchi_check_deformed(dfa, HT, samples):
     """sum (u_i t_F(a)) (x) u'_i == sum u_i (x) (u'_i s_F(a)) after
     reduction, for each base element a of ``samples``."""
     spec = dfa.spec
-    one = EnvElement.one(spec.nvars, spec.rank)
     for a in samples:
-        ta = dfa.target(a).map(lambda u: TensorElement.of(u, one))
-        sa = dfa.source(a).map(lambda u: TensorElement.of(one, u))
+        ta, sa = dfa.takeuchi_sides(a)
         lhs = tensor_series_mul(spec, HT, ta)
         rhs = tensor_series_mul(spec, HT, sa)
         if reduce_series(dfa, lhs) != reduce_series(dfa, rhs):

@@ -78,11 +78,6 @@ class EnvElement:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(a) for a in self.terms)
-
     def scale(self, poly):
         """Left multiplication by a coefficient (polynomial or rational)."""
         if isinstance(poly, (int, Fraction)):

@@ -72,11 +72,6 @@ class CPoly:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(k) for k in self.terms)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
@@ -97,9 +92,6 @@ class CPoly:
         self._check(other)
         return CPoly(self.nvars, poly_sub(self.terms, other.terms))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return CPoly(self.nvars, poly_neg(self.terms))
 
@@ -112,18 +104,6 @@ class CPoly:
         return CPoly(self.nvars, poly_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ConfigError("negative polynomial power")
-        out = CPoly.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def diff(self, j):
         return CPoly(self.nvars, poly_diff(self.terms, j))

@@ -47,12 +47,6 @@ class HSeries:
             raise ConfigError("mixed truncation orders %d and %d"
                               % (self.order, other.order))
 
-    def coeff(self, n):
-        return self.coeffs[n]
-
-    def is_zero(self):
-        return all(_is_zero(c) for c in self.coeffs)
-
     def __add__(self, other):
         self._check(other)
         return HSeries(self.order,
@@ -64,9 +58,6 @@ class HSeries:
         return HSeries(self.order,
                        [a - b for a, b in zip(self.coeffs, other.coeffs)],
                        self.zero)
-
-    def __neg__(self):
-        return HSeries(self.order, [-c for c in self.coeffs], self.zero)
 
     def shift(self, k):
         """Multiply by h^k (k >= 0), truncating at the top."""

@@ -36,12 +36,12 @@ an ``int``), which the envelope's product loop reads as well.
 through where one leg is the unit, and the tensor reduction of
 ``deform`` multiplies its basis terms by it.  The classical Takeuchi
 check is two such products, T (a (x) 1) and T (1 (x) a), compared after
-reduction.  A 2- or 3-leg product, which is every product the CLI makes,
-resolves each pair of legs (la, lb) that meet at one position once per
-call and expands each pair of terms in a fixed loop nest.  A wider product looks each leg product up per pair of terms; that
-general loop is also the oracle of the nests in the tests.  A structure with
-rational structure functions may store a ``Fraction``; ``tensor_mul``
-then brings its result back to integer numerators once.
+reduction.  A product has 2 or 3 legs: it resolves each pair of legs
+(la, lb) that meet at one position once per call and expands each pair of
+terms in a fixed loop nest.  None is wider, since the twisted coproduct of
+a leg splices cached 2-leg lifts rather than multiplying wider tensors.
+A structure with rational structure functions may store a ``Fraction``;
+``tensor_mul`` then brings its result back to integer numerators once.
 ``tensor_reduce`` reads, per leg id, the id of its pure part (0, alpha)
 from the registry (``PURE``) and migrates the gamma of every leg that is
 not pure.
@@ -58,7 +58,6 @@ tensor.  ``counit_contract`` is the one counit contraction of a classical
 2-tensor, multiplying the other leg on the left.
 """
 
-import itertools
 from math import lcm
 from operator import add
 from types import MappingProxyType
@@ -292,8 +291,8 @@ def tensor_mul(spec, s, t):
     A unit leg x^0 e^0 passes the other operand's leg through; every other
     leg product is a ``leg_product``.  A 2- or 3-leg pair expands its leg
     products in a fixed loop nest, which adds a single-term product as one
-    term; a wider pair adds one directly when each leg product is a single
-    term.  The numerators multiply with the leg coefficients and the
+    term; any other width is a ``ConfigError``.  The numerators multiply
+    with the leg coefficients and the
     denominators multiply; a ``Fraction`` leg coefficient is cleared from
     the result at the end.
     """
@@ -305,17 +304,16 @@ def tensor_mul(spec, s, t):
 def _mul_into(out, spec, s, t, m):
     """out += m * (numerators of s times those of t), leg by leg; returns
     out, whose values are ints or, where a leg coefficient was one,
-    Fractions.  Every product of the CLI has 2 or 3 legs and takes a fixed
-    loop nest over the leg products of ``_leg_rows``; a wider one takes
-    the general loop ``_mul_into_legs``.  Both add the same terms in the
-    same order."""
+    Fractions.  A product has 2 or 3 legs and takes a fixed loop nest over
+    the leg products of ``_leg_rows``; any other width is a
+    ``ConfigError``."""
+    if s.legs not in (2, 3):
+        raise ConfigError("tensor products have 2 or 3 legs")
     if not (s.num and t.num):
         return out
     if s.legs == 2:
         return _mul2_into(out, _leg_rows(spec, s, t), s.num, t.num, m)
-    if s.legs == 3:
-        return _mul3_into(out, _leg_rows(spec, s, t), s.num, t.num, m)
-    return _mul_into_legs(out, spec, s, t, m)
+    return _mul3_into(out, _leg_rows(spec, s, t), s.num, t.num, m)
 
 
 def _leg_rows(spec, s, t):
@@ -388,49 +386,6 @@ def _mul3_into(out, rows, snum, tnum, m):
     return out
 
 
-def _mul_into_legs(out, spec, s, t, m):
-    """``_mul_into`` for any number of legs, each leg product looked up per
-    pair of terms."""
-    unit = _unit_id(s.nvars, s.rank)
-    table = spec._leg_table
-    tnum = t.num.items()
-    for ka, ca in s.num.items():
-        if m != 1:
-            ca *= m
-        for kb, cb in tnum:
-            c = ca * cb
-            factors = []
-            single = True
-            for la, lb in zip(ka, kb):
-                if la == unit:
-                    factors.append(((lb, 1),))
-                elif lb == unit:
-                    factors.append(((la, 1),))
-                else:
-                    f = table.get((la, lb))
-                    if f is None:
-                        f = leg_product(spec, la, lb)
-                    if len(f) != 1:
-                        single = False
-                    factors.append(f)
-            if not single:
-                _expand_product(out, factors, c)
-                continue
-            key = []
-            for ((k, q),) in factors:
-                key.append(k)
-                if q != 1:
-                    c *= q
-            key = tuple(key)
-            cur = out.get(key)
-            v = c if cur is None else cur + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-    return out
-
-
 def tensor_series_mul(spec, a, b):
     """Cauchy product of two tensor series under truncation.  Each order
     sums its products a_i b_(k-i) into one dict of numerators over the
@@ -464,24 +419,6 @@ def _tensor_cleared(nvars, rank, legs, out, den):
         out, d = _common_den(out)
         den *= d
     return _tensor(nvars, rank, legs, out, den)
-
-
-def _expand_product(out, legchoices, coeff):
-    """Accumulate the outer product of per-leg basis terms into a term dict."""
-    if not all(legchoices):
-        return
-    for combo in itertools.product(*legchoices):
-        key = tuple(k for k, _ in combo)
-        c = coeff
-        for _, q in combo:
-            if q != 1:
-                c *= q
-        cur = out.get(key)
-        s = c if cur is None else cur + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
 
 
 # -- coproduct ------------------------------------------------------------------

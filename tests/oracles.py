@@ -5,6 +5,17 @@ No command of the CLI calls these; the tests compare the engine with them.
 - ``reexpand`` inverts ``deform.basis_decompose``: it maps each coefficient
   series through ``DeformedEnvAlgebroid.source_series``/``target_series``
   and multiplies by e^beta, so a decomposition must re-expand to its input.
+- ``conjugate_legs`` is G . S . F for a tensor series S of any width with F
+  and G at two adjacent legs, multiplied by the general product loop
+  ``mul_into_legs`` (the oracle of ``tensorspace``'s 2- and 3-leg loop
+  nests).  ``conjugated_lift`` conjugates Delta(x^gamma e^alpha) whole,
+  where ``DeformedEnvAlgebroid.lift_mono`` multiplies the lifts of its
+  factors, and ``spliced_coproduct_leg`` conjugates the spliced series,
+  where ``deform.deformed_coproduct_leg`` splices cached lifts.
+- ``sweep_base_map`` is s_F(a) or t_F(a) swept term by term over the
+  twistor for the whole polynomial a, where the deformation reads the
+  twistor's table of monomial images; ``direct_star_coeffs`` is a *_F b as
+  s_F(a) acting on b, where ``star_coeffs`` sums a table of monomial pairs.
 - ``evaluation_iso_check`` checks the jet pairing (``jets.jet_pair`` and
   the paired products of ``jets._pair_entry``) against the divided
   xi-powers ``jets.divided_xi_powers``: a Kronecker pairing matrix and the
@@ -20,17 +31,27 @@ No command of the CLI calls these; the tests compare the engine with them.
   structures whose axioms hold by construction, and one that breaks Jacobi.
 """
 
+import itertools
 import random
+from fractions import Fraction
+from operator import add
 
-from qgroupoid.envelope import EnvElement, _mul_mono_into, _rows_series
+from qgroupoid.envelope import (
+    EnvElement, _act_into, _mul_mono_into, _rows_series, anchor_action, leg_id,
+    leg_product,
+)
 from qgroupoid.errors import TruncationInsufficientError
 from qgroupoid.jets import (
     JetElement, _pair_entry, divided_xi_powers, jet_coproduct_functional,
     jet_pair, table_sum, tensor_functional_from_pair, tensor_tables_equal,
 )
 from qgroupoid.lierinehart import LieRinehartSpec, cobracket_from_dual_spec
-from qgroupoid.scalars import CPoly, Fraction, pbw_indices
-from qgroupoid.series import HLaurent
+from qgroupoid.scalars import CPoly, pbw_indices
+from qgroupoid.series import HLaurent, HSeries, hs_const, hseries_mul
+from qgroupoid.tensorspace import (
+    TensorElement, _tensor_cleared, _unit_id, copro_basis,
+    tensor_coproduct_leg,
+)
 
 
 # -- deformations ---------------------------------------------------------------
@@ -47,6 +68,146 @@ def reexpand(dfa, decomposition, flavor="source"):
         for acc, w in zip(rows, mapper(aser).coeffs):
             _mul_mono_into(acc, spec, w, (zeros, beta))
     return _rows_series(spec, dfa.order, rows)
+
+
+def sweep_base_map(spec, twistor, a, leg):
+    """s_F(a) (leg 0) or t_F(a) (leg 1), term by term: the legs ``leg`` of
+    F act on a, the other legs multiply: c x^g e^b (x) x^gamma e^alpha
+    (acting leg first) adds c x^(g + gamma) (e^b . a) e^alpha to the
+    order's row."""
+    rows = []
+    for Fn in twistor.series.coeffs:
+        acc = {}
+        for key, c in Fn.terms.items():
+            (g, b), (gamma, alpha) = key[leg], key[1 - leg]
+            _act_into(acc.setdefault(alpha, {}), spec,
+                      (tuple(map(add, g, gamma)), b), a, c)
+        rows.append(acc)
+    return _rows_series(spec, twistor.order, rows)
+
+
+def direct_star_coeffs(dfa, a, b):
+    """a *_F b as s_F(a) acting on b, s_F(a) swept for the whole a."""
+    return [anchor_action(dfa.spec, u, b)
+            for u in sweep_base_map(dfa.spec, dfa.twistor, a, 0).coeffs]
+
+
+def tensor_mul_legs(spec, s, t):
+    """``tensor_mul`` for any number of legs, by the general loop."""
+    s._check(t)
+    return _tensor_cleared(s.nvars, s.rank, s.legs,
+                           mul_into_legs({}, spec, s, t, 1), s.den * t.den)
+
+
+def conjugate_legs(dfa, S, leg):
+    """G . S . F for a tensor series S, with F and G at legs leg, leg+1.
+
+    An exponential twistor F = exp(h r) takes the Hadamard expansion
+    G . Y . F = sum_m h^m/m! ad_{-r}^m(Y), ad_{-r}(Y) = Y r - r Y; other
+    twistors take the two Cauchy products.  Every product is the general
+    loop ``mul_into_legs``."""
+    spec = dfa.spec
+    legs = S.zero.legs
+
+    def mt(a, b):
+        return tensor_mul_legs(spec, a, b)
+
+    r = dfa.twistor.exponent
+    if r is None:
+        G = dfa.G.map(lambda t: t.embed(legs, leg))
+        F = dfa.twistor.series.map(lambda t: t.embed(legs, leg))
+        return hseries_mul(G, hseries_mul(S, F, mt), mt)
+    r = r.embed(legs, leg)
+    out = list(S.coeffs)
+    for k, Y in enumerate(S.coeffs):
+        for m in range(1, dfa.order - k + 1):
+            if Y.is_zero():
+                break
+            Y = (mt(Y, r) - mt(r, Y)).scale(Fraction(1, m))
+            out[k + m] = out[k + m] + Y
+    return HSeries(dfa.order, out, S.zero)
+
+
+def conjugated_lift(dfa, key):
+    """G . Delta(x^gamma e^alpha) . F, the coproduct conjugated whole."""
+    spec = dfa.spec
+    zero = TensorElement.zero(spec.nvars, spec.rank, 2)
+    return conjugate_legs(
+        dfa, hs_const(copro_basis(spec, leg_id(key)), dfa.order, zero), 0)
+
+
+def spliced_coproduct_leg(dfa, HT, leg):
+    """The twisted coproduct at leg ``leg`` of a lifted tensor series: the
+    classical coproduct spliced into the leg, then conjugated by F and G
+    at that leg and the next."""
+    spliced = HT.map(lambda t: tensor_coproduct_leg(dfa.spec, t, leg))
+    return conjugate_legs(dfa, spliced, leg)
+
+
+# -- tensor products ---------------------------------------------------------------
+
+
+def mul_into_legs(out, spec, s, t, m):
+    """out += m * (numerators of s times those of t) for any number of
+    legs, each leg product looked up per pair of terms: the oracle of the
+    fixed loop nests of ``tensorspace._mul_into``, adding the same terms in
+    the same order."""
+    unit = _unit_id(s.nvars, s.rank)
+    table = spec._leg_table
+    tnum = t.num.items()
+    for ka, ca in s.num.items():
+        if m != 1:
+            ca *= m
+        for kb, cb in tnum:
+            c = ca * cb
+            factors = []
+            single = True
+            for la, lb in zip(ka, kb):
+                if la == unit:
+                    factors.append(((lb, 1),))
+                elif lb == unit:
+                    factors.append(((la, 1),))
+                else:
+                    f = table.get((la, lb))
+                    if f is None:
+                        f = leg_product(spec, la, lb)
+                    if len(f) != 1:
+                        single = False
+                    factors.append(f)
+            if not single:
+                expand_product(out, factors, c)
+                continue
+            key = []
+            for ((k, q),) in factors:
+                key.append(k)
+                if q != 1:
+                    c *= q
+            key = tuple(key)
+            cur = out.get(key)
+            v = c if cur is None else cur + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def expand_product(out, legchoices, coeff):
+    """Accumulate the outer product of per-leg basis terms into a term dict."""
+    if not all(legchoices):
+        return
+    for combo in itertools.product(*legchoices):
+        key = tuple(k for k, _ in combo)
+        c = coeff
+        for _, q in combo:
+            if q != 1:
+                c *= q
+        cur = out.get(key)
+        s = c if cur is None else cur + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
 
 
 # -- jet duals ---------------------------------------------------------------------

@@ -297,6 +297,27 @@ def test_takeuchi_deformed_coproduct():
                                    monomials_upto(2, 2))
 
 
+def test_takeuchi_sides_are_built_once_per_base_element():
+    """``takeuchi_check_deformed`` reads t_F(a) (x) 1 and 1 (x) s_F(a) from
+    one cache entry per a, for every tensor it checks; e1 (x) 1 is not in
+    the Takeuchi subspace (e1 x1 = x1 e1 + 1), which only a = x1 shows."""
+    dfa = make_dfa(2)
+    one = EnvElement.one(2, 2)
+    samples = monomials_upto(2, 1)
+    outside = hs_const(TensorElement.of(EnvElement.gen(2, 2, 0), one), 2,
+                       TensorElement.zero(2, 2, 2))
+    x1 = defelem_from_env(dfa.spec,
+                          EnvElement.from_poly(2, CPoly.var(2, 0)), 2)
+    assert takeuchi_check_deformed(dfa, twisted_coproduct(dfa, x1), samples)
+    assert not takeuchi_check_deformed(dfa, outside, samples)
+    assert set(dfa._takeuchi) == set(samples)
+    for a in samples:
+        ta, sa = dfa.takeuchi_sides(a)
+        assert ta == dfa.target(a).map(lambda u: TensorElement.of(u, one))
+        assert sa == dfa.source(a).map(lambda u: TensorElement.of(one, u))
+        assert dfa.takeuchi_sides(a)[0] is ta
+
+
 def test_axiom_suite_trivial():
     spec = der2()
     dfa = DeformedEnvAlgebroid(spec, trivial_twistor(spec, 2), validate=False)

@@ -24,6 +24,14 @@ def mul(a, b):
     return a * b
 
 
+def power(p, n):
+    """p^n by repeated multiplication."""
+    out = CPoly.one(p.nvars)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
 def test_mul_difference_of_squares():
     a = S([ONE, ONE, ZERO])            # 1 + h
     b = S([ONE, -ONE, ZERO])           # 1 - h
@@ -47,8 +55,9 @@ def test_exp_times_exp_inverse():
         for i in range(n + 1):
             acc += Fraction((-1) ** (n - i), factorial(i) * factorial(n - i))
         assert acc == 0
-    e_plus = S([r ** n * Fraction(1, factorial(n)) for n in range(N + 1)])
-    e_minus = S([r ** n * Fraction((-1) ** n, factorial(n)) for n in range(N + 1)])
+    e_plus = S([power(r, n) * Fraction(1, factorial(n)) for n in range(N + 1)])
+    e_minus = S([power(r, n) * Fraction((-1) ** n, factorial(n))
+                 for n in range(N + 1)])
     assert hseries_mul(e_plus, e_minus, mul) == hs_const(ONE, N, ZERO)
 
 
@@ -85,7 +94,7 @@ def test_invert_two_sided_on_samples():
 def test_shift_truncates():
     t = S([ONE, X, ZERO])
     assert t.shift(1) == S([ZERO, ONE, X])
-    assert t.shift(4).is_zero()
+    assert all(c.is_zero() for c in t.shift(4).coeffs)
 
 
 # -- Laurent ----------------------------------------------------------------

@@ -845,10 +845,14 @@ def _reduce_leg(dfa, HT, leg):
 
 def takeuchi_check_deformed(dfa, HT, samples):
     """sum (u_i t_F(a)) (x) u'_i == sum u_i (x) (u'_i s_F(a)) after
-    reduction, for each base element a of ``samples``."""
+    reduction, for each base element a of ``samples``.  A sample whose two
+    sides are equal series (a = 1 when the twistor meets the counit
+    conditions) multiplies equal inputs and is not compared."""
     spec = dfa.spec
     for a in samples:
         ta, sa = dfa.takeuchi_sides(a)
+        if ta == sa:
+            continue
         lhs = tensor_series_mul(spec, HT, ta)
         rhs = tensor_series_mul(spec, HT, sa)
         if reduce_series(dfa, lhs) != reduce_series(dfa, rhs):

@@ -15,10 +15,13 @@ pairing with a basis monomial.
 Dual products are the transposes of the twisted coproduct, evaluated on
 the canonical lifted representatives.
 
-Each functional memoises only its pairings with basis monomials, keyed by
-the deformation object.  A dual product keeps its own memo for the length
-of one tabulation: per paired lift leg, that leg's mapped image and the
-paired factor of each other leg (see ``jet_product_eval``).
+Each functional memoises two things, both keyed by the deformation
+object: its pairings with basis monomials, and, per paired lift leg w,
+the image of lam(w) under t_F or s_F with the product rows of that image
+by each other lift leg.  Both depend on the functional alone, so every
+partner of a dual product reads the same rows.  A dual product keeps its
+own memo for the length of one tabulation: the partner's pairing with
+each of those rows (see ``jet_product_eval``).
 
 Every sum of this layer is accumulated in place in one
 ``series.LaurentSum`` per result: the star pairings over a decomposition,
@@ -93,21 +96,28 @@ class JetContext:
 class JetElement:
     """Sparse value table {beta: HLaurent base value}; absent keys are zero.
 
-    ``_pair_cache`` maps ``(dfa, w)`` to the pairing with the basis
-    monomial w.  The deformation object comes first in the key (the key
-    keeps it alive, so a later deformation never reuses an entry).  No
-    entry refers to another functional.
+    Two memos, each keyed ``(dfa, w)`` with w a basis monomial.
+    ``_pair_cache`` holds the pairing with w.  ``_lift_rows`` holds, for w
+    a paired leg of a coproduct lift, the mapped image W = t_F(self(w))
+    (left) or s_F(self(w)) (right), None where self(w) vanishes, and the
+    rows of W . other per other leg met (``_lift_entry``).  The deformation
+    object comes first in the key (the key keeps it alive, so a later
+    deformation never reuses an entry).  No entry refers to another
+    functional: the values are base series and envelope rows, and a dual
+    product keeps its partner's pairings in its own per-tabulation memo,
+    so a functional never keeps a partner alive.
 
     The table must not change after construction.
     """
 
-    __slots__ = ("flavor", "table", "_pair_cache")
+    __slots__ = ("flavor", "table", "_pair_cache", "_lift_rows")
 
     def __init__(self, flavor, table=None):
         self.flavor = flavor
         self.table = {b: v for b, v in (table or {}).items()
                       if not v.is_zero()}
         self._pair_cache = {}
+        self._lift_rows = {}
 
     def value(self, ctx, beta):
         v = self.table.get(tuple(beta))
@@ -197,7 +207,9 @@ def jet_counit(ctx, lam):
 
 def _pair_mono(ctx, lam, key):
     """lam on a basis monomial x^gamma e^alpha, via the flavor decomposition,
-    memoised on lam."""
+    memoised on lam.  A pairing that is the empty window up to the
+    truncation order is the shared ``ctx.zero_value()``, which
+    ``_pair_rows`` skips."""
     ckey = (ctx.dfa, key)
     hit = lam._pair_cache.get(ckey)
     if hit is not None:
@@ -219,6 +231,8 @@ def _pair_mono(ctx, lam, key):
             else:
                 acc.add_product(lv, al, ctx.dfa.star_coeffs, ctx.order)
         out = acc.value()
+        if not out.coeffs and out.top == ctx.order:
+            out = ctx.zero_value()
     lam._pair_cache[ckey] = out
     return out
 
@@ -228,18 +242,34 @@ def _pair_rows(ctx, lam, rows, top):
     q, an empty row skipped.  The pairing of each row, as of a plain
     element, starts from zero up to the truncation order N before its
     shift, so the one sum starts from zero up to N + (the first q with a
-    term); with no terms it is zero up to ``top``."""
-    acc = None
+    term); with no terms it is zero up to ``top``.
+
+    Two shortcuts leave the value and its window as the sum makes them.  A
+    pairing that is the shared zero is skipped: at a shift q at or above
+    the first row's, its empty window [N+q+1, N+q] lowers neither the
+    sum's valuation nor its top.  A single term 1 x^gamma e^alpha at order
+    q is its pairing shifted by q when that pairing's top is at most N
+    (a higher top is cut to N + q by the sum's start)."""
+    rows = [(q, row) for q, row in rows if row]
+    if not rows:
+        return HLaurent.zero_upto(top, ctx.zero_poly())
+    q0, row0 = rows[0]
+    if len(rows) == 1 and len(row0) == 1:
+        (alpha, terms), = row0.items()
+        if len(terms) == 1:
+            (gamma, c), = terms.items()
+            if c == 1:
+                v = _pair_mono(ctx, lam, (gamma, alpha))
+                if v.top <= ctx.order:
+                    return v.shift(q0) if q0 else v
+    zero = ctx.zero_value()
+    acc = LaurentSum(ctx.zero_poly(), ctx.order + q0)
     for q, row in rows:
-        if not row:
-            continue
-        if acc is None:
-            acc = LaurentSum(ctx.zero_poly(), ctx.order + q)
         for alpha, terms in row.items():
             for gamma, c in terms.items():
-                acc.add(_pair_mono(ctx, lam, (gamma, alpha)), c, q)
-    if acc is None:
-        return HLaurent.zero_upto(top, ctx.zero_poly())
+                v = _pair_mono(ctx, lam, (gamma, alpha))
+                if v is not zero:
+                    acc.add(v, c, q)
     return acc.value()
 
 
@@ -261,15 +291,26 @@ def _pair_env_laurent(ctx, lam, W):
                       W.top)
 
 
+def _product_rows(spec, W, m, mono_right=True):
+    """The nonempty rows (q, {alpha: {gamma: c}}) of W . m (``mono_right``)
+    or m . W, for a Laurent series W of elements and a basis monomial key
+    m, in increasing q."""
+    out = []
+    for q, w in enumerate(W.coeffs, W.val):
+        if w.terms:
+            row = _mul_mono_into({}, spec, w, m, 1, mono_right)
+            if row:
+                out.append((q, row))
+    return out
+
+
 def _pair_product(ctx, lam, W, m, mono_right=True):
     """lam(W . m) (``mono_right``) or lam(m . W) for a Laurent series W of
     elements and a basis monomial key m, without building the product:
     equal to ``_pair_env_laurent`` of the product series, window
     included, as each row holds exactly the product's nonzero terms."""
-    spec = ctx.spec
-    return _pair_rows(ctx, lam, (
-        (q, _mul_mono_into({}, spec, w, m, 1, mono_right))
-        for q, w in enumerate(W.coeffs, W.val) if w.terms), W.top)
+    return _pair_rows(ctx, lam, _product_rows(ctx.spec, W, m, mono_right),
+                      W.top)
 
 
 def _pair_entry(ctx, lam, la, lb):
@@ -317,14 +358,21 @@ def _tabulate(ctx, fn, degree=None):
     return table
 
 
-def _mapped_leg(ctx, lam, w):
-    """t_F(lam(w)) (left dual) or s_F(lam(w)) (right dual); None when lam(w)
-    vanishes."""
-    v = _pair_mono(ctx, lam, w)
-    if v.is_zero():
-        return None
-    mapper = ctx.dfa.target if lam.flavor == LEFT else ctx.dfa.source
-    return _apply_series_map(ctx, v, mapper)
+def _lift_entry(ctx, lam, w):
+    """lam's memo entry for the paired lift leg w: (W, rows) with W =
+    t_F(lam(w)) (left dual) or s_F(lam(w)) (right dual), None when lam(w)
+    vanishes, and rows {other leg: ``_product_rows`` of W . other}, filled
+    by ``jet_product_eval`` as the other legs are met."""
+    ckey = (ctx.dfa, w)
+    entry = lam._lift_rows.get(ckey)
+    if entry is None:
+        v = _pair_mono(ctx, lam, w)
+        W = None
+        if not v.is_zero():
+            mapper = ctx.dfa.target if lam.flavor == LEFT else ctx.dfa.source
+            W = _apply_series_map(ctx, v, mapper)
+        entry = lam._lift_rows[ckey] = (W, {})
+    return entry
 
 
 def jet_product_eval(ctx, lam, mu, arg, memo=None):
@@ -335,11 +383,13 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
 
     The lift is read grouped by the leg lam pairs with (u_(2) left, u_(1)
     right), so a group whose pairing with lam vanishes is skipped whole.
-    ``memo`` maps each paired leg to its mapped image (None when lam
-    vanishes on it) and its {other leg: paired factor} row; ``jet_product``
-    shares one across a tabulation, so a term costs one scaled, shifted
-    add into the result's ``LaurentSum``.  A call without one starts
-    afresh.
+    The mapped image of each paired leg and its product rows with each
+    other leg depend on lam alone and live in lam's memo
+    (``_lift_entry``), so every partner mu reads the same rows.  ``memo``
+    maps each paired leg to mu's {other leg: paired factor}, or to None
+    where lam vanishes on it; ``jet_product`` shares one across a
+    tabulation, so a term costs one scaled, shifted add into the result's
+    ``LaurentSum``.  A call without one starts afresh.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
@@ -351,16 +401,21 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
         memo = {}
     acc = LaurentSum(ctx.zero_poly())
     for paired, terms in groups:
-        entry = memo.get(paired)
-        if entry is None:
-            entry = memo[paired] = (_mapped_leg(ctx, lam, paired), {})
-        W, row = entry
-        if W is None:
+        try:
+            factors = memo[paired]
+        except KeyError:
+            W, _ = _lift_entry(ctx, lam, paired)
+            factors = memo[paired] = None if W is None else {}
+        if factors is None:
             continue
         for k, other, c in terms:
-            P = row.get(other)
+            P = factors.get(other)
             if P is None:
-                P = row[other] = _pair_product(ctx, mu, W, other)
+                W, rows = _lift_entry(ctx, lam, paired)
+                r = rows.get(other)
+                if r is None:
+                    r = rows[other] = _product_rows(spec, W, other)
+                P = factors[other] = _pair_rows(ctx, mu, r, W.top)
             acc.add(P, c, k)
     if acc.top is None:
         # no lift term survived
@@ -518,7 +573,10 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
     coords = [coordinate_functional(ctx, j) for j in range(spec.nvars)]
     sample = gens + coords[:1]
     polys = monomials_upto(spec.nvars, 1)[1:]  # the variables
-    dom = pbw_indices(spec.rank, min(ctx.jet_degree, sample_degree))
+    # the action, commutativity and classical-limit checks read their
+    # products only on dom, so those are tabulated at dom's degree
+    dom_degree = min(ctx.jet_degree, sample_degree)
+    dom = pbw_indices(spec.rank, dom_degree)
 
     report.check("dual-unit", (
         "counit is not a two-sided unit" for lam in sample
@@ -553,7 +611,7 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
             src, tgt = jet_source_target(ctx, xj)
             image = HLaurent.from_hseries(_base_image(ctx, xj))
             for lam in sample:
-                left_action = jet_product(ctx, src, lam)
+                left_action = jet_product(ctx, src, lam, dom_degree)
                 for beta in dom:
                     direct = _pair_product(ctx, lam, image, (zeros, beta),
                                            ctx.flavor == LEFT)
@@ -564,7 +622,7 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
 
     # every ordered product of the sample, read by the commutativity and
     # classical-limit checks
-    prods = {(i, j): jet_product(ctx, lam, mu)
+    prods = {(i, j): jet_product(ctx, lam, mu, dom_degree)
              for i, lam in enumerate(sample) for j, mu in enumerate(sample)}
 
     def commutativity_failures():
@@ -601,7 +659,7 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
             for j in range(len(gens)):
                 mu0 = xi_functional(ctx0, j)
                 prod = prods[i, j]
-                prod0 = jet_product(ctx0, lam0, mu0)
+                prod0 = jet_product(ctx0, lam0, mu0, dom_degree)
                 for beta in dom:
                     if prod.value(ctx, beta).coeff(0) != prod0.value(ctx0, beta).coeff(0):
                         yield "classical limit mismatch at %s" % (beta,)

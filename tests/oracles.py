@@ -16,6 +16,9 @@ No command of the CLI calls these; the tests compare the engine with them.
   twistor for the whole polynomial a, where the deformation reads the
   twistor's table of monomial images; ``direct_star_coeffs`` is a *_F b as
   s_F(a) acting on b, where ``star_coeffs`` sums a table of monomial pairs.
+- ``pair_rows_loop`` is the pairing of {alpha: {gamma: c}} rows that adds
+  every term's pairing, where ``jets._pair_rows`` skips the shared zero and
+  returns a lone unit term's pairing shifted.
 - ``evaluation_iso_check`` checks the jet pairing (``jets.jet_pair`` and
   the paired products of ``jets._pair_entry``) against the divided
   xi-powers ``jets.divided_xi_powers``: a Kronecker pairing matrix and the
@@ -42,12 +45,15 @@ from qgroupoid.envelope import (
 )
 from qgroupoid.errors import TruncationInsufficientError
 from qgroupoid.jets import (
-    JetElement, _pair_entry, divided_xi_powers, jet_coproduct_functional,
-    jet_pair, table_sum, tensor_functional_from_pair, tensor_tables_equal,
+    JetElement, _pair_entry, _pair_mono, divided_xi_powers,
+    jet_coproduct_functional, jet_pair, table_sum, tensor_functional_from_pair,
+    tensor_tables_equal,
 )
 from qgroupoid.lierinehart import LieRinehartSpec, cobracket_from_dual_spec
 from qgroupoid.scalars import CPoly, pbw_indices
-from qgroupoid.series import HLaurent, HSeries, hs_const, hseries_mul
+from qgroupoid.series import (
+    HLaurent, HSeries, LaurentSum, hs_const, hseries_mul,
+)
 from qgroupoid.tensorspace import (
     TensorElement, _tensor_cleared, _unit_id, copro_basis,
     tensor_coproduct_leg,
@@ -211,6 +217,25 @@ def expand_product(out, legchoices, coeff):
 
 
 # -- jet duals ---------------------------------------------------------------------
+
+
+def pair_rows_loop(ctx, lam, rows, top):
+    """``jets._pair_rows`` without its shortcuts: every term's pairing, the
+    shared zero included, added into one ``LaurentSum`` that starts from
+    zero up to N + (the first q with a term); zero up to ``top`` when no
+    row has a term."""
+    acc = None
+    for q, row in rows:
+        if not row:
+            continue
+        if acc is None:
+            acc = LaurentSum(ctx.zero_poly(), ctx.order + q)
+        for alpha, terms in row.items():
+            for gamma, c in terms.items():
+                acc.add(_pair_mono(ctx, lam, (gamma, alpha)), c, q)
+    if acc is None:
+        return HLaurent.zero_upto(top, ctx.zero_poly())
+    return acc.value()
 
 
 def jet_coproduct_decompose(ctx, lam, degree=None):

@@ -182,6 +182,53 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
     assert any(zero for _, paired, _ in records for _, zero in paired)
 
 
+def test_dual_products_build_each_row_once(monkeypatch):
+    """On ``example axb`` at N=4 the rows of W . other, W a functional's
+    mapped image on a paired lift leg, are built once per (functional,
+    paired leg, other leg) and read by every partner of that functional.
+    Building them once per tabulation made 3,483 row builds (one per
+    nonzero order of W) on ``example axb`` at N=6, where 1,236 remain."""
+    real_entry, real_rows = jets._lift_entry, jets._product_rows
+    owners, built = {}, Counter()
+
+    def lift_entry(ctx, lam, w):
+        entry = real_entry(ctx, lam, w)
+        if entry[0] is not None:
+            # holding lam and W keeps their ids from being reused
+            owners[id(entry[0])] = (lam, w, entry[0])
+        return entry
+
+    def product_rows(spec, W, m, mono_right=True):
+        owner = owners.get(id(W))
+        if owner is not None:
+            built[id(owner[0]), owner[1], m] += 1
+        return real_rows(spec, W, m, mono_right)
+
+    monkeypatch.setattr(jets, "_lift_entry", lift_entry)
+    monkeypatch.setattr(jets, "_product_rows", product_rows)
+    code, _, _ = run_cli(["example", "axb", "--json-only"])
+    assert code == 0
+    assert built and set(built.values()) == {1}
+
+
+def test_takeuchi_compares_no_sample_with_equal_sides(monkeypatch):
+    """``twist`` on axb at N=6 makes 78 ``reduce_series`` calls: the
+    Takeuchi check skips a = 1, whose two sides t_F(1) (x) 1 and
+    1 (x) s_F(1) are both 1 (x) 1 for a twistor that meets the counit
+    conditions.  Comparing it made 88, 5 lifted samples x 2 sides more."""
+    real = deform.reduce_series
+    calls = []
+
+    def reduce_series(dfa, T):
+        calls.append(T)
+        return real(dfa, T)
+
+    monkeypatch.setattr(deform, "reduce_series", reduce_series)
+    code, _, _ = run_cli(["twist", SPEC, "--h-order", "6", "--json-only"])
+    assert code == 0
+    assert len(calls) == 78
+
+
 def test_cli_tensor_products_have_two_or_three_legs(monkeypatch):
     """Every tensor product of ``example axb`` and of the eight spec
     commands on axb at N=4 has 2 or 3 legs, so it takes a fixed loop nest

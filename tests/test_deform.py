@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from qgroupoid import deform
 from qgroupoid.axb import axb_spec
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, _counit_contract, basis_decompose,
@@ -295,6 +296,29 @@ def test_takeuchi_deformed_coproduct():
     x1 = defelem_from_env(dfa.spec, EnvElement.from_poly(2, CPoly.var(2, 0)), 2)
     assert takeuchi_check_deformed(dfa, twisted_coproduct(dfa, x1),
                                    monomials_upto(2, 2))
+
+
+def test_takeuchi_compares_a_unit_sample_when_the_counit_breaks(
+        monkeypatch):
+    """a = 1 stays among the samples: under a twistor that meets the
+    counit conditions its two sides are equal and it is not compared, but
+    F = 1 (x) 1 + h e1 (x) 1 gives t_F(1) = 1 + h e1 != s_F(1) = 1, and
+    then 1 (x) 1 fails on a = 1 alone."""
+    spec = der2()
+    unit, zero = TensorElement.unit(2, 2, 2), TensorElement.zero(2, 2, 2)
+    e1 = TensorElement.of(EnvElement.gen(2, 2, 0), EnvElement.one(2, 2))
+    broken = DeformedEnvAlgebroid(
+        spec, Twistor(HSeries(2, [unit, e1, zero], zero)), validate=False)
+    one = CPoly.one(2)
+    real = deform.reduce_series
+    calls = []
+    monkeypatch.setattr(deform, "reduce_series",
+                        lambda dfa, T: calls.append(T) or real(dfa, T))
+    T = hs_const(unit, 2, zero)
+    assert takeuchi_check_deformed(make_dfa(2), T, [one])
+    assert not calls
+    assert not takeuchi_check_deformed(broken, T, [one])
+    assert len(calls) == 2
 
 
 def test_takeuchi_sides_are_built_once_per_base_element():

@@ -43,9 +43,14 @@
   and ``star_from`` below for a *_F b).  Their images of a
   base series are summed into one row per order; the oracle is the chain
   of shifted ``HSeries`` additions.
-- ``jet_product_eval`` reads the lift grouped by the paired leg and
-  memoises the paired factor of each lift term; the oracle is the
-  unmemoised body that maps and multiplies every term.
+- ``jet_product_eval`` reads the lift grouped by the paired leg, keeps
+  each mapped image and its product rows on the functional and memoises
+  the partner's paired factor of each lift term; the oracle is the
+  unmemoised body that maps and multiplies every term, and each functional
+  meets every partner with its rows already built.
+- ``_pair_rows`` skips pairings that are the shared zero and returns a
+  lone unit term's pairing shifted; the oracle is the loop that adds
+  every pairing (``oracles.pair_rows_loop``).
 - The jet pairings, ``laurent_mul`` and the dual product sum their terms
   in place in one ``LaurentSum``; the oracles are the chains of
   ``HLaurent`` additions they replace, and the unmemoised dual product
@@ -131,8 +136,8 @@ from qgroupoid.tensorspace import (
 
 from oracles import (
     conjugated_lift, direct_star_coeffs, expand_product, mul_into_legs,
-    random_valid_specs, reexpand, spliced_coproduct_leg, sweep_base_map,
-    tensor_mul_legs,
+    pair_rows_loop, random_valid_specs, reexpand, spliced_coproduct_leg,
+    sweep_base_map, tensor_mul_legs,
 )
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
@@ -1980,6 +1985,7 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
     chain_memo = {}
     for lam in funcs:
         images = [unmemoised_images(ctx, lam, a, chain_memo) for a in args]
+        built = None
         for mu in funcs:
             want = [window(unmemoised_sum(ctx, mu, im, chain_memo))
                     for im in images]
@@ -1989,13 +1995,24 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
                 got = [window(jet_product_eval(ctx, lam, mu, a, memo))
                        for a in args]
                 assert got == want
+            # lam's product rows are built while it meets the first mu;
+            # every later mu reads those same rows and builds none
+            rows = {(ckey, other): r
+                    for ckey, (_, per) in lam._lift_rows.items()
+                    for other, r in per.items()}
+            if built is None:
+                built = rows
+            assert rows.keys() == built.keys()
+            assert all(r is built[k] for k, r in rows.items())
             # a mapped image exactly under the legs lam pairs with nonzero,
-            # and factors only under those, none None
-            for paired, (W, row) in memo.items():
+            # and mu's factors exactly under those, one per row
+            for paired, factors in memo.items():
+                W, per = lam._lift_rows[ctx.dfa, paired]
                 if chain_pair_mono(ctx, lam, paired, chain_memo).is_zero():
-                    assert W is None and not row
+                    assert W is None and factors is None and not per
                 else:
-                    assert W is not None and row and None not in row.values()
+                    assert W is not None and factors
+                    assert set(factors) == set(per)
     # the grouped lift holds each term of the lift exactly once, under the
     # leg the dual pairs on
     leg = 1 if flavor == LEFT else 0
@@ -2099,6 +2116,70 @@ def test_pairing_sums_match_chains(make, flavor):
             assert [window(jet_product_eval(ctx, lam, mu, a, factors))
                     for a in args] \
                 == [window(unmemoised_sum(ctx, mu, im, memo)) for im in images]
+
+
+# -- the shortcuts of _pair_rows against the plain loop ------------------------------
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, bracketed_exp_dfa,
+                                  polynomial_exp_dfa])
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_pair_rows_match_the_plain_loop(make, flavor):
+    """``_pair_rows`` skips pairings that are the shared zero and returns a
+    lone unit term's memoised pairing, shifted, when its top is at most N;
+    both give the value and window of the loop that adds every pairing
+    (``oracles.pair_rows_loop``).  The rows: one term with c = 1 at q = 0,
+    q > 0 and q < 0, between empty rows, one with c != 1, and seeded row
+    sets that mix the shared zero with nonzero pairings."""
+    dfa = make()
+    spec = dfa.spec
+    ctx = JetContext(dfa, flavor, 2)
+    n, zero = ctx.order, ctx.zero_value()
+    # xi_0 h pairs to windows topped at N + 1, where the shortcut must not
+    # apply: the sum's start cuts the top to N + q
+    funcs = edge_functionals(ctx) + [xi_functional(ctx, 0).shift(1)]
+    keys = [(g, a) for g in pbw_indices(spec.nvars, 1)
+            for a in pbw_indices(spec.rank, 2)]
+    cases = []
+    for g, a in keys:
+        cases += [[(q, {a: {g: 1}})] for q in (0, 2, -1)]
+        cases.append([(1, {a: {g: Fraction(-3, 2)}})])
+        cases.append([(0, {}), (1, {a: {g: 1}}), (2, {})])
+    rng = random.Random(23)
+    for _ in range(30):
+        rows = []
+        for q in sorted(rng.sample(range(-1, 3), rng.randint(1, 3))):
+            row = {}
+            for g, a in rng.sample(keys, rng.randint(0, 3)):
+                row.setdefault(a, {})[g] = rng.choice([1, 2, Fraction(-3, 2)])
+            rows.append((q, row))
+        cases.append(rows)
+    cases.append([])
+    mixed = False
+    for lam in funcs:
+        pairing = {key: jets._pair_mono(ctx, lam, key) for key in keys}
+        for rows in cases:
+            assert window(jets._pair_rows(ctx, lam, rows, n + 2)) \
+                == window(pair_rows_loop(ctx, lam, rows, n + 2))
+            found = [pairing[g, a] for _, row in rows
+                     for a, terms in row.items() for g in terms]
+            mixed |= any(v is zero for v in found) \
+                and any(not v.is_zero() for v in found)
+        for key, v in pairing.items():
+            # a pairing that is the empty window up to N is the shared zero
+            if not v.coeffs and v.top == n:
+                assert v is zero
+            g, a = key
+            got = jets._pair_rows(ctx, lam, [(0, {a: {g: 1}})], n)
+            if v.top <= n:
+                assert got is v
+                assert window(jets._pair_rows(ctx, lam, [(2, {a: {g: 1}})],
+                                              n)) == window(v.shift(2))
+            else:
+                assert got.top == n
+    # the empty functional pairs to the shared zero on every key
+    assert all(jets._pair_mono(ctx, funcs[0], key) is zero for key in keys)
+    assert mixed
 
 
 # -- the unskipped oracle for tensor_functional_from_pair -----------------------------

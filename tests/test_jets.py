@@ -108,25 +108,43 @@ def _reachable(obj):
 
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_pair_cache_holds_only_pairings(flavor):
-    """After a tabulated product and a direct evaluation, the memo on lam
-    maps (deformation, basis monomial) to a pairing, and nothing in it
-    refers to the partner functional, which it would keep alive."""
+    """After a tabulated product and a direct evaluation, the memos on lam
+    map (deformation, basis monomial) to a pairing (``_pair_cache``) and
+    (deformation, paired lift leg) to the mapped image and its product
+    rows (``_lift_rows``), and nothing in either refers to the partner
+    functional, which they would keep alive."""
     ctx = make_ctx(flavor, order=3, d=2)
     spec = ctx.spec
     lam = xi_functional(ctx, 0).add(coordinate_functional(ctx, 1))
     mu = xi_functional(ctx, 1)
     jet_product(ctx, lam, mu)
     jet_product_eval(ctx, lam, mu, (1, 1))
-    assert lam._pair_cache
-    for ckey, val in lam._pair_cache.items():
+
+    def assert_leg_key(ckey):
         assert len(ckey) == 2 and ckey[0] is ctx.dfa
         assert isinstance(ckey[1], tuple) and len(ckey[1]) == 2
         gamma, alpha = ckey[1]
         assert len(gamma) == spec.nvars and len(alpha) == spec.rank
         assert all(isinstance(t, int) for t in gamma + alpha)
+
+    assert lam._pair_cache
+    for ckey, val in lam._pair_cache.items():
+        assert_leg_key(ckey)
         assert isinstance(val, HLaurent)
-    partner = {id(mu), id(mu.table), id(mu._pair_cache)}
-    assert not any(id(x) in partner for x in _reachable(lam._pair_cache))
+    assert any(W is not None and rows for W, rows in lam._lift_rows.values())
+    for ckey, (W, rows) in lam._lift_rows.items():
+        assert_leg_key(ckey)
+        if W is None:
+            assert not rows
+            continue
+        assert isinstance(W, HLaurent)
+        assert all(isinstance(w, EnvElement) for w in W.coeffs)
+        for other, built in rows.items():
+            assert isinstance(other, tuple) and len(other) == 2
+            assert all(isinstance(q, int) and row for q, row in built)
+    partner = {id(mu), id(mu.table), id(mu._pair_cache), id(mu._lift_rows)}
+    for memo in (lam._pair_cache, lam._lift_rows):
+        assert not any(id(x) in partner for x in _reachable(memo))
 
 
 def test_product_table_left_dual():
@@ -270,6 +288,29 @@ def test_axiom_suite_deformed_right():
     ctx = make_ctx(RIGHT, order=3, d=3)
     rep = jet_axiom_suite(ctx, sample_degree=2)
     assert rep.ok(), rep.first_failure()
+
+
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_axiom_suite_tabulates_checked_products_at_the_sample_degree(
+        flavor, monkeypatch):
+    """The action, commutativity and classical-limit checks read their
+    products only up to min(jet degree, sample degree) and tabulate them
+    there: 6 source actions, 9 sample products and 4 classical products on
+    der2.  Only the 6 dual-unit products, compared whole, take the jet
+    degree."""
+    ctx = make_ctx(flavor, order=3, d=2)
+    real = jets.jet_product
+    degrees = []
+
+    def jet_product(ctx, lam, mu, degree=None):
+        degrees.append(degree)
+        return real(ctx, lam, mu, degree)
+
+    monkeypatch.setattr(jets, "jet_product", jet_product)
+    rep = jet_axiom_suite(ctx, sample_degree=1)
+    assert rep.ok(), rep.first_failure()
+    assert degrees.count(None) == 6
+    assert degrees.count(1) == 6 + 9 + 4
 
 
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])

@@ -349,6 +349,7 @@ class DeformedEnvAlgebroid:
         # a *_F b on pairs of basis monomials: (m, m') -> its h-expansion
         self._star_mono = {}
         self._decomp = {}
+        self._base_legs = {}
         self._migrants = {}
         self._lift = {}
         self._lift_legs = {}
@@ -559,6 +560,19 @@ class DeformedEnvAlgebroid:
             self._decomp[ckey] = hit
         return hit
 
+    def base_legs(self, gamma, flavor):
+        """The leg ids of the e^beta of the decomposition of x^gamma alone,
+        in its order (cached, keyed like ``decompose_mono``): the factors
+        that ``_decompose_product`` multiplies by e^alpha."""
+        ckey = (flavor, (gamma, (0,) * self.spec.rank))
+        hit = self._base_legs.get(ckey)
+        if hit is None:
+            zeros = (0,) * self.spec.nvars
+            hit = self._base_legs[ckey] = tuple(
+                leg_id((zeros, beta))
+                for beta in self.decompose_mono(ckey[1], flavor))
+        return hit
+
     def _decompose_product(self, gamma, alpha, flavor):
         """The decomposition of x^gamma e^alpha from that of x^gamma, as
         ``decompose_mono`` describes."""
@@ -579,8 +593,8 @@ class DeformedEnvAlgebroid:
                         _bump_term(row, m, c if q == 1 else q * c)
 
         base = self.decompose_mono((gamma, (0,) * spec.rank), flavor)
-        for beta, cser in base.items():
-            for l, q in leg_product(spec, leg_id((zeros_g, beta)), a):
+        for b, cser in zip(self.base_legs(gamma, flavor), base.values()):
+            for l, q in leg_product(spec, b, a):
                 g, delta = LEGS[l]
                 if any(g):
                     for acc, u in zip(rest, mapper(cser).coeffs):

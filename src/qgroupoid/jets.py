@@ -11,7 +11,14 @@ map(c_beta) (e^beta e^alpha), with e^beta e^alpha read from the leg table
 and its impure terms, which only polynomial structure functions make,
 solved as one remainder series.  That is exact for any twistor with
 F_0 = 1 (x) 1, so one triangular solve per (flavor, x^gamma) serves every
-pairing with a basis monomial.
+pairing with a basis monomial.  Most of those pairings vanish, as the dual
+product is the transpose of the twisted coproduct, and the functional's
+table says so before anything is decomposed: when every leg-table term of
+every e^beta e^alpha is a pure q e^delta with delta not a key of the
+table, no key of the decomposition meets it and the pairing is the shared
+zero (``_misses_table``, reading the leg ids of the e^beta that the
+deformation keeps per (flavor, x^gamma), ``base_legs``).  An impure term
+or a delta in the table takes the decomposition.
 Dual products are the transposes of the twisted coproduct, evaluated on
 the canonical lifted representatives.
 
@@ -44,8 +51,8 @@ from bisect import bisect_right
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import (
-    EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element, leg_id,
-    leg_product,
+    LEGS, EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element,
+    leg_id, leg_product,
 )
 from .errors import ConfigError, FlavorError
 from .report import Report
@@ -205,20 +212,45 @@ def jet_counit(ctx, lam):
 # -- pairing ----------------------------------------------------------------------
 
 
+def _misses_table(ctx, lam, gamma, alpha, flavor):
+    """True when every term of every e^beta e^alpha, e^beta over the
+    flavor decomposition of x^gamma, is a pure q e^delta with delta not a
+    key of lam's table.  An impure term (only polynomial structure
+    functions make one) answers False: the keys its remainder series
+    solves to are not read off the leg table."""
+    spec, table, legs = ctx.spec, lam.table, LEGS
+    a = leg_id(((0,) * spec.nvars, alpha))
+    for b in ctx.dfa.base_legs(gamma, flavor):
+        for i, _ in leg_product(spec, b, a):
+            g, delta = legs[i]
+            if delta in table or any(g):
+                return False
+    return True
+
+
 def _pair_mono(ctx, lam, key):
     """lam on a basis monomial x^gamma e^alpha, via the flavor decomposition,
     memoised on lam.  A pairing that is the empty window up to the
     truncation order is the shared ``ctx.zero_value()``, which
-    ``_pair_rows`` skips."""
+    ``_pair_rows`` skips.
+
+    Without an impure term, the keys of the decomposition of x^gamma
+    e^alpha are among the indices delta of the terms of e^beta e^alpha,
+    e^beta over the decomposition of x^gamma.  When no delta is a key of
+    lam's table (``_misses_table``), lam vanishes on every key, the sum
+    below would add nothing and its value would be the shared zero, so
+    that is returned without building the decomposition."""
     ckey = (ctx.dfa, key)
     hit = lam._pair_cache.get(ckey)
     if hit is not None:
         return hit
     gamma, alpha = key
+    flavor = "source" if lam.flavor == LEFT else "target"
     if not any(gamma):
         out = lam.value(ctx, alpha)
+    elif _misses_table(ctx, lam, gamma, alpha, flavor):
+        out = ctx.zero_value()
     else:
-        flavor = "source" if lam.flavor == LEFT else "target"
         dec = ctx.dfa.decompose_mono(key, flavor)
         acc = LaurentSum(ctx.zero_poly(), ctx.order)
         for beta, aser in dec.items():
@@ -449,6 +481,13 @@ def jet_source_target(ctx, a, degree=None):
     Left dual:  source(a)(u) = eps(t_F(a) u),   target(a)(u) = eps(u t_F(a)).
     Right dual: source(a)(u) = eps(u s_F(a)),   target(a)(u) = eps(s_F(a) u).
     Returns (source, target) as JetElements of the context flavor.
+
+    The counit of each order of image . e^beta (or e^beta . image) is the
+    e^0 part of its normal form.  Every term of x^g e^a . e^beta with
+    beta != 0 keeps a generator: the leg table's rules only reorder
+    generators, trade a pair for the generators of its bracket, or let a
+    generator act on a coordinate left of e^beta.  So the table of
+    image . e^beta is tabulated at beta = 0 alone.
     """
     spec = ctx.spec
     zeros, unit = (0,) * spec.nvars, (0,) * spec.rank
@@ -456,13 +495,14 @@ def jet_source_target(ctx, a, degree=None):
 
     def counit_table(mono_right):
         def value(beta):
-            # the counit of each order of image . e^beta (or e^beta . image)
-            # is the e^0 part of its normal form
             mono = (zeros, beta)
             return HLaurent(0, ctx.order, [
                 CPoly(spec.nvars, _mul_mono_into(
                     {}, spec, w, mono, 1, mono_right).get(unit))
                 for w in image.coeffs], ctx.zero_poly())
+        if mono_right:
+            v = value(unit)
+            return JetElement(ctx.flavor, {} if v.is_zero() else {unit: v})
         return JetElement(ctx.flavor, _tabulate(ctx, value, degree))
 
     left = ctx.flavor == LEFT

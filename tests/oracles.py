@@ -16,6 +16,10 @@ No command of the CLI calls these; the tests compare the engine with them.
   twistor for the whole polynomial a, where the deformation reads the
   twistor's table of monomial images; ``direct_star_coeffs`` is a *_F b as
   s_F(a) acting on b, where ``star_coeffs`` sums a table of monomial pairs.
+- ``decomposed_pair_mono`` pairs a functional with a basis monomial
+  through its whole decomposition, where ``jets._pair_mono`` first asks
+  the functional's table whether any key can meet it;
+  ``impure_leg_product`` names the keys it must always decompose.
 - ``pair_rows_loop`` is the pairing of {alpha: {gamma: c}} rows that adds
   every term's pairing, where ``jets._pair_rows`` skips the shared zero and
   returns a lone unit term's pairing shifted.
@@ -40,12 +44,12 @@ from fractions import Fraction
 from operator import add
 
 from qgroupoid.envelope import (
-    EnvElement, _act_into, _mul_mono_into, _rows_series, anchor_action, leg_id,
-    leg_product,
+    LEGS, EnvElement, _act_into, _mul_mono_into, _rows_series, anchor_action,
+    leg_id, leg_product,
 )
 from qgroupoid.errors import TruncationInsufficientError
 from qgroupoid.jets import (
-    JetElement, _pair_entry, _pair_mono, divided_xi_powers,
+    LEFT, JetElement, _pair_entry, _pair_mono, divided_xi_powers,
     jet_coproduct_functional, jet_pair, table_sum, tensor_functional_from_pair,
     tensor_tables_equal,
 )
@@ -217,6 +221,45 @@ def expand_product(out, legchoices, coeff):
 
 
 # -- jet duals ---------------------------------------------------------------------
+
+
+def decomposed_pair_mono(ctx, lam, key):
+    """``jets._pair_mono`` without its table test and its memo: lam on
+    x^gamma e^alpha as the star pairings over the whole flavor
+    decomposition, built for every gamma != 0, and the shared zero when
+    that sum is the empty window up to the truncation order."""
+    gamma, alpha = key
+    if not any(gamma):
+        return lam.value(ctx, alpha)
+    left = lam.flavor == LEFT
+    dec = ctx.dfa.decompose_mono(key, "source" if left else "target")
+    acc = LaurentSum(ctx.zero_poly(), ctx.order)
+    for beta, aser in dec.items():
+        lv = lam.value(ctx, beta)
+        if lv.is_zero():
+            continue
+        al = HLaurent.from_hseries(aser)
+        if left:
+            acc.add_product(al, lv, ctx.dfa.star_coeffs, ctx.order)
+        else:
+            acc.add_product(lv, al, ctx.dfa.star_coeffs, ctx.order)
+    out = acc.value()
+    if not out.coeffs and out.top == ctx.order:
+        out = ctx.zero_value()
+    return out
+
+
+def impure_leg_product(dfa, key, flavor):
+    """Whether some e^beta e^alpha, e^beta over the decomposition of x^gamma
+    alone, has a term x^g e^delta with g != 0: the keys whose pairing
+    ``jets._pair_mono`` must decompose whatever the functional's table."""
+    spec = dfa.spec
+    gamma, alpha = key
+    zeros = (0,) * spec.nvars
+    a = leg_id((zeros, alpha))
+    return any(any(LEGS[i][0])
+               for beta in dfa.decompose_mono((gamma, (0,) * spec.rank), flavor)
+               for i, _ in leg_product(spec, leg_id((zeros, beta)), a))
 
 
 def pair_rows_loop(ctx, lam, rows, top):

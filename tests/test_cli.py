@@ -18,6 +18,8 @@ from qgroupoid import deform, envelope, jets, tensorspace
 from qgroupoid.cli import main
 from qgroupoid.scalars import pbw_indices
 
+from oracles import impure_leg_product
+
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SPEC = os.path.join(ROOT, "specs", "axb.spec")
 
@@ -209,6 +211,40 @@ def test_dual_products_build_each_row_once(monkeypatch):
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
     assert built and set(built.values()) == {1}
+
+
+def test_pairings_decompose_only_keys_that_meet_the_table(monkeypatch):
+    """On ``example axb`` at N=4 every decomposition of a whole key
+    x^gamma e^alpha (``_decompose_product``) built under ``_pair_mono`` is
+    for a pairing that comes out nonzero or for a key with an impure leg
+    product.  Decomposing every key with gamma != 0 made 115 of them, where
+    the functional's table now rules out all but 8."""
+    real_pair = jets._pair_mono
+    real_product = deform.DeformedEnvAlgebroid._decompose_product
+    active, built = [], []
+
+    def pair_mono(ctx, lam, key):
+        active.append([])
+        try:
+            out = real_pair(ctx, lam, key)
+        finally:
+            made = active.pop()
+        built.extend((ctx.dfa, k, flavor, out) for k, flavor in made)
+        return out
+
+    def decompose_product(dfa, gamma, alpha, flavor):
+        if active:
+            active[-1].append(((gamma, alpha), flavor))
+        return real_product(dfa, gamma, alpha, flavor)
+
+    monkeypatch.setattr(jets, "_pair_mono", pair_mono)
+    monkeypatch.setattr(deform.DeformedEnvAlgebroid, "_decompose_product",
+                        decompose_product)
+    code, _, _ = run_cli(["example", "axb", "--json-only"])
+    assert code == 0
+    assert built
+    assert all(not out.is_zero() or impure_leg_product(dfa, key, flavor)
+               for dfa, key, flavor, out in built)
 
 
 def test_takeuchi_compares_no_sample_with_equal_sides(monkeypatch):

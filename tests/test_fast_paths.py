@@ -51,6 +51,10 @@
 - ``_pair_rows`` skips pairings that are the shared zero and returns a
   lone unit term's pairing shifted; the oracle is the loop that adds
   every pairing (``oracles.pair_rows_loop``).
+- ``_pair_mono`` returns the shared zero, without a decomposition, for a
+  key whose leg-table terms are all pure with indices off the
+  functional's table; the oracle pairs through the whole decomposition
+  (``oracles.decomposed_pair_mono``).
 - The jet pairings, ``laurent_mul`` and the dual product sum their terms
   in place in one ``LaurentSum``; the oracles are the chains of
   ``HLaurent`` additions they replace, and the unmemoised dual product
@@ -63,7 +67,10 @@
   merged row per h-order (``_pair_product``); the oracles build the
   product with ``pbw_mul`` and pair it through the ``+`` chains, and the
   bodies of ``jet_coproduct_functional`` and ``jet_source_target`` that
-  built their products are kept below.
+  built their products are kept below.  The latter also shows, on
+  structures with polynomial structure functions, that the counit of
+  image . e^beta vanishes off beta = 0, where ``jet_source_target``
+  reads it alone.
 - Every envelope product reads the table through one loop,
   ``envelope._mul_mono_into`` (an element times a basis monomial, either
   side, into nested {alpha: {gamma: q}} rows); the oracles are the three
@@ -135,9 +142,9 @@ from qgroupoid.tensorspace import (
 )
 
 from oracles import (
-    conjugated_lift, direct_star_coeffs, expand_product, mul_into_legs,
-    pair_rows_loop, random_valid_specs, reexpand, spliced_coproduct_leg,
-    sweep_base_map, tensor_mul_legs,
+    conjugated_lift, decomposed_pair_mono, direct_star_coeffs, expand_product,
+    impure_leg_product, mul_into_legs, pair_rows_loop, random_valid_specs, reexpand,
+    spliced_coproduct_leg, sweep_base_map, tensor_mul_legs,
 )
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
@@ -566,6 +573,21 @@ def polynomial_exp_dfa():
     Y = EnvElement.monomial(2, 2, (0, 1)) \
         - EnvElement.monomial(2, 2, (1, 0), CPoly.var(2, 0) * CPoly.var(2, 0))
     r = (TensorElement.of(X, Y) - TensorElement.of(Y, X)).scale(Fraction(1, 2))
+    return DeformedEnvAlgebroid(spec, exp_twistor(spec, r, 3), validate=False)
+
+
+def central_exp_dfa():
+    """rho(e1) = d1, rho(e2) = rho(e3) = 0, [e1, e2] = x1 e3, e3 central,
+    twisted by exp(h r), r = (e1 (x) e2 - e2 (x) e1) / 2 (not a cocycle):
+    e2 e1 = e1 e2 - x1 e3 puts e3 into the remainder of a decomposition,
+    an index that no pure term of e^beta e^alpha has."""
+    one, zero = CPoly.one(1), CPoly.zero(1)
+    spec = LieRinehartSpec(1, 3, {(0, 1): (zero, zero, CPoly.var(1, 0))},
+                           [[one], [zero], [zero]], name="central")
+    e1 = EnvElement.monomial(1, 3, (1, 0, 0))
+    e2 = EnvElement.monomial(1, 3, (0, 1, 0))
+    r = (TensorElement.of(e1, e2) - TensorElement.of(e2, e1)).scale(
+        Fraction(1, 2))
     return DeformedEnvAlgebroid(spec, exp_twistor(spec, r, 3), validate=False)
 
 
@@ -1810,7 +1832,8 @@ def test_basis_decompose_matches_backsubstitution(make, flavor):
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
-                                  rational_exp_dfa, polynomial_exp_dfa])
+                                  rational_exp_dfa, polynomial_exp_dfa,
+                                  central_exp_dfa])
 @pytest.mark.parametrize("flavor", ["source", "target"])
 def test_decompose_mono_matches_whole_monomial(make, flavor, monkeypatch):
     dfa = make()
@@ -1838,7 +1861,7 @@ def test_decompose_mono_matches_whole_monomial(make, flavor, monkeypatch):
         spec.rank, CPoly.monomial(spec.nvars, g)), dfa.order) for g in gammas]
     assert [sum(u == b for u in solved) for b in bases] == [1] * len(bases)
     rest = [u for u in solved if u not in bases]
-    assert bool(rest) == (make is polynomial_exp_dfa)
+    assert bool(rest) == (make in (polynomial_exp_dfa, central_exp_dfa))
     assert all(u.coeffs[0].is_zero() for u in rest)
     composed = ((1,) + (0,) * (spec.nvars - 1), (0,) * (spec.rank - 1) + (1,))
     with pytest.raises(ConfigError):
@@ -2182,6 +2205,73 @@ def test_pair_rows_match_the_plain_loop(make, flavor):
     assert mixed
 
 
+# -- the table test of _pair_mono against the whole decomposition ---------------------
+
+
+def polynomial_brackets(spec):
+    """Whether some structure function [e_i, e_j] has a non-constant
+    coefficient."""
+    return any(any(m) for i, j in itertools.combinations(range(spec.rank), 2)
+               for c in spec.bracket_basis(i, j) for m in c.terms)
+
+
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_pair_mono_matches_the_decomposed_pairing(flavor):
+    """``_pair_mono`` returns the shared zero without decomposing x^gamma
+    e^alpha when no leg-table term of e^beta e^alpha (e^beta over the
+    decomposition of x^gamma) is impure or has its index in the
+    functional's table (``jets._misses_table``); its value, window and
+    identity with the shared zero are those of the pairing through the
+    whole decomposition (``oracles.decomposed_pair_mono``).  On the five
+    fixtures, on ``central_exp_dfa``, whose remainders reach indices that
+    no pure term has, and on the seeded structures of
+    ``oracles.random_valid_specs`` of two seeds that have a base variable
+    (a structure without one has no x^gamma to decompose; seed 13 draws a
+    polynomial structure function), with floors on the keys the test
+    decides and on the impure keys that fall back."""
+    side = "source" if flavor == LEFT else "target"
+    seeded = [d for d in (random_dfa(i, seed) for seed in (11, 13)
+                          for i in range(6)) if d.spec.nvars]
+    assert len(seeded) >= 6
+    polynomial = [polynomial_exp_dfa(), central_exp_dfa()]
+    totals = Counter()
+    for dfa in [axb_exp_dfa(), orders_dfa(), bracketed_exp_dfa(),
+                rational_exp_dfa()] + polynomial + seeded:
+        spec = dfa.spec
+        ctx = JetContext(dfa, flavor, 2)
+        zero = ctx.zero_value()
+        # the dual of each PBW monomial of degree <= 2 meets every index a
+        # remainder can reach there
+        one = HLaurent.const(CPoly.one(spec.nvars), ctx.order, ctx.zero_poly())
+        funcs = edge_functionals(ctx) + [
+            JetElement(flavor, {delta: one})
+            for delta in pbw_indices(spec.rank, 2)] + [
+            coordinate_functional(ctx, j) for j in range(spec.nvars)]
+        keys = [(g, a) for g in pbw_indices(spec.nvars, 2)[1:]
+                for a in pbw_indices(spec.rank, 2)]
+        counts = Counter()
+        for lam in funcs:
+            for key in keys:
+                want = decomposed_pair_mono(ctx, lam, key)
+                if jets._misses_table(ctx, lam, *key, side):
+                    counts["decided"] += 1
+                elif impure_leg_product(dfa, key, side):
+                    counts["impure"] += 1
+                for _ in range(2):
+                    # the second call reads lam's memo
+                    got = jets._pair_mono(ctx, lam, key)
+                    assert window(got) == window(want)
+                    assert (got is zero) == (want is zero)
+        assert counts["decided"] > 0
+        if not polynomial_brackets(spec):
+            # only a polynomial structure function makes an impure term
+            assert counts["impure"] == 0
+        if dfa in polynomial:
+            assert counts["impure"] > 0
+        totals.update(counts)
+    assert totals["decided"] >= 1000 and totals["impure"] >= 80
+
+
 # -- the unskipped oracle for tensor_functional_from_pair -----------------------------
 
 
@@ -2523,3 +2613,31 @@ def test_coproduct_and_source_target_match_built_products(make, flavor):
         got = jets.jet_source_target(ctx, a, 2)
         want = built_source_target(ctx, a, 2)
         assert [windows(j.table) for j in got] == [windows(t) for t in want]
+
+
+@pytest.mark.parametrize("make", [polynomial_exp_dfa, central_exp_dfa] + [
+    pytest.param(lambda seed=seed: random_dfa(3, seed), id="poly%d" % seed)
+    for seed in (8, 9, 13)])
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_source_target_tabulate_image_times_monomial_at_the_unit(make,
+                                                                  flavor):
+    """``jet_source_target`` reads the counit of image . e^beta only at
+    beta = 0: on structures with polynomial structure functions the
+    two-sided loop that builds every product finds no other key there."""
+    dfa = make()
+    spec = dfa.spec
+    assert polynomial_brackets(spec)
+    p = spec.nvars
+    ctx = JetContext(dfa, flavor, 3)
+    unit = (0,) * spec.rank
+    # image . e^beta is the source table of the left dual and the target
+    # table of the right one
+    right = 0 if flavor == LEFT else 1
+    x1, xl = CPoly.var(p, 0), CPoly.var(p, p - 1)
+    for a in (CPoly.zero(p), x1, CPoly.const(p, 2), x1 * x1 * xl,
+              x1 * xl - CPoly.const(p, Fraction(2, 3)) + x1 * x1):
+        got = jets.jet_source_target(ctx, a, 3)
+        want = built_source_target(ctx, a, 3)
+        assert [windows(j.table) for j in got] == [windows(t) for t in want]
+        assert set(want[right]) <= {unit}
+

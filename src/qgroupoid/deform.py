@@ -108,8 +108,8 @@ from operator import add
 
 from .envelope import (
     LEGS, PURE, EnvElement, _add_rows, _bump, _bump_term, _last_nonzero,
-    _mul_mono_into, _pbw_mul_into, _rows_series, anchor_action, leg_id,
-    leg_product, monomial_action,
+    _mul_mono_into, _pbw_mul_into, _rows_series, _term_support,
+    anchor_action, leg_id, leg_product, monomial_action,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
@@ -119,8 +119,8 @@ from .series import (
 )
 from .tensorspace import (
     TensorElement, _basis_terms, _tensor, _tensor_cleared, copro_basis,
-    counit_contract, env_coproduct, tensor_coproduct_leg, tensor_mul,
-    tensor_reduce, tensor_series_mul,
+    counit_contract, env_coproduct, same_class, tensor_coproduct_leg,
+    tensor_mul, tensor_reduce, tensor_series_mul,
 )
 
 __all__ = [
@@ -275,7 +275,9 @@ def twistor_invert(spec, twistor):
 def twistor_validate(spec, twistor):
     """Counit conditions, 3-leg cocycle identity and the derived
     source/target compatibility on the base monomials of degree <= 2, all
-    checked per h-order."""
+    checked per h-order.  The cocycle identity holds at order n when the
+    signed difference of its two sides, over their common denominator,
+    reduces to zero (``tensorspace.same_class``)."""
     order = twistor.order
     report = Report("twistor-validate", {"h_order": order})
     F = twistor.series
@@ -303,7 +305,7 @@ def twistor_validate(spec, twistor):
     rhs = tensor_series_mul(spec, cop1, f23)
     report.check("cocycle-identity", (
         "cocycle identity fails at order h^%d" % n for n in range(order + 1)
-        if tensor_reduce(spec, lhs.coeffs[n]) != tensor_reduce(spec, rhs.coeffs[n])))
+        if not same_class(spec, lhs.coeffs[n], rhs.coeffs[n])))
 
     def compatibility_failures():
         for a in monomials_upto(spec.nvars, 2):
@@ -350,6 +352,7 @@ class DeformedEnvAlgebroid:
         self._star_mono = {}
         self._decomp = {}
         self._base_legs = {}
+        self._supports = {}
         self._migrants = {}
         self._lift = {}
         self._lift_legs = {}
@@ -571,6 +574,24 @@ class DeformedEnvAlgebroid:
             hit = self._base_legs[ckey] = tuple(
                 leg_id((zeros, beta))
                 for beta in self.decompose_mono(ckey[1], flavor))
+        return hit
+
+    def pairing_support(self, key, flavor):
+        """The indices delta of the leg-table terms q e^delta of every
+        e^beta e^alpha, e^beta over the decomposition of x^gamma alone, for
+        key = (gamma, alpha), as a tuple without repeats; None when some
+        term is impure, x^g e^delta with g != 0 (cached, keyed like
+        ``decompose_mono``).  Without an impure term, the keys of the
+        decomposition of x^gamma e^alpha are among these indices."""
+        ckey = (flavor, key)
+        hit = self._supports.get(ckey, False)
+        if hit is False:
+            spec = self.spec
+            gamma, alpha = key
+            a = leg_id(((0,) * spec.nvars, alpha))
+            hit = self._supports[ckey] = _term_support(
+                [t for b in self.base_legs(gamma, flavor)
+                 for t in leg_product(spec, b, a)])
         return hit
 
     def _decompose_product(self, gamma, alpha, flavor):
@@ -1001,8 +1022,8 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
             if dfa.target(a).coeffs[0] != EnvElement.from_poly(spec.rank, a):
                 yield "target map deformed at order zero"
         for i, u in enumerate(elems):
-            if tensor_reduce(spec, lift(i).coeffs[0]) \
-                    != tensor_reduce(spec, env_coproduct(spec, u.coeffs[0])):
+            if not same_class(spec, lift(i).coeffs[0],
+                              env_coproduct(spec, u.coeffs[0])):
                 yield "coproduct deformed at order zero"
 
     report.check("classical-limit", classical_failures())

@@ -25,6 +25,7 @@ a basis monomial acting on a polynomial into {exponent: coefficient},
 and ``anchor_action`` sums it over the basis terms of an element.
 """
 
+from collections import defaultdict
 from operator import add
 
 from .errors import ConfigError
@@ -148,10 +149,14 @@ def _first_nonzero(alpha):
 # registry serves every structure and can never go stale.  Ids follow the
 # order of first use, which depends on the call order: a result's order
 # must never come from sorting ids, only from the monomials (``LEGS[i]``).
+# The tables beside it (each id's pure part and gamma, and the shifts by
+# x^mu) are functions of the ids alone, so they cannot go stale either.
 
 _LEG_IDS = {}   # (gamma, alpha) -> id
 LEGS = []       # id -> (gamma, alpha)
 PURE = []       # id -> the id of (0, alpha)
+GAMMA = []      # id -> gamma, None where gamma = 0
+SHIFTS = defaultdict(dict)  # mu -> {id: the id of x^mu times it}
 
 
 def leg_id(leg):
@@ -159,17 +164,33 @@ def leg_id(leg):
     i = _LEG_IDS.get(leg)
     if i is None:
         gamma, alpha = leg
-        pure = leg_id(((0,) * len(gamma), alpha)) if any(gamma) else len(LEGS)
+        impure = any(gamma)
+        pure = leg_id(((0,) * len(gamma), alpha)) if impure else len(LEGS)
         i = _LEG_IDS[leg] = len(LEGS)
         LEGS.append(leg)
         PURE.append(pure)
+        GAMMA.append(gamma if impure else None)
     return i
 
 
 def shift_id(i, mu):
-    """The id of x^mu times the monomial with id i."""
-    gamma, alpha = LEGS[i]
-    return leg_id((tuple(map(add, gamma, mu)), alpha))
+    """The id of x^mu times the monomial with id i, worked out once per
+    (i, mu) in the process and kept in ``SHIFTS[mu]``, which a hot loop may
+    read first."""
+    row = SHIFTS[mu]
+    j = row.get(i)
+    if j is None:
+        gamma, alpha = LEGS[i]
+        j = row[i] = leg_id((tuple(map(add, gamma, mu)), alpha))
+    return j
+
+
+def _term_support(terms):
+    """The indices alpha of basis terms (id, q), each once, as a tuple, or
+    None when a term has gamma != 0."""
+    if any(GAMMA[i] is not None for i, _ in terms):
+        return None
+    return tuple(dict.fromkeys(LEGS[i][1] for i, _ in terms))
 
 
 # -- the product table -----------------------------------------------------------

@@ -16,19 +16,33 @@ product is the transpose of the twisted coproduct, and the functional's
 table says so before anything is decomposed: when every leg-table term of
 every e^beta e^alpha is a pure q e^delta with delta not a key of the
 table, no key of the decomposition meets it and the pairing is the shared
-zero (``_misses_table``, reading the leg ids of the e^beta that the
-deformation keeps per (flavor, x^gamma), ``base_legs``).  An impure term
-or a delta in the table takes the decomposition.
+zero.  The deformation keeps those deltas per (flavor, x^gamma e^alpha),
+or None where a term is impure (``DeformedEnvAlgebroid.pairing_support``),
+so the test is one membership test against the table (``_misses_table``).
+An impure term or a delta in the table takes the decomposition.
 Dual products are the transposes of the twisted coproduct, evaluated on
 the canonical lifted representatives.
 
-Each functional memoises two things, both keyed by the deformation
-object: its pairings with basis monomials, and, per paired lift leg w,
-the image of lam(w) under t_F or s_F with the product rows of that image
-by each other lift leg.  Both depend on the functional alone, so every
-partner of a dual product reads the same rows.  A dual product keeps its
-own memo for the length of one tabulation: the partner's pairing with
-each of those rows (see ``jet_product_eval``).
+Whatever does not depend on the functional at hand is built once and
+read by every call.  A context keeps each product-table entry e^b1 e^b2
+with its support, the indices of its terms or None where a term is
+impure (``_pair_entry``, read by ``jet_coproduct_functional``), and the
+dual source and target of each base element per degree
+(``jet_source_target``).  A pure entry or row whose support misses the
+functional's table pairs to the shared zero without a pairing; an impure
+one pairs term by term.
+
+Each functional memoises three things, all keyed by the deformation
+object: its pairings with basis monomials; per paired lift leg w, the
+image of lam(w) under t_F or s_F with the product rows of that image by
+each other lift leg; and, as the first factor of a tensor functional
+(``tensor_functional_from_pair``, keyed by the context flavor too), the
+image of each first pairing with the rows of each e^moved . image and
+their supports.  All depend on the functional alone, so every partner of
+a dual product reads the same rows.  A dual product keeps its own memo
+for the length of one tabulation: the partner's pairing with each of
+those rows, a zero one kept as its window alone (see
+``jet_product_eval``).
 
 Every sum of this layer is accumulated in place in one
 ``series.LaurentSum`` per result: the star pairings over a decomposition,
@@ -51,8 +65,8 @@ from bisect import bisect_right
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import (
-    LEGS, EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element,
-    leg_id, leg_product,
+    EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element,
+    _term_support, leg_id, leg_product,
 )
 from .errors import ConfigError, FlavorError
 from .report import Report
@@ -71,7 +85,17 @@ LEFT, RIGHT = "left", "right"
 
 
 class JetContext:
-    """A deformed algebroid together with a dual flavor and jet degree."""
+    """A deformed algebroid together with a dual flavor and jet degree.
+
+    Two memos hold what depends on the context alone, never on a
+    functional: ``_entries`` maps a pair of basis monomials (la, lb) to
+    their product-table entry and its support (``_pair_entry``), and
+    ``_source_target`` maps (a, degree) to the dual source and target
+    images of the base element a (``jet_source_target``).  Each context
+    fills its own, so a left and a right context on one deformation, or
+    contexts on two deformations of one structure, never read each
+    other's entries.
+    """
 
     def __init__(self, dfa, flavor, jet_degree):
         if flavor not in (LEFT, RIGHT):
@@ -82,6 +106,8 @@ class JetContext:
         self.flavor = flavor
         self.jet_degree = jet_degree
         self._zero = HLaurent.zero_upto(dfa.order, CPoly.zero(dfa.spec.nvars))
+        self._entries = {}
+        self._source_target = {}
 
     @property
     def spec(self):
@@ -103,21 +129,26 @@ class JetContext:
 class JetElement:
     """Sparse value table {beta: HLaurent base value}; absent keys are zero.
 
-    Two memos, each keyed ``(dfa, w)`` with w a basis monomial.
-    ``_pair_cache`` holds the pairing with w.  ``_lift_rows`` holds, for w
-    a paired leg of a coproduct lift, the mapped image W = t_F(self(w))
+    Three memos.  Two are keyed ``(dfa, w)`` with w a basis monomial:
+    ``_pair_cache`` holds the pairing with w, and ``_lift_rows`` holds, for
+    w a paired leg of a coproduct lift, the mapped image W = t_F(self(w))
     (left) or s_F(self(w)) (right), None where self(w) vanishes, and the
-    rows of W . other per other leg met (``_lift_entry``).  The deformation
-    object comes first in the key (the key keeps it alive, so a later
-    deformation never reuses an entry).  No entry refers to another
-    functional: the values are base series and envelope rows, and a dual
-    product keeps its partner's pairings in its own per-tabulation memo,
-    so a functional never keeps a partner alive.
+    rows of W . other per other leg met (``_lift_entry``).  The third,
+    ``_from_pair``, is keyed ``(dfa, flavor, beta)``: for the functional
+    as the first factor of a tensor functional in a context of that
+    flavor, the image W = s_F(self(e^beta)) (left) or t_F(self(e^beta))
+    (right), None where the pairing vanishes, and the rows of e^moved . W
+    with their support per moved index met (``_from_pair_entry``).  The
+    deformation object comes first in every key (the key keeps it alive,
+    so a later deformation never reuses an entry).  No entry refers to
+    another functional: the values are base series and envelope rows, and
+    a dual product keeps its partner's pairings in its own per-tabulation
+    memo, so a functional never keeps a partner alive.
 
     The table must not change after construction.
     """
 
-    __slots__ = ("flavor", "table", "_pair_cache", "_lift_rows")
+    __slots__ = ("flavor", "table", "_pair_cache", "_lift_rows", "_from_pair")
 
     def __init__(self, flavor, table=None):
         self.flavor = flavor
@@ -125,6 +156,7 @@ class JetElement:
                       if not v.is_zero()}
         self._pair_cache = {}
         self._lift_rows = {}
+        self._from_pair = {}
 
     def value(self, ctx, beta):
         v = self.table.get(tuple(beta))
@@ -212,20 +244,14 @@ def jet_counit(ctx, lam):
 # -- pairing ----------------------------------------------------------------------
 
 
-def _misses_table(ctx, lam, gamma, alpha, flavor):
-    """True when every term of every e^beta e^alpha, e^beta over the
-    flavor decomposition of x^gamma, is a pure q e^delta with delta not a
-    key of lam's table.  An impure term (only polynomial structure
-    functions make one) answers False: the keys its remainder series
-    solves to are not read off the leg table."""
-    spec, table, legs = ctx.spec, lam.table, LEGS
-    a = leg_id(((0,) * spec.nvars, alpha))
-    for b in ctx.dfa.base_legs(gamma, flavor):
-        for i, _ in leg_product(spec, b, a):
-            g, delta = legs[i]
-            if delta in table or any(g):
-                return False
-    return True
+def _misses_table(ctx, lam, key, flavor):
+    """True when the deformation's pairing support of key = (gamma, alpha)
+    (``DeformedEnvAlgebroid.pairing_support``) is pure and holds no key of
+    lam's table.  An impure term (only polynomial structure functions make
+    one) answers False: the keys its remainder series solves to are not
+    read off the leg table."""
+    support = ctx.dfa.pairing_support(key, flavor)
+    return support is not None and lam.table.keys().isdisjoint(support)
 
 
 def _pair_mono(ctx, lam, key):
@@ -248,7 +274,7 @@ def _pair_mono(ctx, lam, key):
     flavor = "source" if lam.flavor == LEFT else "target"
     if not any(gamma):
         out = lam.value(ctx, alpha)
-    elif _misses_table(ctx, lam, gamma, alpha, flavor):
+    elif _misses_table(ctx, lam, key, flavor):
         out = ctx.zero_value()
     else:
         dec = ctx.dfa.decompose_mono(key, flavor)
@@ -345,10 +371,36 @@ def _pair_product(ctx, lam, W, m, mono_right=True):
                       W.top)
 
 
+def _support(rows):
+    """The indices alpha of rows {alpha: {gamma: c}} as a tuple, or
+    None when a term has gamma != 0.  A pairing of rows with a support
+    that holds no key of the functional's table is zero: every term is a
+    pure e^alpha, whose pairing is the shared zero."""
+    out = {}
+    for row in rows:
+        for alpha, terms in row.items():
+            if any(any(gamma) for gamma in terms):
+                return None
+            out[alpha] = None
+    return tuple(out)
+
+
 def _pair_entry(ctx, lam, la, lb):
     """lam on the product of two basis monomials: their table entry,
-    paired as a plain element."""
-    entry = leg_product(ctx.spec, leg_id(la), leg_id(lb))
+    paired as a plain element.  The entry (the product table's own tuple
+    of basis terms) and its support, the indices of its terms or None
+    where one is impure, are read once per context
+    (``JetContext._entries``).  An entry whose support misses lam's table
+    pairs to the shared zero, the value and window the pairing of its
+    pure terms would give; only the others are summed into a row."""
+    key = (la, lb)
+    hit = ctx._entries.get(key)
+    if hit is None:
+        entry = leg_product(ctx.spec, leg_id(la), leg_id(lb))
+        hit = ctx._entries[key] = (entry, _term_support(entry))
+    entry, support = hit
+    if support is not None and lam.table.keys().isdisjoint(support):
+        return ctx.zero_value()
     return _pair_rows(ctx, lam, [(0, _acc_rows({}, entry, 1))], ctx.order)
 
 
@@ -422,6 +474,13 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
     where lam vanishes on it; ``jet_product`` shares one across a
     tabulation, so a term costs one scaled, shifted add into the result's
     ``LaurentSum``.  A call without one starts afresh.
+
+    A factor that is zero is kept as its window (val, top) alone.  Adding
+    it would add no coefficient and only narrow the sum's window to its
+    own, shifted by the term's k; the window is a minimum over the pieces,
+    and rows written above its final top are never read, so each zero
+    window narrows the sum once, at the lowest k it meets, after the
+    loop.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
@@ -432,6 +491,7 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
     if memo is None:
         memo = {}
     acc = LaurentSum(ctx.zero_poly())
+    lowest = {}     # zero window (val, top) -> the lowest k it meets
     for paired, terms in groups:
         try:
             factors = memo[paired]
@@ -447,8 +507,18 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
                 r = rows.get(other)
                 if r is None:
                     r = rows[other] = _product_rows(spec, W, other)
-                P = factors[other] = _pair_rows(ctx, mu, r, W.top)
-            acc.add(P, c, k)
+                P = _pair_rows(ctx, mu, r, W.top)
+                if P.is_zero():
+                    P = (P.val, P.top)
+                factors[other] = P
+            if P.__class__ is tuple:
+                low = lowest.get(P)
+                if low is None or k < low:
+                    lowest[P] = k
+            else:
+                acc.add(P, c, k)
+    for (val, top), k in lowest.items():
+        acc.narrow(val + k, top + k)
     if acc.top is None:
         # no lift term survived
         return ctx.zero_value()
@@ -488,7 +558,16 @@ def jet_source_target(ctx, a, degree=None):
     generators, trade a pair for the generators of its bracket, or let a
     generator act on a coordinate left of e^beta.  So the table of
     image . e^beta is tabulated at beta = 0 alone.
+
+    The pair is built once per (context, a, degree) and kept on the
+    context (``JetContext._source_target``); every call returns the same
+    two functionals, whose own memos then serve every caller.
     """
+    degree = ctx.jet_degree if degree is None else degree
+    ckey = (a, degree)
+    hit = ctx._source_target.get(ckey)
+    if hit is not None:
+        return hit
     spec = ctx.spec
     zeros, unit = (0,) * spec.nvars, (0,) * spec.rank
     image = _base_image(ctx, a)
@@ -506,7 +585,9 @@ def jet_source_target(ctx, a, degree=None):
         return JetElement(ctx.flavor, _tabulate(ctx, value, degree))
 
     left = ctx.flavor == LEFT
-    return counit_table(left), counit_table(not left)
+    hit = ctx._source_target[ckey] = (counit_table(left),
+                                      counit_table(not left))
+    return hit
 
 
 # -- dual coproduct (functional level) -------------------------------------------------
@@ -514,16 +595,24 @@ def jet_source_target(ctx, a, degree=None):
 
 def jet_coproduct_functional(ctx, lam, degree=None):
     """Table (beta, beta') -> lam(e^beta e^beta') (left) or lam(e^beta' e^beta)
-    (right): the transpose of the (opposite) multiplication."""
+    (right): the transpose of the (opposite) multiplication.  An entry whose
+    support misses lam's table is the shared zero (``_pair_entry``) and is
+    left out without a test of its coefficients."""
     degree = degree if degree is not None else ctx.jet_degree
-    spec = ctx.spec
-    zeros = (0,) * spec.nvars
+    zeros = (0,) * ctx.spec.nvars
+    zero = ctx.zero_value()
+    pairs = _index_pairs(ctx.spec.rank, degree)
+    # one monomial key per index, shared by every entry key that holds it
+    monos = {b: (zeros, b) for b, _ in pairs}
+    left = ctx.flavor == LEFT
     out = {}
-    for b1, inner in _index_pairs(spec.rank, degree):
+    for b1, inner in pairs:
+        m1 = monos[b1]
         for b2 in inner:
-            la, lb = (b1, b2) if ctx.flavor == LEFT else (b2, b1)
-            v = _pair_entry(ctx, lam, (zeros, la), (zeros, lb))
-            if not v.is_zero():
+            m2 = monos[b2]
+            v = _pair_entry(ctx, lam, m1, m2) if left \
+                else _pair_entry(ctx, lam, m2, m1)
+            if v is not zero and not v.is_zero():
                 out[(b1, b2)] = v
     return out
 
@@ -539,40 +628,62 @@ def _index_pairs(rank, degree):
             for b1, s in zip(idx, sums)]
 
 
+def _from_pair_entry(ctx, first, beta):
+    """first's memo entry for the paired index beta of a tensor functional
+    (``tensor_functional_from_pair``): (W, rows) with W = s_F(first(e^beta))
+    (left context) or t_F(first(e^beta)) (right), None when that pairing
+    vanishes, and rows {moved index: (the ``_product_rows`` of
+    e^moved . W, their ``_support``)}, filled as the moved indices are
+    met.  The key holds the context flavor, which picks the map."""
+    ckey = (ctx.dfa, ctx.flavor, beta)
+    entry = first._from_pair.get(ckey)
+    if entry is None:
+        spec = ctx.spec
+        # the value on e^beta is seen through a plain element's window
+        v = _pair_env(ctx, first, EnvElement.monomial(
+            spec.nvars, spec.rank, beta))
+        mapper = ctx.dfa.source if ctx.flavor == LEFT else ctx.dfa.target
+        W = None if v.is_zero() else _apply_series_map(ctx, v, mapper)
+        entry = first._from_pair[ckey] = (W, {})
+    return entry
+
+
 def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     """The pair lam (x) mu as a functional table on (beta, beta').
 
     Left dual:  (lam (x) mu)(u (x) u') = mu( u . s_F(lam(u')) ).
     Right dual: (lam (x) mu)(u (x) u') = lam( u' . t_F(mu(u)) ).
 
-    The first pairing, lam(u') or mu(u), and its image under s_F or t_F
-    depend only on the paired index, so both are computed once per index
-    before the table is filled; an entry whose first pairing vanishes is
-    zero and is skipped before anything is multiplied.
+    The first pairing, lam(u') or mu(u), its image under s_F or t_F and
+    the rows of each product e^moved . image depend on the first
+    functional alone, so they live in its memo (``_from_pair_entry``) and
+    every call reads them.  An entry whose first pairing vanishes is zero
+    and is skipped, and so is one whose rows are pure with a support that
+    misses the second functional's table (``_support``).
     """
     degree = degree if degree is not None else ctx.jet_degree
     spec = ctx.spec
     zeros = (0,) * spec.nvars
     left = ctx.flavor == LEFT
     first, second = (lam, mu) if left else (mu, lam)
-    mapper = ctx.dfa.source if left else ctx.dfa.target
+    table = second.table.keys()
     pairs = _index_pairs(spec.rank, degree)
-    # the mapped first pairing per paired index, None where it vanishes; the
-    # value on e^paired is seen through a plain element's window
-    images = {}
-    for beta, _ in pairs:
-        v = _pair_env(ctx, first, EnvElement.monomial(
-            spec.nvars, spec.rank, beta))
-        images[beta] = None if v.is_zero() else \
-            _apply_series_map(ctx, v, mapper)
+    entries = {beta: _from_pair_entry(ctx, first, beta) for beta, _ in pairs}
     out = {}
     for b1, inner in pairs:
         for b2 in inner:
             paired, moved = (b2, b1) if left else (b1, b2)
-            W = images[paired]
+            W, rows = entries[paired]
             if W is None:
                 continue
-            val = _pair_product(ctx, second, W, (zeros, moved), False)
+            hit = rows.get(moved)
+            if hit is None:
+                r = _product_rows(spec, W, (zeros, moved), False)
+                hit = rows[moved] = (r, _support(row for _, row in r))
+            r, support = hit
+            if support is not None and table.isdisjoint(support):
+                continue
+            val = _pair_rows(ctx, second, r, W.top)
             if not val.is_zero():
                 out[(b1, b2)] = val
     return out

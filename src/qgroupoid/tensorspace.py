@@ -43,8 +43,13 @@ a leg splices cached 2-leg lifts rather than multiplying wider tensors.
 A structure with rational structure functions may store a ``Fraction``;
 ``tensor_mul`` then brings its result back to integer numerators once.
 ``tensor_reduce`` reads, per leg id, the id of its pure part (0, alpha)
-from the registry (``PURE``) and migrates the gamma of every leg that is
-not pure.
+and its gamma from tables beside the registry (``PURE``, ``GAMMA``) and
+migrates the gamma of every leg that is not pure onto the last leg; each
+(last id, total gamma) shift is interned once per process (``SHIFTS``).
+Like the product, it has fixed loops for 2 and 3 legs.  Two tensors are
+one class when their signed difference, over the lcm of their
+denominators, reduces to zero (``same_class``): one reduction into one
+dict, where comparing two reductions builds both.
 
 A Cauchy product of tensor series (``tensor_series_mul``) sums each
 h-order into one dict of integer numerators over one denominator, the lcm
@@ -63,7 +68,8 @@ from operator import add
 from types import MappingProxyType
 
 from .envelope import (
-    LEGS, PURE, EnvElement, _bump_term, leg_id, leg_product, shift_id,
+    GAMMA, LEGS, PURE, SHIFTS, EnvElement, _bump_term, leg_id, leg_product,
+    shift_id,
 )
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
@@ -74,7 +80,8 @@ MAX_LEGS = 8
 
 __all__ = [
     "TensorElement", "env_coproduct", "tensor_mul", "tensor_series_mul",
-    "counit_contract", "tensor_reduce", "takeuchi_check", "iterated_coproduct",
+    "counit_contract", "tensor_reduce", "same_class", "takeuchi_check",
+    "iterated_coproduct",
 ]
 
 
@@ -507,38 +514,100 @@ def tensor_reduce(spec, T):
     """Canonical representative modulo the base-ring relations.
 
     All coefficients migrate to the last leg; earlier legs become pure PBW
-    monomials.  Idempotent; class equality is equality of reductions.
-    Each earlier leg is replaced by its pure id, and the gammas of those
-    that are not pure shift the last leg, each (last id, total gamma)
-    interned once per call.
+    monomials.  Idempotent; class equality is equality of reductions
+    (``same_class``).  Each earlier leg is replaced by its pure id
+    (``envelope.PURE``), and the gammas of those that are not pure
+    (``envelope.GAMMA``, None for a pure leg) shift the last leg; each
+    (last id, total gamma) is interned once per process
+    (``envelope.SHIFTS``).  2- and 3-leg tensors take fixed loops, other
+    widths the general loop (``_reduce_into``).
     """
-    out = {}
-    shifted = {}
-    legs, pure = LEGS, PURE
+    return _tensor(T.nvars, T.rank, T.legs, _reduce_into({}, T, 1), T.den)
+
+
+def same_class(spec, s, t):
+    """Whether s and t reduce to the same class: one signed reduction of
+    s - t, each side's numerators scaled to the lcm of the two
+    denominators, summed into one dict that must come out empty, where
+    comparing two reductions builds both."""
+    s._check(t)
+    den = s.den if s.den == t.den else lcm(s.den, t.den)
+    out = _reduce_into({}, s, den // s.den)
+    return not _reduce_into(out, t, -(den // t.den))
+
+
+def _reduce_into(out, T, m):
+    """out += m * (the reduced numerators of T); returns out, whose
+    entries stay nonzero.  2- and 3-leg tensors take fixed loops; any
+    other width (no command reduces one) takes the general loop here."""
+    if T.legs == 2:
+        return _reduce2_into(out, T.num, m)
+    if T.legs == 3:
+        return _reduce3_into(out, T.num, m)
+    gam, pure = GAMMA, PURE
     for key, c in T.num.items():
         total = None
-        newkey = []
         for i in key[:-1]:
-            p = pure[i]
-            if p != i:
-                g = legs[i][0]
+            g = gam[i]
+            if g is not None:
                 total = g if total is None else tuple(map(add, total, g))
-            newkey.append(p)
-        last = key[-1]
         if total is not None:
-            sk = (last, total)
-            last = shifted.get(sk)
-            if last is None:
-                last = shifted[sk] = shift_id(*sk)
-        newkey.append(last)
-        kk = tuple(newkey)
-        cur = out.get(kk)
-        s = c if cur is None else cur + c
-        if s:
-            out[kk] = s
+            key = tuple(pure[i] for i in key[:-1]) \
+                + (shift_id(key[-1], total),)
+        _bump_term(out, key, c * m)
+    return out
+
+
+def _reduce2_into(out, num, m):
+    """``_reduce_into`` for 2-leg tensors."""
+    gam, pure, shifts = GAMMA, PURE, SHIFTS
+    for key, c in num.items():
+        a, last = key
+        g = gam[a]
+        if g is not None:
+            j = shifts[g].get(last)
+            key = (pure[a], shift_id(last, g) if j is None else j)
+        if m != 1:
+            c *= m
+        cur = out.get(key)
+        if cur is None:
+            out[key] = c
         else:
-            del out[kk]
-    return _tensor(T.nvars, T.rank, T.legs, out, T.den)
+            c += cur
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
+
+
+def _reduce3_into(out, num, m):
+    """``_reduce_into`` for 3-leg tensors."""
+    gam, pure, shifts = GAMMA, PURE, SHIFTS
+    for key, c in num.items():
+        a, b, last = key
+        ga, gb = gam[a], gam[b]
+        if ga is not None or gb is not None:
+            if ga is None:
+                g = gb
+            elif gb is None:
+                g = ga
+            else:
+                g = tuple(map(add, ga, gb))
+            j = shifts[g].get(last)
+            key = (pure[a], pure[b], shift_id(last, g) if j is None else j)
+        if m != 1:
+            c *= m
+        cur = out.get(key)
+        if cur is None:
+            out[key] = c
+        else:
+            c += cur
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
 
 
 def counit_contract(T, leg):
@@ -567,8 +636,8 @@ def takeuchi_check(spec, T, samples):
     one = EnvElement.one(spec.nvars, spec.rank)
     for a in samples:
         a_env = EnvElement.from_poly(spec.rank, a)
-        L = tensor_reduce(spec, tensor_mul(spec, T, TensorElement.of(a_env, one)))
-        R = tensor_reduce(spec, tensor_mul(spec, T, TensorElement.of(one, a_env)))
-        if L != R:
+        if not same_class(spec,
+                          tensor_mul(spec, T, TensorElement.of(a_env, one)),
+                          tensor_mul(spec, T, TensorElement.of(one, a_env))):
             return False
     return True

@@ -20,6 +20,17 @@ No command of the CLI calls these; the tests compare the engine with them.
   through its whole decomposition, where ``jets._pair_mono`` first asks
   the functional's table whether any key can meet it;
   ``impure_leg_product`` names the keys it must always decompose.
+- ``scan_misses_table`` scans the leg table for every pairing, where
+  ``jets._misses_table`` reads the deformation's pairing support.
+- ``product_eval_loop`` is the dual product that adds every factor, where
+  ``jets.jet_product_eval`` keeps a zero factor as its window and narrows
+  the sum once; ``source_target_loop``, ``coproduct_functional_loop`` and
+  ``from_pair_loop`` build on every call what ``jets.jet_source_target``,
+  ``jets.jet_coproduct_functional`` and ``jets.tensor_functional_from_pair``
+  keep on the context or on the first functional.
+- ``tensor_reduce_loop`` is the one reduction loop for every width, with a
+  per-call memo of the shifts, where ``tensorspace.tensor_reduce`` has
+  fixed 2- and 3-leg loops and interns each shift once per process.
 - ``pair_rows_loop`` is the pairing of {alpha: {gamma: c}} rows that adds
   every term's pairing, where ``jets._pair_rows`` skips the shared zero and
   returns a lone unit term's pairing shifted.
@@ -44,12 +55,14 @@ from fractions import Fraction
 from operator import add
 
 from qgroupoid.envelope import (
-    LEGS, EnvElement, _act_into, _mul_mono_into, _rows_series, anchor_action,
-    leg_id, leg_product,
+    LEGS, PURE, EnvElement, _acc_rows, _act_into, _mul_mono_into,
+    _rows_series, anchor_action, leg_id, leg_product, shift_id,
 )
-from qgroupoid.errors import TruncationInsufficientError
+from qgroupoid.errors import FlavorError, TruncationInsufficientError
 from qgroupoid.jets import (
-    LEFT, JetElement, _pair_entry, _pair_mono, divided_xi_powers,
+    LEFT, JetElement, _apply_series_map, _base_image, _index_pairs,
+    _lift_entry, _pair_entry, _pair_env, _pair_mono, _pair_product,
+    _pair_rows, _product_rows, _tabulate, divided_xi_powers,
     jet_coproduct_functional, jet_pair, table_sum, tensor_functional_from_pair,
     tensor_tables_equal,
 )
@@ -59,7 +72,7 @@ from qgroupoid.series import (
     HLaurent, HSeries, LaurentSum, hs_const, hseries_mul,
 )
 from qgroupoid.tensorspace import (
-    TensorElement, _tensor_cleared, _unit_id, copro_basis,
+    TensorElement, _tensor, _tensor_cleared, _unit_id, copro_basis,
     tensor_coproduct_leg,
 )
 
@@ -202,6 +215,39 @@ def mul_into_legs(out, spec, s, t, m):
     return out
 
 
+def tensor_reduce_loop(spec, T):
+    """``tensorspace.tensor_reduce`` as one loop for every width: each
+    earlier leg becomes its pure id, the gammas of the others are summed
+    and shift the last leg, each (last id, total gamma) interned once per
+    call."""
+    out = {}
+    shifted = {}
+    for key, c in T.num.items():
+        total = None
+        newkey = []
+        for i in key[:-1]:
+            p = PURE[i]
+            if p != i:
+                g = LEGS[i][0]
+                total = g if total is None else tuple(map(add, total, g))
+            newkey.append(p)
+        last = key[-1]
+        if total is not None:
+            sk = (last, total)
+            last = shifted.get(sk)
+            if last is None:
+                last = shifted[sk] = shift_id(*sk)
+        newkey.append(last)
+        kk = tuple(newkey)
+        cur = out.get(kk)
+        s = c if cur is None else cur + c
+        if s:
+            out[kk] = s
+        else:
+            del out[kk]
+    return _tensor(T.nvars, T.rank, T.legs, out, T.den)
+
+
 def expand_product(out, legchoices, coeff):
     """Accumulate the outer product of per-leg basis terms into a term dict."""
     if not all(legchoices):
@@ -249,6 +295,20 @@ def decomposed_pair_mono(ctx, lam, key):
     return out
 
 
+def scan_misses_table(ctx, lam, gamma, alpha, flavor):
+    """``jets._misses_table`` as a scan of the leg table: True when every
+    term of every e^beta e^alpha, e^beta over the flavor decomposition of
+    x^gamma, is a pure q e^delta with delta not a key of lam's table."""
+    spec, table = ctx.spec, lam.table
+    a = leg_id(((0,) * spec.nvars, alpha))
+    for b in ctx.dfa.base_legs(gamma, flavor):
+        for i, _ in leg_product(spec, b, a):
+            g, delta = LEGS[i]
+            if delta in table or any(g):
+                return False
+    return True
+
+
 def impure_leg_product(dfa, key, flavor):
     """Whether some e^beta e^alpha, e^beta over the decomposition of x^gamma
     alone, has a term x^g e^delta with g != 0: the keys whose pairing
@@ -279,6 +339,112 @@ def pair_rows_loop(ctx, lam, rows, top):
     if acc is None:
         return HLaurent.zero_upto(top, ctx.zero_poly())
     return acc.value()
+
+
+def product_eval_loop(ctx, lam, mu, arg, memo=None):
+    """``jets.jet_product_eval`` adding every factor, zero ones included,
+    into the sum: a zero factor narrows the window as it is added.  Its
+    ``memo`` holds every factor as an ``HLaurent``."""
+    if lam.flavor != mu.flavor:
+        raise FlavorError("mixed dual flavors")
+    spec = ctx.spec
+    if isinstance(arg, tuple) and (not arg or not isinstance(arg[0], tuple)):
+        arg = ((0,) * spec.nvars, tuple(arg))
+    groups = ctx.dfa.lift_legs(arg, 1 if lam.flavor == LEFT else 0)
+    if memo is None:
+        memo = {}
+    acc = LaurentSum(ctx.zero_poly())
+    for paired, terms in groups:
+        try:
+            factors = memo[paired]
+        except KeyError:
+            W, _ = _lift_entry(ctx, lam, paired)
+            factors = memo[paired] = None if W is None else {}
+        if factors is None:
+            continue
+        for k, other, c in terms:
+            P = factors.get(other)
+            if P is None:
+                W, rows = _lift_entry(ctx, lam, paired)
+                r = rows.get(other)
+                if r is None:
+                    r = rows[other] = _product_rows(spec, W, other)
+                P = factors[other] = _pair_rows(ctx, mu, r, W.top)
+            acc.add(P, c, k)
+    if acc.top is None:
+        return ctx.zero_value()
+    return acc.value()
+
+
+def source_target_loop(ctx, a, degree=None):
+    """``jets.jet_source_target`` built afresh on every call: the counits
+    of each order of image . e^beta or e^beta . image, the former at
+    beta = 0 alone."""
+    spec = ctx.spec
+    zeros, unit = (0,) * spec.nvars, (0,) * spec.rank
+    image = _base_image(ctx, a)
+
+    def counit_table(mono_right):
+        def value(beta):
+            mono = (zeros, beta)
+            return HLaurent(0, ctx.order, [
+                CPoly(spec.nvars, _mul_mono_into(
+                    {}, spec, w, mono, 1, mono_right).get(unit))
+                for w in image.coeffs], ctx.zero_poly())
+        if mono_right:
+            v = value(unit)
+            return JetElement(ctx.flavor, {} if v.is_zero() else {unit: v})
+        return JetElement(ctx.flavor, _tabulate(ctx, value, degree))
+
+    left = ctx.flavor == LEFT
+    return counit_table(left), counit_table(not left)
+
+
+def coproduct_functional_loop(ctx, lam, degree=None):
+    """``jets.jet_coproduct_functional`` building and pairing every
+    table entry e^b1 e^b2 (left) or e^b2 e^b1 (right) afresh."""
+    degree = degree if degree is not None else ctx.jet_degree
+    spec = ctx.spec
+    zeros = (0,) * spec.nvars
+    out = {}
+    for b1, inner in _index_pairs(spec.rank, degree):
+        for b2 in inner:
+            la, lb = (b1, b2) if ctx.flavor == LEFT else (b2, b1)
+            entry = leg_product(spec, leg_id((zeros, la)), leg_id((zeros, lb)))
+            v = _pair_rows(ctx, lam, [(0, _acc_rows({}, entry, 1))],
+                           ctx.order)
+            if not v.is_zero():
+                out[(b1, b2)] = v
+    return out
+
+
+def from_pair_loop(ctx, lam, mu, degree=None):
+    """``jets.tensor_functional_from_pair`` with its first pairings and
+    their images built once per call and every product row afresh."""
+    degree = degree if degree is not None else ctx.jet_degree
+    spec = ctx.spec
+    zeros = (0,) * spec.nvars
+    left = ctx.flavor == LEFT
+    first, second = (lam, mu) if left else (mu, lam)
+    mapper = ctx.dfa.source if left else ctx.dfa.target
+    pairs = _index_pairs(spec.rank, degree)
+    images = {}
+    for beta, _ in pairs:
+        v = _pair_env(ctx, first, EnvElement.monomial(
+            spec.nvars, spec.rank, beta))
+        images[beta] = None if v.is_zero() else \
+            _apply_series_map(ctx, v, mapper)
+    out = {}
+    for b1, inner in pairs:
+        for b2 in inner:
+            paired, moved = (b2, b1) if left else (b1, b2)
+            W = images[paired]
+            if W is None:
+                continue
+            val = _pair_product(ctx, second, W, (zeros, moved), False)
+            if not val.is_zero():
+                out[(b1, b2)] = val
+    return out
 
 
 def jet_coproduct_decompose(ctx, lam, degree=None):

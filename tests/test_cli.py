@@ -137,34 +137,42 @@ def test_one_triangular_solve_per_base_monomial(argv, solves, monkeypatch):
 
 
 def test_first_pairings_are_mapped_once_per_index(monkeypatch):
-    """Within one ``tensor_functional_from_pair`` call the first pairing
-    (``_pair_env``) runs once per PBW index, and ``_apply_series_map`` once
-    per index whose first pairing is nonzero.  Pairing once per table
-    entry made 3,780 first pairings on ``example axb`` at N=6 where 504
-    were distinct."""
+    """On ``example axb`` at N=4 the first pairing of a tensor functional
+    (``_pair_env``) runs once per (functional, deformation, flavor, index)
+    across all ``tensor_functional_from_pair`` calls, and
+    ``_apply_series_map`` once per such key whose pairing is nonzero: both
+    live on the first functional (``_from_pair_entry``).  Every call finds
+    an entry for each of its indices.  Pairing once per call made 504
+    first pairings on ``example axb`` at N=6, where 308 keys were
+    distinct."""
     real_tf = jets.tensor_functional_from_pair
     real_pair, real_map = jets._pair_env, jets._apply_series_map
-    active, records = [], []
+    active, calls, paired, mapped = [], [], Counter(), []
+    keep = []
 
     def tensor_functional_from_pair(ctx, lam, mu, degree=None):
-        degree = ctx.jet_degree if degree is None else degree
-        record = (pbw_indices(ctx.spec.rank, degree), [], [])
-        active.append(record)
+        first = lam if ctx.flavor == jets.LEFT else mu
+        keep.append(first)
+        active.append((ctx, first))
         try:
             return real_tf(ctx, lam, mu, degree)
         finally:
-            records.append(active.pop())
+            active.pop()
+            calls.append((ctx, first, degree))
 
     def pair_env(ctx, lam, w):
         v = real_pair(ctx, lam, w)
         if active:
+            assert active[-1] == (ctx, lam)
             alpha, = w.terms
-            active[-1][1].append((alpha, v.is_zero()))
+            paired[id(lam), ctx.dfa, ctx.flavor, alpha] += 1
+            if not v.is_zero():
+                mapped.append(None)
         return v
 
     def apply_series_map(ctx, val, mapper):
         if active:
-            active[-1][2].append(val)
+            mapped.pop()
         return real_map(ctx, val, mapper)
 
     for module in list(sys.modules.values()):
@@ -176,12 +184,96 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
     monkeypatch.setattr(jets, "_apply_series_map", apply_series_map)
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
-    assert records
-    for indices, paired, mapped in records:
-        assert sorted(alpha for alpha, _ in paired) == sorted(indices)
-        assert len(mapped) == sum(not zero for _, zero in paired)
-    # some first pairing vanishes, so an index is left unmapped
-    assert any(zero for _, paired, _ in records for _, zero in paired)
+    assert paired and set(paired.values()) == {1}
+    # every nonzero first pairing was mapped, once
+    assert mapped == []
+    for ctx, first, degree in calls:
+        degree = ctx.jet_degree if degree is None else degree
+        assert all((ctx.dfa, ctx.flavor, beta) in first._from_pair
+                   for beta in pbw_indices(ctx.spec.rank, degree))
+    # a first functional meets several calls, and some first pairing
+    # vanishes, so its index is left unmapped
+    assert len(calls) > len({id(first) for _, first, _ in calls})
+    assert any(W is None for first in keep
+               for W, _ in first._from_pair.values())
+
+
+def test_entry_rows_are_built_once_per_context(monkeypatch):
+    """On ``example axb`` at N=4 each entry of e^b1 e^b2, read by
+    ``jet_coproduct_functional`` through ``_pair_entry``, is taken from the
+    product table once per context, with its support, and read again by
+    every functional of that context; it is summed into a row only where
+    its support meets the functional's table.  Building the row for every
+    pairing made 2,520 rows on ``example axb`` at N=6, where its two
+    contexts hold 210 entries each."""
+    real_entry, real_product = jets._pair_entry, jets.leg_product
+    real_rows = jets._acc_rows
+    active, built, read, keep = [], Counter(), Counter(), []
+    rows = []
+
+    def pair_entry(ctx, lam, la, lb):
+        keep.append(ctx)
+        active.append(ctx)
+        read[id(ctx), la, lb] += 1
+        try:
+            return real_entry(ctx, lam, la, lb)
+        finally:
+            active.pop()
+
+    def leg_product(spec, ia, ib):
+        if active:
+            built[id(active[-1]), envelope.LEGS[ia], envelope.LEGS[ib]] += 1
+        return real_product(spec, ia, ib)
+
+    def acc_rows(*args):
+        rows.append(None)
+        return real_rows(*args)
+
+    monkeypatch.setattr(jets, "_pair_entry", pair_entry)
+    monkeypatch.setattr(jets, "leg_product", leg_product)
+    monkeypatch.setattr(jets, "_acc_rows", acc_rows)
+    code, _, _ = run_cli(["example", "axb", "--json-only"])
+    assert code == 0
+    assert built and set(built.values()) == {1}
+    assert built.keys() == read.keys()
+    # the entries are read again, by later functionals of the same context,
+    # and few of those pairings build a row
+    assert sum(read.values()) > len(read)
+    assert 0 < len(rows) < sum(read.values()) / 10
+
+
+# the loops of the tensor reduction, which ask ``shift_id`` for a shift only
+# when ``envelope.SHIFTS`` has no entry yet
+REDUCTION_LOOPS = ("_reduce_into", "_reduce2_into", "_reduce3_into")
+
+
+def test_shifts_are_interned_once_per_process(monkeypatch):
+    """Each (last id, total gamma) shift of ``tensor_reduce`` and
+    ``same_class`` is interned once per process (``envelope.SHIFTS``):
+    two runs of ``twist`` on axb at N=4 in one process, from an empty
+    table, ask ``shift_id`` for each key once, and the second run for
+    none.  Interning once per call made 2,851 ``shift_id`` calls for 769
+    keys inside one ``twistor_validate`` on ``example axb`` at N=6."""
+    real = tensorspace.shift_id
+    asked = []
+
+    def shift_id(i, mu):
+        if sys._getframe(1).f_code.co_name in REDUCTION_LOOPS:
+            asked.append((i, mu))
+        return real(i, mu)
+
+    saved = dict(envelope.SHIFTS)
+    envelope.SHIFTS.clear()
+    monkeypatch.setattr(tensorspace, "shift_id", shift_id)
+    try:
+        code, _, _ = run_cli(["twist", SPEC, "--json-only"])
+        first = len(asked)
+        again, _, _ = run_cli(["twist", SPEC, "--json-only"])
+    finally:
+        envelope.SHIFTS.update(saved)
+    assert code == again == 0
+    assert first and len(asked) == first
+    assert len(set(asked)) == len(asked)
 
 
 def test_dual_products_build_each_row_once(monkeypatch):

@@ -93,6 +93,21 @@
   reduction step is also compared in value with the step that moves each
   whole leg through its own t_F-decomposition.
 
+- ``tensor_reduce`` reduces 2- and 3-leg tensors in fixed loops that read
+  each leg's gamma and each shift from tables beside the leg registry,
+  and ``same_class`` reduces one signed difference over the common
+  denominator; the oracle is the one loop for every width
+  (``oracles.tensor_reduce_loop``).
+- The coproduct functional, the tensor functional of a pair, the dual
+  source/target and the dual product read tables built once per
+  deformation, context or first functional, skip pure rows whose support
+  misses the table and narrow a product's window once by its zero
+  factors; the oracles build on every call and add every factor
+  (``oracles.coproduct_functional_loop``, ``from_pair_loop``,
+  ``source_target_loop``, ``product_eval_loop``).  A left and a right
+  context on one deformation, and the exponential and trivial
+  deformations of one structure, never read each other's tables.
+
 They run on the axb spec and on a bracketed structure with a non-constant
 anchor; the reduction also runs on an explicit per-order twistor, and on a
 structure with a polynomial structure function, where e^beta e^alpha is
@@ -117,16 +132,18 @@ from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, basis_decompose,
     defelem_from_env, defelem_mul, deformed_axiom_suite,
     deformed_coproduct_leg, exp_twistor, reduce_series, sample_defelems,
-    twisted_coproduct, twistor_validate,
+    trivial_twistor, twisted_coproduct, twistor_validate,
 )
 from qgroupoid.envelope import (
-    LEGS, EnvElement, _act_into, _bump_term, _mul_mono_into, anchor_action,
-    env_counit, leg_id, leg_product, monomial_action, pbw_mul,
+    GAMMA, LEGS, EnvElement, _act_into, _bump_term, _mul_mono_into,
+    anchor_action, env_counit, leg_id, leg_product, monomial_action, pbw_mul,
 )
 from qgroupoid.errors import ConfigError
 from qgroupoid.jets import (
-    LEFT, RIGHT, JetContext, JetElement, coordinate_functional, jet_pair,
-    jet_product, jet_product_eval, pbw_indices, xi_functional,
+    LEFT, RIGHT, JetContext, JetElement, coordinate_functional,
+    jet_coproduct_functional, jet_pair, jet_product, jet_product_eval,
+    jet_source_target, pbw_indices, tensor_functional_from_pair,
+    xi_functional,
 )
 from qgroupoid.lierinehart import LieRinehartSpec, lr_validate
 from qgroupoid.scalars import CPoly, monomials_upto
@@ -136,15 +153,17 @@ from qgroupoid.series import (
 )
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
-    TensorElement, _basis_terms, _common_den, _copro_mono,
-    copro_basis, env_coproduct, tensor_coproduct_leg, tensor_mul, tensor_reduce,
-    tensor_series_mul,
+    TensorElement, _basis_terms, _common_den, _copro_mono, _tensor,
+    copro_basis, env_coproduct, same_class, tensor_coproduct_leg, tensor_mul,
+    tensor_reduce, tensor_series_mul,
 )
 
 from oracles import (
-    conjugated_lift, decomposed_pair_mono, direct_star_coeffs, expand_product,
-    impure_leg_product, mul_into_legs, pair_rows_loop, random_valid_specs, reexpand,
-    spliced_coproduct_leg, sweep_base_map, tensor_mul_legs,
+    conjugated_lift, coproduct_functional_loop, decomposed_pair_mono,
+    direct_star_coeffs, expand_product, from_pair_loop, impure_leg_product,
+    mul_into_legs, pair_rows_loop, product_eval_loop, random_valid_specs,
+    reexpand, scan_misses_table, source_target_loop, spliced_coproduct_leg,
+    sweep_base_map, tensor_mul_legs, tensor_reduce_loop,
 )
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
@@ -2220,7 +2239,9 @@ def test_pair_mono_matches_the_decomposed_pairing(flavor):
     """``_pair_mono`` returns the shared zero without decomposing x^gamma
     e^alpha when no leg-table term of e^beta e^alpha (e^beta over the
     decomposition of x^gamma) is impure or has its index in the
-    functional's table (``jets._misses_table``); its value, window and
+    functional's table (``jets._misses_table``, a membership test on the
+    deformation's pairing support, against the scan of the leg table
+    ``oracles.scan_misses_table``); its value, window and
     identity with the shared zero are those of the pairing through the
     whole decomposition (``oracles.decomposed_pair_mono``).  On the five
     fixtures, on ``central_exp_dfa``, whose remainders reach indices that
@@ -2253,7 +2274,12 @@ def test_pair_mono_matches_the_decomposed_pairing(flavor):
         for lam in funcs:
             for key in keys:
                 want = decomposed_pair_mono(ctx, lam, key)
-                if jets._misses_table(ctx, lam, *key, side):
+                misses = jets._misses_table(ctx, lam, key, side)
+                # the support is read from the deformation's memo the
+                # second time
+                assert misses == jets._misses_table(ctx, lam, key, side) \
+                    == scan_misses_table(ctx, lam, *key, side)
+                if misses:
                     counts["decided"] += 1
                 elif impure_leg_product(dfa, key, side):
                     counts["impure"] += 1
@@ -2641,3 +2667,219 @@ def test_source_target_tabulate_image_times_monomial_at_the_unit(make,
         assert [windows(j.table) for j in got] == [windows(t) for t in want]
         assert set(want[right]) <= {unit}
 
+
+
+# -- tables built once per structure, context or functional ----------------------
+
+
+def cocycle_sides(dfa):
+    """The two sides (Delta (x) id)(F) F_12 and (id (x) Delta)(F) F_23 of
+    the cocycle identity, order by order, as ``twistor_validate`` builds
+    them."""
+    spec = dfa.spec
+    F = dfa.twistor.series
+    lhs = tensor_series_mul(spec, F.map(
+        lambda t: tensor_coproduct_leg(spec, t, 0)), F.map(
+        lambda t: t.embed(3, 0)))
+    rhs = tensor_series_mul(spec, F.map(
+        lambda t: tensor_coproduct_leg(spec, t, 1)), F.map(
+        lambda t: t.embed(3, 1)))
+    return list(zip(lhs.coeffs, rhs.coeffs))
+
+
+def doubled(T):
+    """T with its numerators and its denominator doubled: the same value
+    over another denominator."""
+    return _tensor(T.nvars, T.rank, T.legs,
+                   {k: 2 * c for k, c in T.num.items()}, 2 * T.den)
+
+
+@pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                                  rational_exp_dfa, polynomial_exp_dfa])
+def test_reduce_kernels_match_the_loop(make):
+    """``tensor_reduce``'s fixed 2- and 3-leg loops and its general loop
+    against ``oracles.tensor_reduce_loop``: the same numerators in the same
+    order over the same denominator, on 2-, 3- and 4-leg inputs and on the
+    two sides of the cocycle identity, each reduced twice (the second time
+    every shift is already interned).  ``same_class`` (one signed
+    reduction over the common denominator) against comparing the loop's
+    two reductions, on pairs over different denominators."""
+    dfa = make()
+    spec = dfa.spec
+    two, three = integer_layer_inputs(spec)
+    sides = cocycle_sides(dfa)
+    three = three + [t for pair in sides for t in pair]
+    four = wide_tensors(spec, 4)
+    for T in two + three + four:
+        want = tensor_reduce_loop(spec, T)
+        for _ in range(2):
+            got = tensor_reduce(spec, T)
+            assert list(got.num.items()) == list(want.num.items())
+            assert got.den == want.den and got.legs == T.legs
+    # a 3-leg key whose middle leg carries a gamma, alone and beside one on
+    # the first leg
+    middle = [(GAMMA[a], GAMMA[b]) for T in three for a, b, _ in T.num]
+    assert any(gb is not None and ga is None for ga, gb in middle)
+    assert any(gb is not None and ga is not None for ga, gb in middle)
+    same = 0
+    for group in (two, three, four[:6]):
+        for s in group:
+            for t in group[:4] + [doubled(s), doubled(s) - s.scale(2)]:
+                want = tensor_reduce_loop(spec, s) \
+                    == tensor_reduce_loop(spec, t)
+                assert same_class(spec, s, t) == want
+                assert same_class(spec, t, s) == want
+                same += want and s.den != t.den
+    for lhs, rhs in sides:
+        assert same_class(spec, lhs, rhs) \
+            == (tensor_reduce_loop(spec, lhs) == tensor_reduce_loop(spec, rhs))
+    # equal classes over different denominators are met
+    assert same > 0
+
+
+JET_TABLE_CASES = [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
+                   rational_exp_dfa, polynomial_exp_dfa] + [
+    pytest.param(lambda i=i, seed=seed: random_dfa(i, seed),
+                 id="seed%d-%d" % (seed, i))
+    for i, seed in ((0, 11), (3, 13), (5, 11))]
+
+
+def entry_fallbacks(ctx, lam, table):
+    """The entries of lam's coproduct ``table`` that have an impure term
+    (no support) and pure indices that miss lam's table: a skip read off
+    those indices alone would drop their nonzero value."""
+    zeros = (0,) * ctx.spec.nvars
+    out = 0
+    for b1, b2 in table:
+        la, lb = (b1, b2) if ctx.flavor == LEFT else (b2, b1)
+        entry, support = ctx._entries[(zeros, la), (zeros, lb)]
+        pure = {LEGS[i][1] for i, _ in entry if GAMMA[i] is None}
+        out += support is None and not pure & lam.table.keys()
+    return out
+
+
+@pytest.mark.parametrize("make", JET_TABLE_CASES)
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_context_and_functional_tables_match_loops(make, flavor):
+    """The paths that read tables built once per context or functional
+    against the loops that build on every call: the coproduct functional
+    (entry rows on the context, ``oracles.coproduct_functional_loop``),
+    the tensor functional of a pair (images and rows on the first
+    functional, ``oracles.from_pair_loop``), the dual source/target
+    (``oracles.source_target_loop``) and the dual product evaluation,
+    which narrows its window once by its zero factors
+    (``oracles.product_eval_loop``, adding every factor).  Each path is
+    called twice, so the second call reads the tables; value, window and
+    table keys must agree.  On the structures with polynomial structure
+    functions some entry rows are impure and their pairings fall back to
+    the pairing of every term."""
+    dfa = make()
+    spec = dfa.spec
+    ctx = JetContext(dfa, flavor, 2)
+    one = HLaurent.const(CPoly.one(spec.nvars), ctx.order, ctx.zero_poly())
+    funcs = edge_functionals(ctx) + [coordinate_functional(ctx, 0)]
+    duals = [JetElement(flavor, {delta: one})
+             for delta in pbw_indices(spec.rank, 2)]
+    fallbacks = 0
+    for lam in funcs + duals:
+        want = windows(coproduct_functional_loop(ctx, lam, 2))
+        for _ in range(2):
+            got = jet_coproduct_functional(ctx, lam, 2)
+            assert windows(got) == want
+        fallbacks += entry_fallbacks(ctx, lam, got)
+    args = pbw_indices(spec.rank, 2) \
+        + [((1,) + (0,) * (spec.nvars - 1), _bump((0,) * spec.rank, 0))]
+    zero_windows = 0
+    for lam in funcs[1:]:
+        for mu in funcs[1:]:
+            want = windows(from_pair_loop(ctx, lam, mu, 2))
+            for _ in range(2):
+                assert windows(tensor_functional_from_pair(ctx, lam, mu, 2)) \
+                    == want
+            memo, loop_memo = {}, {}
+            for _ in range(2):
+                for a in args:
+                    got = jet_product_eval(ctx, lam, mu, a, memo)
+                    want = product_eval_loop(ctx, lam, mu, a, loop_memo)
+                    assert window(got) == window(want)
+            zero_windows += sum(type(P) is tuple for factors in memo.values()
+                                if factors for P in factors.values())
+    assert zero_windows
+    p = spec.nvars
+    x1, xl = CPoly.var(p, 0), CPoly.var(p, p - 1)
+    # the degree is part of the key: a table at degree 1 is not one at 2
+    for a in (CPoly.zero(p), x1, x1 * xl - CPoly.const(p, Fraction(2, 3))):
+        for degree in (1, 2):
+            got = jet_source_target(ctx, a, degree)
+            assert jet_source_target(ctx, a, degree) is got
+            assert [windows(j.table) for j in got] == [
+                windows(j.table) for j in source_target_loop(ctx, a, degree)]
+    impure = sum(support is None for _, support in ctx._entries.values())
+    if polynomial_brackets(spec):
+        assert impure and fallbacks >= 3
+    else:
+        assert impure == fallbacks == 0
+
+
+def test_tables_never_cross_contexts_or_deformations():
+    """The left and right contexts on one deformation, and the exponential
+    and trivial deformations of one structure (as the classical-limit
+    check of ``jet_axiom_suite`` builds them), each read only their own
+    pairing supports, entry rows, source/target tables and tensor-pair
+    entries.  One functional is the first factor of a tensor functional in
+    every context: left-flavored, it is lam in a left context and mu in a
+    right one, and its image there is mapped by s_F and t_F, which differ
+    on its coordinate value, so an entry keyed without the flavor or the
+    deformation is read wrongly.  The trivial context goes first, so a
+    stale support (x^gamma alone) would skip pairings the twist needs."""
+    dfa = axb_exp_dfa()
+    spec = dfa.spec
+    triv = DeformedEnvAlgebroid(spec, trivial_twistor(spec, dfa.order),
+                                validate=False)
+    contexts = [JetContext(d, flavor, 2) for d in (triv, dfa)
+                for flavor in (LEFT, RIGHT)]
+    shared = {flavor: coordinate_functional(JetContext(triv, flavor, 2), 0)
+              .add(xi_functional(JetContext(triv, flavor, 2), 0))
+              for flavor in (LEFT, RIGHT)}
+    x1 = CPoly.var(spec.nvars, 0)
+    keys = [(g, a) for g in pbw_indices(spec.nvars, 2)[1:]
+            for a in pbw_indices(spec.rank, 2)]
+    side = {LEFT: "source", RIGHT: "target"}
+    first = shared[LEFT]
+    for ctx in contexts:
+        other = shared[ctx.flavor]
+        # the duals of the monomials of degree <= 2 as second factors, which
+        # see the s_F and t_F images of the first apart
+        one = HLaurent.const(CPoly.one(spec.nvars), ctx.order, ctx.zero_poly())
+        seconds = [other] + [JetElement(ctx.flavor, {delta: one})
+                             for delta in pbw_indices(spec.rank, 2)]
+        for _ in range(2):
+            for second in seconds:
+                pair = (first, second) if ctx.flavor == LEFT \
+                    else (second, first)
+                got = tensor_functional_from_pair(ctx, *pair, 2)
+                assert windows(got) == windows(from_pair_loop(ctx, *pair, 2))
+            assert windows(jet_coproduct_functional(ctx, other, 2)) \
+                == windows(coproduct_functional_loop(ctx, other, 2))
+            assert [windows(j.table) for j in jet_source_target(ctx, x1, 2)] \
+                == [windows(j.table) for j in source_target_loop(ctx, x1, 2)]
+            for key in keys:
+                assert jets._misses_table(ctx, other, key, side[ctx.flavor]) \
+                    == scan_misses_table(ctx, other, *key, side[ctx.flavor])
+                assert window(jets._pair_mono(ctx, other, key)) \
+                    == window(decomposed_pair_mono(ctx, other, key))
+    # every context filled its own tables
+    for a, b in itertools.combinations(contexts, 2):
+        assert a._entries is not b._entries and a._entries
+        assert a._source_target is not b._source_target
+    assert {k[:2] for k in shared[LEFT]._from_pair} \
+        == {(d, f) for d in (triv, dfa) for f in (LEFT, RIGHT)}
+    # the s_F and t_F images of the shared functional differ, and so do the
+    # supports of the two deformations
+    images = {}
+    for (d, f, beta), (W, _) in shared[LEFT]._from_pair.items():
+        if d is dfa and W is not None:
+            images.setdefault(beta, {})[f] = window(W)
+    assert any(im[LEFT] != im[RIGHT] for im in images.values())
+    assert any(triv.pairing_support(key, "source")
+               != dfa.pairing_support(key, "source") for key in keys)

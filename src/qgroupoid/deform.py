@@ -108,8 +108,8 @@ from operator import add
 
 from .envelope import (
     LEGS, PURE, EnvElement, _add_rows, _bump, _bump_term, _last_nonzero,
-    _mul_mono_into, _pbw_mul_into, _rows_series, _term_support,
-    anchor_action, leg_id, leg_product, monomial_action,
+    _mul_mono_into, _pbw_mul_into, _rows_series, _support, anchor_action,
+    leg_id, leg_product, monomial_action,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
@@ -589,9 +589,9 @@ class DeformedEnvAlgebroid:
             spec = self.spec
             gamma, alpha = key
             a = leg_id(((0,) * spec.nvars, alpha))
-            hit = self._supports[ckey] = _term_support(
-                [t for b in self.base_legs(gamma, flavor)
-                 for t in leg_product(spec, b, a)])
+            hit = self._supports[ckey] = _support(
+                LEGS[i] for b in self.base_legs(gamma, flavor)
+                for i, _ in leg_product(spec, b, a))
         return hit
 
     def _decompose_product(self, gamma, alpha, flavor):

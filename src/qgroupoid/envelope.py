@@ -175,8 +175,7 @@ def leg_id(leg):
 
 def shift_id(i, mu):
     """The id of x^mu times the monomial with id i, worked out once per
-    (i, mu) in the process and kept in ``SHIFTS[mu]``, which a hot loop may
-    read first."""
+    (i, mu) in the process and kept in ``SHIFTS[mu]``."""
     row = SHIFTS[mu]
     j = row.get(i)
     if j is None:
@@ -185,12 +184,17 @@ def shift_id(i, mu):
     return j
 
 
-def _term_support(terms):
-    """The indices alpha of basis terms (id, q), each once, as a tuple, or
-    None when a term has gamma != 0."""
-    if any(GAMMA[i] is not None for i, _ in terms):
-        return None
-    return tuple(dict.fromkeys(LEGS[i][1] for i, _ in terms))
+def _support(monos):
+    """The indices alpha of basis monomials (gamma, alpha), each once, as a
+    tuple, or None when one has gamma != 0.  A pairing with a sum of basis
+    terms whose support holds no key of the functional's table is zero:
+    every term is a pure e^alpha off the table."""
+    out = {}
+    for gamma, alpha in monos:
+        if any(gamma):
+            return None
+        out[alpha] = None
+    return tuple(out)
 
 
 # -- the product table -----------------------------------------------------------

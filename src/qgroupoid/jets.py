@@ -41,8 +41,7 @@ image of each first pairing with the rows of each e^moved . image and
 their supports.  All depend on the functional alone, so every partner of
 a dual product reads the same rows.  A dual product keeps its own memo
 for the length of one tabulation: the partner's pairing with each of
-those rows, a zero one kept as its window alone (see
-``jet_product_eval``).
+those rows (see ``jet_product_eval``).
 
 Every sum of this layer is accumulated in place in one
 ``series.LaurentSum`` per result: the star pairings over a decomposition,
@@ -65,8 +64,8 @@ from bisect import bisect_right
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import (
-    EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element,
-    _term_support, leg_id, leg_product,
+    LEGS, EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element,
+    _support, leg_id, leg_product,
 )
 from .errors import ConfigError, FlavorError
 from .report import Report
@@ -371,20 +370,6 @@ def _pair_product(ctx, lam, W, m, mono_right=True):
                       W.top)
 
 
-def _support(rows):
-    """The indices alpha of rows {alpha: {gamma: c}} as a tuple, or
-    None when a term has gamma != 0.  A pairing of rows with a support
-    that holds no key of the functional's table is zero: every term is a
-    pure e^alpha, whose pairing is the shared zero."""
-    out = {}
-    for row in rows:
-        for alpha, terms in row.items():
-            if any(any(gamma) for gamma in terms):
-                return None
-            out[alpha] = None
-    return tuple(out)
-
-
 def _pair_entry(ctx, lam, la, lb):
     """lam on the product of two basis monomials: their table entry,
     paired as a plain element.  The entry (the product table's own tuple
@@ -397,7 +382,7 @@ def _pair_entry(ctx, lam, la, lb):
     hit = ctx._entries.get(key)
     if hit is None:
         entry = leg_product(ctx.spec, leg_id(la), leg_id(lb))
-        hit = ctx._entries[key] = (entry, _term_support(entry))
+        hit = ctx._entries[key] = (entry, _support(LEGS[i] for i, _ in entry))
     entry, support = hit
     if support is not None and lam.table.keys().isdisjoint(support):
         return ctx.zero_value()
@@ -474,13 +459,6 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
     where lam vanishes on it; ``jet_product`` shares one across a
     tabulation, so a term costs one scaled, shifted add into the result's
     ``LaurentSum``.  A call without one starts afresh.
-
-    A factor that is zero is kept as its window (val, top) alone.  Adding
-    it would add no coefficient and only narrow the sum's window to its
-    own, shifted by the term's k; the window is a minimum over the pieces,
-    and rows written above its final top are never read, so each zero
-    window narrows the sum once, at the lowest k it meets, after the
-    loop.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
@@ -491,7 +469,6 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
     if memo is None:
         memo = {}
     acc = LaurentSum(ctx.zero_poly())
-    lowest = {}     # zero window (val, top) -> the lowest k it meets
     for paired, terms in groups:
         try:
             factors = memo[paired]
@@ -507,18 +484,8 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
                 r = rows.get(other)
                 if r is None:
                     r = rows[other] = _product_rows(spec, W, other)
-                P = _pair_rows(ctx, mu, r, W.top)
-                if P.is_zero():
-                    P = (P.val, P.top)
-                factors[other] = P
-            if P.__class__ is tuple:
-                low = lowest.get(P)
-                if low is None or k < low:
-                    lowest[P] = k
-            else:
-                acc.add(P, c, k)
-    for (val, top), k in lowest.items():
-        acc.narrow(val + k, top + k)
+                P = factors[other] = _pair_rows(ctx, mu, r, W.top)
+            acc.add(P, c, k)
     if acc.top is None:
         # no lift term survived
         return ctx.zero_value()
@@ -601,17 +568,12 @@ def jet_coproduct_functional(ctx, lam, degree=None):
     degree = degree if degree is not None else ctx.jet_degree
     zeros = (0,) * ctx.spec.nvars
     zero = ctx.zero_value()
-    pairs = _index_pairs(ctx.spec.rank, degree)
-    # one monomial key per index, shared by every entry key that holds it
-    monos = {b: (zeros, b) for b, _ in pairs}
     left = ctx.flavor == LEFT
     out = {}
-    for b1, inner in pairs:
-        m1 = monos[b1]
+    for b1, inner in _index_pairs(ctx.spec.rank, degree):
         for b2 in inner:
-            m2 = monos[b2]
-            v = _pair_entry(ctx, lam, m1, m2) if left \
-                else _pair_entry(ctx, lam, m2, m1)
+            la, lb = (b1, b2) if left else (b2, b1)
+            v = _pair_entry(ctx, lam, (zeros, la), (zeros, lb))
             if v is not zero and not v.is_zero():
                 out[(b1, b2)] = v
     return out
@@ -633,8 +595,9 @@ def _from_pair_entry(ctx, first, beta):
     (``tensor_functional_from_pair``): (W, rows) with W = s_F(first(e^beta))
     (left context) or t_F(first(e^beta)) (right), None when that pairing
     vanishes, and rows {moved index: (the ``_product_rows`` of
-    e^moved . W, their ``_support``)}, filled as the moved indices are
-    met.  The key holds the context flavor, which picks the map."""
+    e^moved . W, their ``envelope._support``)}, filled as the moved
+    indices are met.  The key holds the context flavor, which picks the
+    map."""
     ckey = (ctx.dfa, ctx.flavor, beta)
     entry = first._from_pair.get(ckey)
     if entry is None:
@@ -659,7 +622,7 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     functional alone, so they live in its memo (``_from_pair_entry``) and
     every call reads them.  An entry whose first pairing vanishes is zero
     and is skipped, and so is one whose rows are pure with a support that
-    misses the second functional's table (``_support``).
+    misses the second functional's table (``envelope._support``).
     """
     degree = degree if degree is not None else ctx.jet_degree
     spec = ctx.spec
@@ -679,7 +642,9 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
             hit = rows.get(moved)
             if hit is None:
                 r = _product_rows(spec, W, (zeros, moved), False)
-                hit = rows[moved] = (r, _support(row for _, row in r))
+                hit = rows[moved] = (r, _support(
+                    (gamma, alpha) for _, row in r
+                    for alpha, terms in row.items() for gamma in terms))
             r, support = hit
             if support is not None and table.isdisjoint(support):
                 continue

@@ -236,7 +236,7 @@ class LaurentSum:
         self.val = None if top is None else top + 1
         self.rows = {}  # h-order -> {exponent: coefficient}, no zero entries
 
-    def narrow(self, val, top):
+    def _narrow(self, val, top):
         """Lower the valuation and the top to a piece's where they are
         lower; returns the top, above which nothing is written."""
         if self.top is None or top < self.top:
@@ -247,7 +247,7 @@ class LaurentSum:
 
     def add(self, x, c=1, k=0):
         """Add c * h^k * x for a Laurent value x."""
-        top = self.narrow(x.val + k, x.top + k)
+        top = self._narrow(x.val + k, x.top + k)
         if not c:
             return
         scaled = c != 1
@@ -265,7 +265,7 @@ class LaurentSum:
         top = min(x.top + y.val, y.top + x.val, series_order + val)
         if top < val:
             raise ConfigError("laurent product has empty certified window")
-        top = self.narrow(val, top)
+        top = self._narrow(val, top)
         rows = self.rows
         for i, xi in enumerate(x.coeffs, x.val):
             if not xi.terms:

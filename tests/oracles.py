@@ -22,15 +22,15 @@ No command of the CLI calls these; the tests compare the engine with them.
   ``impure_leg_product`` names the keys it must always decompose.
 - ``scan_misses_table`` scans the leg table for every pairing, where
   ``jets._misses_table`` reads the deformation's pairing support.
-- ``product_eval_loop`` is the dual product that adds every factor, where
-  ``jets.jet_product_eval`` keeps a zero factor as its window and narrows
-  the sum once; ``source_target_loop``, ``coproduct_functional_loop`` and
+- ``source_target_loop``, ``coproduct_functional_loop`` and
   ``from_pair_loop`` build on every call what ``jets.jet_source_target``,
   ``jets.jet_coproduct_functional`` and ``jets.tensor_functional_from_pair``
   keep on the context or on the first functional.
-- ``tensor_reduce_loop`` is the one reduction loop for every width, with a
-  per-call memo of the shifts, where ``tensorspace.tensor_reduce`` has
-  fixed 2- and 3-leg loops and interns each shift once per process.
+- ``tensor_reduce_loop`` is the one reduction loop for every width, which
+  reads each leg's gamma off its monomial and keeps a per-call memo of the
+  shifts, where ``tensorspace.tensor_reduce`` has fixed 2- and 3-leg
+  loops, reads the gamma from ``envelope.GAMMA`` and interns each shift
+  once per process.
 - ``pair_rows_loop`` is the pairing of {alpha: {gamma: c}} rows that adds
   every term's pairing, where ``jets._pair_rows`` skips the shared zero and
   returns a lone unit term's pairing shifted.
@@ -58,11 +58,11 @@ from qgroupoid.envelope import (
     LEGS, PURE, EnvElement, _acc_rows, _act_into, _mul_mono_into,
     _rows_series, anchor_action, leg_id, leg_product, shift_id,
 )
-from qgroupoid.errors import FlavorError, TruncationInsufficientError
+from qgroupoid.errors import TruncationInsufficientError
 from qgroupoid.jets import (
     LEFT, JetElement, _apply_series_map, _base_image, _index_pairs,
-    _lift_entry, _pair_entry, _pair_env, _pair_mono, _pair_product,
-    _pair_rows, _product_rows, _tabulate, divided_xi_powers,
+    _pair_entry, _pair_env, _pair_mono, _pair_product, _pair_rows,
+    _tabulate, divided_xi_powers,
     jet_coproduct_functional, jet_pair, table_sum, tensor_functional_from_pair,
     tensor_tables_equal,
 )
@@ -338,41 +338,6 @@ def pair_rows_loop(ctx, lam, rows, top):
                 acc.add(_pair_mono(ctx, lam, (gamma, alpha)), c, q)
     if acc is None:
         return HLaurent.zero_upto(top, ctx.zero_poly())
-    return acc.value()
-
-
-def product_eval_loop(ctx, lam, mu, arg, memo=None):
-    """``jets.jet_product_eval`` adding every factor, zero ones included,
-    into the sum: a zero factor narrows the window as it is added.  Its
-    ``memo`` holds every factor as an ``HLaurent``."""
-    if lam.flavor != mu.flavor:
-        raise FlavorError("mixed dual flavors")
-    spec = ctx.spec
-    if isinstance(arg, tuple) and (not arg or not isinstance(arg[0], tuple)):
-        arg = ((0,) * spec.nvars, tuple(arg))
-    groups = ctx.dfa.lift_legs(arg, 1 if lam.flavor == LEFT else 0)
-    if memo is None:
-        memo = {}
-    acc = LaurentSum(ctx.zero_poly())
-    for paired, terms in groups:
-        try:
-            factors = memo[paired]
-        except KeyError:
-            W, _ = _lift_entry(ctx, lam, paired)
-            factors = memo[paired] = None if W is None else {}
-        if factors is None:
-            continue
-        for k, other, c in terms:
-            P = factors.get(other)
-            if P is None:
-                W, rows = _lift_entry(ctx, lam, paired)
-                r = rows.get(other)
-                if r is None:
-                    r = rows[other] = _product_rows(spec, W, other)
-                P = factors[other] = _pair_rows(ctx, mu, r, W.top)
-            acc.add(P, c, k)
-    if acc.top is None:
-        return ctx.zero_value()
     return acc.value()
 
 

@@ -242,8 +242,7 @@ def test_entry_rows_are_built_once_per_context(monkeypatch):
     assert 0 < len(rows) < sum(read.values()) / 10
 
 
-# the loops of the tensor reduction, which ask ``shift_id`` for a shift only
-# when ``envelope.SHIFTS`` has no entry yet
+# the loops of the tensor reduction
 REDUCTION_LOOPS = ("_reduce_into", "_reduce2_into", "_reduce3_into")
 
 
@@ -251,29 +250,39 @@ def test_shifts_are_interned_once_per_process(monkeypatch):
     """Each (last id, total gamma) shift of ``tensor_reduce`` and
     ``same_class`` is interned once per process (``envelope.SHIFTS``):
     two runs of ``twist`` on axb at N=4 in one process, from an empty
-    table, ask ``shift_id`` for each key once, and the second run for
-    none.  Interning once per call made 2,851 ``shift_id`` calls for 769
-    keys inside one ``twistor_validate`` on ``example axb`` at N=6."""
+    table, intern each shift the reduction asks for once, and the second
+    run interns none.  Interning once per call made 2,851 ``shift_id``
+    calls for 769 keys inside one ``twistor_validate`` on ``example axb``
+    at N=6."""
     real = tensorspace.shift_id
-    asked = []
+    asked, interned = [], []
 
     def shift_id(i, mu):
         if sys._getframe(1).f_code.co_name in REDUCTION_LOOPS:
             asked.append((i, mu))
         return real(i, mu)
 
-    saved = dict(envelope.SHIFTS)
-    envelope.SHIFTS.clear()
+    class Row(dict):
+        def __setitem__(self, i, j):
+            interned.append((i, self.mu))
+            super().__setitem__(i, j)
+
+    class Shifts(dict):
+        def __missing__(self, mu):
+            row = self[mu] = Row()
+            row.mu = mu
+            return row
+
+    monkeypatch.setattr(envelope, "SHIFTS", Shifts())
     monkeypatch.setattr(tensorspace, "shift_id", shift_id)
-    try:
-        code, _, _ = run_cli(["twist", SPEC, "--json-only"])
-        first = len(asked)
-        again, _, _ = run_cli(["twist", SPEC, "--json-only"])
-    finally:
-        envelope.SHIFTS.update(saved)
+    code, _, _ = run_cli(["twist", SPEC, "--json-only"])
+    first, made = len(asked), len(interned)
+    again, _, _ = run_cli(["twist", SPEC, "--json-only"])
     assert code == again == 0
-    assert first and len(asked) == first
-    assert len(set(asked)) == len(asked)
+    # the reduction asks for some shifts more than once, in each run
+    assert len(set(asked[:first])) < first and len(asked) == 2 * first
+    assert set(asked) <= set(interned)
+    assert len(set(interned)) == len(interned) == made
 
 
 def test_dual_products_build_each_row_once(monkeypatch):

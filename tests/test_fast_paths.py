@@ -93,18 +93,18 @@
   reduction step is also compared in value with the step that moves each
   whole leg through its own t_F-decomposition.
 
-- ``tensor_reduce`` reduces 2- and 3-leg tensors in fixed loops that read
-  each leg's gamma and each shift from tables beside the leg registry,
-  and ``same_class`` reduces one signed difference over the common
-  denominator; the oracle is the one loop for every width
-  (``oracles.tensor_reduce_loop``).
+- ``tensor_reduce`` reduces 2- and 3-leg tensors in fixed loops and wider
+  ones in a general loop, each reading the gamma of a leg and each shift
+  from tables beside the leg registry, and ``same_class`` reduces one
+  signed difference over the common denominator; the oracle is the one
+  loop for every width that reads the gamma off the monomial and interns
+  each shift once per call (``oracles.tensor_reduce_loop``).
 - The coproduct functional, the tensor functional of a pair, the dual
   source/target and the dual product read tables built once per
-  deformation, context or first functional, skip pure rows whose support
-  misses the table and narrow a product's window once by its zero
-  factors; the oracles build on every call and add every factor
-  (``oracles.coproduct_functional_loop``, ``from_pair_loop``,
-  ``source_target_loop``, ``product_eval_loop``).  A left and a right
+  deformation, context or first functional and skip pure rows whose
+  support misses the table; the oracles build on every call and pair
+  every row (``oracles.coproduct_functional_loop``, ``from_pair_loop``,
+  ``source_target_loop``).  A left and a right
   context on one deformation, and the exponential and trivial
   deformations of one structure, never read each other's tables.
 
@@ -161,7 +161,7 @@ from qgroupoid.tensorspace import (
 from oracles import (
     conjugated_lift, coproduct_functional_loop, decomposed_pair_mono,
     direct_star_coeffs, expand_product, from_pair_loop, impure_leg_product,
-    mul_into_legs, pair_rows_loop, product_eval_loop, random_valid_specs,
+    mul_into_legs, pair_rows_loop, random_valid_specs,
     reexpand, scan_misses_table, source_target_loop, spliced_coproduct_leg,
     sweep_base_map, tensor_mul_legs, tensor_reduce_loop,
 )
@@ -2765,12 +2765,10 @@ def test_context_and_functional_tables_match_loops(make, flavor):
     against the loops that build on every call: the coproduct functional
     (entry rows on the context, ``oracles.coproduct_functional_loop``),
     the tensor functional of a pair (images and rows on the first
-    functional, ``oracles.from_pair_loop``), the dual source/target
-    (``oracles.source_target_loop``) and the dual product evaluation,
-    which narrows its window once by its zero factors
-    (``oracles.product_eval_loop``, adding every factor).  Each path is
-    called twice, so the second call reads the tables; value, window and
-    table keys must agree.  On the structures with polynomial structure
+    functional, ``oracles.from_pair_loop``) and the dual source/target
+    (``oracles.source_target_loop``).  Each path is called twice, so the
+    second call reads the tables; value, window and table keys must
+    agree.  On the structures with polynomial structure
     functions some entry rows are impure and their pairings fall back to
     the pairing of every term."""
     dfa = make()
@@ -2787,24 +2785,12 @@ def test_context_and_functional_tables_match_loops(make, flavor):
             got = jet_coproduct_functional(ctx, lam, 2)
             assert windows(got) == want
         fallbacks += entry_fallbacks(ctx, lam, got)
-    args = pbw_indices(spec.rank, 2) \
-        + [((1,) + (0,) * (spec.nvars - 1), _bump((0,) * spec.rank, 0))]
-    zero_windows = 0
     for lam in funcs[1:]:
         for mu in funcs[1:]:
             want = windows(from_pair_loop(ctx, lam, mu, 2))
             for _ in range(2):
                 assert windows(tensor_functional_from_pair(ctx, lam, mu, 2)) \
                     == want
-            memo, loop_memo = {}, {}
-            for _ in range(2):
-                for a in args:
-                    got = jet_product_eval(ctx, lam, mu, a, memo)
-                    want = product_eval_loop(ctx, lam, mu, a, loop_memo)
-                    assert window(got) == window(want)
-            zero_windows += sum(type(P) is tuple for factors in memo.values()
-                                if factors for P in factors.values())
-    assert zero_windows
     p = spec.nvars
     x1, xl = CPoly.var(p, 0), CPoly.var(p, p - 1)
     # the degree is part of the key: a table at degree 1 is not one at 2

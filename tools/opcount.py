@@ -50,7 +50,9 @@ def count(argv, inclusive=()):
         name = names.get(code)
         if name is None:
             module = frame.f_globals.get("__name__", "?").rsplit(".", 1)[-1]
-            name = names[code] = "%s.%s" % (module, code.co_qualname)
+            # co_qualname is new in Python 3.11; 3.10 has the bare name
+            qualname = getattr(code, "co_qualname", code.co_name)
+            name = names[code] = "%s.%s" % (module, qualname)
         return name
 
     def trace(frame, event, arg):

@@ -46,7 +46,6 @@ def main(argv=None):
         if needs_spec:
             p.add_argument("specfile", help="engine spec file")
         p.add_argument("--h-order", type=int, default=None)
-        p.add_argument("--pbw-degree", type=int, default=None)
         p.add_argument("--jet-degree", type=int, default=None)
         p.add_argument("--n-max", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -102,8 +101,6 @@ def _load(args):
             args.specfile, getattr(exc, "strerror", None) or exc)) from None
     if args.h_order is not None:
         espec.h_order = args.h_order
-    if args.pbw_degree is not None:
-        espec.pbw_degree = args.pbw_degree
     if args.jet_degree is not None:
         espec.jet_degree = args.jet_degree
     if args.n_max is not None:
@@ -230,23 +227,21 @@ def _run(args):
                 degree=min(espec.jet_degree, 3)))
         return report
 
-    if args.command == "semiclassical":
-        spec, dfa, twrep = _dfa_from(espec)
-        report = Report("semiclassical", {"h_order": espec.h_order,
-                                          "seed": espec.seed})
-        if _twistor_failed(report, twrep):
-            return report
-        delta, dual, rep = semiclassical_cobracket(dfa)
-        report.extend(rep, prefix="cobracket")
-        ctxR = JetContext(dfa, RIGHT, espec.jet_degree)
-        dualR, repR = semiclassical_dual_bracket(ctxR)
-        report.extend(repR, prefix="dual-bracket")
-        ok = dualR.bracket == dual.bracket and dualR.anchor == dual.anchor
-        report.add(Check("dual-bracket-matches-cobracket", ok,
-                         "right-dual structure differs"))
+    # semiclassical, the last choice the parser allows
+    spec, dfa, twrep = _dfa_from(espec)
+    report = Report("semiclassical", {"h_order": espec.h_order,
+                                      "seed": espec.seed})
+    if _twistor_failed(report, twrep):
         return report
-
-    raise SemanticError("unknown command %r" % args.command)
+    delta, dual, rep = semiclassical_cobracket(dfa)
+    report.extend(rep, prefix="cobracket")
+    ctxR = JetContext(dfa, RIGHT, espec.jet_degree)
+    dualR, repR = semiclassical_dual_bracket(ctxR)
+    report.extend(repR, prefix="dual-bracket")
+    ok = dualR.bracket == dual.bracket and dualR.anchor == dual.anchor
+    report.add(Check("dual-bracket-matches-cobracket", ok,
+                     "right-dual structure differs"))
+    return report
 
 
 if __name__ == "__main__":

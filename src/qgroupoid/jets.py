@@ -64,13 +64,13 @@ from bisect import bisect_right
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import (
-    LEGS, EnvElement, _acc_rows, _add_rows, _mul_mono_into, _row_element,
-    _support, leg_id, leg_product,
+    LEGS, EnvElement, _acc_rows, _act_into, _add_rows, _mul_mono_into,
+    _row_element, _support, leg_id, leg_product,
 )
 from .errors import ConfigError, FlavorError
 from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
-from .series import HLaurent, HSeries, LaurentSum
+from .series import HLaurent, LaurentSum
 
 __all__ = [
     "JetContext", "JetElement", "jet_pair", "jet_product", "jet_product_eval",
@@ -390,14 +390,10 @@ def _pair_entry(ctx, lam, la, lb):
 
 
 def jet_pair(ctx, lam, u):
-    """<lam, u> for u a DefEnvElement (series), EnvElement, or monomial key."""
-    if isinstance(u, HSeries):
-        return _pair_env_laurent(ctx, lam, HLaurent.from_hseries(u))
-    if isinstance(u, EnvElement):
-        return _pair_env(ctx, lam, u)
-    if isinstance(u, tuple) and len(u) == 2 and isinstance(u[0], tuple):
-        return _pair_mono(ctx, lam, u)
-    raise ConfigError("unsupported pairing argument %r" % (u,))
+    """<lam, u> for u a DefEnvElement, an ``HSeries`` of normal-form
+    elements.  A plain element pairs through ``_pair_env``, a basis
+    monomial through ``_pair_mono``."""
+    return _pair_env_laurent(ctx, lam, HLaurent.from_hseries(u))
 
 
 def _apply_series_map(ctx, val, mapper):
@@ -519,12 +515,15 @@ def jet_source_target(ctx, a, degree=None):
     Right dual: source(a)(u) = eps(u s_F(a)),   target(a)(u) = eps(s_F(a) u).
     Returns (source, target) as JetElements of the context flavor.
 
-    The counit of each order of image . e^beta (or e^beta . image) is the
-    e^0 part of its normal form.  Every term of x^g e^a . e^beta with
-    beta != 0 keeps a generator: the leg table's rules only reorder
-    generators, trade a pair for the generators of its bracket, or let a
-    generator act on a coordinate left of e^beta.  So the table of
-    image . e^beta is tabulated at beta = 0 alone.
+    Neither product is built.  The counit of a normal-form element is
+    its e^0 coefficient.  Every term of x^g e^a . e^beta with a + beta !=
+    0, and of e^beta . x^g e^a with a != 0, keeps a generator: the leg
+    table's rules only reorder generators, trade a pair for the generators
+    of its bracket, or let a generator act on a coordinate.  So the table
+    of image . e^beta has the one entry beta = 0, the e^0 coefficient of
+    each order of the image, and the counit of e^beta . image is e^beta
+    acting through the anchor on that coefficient, read from the
+    structure's action table (``envelope._act_into``).
 
     The pair is built once per (context, a, degree) and kept on the
     context (``JetContext._source_target``); every call returns the same
@@ -537,23 +536,21 @@ def jet_source_target(ctx, a, degree=None):
         return hit
     spec = ctx.spec
     zeros, unit = (0,) * spec.nvars, (0,) * spec.rank
-    image = _base_image(ctx, a)
+    zero = ctx.zero_poly()
+    base = [w.terms.get(unit) for w in _base_image(ctx, a).coeffs]
 
-    def counit_table(mono_right):
-        def value(beta):
-            mono = (zeros, beta)
-            return HLaurent(0, ctx.order, [
-                CPoly(spec.nvars, _mul_mono_into(
-                    {}, spec, w, mono, 1, mono_right).get(unit))
-                for w in image.coeffs], ctx.zero_poly())
-        if mono_right:
-            v = value(unit)
-            return JetElement(ctx.flavor, {} if v.is_zero() else {unit: v})
-        return JetElement(ctx.flavor, _tabulate(ctx, value, degree))
+    def acted(beta):
+        return HLaurent(0, ctx.order, [
+            zero if c is None
+            else CPoly(spec.nvars, _act_into({}, spec, (zeros, beta), c, 1))
+            for c in base], zero)
 
-    left = ctx.flavor == LEFT
-    hit = ctx._source_target[ckey] = (counit_table(left),
-                                      counit_table(not left))
+    table = _tabulate(ctx, acted, degree)
+    at_unit = JetElement(ctx.flavor, {unit: table[unit]}
+                         if unit in table else {})
+    tabulated = JetElement(ctx.flavor, table)
+    hit = ctx._source_target[ckey] = (at_unit, tabulated) \
+        if ctx.flavor == LEFT else (tabulated, at_unit)
     return hit
 
 

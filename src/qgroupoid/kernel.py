@@ -75,14 +75,7 @@ def poly_mul(a, b):
 
 
 def poly_diff(a, j):
-    out = {}
-    for k, v in a.items():
-        e = k[j]
-        if e:
-            kk = k[:j] + (e - 1,) + k[j + 1:]
-            s = out.get(kk, _ZERO) + v * e
-            if s:
-                out[kk] = s
-            else:
-                del out[kk]
-    return out
+    # lowering the j-th exponent is injective on the terms it keeps, so no
+    # two terms meet
+    return {k[:j] + (k[j] - 1,) + k[j + 1:]: v * k[j]
+            for k, v in a.items() if k[j]}

@@ -306,25 +306,16 @@ def lr_differential(spec, form):
 
 
 def schouten_bracket(spec, X, Y):
-    """Biderivation extension of the bracket, degrees (0..1) x (0..2).
+    """Biderivation extension of the bracket, a degree-1 first operand
+    and a second of degree 0, 1 or 2, the range the derivation condition
+    needs.
 
-    Degree-0 operands are CPoly; degree 1 and 2 are MultiVector.
-    [X, f] = anchor(X)(f); [X, Y^Z] = [X,Y]^Z + Y^[X,Z]; a degree-2 first
-    operand is handled through graded antisymmetry [P, X] = -[X, P].
+    A degree-0 operand is a CPoly; degree 1 and 2 are MultiVector.
+    [X, f] = anchor(X)(f); [X, Y^Z] = [X,Y]^Z + Y^[X,Z].
     """
-    dx = 0 if isinstance(X, CPoly) else X.degree
     dy = 0 if isinstance(Y, CPoly) else Y.degree
-    if dx > 1 and dy <= 1:
-        return -schouten_bracket(spec, Y, X)
-    if dx > 1 or dy > 2:
-        raise DegreeUnsupportedError("schouten bracket limited to degrees <=1 x <=2")
-    if dx == 0 and dy == 0:
-        return CPoly.zero(spec.nvars)
-    if dx == 0:
-        if dy == 1:
-            return -schouten_bracket(spec, Y, X)
-        raise DegreeUnsupportedError("degree (0,2) bracket not needed")
-    # dx == 1
+    if X.degree != 1 or dy > 2:
+        raise DegreeUnsupportedError("schouten bracket limited to degrees 1 x <=2")
     Xel = {i: c for (i,), c in X.terms.items()}
     if dy == 0:
         return spec.anchor_elem(Xel, Y)

@@ -111,8 +111,6 @@ class CPoly:
     # -- comparison / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CPoly.const(self.nvars, other)
         return isinstance(other, CPoly) and self.nvars == other.nvars \
             and self.terms == other.terms
 
@@ -160,11 +158,9 @@ def parse_poly(text, nvars, line=0):
     out = CPoly.zero(nvars)
     # normalize leading sign, then split into signed terms
     chunks = re.split(r"(?<![*^/])\s*([+-])\s*", "+" + text if text[0] not in "+-" else text)
-    # chunks like ['', '+', 'term', '-', 'term', ...]
-    it = iter(chunks)
-    first = next(it)
-    if first.strip():
-        raise ParseError(line, "malformed polynomial %r" % text)
+    # chunks like ['', '+', 'term', '-', 'term', ...]: the text starts with
+    # a sign, so the first chunk is empty
+    it = iter(chunks[1:])
     for sign, term in zip(it, it):
         term = term.strip()
         if not term:

@@ -23,13 +23,6 @@ __all__ = [
 ]
 
 
-def _is_zero(t):
-    probe = getattr(t, "is_zero", None)
-    if probe is not None:
-        return probe()
-    return not t
-
-
 class HSeries:
     """Coefficients t0..tN; arithmetic discards all orders above N."""
 
@@ -100,7 +93,7 @@ def hseries_mul(a, b, mul):
         acc = a.zero
         for i in range(k + 1):
             ai, bj = a.coeffs[i], b.coeffs[k - i]
-            if _is_zero(ai) or _is_zero(bj):
+            if ai.is_zero() or bj.is_zero():
                 continue
             acc = acc + mul(ai, bj)
         out.append(acc)
@@ -115,7 +108,7 @@ def hseries_invert(a, mul, a0_inv=None, one=None):
     multiplying back; pass ``one`` to also pin the order-0 value.
     """
     n = a.order
-    if _is_zero(a.coeffs[0]):
+    if a.coeffs[0].is_zero():
         raise NotAUnitError("leading coefficient is zero")
     inv0 = a0_inv if a0_inv is not None else a.coeffs[0]
     out = [inv0]
@@ -123,15 +116,15 @@ def hseries_invert(a, mul, a0_inv=None, one=None):
         acc = a.zero
         for i in range(1, k + 1):
             ai = a.coeffs[i]
-            if _is_zero(ai):
+            if ai.is_zero():
                 continue
             acc = acc + mul(ai, out[k - i])
         out.append(-mul(inv0, acc))
     result = HSeries(n, out, a.zero)
     check = hseries_mul(a, result, mul)
-    if any(not _is_zero(c) for c in check.coeffs[1:]):
+    if any(not c.is_zero() for c in check.coeffs[1:]):
         raise NotAUnitError("leading coefficient is not invertible")
-    if one is not None and not _is_zero(check.coeffs[0] - one):
+    if one is not None and not (check.coeffs[0] - one).is_zero():
         raise NotAUnitError("a0_inv does not invert the leading coefficient")
     return result
 
@@ -171,11 +164,11 @@ class HLaurent:
         return self.coeffs[n - self.val]
 
     def is_zero(self):
-        return all(_is_zero(c) for c in self.coeffs)
+        return all(c.is_zero() for c in self.coeffs)
 
     def normalize(self):
         val, coeffs = self.val, list(self.coeffs)
-        while coeffs and _is_zero(coeffs[0]):
+        while coeffs and coeffs[0].is_zero():
             coeffs.pop(0)
             val += 1
         return HLaurent(val, self.top, coeffs, self.zero)

@@ -13,6 +13,7 @@ one twistor term.
     [twistor]     form = exp | none
                   term = <weight> | <left monomial> | <right monomial>
     [truncation]  h_order / pbw_degree / jet_degree / n_max
+                  (n_max <= 8; pbw_degree is bounded but unused)
     [samples]     max_degree = 2, extra = <poly>; <poly>  (lines add up)
     [rng]         seed = 7
 """
@@ -26,7 +27,7 @@ from .errors import ParseError, SemanticError
 from .lierinehart import LieRinehartSpec
 from .scalars import CPoly, parse_poly
 from .series import HSeries
-from .tensorspace import TensorElement
+from .tensorspace import MAX_LEGS, TensorElement
 
 __all__ = [
     "EngineSpec", "load_spec", "load_spec_file", "parse_env_monomial",
@@ -211,7 +212,7 @@ def _dispatch(spec, section, key, value, lineno):
                 raise ParseError(lineno, "term reads: weight | left | right")
             weight = _fraction(bits[0], lineno, "weight")
             spec.twistor_terms.append((weight, bits[1], bits[2], lineno))
-        elif key.split()[0] == "order":
+        elif key.split()[:1] == ["order"]:
             parts = key.split()
             if len(parts) != 2:
                 raise ParseError(lineno, "explicit entries read: "
@@ -283,10 +284,15 @@ def _validate(spec):
                      spec.pbw_degree, spec.sample_degree)
 
 
-def check_truncation(h_order, jet_degree, *degrees):
-    """Bounds on the truncation parameters, for spec files and overrides."""
-    if min((h_order, jet_degree) + degrees) < 1:
+def check_truncation(h_order, jet_degree, n_max, *degrees):
+    """Bounds on the truncation parameters, for spec files and overrides:
+    every degree at least 1, h_order and jet_degree at most
+    ``MAX_TRUNCATION``, and n_max, the most legs of the iterated coproducts
+    the membership tests build, at most ``MAX_LEGS``."""
+    if min((h_order, jet_degree, n_max) + degrees) < 1:
         raise SemanticError("all truncation degrees must be >= 1")
     if max(h_order, jet_degree) > MAX_TRUNCATION:
         raise SemanticError("h_order and jet_degree must be <= %d"
                             % MAX_TRUNCATION)
+    if n_max > MAX_LEGS:
+        raise SemanticError("n_max must be <= %d" % MAX_LEGS)

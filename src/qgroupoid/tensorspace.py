@@ -46,7 +46,9 @@ A structure with rational structure functions may store a ``Fraction``;
 and its gamma from tables beside the registry (``PURE``, ``GAMMA``) and
 migrates the gamma of every leg that is not pure onto the last leg; each
 (last id, total gamma) shift is interned once per process (``SHIFTS``).
-Like the product, it has fixed loops for 2 and 3 legs.  Two tensors are
+Like the product, it has fixed loops for 2 and 3 legs and refuses any
+other width; ``tests/oracles.tensor_reduce_loop`` keeps the general
+loop as the reference.  Two tensors are
 one class when their signed difference, over the lcm of their
 denominators, reduces to zero (``same_class``): one reduction into one
 dict, where comparing two reductions builds both.
@@ -518,8 +520,8 @@ def tensor_reduce(spec, T):
     (``envelope.PURE``), and the gammas of those that are not pure
     (``envelope.GAMMA``, None for a pure leg) shift the last leg; each
     (last id, total gamma) is interned once per process
-    (``envelope.SHIFTS``).  2- and 3-leg tensors take fixed loops, other
-    widths the general loop (``_reduce_into``).
+    (``envelope.SHIFTS``).  A tensor has 2 or 3 legs and takes a fixed
+    loop (``_reduce_into``); any other width is a ``ConfigError``.
     """
     return _tensor(T.nvars, T.rank, T.legs, _reduce_into({}, T, 1), T.den)
 
@@ -537,25 +539,14 @@ def same_class(spec, s, t):
 
 def _reduce_into(out, T, m):
     """out += m * (the reduced numerators of T); returns out, whose
-    entries stay nonzero.  2- and 3-leg tensors, the only widths a command
-    reduces, take fixed loops, about twice as fast as the general loop
-    below on the twistor's cocycle sides; other widths take that loop."""
+    entries stay nonzero.  A tensor has 2 or 3 legs, the only widths a
+    command reduces, and takes a fixed loop; any other width is a
+    ``ConfigError``, as in ``_mul_into``."""
     if T.legs == 2:
         return _reduce2_into(out, T.num, m)
     if T.legs == 3:
         return _reduce3_into(out, T.num, m)
-    gam, pure = GAMMA, PURE
-    for key, c in T.num.items():
-        total = None
-        for i in key[:-1]:
-            g = gam[i]
-            if g is not None:
-                total = g if total is None else tuple(map(add, total, g))
-        if total is not None:
-            key = tuple(pure[i] for i in key[:-1]) \
-                + (shift_id(key[-1], total),)
-        _bump_term(out, key, c * m)
-    return out
+    raise ConfigError("tensor reductions have 2 or 3 legs")
 
 
 def _reduce2_into(out, num, m):

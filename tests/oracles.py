@@ -34,7 +34,7 @@ No command of the CLI calls these; the tests compare the engine with them.
 - ``pair_rows_loop`` is the pairing of {alpha: {gamma: c}} rows that adds
   every term's pairing, where ``jets._pair_rows`` skips the shared zero and
   returns a lone unit term's pairing shifted.
-- ``evaluation_iso_check`` checks the jet pairing (``jets.jet_pair`` and
+- ``evaluation_iso_check`` checks the jet pairing (``jets._pair_env`` and
   the paired products of ``jets._pair_entry``) against the divided
   xi-powers ``jets.divided_xi_powers``: a Kronecker pairing matrix and the
   convolution identity at h^0, on undeformed contexts.
@@ -63,7 +63,7 @@ from qgroupoid.jets import (
     LEFT, JetElement, _apply_series_map, _base_image, _index_pairs,
     _pair_entry, _pair_env, _pair_mono, _pair_product, _pair_rows,
     _tabulate, divided_xi_powers,
-    jet_coproduct_functional, jet_pair, table_sum, tensor_functional_from_pair,
+    jet_coproduct_functional, table_sum, tensor_functional_from_pair,
     tensor_tables_equal,
 )
 from qgroupoid.lierinehart import LieRinehartSpec, cobracket_from_dual_spec
@@ -342,9 +342,11 @@ def pair_rows_loop(ctx, lam, rows, top):
 
 
 def source_target_loop(ctx, a, degree=None):
-    """``jets.jet_source_target`` built afresh on every call: the counits
-    of each order of image . e^beta or e^beta . image, the former at
-    beta = 0 alone."""
+    """``jets.jet_source_target`` built afresh on every call from the
+    products themselves: the counits of each order of image . e^beta or
+    e^beta . image, the former at beta = 0 alone, where
+    ``jet_source_target`` reads the image's e^0 coefficient and the
+    action table."""
     spec = ctx.spec
     zeros, unit = (0,) * spec.nvars, (0,) * spec.rank
     image = _base_image(ctx, a)
@@ -476,7 +478,7 @@ def evaluation_iso_check(ctx, degree):
     for kappa in idx:
         for beta in idx:
             mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-            val = jet_pair(ctx, powers[kappa], mono).coeff(0)
+            val = _pair_env(ctx, powers[kappa], mono).coeff(0)
             want = CPoly.one(spec.nvars) if kappa == beta else CPoly.zero(spec.nvars)
             if val != want:
                 return False
@@ -494,8 +496,8 @@ def evaluation_iso_check(ctx, degree):
                     k2 = tuple(a - b for a, b in zip(kappa, k1))
                     if any(t < 0 for t in k2):
                         continue
-                    rhs = rhs + jet_pair(ctx, powers[k1], m1).coeff(0) \
-                        * jet_pair(ctx, powers[k2], m2).coeff(0)
+                    rhs = rhs + _pair_env(ctx, powers[k1], m1).coeff(0) \
+                        * _pair_env(ctx, powers[k2], m2).coeff(0)
                 if lhs != rhs:
                     return False
     return True

@@ -1,19 +1,16 @@
 import ast
-import cProfile
 import hashlib
 import importlib.util
 import io
 import json
 import os
-import pkgutil
-import pstats
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
 
-import qgroupoid
 from qgroupoid import deform, envelope, jets, tensorspace
 from qgroupoid.cli import main
 from qgroupoid.scalars import pbw_indices
@@ -565,6 +562,27 @@ def test_truncation_budget(tmp_path):
         assert "h_order and jet_degree must be <= 10" in err
 
 
+def test_n_max_is_bounded_by_the_legs_of_a_coproduct(tmp_path):
+    """n_max, the most legs of the membership test's iterated coproducts,
+    is at most ``MAX_LEGS`` (8) in a spec file, in an override and in
+    ``example``, and a larger one is refused before any work.  It was
+    accepted, and ``drinfeld --functor prime --h-order 9 --n-max 9`` then
+    ran 5 s before the engine refused the ninth leg (exit 2)."""
+    big = tmp_path / "big.spec"
+    big.write_text(open(SPEC).read().replace("n_max = 3", "n_max = 9"))
+    runs = [["drinfeld", str(big), "--functor", "prime"],
+            ["drinfeld", SPEC, "--functor", "prime", "--h-order", "9",
+             "--n-max", "9"],
+            ["example", "axb", "--h-order", "9", "--n-max", "9"]]
+    for argv in runs:
+        start = time.perf_counter()
+        code, out, err = run_cli(argv + ["--json-only"])
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out, err) == (3, "", "error: n_max must be <= 8\n"), argv
+    code, _, _ = run_cli(["validate", SPEC, "--n-max", "8", "--json-only"])
+    assert code == 0
+
+
 def test_invariant_violation_is_a_failing_check(monkeypatch):
     import qgroupoid.specfile as specfile
     from qgroupoid.deform import Twistor, exp_twistor
@@ -581,6 +599,13 @@ def test_invariant_violation_is_a_failing_check(monkeypatch):
     assert engine[0]["status"] == "fail"
     assert "closed-form inverse" in engine[0]["witness"]
 
+
+# the commands built on the spec's twistor
+TWISTOR_COMMANDS = (
+    ["twist"], ["dualize"], ["drinfeld", "--functor", "roundtrip"],
+    ["drinfeld", "--functor", "prime"], ["drinfeld", "--functor", "vee"],
+    ["semiclassical"],
+)
 
 INVALID_TWISTOR_SPEC = """
 [base]
@@ -611,10 +636,7 @@ def test_no_command_certifies_an_invalid_twistor(tmp_path, monkeypatch):
 
     cli_validate = cli.twistor_validate
     monkeypatch.setattr(cli, "twistor_validate", counted)
-    commands = [["twist"], ["dualize"], ["drinfeld", "--functor", "roundtrip"],
-                ["drinfeld", "--functor", "prime"],
-                ["drinfeld", "--functor", "vee"], ["semiclassical"]]
-    for argv in commands:
+    for argv in TWISTOR_COMMANDS:
         del calls[:]
         code, out, _ = run_cli(argv + [str(spec), "--json-only"])
         assert code == 1, argv
@@ -830,100 +852,3 @@ def test_bad_extra_sample_is_a_usage_error_in_every_command(cmd, tmp_path):
     assert code == 3
     assert out == ""
     assert err == "error: line 28: zero denominator in '1/0'\n"
-
-
-# module-level functions of the engine that no CLI command calls, each with
-# the reason it stays in src/qgroupoid
-UNREACHED = {
-    ("drinfeld", "hprime_basis"):
-        "the duality round trip is to compare the recovered generators with "
-        "the H' dual basis it solves (ROADMAP item 2)",
-    ("jets", "divided_xi_powers"):
-        "the divided xi-powers hprime_basis solves against (ROADMAP item 2)",
-}
-
-# methods of the engine's classes that no CLI command calls, each with the
-# reason it stays
-UNREACHED_METHODS = {
-    ("envelope", "EnvElement.__add__"):
-        "the value type's sum, which the oracles and tests use; "
-        "test_cli_sums_no_envelope_elements_by_addition keeps commands off it",
-    ("envelope", "EnvElement.__sub__"):
-        "the value type's difference, as __add__",
-    ("envelope", "EnvElement.__hash__"):
-        "defining __eq__ leaves a class unhashable without __hash__",
-    ("tensorspace", "TensorElement.__hash__"):
-        "defining __eq__ leaves a class unhashable without __hash__",
-    ("scalars", "CPoly.__bool__"):
-        "without it every polynomial, zero included, would be truthy",
-    ("errors", "NonIntegralError.__init__"):
-        "an error path: a negative h-valuation no valid input reaches",
-    ("report", "Report.ok_except_indeterminate"):
-        "reached when an engine error leaves a check indeterminate, which no "
-        "valid input makes",
-    ("tensorspace", "TensorElement.__repr__"):
-        "display for debugging and test output",
-    ("series", "HSeries.__repr__"): "display for debugging and test output",
-    ("jets", "JetElement.__repr__"): "display for debugging and test output",
-    ("lierinehart", "LieRinehartSpec.__repr__"):
-        "display for debugging and test output",
-    ("lierinehart", "MultiVector.__repr__"):
-        "display for debugging and test output",
-}
-
-
-def test_every_engine_function_is_called_by_the_cli(tmp_path):
-    """Every module-level function and every method of ``src/qgroupoid``
-    runs under some CLI command, except the ones named in ``UNREACHED`` and
-    ``UNREACHED_METHODS``: helpers that only the tests call live in
-    ``tests/oracles.py`` or in the tests.  The commands are every spec
-    command on axb and on the bracketed structure (``form = none``) plus
-    ``example axb``, at truncation 2, one run that prints the human summary,
-    one whose twistor fails validation and one on a spec that does not
-    parse."""
-    modules = [importlib.import_module(m.name) for m in pkgutil.iter_modules(
-        qgroupoid.__path__, "qgroupoid.")]
-    defined = {}
-    for mod in modules:
-        with open(mod.__file__) as fh:
-            tree = ast.parse(fh.read())
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                functions = [(node, node.name)]
-            elif isinstance(node, ast.ClassDef):
-                functions = [(f, "%s.%s" % (node.name, f.name))
-                             for f in node.body
-                             if isinstance(f, ast.FunctionDef)]
-            else:
-                continue
-            for fn, name in functions:
-                first = min([fn.lineno]
-                            + [d.lineno for d in fn.decorator_list])
-                defined[(mod.__file__, first, fn.name)] = (
-                    mod.__name__.rsplit(".", 1)[1], name)
-    bracket = tmp_path / "bracket.spec"
-    bracket.write_text(_bracket_spec_text(2))
-    invalid = tmp_path / "cocycle.spec"
-    invalid.write_text(INVALID_TWISTOR_SPEC)
-    broken = tmp_path / "broken.spec"
-    broken.write_text("not a spec\n")
-    small = ["--h-order", "2", "--jet-degree", "2", "--n-max", "2"]
-    runs = [(["example", "axb"] + small, 0)] + [
-        ([cmd[0], spec] + cmd[1:] + small + ["--json-only"], 0)
-        for spec in (SPEC, str(bracket)) for cmd in DEFAULT_SPEC_COMMANDS]
-    runs += [(["twist", str(invalid), "--json-only"], 1),
-             (["validate", str(broken), "--json-only"], 3)]
-    profile = cProfile.Profile()
-    for argv, want in runs:
-        profile.enable()
-        try:
-            code, _, _ = run_cli(argv)
-        finally:
-            profile.disable()
-        assert code == want, argv
-    called = {defined[key] for key in pstats.Stats(profile).stats
-              if key in defined}
-    unreached = set(defined.values()) - called
-    allowed = set(UNREACHED) | set(UNREACHED_METHODS)
-    assert sorted(unreached - allowed) == []
-    assert unreached >= allowed

@@ -141,7 +141,7 @@ from qgroupoid.envelope import (
 from qgroupoid.errors import ConfigError
 from qgroupoid.jets import (
     LEFT, RIGHT, JetContext, JetElement, coordinate_functional,
-    jet_coproduct_functional, jet_pair, jet_product, jet_product_eval,
+    jet_coproduct_functional, jet_product, jet_product_eval,
     jet_source_target, pbw_indices, tensor_functional_from_pair,
     xi_functional,
 )
@@ -1725,7 +1725,10 @@ def test_interned_tensor_layer_matches_nested_keys(make):
     groups = [(two, two), (three, three), (four, four[:5] + four[-1:])]
     for group, right in groups:
         for T in group:
-            assert nested(tensor_reduce(spec, T)) == nested_tensor_reduce(spec, T)
+            # a 4-leg reduction raises (test_reduce_kernels_match_the_loop)
+            if T.legs < 4:
+                assert nested(tensor_reduce(spec, T)) \
+                    == nested_tensor_reduce(spec, T)
             for leg in range(T.legs):
                 assert nested(tensor_coproduct_leg(spec, T, leg)) \
                     == nested_coproduct_leg(spec, T, leg)
@@ -2350,8 +2353,9 @@ def test_tensor_functional_from_pair_matches_unskipped(make, flavor):
             assert {k: window(v) for k, v in got.items()} \
                 == {k: window(v) for k, v in want.items()}
             first = lam if flavor == LEFT else mu
-            skipped += sum(jet_pair(ctx, first, ((0,) * spec.nvars, beta))
-                           .is_zero() for beta in pbw_indices(spec.rank, degree))
+            skipped += sum(
+                jets._pair_mono(ctx, first, ((0,) * spec.nvars, beta))
+                .is_zero() for beta in pbw_indices(spec.rank, degree))
     # the skip is taken
     assert skipped
 
@@ -2649,7 +2653,9 @@ def test_source_target_tabulate_image_times_monomial_at_the_unit(make,
                                                                   flavor):
     """``jet_source_target`` reads the counit of image . e^beta only at
     beta = 0: on structures with polynomial structure functions the
-    two-sided loop that builds every product finds no other key there."""
+    two-sided loop that builds every product finds no other key there,
+    and it finds the counits of e^beta . image that ``jet_source_target``
+    reads from the action table."""
     dfa = make()
     spec = dfa.spec
     assert polynomial_brackets(spec)
@@ -2697,20 +2703,25 @@ def doubled(T):
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
                                   rational_exp_dfa, polynomial_exp_dfa])
 def test_reduce_kernels_match_the_loop(make):
-    """``tensor_reduce``'s fixed 2- and 3-leg loops and its general loop
-    against ``oracles.tensor_reduce_loop``: the same numerators in the same
-    order over the same denominator, on 2-, 3- and 4-leg inputs and on the
-    two sides of the cocycle identity, each reduced twice (the second time
-    every shift is already interned).  ``same_class`` (one signed
-    reduction over the common denominator) against comparing the loop's
-    two reductions, on pairs over different denominators."""
+    """``tensor_reduce``'s fixed 2- and 3-leg loops against
+    ``oracles.tensor_reduce_loop``: the same numerators in the same order
+    over the same denominator, on 2- and 3-leg inputs and on the two sides
+    of the cocycle identity, each reduced twice (the second time every
+    shift is already interned).  ``same_class`` (one signed reduction over
+    the common denominator) against comparing the loop's two reductions,
+    on pairs over different denominators.  A 4-leg tensor is refused by
+    both, as no command reduces one."""
     dfa = make()
     spec = dfa.spec
     two, three = integer_layer_inputs(spec)
     sides = cocycle_sides(dfa)
     three = three + [t for pair in sides for t in pair]
-    four = wide_tensors(spec, 4)
-    for T in two + three + four:
+    for T in wide_tensors(spec, 4):
+        with pytest.raises(ConfigError, match="2 or 3 legs"):
+            tensor_reduce(spec, T)
+        with pytest.raises(ConfigError, match="2 or 3 legs"):
+            same_class(spec, T, T)
+    for T in two + three:
         want = tensor_reduce_loop(spec, T)
         for _ in range(2):
             got = tensor_reduce(spec, T)
@@ -2722,7 +2733,7 @@ def test_reduce_kernels_match_the_loop(make):
     assert any(gb is not None and ga is None for ga, gb in middle)
     assert any(gb is not None and ga is not None for ga, gb in middle)
     same = 0
-    for group in (two, three, four[:6]):
+    for group in (two, three):
         for s in group:
             for t in group[:4] + [doubled(s), doubled(s) - s.scale(2)]:
                 want = tensor_reduce_loop(spec, s) \

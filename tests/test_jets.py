@@ -9,9 +9,9 @@ from qgroupoid.deform import DeformedEnvAlgebroid, defelem_from_env, exp_twistor
 from qgroupoid.envelope import EnvElement, pbw_mul
 from qgroupoid.errors import FlavorError
 from qgroupoid.jets import (
-    LEFT, RIGHT, JetContext, coordinate_functional,
+    LEFT, RIGHT, JetContext, _pair_env, _pair_mono, coordinate_functional,
     jet_axiom_suite, jet_coproduct_functional,
-    jet_counit, jet_pair, jet_product, jet_product_eval, jet_source_target,
+    jet_counit, jet_product, jet_product_eval, jet_source_target,
     jets_equal, tensor_functional_from_pair, tensor_tables_equal,
     unit_functional, xi_functional,
 )
@@ -67,13 +67,13 @@ def test_pairing_basics():
     de1 = xi_functional(ctx, 0)
     e2 = coordinate_functional(ctx, 1)
     x2 = CPoly.var(2, 1)
-    assert_val(jet_pair(ctx, de1, ((0, 0), (1, 0))), {0: CPoly.one(2)})
-    assert_val(jet_pair(ctx, de1, ((0, 0), (0, 1))), {})
-    assert_val(jet_pair(ctx, e2, ((0, 0), (0, 0))), {0: x2})
+    assert_val(_pair_mono(ctx, de1, ((0, 0), (1, 0))), {0: CPoly.one(2)})
+    assert_val(_pair_mono(ctx, de1, ((0, 0), (0, 1))), {})
+    assert_val(_pair_mono(ctx, e2, ((0, 0), (0, 0))), {0: x2})
     # the counit functional is the dual unit and pairs to eps
     eps = unit_functional(ctx)
     u = EnvElement(2, 2, {(0, 0): x2, (1, 0): CPoly.one(2)})
-    assert_val(jet_pair(ctx, eps, u), {0: x2})
+    assert_val(_pair_env(ctx, eps, u), {0: x2})
 
 
 def test_pairing_memo_follows_the_deformation(monkeypatch):
@@ -85,11 +85,11 @@ def test_pairing_memo_follows_the_deformation(monkeypatch):
     key = ((1, 0), (0, 0))  # x1 = s_F(x1) - (h/2) x1 d2 + ... when twisted
     ctx = make_ctx(LEFT, order=3)
     lam = xi_functional(ctx, 1)
-    deformed = jet_pair(ctx, lam, key)
+    deformed = _pair_mono(ctx, lam, key)
     ctx = make_trivial_ctx(LEFT, order=3)
     fresh = xi_functional(ctx, 1)
-    assert jet_pair(ctx, lam, key).eq_to_order(jet_pair(ctx, fresh, key))
-    assert not deformed.eq_to_order(jet_pair(ctx, fresh, key))
+    assert _pair_mono(ctx, lam, key).eq_to_order(_pair_mono(ctx, fresh, key))
+    assert not deformed.eq_to_order(_pair_mono(ctx, fresh, key))
 
 
 def _reachable(obj):
@@ -191,7 +191,7 @@ def test_undeformed_right_dual_product():
     ctx = make_trivial_ctx(RIGHT, spec=spec, order=2, d=4)
     xi1, xi2 = xi_functional(ctx, 0), xi_functional(ctx, 1)
     e12 = pbw_mul(spec, EnvElement.gen(0, 2, 0), EnvElement.gen(0, 2, 1))
-    v = jet_pair(ctx, jet_product(ctx, xi1, xi2), e12)
+    v = _pair_env(ctx, jet_product(ctx, xi1, xi2), e12)
     assert_val(v, {0: CPoly.one(0)})
 
 

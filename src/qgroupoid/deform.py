@@ -54,15 +54,16 @@ The twistor's counit conditions contract a classical 2-tensor by
 ``tensorspace.counit_contract``.
 The coproduct lift of a monomial is also cached grouped by the monomial
 on one leg (``DeformedEnvAlgebroid.lift_legs``), which is how the jet
-dual product reads it; like ``.terms`` it keeps nested monomial keys.
+dual product evaluates an index it has marked; like ``.terms`` it keeps
+nested monomial keys.
 ``reduce_series`` moves coefficients rightward by the Takeuchi relation
 t_F(a) u (x) v = u (x) s_F(a) v.  A leg moves unless it is its own pure
 part (0, alpha) (``envelope.PURE``), and it moves through the
 t_F-decomposition of its base monomial alone: x^gamma = sum_beta
 t_F(c_beta) e^beta gives x^gamma e^alpha = sum_beta t_F(c_beta)
 (e^beta e^alpha), so the leg becomes e^beta e^alpha, read from the
-structure's leg table (``envelope.leg_product``, keyed by pairs of leg ids
-and memoising the products at monomial granularity), and s_F(c_beta)
+structure's leg table (``envelope.leg_product``, nested by leg ids and
+memoising the products at monomial granularity), and s_F(c_beta)
 multiplies the next leg through the same table.  The deformation caches,
 per leg id of x^gamma (``envelope.leg_id``), the basis terms of the
 s_F(c_beta) (``DeformedEnvAlgebroid.migrants``) as leg ids with integer
@@ -854,7 +855,7 @@ def _reduce_leg(dfa, HT, leg):
                 a, nxt = pure[w], key[leg + 1]
                 head, tail = key[:leg], key[leg + 2:]
                 for p, orders in moved:
-                    entry = table.get((p, a))
+                    entry = table[p].get(a)
                     if entry is None:
                         entry = leg_product(spec, p, a)
                     for l, q in entry:
@@ -866,7 +867,7 @@ def _reduce_leg(dfa, HT, leg):
                             out = dest[k + j]
                             for wl, cw in terms_j:
                                 cc = cl * cw
-                                prod = table.get((wl, nxt))
+                                prod = table[wl].get(nxt)
                                 if prod is None:
                                     prod = leg_product(spec, wl, nxt)
                                 for l2, q2 in prod:

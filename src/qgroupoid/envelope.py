@@ -16,10 +16,11 @@ or difference of envelope elements that a command computes, in
 ``deform``, ``jets`` and ``drinfeld``, goes into such rows, one per
 h-order (``_add_rows``, ``_rows_series``), never through a chain of
 ``+``.  The tensor loops of ``tensorspace`` and ``deform`` read the table
-on leg ids.  The table is keyed by the monomials' interned ids
-(``leg_id``): every basis monomial (gamma, alpha) gets a small int the
-first time it is seen, so a lookup hashes a pair of ints instead of
-nested exponent tuples.  The anchor action
+on leg ids.  The table is nested by the monomials' interned ids
+(``leg_id``), {ia: {ib: entry}}: every basis monomial (gamma, alpha) gets
+a small int the first time it is seen, so a lookup hashes an int per
+level instead of nested exponent tuples, and a loop over the right
+factors of one left leg holds that leg's row.  The anchor action
 reads a second table, of e^alpha acting on x^gamma: ``_act_into`` sums
 a basis monomial acting on a polynomial into {exponent: coefficient},
 and ``anchor_action`` sums it over the basis terms of an element.
@@ -201,11 +202,14 @@ def _support(monos):
 #
 # By the PBW theorem the monomials x^gamma e^alpha are a basis, so the
 # product of two basis monomials fixes every product.  The structure keeps
-# these products in one table (``spec._leg_table``), keyed by the ids of
-# the two monomials and holding the product as basis terms (id, q), an
-# integral q stored as an ``int``.  A left coordinate x^ga only shifts the
-# entry of (x^0 e^alpha, x^gamma e^beta), which is built by peeling the last
-# generator e_j off e^alpha:
+# these products in one table (``spec._leg_table``), nested by the ids of
+# the two monomials, {ia: {ib: entry}}, each entry the product as basis
+# terms (id, q), an integral q stored as an ``int``.  A row is made on
+# first read (a ``defaultdict``), so the product loops hold the row of a
+# left factor and read its entries in place; a unit leg's entries are in
+# the table too, the other leg passed through.  A left coordinate x^ga
+# only shifts the entry of (x^0 e^alpha, x^gamma e^beta), which is built
+# by peeling the last generator e_j off e^alpha:
 #
 #   e^alpha x^gamma e^beta = e^(alpha - e_j) (e_j x^gamma e^beta),
 #   e_j x^gamma e^beta     = x^gamma (e_j e^beta) + anchor(e_j)(x^gamma) e^beta,
@@ -219,9 +223,8 @@ def leg_product(spec, ia, ib):
     """Product of the basis monomials with ids ia and ib as a tuple of
     basis terms (id, q), read from the structure's product table and
     filled there."""
-    table = spec._leg_table
-    key = (ia, ib)
-    hit = table.get(key)
+    row = spec._leg_table[ia]
+    hit = row.get(ib)
     if hit is None:
         ga, aa = LEGS[ia]
         if any(ga):
@@ -229,7 +232,7 @@ def leg_product(spec, ia, ib):
                         for i, q in leg_product(spec, PURE[ia], ib))
         else:
             hit = _leg_entry(spec, aa, *LEGS[ib])
-        table[key] = hit
+        row[ib] = hit
     return hit
 
 
@@ -354,11 +357,12 @@ def _mul_mono_into(rows, spec, w, key, c=1, right=True):
         ib = leg_id(key)
     else:
         ia = leg_id((zeros, key[1]))
+        row_a = table[ia]
         shift = key[0] if any(key[0]) else None
     for alpha, poly in w.terms.items():
         if right:
             ia = leg_id((zeros, alpha))
-            entry = table.get((ia, ib))
+            entry = table[ia].get(ib)
             if entry is None:
                 entry = leg_product(spec, ia, ib)
         for gamma, q in poly.terms.items():
@@ -366,7 +370,7 @@ def _mul_mono_into(rows, spec, w, key, c=1, right=True):
                 shift = gamma if any(gamma) else None
             else:
                 ib = leg_id((gamma, alpha))
-                entry = table.get((ia, ib))
+                entry = row_a.get(ib)
                 if entry is None:
                     entry = leg_product(spec, ia, ib)
             if scaled:

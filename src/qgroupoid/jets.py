@@ -20,8 +20,19 @@ zero.  The deformation keeps those deltas per (flavor, x^gamma e^alpha),
 or None where a term is impure (``DeformedEnvAlgebroid.pairing_support``),
 so the test is one membership test against the table (``_misses_table``).
 An impure term or a delta in the table takes the decomposition.
+
 Dual products are the transposes of the twisted coproduct, evaluated on
-the canonical lifted representatives.
+the canonical lifted representatives, and they are tabulated as a
+transpose (``jet_product``).  The lift of each PBW index up to the degree
+is read once per context and degree into a map from each (paired leg w,
+other leg o) to the positions of the indices whose lift holds that pair
+(``_transpose``).  A product computes each factor mu(W . o), W the mapped
+image of lam(w), once over the legs w where lam does not vanish, marks
+the positions of the nonzero factors and evaluates only the indices so
+marked (``jet_product_eval``, sharing the factors); every other index
+sums zero factors alone and is zero.  Most factors are known to be zero
+without a pairing: the support of W . o, memoised on lam beside its rows,
+misses mu's table (``_factor``).
 
 Whatever does not depend on the functional at hand is built once and
 read by every call.  A context keeps each product-table entry e^b1 e^b2
@@ -35,7 +46,8 @@ one pairs term by term.
 Each functional memoises three things, all keyed by the deformation
 object: its pairings with basis monomials; per paired lift leg w, the
 image of lam(w) under t_F or s_F with the product rows of that image by
-each other lift leg; and, as the first factor of a tensor functional
+each other lift leg and their support; and, as the first factor of a
+tensor functional
 (``tensor_functional_from_pair``, keyed by the context flavor too), the
 image of each first pairing with the rows of each e^moved . image and
 their supports.  All depend on the functional alone, so every partner of
@@ -86,14 +98,15 @@ LEFT, RIGHT = "left", "right"
 class JetContext:
     """A deformed algebroid together with a dual flavor and jet degree.
 
-    Two memos hold what depends on the context alone, never on a
+    Three memos hold what depends on the context alone, never on a
     functional: ``_entries`` maps a pair of basis monomials (la, lb) to
-    their product-table entry and its support (``_pair_entry``), and
+    their product-table entry and its support (``_pair_entry``),
     ``_source_target`` maps (a, degree) to the dual source and target
-    images of the base element a (``jet_source_target``).  Each context
-    fills its own, so a left and a right context on one deformation, or
-    contexts on two deformations of one structure, never read each
-    other's entries.
+    images of the base element a (``jet_source_target``), and
+    ``_transposes`` maps a degree to the transposed lifts of the PBW
+    indices up to it (``_transpose``).  Each context fills its own, so a
+    left and a right context on one deformation, or contexts on two
+    deformations of one structure, never read each other's entries.
     """
 
     def __init__(self, dfa, flavor, jet_degree):
@@ -107,6 +120,7 @@ class JetContext:
         self._zero = HLaurent.zero_upto(dfa.order, CPoly.zero(dfa.spec.nvars))
         self._entries = {}
         self._source_target = {}
+        self._transposes = {}
 
     @property
     def spec(self):
@@ -132,7 +146,8 @@ class JetElement:
     ``_pair_cache`` holds the pairing with w, and ``_lift_rows`` holds, for
     w a paired leg of a coproduct lift, the mapped image W = t_F(self(w))
     (left) or s_F(self(w)) (right), None where self(w) vanishes, and the
-    rows of W . other per other leg met (``_lift_entry``).  The third,
+    rows of W . other with their support per other leg met
+    (``_lift_entry``).  The third,
     ``_from_pair``, is keyed ``(dfa, flavor, beta)``: for the functional
     as the first factor of a tensor functional in a context of that
     flavor, the image W = s_F(self(e^beta)) (left) or t_F(self(e^beta))
@@ -391,8 +406,8 @@ def _pair_entry(ctx, lam, la, lb):
 
 def jet_pair(ctx, lam, u):
     """<lam, u> for u a DefEnvElement, an ``HSeries`` of normal-form
-    elements.  A plain element pairs through ``_pair_env``, a basis
-    monomial through ``_pair_mono``."""
+    elements: the shifted pairings of its orders' rows, summed from zero
+    up to the truncation order (``_pair_env_laurent``)."""
     return _pair_env_laurent(ctx, lam, HLaurent.from_hseries(u))
 
 
@@ -423,11 +438,48 @@ def _tabulate(ctx, fn, degree=None):
     return table
 
 
+def _transpose(ctx, degree):
+    """(indices, {w: {o: positions}}) for the context and ``degree``, built
+    once per context and degree (``JetContext._transposes``).  ``indices``
+    is ``pbw_indices(rank, degree)``.  For each pair of a paired leg w
+    (u_(2) for the left dual, u_(1) for the right) and another leg o that
+    a term of the lift of some index holds, ``positions`` is the
+    increasing tuple of the positions p with the pair in the lift of
+    indices[p].  A pair is met in about one index, so the positions are
+    kept sparse: a bitmask per pair would grow with the index count (176
+    MB of masks for ``dualize`` on axb widened to rank 12).  The pairs are
+    read off the lifts' numerators by leg id and keyed by the monomials,
+    as ``lift_legs`` keys its groups."""
+    hit = ctx._transposes.get(degree)
+    if hit is None:
+        spec = ctx.spec
+        zeros = (0,) * spec.nvars
+        leg = 1 if ctx.flavor == LEFT else 0
+        indices = pbw_indices(spec.rank, degree)
+        found = {}
+        for p, beta in enumerate(indices):
+            for Tk in ctx.dfa.lift_mono((zeros, beta)).coeffs:
+                for pair in Tk.num:
+                    row = found.get(pair[leg])
+                    if row is None:
+                        row = found[pair[leg]] = {}
+                    at = row.get(pair[1 - leg])
+                    if at is None:
+                        row[pair[1 - leg]] = [p]
+                    elif at[-1] != p:
+                        at.append(p)
+        hit = ctx._transposes[degree] = (indices, {
+            LEGS[w]: {LEGS[o]: tuple(at) for o, at in row.items()}
+            for w, row in found.items()})
+    return hit
+
+
 def _lift_entry(ctx, lam, w):
     """lam's memo entry for the paired lift leg w: (W, rows) with W =
     t_F(lam(w)) (left dual) or s_F(lam(w)) (right dual), None when lam(w)
-    vanishes, and rows {other leg: ``_product_rows`` of W . other}, filled
-    by ``jet_product_eval`` as the other legs are met."""
+    vanishes, and rows {other leg: (the ``_product_rows`` of W . other,
+    their ``_rows_support``)}, filled by ``_factor`` as the other legs
+    are met.  Both depend on lam alone, so every partner reads them."""
     ckey = (ctx.dfa, w)
     entry = lam._lift_rows.get(ckey)
     if entry is None:
@@ -438,6 +490,53 @@ def _lift_entry(ctx, lam, w):
             W = _apply_series_map(ctx, v, mapper)
         entry = lam._lift_rows[ckey] = (W, {})
     return entry
+
+
+def _rows_support(ctx, rows, flavor):
+    """The indices a functional's table must meet for the pairing of rows
+    (q, {alpha: {gamma: c}}) to be nonzero, each once, as a tuple: alpha
+    for a pure term, the ``pairing_support`` of (gamma, alpha) for an
+    impure one; None when one of those is None."""
+    out = {}
+    for _, row in rows:
+        for alpha, terms in row.items():
+            for gamma in terms:
+                if not any(gamma):
+                    out[alpha] = None
+                    continue
+                support = ctx.dfa.pairing_support((gamma, alpha), flavor)
+                if support is None:
+                    return None
+                out.update(dict.fromkeys(support))
+    return tuple(out)
+
+
+def _factor(ctx, mu, W, rows, other):
+    """The paired factor mu(W . other) of a dual product, for W and rows
+    the entry ``_lift_entry`` keeps for a paired leg; the rows of W . other
+    and their support are filled there on first use.
+
+    The factor is ``_pair_rows(ctx, mu, r, W.top)`` for the rows r.  When
+    the support misses mu's table it is zero_upto(N + q0), q0 the order of
+    the first row, or zero_upto(W.top) when there is no row, and it is
+    returned without pairing.  That is the value ``_pair_rows`` returns:
+    every term pairs to the shared zero, zero_upto(N), as a pure term
+    x^0 e^alpha pairs to mu's value at alpha, which is not a key, and an
+    impure one has a pairing support that misses the table
+    (``_misses_table``).  With no row ``_pair_rows`` returns
+    zero_upto(W.top); a lone unit term returns its pairing shifted by q0,
+    zero_upto(N + q0); any other rows start a sum at zero_upto(N + q0)
+    that skips each shared zero and keeps that start as its value."""
+    hit = rows.get(other)
+    if hit is None:
+        r = _product_rows(ctx.spec, W, other)
+        flavor = "source" if mu.flavor == LEFT else "target"
+        hit = rows[other] = (r, _rows_support(ctx, r, flavor))
+    r, support = hit
+    if support is not None and mu.table.keys().isdisjoint(support):
+        return HLaurent.zero_upto(ctx.order + r[0][0] if r else W.top,
+                                  ctx.zero_poly())
+    return _pair_rows(ctx, mu, r, W.top)
 
 
 def jet_product_eval(ctx, lam, mu, arg, memo=None):
@@ -451,10 +550,11 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
     The mapped image of each paired leg and its product rows with each
     other leg depend on lam alone and live in lam's memo
     (``_lift_entry``), so every partner mu reads the same rows.  ``memo``
-    maps each paired leg to mu's {other leg: paired factor}, or to None
-    where lam vanishes on it; ``jet_product`` shares one across a
-    tabulation, so a term costs one scaled, shifted add into the result's
-    ``LaurentSum``.  A call without one starts afresh.
+    maps each paired leg to mu's {other leg: paired factor} (``_factor``),
+    or to None where lam vanishes on it; ``jet_product`` fills one for a
+    whole tabulation before it evaluates, so a term costs one scaled,
+    shifted add into the result's ``LaurentSum``.  A call without one
+    starts afresh.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
@@ -477,10 +577,7 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
             P = factors.get(other)
             if P is None:
                 W, rows = _lift_entry(ctx, lam, paired)
-                r = rows.get(other)
-                if r is None:
-                    r = rows[other] = _product_rows(spec, W, other)
-                P = factors[other] = _pair_rows(ctx, mu, r, W.top)
+                P = factors[other] = _factor(ctx, mu, W, rows, other)
             acc.add(P, c, k)
     if acc.top is None:
         # no lift term survived
@@ -489,10 +586,45 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
 
 
 def jet_product(ctx, lam, mu, degree=None):
-    """Tabulated dual product on PBW indices up to the jet degree."""
+    """The dual product tabulated on the PBW indices up to ``degree`` (the
+    jet degree by default), in ``pbw_indices`` order, zeros left out.
+
+    The product is the transpose of the lift: mark, then gather.  For each
+    paired leg w of the transpose (``_transpose``) on which lam does not
+    vanish, each factor P(w, o) = mu(W . o) over the other legs o met
+    with w is computed once (``_factor``) into the memo that
+    ``jet_product_eval`` reads, and the positions of the indices that
+    each nonzero factor reaches are marked.  The value at an index is the
+    sum of c h^k P(w, o) over the terms of its lift on whose paired leg
+    lam does not vanish.  At an index no nonzero factor marks, every piece
+    is zero, so the sum has no nonzero coefficient and is left out, as is
+    any index whose pieces cancel.  Only the marked indices are
+    evaluated, by ``jet_product_eval`` on the filled memo, so each value
+    and window is the one that call gives on its own.
+    """
+    if lam.flavor != mu.flavor:
+        raise FlavorError("mixed dual flavors")
+    indices, transpose = _transpose(
+        ctx, ctx.jet_degree if degree is None else degree)
     memo = {}
-    return JetElement(lam.flavor, _tabulate(
-        ctx, lambda beta: jet_product_eval(ctx, lam, mu, beta, memo), degree))
+    marked = set()
+    for w, others in transpose.items():
+        W, rows = _lift_entry(ctx, lam, w)
+        if W is None:
+            memo[w] = None
+            continue
+        factors = memo[w] = {}
+        for o, positions in others.items():
+            P = factors[o] = _factor(ctx, mu, W, rows, o)
+            if not P.is_zero():
+                marked.update(positions)
+    table = {}
+    for p in sorted(marked):
+        beta = indices[p]
+        v = jet_product_eval(ctx, lam, mu, beta, memo)
+        if not v.is_zero():
+            table[beta] = v
+    return JetElement(lam.flavor, table)
 
 
 def jet_commutator(ctx, a, b, degree=None):

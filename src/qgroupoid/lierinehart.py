@@ -8,6 +8,7 @@ forms are sparse maps from strictly increasing index tuples to CPoly.
 """
 
 import itertools
+from collections import defaultdict
 from types import MappingProxyType
 
 from .errors import ConfigError, DegreeUnsupportedError
@@ -51,7 +52,8 @@ class LieRinehartSpec:
         self.anchor = tuple(tuple(row) for row in anchor)
         if len(self.anchor) != rank or any(len(r) != nvars for r in self.anchor):
             raise ConfigError("anchor matrix must be rank x nvars")
-        self._leg_table = {}    # (leg id, leg id) -> their product as (id, q)
+        # leg id -> {leg id: their product as (id, q)}
+        self._leg_table = defaultdict(dict)
         self._act_table = {}    # (alpha, gamma) -> e^alpha acting on x^gamma
         self._copro_table = {}  # alpha -> Delta(e^alpha), a lifted 2-tensor
 

@@ -28,17 +28,18 @@ monomials: the constructor takes nested keys ((gamma, alpha), ...),
 in which monomials are first seen, so nothing sorts by id; every ordered
 output sorts the monomials.
 
-Legs are multiplied through ``envelope.leg_product``, the accessor of the
-structure's one product table (``spec._leg_table``: a pair of leg ids to
-their product as basis terms (id, q), an integral coefficient stored as
-an ``int``), which the envelope's product loop reads as well.
-``tensor_mul`` multiplies leg by leg through it, passing the other leg
-through where one leg is the unit, and the tensor reduction of
-``deform`` multiplies its basis terms by it.  The classical Takeuchi
-check is two such products, T (a (x) 1) and T (1 (x) a), compared after
-reduction.  A product has 2 or 3 legs: it resolves each pair of legs
-(la, lb) that meet at one position once per call and expands each pair of
-terms in a fixed loop nest.  None is wider, since the twisted coproduct of
+Legs are multiplied through the structure's one product table
+(``spec._leg_table``: {ia: {ib: the product of the legs ia and ib as
+basis terms (id, q)}}, an integral coefficient stored as an ``int``),
+which the envelope's product loop reads as well and
+``envelope.leg_product`` fills.  ``tensor_mul`` multiplies leg by leg
+through it, and the tensor reduction of ``deform`` multiplies its basis
+terms by it.  The classical Takeuchi check is two such products,
+T (a (x) 1) and T (1 (x) a), compared after reduction.  A product has 2
+or 3 legs: it holds the table rows of each left term's legs, reads the
+entries of each pair of terms in place (a unit leg's entry passes the
+other leg through) and expands them in a fixed loop nest.  None is wider,
+since the twisted coproduct of
 a leg splices cached 2-leg lifts rather than multiplying wider tensors.
 A structure with rational structure functions may store a ``Fraction``;
 ``tensor_mul`` then brings its result back to integer numerators once.
@@ -296,13 +297,13 @@ def _basis_terms(u):
 def tensor_mul(spec, s, t):
     """Factorwise multiplication of lifted tensors.
 
-    A unit leg x^0 e^0 passes the other operand's leg through; every other
-    leg product is a ``leg_product``.  A 2- or 3-leg pair expands its leg
-    products in a fixed loop nest, which adds a single-term product as one
-    term; any other width is a ``ConfigError``.  The numerators multiply
-    with the leg coefficients and the
-    denominators multiply; a ``Fraction`` leg coefficient is cleared from
-    the result at the end.
+    Every leg product is read from the structure's product table, where a
+    unit leg x^0 e^0 passes the other operand's leg through.  A 2- or
+    3-leg pair expands its leg products in a fixed loop nest, which adds a
+    single-term product as one term; any other width is a
+    ``ConfigError``.  The numerators multiply with the leg coefficients
+    and the denominators multiply; a ``Fraction`` leg coefficient is
+    cleared from the result at the end.
     """
     s._check(t)
     out = _mul_into({}, spec, s, t, 1)
@@ -312,52 +313,37 @@ def tensor_mul(spec, s, t):
 def _mul_into(out, spec, s, t, m):
     """out += m * (numerators of s times those of t), leg by leg; returns
     out, whose values are ints or, where a leg coefficient was one,
-    Fractions.  A product has 2 or 3 legs and takes a fixed loop nest over
-    the leg products of ``_leg_rows``; any other width is a
-    ``ConfigError``."""
+    Fractions.  A product has 2 or 3 legs and takes a fixed loop nest that
+    reads the leg products from the structure's table in place; any other
+    width is a ``ConfigError``."""
     if s.legs not in (2, 3):
         raise ConfigError("tensor products have 2 or 3 legs")
     if not (s.num and t.num):
         return out
     if s.legs == 2:
-        return _mul2_into(out, _leg_rows(spec, s, t), s.num, t.num, m)
-    return _mul3_into(out, _leg_rows(spec, s, t), s.num, t.num, m)
+        return _mul2_into(out, spec, s.num, t.num, m)
+    return _mul3_into(out, spec, s.num, t.num, m)
 
 
-def _leg_rows(spec, s, t):
-    """{la: {lb: the basis terms (id, q) of la lb}} for every la that s and
-    lb that t hold at the same position, each resolved once: a unit leg
-    passes the other through, every other entry is the ``leg_product``."""
-    unit = _unit_id(s.nvars, s.rank)
-    rows = {}
-    for left, right in zip(zip(*s.num), zip(*t.num)):
-        right = dict.fromkeys(right)
-        for la in dict.fromkeys(left):
-            row = rows.setdefault(la, {})
-            for lb in right:
-                if lb in row:
-                    continue
-                if la == unit:
-                    row[lb] = ((lb, 1),)
-                elif lb == unit:
-                    row[lb] = ((la, 1),)
-                else:
-                    row[lb] = leg_product(spec, la, lb)
-    return rows
-
-
-def _mul2_into(out, rows, snum, tnum, m):
-    """``_mul_into`` for 2-leg tensors."""
+def _mul2_into(out, spec, snum, tnum, m):
+    """``_mul_into`` for 2-leg tensors: the table rows of each left term's
+    legs are held, and an entry not yet in them is filled by
+    ``leg_product``."""
+    table = spec._leg_table
     tnum = tnum.items()
     for (a0, a1), ca in snum.items():
         if m != 1:
             ca *= m
-        r0, r1 = rows[a0], rows[a1]
+        r0, r1 = table[a0], table[a1]
         for (b0, b1), cb in tnum:
+            try:
+                e0, e1 = r0[b0], r1[b1]
+            except KeyError:
+                e0, e1 = leg_product(spec, a0, b0), leg_product(spec, a1, b1)
             c = ca * cb
-            for k0, q0 in r0[b0]:
+            for k0, q0 in e0:
                 c0 = c if q0 == 1 else c * q0
-                for k1, q1 in r1[b1]:
+                for k1, q1 in e1:
                     c1 = c0 if q1 == 1 else c0 * q1
                     key = (k0, k1)
                     cur = out.get(key)
@@ -369,20 +355,27 @@ def _mul2_into(out, rows, snum, tnum, m):
     return out
 
 
-def _mul3_into(out, rows, snum, tnum, m):
-    """``_mul_into`` for 3-leg tensors."""
+def _mul3_into(out, spec, snum, tnum, m):
+    """``_mul_into`` for 3-leg tensors, read as ``_mul2_into`` reads."""
+    table = spec._leg_table
     tnum = tnum.items()
     for (a0, a1, a2), ca in snum.items():
         if m != 1:
             ca *= m
-        r0, r1, r2 = rows[a0], rows[a1], rows[a2]
+        r0, r1, r2 = table[a0], table[a1], table[a2]
         for (b0, b1, b2), cb in tnum:
+            try:
+                e0, e1, e2 = r0[b0], r1[b1], r2[b2]
+            except KeyError:
+                e0, e1, e2 = (leg_product(spec, a0, b0),
+                              leg_product(spec, a1, b1),
+                              leg_product(spec, a2, b2))
             c = ca * cb
-            for k0, q0 in r0[b0]:
+            for k0, q0 in e0:
                 c0 = c if q0 == 1 else c * q0
-                for k1, q1 in r1[b1]:
+                for k1, q1 in e1:
                     c1 = c0 if q1 == 1 else c0 * q1
-                    for k2, q2 in r2[b2]:
+                    for k2, q2 in e2:
                         c2 = c1 if q2 == 1 else c1 * q2
                         key = (k0, k1, k2)
                         cur = out.get(key)

@@ -31,6 +31,11 @@ No command of the CLI calls these; the tests compare the engine with them.
   shifts, where ``tensorspace.tensor_reduce`` has fixed 2- and 3-leg
   loops, reads the gamma from ``envelope.GAMMA`` and interns each shift
   once per process.
+- ``gathered_jet_product`` evaluates a dual product on every PBW index
+  through the grouped lift, pairing every factor, where
+  ``jets.jet_product`` transposes the lift, marks the indices a nonzero
+  factor reaches, skips factors whose support misses the partner's table
+  and evaluates only the marked indices.
 - ``pair_rows_loop`` is the pairing of {alpha: {gamma: c}} rows that adds
   every term's pairing, where ``jets._pair_rows`` skips the shared zero and
   returns a lone unit term's pairing shifted.
@@ -58,11 +63,11 @@ from qgroupoid.envelope import (
     LEGS, PURE, EnvElement, _acc_rows, _act_into, _mul_mono_into,
     _rows_series, anchor_action, leg_id, leg_product, shift_id,
 )
-from qgroupoid.errors import TruncationInsufficientError
+from qgroupoid.errors import FlavorError, TruncationInsufficientError
 from qgroupoid.jets import (
     LEFT, JetElement, _apply_series_map, _base_image, _index_pairs,
     _pair_entry, _pair_env, _pair_mono, _pair_product, _pair_rows,
-    _tabulate, divided_xi_powers,
+    _product_rows, _tabulate, divided_xi_powers,
     jet_coproduct_functional, table_sum, tensor_functional_from_pair,
     tensor_tables_equal,
 )
@@ -170,6 +175,12 @@ def spliced_coproduct_leg(dfa, HT, leg):
 # -- tensor products ---------------------------------------------------------------
 
 
+def leg_table_entries(spec):
+    """The structure's nested product table as {(ia, ib): entry}."""
+    return {(ia, ib): entry for ia, row in spec._leg_table.items()
+            for ib, entry in row.items()}
+
+
 def mul_into_legs(out, spec, s, t, m):
     """out += m * (numerators of s times those of t) for any number of
     legs, each leg product looked up per pair of terms: the oracle of the
@@ -191,7 +202,7 @@ def mul_into_legs(out, spec, s, t, m):
                 elif lb == unit:
                     factors.append(((la, 1),))
                 else:
-                    f = table.get((la, lb))
+                    f = table[la].get(lb)
                     if f is None:
                         f = leg_product(spec, la, lb)
                     if len(f) != 1:
@@ -339,6 +350,48 @@ def pair_rows_loop(ctx, lam, rows, top):
     if acc is None:
         return HLaurent.zero_upto(top, ctx.zero_poly())
     return acc.value()
+
+
+def gathered_jet_product(ctx, lam, mu, degree=None, images=None):
+    """``jets.jet_product`` as the gather it replaced: every PBW index up to
+    the degree (the jet degree by default) is evaluated on its lift grouped
+    by the paired leg (``lift_legs``), zeros left out (``jets._tabulate``).
+    Each factor mu(W . other) is paired through ``jets._pair_rows`` once
+    per tabulation, without a support test, and the terms c h^k P are
+    summed as ``jets.jet_product_eval`` sums them.  ``images`` maps a
+    paired leg to (W, {other leg: rows of W . other}), or to (None, None)
+    where lam vanishes on it; it depends on lam and the context alone, so
+    a caller may pass one dict to every product with that lam."""
+    if lam.flavor != mu.flavor:
+        raise FlavorError("mixed dual flavors")
+    spec = ctx.spec
+    zeros = (0,) * spec.nvars
+    left = lam.flavor == LEFT
+    mapper = ctx.dfa.target if left else ctx.dfa.source
+    images = {} if images is None else images
+    factors = {}
+
+    def value(beta):
+        acc = LaurentSum(ctx.zero_poly())
+        for paired, terms in ctx.dfa.lift_legs((zeros, beta), 1 if left else 0):
+            if paired not in images:
+                v = _pair_mono(ctx, lam, paired)
+                images[paired] = (None, None) if v.is_zero() \
+                    else (_apply_series_map(ctx, v, mapper), {})
+            W, rows = images[paired]
+            if W is None:
+                continue
+            for k, other, c in terms:
+                P = factors.get((paired, other))
+                if P is None:
+                    r = rows.get(other)
+                    if r is None:
+                        r = rows[other] = _product_rows(spec, W, other)
+                    P = factors[paired, other] = _pair_rows(ctx, mu, r, W.top)
+                acc.add(P, c, k)
+        return ctx.zero_value() if acc.top is None else acc.value()
+
+    return JetElement(lam.flavor, _tabulate(ctx, value, degree))
 
 
 def source_target_loop(ctx, a, degree=None):

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from qgroupoid import deform, envelope, jets, tensorspace
+from qgroupoid import axb, deform, envelope, jets, tensorspace
 from qgroupoid.cli import main
 from qgroupoid.scalars import pbw_indices
 
@@ -284,12 +284,14 @@ def test_shifts_are_interned_once_per_process(monkeypatch):
 
 def test_dual_products_build_each_row_once(monkeypatch):
     """On ``example axb`` at N=4 the rows of W . other, W a functional's
-    mapped image on a paired lift leg, are built once per (functional,
-    paired leg, other leg) and read by every partner of that functional.
-    Building them once per tabulation made 3,483 row builds (one per
-    nonzero order of W) on ``example axb`` at N=6, where 1,236 remain."""
+    mapped image on a paired lift leg, and their support are built once
+    per (functional, paired leg, other leg) and read by every partner of
+    that functional.  Building the rows once per tabulation made 3,483 row
+    builds (one per nonzero order of W) on ``example axb`` at N=6, where
+    1,236 remain."""
     real_entry, real_rows = jets._lift_entry, jets._product_rows
-    owners, built = {}, Counter()
+    real_support = jets._rows_support
+    owners, built, supported, made = {}, Counter(), Counter(), {}
 
     def lift_entry(ctx, lam, w):
         entry = real_entry(ctx, lam, w)
@@ -299,16 +301,73 @@ def test_dual_products_build_each_row_once(monkeypatch):
         return entry
 
     def product_rows(spec, W, m, mono_right=True):
+        rows = real_rows(spec, W, m, mono_right)
         owner = owners.get(id(W))
         if owner is not None:
             built[id(owner[0]), owner[1], m] += 1
-        return real_rows(spec, W, m, mono_right)
+            made[id(rows)] = (id(owner[0]), owner[1], m), rows
+        return rows
+
+    def rows_support(ctx, rows, flavor):
+        supported[made[id(rows)][0]] += 1
+        return real_support(ctx, rows, flavor)
 
     monkeypatch.setattr(jets, "_lift_entry", lift_entry)
     monkeypatch.setattr(jets, "_product_rows", product_rows)
+    monkeypatch.setattr(jets, "_rows_support", rows_support)
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
     assert built and set(built.values()) == {1}
+    assert supported == built
+
+
+def test_dual_products_evaluate_only_marked_indices(monkeypatch):
+    """On ``example axb`` at N=4 a tabulated dual product (``jet_product``)
+    evaluates an index (``jet_product_eval``) only where its lift holds a
+    pair (paired leg, other leg) whose factor in the tabulation's memo is
+    nonzero, each index once, and far fewer indices than it tabulates.
+    The lift is grouped by its paired leg (``lift_legs``) only for the
+    monomials that some evaluation reads.  Evaluating every index made
+    1,100 evaluations on ``example axb`` at N=6, where 108 remain."""
+    real_eval, real_transpose = jets.jet_product_eval, jets._transpose
+    real_legs = deform.DeformedEnvAlgebroid.lift_legs
+    tabulation = jets.jet_product.__code__
+    sizes, marked, evaluated, grouped, keep = [], Counter(), set(), set(), []
+
+    def transpose(ctx, degree):
+        hit = real_transpose(ctx, degree)
+        sizes.append(len(hit[0]))
+        return hit
+
+    def jet_product_eval(ctx, lam, mu, arg, memo=None):
+        key = arg if isinstance(arg[0], tuple) \
+            else ((0,) * ctx.spec.nvars, tuple(arg))
+        evaluated.add((ctx.dfa, key))
+        if sys._getframe(1).f_code is tabulation:
+            keep.append(memo)
+            marked[id(memo), key] += 1
+            left = lam.flavor == jets.LEFT
+            assert any(
+                memo[w2 if left else w1] is not None
+                and not memo[w2 if left else w1][
+                    w1 if left else w2].is_zero()
+                for T in ctx.dfa.lift_mono(key).coeffs
+                for w1, w2 in T.terms)
+        return real_eval(ctx, lam, mu, arg, memo)
+
+    def lift_legs(self, key, leg):
+        grouped.add((self, key))
+        return real_legs(self, key, leg)
+
+    monkeypatch.setattr(jets, "_transpose", transpose)
+    monkeypatch.setattr(jets, "jet_product_eval", jet_product_eval)
+    monkeypatch.setattr(axb, "jet_product_eval", jet_product_eval)
+    monkeypatch.setattr(deform.DeformedEnvAlgebroid, "lift_legs", lift_legs)
+    code, _, _ = run_cli(["example", "axb", "--json-only"])
+    assert code == 0
+    assert marked and set(marked.values()) == {1}
+    assert 5 * len(marked) < sum(sizes)
+    assert grouped == evaluated
 
 
 def test_pairings_decompose_only_keys_that_meet_the_table(monkeypatch):

@@ -24,10 +24,11 @@
   oracles read too.
 - The polynomial kernel and ``tensor_mul`` skip multiplications by 1 and
   shift by a monomial operand; the oracles are the plain loops kept below.
-  ``tensor_mul`` also passes unit legs through; a per-leg loop over the
-  table's entries pins the order of the result's terms.
-- ``_mul_into`` expands 2- and 3-leg products in fixed loop nests over leg
-  products resolved once per call; the oracle is the general loop
+  ``tensor_mul`` reads unit legs from the table too, where they pass the
+  other leg through; a per-leg loop over the table's entries pins the
+  order of the result's terms.
+- ``_mul_into`` expands 2- and 3-leg products in fixed loop nests that
+  read the nested product table in place; the oracle is the general loop
   ``oracles.mul_into_legs``, compared term by term, in order and in type.
 - ``lift_mono`` conjugates only x^gamma (x) 1 and Delta(e_j) and multiplies
   cached lifts for the rest, and ``deformed_coproduct_leg`` splices cached
@@ -47,7 +48,13 @@
   each mapped image and its product rows on the functional and memoises
   the partner's paired factor of each lift term; the oracle is the
   unmemoised body that maps and multiplies every term, and each functional
-  meets every partner with its rows already built.
+  meets every partner with its rows and their supports already built.
+- ``jet_product`` transposes the lift, marks the indices a nonzero factor
+  reaches and evaluates only those, and a factor whose support misses the
+  partner's table is zero without a pairing; the oracle is the gather
+  over every index that pairs every factor
+  (``oracles.gathered_jet_product``), compared in keys, order, values and
+  windows on every jet fixture, seeded structures and a rank-4 one.
 - ``_pair_rows`` skips pairings that are the shared zero and returns a
   lone unit term's pairing shifted; the oracle is the loop that adds
   every pairing (``oracles.pair_rows_loop``).
@@ -143,7 +150,7 @@ from qgroupoid.jets import (
     LEFT, RIGHT, JetContext, JetElement, coordinate_functional,
     jet_coproduct_functional, jet_product, jet_product_eval,
     jet_source_target, pbw_indices, tensor_functional_from_pair,
-    xi_functional,
+    unit_functional, xi_functional,
 )
 from qgroupoid.lierinehart import LieRinehartSpec, lr_validate
 from qgroupoid.scalars import CPoly, monomials_upto
@@ -160,8 +167,9 @@ from qgroupoid.tensorspace import (
 
 from oracles import (
     conjugated_lift, coproduct_functional_loop, decomposed_pair_mono,
-    direct_star_coeffs, expand_product, from_pair_loop, impure_leg_product,
-    mul_into_legs, pair_rows_loop, random_valid_specs,
+    direct_star_coeffs, expand_product, from_pair_loop, gathered_jet_product,
+    impure_leg_product,
+    leg_table_entries, mul_into_legs, pair_rows_loop, random_valid_specs,
     reexpand, scan_misses_table, source_target_loop, spliced_coproduct_leg,
     sweep_base_map, tensor_mul_legs, tensor_reduce_loop,
 )
@@ -639,24 +647,23 @@ def reduction_inputs(dfa):
                                   rational_exp_dfa, polynomial_exp_dfa])
 def test_reduce_series_matches_uncached(make):
     dfa = make()
-    table = dfa.spec._leg_table
     inputs = reduction_inputs(dfa)
     assert {t.zero.legs for t in inputs} == {2, 3}
     want = [uncached_reduce_series(dfa, HT) for HT in inputs]
     # the oracle has decomposed every leg monomial already, so what the
     # first pass adds to the leg table are the products with the next leg
-    before = len(table)
+    before = len(leg_table_entries(dfa.spec))
     got = [reduce_series(dfa, HT) for HT in inputs]
     assert got == want
     for HT in got:
         for T in HT.coeffs:
             assert_integral(T)
-    filled = len(table)
+    filled = len(leg_table_entries(dfa.spec))
     assert filled > before
     assert dfa._migrants
     # the second pass reads every migration and leg product from the caches
     assert [reduce_series(dfa, HT) for HT in inputs] == want
-    assert len(table) == filled
+    assert len(leg_table_entries(dfa.spec)) == filled
 
 
 def takeuchi_inputs(dfa):
@@ -1161,7 +1168,7 @@ def test_tensor_mul_matches_plain_loop(make):
                for s, t in pairs]
         assert got == want
         assert [list(g.terms.items()) for g in got] == order
-        assert spec._leg_table
+        assert leg_table_entries(spec)
     s, t = pairs[-1]
     assert s.legs == 4
     with pytest.raises(ConfigError, match="2 or 3 legs"):
@@ -1181,6 +1188,7 @@ def test_leg_product_matches_pbw_mul(make):
     gammas = [(0,) * spec.nvars, _bump((0,) * spec.nvars, 0),
               (1,) * spec.nvars]
     legs = [(g, a) for a in alphas for g in gammas]
+    unit = leg_id(((0,) * spec.nvars, (0,) * spec.rank))
     sizes = set()
     for la in legs:
         for lb in legs:
@@ -1193,11 +1201,14 @@ def test_leg_product_matches_pbw_mul(make):
             assert dict(got) == {(g, a): q for a, p in want.terms.items()
                                  for g, q in p.terms.items()}
             assert len(dict(got)) == len(got) and all(q for _, q in got)
-            assert spec._leg_table[ids] is entry
+            assert spec._leg_table[ids[0]][ids[1]] is entry
             assert leg_product(spec, *ids) is entry
             sizes.add(len(got))
+        # a unit leg's entries pass the other leg through
+        assert leg_product(spec, unit, leg_id(la)) == ((leg_id(la), 1),)
+        assert leg_product(spec, leg_id(la), unit) == ((leg_id(la), 1),)
     # the rewriting of an entry fills the entries it recurses into
-    assert len(spec._leg_table) >= len(legs) ** 2
+    assert len(leg_table_entries(spec)) >= len(legs) ** 2
     # products that expand into several basis terms are covered
     assert max(sizes) > 2
 
@@ -1217,7 +1228,7 @@ def test_pbw_mul_fills_the_one_product_table(make):
                             CPoly.monomial(nvars, x_last))
     prod = pbw_mul(spec, u, v)
     key = (leg_id(((0,) * nvars, e_last)), leg_id((x_last, e_first)))
-    entry = spec._leg_table[key]
+    entry = spec._leg_table[key[0]][key[1]]
     assert leg_product(spec, *key) is entry
     assert {LEGS[i]: q for i, q in entry} == {
         (g, a): q for a, p in prod.terms.items() for g, q in p.terms.items()}
@@ -1378,7 +1389,7 @@ def test_integer_layer_matches_fraction_loops(make):
                     == frac_tensor_mul(spec, s, t)
     assert_integral(two[0].flip())
     assert_integral(two[0].embed(4, 2))
-    entries = [q for hit in spec._leg_table.values() for _, q in hit]
+    entries = [q for hit in leg_table_entries(spec).values() for _, q in hit]
     assert all(type(q) in (int, Fraction) for q in entries)
     # integral entries are ints; the rational structure has a non-integral one
     assert all(type(q) is int for q in entries if q.denominator == 1)
@@ -1431,7 +1442,7 @@ def test_loop_nests_match_general_loop(make):
                 assert tensorspace._mul_into(negated, spec, s, t, 1) == {}
                 cancelled += bool(want)
                 prev = want
-    multi = sum(len(hit) > 1 for hit in spec._leg_table.values())
+    multi = sum(len(hit) > 1 for hit in leg_table_entries(spec).values())
     # a leg product with several terms, a cancelling product and, on the
     # rational structure only, Fraction leg coefficients
     assert multi and cancelled
@@ -1743,7 +1754,7 @@ def test_interned_tensor_layer_matches_nested_keys(make):
     # pure on several legs, and products of several basis terms
     assert any(k[0] != (0,) * spec.nvars for T in four
                for key, _ in nested(T)[0] for k in key[:-1])
-    assert any(len(hit) > 1 for hit in spec._leg_table.values())
+    assert any(len(hit) > 1 for hit in leg_table_entries(spec).values())
 
 
 def four_leg_inputs(dfa):
@@ -2040,15 +2051,20 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
                 got = [window(jet_product_eval(ctx, lam, mu, a, memo))
                        for a in args]
                 assert got == want
-            # lam's product rows are built while it meets the first mu;
-            # every later mu reads those same rows and builds none
-            rows = {(ckey, other): r
+            # lam's product rows and their supports are built while it
+            # meets the first mu; every later mu reads those same rows and
+            # supports and builds none
+            rows = {(ckey, other): hit
                     for ckey, (_, per) in lam._lift_rows.items()
-                    for other, r in per.items()}
+                    for other, hit in per.items()}
             if built is None:
                 built = rows
+                side = "source" if flavor == LEFT else "target"
+                for r, support in built.values():
+                    assert support == jets._rows_support(ctx, r, side)
             assert rows.keys() == built.keys()
-            assert all(r is built[k] for k, r in rows.items())
+            assert all(r is built[k][0] and support is built[k][1]
+                       for k, (r, support) in rows.items())
             # a mapped image exactly under the legs lam pairs with nonzero,
             # and mu's factors exactly under those, one per row
             for paired, factors in memo.items():
@@ -2753,6 +2769,77 @@ JET_TABLE_CASES = [axb_exp_dfa, orders_dfa, bracketed_exp_dfa,
     pytest.param(lambda i=i, seed=seed: random_dfa(i, seed),
                  id="seed%d-%d" % (seed, i))
     for i, seed in ((0, 11), (3, 13), (5, 11))]
+
+
+# axb widened to rank 4: d3 and d4 act by zero, [d3, d4] = d3, and the
+# twistor carries a d3 (x) d4 term
+RANK4_SPEC = """[base]
+vars = x1 x2
+[generators]
+names = d1 d2 d3 d4
+[anchor]
+w 1 1 = 1
+w 2 2 = 1
+[bracket]
+c 3 4 3 = 1
+[twistor]
+form = exp
+term = 1/2 | x1*d1 | d2
+term = -1/2 | d2 | x1*d1
+term = 1 | d3 | d4
+[truncation]
+h_order = 2
+"""
+
+
+def rank4_dfa():
+    espec = load_spec(RANK4_SPEC)
+    spec = espec.build_structure()
+    return DeformedEnvAlgebroid(spec, espec.build_twistor(spec, 2),
+                                validate=False)
+
+
+@pytest.mark.parametrize("make", JET_TABLE_CASES + [rank4_dfa])
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_jet_product_matches_the_gather(make, flavor):
+    """``jet_product`` (transpose, mark, gather) against the gather that
+    evaluates every index (``oracles.gathered_jet_product``): the same
+    keys in the same order, the same values and windows (val, top).  One
+    context takes degrees 1, 2, 3, the associativity reach of
+    ``jet_axiom_suite`` and 2 again, so each degree reads its own
+    transpose, after a lower and after a higher one.  The functionals
+    include the edge cases of the pairing sums (rescaled values whose
+    zero factors carry windows other than the truncation order)."""
+    dfa = make()
+    spec = dfa.spec
+    zeros = (0,) * spec.nvars
+    ctx = JetContext(dfa, flavor, 2)
+    reach = max([2] + [
+        sum(alpha) for beta in pbw_indices(spec.rank, 2)
+        for T in dfa.lift_mono((zeros, beta)).coeffs
+        for key in T.terms for _, alpha in key])
+    funcs = edge_functionals(ctx) + [
+        unit_functional(ctx), coordinate_functional(ctx, 0),
+        xi_functional(ctx, 1)]
+    # the oracle's images and rows depend on lam alone, as the engine's do
+    images = {id(lam): {} for lam in funcs}
+    nonzero = windowed = 0
+    for degree in (1, 2, 3, reach, 2):
+        # at the reach, only the edge cases with values: the index count
+        # grows fastest there
+        some = funcs[1:5] if degree == reach else funcs
+        for lam in some:
+            for mu in some:
+                got = jet_product(ctx, lam, mu, degree)
+                want = gathered_jet_product(ctx, lam, mu, degree,
+                                            images[id(lam)])
+                assert [(k, window(v)) for k, v in got.table.items()] \
+                    == [(k, window(v)) for k, v in want.table.items()]
+                nonzero += bool(got.table)
+                windowed += any((v.val, v.top) != (0, ctx.order)
+                                for v in got.table.values())
+    assert nonzero and windowed
+    assert set(ctx._transposes) == {1, 2, 3, reach}
 
 
 def entry_fallbacks(ctx, lam, table):

@@ -9,7 +9,8 @@ from qgroupoid.deform import DeformedEnvAlgebroid, defelem_from_env, exp_twistor
 from qgroupoid.envelope import EnvElement, pbw_mul
 from qgroupoid.errors import FlavorError
 from qgroupoid.jets import (
-    LEFT, RIGHT, JetContext, _pair_env, _pair_mono, coordinate_functional,
+    LEFT, RIGHT, JetContext, JetElement, _pair_env, _pair_mono,
+    coordinate_functional,
     jet_axiom_suite, jet_coproduct_functional,
     jet_counit, jet_product, jet_product_eval, jet_source_target,
     jets_equal, tensor_functional_from_pair, tensor_tables_equal,
@@ -139,9 +140,17 @@ def test_pair_cache_holds_only_pairings(flavor):
             continue
         assert isinstance(W, HLaurent)
         assert all(isinstance(w, EnvElement) for w in W.coeffs)
-        for other, built in rows.items():
+        for other, (built, support) in rows.items():
             assert isinstance(other, tuple) and len(other) == 2
             assert all(isinstance(q, int) and row for q, row in built)
+            # the support is None (an impure term) or PBW indices, each once
+            if support is None:
+                continue
+            assert isinstance(support, tuple)
+            assert len(set(support)) == len(support)
+            assert all(isinstance(a, tuple) and len(a) == spec.rank
+                       and all(isinstance(t, int) for t in a)
+                       for a in support)
     partner = {id(mu), id(mu.table), id(mu._pair_cache), id(mu._lift_rows)}
     for memo in (lam._pair_cache, lam._lift_rows):
         assert not any(id(x) in partner for x in _reachable(memo))
@@ -269,6 +278,15 @@ def test_flavor_mismatch():
     ctx2 = make_ctx(RIGHT, order=2, d=2)
     with pytest.raises(FlavorError):
         jet_product(ctx, xi_functional(ctx, 0), xi_functional(ctx2, 1))
+    # a product that would be zero raises too, before the context's
+    # transpose or the functional's rows are built
+    lam, mu = JetElement(LEFT), JetElement(RIGHT)
+    for a, b in ((lam, mu), (mu, lam)):
+        with pytest.raises(FlavorError):
+            jet_product(ctx, a, b)
+        with pytest.raises(FlavorError):
+            jet_product_eval(ctx, a, b, (1, 1))
+    assert not ctx._transposes and not lam._lift_rows and not mu._lift_rows
 
 
 def test_axiom_suite_undeformed():

@@ -385,6 +385,8 @@ UNREACHED = [
      )),
     ("jets", "JetElement.add", "guard", "every sum is of one flavor",
      ('raise FlavorError("mixed dual flavors")',)),
+    ("jets", "jet_product", "guard", "every product is of one flavor",
+     ('raise FlavorError("mixed dual flavors")',)),
     ("jets", "jet_product_eval", "guard", "every product is of one flavor",
      ('raise FlavorError("mixed dual flavors")',)),
     ("kernel", "poly_scale", "guard",
@@ -674,8 +676,9 @@ def _cli_runs(tmp_path):
               None if i == 0 else "")
              for i, cmd in enumerate(TWISTOR_COMMANDS)]
     # semiclassical reaches the impure decompositions and pairings of the
-    # polynomial spec, and twist at N=1 the reduction that takes a second
-    # pass; the other commands, and twist at N=2, reach nothing more
+    # polynomial spec and the dual products' factors whose support is None
+    # (``jets._rows_support``), and twist at N=1 the reduction that takes a
+    # second pass; the other commands, and twist at N=2, reach nothing more
     runs += [(["semiclassical", polynomial, "--json-only"], 0, ""),
              (["twist", polynomial, "--h-order", "1", "--json-only"], 0, "")]
     for name, (command, text, message) in HOSTILE_SPECS.items():

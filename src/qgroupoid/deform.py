@@ -109,7 +109,7 @@ from operator import add
 
 from .envelope import (
     LEGS, PURE, EnvElement, _add_rows, _bump, _bump_term, _last_nonzero,
-    _mul_mono_into, _pbw_mul_into, _rows_series, _support, anchor_action,
+    _mul_mono_into, _pbw_mul_into, _rows_series, _series_rows, anchor_action,
     leg_id, leg_product, monomial_action,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
@@ -430,20 +430,13 @@ class DeformedEnvAlgebroid:
 
     def source_series(self, aser):
         """s_F of a base series: sum_k h^k s_F(a_k), one row per order."""
-        return self._series_image(self.source, aser)
+        return _rows_series(self.spec, self.order, _series_rows(
+            self.source, aser.coeffs, self.order + 1))
 
     def target_series(self, aser):
         """t_F of a base series: sum_k h^k t_F(a_k), one row per order."""
-        return self._series_image(self.target, aser)
-
-    def _series_image(self, mapper, aser):
-        """sum_k h^k mapper(a_k), the images summed into per-order
-        {alpha: {gamma: q}} rows."""
-        out = [{} for _ in range(self.order + 1)]
-        for k, ak in enumerate(aser.coeffs):
-            if not ak.is_zero():
-                _add_rows(out[k:], mapper(ak).coeffs, 1)
-        return _rows_series(self.spec, self.order, out)
+        return _rows_series(self.spec, self.order, _series_rows(
+            self.target, aser.coeffs, self.order + 1))
 
     def takeuchi_sides(self, a):
         """(t_F(a) (x) 1, 1 (x) s_F(a)) as 2-leg tensor series (cached),
@@ -590,9 +583,11 @@ class DeformedEnvAlgebroid:
             spec = self.spec
             gamma, alpha = key
             a = leg_id(((0,) * spec.nvars, alpha))
-            hit = self._supports[ckey] = _support(
-                LEGS[i] for b in self.base_legs(gamma, flavor)
-                for i, _ in leg_product(spec, b, a))
+            legs = [LEGS[i] for b in self.base_legs(gamma, flavor)
+                    for i, _ in leg_product(spec, b, a)]
+            impure = any(any(g) for g, _ in legs)
+            hit = self._supports[ckey] = None if impure else tuple(
+                dict.fromkeys(delta for _, delta in legs))
         return hit
 
     def _decompose_product(self, gamma, alpha, flavor):

@@ -185,19 +185,6 @@ def shift_id(i, mu):
     return j
 
 
-def _support(monos):
-    """The indices alpha of basis monomials (gamma, alpha), each once, as a
-    tuple, or None when one has gamma != 0.  A pairing with a sum of basis
-    terms whose support holds no key of the functional's table is zero:
-    every term is a pure e^alpha off the table."""
-    out = {}
-    for gamma, alpha in monos:
-        if any(gamma):
-            return None
-        out[alpha] = None
-    return tuple(out)
-
-
 # -- the product table -----------------------------------------------------------
 #
 # By the PBW theorem the monomials x^gamma e^alpha are a basis, so the
@@ -419,6 +406,17 @@ def _add_rows(rows, coeffs, c):
             row = acc.setdefault(alpha, {})
             for g, q in p.terms.items():
                 _bump_term(row, g, q if c == 1 else c * q)
+
+
+def _series_rows(mapper, coeffs, n):
+    """sum_k h^k mapper(a_k) over the base coefficients a_k, as n per-order
+    rows {alpha: {gamma: q}}: the image of a base series under a
+    base-to-envelope series map (source or target) up to n orders."""
+    rows = [{} for _ in range(n)]
+    for k, ak in enumerate(coeffs[:n]):
+        if not ak.is_zero():
+            _add_rows(rows[k:], mapper(ak).coeffs, 1)
+    return rows
 
 
 def _row_element(spec, row):

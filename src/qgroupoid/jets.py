@@ -11,49 +11,41 @@ map(c_beta) (e^beta e^alpha), with e^beta e^alpha read from the leg table
 and its impure terms, which only polynomial structure functions make,
 solved as one remainder series.  That is exact for any twistor with
 F_0 = 1 (x) 1, so one triangular solve per (flavor, x^gamma) serves every
-pairing with a basis monomial.  Most of those pairings vanish, as the dual
-product is the transpose of the twisted coproduct, and the functional's
-table says so before anything is decomposed: when every leg-table term of
-every e^beta e^alpha is a pure q e^delta with delta not a key of the
-table, no key of the decomposition meets it and the pairing is the shared
-zero.  The deformation keeps those deltas per (flavor, x^gamma e^alpha),
-or None where a term is impure (``DeformedEnvAlgebroid.pairing_support``),
-so the test is one membership test against the table (``_misses_table``).
-An impure term or a delta in the table takes the decomposition.
+pairing with a basis monomial.
 
-Dual products are the transposes of the twisted coproduct, evaluated on
-the canonical lifted representatives, and they are tabulated as a
-transpose (``jet_product``).  The lift of each PBW index up to the degree
-is read once per context and degree into a map from each (paired leg w,
-other leg o) to the positions of the indices whose lift holds that pair
+Most pairings vanish, as the dual product is the transpose of the twisted
+coproduct, and a functional's table says so before anything is paired.
+One support rule (``_support``) gives the indices a table must hold for
+the pairing of a sum of basis monomials to be nonzero: alpha for a pure
+e^alpha; for an impure x^gamma e^alpha, the indices delta of the
+leg-table terms of every e^beta e^alpha, e^beta over the decomposition of
+x^gamma, which the deformation keeps (``pairing_support``), or None where
+such a term is impure.  One test reads it (``_misses``), for a basis
+monomial (``_pair_mono``), a product-table entry (``_pair_entry``) and
+the product rows of a functional's image (``_pair_image``).
+
+Dual products are tabulated as the transpose of the coproduct lift
+(``jet_product``).  The lift of each PBW index up to the degree is read
+once per context and degree into a map from each (paired leg w, other
+leg o) to the positions of the indices whose lift holds that pair
 (``_transpose``).  A product computes each factor mu(W . o), W the mapped
 image of lam(w), once over the legs w where lam does not vanish, marks
 the positions of the nonzero factors and evaluates only the indices so
 marked (``jet_product_eval``, sharing the factors); every other index
-sums zero factors alone and is zero.  Most factors are known to be zero
-without a pairing: the support of W . o, memoised on lam beside its rows,
-misses mu's table (``_factor``).
+sums zero factors alone and is zero.
 
-Whatever does not depend on the functional at hand is built once and
-read by every call.  A context keeps each product-table entry e^b1 e^b2
-with its support, the indices of its terms or None where a term is
-impure (``_pair_entry``, read by ``jet_coproduct_functional``), and the
-dual source and target of each base element per degree
-(``jet_source_target``).  A pure entry or row whose support misses the
-functional's table pairs to the shared zero without a pairing; an impure
-one pairs term by term.
-
-Each functional memoises three things, all keyed by the deformation
-object: its pairings with basis monomials; per paired lift leg w, the
-image of lam(w) under t_F or s_F with the product rows of that image by
-each other lift leg and their support; and, as the first factor of a
-tensor functional
-(``tensor_functional_from_pair``, keyed by the context flavor too), the
-image of each first pairing with the rows of each e^moved . image and
-their supports.  All depend on the functional alone, so every partner of
-a dual product reads the same rows.  A dual product keeps its own memo
-for the length of one tabulation: the partner's pairing with each of
-those rows (see ``jet_product_eval``).
+A context keeps what depends on no functional: each product-table entry
+e^b1 e^b2 with its support (``_pair_entry``, read by
+``jet_coproduct_functional``) and the dual source and target of each base
+element per degree (``jet_source_target``).  Each functional memoises,
+keyed by the deformation object first, its pairings with basis monomials
+(``_pair_cache``) and its images (``_image``): a first pairing mapped by
+s_F or t_F, with the product rows of that image by each basis monomial
+met and their support.  A dual product reads its first factor's images
+on the paired lift legs, a tensor functional its first factor's on the
+paired indices; no image depends on a partner, so every partner reads the
+same rows.  A dual product keeps the partner's pairing of each row in its
+own memo for one tabulation (see ``jet_product_eval``).
 
 Every sum of this layer is accumulated in place in one
 ``series.LaurentSum`` per result: the star pairings over a decomposition,
@@ -76,8 +68,8 @@ from bisect import bisect_right
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import (
-    LEGS, EnvElement, _acc_rows, _act_into, _add_rows, _mul_mono_into,
-    _row_element, _support, leg_id, leg_product,
+    LEGS, EnvElement, _acc_rows, _act_into, _mul_mono_into, _row_element,
+    _series_rows, leg_id, leg_product,
 )
 from .errors import ConfigError, FlavorError
 from .report import Report
@@ -100,7 +92,7 @@ class JetContext:
 
     Three memos hold what depends on the context alone, never on a
     functional: ``_entries`` maps a pair of basis monomials (la, lb) to
-    their product-table entry and its support (``_pair_entry``),
+    their product-table entry and its ``_support`` (``_pair_entry``),
     ``_source_target`` maps (a, degree) to the dual source and target
     images of the base element a (``jet_source_target``), and
     ``_transposes`` maps a degree to the transposed lifts of the PBW
@@ -142,17 +134,13 @@ class JetContext:
 class JetElement:
     """Sparse value table {beta: HLaurent base value}; absent keys are zero.
 
-    Three memos.  Two are keyed ``(dfa, w)`` with w a basis monomial:
-    ``_pair_cache`` holds the pairing with w, and ``_lift_rows`` holds, for
-    w a paired leg of a coproduct lift, the mapped image W = t_F(self(w))
-    (left) or s_F(self(w)) (right), None where self(w) vanishes, and the
-    rows of W . other with their support per other leg met
-    (``_lift_entry``).  The third,
-    ``_from_pair``, is keyed ``(dfa, flavor, beta)``: for the functional
-    as the first factor of a tensor functional in a context of that
-    flavor, the image W = s_F(self(e^beta)) (left) or t_F(self(e^beta))
-    (right), None where the pairing vanishes, and the rows of e^moved . W
-    with their support per moved index met (``_from_pair_entry``).  The
+    Two memos.  ``_pair_cache`` maps ``(dfa, w)``, w a basis monomial, to
+    the pairing with w.  ``_images`` maps ``(dfa, lift, w)`` to the image
+    entry ``_image`` builds: a first pairing with w mapped by s_F or t_F,
+    None where it vanishes, and the product rows of that image by each
+    basis monomial met, with their support.  ``lift`` tells the two
+    transposes apart: w a paired leg of a coproduct lift (dual product) or
+    w = e^beta paired as the first factor of a tensor functional.  The
     deformation object comes first in every key (the key keeps it alive,
     so a later deformation never reuses an entry).  No entry refers to
     another functional: the values are base series and envelope rows, and
@@ -162,15 +150,14 @@ class JetElement:
     The table must not change after construction.
     """
 
-    __slots__ = ("flavor", "table", "_pair_cache", "_lift_rows", "_from_pair")
+    __slots__ = ("flavor", "table", "_pair_cache", "_images")
 
     def __init__(self, flavor, table=None):
         self.flavor = flavor
         self.table = {b: v for b, v in (table or {}).items()
                       if not v.is_zero()}
         self._pair_cache = {}
-        self._lift_rows = {}
-        self._from_pair = {}
+        self._images = {}
 
     def value(self, ctx, beta):
         v = self.table.get(tuple(beta))
@@ -258,13 +245,29 @@ def jet_counit(ctx, lam):
 # -- pairing ----------------------------------------------------------------------
 
 
-def _misses_table(ctx, lam, key, flavor):
-    """True when the deformation's pairing support of key = (gamma, alpha)
-    (``DeformedEnvAlgebroid.pairing_support``) is pure and holds no key of
-    lam's table.  An impure term (only polynomial structure functions make
-    one) answers False: the keys its remainder series solves to are not
-    read off the leg table."""
-    support = ctx.dfa.pairing_support(key, flavor)
+def _support(ctx, monos, flavor):
+    """The indices a table of dual ``flavor`` must hold for the pairing of
+    a sum of the basis monomials (gamma, alpha) to be nonzero, each once,
+    as a tuple: alpha for a pure monomial, the deformation's
+    ``pairing_support`` of an impure one; None when that is None."""
+    side = "source" if flavor == LEFT else "target"
+    out = {}
+    for gamma, alpha in monos:
+        if not any(gamma):
+            out[alpha] = None
+            continue
+        support = ctx.dfa.pairing_support((gamma, alpha), side)
+        if support is None:
+            return None
+        out.update(dict.fromkeys(support))
+    return tuple(out)
+
+
+def _misses(lam, support):
+    """True when a ``_support`` is known and holds no key of lam's table:
+    every monomial of the sum then pairs to the shared zero (a pure e^alpha
+    reads lam's value at alpha, which is not a key; an impure one skips
+    its decomposition in ``_pair_mono``)."""
     return support is not None and lam.table.keys().isdisjoint(support)
 
 
@@ -276,22 +279,22 @@ def _pair_mono(ctx, lam, key):
 
     Without an impure term, the keys of the decomposition of x^gamma
     e^alpha are among the indices delta of the terms of e^beta e^alpha,
-    e^beta over the decomposition of x^gamma.  When no delta is a key of
-    lam's table (``_misses_table``), lam vanishes on every key, the sum
-    below would add nothing and its value would be the shared zero, so
-    that is returned without building the decomposition."""
+    e^beta over the decomposition of x^gamma, its ``_support``.  When that
+    misses lam's table, lam vanishes on every key, the sum below would add
+    nothing and its value would be the shared zero, so that is returned
+    without building the decomposition."""
     ckey = (ctx.dfa, key)
     hit = lam._pair_cache.get(ckey)
     if hit is not None:
         return hit
     gamma, alpha = key
-    flavor = "source" if lam.flavor == LEFT else "target"
     if not any(gamma):
         out = lam.value(ctx, alpha)
-    elif _misses_table(ctx, lam, key, flavor):
+    elif _misses(lam, _support(ctx, (key,), lam.flavor)):
         out = ctx.zero_value()
     else:
-        dec = ctx.dfa.decompose_mono(key, flavor)
+        dec = ctx.dfa.decompose_mono(
+            key, "source" if lam.flavor == LEFT else "target")
         acc = LaurentSum(ctx.zero_poly(), ctx.order)
         for beta, aser in dec.items():
             lv = lam.value(ctx, beta)
@@ -388,18 +391,18 @@ def _pair_product(ctx, lam, W, m, mono_right=True):
 def _pair_entry(ctx, lam, la, lb):
     """lam on the product of two basis monomials: their table entry,
     paired as a plain element.  The entry (the product table's own tuple
-    of basis terms) and its support, the indices of its terms or None
-    where one is impure, are read once per context
+    of basis terms) and its ``_support`` are read once per context
     (``JetContext._entries``).  An entry whose support misses lam's table
     pairs to the shared zero, the value and window the pairing of its
-    pure terms would give; only the others are summed into a row."""
+    terms would give; only the others are summed into a row."""
     key = (la, lb)
     hit = ctx._entries.get(key)
     if hit is None:
         entry = leg_product(ctx.spec, leg_id(la), leg_id(lb))
-        hit = ctx._entries[key] = (entry, _support(LEGS[i] for i, _ in entry))
+        hit = ctx._entries[key] = (
+            entry, _support(ctx, (LEGS[i] for i, _ in entry), ctx.flavor))
     entry, support = hit
-    if support is not None and lam.table.keys().isdisjoint(support):
+    if _misses(lam, support):
         return ctx.zero_value()
     return _pair_rows(ctx, lam, [(0, _acc_rows({}, entry, 1))], ctx.order)
 
@@ -414,13 +417,10 @@ def jet_pair(ctx, lam, u):
 def _apply_series_map(ctx, val, mapper):
     """Turn a base-valued Laurent into an envelope-valued one through a
     base-to-envelope series map (source or target), the images summed
-    into one row per order."""
+    into one row per order (``envelope._series_rows``)."""
     spec = ctx.spec
     val_top = min(val.top, ctx.order + val.val)
-    rows = [{} for _ in range(val_top - val.val + 1)]
-    for i, c in enumerate(val.coeffs[:len(rows)]):
-        if not c.is_zero():
-            _add_rows(rows[i:], mapper(c).coeffs, 1)
+    rows = _series_rows(mapper, val.coeffs, val_top - val.val + 1)
     return HLaurent(val.val, val_top, [_row_element(spec, r) for r in rows],
                     EnvElement.zero(spec.nvars, spec.rank))
 
@@ -474,68 +474,59 @@ def _transpose(ctx, degree):
     return hit
 
 
-def _lift_entry(ctx, lam, w):
-    """lam's memo entry for the paired lift leg w: (W, rows) with W =
-    t_F(lam(w)) (left dual) or s_F(lam(w)) (right dual), None when lam(w)
-    vanishes, and rows {other leg: (the ``_product_rows`` of W . other,
-    their ``_rows_support``)}, filled by ``_factor`` as the other legs
-    are met.  Both depend on lam alone, so every partner reads them."""
-    ckey = (ctx.dfa, w)
-    entry = lam._lift_rows.get(ckey)
+def _image(ctx, lam, w, lift):
+    """lam's image memo entry for the basis monomial w: (W, rows), W a
+    first pairing of lam with w mapped into the envelope or None when that
+    vanishes, and rows {m: (the ``_product_rows`` of W and m, their
+    ``_support``)}, filled by ``_pair_image``.  With ``lift`` (a dual
+    product), w is a paired lift leg, W = t_F(lam(w)) (left dual) or
+    s_F(lam(w)) (right) and the products are W . m.  Without (a tensor
+    functional), w = e^beta, W = s_F(lam(e^beta)) (left) or t_F (right),
+    the pairing seen through a plain element's window (``_pair_env`` cuts
+    a top above N, ``_pair_mono`` does not), and the products m . W."""
+    ckey = (ctx.dfa, lift, w)
+    entry = lam._images.get(ckey)
     if entry is None:
-        v = _pair_mono(ctx, lam, w)
+        if lift:
+            v = _pair_mono(ctx, lam, w)
+        else:
+            spec = ctx.spec
+            v = _pair_env(ctx, lam, EnvElement.monomial(
+                spec.nvars, spec.rank, w[1]))
         W = None
         if not v.is_zero():
-            mapper = ctx.dfa.target if lam.flavor == LEFT else ctx.dfa.source
-            W = _apply_series_map(ctx, v, mapper)
-        entry = lam._lift_rows[ckey] = (W, {})
+            left = lam.flavor == LEFT
+            W = _apply_series_map(
+                ctx, v, ctx.dfa.target if left == lift else ctx.dfa.source)
+        entry = lam._images[ckey] = (W, {})
     return entry
 
 
-def _rows_support(ctx, rows, flavor):
-    """The indices a functional's table must meet for the pairing of rows
-    (q, {alpha: {gamma: c}}) to be nonzero, each once, as a tuple: alpha
-    for a pure term, the ``pairing_support`` of (gamma, alpha) for an
-    impure one; None when one of those is None."""
-    out = {}
-    for _, row in rows:
-        for alpha, terms in row.items():
-            for gamma in terms:
-                if not any(gamma):
-                    out[alpha] = None
-                    continue
-                support = ctx.dfa.pairing_support((gamma, alpha), flavor)
-                if support is None:
-                    return None
-                out.update(dict.fromkeys(support))
-    return tuple(out)
+def _pair_image(ctx, mu, image, m, lift):
+    """mu(W . m) with ``lift``, mu(m . W) without, for image = (W, rows) an
+    entry of ``_image`` with that ``lift`` and W not None; the rows of the
+    product and their support are kept in rows on first use.
 
-
-def _factor(ctx, mu, W, rows, other):
-    """The paired factor mu(W . other) of a dual product, for W and rows
-    the entry ``_lift_entry`` keeps for a paired leg; the rows of W . other
-    and their support are filled there on first use.
-
-    The factor is ``_pair_rows(ctx, mu, r, W.top)`` for the rows r.  When
-    the support misses mu's table it is zero_upto(N + q0), q0 the order of
-    the first row, or zero_upto(W.top) when there is no row, and it is
-    returned without pairing.  That is the value ``_pair_rows`` returns:
-    every term pairs to the shared zero, zero_upto(N), as a pure term
-    x^0 e^alpha pairs to mu's value at alpha, which is not a key, and an
-    impure one has a pairing support that misses the table
-    (``_misses_table``).  With no row ``_pair_rows`` returns
-    zero_upto(W.top); a lone unit term returns its pairing shifted by q0,
-    zero_upto(N + q0); any other rows start a sum at zero_upto(N + q0)
-    that skips each shared zero and keeps that start as its value."""
-    hit = rows.get(other)
+    The value is ``_pair_rows(ctx, mu, r, W.top)`` for the rows r.  When
+    the support misses mu's table (``_misses``) it is zero_upto(N + q0),
+    q0 the order of the first row, or zero_upto(W.top) when there is no
+    row, and it is returned without pairing.  That is the value
+    ``_pair_rows`` returns, as every term pairs to the shared zero,
+    zero_upto(N): with no row it returns zero_upto(W.top); a lone unit
+    term returns its pairing shifted by q0, zero_upto(N + q0); any other
+    rows start a sum at zero_upto(N + q0) that skips each shared zero and
+    keeps that start as its value."""
+    W, rows = image
+    hit = rows.get(m)
     if hit is None:
-        r = _product_rows(ctx.spec, W, other)
-        flavor = "source" if mu.flavor == LEFT else "target"
-        hit = rows[other] = (r, _rows_support(ctx, r, flavor))
+        r = _product_rows(ctx.spec, W, m, lift)
+        hit = rows[m] = (r, _support(ctx, (
+            (gamma, alpha) for _, row in r for alpha, terms in row.items()
+            for gamma in terms), mu.flavor))
     r, support = hit
-    if support is not None and mu.table.keys().isdisjoint(support):
-        return HLaurent.zero_upto(ctx.order + r[0][0] if r else W.top,
-                                  ctx.zero_poly())
+    if _misses(mu, support):
+        return HLaurent.zero_upto(
+            ctx.order + r[0][0] if r else W.top, ctx.zero_poly())
     return _pair_rows(ctx, mu, r, W.top)
 
 
@@ -548,13 +539,12 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
     The lift is read grouped by the leg lam pairs with (u_(2) left, u_(1)
     right), so a group whose pairing with lam vanishes is skipped whole.
     The mapped image of each paired leg and its product rows with each
-    other leg depend on lam alone and live in lam's memo
-    (``_lift_entry``), so every partner mu reads the same rows.  ``memo``
-    maps each paired leg to mu's {other leg: paired factor} (``_factor``),
-    or to None where lam vanishes on it; ``jet_product`` fills one for a
-    whole tabulation before it evaluates, so a term costs one scaled,
-    shifted add into the result's ``LaurentSum``.  A call without one
-    starts afresh.
+    other leg depend on lam alone and live in lam's memo (``_image``), so
+    every partner mu reads the same rows.  ``memo`` maps each paired leg
+    to mu's {other leg: paired factor} (``_pair_image``), or to None where
+    lam vanishes on it; ``jet_product`` fills one for a whole tabulation
+    before it evaluates, so a term costs one scaled, shifted add into the
+    result's ``LaurentSum``.  A call without one starts afresh.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
@@ -569,15 +559,15 @@ def jet_product_eval(ctx, lam, mu, arg, memo=None):
         try:
             factors = memo[paired]
         except KeyError:
-            W, _ = _lift_entry(ctx, lam, paired)
+            W, _ = _image(ctx, lam, paired, True)
             factors = memo[paired] = None if W is None else {}
         if factors is None:
             continue
         for k, other, c in terms:
             P = factors.get(other)
             if P is None:
-                W, rows = _lift_entry(ctx, lam, paired)
-                P = factors[other] = _factor(ctx, mu, W, rows, other)
+                P = factors[other] = _pair_image(
+                    ctx, mu, _image(ctx, lam, paired, True), other, True)
             acc.add(P, c, k)
     if acc.top is None:
         # no lift term survived
@@ -592,7 +582,7 @@ def jet_product(ctx, lam, mu, degree=None):
     The product is the transpose of the lift: mark, then gather.  For each
     paired leg w of the transpose (``_transpose``) on which lam does not
     vanish, each factor P(w, o) = mu(W . o) over the other legs o met
-    with w is computed once (``_factor``) into the memo that
+    with w is computed once (``_pair_image``) into the memo that
     ``jet_product_eval`` reads, and the positions of the indices that
     each nonzero factor reaches are marked.  The value at an index is the
     sum of c h^k P(w, o) over the terms of its lift on whose paired leg
@@ -609,13 +599,13 @@ def jet_product(ctx, lam, mu, degree=None):
     memo = {}
     marked = set()
     for w, others in transpose.items():
-        W, rows = _lift_entry(ctx, lam, w)
-        if W is None:
+        image = _image(ctx, lam, w, True)
+        if image[0] is None:
             memo[w] = None
             continue
         factors = memo[w] = {}
         for o, positions in others.items():
-            P = factors[o] = _factor(ctx, mu, W, rows, o)
+            P = factors[o] = _pair_image(ctx, mu, image, o, True)
             if not P.is_zero():
                 marked.update(positions)
     table = {}
@@ -693,7 +683,10 @@ def jet_coproduct_functional(ctx, lam, degree=None):
     """Table (beta, beta') -> lam(e^beta e^beta') (left) or lam(e^beta' e^beta)
     (right): the transpose of the (opposite) multiplication.  An entry whose
     support misses lam's table is the shared zero (``_pair_entry``) and is
-    left out without a test of its coefficients."""
+    left out without a test of its coefficients.  The context keeps the
+    entries' supports for its own flavor, so lam must be of that flavor."""
+    if lam.flavor != ctx.flavor:
+        raise FlavorError("mixed dual flavors")
     degree = degree if degree is not None else ctx.jet_degree
     zeros = (0,) * ctx.spec.nvars
     zero = ctx.zero_value()
@@ -719,27 +712,6 @@ def _index_pairs(rank, degree):
             for b1, s in zip(idx, sums)]
 
 
-def _from_pair_entry(ctx, first, beta):
-    """first's memo entry for the paired index beta of a tensor functional
-    (``tensor_functional_from_pair``): (W, rows) with W = s_F(first(e^beta))
-    (left context) or t_F(first(e^beta)) (right), None when that pairing
-    vanishes, and rows {moved index: (the ``_product_rows`` of
-    e^moved . W, their ``envelope._support``)}, filled as the moved
-    indices are met.  The key holds the context flavor, which picks the
-    map."""
-    ckey = (ctx.dfa, ctx.flavor, beta)
-    entry = first._from_pair.get(ckey)
-    if entry is None:
-        spec = ctx.spec
-        # the value on e^beta is seen through a plain element's window
-        v = _pair_env(ctx, first, EnvElement.monomial(
-            spec.nvars, spec.rank, beta))
-        mapper = ctx.dfa.source if ctx.flavor == LEFT else ctx.dfa.target
-        W = None if v.is_zero() else _apply_series_map(ctx, v, mapper)
-        entry = first._from_pair[ckey] = (W, {})
-    return entry
-
-
 def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     """The pair lam (x) mu as a functional table on (beta, beta').
 
@@ -748,36 +720,29 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
 
     The first pairing, lam(u') or mu(u), its image under s_F or t_F and
     the rows of each product e^moved . image depend on the first
-    functional alone, so they live in its memo (``_from_pair_entry``) and
-    every call reads them.  An entry whose first pairing vanishes is zero
-    and is skipped, and so is one whose rows are pure with a support that
-    misses the second functional's table (``envelope._support``).
+    functional alone, so they live in its memo (``_image``) and every call
+    reads them.  An entry whose first pairing vanishes is zero and is
+    skipped, and so is one whose rows' support misses the second
+    functional's table (``_pair_image``).  Every functional must be of the
+    context's flavor, which picks the map.
     """
+    if not lam.flavor == mu.flavor == ctx.flavor:
+        raise FlavorError("mixed dual flavors")
     degree = degree if degree is not None else ctx.jet_degree
-    spec = ctx.spec
-    zeros = (0,) * spec.nvars
+    zeros = (0,) * ctx.spec.nvars
     left = ctx.flavor == LEFT
     first, second = (lam, mu) if left else (mu, lam)
-    table = second.table.keys()
-    pairs = _index_pairs(spec.rank, degree)
-    entries = {beta: _from_pair_entry(ctx, first, beta) for beta, _ in pairs}
+    pairs = _index_pairs(ctx.spec.rank, degree)
+    images = {beta: _image(ctx, first, (zeros, beta), False)
+              for beta, _ in pairs}
     out = {}
     for b1, inner in pairs:
         for b2 in inner:
             paired, moved = (b2, b1) if left else (b1, b2)
-            W, rows = entries[paired]
-            if W is None:
+            image = images[paired]
+            if image[0] is None:
                 continue
-            hit = rows.get(moved)
-            if hit is None:
-                r = _product_rows(spec, W, (zeros, moved), False)
-                hit = rows[moved] = (r, _support(
-                    (gamma, alpha) for _, row in r
-                    for alpha, terms in row.items() for gamma in terms))
-            r, support = hit
-            if support is not None and table.isdisjoint(support):
-                continue
-            val = _pair_rows(ctx, second, r, W.top)
+            val = _pair_image(ctx, second, image, (zeros, moved), False)
             if not val.is_zero():
                 out[(b1, b2)] = val
     return out

@@ -21,11 +21,14 @@ No command of the CLI calls these; the tests compare the engine with them.
   the functional's table whether any key can meet it;
   ``impure_leg_product`` names the keys it must always decompose.
 - ``scan_misses_table`` scans the leg table for every pairing, where
-  ``jets._misses_table`` reads the deformation's pairing support.
+  ``jets._misses`` reads the one support rule, ``jets._support``, which
+  for an impure monomial is the deformation's pairing support.
 - ``source_target_loop``, ``coproduct_functional_loop`` and
   ``from_pair_loop`` build on every call what ``jets.jet_source_target``,
   ``jets.jet_coproduct_functional`` and ``jets.tensor_functional_from_pair``
-  keep on the context or on the first functional.
+  keep on the context or in the first functional's images
+  (``jets._image``), and pair every entry and row that those skip by
+  their support.
 - ``tensor_reduce_loop`` is the one reduction loop for every width, which
   reads each leg's gamma off its monomial and keeps a per-call memo of the
   shifts, where ``tensorspace.tensor_reduce`` has fixed 2- and 3-leg
@@ -35,7 +38,7 @@ No command of the CLI calls these; the tests compare the engine with them.
   through the grouped lift, pairing every factor, where
   ``jets.jet_product`` transposes the lift, marks the indices a nonzero
   factor reaches, skips factors whose support misses the partner's table
-  and evaluates only the marked indices.
+  (``jets._pair_image``) and evaluates only the marked indices.
 - ``pair_rows_loop`` is the pairing of {alpha: {gamma: c}} rows that adds
   every term's pairing, where ``jets._pair_rows`` skips the shared zero and
   returns a lone unit term's pairing shifted.
@@ -307,7 +310,8 @@ def decomposed_pair_mono(ctx, lam, key):
 
 
 def scan_misses_table(ctx, lam, gamma, alpha, flavor):
-    """``jets._misses_table`` as a scan of the leg table: True when every
+    """``jets._misses`` of the ``jets._support`` of the one monomial
+    x^gamma e^alpha, gamma != 0, as a scan of the leg table: True when every
     term of every e^beta e^alpha, e^beta over the flavor decomposition of
     x^gamma, is a pure q e^delta with delta not a key of lam's table."""
     spec, table = ctx.spec, lam.table

@@ -138,7 +138,7 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
     (``_pair_env``) runs once per (functional, deformation, flavor, index)
     across all ``tensor_functional_from_pair`` calls, and
     ``_apply_series_map`` once per such key whose pairing is nonzero: both
-    live on the first functional (``_from_pair_entry``).  Every call finds
+    live on the first functional (``_image``).  Every call finds
     an entry for each of its indices.  Pairing once per call made 504
     first pairings on ``example axb`` at N=6, where 308 keys were
     distinct."""
@@ -186,13 +186,15 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
     assert mapped == []
     for ctx, first, degree in calls:
         degree = ctx.jet_degree if degree is None else degree
-        assert all((ctx.dfa, ctx.flavor, beta) in first._from_pair
+        zeros = (0,) * ctx.spec.nvars
+        assert first.flavor == ctx.flavor
+        assert all((ctx.dfa, False, (zeros, beta)) in first._images
                    for beta in pbw_indices(ctx.spec.rank, degree))
     # a first functional meets several calls, and some first pairing
     # vanishes, so its index is left unmapped
     assert len(calls) > len({id(first) for _, first, _ in calls})
     assert any(W is None for first in keep
-               for W, _ in first._from_pair.values())
+               for (_, lift, _), (W, _) in first._images.items() if not lift)
 
 
 def test_entry_rows_are_built_once_per_context(monkeypatch):
@@ -283,42 +285,49 @@ def test_shifts_are_interned_once_per_process(monkeypatch):
 
 
 def test_dual_products_build_each_row_once(monkeypatch):
-    """On ``example axb`` at N=4 the rows of W . other, W a functional's
-    mapped image on a paired lift leg, and their support are built once
-    per (functional, paired leg, other leg) and read by every partner of
-    that functional.  Building the rows once per tabulation made 3,483 row
-    builds (one per nonzero order of W) on ``example axb`` at N=6, where
-    1,236 remain."""
-    real_entry, real_rows = jets._lift_entry, jets._product_rows
-    real_support = jets._rows_support
-    owners, built, supported, made = {}, Counter(), Counter(), {}
+    """On ``example axb`` at N=4 the rows of the product of W by m, W a
+    functional's mapped image (``_image``) on a paired lift leg or as the
+    first factor of a tensor functional, and their support are built once
+    per (functional, image, m) and read by every partner of that
+    functional; images of both kinds have rows.  Building the rows once
+    per tabulation made 3,483 row builds (one per nonzero order of W) on
+    ``example axb`` at N=6, where 1,236 remain."""
+    real_image, real_rows = jets._image, jets._product_rows
+    real_support, pair_image = jets._support, jets._pair_image.__code__
+    owners, built, supported, pending = {}, Counter(), Counter(), []
 
-    def lift_entry(ctx, lam, w):
-        entry = real_entry(ctx, lam, w)
+    def image(ctx, lam, w, lift):
+        entry = real_image(ctx, lam, w, lift)
         if entry[0] is not None:
             # holding lam and W keeps their ids from being reused
-            owners[id(entry[0])] = (lam, w, entry[0])
+            owners[id(entry[0])] = (lam, w, lift, entry[0])
         return entry
 
     def product_rows(spec, W, m, mono_right=True):
         rows = real_rows(spec, W, m, mono_right)
         owner = owners.get(id(W))
         if owner is not None:
-            built[id(owner[0]), owner[1], m] += 1
-            made[id(rows)] = (id(owner[0]), owner[1], m), rows
+            assert mono_right == owner[2]
+            key = (id(owner[0]), owner[1], owner[2], m)
+            built[key] += 1
+            pending.append(key)
         return rows
 
-    def rows_support(ctx, rows, flavor):
-        supported[made[id(rows)][0]] += 1
-        return real_support(ctx, rows, flavor)
+    def support(ctx, monos, flavor):
+        # a product's rows have their support built right after them
+        if sys._getframe(1).f_code is pair_image:
+            assert len(pending) == 1
+            supported[pending.pop()] += 1
+        return real_support(ctx, monos, flavor)
 
-    monkeypatch.setattr(jets, "_lift_entry", lift_entry)
+    monkeypatch.setattr(jets, "_image", image)
     monkeypatch.setattr(jets, "_product_rows", product_rows)
-    monkeypatch.setattr(jets, "_rows_support", rows_support)
+    monkeypatch.setattr(jets, "_support", support)
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
     assert built and set(built.values()) == {1}
-    assert supported == built
+    assert supported == built and not pending
+    assert {key[2] for key in built} == {True, False}
 
 
 def test_dual_products_evaluate_only_marked_indices(monkeypatch):

@@ -67,8 +67,10 @@
   ``HLaurent`` additions they replace, and the unmemoised dual product
   pairs through those chains.
 - ``tensor_functional_from_pair`` maps each first pairing once per index
-  and skips entries whose first pairing vanishes; the oracle is the body
-  that pairs, maps and multiplies every entry.
+  and skips entries whose first pairing vanishes or whose rows' support
+  (impure terms included) misses the second functional's table, as
+  ``jet_coproduct_functional`` skips entries; the oracles are the bodies
+  that pair, map and multiply every entry.
 - The jet layer pairs (or takes the counit of) a product with a basis
   monomial without building it, reading the product table into one
   merged row per h-order (``_pair_product``); the oracles build the
@@ -2022,6 +2024,13 @@ def window(v):
     return v.val, v.top, v.coeffs
 
 
+def rows_support(ctx, rows, flavor):
+    """``jets._support`` of the monomials of rows (q, {alpha: {gamma: c}})."""
+    return jets._support(ctx, ((gamma, alpha) for _, row in rows
+                               for alpha, terms in row.items()
+                               for gamma in terms), flavor)
+
+
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_jet_product_eval_matches_unmemoised(make, flavor):
@@ -2054,21 +2063,21 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
             # lam's product rows and their supports are built while it
             # meets the first mu; every later mu reads those same rows and
             # supports and builds none
+            assert all(lift for _, lift, _ in lam._images)
             rows = {(ckey, other): hit
-                    for ckey, (_, per) in lam._lift_rows.items()
+                    for ckey, (_, per) in lam._images.items()
                     for other, hit in per.items()}
             if built is None:
                 built = rows
-                side = "source" if flavor == LEFT else "target"
                 for r, support in built.values():
-                    assert support == jets._rows_support(ctx, r, side)
+                    assert support == rows_support(ctx, r, flavor)
             assert rows.keys() == built.keys()
             assert all(r is built[k][0] and support is built[k][1]
                        for k, (r, support) in rows.items())
             # a mapped image exactly under the legs lam pairs with nonzero,
             # and mu's factors exactly under those, one per row
             for paired, factors in memo.items():
-                W, per = lam._lift_rows[ctx.dfa, paired]
+                W, per = lam._images[ctx.dfa, True, paired]
                 if chain_pair_mono(ctx, lam, paired, chain_memo).is_zero():
                     assert W is None and factors is None and not per
                 else:
@@ -2258,9 +2267,9 @@ def test_pair_mono_matches_the_decomposed_pairing(flavor):
     """``_pair_mono`` returns the shared zero without decomposing x^gamma
     e^alpha when no leg-table term of e^beta e^alpha (e^beta over the
     decomposition of x^gamma) is impure or has its index in the
-    functional's table (``jets._misses_table``, a membership test on the
-    deformation's pairing support, against the scan of the leg table
-    ``oracles.scan_misses_table``); its value, window and
+    functional's table (``jets._misses`` of its ``jets._support``, a
+    membership test on the deformation's pairing support, against the scan
+    of the leg table ``oracles.scan_misses_table``); its value, window and
     identity with the shared zero are those of the pairing through the
     whole decomposition (``oracles.decomposed_pair_mono``).  On the five
     fixtures, on ``central_exp_dfa``, whose remainders reach indices that
@@ -2293,10 +2302,11 @@ def test_pair_mono_matches_the_decomposed_pairing(flavor):
         for lam in funcs:
             for key in keys:
                 want = decomposed_pair_mono(ctx, lam, key)
-                misses = jets._misses_table(ctx, lam, key, side)
+                misses = jets._misses(lam, jets._support(ctx, (key,), flavor))
                 # the support is read from the deformation's memo the
                 # second time
-                assert misses == jets._misses_table(ctx, lam, key, side) \
+                assert misses \
+                    == jets._misses(lam, jets._support(ctx, (key,), flavor)) \
                     == scan_misses_table(ctx, lam, *key, side)
                 if misses:
                     counts["decided"] += 1
@@ -2842,17 +2852,24 @@ def test_jet_product_matches_the_gather(make, flavor):
     assert set(ctx._transposes) == {1, 2, 3, reach}
 
 
+def impure_entry(entry):
+    """Whether a product-table entry has a term x^gamma e^alpha, gamma != 0."""
+    return any(GAMMA[i] is not None for i, _ in entry)
+
+
 def entry_fallbacks(ctx, lam, table):
     """The entries of lam's coproduct ``table`` that have an impure term
-    (no support) and pure indices that miss lam's table: a skip read off
-    those indices alone would drop their nonzero value."""
+    and pure indices that miss lam's table: a skip read off those indices
+    alone would drop their nonzero value.  Each is kept either by the
+    pairing supports of its impure terms, which meet lam's table, or by
+    having no support (``jets._support``)."""
     zeros = (0,) * ctx.spec.nvars
     out = 0
     for b1, b2 in table:
         la, lb = (b1, b2) if ctx.flavor == LEFT else (b2, b1)
-        entry, support = ctx._entries[(zeros, la), (zeros, lb)]
+        entry, _ = ctx._entries[(zeros, la), (zeros, lb)]
         pure = {LEGS[i][1] for i, _ in entry if GAMMA[i] is None}
-        out += support is None and not pure & lam.table.keys()
+        out += impure_entry(entry) and not pure & lam.table.keys()
     return out
 
 
@@ -2898,24 +2915,84 @@ def test_context_and_functional_tables_match_loops(make, flavor):
             assert jet_source_target(ctx, a, degree) is got
             assert [windows(j.table) for j in got] == [
                 windows(j.table) for j in source_target_loop(ctx, a, degree)]
-    impure = sum(support is None for _, support in ctx._entries.values())
+    impure = sum(impure_entry(entry) for entry, _ in ctx._entries.values())
     if polynomial_brackets(spec):
         assert impure and fallbacks >= 3
     else:
         assert impure == fallbacks == 0
 
 
+def impure_rows(rows):
+    """Whether rows (q, {alpha: {gamma: c}}) hold a term with gamma != 0."""
+    return any(any(gamma) for _, row in rows for terms in row.values()
+               for gamma in terms)
+
+
+def test_impure_entries_and_rows_skip_by_pairing_support():
+    """On the structures with polynomial structure functions (the
+    polynomial and central fixtures and the seeded structures 13-3 and
+    17-3 of ``oracles.random_valid_specs``), both flavors, the coproduct
+    functional skips some product-table entries that hold an impure term,
+    and the tensor functional of a pair some product rows that hold one,
+    by the pairing supports of those terms (``jets._support``, read by
+    ``jets._misses``) and without a pairing; each result equals the loop
+    that pairs every entry (``oracles.coproduct_functional_loop``,
+    ``oracles.from_pair_loop``) in keys, values and windows.  Each
+    structure but the polynomial fixture takes both skips; there every
+    impure entry and row holds a term whose own pairing support is None,
+    so nothing is skipped by a support and every pairing is checked."""
+    skips = Counter()
+    for name, make in (("polynomial", polynomial_exp_dfa),
+                       ("central", central_exp_dfa),
+                       ("seed13-3", lambda: random_dfa(3, 13)),
+                       ("seed17-3", lambda: random_dfa(3, 17))):
+        dfa = make()
+        spec = dfa.spec
+        assert polynomial_brackets(spec)
+        for flavor in (LEFT, RIGHT):
+            ctx = JetContext(dfa, flavor, 2)
+            one = HLaurent.const(CPoly.one(spec.nvars), ctx.order,
+                                 ctx.zero_poly())
+            funcs = edge_functionals(ctx) + [coordinate_functional(ctx, 0)] \
+                + [JetElement(flavor, {delta: one})
+                   for delta in pbw_indices(spec.rank, 2)]
+            for lam in funcs:
+                assert windows(jet_coproduct_functional(ctx, lam, 2)) \
+                    == windows(coproduct_functional_loop(ctx, lam, 2))
+                # every entry of the context was read by lam
+                skips["entries", name] += sum(
+                    impure_entry(entry) and jets._misses(lam, support)
+                    for entry, support in ctx._entries.values())
+            for lam in funcs[1:]:
+                for mu in funcs:
+                    assert windows(tensor_functional_from_pair(
+                        ctx, lam, mu, 2)) \
+                        == windows(from_pair_loop(ctx, lam, mu, 2))
+                    first, second = (lam, mu) if flavor == LEFT else (mu, lam)
+                    # at one degree every call reads every row of first's
+                    # images
+                    skips["rows", name] += sum(
+                        impure_rows(r) and jets._misses(second, support)
+                        for (_, lift, _), (_, per) in first._images.items()
+                        if not lift for r, support in per.values())
+    for name in ("central", "seed13-3", "seed17-3"):
+        assert skips["entries", name] and skips["rows", name], name
+
+
 def test_tables_never_cross_contexts_or_deformations():
     """The left and right contexts on one deformation, and the exponential
     and trivial deformations of one structure (as the classical-limit
     check of ``jet_axiom_suite`` builds them), each read only their own
-    pairing supports, entry rows, source/target tables and tensor-pair
-    entries.  One functional is the first factor of a tensor functional in
-    every context: left-flavored, it is lam in a left context and mu in a
-    right one, and its image there is mapped by s_F and t_F, which differ
-    on its coordinate value, so an entry keyed without the flavor or the
-    deformation is read wrongly.  The trivial context goes first, so a
-    stale support (x^gamma alone) would skip pairings the twist needs."""
+    pairing supports, entry rows, source/target tables and images.  One
+    functional of each flavor is the first factor of a tensor functional
+    in both contexts of its flavor, lam in a left one and mu in a right
+    one, and its image there is mapped by s_F (left) and t_F (right),
+    which differ on its coordinate value; it is also the first factor of
+    dual products, whose images on the same keys are mapped by the other
+    map and multiplied on the other side, so an image keyed without the
+    deformation or without telling the two transposes apart is read
+    wrongly.  The trivial context goes first, so a stale support (x^gamma
+    alone) would skip pairings the twist needs."""
     dfa = axb_exp_dfa()
     spec = dfa.spec
     triv = DeformedEnvAlgebroid(spec, trivial_twistor(spec, dfa.order),
@@ -2928,10 +3005,8 @@ def test_tables_never_cross_contexts_or_deformations():
     x1 = CPoly.var(spec.nvars, 0)
     keys = [(g, a) for g in pbw_indices(spec.nvars, 2)[1:]
             for a in pbw_indices(spec.rank, 2)]
-    side = {LEFT: "source", RIGHT: "target"}
-    first = shared[LEFT]
     for ctx in contexts:
-        other = shared[ctx.flavor]
+        first = other = shared[ctx.flavor]
         # the duals of the monomials of degree <= 2 as second factors, which
         # see the s_F and t_F images of the first apart
         one = HLaurent.const(CPoly.one(spec.nvars), ctx.order, ctx.zero_poly())
@@ -2943,27 +3018,38 @@ def test_tables_never_cross_contexts_or_deformations():
                     else (second, first)
                 got = tensor_functional_from_pair(ctx, *pair, 2)
                 assert windows(got) == windows(from_pair_loop(ctx, *pair, 2))
+                got = jet_product(ctx, first, second, 2)
+                assert windows(got.table) == windows(
+                    gathered_jet_product(ctx, first, second, 2).table)
             assert windows(jet_coproduct_functional(ctx, other, 2)) \
                 == windows(coproduct_functional_loop(ctx, other, 2))
             assert [windows(j.table) for j in jet_source_target(ctx, x1, 2)] \
                 == [windows(j.table) for j in source_target_loop(ctx, x1, 2)]
+            side = "source" if ctx.flavor == LEFT else "target"
             for key in keys:
-                assert jets._misses_table(ctx, other, key, side[ctx.flavor]) \
-                    == scan_misses_table(ctx, other, *key, side[ctx.flavor])
+                assert jets._misses(other, jets._support(
+                    ctx, (key,), ctx.flavor)) \
+                    == scan_misses_table(ctx, other, *key, side)
                 assert window(jets._pair_mono(ctx, other, key)) \
                     == window(decomposed_pair_mono(ctx, other, key))
     # every context filled its own tables
     for a, b in itertools.combinations(contexts, 2):
         assert a._entries is not b._entries and a._entries
         assert a._source_target is not b._source_target
-    assert {k[:2] for k in shared[LEFT]._from_pair} \
-        == {(d, f) for d in (triv, dfa) for f in (LEFT, RIGHT)}
-    # the s_F and t_F images of the shared functional differ, and so do the
-    # supports of the two deformations
+    for f in (LEFT, RIGHT):
+        assert {k[:2] for k in shared[f]._images} \
+            == {(d, lift) for d in (triv, dfa) for lift in (True, False)}
+    # on one key of one deformation, the two transposes' images of a
+    # shared functional differ, and so do its s_F and t_F images as a
+    # first factor; so do the supports of the two deformations
     images = {}
-    for (d, f, beta), (W, _) in shared[LEFT]._from_pair.items():
-        if d is dfa and W is not None:
-            images.setdefault(beta, {})[f] = window(W)
-    assert any(im[LEFT] != im[RIGHT] for im in images.values())
+    for f in (LEFT, RIGHT):
+        for (d, lift, key), (W, _) in shared[f]._images.items():
+            if d is dfa and W is not None:
+                images.setdefault(key, {})[f, lift] = window(W)
+    assert any(im[f, True] != im[f, False] for im in images.values()
+               for f in (LEFT, RIGHT) if (f, True) in im and (f, False) in im)
+    assert any(im[LEFT, False] != im[RIGHT, False] for im in images.values()
+               if (LEFT, False) in im and (RIGHT, False) in im)
     assert any(triv.pairing_support(key, "source")
                != dfa.pairing_support(key, "source") for key in keys)

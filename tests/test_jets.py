@@ -111,9 +111,9 @@ def _reachable(obj):
 def test_pair_cache_holds_only_pairings(flavor):
     """After a tabulated product and a direct evaluation, the memos on lam
     map (deformation, basis monomial) to a pairing (``_pair_cache``) and
-    (deformation, paired lift leg) to the mapped image and its product
-    rows (``_lift_rows``), and nothing in either refers to the partner
-    functional, which they would keep alive."""
+    (deformation, True, paired lift leg) to the mapped image and its
+    product rows (``_images``), and nothing in either refers to the
+    partner functional, which they would keep alive."""
     ctx = make_ctx(flavor, order=3, d=2)
     spec = ctx.spec
     lam = xi_functional(ctx, 0).add(coordinate_functional(ctx, 1))
@@ -132,9 +132,11 @@ def test_pair_cache_holds_only_pairings(flavor):
     for ckey, val in lam._pair_cache.items():
         assert_leg_key(ckey)
         assert isinstance(val, HLaurent)
-    assert any(W is not None and rows for W, rows in lam._lift_rows.values())
-    for ckey, (W, rows) in lam._lift_rows.items():
-        assert_leg_key(ckey)
+    assert any(W is not None and rows for W, rows in lam._images.values())
+    for ckey, (W, rows) in lam._images.items():
+        # a dual product's images are keyed as lift images
+        assert len(ckey) == 3 and ckey[1] is True
+        assert_leg_key(ckey[::2])
         if W is None:
             assert not rows
             continue
@@ -151,8 +153,8 @@ def test_pair_cache_holds_only_pairings(flavor):
             assert all(isinstance(a, tuple) and len(a) == spec.rank
                        and all(isinstance(t, int) for t in a)
                        for a in support)
-    partner = {id(mu), id(mu.table), id(mu._pair_cache), id(mu._lift_rows)}
-    for memo in (lam._pair_cache, lam._lift_rows):
+    partner = {id(mu), id(mu.table), id(mu._pair_cache), id(mu._images)}
+    for memo in (lam._pair_cache, lam._images):
         assert not any(id(x) in partner for x in _reachable(memo))
 
 
@@ -286,7 +288,24 @@ def test_flavor_mismatch():
             jet_product(ctx, a, b)
         with pytest.raises(FlavorError):
             jet_product_eval(ctx, a, b, (1, 1))
-    assert not ctx._transposes and not lam._lift_rows and not mu._lift_rows
+    assert not ctx._transposes and not lam._images and not mu._images
+    # a tensor functional of a pair raises when its functionals differ in
+    # flavor from each other or from the context, and the coproduct
+    # functional when its functional differs from the context, before any
+    # pairing, image or entry is kept
+    right = JetElement(RIGHT, xi_functional(ctx2, 0).table)
+    left = JetElement(LEFT, xi_functional(ctx, 1).table)
+    for c, a, b in ((ctx, left, right), (ctx, right, left),
+                    (ctx, right, right), (ctx2, left, left),
+                    (ctx2, left, right)):
+        with pytest.raises(FlavorError):
+            tensor_functional_from_pair(c, a, b)
+    for c, a in ((ctx, right), (ctx2, left)):
+        with pytest.raises(FlavorError):
+            jet_coproduct_functional(c, a)
+    for f in (left, right):
+        assert not f._images and not f._pair_cache
+    assert not ctx._entries and not ctx2._entries
 
 
 def test_axiom_suite_undeformed():

@@ -385,9 +385,15 @@ UNREACHED = [
      )),
     ("jets", "JetElement.add", "guard", "every sum is of one flavor",
      ('raise FlavorError("mixed dual flavors")',)),
+    ("jets", "jet_coproduct_functional", "guard",
+     "every functional is of its context's flavor",
+     ('raise FlavorError("mixed dual flavors")',)),
     ("jets", "jet_product", "guard", "every product is of one flavor",
      ('raise FlavorError("mixed dual flavors")',)),
     ("jets", "jet_product_eval", "guard", "every product is of one flavor",
+     ('raise FlavorError("mixed dual flavors")',)),
+    ("jets", "tensor_functional_from_pair", "guard",
+     "every pair is of its context's flavor",
      ('raise FlavorError("mixed dual flavors")',)),
     ("kernel", "poly_scale", "guard",
      "a zero scale keeps no term, as a polynomial holds nonzero "
@@ -677,7 +683,7 @@ def _cli_runs(tmp_path):
              for i, cmd in enumerate(TWISTOR_COMMANDS)]
     # semiclassical reaches the impure decompositions and pairings of the
     # polynomial spec and the dual products' factors whose support is None
-    # (``jets._rows_support``), and twist at N=1 the reduction that takes a
+    # (``jets._support``), and twist at N=1 the reduction that takes a
     # second pass; the other commands, and twist at N=2, reach nothing more
     runs += [(["semiclassical", polynomial, "--json-only"], 0, ""),
              (["twist", polynomial, "--h-order", "1", "--json-only"], 0, "")]

@@ -65,9 +65,10 @@ t_F(c_beta) e^beta gives x^gamma e^alpha = sum_beta t_F(c_beta)
 structure's leg table (``envelope.leg_product``, nested by leg ids and
 memoising the products at monomial granularity), and s_F(c_beta)
 multiplies the next leg through the same table.  The deformation caches,
-per leg id of x^gamma (``envelope.leg_id``), the basis terms of the
-s_F(c_beta) (``DeformedEnvAlgebroid.migrants``) as leg ids with integer
-numerators over one denominator: one entry per gamma, whatever the alpha.
+per leg id of x^gamma (``envelope.leg_id``), the nonzero basis terms of
+the s_F(c_beta) (``DeformedEnvAlgebroid.migrants``), each tagged with its
+h-order, as leg ids with integer numerators over one denominator: one
+entry per gamma, whatever the alpha.
 Where the structure functions are polynomial, e^beta e^alpha can have
 terms x^g e^delta with g != 0; c_beta = O(h) for beta != 0, so those land
 at least one h-order up and another pass moves them (at most N more
@@ -632,11 +633,11 @@ class DeformedEnvAlgebroid:
         return {delta: HSeries(n, cs, zero_p) for delta, cs in coeffs.items()}
 
     def migrants(self, g):
-        """(d, [(id of e^beta, per h-order the basis terms of s_F(c_beta))])
+        """(d, [(id of e^beta, the nonzero basis terms of s_F(c_beta))])
         for the leg id g of a pure base monomial x^gamma = (gamma, 0) and
-        its t_F-decomposition x^gamma = sum_beta t_F(c_beta) e^beta, each
-        order a tuple (leg id, n) of integer numerators n over the one
-        denominator d.
+        its t_F-decomposition x^gamma = sum_beta t_F(c_beta) e^beta, the
+        terms a tuple of (h-order j, leg id, n) in increasing j, n an
+        integer numerator over the one denominator d.
 
         A leg x^gamma e^alpha is sum_beta t_F(c_beta) (e^beta e^alpha), so
         the Takeuchi relation t_F(a) u (x) v = u (x) s_F(a) v moves each
@@ -656,8 +657,9 @@ class DeformedEnvAlgebroid:
             d = lcm(*[q.denominator for _, orders in moved
                       for terms in orders for _, q in terms])
             hit = self._migrants[g] = (d, [
-                (pure, [tuple((leg_id(key), q.numerator * (d // q.denominator))
-                              for key, q in terms) for terms in orders])
+                (pure, tuple((j, leg_id(key), q.numerator * (d // q.denominator))
+                             for j, terms in enumerate(orders)
+                             for key, q in terms))
                 for pure, orders in moved])
         return hit
 
@@ -849,25 +851,23 @@ def _reduce_leg(dfa, HT, leg):
                 c *= up // d
                 a, nxt = pure[w], key[leg + 1]
                 head, tail = key[:leg], key[leg + 2:]
-                for p, orders in moved:
+                for p, terms_p in moved:
                     entry = table[p].get(a)
                     if entry is None:
                         entry = leg_product(spec, p, a)
                     for l, q in entry:
                         dest = acc if pure[l] == l else carry
                         cl = c * q
-                        for j, terms_j in enumerate(orders):
+                        for j, wl, cw in terms_p:
                             if k + j > n:
                                 break
                             out = dest[k + j]
-                            for wl, cw in terms_j:
-                                cc = cl * cw
-                                prod = table[wl].get(nxt)
-                                if prod is None:
-                                    prod = leg_product(spec, wl, nxt)
-                                for l2, q2 in prod:
-                                    _bump_term(out, head + (l, l2) + tail,
-                                               cc * q2)
+                            cc = cl * cw
+                            prod = table[wl].get(nxt)
+                            if prod is None:
+                                prod = leg_product(spec, wl, nxt)
+                            for l2, q2 in prod:
+                                _bump_term(out, head + (l, l2) + tail, cc * q2)
         pending = [(t, 1) for t in carry] if any(carry) else None
     legs = HT.zero.legs
     coeffs = [_tensor_cleared(spec.nvars, spec.rank, legs, d, den) for d in acc]

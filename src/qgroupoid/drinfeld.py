@@ -423,21 +423,33 @@ def _membership_args(dfa, sample_degree=1):
     return out
 
 
-def functional_prime_member(jctx, lam, n_max=3, sample_degree=1):
-    """Pairing test: lam on products of n augmentation elements must be
-    divisible by h^n, for n <= n_max."""
-    dfa = jctx.dfa
-    spec = jctx.spec
-    args = _membership_args(dfa, sample_degree)
+def augmentation_products(dfa, n_max):
+    """[(n, product)] for every n-fold product of augmentation samples,
+    1 <= n <= n_max, in the order of ``combinations_with_replacement``:
+    each product is its (n-1)-fold prefix times one more sample, built
+    once for every functional that ``functional_prime_member`` tests."""
+    spec = dfa.spec
+    args = _membership_args(dfa)
+    out = []
+    prev = {(): None}
     for n in range(1, n_max + 1):
+        cur = {}
         for combo in itertools.combinations_with_replacement(range(len(args)), n):
-            prod = args[combo[0]]
-            for idx in combo[1:]:
-                prod = defelem_mul(spec, prod, args[idx])
-            val = jet_pair(jctx, lam, prod).normalize()
-            if val.coeffs and val.val < n:
-                return False, "pairing with a %d-fold augmentation product " \
-                    "has order h^%d" % (n, val.val)
+            head, a = prev[combo[:-1]], args[combo[-1]]
+            cur[combo] = prod = a if head is None else defelem_mul(spec, head, a)
+            out.append((n, prod))
+        prev = cur
+    return out
+
+
+def functional_prime_member(jctx, lam, products):
+    """Pairing test: lam on each n-fold augmentation product of
+    ``products`` (``augmentation_products``) must be divisible by h^n."""
+    for n, prod in products:
+        val = jet_pair(jctx, lam, prod).normalize()
+        if val.coeffs and val.val < n:
+            return False, "pairing with a %d-fold augmentation product " \
+                "has order h^%d" % (n, val.val)
     return True, None
 
 
@@ -471,8 +483,9 @@ def duality_roundtrip(jctx, generators=None, n_max=3, degree=None):
     recovered = [g.shift(1) for g in checked]
 
     def membership_failures():
+        products = augmentation_products(jctx.dfa, n_max)
         for i, r in enumerate(recovered):
-            member, why = functional_prime_member(jctx, r, n_max)
+            member, why = functional_prime_member(jctx, r, products)
             if not member:
                 yield "recovered generator %d: %s" % (i + 1, why)
 

@@ -48,8 +48,8 @@ and its gamma from tables beside the registry (``PURE``, ``GAMMA``) and
 migrates the gamma of every leg that is not pure onto the last leg; each
 (last id, total gamma) shift is interned once per process (``SHIFTS``).
 Like the product, it has fixed loops for 2 and 3 legs and refuses any
-other width; ``tests/oracles.tensor_reduce_loop`` keeps the general
-loop as the reference.  Two tensors are
+other width; ``tests/oracles.nested_tensor_reduce``, one loop for every
+width on nested monomial keys, is the reference.  Two tensors are
 one class when their signed difference, over the lcm of their
 denominators, reduces to zero (``same_class``): one reduction into one
 dict, where comparing two reductions builds both.

@@ -10,7 +10,8 @@ from qgroupoid.deform import (
     twisted_coproduct,
 )
 from qgroupoid.drinfeld import (
-    duality_roundtrip, functional_prime_member, hprime_basis, hprime_member,
+    augmentation_products, duality_roundtrip, functional_prime_member,
+    hprime_basis, hprime_member,
     semiclassical_cobracket, semiclassical_dual_bracket, vee_build,
     vee_semiclassical,
 )
@@ -363,8 +364,8 @@ def test_roundtrip_detects_rescaled_input():
 def test_functional_membership():
     ctx = make_ctx(LEFT, 3, 3)
     de1 = xi_functional(ctx, 0)
-    ok, _ = functional_prime_member(ctx, de1, n_max=2)
+    ok, _ = functional_prime_member(ctx, de1, augmentation_products(ctx.dfa, 2))
     assert ok
     dv1 = de1.shift(-1)
-    ok, _ = functional_prime_member(ctx, dv1, n_max=1)
+    ok, _ = functional_prime_member(ctx, dv1, augmentation_products(ctx.dfa, 1))
     assert not ok

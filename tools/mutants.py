@@ -1,0 +1,167 @@
+"""Apply each named mutant of the engine in a temporary copy of the
+repository and report whether the tests named for it fail.
+
+Usage: python tools/mutants.py [--only NAME ...] [--list]
+
+A mutant is (name, file under src/qgroupoid, exact snippet, replacement,
+test ids).  The snippet must occur exactly once in the file.  For each
+mutant the repository is copied (without .git) into a temporary
+directory, the one replacement is made there, and
+``python -m pytest -x -q <test ids>`` runs in the copy with its own
+``src`` on ``PYTHONPATH``.  The mutant is "killed" when pytest reports a
+failed test (exit status 1) and "survived" when every named test passes;
+any other status (a collection error, no test found) is "error".  The
+working tree is never edited.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FAST = "tests/test_fast_paths.py::"
+
+# (name, file, snippet, replacement, test ids that must fail)
+MUTANTS = [
+    # decompose x^gamma e^alpha through the decomposition of x^gamma alone
+    ("decompose-impure-terms-dropped", "deform.py",
+     "_mul_mono_into(acc, spec, u, (g, delta), q)", "continue",
+     [FAST + "test_decompose_mono_matches_whole_monomial",
+      FAST + "test_pairing_sums_match_chains"]),
+    ("decompose-leg-coefficient-dropped", "deform.py",
+     "_bump_term(row, m, c if q == 1 else q * c)", "_bump_term(row, m, c)",
+     [FAST + "test_decompose_mono_matches_whole_monomial"]),
+    ("decompose-keys-unsorted", "deform.py",
+     "            for delta in sorted(acc):\n                if acc[delta]:",
+     "            for delta in acc:\n                if acc[delta]:",
+     [FAST + "test_decompose_mono_matches_whole_monomial"]),
+    # fixed loop nests for 2- and 3-leg tensor products
+    ("mul3-last-leg-coefficient-dropped", "tensorspace.py",
+     "c2 = c1 if q2 == 1 else c1 * q2", "c2 = c1",
+     [FAST + "test_loop_nests_match_general_loop"]),
+    ("mul2-second-leg-coefficient-dropped", "tensorspace.py",
+     "c1 = c0 if q1 == 1 else c0 * q1\n                    key = (k0, k1)",
+     "c1 = c0\n                    key = (k0, k1)",
+     [FAST + "test_loop_nests_match_general_loop"]),
+    # tables built once per structure, context or functional
+    ("pairing-support-without-impure-fallback", "deform.py",
+     "hit = self._supports[ckey] = None if impure else tuple(",
+     "hit = self._supports[ckey] = None if False else tuple(",
+     [FAST + "test_pair_mono_matches_the_decomposed_pairing"]),
+    ("source-target-memo-without-degree", "jets.py",
+     "ckey = (a, degree)", "ckey = a",
+     [FAST + "test_context_and_functional_tables_match_loops"]),
+    ("reduce3-second-gamma-dropped", "tensorspace.py",
+     "g = tuple(map(add, ga, gb))", "g = ga",
+     [FAST + "test_reduce_kernels_match_the_loop"]),
+    ("same-class-without-denominator-scaling", "tensorspace.py",
+     "return not _reduce_into(out, t, -(den // t.den))",
+     "return not _reduce_into(out, t, -1)",
+     [FAST + "test_reduce_kernels_match_the_loop"]),
+    ("shift-id-not-stored", "envelope.py",
+     "j = row[i] = leg_id((tuple(map(add, gamma, mu)), alpha))",
+     "j = leg_id((tuple(map(add, gamma, mu)), alpha))",
+     ["tests/test_cli.py::test_shifts_are_interned_once_per_process"]),
+    ("entry-memo-not-stored", "jets.py",
+     "hit = ctx._entries[key] = (", "hit = (",
+     ["tests/test_cli.py::test_entry_rows_are_built_once_per_context"]),
+    # dual products through their transpose
+    ("zero-factor-is-the-shared-zero", "jets.py",
+     "        return HLaurent.zero_upto(\n"
+     "            ctx.order + r[0][0] if r else W.top, ctx.zero_poly())",
+     "        return ctx.zero_value()",
+     [FAST + "test_jet_product_matches_the_gather"]),
+    ("transpose-of-the-first-degree", "jets.py",
+     "hit = ctx._transposes.get(degree)",
+     "hit = next(iter(ctx._transposes.values()), None)",
+     [FAST + "test_jet_product_matches_the_gather"]),
+    ("mark-only-the-first-nonzero-factor", "jets.py",
+     "            if not P.is_zero():\n"
+     "                marked.update(positions)",
+     "            if not P.is_zero():\n"
+     "                marked.update(positions)\n"
+     "                break",
+     [FAST + "test_jet_product_matches_the_gather"]),
+    # one pairing path in the jet dual
+    ("image-key-without-lift", "jets.py",
+     "ckey = (ctx.dfa, lift, w)", "ckey = (ctx.dfa, True, w)",
+     [FAST + "test_tables_never_cross_contexts_or_deformations"]),
+    ("support-reads-impure-as-pure", "jets.py",
+     "        if not any(gamma):\n            out[alpha] = None",
+     "        if True:\n            out[alpha] = None",
+     [FAST + "test_pair_mono_matches_the_decomposed_pairing"]),
+    # sparse migrants table
+    ("migrant-numerator-dropped", "deform.py",
+     "cc = cl * cw", "cc = cl",
+     [FAST + "test_reduce_leg_matches_nested_keys",
+      FAST + "test_reduce_series_matches_uncached"]),
+    # membership products built once
+    ("membership-product-not-multiplied", "drinfeld.py",
+     "cur[combo] = prod = a if head is None else defelem_mul(spec, head, a)",
+     "cur[combo] = prod = a if head is None else head",
+     ["tests/test_drinfeld.py::test_functional_membership"]),
+]
+
+
+def source(file):
+    return os.path.join("src", "qgroupoid", file)
+
+
+def occurrences(root=ROOT):
+    """{mutant name: how often its snippet occurs in its file}."""
+    out = {}
+    for name, file, snippet, _, _ in MUTANTS:
+        with open(os.path.join(root, source(file))) as f:
+            out[name] = f.read().count(snippet)
+    return out
+
+
+def run(mutant):
+    """'killed', 'survived' or 'error' for one mutant, in a fresh copy."""
+    name, file, snippet, replacement, tests = mutant
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = os.path.join(tmp, "repo")
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".perfbench"))
+        path = os.path.join(copy, source(file))
+        with open(path) as f:
+            text = f.read()
+        if text.count(snippet) != 1:
+            return "error"
+        with open(path, "w") as f:
+            f.write(text.replace(snippet, replacement))
+        env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        status = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider"] + tests, cwd=copy, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    return {0: "survived", 1: "killed"}.get(status, "error")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--only", nargs="*", help="mutant names to run")
+    parser.add_argument("--list", action="store_true",
+                        help="print the mutants and exit")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if not args.only or m[0] in args.only]
+    if args.list:
+        for name, file, _, _, tests in chosen:
+            print("%s  %s  %s" % (name, file, " ".join(tests)))
+        return 0
+    print("| mutant | file | result |")
+    print("|---|---|---|")
+    results = []
+    for mutant in chosen:
+        result = run(mutant)
+        results.append(result)
+        print("| %s | %s | %s |" % (mutant[0], mutant[1], result), flush=True)
+    return 0 if all(r == "killed" for r in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

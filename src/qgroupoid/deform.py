@@ -52,10 +52,9 @@ the shifted images of its orders into one {alpha: {gamma: q}} row per
 h-order, as the linear images of polynomials do.
 The twistor's counit conditions contract a classical 2-tensor by
 ``tensorspace.counit_contract``.
-The coproduct lift of a monomial is also cached grouped by the monomial
-on one leg (``DeformedEnvAlgebroid.lift_legs``), which is how the jet
-dual product evaluates an index it has marked; like ``.terms`` it keeps
-nested monomial keys.
+The jet dual reads the cached lift of a monomial as it is, by the leg
+ids of its integer numerators (``jets._transpose``); how a lift's terms
+meet a dual functional's paired leg is known in ``jets`` alone.
 ``reduce_series`` moves coefficients rightward by the Takeuchi relation
 t_F(a) u (x) v = u (x) s_F(a) v.  A leg moves unless it is its own pure
 part (0, alpha) (``envelope.PURE``), and it moves through the
@@ -357,7 +356,6 @@ class DeformedEnvAlgebroid:
         self._supports = {}
         self._migrants = {}
         self._lift = {}
-        self._lift_legs = {}
         self._takeuchi = {}
         # warm the base-variable tables so the object is effectively
         # immutable after construction
@@ -478,22 +476,6 @@ class DeformedEnvAlgebroid:
                     spec, self.lift_mono((gamma, _bump(alpha, j, -1))),
                     self.lift_mono(gen))
             self._lift[key] = hit
-        return hit
-
-    def lift_legs(self, key, leg):
-        """The lift of x^gamma e^alpha grouped by its leg ``leg`` (cached):
-        a tuple of (w, ((k, other leg, c), ...)), one entry per distinct
-        monomial w on that leg, holding each term c h^k of the lift once."""
-        ckey = (leg, key)
-        hit = self._lift_legs.get(ckey)
-        if hit is None:
-            groups = {}
-            for k, Tk in enumerate(self.lift_mono(key).coeffs):
-                for pair, c in Tk.terms.items():
-                    groups.setdefault(pair[leg], []).append(
-                        (k, pair[1 - leg], c))
-            hit = self._lift_legs[ckey] = tuple(
-                (w, tuple(terms)) for w, terms in groups.items())
         return hit
 
     def conjugate(self, S):

@@ -27,12 +27,15 @@ the product rows of a functional's image (``_pair_image``).
 Dual products are tabulated as the transpose of the coproduct lift
 (``jet_product``).  The lift of each PBW index up to the degree is read
 once per context and degree into a map from each (paired leg w, other
-leg o) to the positions of the indices whose lift holds that pair
-(``_transpose``).  A product computes each factor mu(W . o), W the mapped
-image of lam(w), once over the legs w where lam does not vanish, marks
-the positions of the nonzero factors and evaluates only the indices so
-marked (``jet_product_eval``, sharing the factors); every other index
-sums zero factors alone and is zero.
+leg o), by leg ids, to the positions of the indices whose lift holds that
+pair (``_transpose``).  A product computes each factor mu(W . o), W the
+mapped image of lam(w), once over the legs w where lam does not vanish
+and adds it, at the order and coefficient read back from the lift, into
+the sum of every index the pair lists (``_scatter``): the nonzero factors
+first, each index's sum created by its first, then the zero factors,
+which only narrow the windows of the sums that exist.  An index no
+nonzero factor reaches is zero.  One index is evaluated on its own by
+``jet_product_eval``, through the same images and rows.
 
 A context keeps what depends on no functional: each product-table entry
 e^b1 e^b2 with its support (``_pair_entry``, read by
@@ -44,8 +47,8 @@ s_F or t_F, with the product rows of that image by each basis monomial
 met and their support.  A dual product reads its first factor's images
 on the paired lift legs, a tensor functional its first factor's on the
 paired indices; no image depends on a partner, so every partner reads the
-same rows.  A dual product keeps the partner's pairing of each row in its
-own memo for one tabulation (see ``jet_product_eval``).
+same rows.  The partner's pairing of each row is kept by no memo: a
+tabulation computes it once per (paired leg, other leg).
 
 Every sum of this layer is accumulated in place in one
 ``series.LaurentSum`` per result: the star pairings over a decomposition,
@@ -95,8 +98,8 @@ class JetContext:
     their product-table entry and its ``_support`` (``_pair_entry``),
     ``_source_target`` maps (a, degree) to the dual source and target
     images of the base element a (``jet_source_target``), and
-    ``_transposes`` maps a degree to the transposed lifts of the PBW
-    indices up to it (``_transpose``).  Each context fills its own, so a
+    ``_transposes`` maps a degree to the lifts of the PBW indices up to it
+    and their transpose (``_transpose``).  Each context fills its own, so a
     left and a right context on one deformation, or contexts on two
     deformations of one structure, never read each other's entries.
     """
@@ -144,8 +147,8 @@ class JetElement:
     deformation object comes first in every key (the key keeps it alive,
     so a later deformation never reuses an entry).  No entry refers to
     another functional: the values are base series and envelope rows, and
-    a dual product keeps its partner's pairings in its own per-tabulation
-    memo, so a functional never keeps a partner alive.
+    a dual product keeps no pairing of its partner, so a functional never
+    keeps a partner alive.
 
     The table must not change after construction.
     """
@@ -439,39 +442,51 @@ def _tabulate(ctx, fn, degree=None):
 
 
 def _transpose(ctx, degree):
-    """(indices, {w: {o: positions}}) for the context and ``degree``, built
-    once per context and degree (``JetContext._transposes``).  ``indices``
-    is ``pbw_indices(rank, degree)``.  For each pair of a paired leg w
-    (u_(2) for the left dual, u_(1) for the right) and another leg o that
-    a term of the lift of some index holds, ``positions`` is the
-    increasing tuple of the positions p with the pair in the lift of
-    indices[p].  A pair is met in about one index, so the positions are
-    kept sparse: a bitmask per pair would grow with the index count (176
-    MB of masks for ``dualize`` on axb widened to rank 12).  The pairs are
-    read off the lifts' numerators by leg id and keyed by the monomials,
-    as ``lift_legs`` keys its groups."""
+    """(indices, lifts, pairs) for the context and ``degree``, built once
+    per context and degree (``JetContext._transposes``).  ``indices`` is
+    ``pbw_indices(rank, degree)`` and ``lifts[p]`` the orders of the lift
+    of indices[p] (``lift_mono``).  ``pairs`` maps the leg id of each
+    paired leg w (u_(2) for the left dual, u_(1) for the right) to {the
+    key of leg ids of a lift term that holds w with another leg o: the
+    increasing tuple of the positions p with that key in lifts[p]}.  A
+    pair is met in about one index, so the positions are kept sparse: a
+    bitmask per pair would grow with the index count (176 MB of masks for
+    ``dualize`` on axb widened to rank 12).  The orders and coefficients
+    of a pair's terms are read back from lifts[p] (``_scatter``), which
+    the deformation caches anyway: a tuple per term held about a fifth
+    more memory there."""
     hit = ctx._transposes.get(degree)
     if hit is None:
         spec = ctx.spec
         zeros = (0,) * spec.nvars
         leg = 1 if ctx.flavor == LEFT else 0
         indices = pbw_indices(spec.rank, degree)
+        lifts = [ctx.dfa.lift_mono((zeros, beta)).coeffs for beta in indices]
         found = {}
-        for p, beta in enumerate(indices):
-            for Tk in ctx.dfa.lift_mono((zeros, beta)).coeffs:
+        for p, lift in enumerate(lifts):
+            for Tk in lift:
                 for pair in Tk.num:
                     row = found.get(pair[leg])
                     if row is None:
                         row = found[pair[leg]] = {}
-                    at = row.get(pair[1 - leg])
+                    at = row.get(pair)
                     if at is None:
-                        row[pair[1 - leg]] = [p]
+                        row[pair] = [p]
                     elif at[-1] != p:
                         at.append(p)
-        hit = ctx._transposes[degree] = (indices, {
-            LEGS[w]: {LEGS[o]: tuple(at) for o, at in row.items()}
+        hit = ctx._transposes[degree] = (indices, lifts, {
+            w: {pair: tuple(at) for pair, at in row.items()}
             for w, row in found.items()})
     return hit
+
+
+def _scatter(acc, P, lift, pair):
+    """Add c h^k P to the sum acc for each term c h^k of the lift orders
+    ``lift`` on the pair of leg ids ``pair``."""
+    for k, Tk in enumerate(lift):
+        c = Tk.num.get(pair)
+        if c is not None:
+            acc.add(P, Fraction(c, Tk.den), k)
 
 
 def _image(ctx, lam, w, lift):
@@ -530,45 +545,33 @@ def _pair_image(ctx, mu, image, m, lift):
     return _pair_rows(ctx, mu, r, W.top)
 
 
-def jet_product_eval(ctx, lam, mu, arg, memo=None):
+def jet_product_eval(ctx, lam, mu, arg):
     """(lam mu) evaluated on one monomial, through the coproduct lift.
 
     Left dual:  (phi phi')(u) = phi'( t_F(phi(u_(2))) . u_(1) ).
     Right dual: (psi psi')(u) = psi'( s_F(psi(u_(1))) . u_(2) ).
 
-    The lift is read grouped by the leg lam pairs with (u_(2) left, u_(1)
-    right), so a group whose pairing with lam vanishes is skipped whole.
-    The mapped image of each paired leg and its product rows with each
-    other leg depend on lam alone and live in lam's memo (``_image``), so
-    every partner mu reads the same rows.  ``memo`` maps each paired leg
-    to mu's {other leg: paired factor} (``_pair_image``), or to None where
-    lam vanishes on it; ``jet_product`` fills one for a whole tabulation
-    before it evaluates, so a term costs one scaled, shifted add into the
-    result's ``LaurentSum``.  A call without one starts afresh.
+    Each term c h^k w1 (x) w2 of the lift adds c h^k mu(W . o), o the leg
+    lam does not pair with and W the mapped image of lam on the other, or
+    nothing where lam vanishes on it.  The mapped image of each paired
+    leg and its product rows with each other leg depend on lam alone and
+    live in lam's memo (``_image``), so every partner mu reads the same
+    rows.  Every piece is added, zeros included, as each narrows the
+    window of the value.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
     spec = ctx.spec
     if isinstance(arg, tuple) and (not arg or not isinstance(arg[0], tuple)):
         arg = ((0,) * spec.nvars, tuple(arg))
-    groups = ctx.dfa.lift_legs(arg, 1 if lam.flavor == LEFT else 0)
-    if memo is None:
-        memo = {}
+    leg = 1 if lam.flavor == LEFT else 0
     acc = LaurentSum(ctx.zero_poly())
-    for paired, terms in groups:
-        try:
-            factors = memo[paired]
-        except KeyError:
-            W, _ = _image(ctx, lam, paired, True)
-            factors = memo[paired] = None if W is None else {}
-        if factors is None:
-            continue
-        for k, other, c in terms:
-            P = factors.get(other)
-            if P is None:
-                P = factors[other] = _pair_image(
-                    ctx, mu, _image(ctx, lam, paired, True), other, True)
-            acc.add(P, c, k)
+    for k, Tk in enumerate(ctx.dfa.lift_mono(arg).coeffs):
+        for pair, c in Tk.num.items():
+            image = _image(ctx, lam, LEGS[pair[leg]], True)
+            if image[0] is not None:
+                acc.add(_pair_image(ctx, mu, image, LEGS[pair[1 - leg]], True),
+                        Fraction(c, Tk.den), k)
     if acc.top is None:
         # no lift term survived
         return ctx.zero_value()
@@ -579,41 +582,48 @@ def jet_product(ctx, lam, mu, degree=None):
     """The dual product tabulated on the PBW indices up to ``degree`` (the
     jet degree by default), in ``pbw_indices`` order, zeros left out.
 
-    The product is the transpose of the lift: mark, then gather.  For each
-    paired leg w of the transpose (``_transpose``) on which lam does not
-    vanish, each factor P(w, o) = mu(W . o) over the other legs o met
-    with w is computed once (``_pair_image``) into the memo that
-    ``jet_product_eval`` reads, and the positions of the indices that
-    each nonzero factor reaches are marked.  The value at an index is the
-    sum of c h^k P(w, o) over the terms of its lift on whose paired leg
-    lam does not vanish.  At an index no nonzero factor marks, every piece
-    is zero, so the sum has no nonzero coefficient and is left out, as is
-    any index whose pieces cancel.  Only the marked indices are
-    evaluated, by ``jet_product_eval`` on the filled memo, so each value
-    and window is the one that call gives on its own.
+    The product is the transpose of the lift, read in one pass over the
+    pairs (w, o) of the transpose (``_transpose``): the value at an index
+    is the sum of c h^k P(w, o) over the terms c h^k of its lift whose
+    paired leg w lam does not vanish on, P(w, o) = mu(W . o) computed once
+    per pair (``_pair_image``), so it is what ``jet_product_eval`` gives.
+    Each nonzero factor goes straight into the sum of every index the
+    pair lists, the first one creating it.  A zero factor only narrows a
+    window, and the value and window of a ``LaurentSum`` do not depend on
+    the order of its pieces, so the zero factors are added afterwards,
+    into the sums that exist.  An index no nonzero factor reaches is zero
+    and left out, as is any index whose pieces cancel.
     """
     if lam.flavor != mu.flavor:
         raise FlavorError("mixed dual flavors")
-    indices, transpose = _transpose(
+    other = 0 if lam.flavor == LEFT else 1
+    indices, lifts, pairs = _transpose(
         ctx, ctx.jet_degree if degree is None else degree)
-    memo = {}
-    marked = set()
-    for w, others in transpose.items():
-        image = _image(ctx, lam, w, True)
+    sums, zeros = {}, []
+    for w, others in pairs.items():
+        image = _image(ctx, lam, LEGS[w], True)
         if image[0] is None:
-            memo[w] = None
             continue
-        factors = memo[w] = {}
-        for o, positions in others.items():
-            P = factors[o] = _pair_image(ctx, mu, image, o, True)
-            if not P.is_zero():
-                marked.update(positions)
+        for pair, positions in others.items():
+            P = _pair_image(ctx, mu, image, LEGS[pair[other]], True)
+            if P.is_zero():
+                zeros.append((P, pair, positions))
+                continue
+            for p in positions:
+                acc = sums.get(p)
+                if acc is None:
+                    acc = sums[p] = LaurentSum(ctx.zero_poly())
+                _scatter(acc, P, lifts[p], pair)
+    for P, pair, positions in zeros:
+        for p in positions:
+            acc = sums.get(p)
+            if acc is not None:
+                _scatter(acc, P, lifts[p], pair)
     table = {}
-    for p in sorted(marked):
-        beta = indices[p]
-        v = jet_product_eval(ctx, lam, mu, beta, memo)
+    for p in sorted(sums):
+        v = sums[p].value()
         if not v.is_zero():
-            table[beta] = v
+            table[indices[p]] = v
     return JetElement(lam.flavor, table)
 
 

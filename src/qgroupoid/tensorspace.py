@@ -23,9 +23,13 @@ is seen, for every structure alike).  ``num`` is keyed by tuples of leg
 ids, so a lookup hashes a tuple of ints, where a tuple of nested exponent
 tuples costs about three times as much.  The public face keeps the
 monomials: the constructor takes nested keys ((gamma, alpha), ...),
-``.terms`` gives them back, and ``__hash__``, ``__repr__`` and
-``DeformedEnvAlgebroid.lift_legs`` read ``.terms``.  Ids follow the order
-in which monomials are first seen, so nothing sorts by id; every ordered
+``.terms`` gives them back.  ``__hash__``, ``__repr__`` and the readers
+that walk a tensor by monomial (``counit_contract``, the twistor's
+acting legs and the counit contraction of ``deform``, the leg
+projections and the order-h cobracket of ``drinfeld``, the associativity
+reach of ``jets.jet_axiom_suite``) read ``.terms``; the jet dual product
+reads ``num`` by leg id (``jets._transpose``).  Ids follow the order in
+which monomials are first seen, so nothing sorts by id; every ordered
 output sorts the monomials.
 
 Legs are multiplied through the structure's one product table

@@ -31,7 +31,9 @@ and ``generated_dfa`` twists some of them for the registry.
 import itertools
 import os
 import random
+import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -1479,8 +1481,9 @@ def built_source_target(ctx, a, degree):
 
 def gathered_jet_product(ctx, lam, mu, degree=None):
     """``jets.jet_product`` as the gather it replaced: every PBW index up to
-    the degree (the jet degree by default) is evaluated on its lift grouped
-    by the paired leg (``lift_legs``), zeros left out (``jets._tabulate``).
+    the degree (the jet degree by default) is evaluated on the terms of its
+    lift (``lift_mono(...).terms``) grouped here by the paired leg, zeros
+    left out (``jets._tabulate``).
     Each first pairing lam(w) and each factor mu(W . other) is paired
     through ``jets._pair_mono`` and ``jets._pair_rows`` (checked against
     the chains by their own entries) without a support test, and the
@@ -1494,6 +1497,7 @@ def gathered_jet_product(ctx, lam, mu, degree=None):
     spec = ctx.spec
     zeros = (0,) * spec.nvars
     left = lam.flavor == LEFT
+    leg = 1 if left else 0
     mapper = ctx.dfa.target if left else ctx.dfa.source
     memo = memo_of(ctx)
 
@@ -1502,7 +1506,11 @@ def gathered_jet_product(ctx, lam, mu, degree=None):
         if hit is not None:
             return hit
         acc = LaurentSum(ctx.zero_poly())
-        for paired, terms in ctx.dfa.lift_legs((zeros, beta), 1 if left else 0):
+        groups = {}
+        for k, T in enumerate(ctx.dfa.lift_mono((zeros, beta)).coeffs):
+            for pair, c in T.terms.items():
+                groups.setdefault(pair[leg], []).append((k, pair[1 - leg], c))
+        for paired, terms in groups.items():
             W = memo.get(("image", lam, paired), False)
             if W is False:
                 v = _pair_mono(ctx, lam, paired)
@@ -1525,6 +1533,59 @@ def gathered_jet_product(ctx, lam, mu, degree=None):
         return hit
 
     return JetElement(lam.flavor, _tabulate(ctx, value, degree))
+
+
+def watch_tabulations(monkeypatch):
+    """Record what each dual-product tabulation (``jets.jet_product``) pairs.
+
+    Wraps ``jets._transpose``, which starts every tabulation, and
+    ``jets._image``, ``jets._pair_image`` and ``jets.jet_product_eval`` as
+    ``jet_product`` calls them.  Returns the list of records, one per
+    tabulation: ``pairs`` counts the factors mu(W . o) it pairs by (paired
+    leg w, other leg o), ``vanishing`` is the set of paired legs w whose
+    image it read as vanishing (W None), and ``paired_vanishing`` and
+    ``evaluations`` count the factors paired on such a leg and the calls
+    of ``jet_product_eval``."""
+    tabulation = jets.jet_product.__code__
+    real_transpose, real_image = jets._transpose, jets._image
+    real_pair, real_eval = jets._pair_image, jets.jet_product_eval
+    records, legs = [], {}
+
+    def from_tabulation():
+        return sys._getframe(2).f_code is tabulation
+
+    def transpose(ctx, degree):
+        if from_tabulation():
+            records.append({"pairs": Counter(), "vanishing": set(),
+                            "paired_vanishing": 0, "evaluations": 0})
+        return real_transpose(ctx, degree)
+
+    def image(ctx, lam, w, lift):
+        entry = real_image(ctx, lam, w, lift)
+        if from_tabulation():
+            legs[id(entry)] = (w, entry)
+            if entry[0] is None:
+                records[-1]["vanishing"].add(w)
+        return entry
+
+    def pair_image(ctx, mu, image, m, lift):
+        if from_tabulation():
+            w, _ = legs[id(image)]
+            records[-1]["pairs"][w, m] += 1
+            if image[0] is None:
+                records[-1]["paired_vanishing"] += 1
+        return real_pair(ctx, mu, image, m, lift)
+
+    def jet_product_eval(ctx, lam, mu, arg):
+        if from_tabulation():
+            records[-1]["evaluations"] += 1
+        return real_eval(ctx, lam, mu, arg)
+
+    monkeypatch.setattr(jets, "_transpose", transpose)
+    monkeypatch.setattr(jets, "_image", image)
+    monkeypatch.setattr(jets, "_pair_image", pair_image)
+    monkeypatch.setattr(jets, "jet_product_eval", jet_product_eval)
+    return records
 
 
 def jet_coproduct_decompose(ctx, lam, degree=None):
@@ -2249,10 +2310,9 @@ def _eval_args(dfa, flavors, degree=2, functionals=table_functionals):
 
 
 def _fast_eval(dfa, ctx, lam, mu, args):
-    memo = {}
-    # the second pass reads every paired factor from the memo
-    return [[window(jets.jet_product_eval(ctx, lam, mu, a, memo))
-             for a in args] for _ in range(2)]
+    # the second pass reads lam's images and rows from its memo
+    return [[window(jets.jet_product_eval(ctx, lam, mu, a)) for a in args]
+            for _ in range(2)]
 
 
 def _ref_eval(dfa, ctx, lam, mu, args):

@@ -11,10 +11,11 @@ from collections import Counter
 
 import pytest
 
-from qgroupoid import axb, deform, envelope, jets, tensorspace
+from qgroupoid import deform, envelope, jets, tensorspace
 from qgroupoid.cli import main
 from qgroupoid.scalars import pbw_indices
 
+import oracles
 from oracles import impure_leg_product
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -332,51 +333,38 @@ def test_dual_products_build_each_row_once(monkeypatch):
 
 def test_dual_products_evaluate_only_marked_indices(monkeypatch):
     """On ``example axb`` at N=4 a tabulated dual product (``jet_product``)
-    evaluates an index (``jet_product_eval``) only where its lift holds a
-    pair (paired leg, other leg) whose factor in the tabulation's memo is
-    nonzero, each index once, and far fewer indices than it tabulates.
-    The lift is grouped by its paired leg (``lift_legs``) only for the
-    monomials that some evaluation reads.  Evaluating every index made
-    1,100 evaluations on ``example axb`` at N=6, where 108 remain."""
-    real_eval, real_transpose = jets.jet_product_eval, jets._transpose
-    real_legs = deform.DeformedEnvAlgebroid.lift_legs
-    tabulation = jets.jet_product.__code__
-    sizes, marked, evaluated, grouped, keep = [], Counter(), set(), set(), []
+    evaluates no index on its own (``jet_product_eval``): it pairs each
+    factor mu(W . o) of a (paired leg w, other leg o) at most once, none
+    on a leg where lam vanishes, and leaves out far more indices than it
+    tabulates.  Evaluating every index made 1,100 evaluations on
+    ``example axb`` at N=6; evaluating the indices a nonzero factor marks
+    made 108, each reading its lift a second time."""
+    real_transpose = jets._transpose
+    sizes = []
 
     def transpose(ctx, degree):
         hit = real_transpose(ctx, degree)
         sizes.append(len(hit[0]))
         return hit
 
-    def jet_product_eval(ctx, lam, mu, arg, memo=None):
-        key = arg if isinstance(arg[0], tuple) \
-            else ((0,) * ctx.spec.nvars, tuple(arg))
-        evaluated.add((ctx.dfa, key))
-        if sys._getframe(1).f_code is tabulation:
-            keep.append(memo)
-            marked[id(memo), key] += 1
-            left = lam.flavor == jets.LEFT
-            assert any(
-                memo[w2 if left else w1] is not None
-                and not memo[w2 if left else w1][
-                    w1 if left else w2].is_zero()
-                for T in ctx.dfa.lift_mono(key).coeffs
-                for w1, w2 in T.terms)
-        return real_eval(ctx, lam, mu, arg, memo)
-
-    def lift_legs(self, key, leg):
-        grouped.add((self, key))
-        return real_legs(self, key, leg)
-
     monkeypatch.setattr(jets, "_transpose", transpose)
-    monkeypatch.setattr(jets, "jet_product_eval", jet_product_eval)
-    monkeypatch.setattr(axb, "jet_product_eval", jet_product_eval)
-    monkeypatch.setattr(deform.DeformedEnvAlgebroid, "lift_legs", lift_legs)
+    records = oracles.watch_tabulations(monkeypatch)
+    real_product, tables = jets.jet_product, []
+
+    def jet_product(ctx, lam, mu, degree=None):
+        out = real_product(ctx, lam, mu, degree)
+        tables.append(len(out.table))
+        return out
+
+    monkeypatch.setattr(jets, "jet_product", jet_product)
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
-    assert marked and set(marked.values()) == {1}
-    assert 5 * len(marked) < sum(sizes)
-    assert grouped == evaluated
+    assert records and len(records) == len(sizes) == len(tables)
+    assert not any(r["evaluations"] or r["paired_vanishing"] for r in records)
+    assert all(set(r["pairs"].values()) <= {1} for r in records)
+    assert any(r["pairs"] for r in records)
+    assert any(r["vanishing"] for r in records)
+    assert 5 * sum(tables) < sum(sizes)
 
 
 def test_pairings_decompose_only_keys_that_meet_the_table(monkeypatch):

@@ -754,13 +754,15 @@ def test_pairing_sums_match_chains(make, flavor):
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
-def test_jet_product_eval_matches_unmemoised(make, flavor):
+def test_jet_product_eval_matches_unmemoised(make, flavor, monkeypatch):
     """Each functional's product rows and their supports are built while
     it meets its first partner; every later partner reads those same rows
-    and supports and builds none.  A mapped image sits exactly under the
-    legs lam pairs with nonzero, and mu's factors exactly under those.
-    The grouped lift holds each term of the lift exactly once, under the
-    leg the dual pairs on."""
+    and supports and builds none.  A mapped image is None exactly under
+    the legs lam pairs with zero, and holds no rows there.  A tabulation
+    (``jet_product``) calls no ``jet_product_eval``, pairs each factor of
+    a (paired leg, other leg) at most once and none on a leg where lam
+    vanishes.  The transpose lists each pair of each index's lift exactly
+    once, under the leg the dual pairs on."""
     dfa = shared(make)
     assert check(dfa, "jet_product_eval", flavors=(flavor,))
     ctx = JetContext(dfa, flavor, 2)
@@ -772,9 +774,8 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
     for lam in funcs:
         built = None
         for mu in funcs:
-            memo = {}
             for a in args:
-                jets.jet_product_eval(ctx, lam, mu, a, memo)
+                jets.jet_product_eval(ctx, lam, mu, a)
             assert all(lift for _, lift, _ in lam._images)
             rows = {(ckey, other): hit
                     for ckey, (_, per) in lam._images.items()
@@ -789,22 +790,31 @@ def test_jet_product_eval_matches_unmemoised(make, flavor):
             assert rows.keys() == built.keys()
             assert all(r is built[k][0] and support is built[k][1]
                        for k, (r, support) in rows.items())
-            for paired, factors in memo.items():
-                W, per = lam._images[ctx.dfa, True, paired]
-                if chain_pair_mono(ctx, lam, paired).is_zero():
-                    assert W is None and factors is None and not per
-                else:
-                    assert W is not None and factors
-                    assert set(factors) == set(per)
+        for (_, _, paired), (W, per) in lam._images.items():
+            assert (W is None) == chain_pair_mono(ctx, lam, paired).is_zero()
+            assert W is not None or not per
+    records = oracles.watch_tabulations(monkeypatch)
+    for lam in funcs:
+        for mu in funcs:
+            jets.jet_product(ctx, lam, mu)
+    assert len(records) == len(funcs) ** 2
+    assert not any(r["evaluations"] or r["paired_vanishing"] for r in records)
+    assert all(set(r["pairs"].values()) <= {1} for r in records)
+    assert any(r["pairs"] for r in records)
     leg = 1 if flavor == LEFT else 0
-    for a in args:
-        want = Counter((k, key, c) for k, T in enumerate(dfa.lift_mono(a).coeffs)
-                       for key, c in T.terms.items())
-        groups = dfa.lift_legs(a, leg)
-        got = Counter((k, (other, w) if leg else (w, other), c)
-                      for w, terms in groups for k, other, c in terms)
-        assert got == want and set(got.values()) == {1}
-        assert len({w for w, _ in groups}) == len(groups)
+    indices, lifts, pairs = jets._transpose(ctx, 2)
+    assert indices == pbw_indices(spec.rank, 2)
+    want = Counter((p, key) for p, beta in enumerate(indices)
+                   for key in {key for T in dfa.lift_mono(
+                       ((0,) * spec.nvars, beta)).coeffs for key in T.num})
+    got = Counter((p, key) for others in pairs.values()
+                  for key, positions in others.items() for p in positions)
+    assert got == want and set(got.values()) == {1}
+    assert all(key[leg] == w for w, others in pairs.items() for key in others)
+    assert all(list(positions) == sorted(set(positions))
+               for others in pairs.values() for positions in others.values())
+    assert all(lift is dfa.lift_mono(((0,) * spec.nvars, beta)).coeffs
+               for beta, lift in zip(indices, lifts))
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, bracketed_exp_dfa,

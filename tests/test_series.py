@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -6,7 +7,8 @@ import pytest
 from qgroupoid.errors import ConfigError, NotAUnitError
 from qgroupoid.scalars import CPoly
 from qgroupoid.series import (
-    HLaurent, HSeries, hs_const, hseries_invert, hseries_mul, laurent_mul,
+    HLaurent, HSeries, LaurentSum, hs_const, hseries_invert, hseries_mul,
+    laurent_mul,
 )
 
 ZERO = CPoly.zero(1)
@@ -116,6 +118,51 @@ def test_laurent_normalize_idempotent():
     once = a.normalize()
     twice = once.normalize()
     assert (once.val, once.top, once.coeffs) == (twice.val, twice.top, twice.coeffs)
+
+
+def _summed(pieces):
+    acc = LaurentSum(ZERO)
+    for x, c, k in pieces:
+        acc.add(x, c, k)
+    v = acc.value()
+    return v.val, v.top, [dict(p.terms) for p in v.coeffs]
+
+
+@pytest.mark.parametrize("narrowing, window", [
+    ([], (0, 4)),
+    ([(HLaurent.zero_upto(2, ZERO), Fraction(5, 3), 1),
+      (HLaurent(-2, 5, [ZERO] * 8, ZERO), 1, 0)], (-2, 3)),
+    ([(HLaurent.zero_upto(-1, ZERO), 1, 2)], (0, 1)),
+    ([(HLaurent.zero_upto(-3, ZERO), 0, 2)], (0, -1)),
+    ([(HLaurent.zero_upto(-4, ZERO), 1, 1)], (-2, -3)),
+], ids=["no-empty-window", "lower-top-and-val", "lower-top",
+        "to-the-empty-window", "below-the-valuation"])
+def test_laurent_sum_ignores_the_order_of_its_pieces(narrowing, window):
+    """A ``LaurentSum`` gives the same value and window, val and top, for
+    every seeded permutation of its pieces: nonzero pieces, pieces that
+    cancel, scaled and shifted pieces, and empty windows that lower the
+    top or the valuation.  The one-pass dual product (``jets.jet_product``)
+    adds the pieces of an index in the order of the transpose, its zero
+    pieces last, which is not the order of the lift."""
+    a = HLaurent(0, 4, [ONE, X, ZERO, X * X, ONE], ZERO)
+    b = HLaurent(-1, 3, [X, ZERO, ONE, ZERO, X], ZERO)
+    pieces = [
+        (a, 1, 0), (a, -1, 0),                # cancel whole
+        (b, Fraction(3, 2), 1), (b, Fraction(-3, 2), 1), (b, 2, 1),
+        (HLaurent(1, 2, [X, ONE], ZERO), Fraction(-2, 7), 2),
+        (HLaurent(0, 5, [ZERO, X, ONE, ZERO, ZERO, X], ZERO), 1, 0),
+        (HLaurent(0, 4, [ZERO, -X, ZERO, ZERO, ZERO], ZERO), 1, 1),
+    ] + narrowing
+    want = _summed(pieces)
+    rng = random.Random(20)
+    for _ in range(40):
+        rng.shuffle(pieces)
+        assert _summed(pieces) == want
+    val, top, coeffs = want
+    assert (val, top) == window
+    full = {0: X * 2, 1: X, 2: ONE * 3 - X, 3: X * Fraction(-2, 7),
+            4: X * 2 - ONE * Fraction(2, 7)}
+    assert coeffs == [dict(full.get(n, ZERO).terms) for n in range(val, top + 1)]
 
 
 def test_laurent_integrality():

@@ -78,12 +78,14 @@ MUTANTS = [
      "hit = ctx._transposes.get(degree)",
      "hit = next(iter(ctx._transposes.values()), None)",
      [FAST + "test_jet_product_matches_the_gather"]),
-    ("mark-only-the-first-nonzero-factor", "jets.py",
-     "            if not P.is_zero():\n"
-     "                marked.update(positions)",
-     "            if not P.is_zero():\n"
-     "                marked.update(positions)\n"
-     "                break",
+    ("zero-factors-not-added", "jets.py",
+     "    for P, pair, positions in zeros:",
+     "    for P, pair, positions in ():",
+     [FAST + "test_jet_product_matches_the_gather",
+      FAST + "test_tables_never_cross_contexts_or_deformations"]),
+    ("scatter-order-dropped", "jets.py",
+     "acc.add(P, Fraction(c, Tk.den), k)",
+     "acc.add(P, Fraction(c, Tk.den), 0)",
      [FAST + "test_jet_product_matches_the_gather"]),
     # one pairing path in the jet dual
     ("image-key-without-lift", "jets.py",

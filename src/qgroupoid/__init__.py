@@ -31,8 +31,7 @@ from .scalars import CPoly, Fraction, parse_poly
 from .series import HLaurent, HSeries, hseries_invert, hseries_mul
 from .specfile import EngineSpec, load_spec, load_spec_file
 from .tensorspace import (
-    TensorElement, env_coproduct, iterated_coproduct, takeuchi_check,
-    tensor_mul, tensor_reduce,
+    TensorElement, env_coproduct, takeuchi_check, tensor_mul, tensor_reduce,
 )
 from .kernel import BACKEND as KERNEL_BACKEND
 

@@ -14,7 +14,9 @@ truncated Cauchy product of the lifts of x^gamma e^(alpha - e_j) and e_j,
 e_j its last generator.  The twisted coproduct at one leg of a lifted
 tensor (``deformed_coproduct_leg``) puts F and G on the two slots that leg
 becomes, so it splices each leg monomial's cached lift in place; no series
-of three or more legs is conjugated.
+of three or more legs is conjugated.  The twisted coproduct of an element
+(``twisted_coproduct``) is that splice on the element as a series of 1-leg
+tensors, so every twisted coproduct is one splice.
 
 Two paths compute G . S . F for those 2-leg series
 (``DeformedEnvAlgebroid.conjugate``).  A twistor built by ``exp_twistor``
@@ -38,7 +40,7 @@ the twistor (``_monomial_image``), which ``twistor_validate`` and the
 deformation share; a sweep reads F's terms grouped by the acting leg
 e^b, takes e^b . x^m once per group and skips the groups where it
 vanishes.  A polynomial maps as the linear combination of its monomials'
-images; per-polynomial memos sit in front of the tables.
+images, and a monomial with coefficient 1 is its table entry.
 The star product reads the source image: with s_F(a) = sum (F1 . a) F2,
 a *_F b = sum (F1 . a)(F2 . b) is s_F(a) acting on b
 (``envelope.anchor_action``), bilinear in (a, b), so
@@ -116,7 +118,7 @@ from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import (
-    HLaurent, HSeries, hs_const, hs_zero, hseries_invert, laurent_mul,
+    HLaurent, HSeries, hs_const, hseries_invert, laurent_mul,
 )
 from .tensorspace import (
     TensorElement, _basis_terms, _tensor, _tensor_cleared, copro_basis,
@@ -346,9 +348,6 @@ class DeformedEnvAlgebroid:
             if not rep.ok():
                 raise ConfigError("invalid twistor: %s" % rep.first_failure())
         self.G = twistor_invert(spec, twistor)
-        self._sF = {}
-        self._tF = {}
-        self._star = {}
         # a *_F b on pairs of basis monomials: (m, m') -> its h-expansion
         self._star_mono = {}
         self._decomp = {}
@@ -357,50 +356,31 @@ class DeformedEnvAlgebroid:
         self._migrants = {}
         self._lift = {}
         self._takeuchi = {}
-        # warm the base-variable tables so the object is effectively
-        # immutable after construction
-        for j in range(spec.nvars):
-            xj = CPoly.var(spec.nvars, j)
-            self.source(xj)
-            self.target(xj)
 
     # -- base maps ---------------------------------------------------------------
 
     def source(self, a):
-        hit = self._sF.get(a)
-        if hit is None:
-            hit = self._sF[a] = self._linear_image(0, a)
-        return hit
+        return self._linear_image(0, a)
 
     def target(self, a):
-        hit = self._tF.get(a)
-        if hit is None:
-            hit = self._tF[a] = self._linear_image(1, a)
-        return hit
+        return self._linear_image(1, a)
 
     def star_coeffs(self, a, b):
-        """h-expansion (list of CPoly) of a *_F b for plain polynomials
-        (cached): sum_(m, m') a_m b_m' (x^m *_F x^m'), the products of basis
-        monomials read from a table that builds each as s_F(x^m) acting on
-        x^m'."""
-        key = (a, b)
-        hit = self._star.get(key)
-        if hit is None:
-            pairs = [(m, ca, m2, cb) for m, ca in a.terms.items()
-                     for m2, cb in b.terms.items()]
-            if len(pairs) == 1 and pairs[0][1] == pairs[0][3] == 1:
-                hit = self._star_pair(pairs[0][0], pairs[0][2])
-            else:
-                rows = [{} for _ in range(self.order + 1)]
-                for m, ca, m2, cb in pairs:
-                    c = ca * cb
-                    for row, p in zip(rows, self._star_pair(m, m2)):
-                        for g, q in p.terms.items():
-                            _bump_term(row, g, q if c == 1 else c * q)
-                nvars = self.spec.nvars
-                hit = [CPoly(nvars, row) for row in rows]
-            self._star[key] = hit
-        return hit
+        """h-expansion (list of CPoly) of a *_F b for plain polynomials:
+        sum_(m, m') a_m b_m' (x^m *_F x^m'), the products of basis monomials
+        read from a table that builds each as s_F(x^m) acting on x^m'."""
+        pairs = [(m, ca, m2, cb) for m, ca in a.terms.items()
+                 for m2, cb in b.terms.items()]
+        if len(pairs) == 1 and pairs[0][1] == pairs[0][3] == 1:
+            return self._star_pair(pairs[0][0], pairs[0][2])
+        rows = [{} for _ in range(self.order + 1)]
+        for m, ca, m2, cb in pairs:
+            c = ca * cb
+            for row, p in zip(rows, self._star_pair(m, m2)):
+                for g, q in p.terms.items():
+                    _bump_term(row, g, q if c == 1 else c * q)
+        nvars = self.spec.nvars
+        return [CPoly(nvars, row) for row in rows]
 
     def _star_pair(self, m, m2):
         """x^m *_F x^m' = s_F(x^m) acting on x^m' (cached)."""
@@ -416,15 +396,17 @@ class DeformedEnvAlgebroid:
     def _linear_image(self, leg, a):
         """sum_m a_m map(x^m) for the base map whose F-legs ``leg`` act,
         the images of the monomials read from the twistor's table
-        (``_monomial_image``)."""
+        (``_monomial_image``); a single monomial with coefficient 1 is its
+        table entry."""
         spec = self.spec
-        single = len(a.terms) == 1
+        terms = a.terms
+        if len(terms) == 1:
+            (m, c), = terms.items()
+            if c == 1:
+                return _monomial_image(spec, self.twistor, m, leg)
         out = [{} for _ in range(self.order + 1)]
-        for m, c in a.terms.items():
-            img = _monomial_image(spec, self.twistor, m, leg)
-            if single and c == 1:
-                return img
-            _add_rows(out, img.coeffs, c)
+        for m, c in terms.items():
+            _add_rows(out, _monomial_image(spec, self.twistor, m, leg).coeffs, c)
         return _rows_series(spec, self.order, out)
 
     def source_series(self, aser):
@@ -659,16 +641,11 @@ def star_product(dfa, aser, bser):
 
 
 def twisted_coproduct(dfa, u):
-    """Lifted representative G . Delta(u) . F of the twisted coproduct."""
-    spec = dfa.spec
-    zero = TensorElement.zero(spec.nvars, spec.rank, 2)
-    out = hs_zero(dfa.order, zero)
-    for k, uk in enumerate(u.coeffs):
-        for alpha, poly in uk.terms.items():
-            for gamma, q in poly.terms.items():
-                piece = dfa.lift_mono((gamma, alpha))
-                out = out + piece.map(lambda t: t.scale(q)).shift(k)
-    return out
+    """Lifted representative G . Delta(u) . F of the twisted coproduct: the
+    twisted coproduct at the one leg of u as a series of 1-leg tensors
+    (``deformed_coproduct_leg``), as ``tensorspace.env_coproduct`` is the
+    classical splice."""
+    return deformed_coproduct_leg(dfa, u.map(TensorElement.of), 0)
 
 
 def deformed_coproduct_leg(dfa, HT, leg):

@@ -3,7 +3,9 @@
 The dual-side functor rescales the augmentation functionals by 1/h and
 checks that all generator relations stay h-integral; the envelope-side
 functor selects elements whose n-fold reduced coproducts are divisible by
-h^n.  Semiclassical limits read off the induced structure on the dual
+h^n, built as one loop on leg ids: the element as a series of 1-leg
+tensors, one twisted coproduct at leg 0 per n, and the projection of each
+leg.  Semiclassical limits read off the induced structure on the dual
 module from order-h data; the roundtrip check composes the two functors
 and compares generators and relations with the originals at truncation.
 """
@@ -14,7 +16,8 @@ from .deform import (
     defelem_from_env, defelem_mul, deformed_coproduct_leg, twisted_coproduct,
 )
 from .envelope import (
-    EnvElement, _add_rows, _bump_term, _row_element, env_counit, pbw_mul,
+    LEGS, EnvElement, _add_rows, _bump_term, _row_element, env_counit,
+    leg_id, pbw_mul,
 )
 from .errors import (
     ConfigError, InvariantViolation, NonIntegralError,
@@ -30,9 +33,11 @@ from .lierinehart import (
     lr_bialgebra_validate, lr_validate,
 )
 from .report import Check, Report
-from .scalars import CPoly, monomials_upto, pbw_indices
+from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
 from .series import HSeries
-from .tensorspace import MAX_LEGS, TensorElement, tensor_reduce
+from .tensorspace import (
+    MAX_LEGS, TensorElement, _tensor_cleared, tensor_reduce,
+)
 
 __all__ = [
     "VeeAlgebroid", "vee_build", "vee_semiclassical", "hprime_member",
@@ -128,9 +133,7 @@ def vee_semiclassical(v):
     anchor = [[zero] * p for _ in range(m)]
     for i in range(m):
         for j in range(p):
-            na, nb = v.gen_names[i], v.base_names[j]
-            comm = v.relations[(na, nb)] if (na, nb) in v.relations \
-                else v.relations[(nb, na)].neg()
+            comm = v.relations[(v.gen_names[i], v.base_names[j])]
             anchor[i][j] = comm.value(jctx, (0,) * m).coeff(0)
 
     dual = LieRinehartSpec(p, m, bracket, anchor, name="dual-of-%s" % jctx.flavor)
@@ -178,32 +181,32 @@ def _difference(spec, a, b, orders):
 
 
 def _project_leg(dfa, HT, leg, flavor):
-    """Per-leg projection w -> w - map_F(eps(w)) on a lifted tensor series."""
+    """Per-leg projection w -> w - map_F(eps(w)) on a lifted tensor series,
+    read and written by leg id: a term c h^k with a pure base monomial
+    x^gamma on leg ``leg`` also subtracts c h^(k+j) times each term of
+    order j of map_F(x^gamma) in that leg's place.  Each order is summed
+    in one dict of Fractions and cleared to integer numerators once."""
     spec = dfa.spec
     n = dfa.order
     mapper = dfa.source if flavor == "source" else dfa.target
-    zeros_a = (0,) * spec.rank
     acc = [dict() for _ in range(n + 1)]
-    zero_t = None
     for k, Tk in enumerate(HT.coeffs):
-        if zero_t is None:
-            zero_t = Tk
-        for key, c in Tk.terms.items():
-            gamma, alpha = key[leg]
+        for key, c in Tk.num.items():
+            c = Fraction(c, Tk.den)
             _bump_term(acc[k], key, c)
-            if alpha != zeros_a:
+            gamma, alpha = LEGS[key[leg]]
+            if any(alpha):
                 continue
+            head, tail = key[:leg], key[leg + 1:]
             ser = mapper(CPoly.monomial(spec.nvars, gamma))
-            for j, env in enumerate(ser.coeffs):
-                if k + j > n:
-                    break
+            for out, env in zip(acc[k:], ser.coeffs):
                 for a2, p2 in env.terms.items():
                     for g2, q2 in p2.terms.items():
-                        k2 = key[:leg] + ((g2, a2),) + key[leg + 1:]
-                        _bump_term(acc[k + j], k2, -c * q2)
-    legs = zero_t.legs if zero_t is not None else 2
-    coeffs = [TensorElement(spec.nvars, spec.rank, legs, d) for d in acc]
-    return HSeries(n, coeffs, TensorElement.zero(spec.nvars, spec.rank, legs))
+                        _bump_term(out, head + (leg_id((g2, a2)),) + tail,
+                                   -c * q2)
+    zero = HT.zero
+    return HSeries(n, [_tensor_cleared(spec.nvars, spec.rank, zero.legs, d, 1)
+                       for d in acc], zero)
 
 
 def hprime_member(dfa, u, n_max=None):
@@ -211,32 +214,25 @@ def hprime_member(dfa, u, n_max=None):
     representatives, with the source and the target projections each;
     certification is relative to (N, n_max).
 
-    delta^1(u) = u - map_F(eps(u)); delta^n projects each leg of the
-    (n-1)-fold twisted coproduct, which is built once, one deformed
-    coproduct at leg 0 per n, and shared by the two projections.
+    One loop on leg ids: u starts as a series of 1-leg tensors, and each
+    n >= 2 applies the twisted coproduct at leg 0 once, so the tensor has
+    n legs; delta^n projects each of them, w -> w - map_F(eps(w)), once
+    per flavor (delta^1(u) = u - map_F(eps(u))).
     """
     n_max = n_max if n_max is not None else dfa.order
     if n_max > dfa.order:
         raise ConfigError("membership order exceeds the truncation")
-    HT = None
+    HT = u.map(TensorElement.of)
     for n in range(1, n_max + 1):
         if n > MAX_LEGS:
             raise ConfigError("iterated coproduct beyond configured bound")
-        if n == 2:
-            HT = twisted_coproduct(dfa, u)
-        elif n > 2:
+        if n > 1:
             HT = deformed_coproduct_leg(dfa, HT, 0)
         for flavor in ("source", "target"):
-            if n == 1:
-                mapper = dfa.source_series if flavor == "source" \
-                    else dfa.target_series
-                low = _difference(dfa.spec, u, mapper(_counit_series(u)), 1)
-            else:
-                d = HT
-                for leg in range(n):
-                    d = _project_leg(dfa, d, leg, flavor)
-                low = d.coeffs[:n]
-            if any(not c.is_zero() for c in low):
+            d = HT
+            for leg in range(n):
+                d = _project_leg(dfa, d, leg, flavor)
+            if any(c.num for c in d.coeffs[:n]):
                 return False
     return True
 

@@ -25,12 +25,12 @@ tuples costs about three times as much.  The public face keeps the
 monomials: the constructor takes nested keys ((gamma, alpha), ...),
 ``.terms`` gives them back.  ``__hash__``, ``__repr__`` and the readers
 that walk a tensor by monomial (``counit_contract``, the twistor's
-acting legs and the counit contraction of ``deform``, the leg
-projections and the order-h cobracket of ``drinfeld``, the associativity
-reach of ``jets.jet_axiom_suite``) read ``.terms``; the jet dual product
-reads ``num`` by leg id (``jets._transpose``).  Ids follow the order in
-which monomials are first seen, so nothing sorts by id; every ordered
-output sorts the monomials.
+acting legs and the counit contraction of ``deform``, the order-h
+cobracket of ``drinfeld``, the associativity reach of
+``jets.jet_axiom_suite``) read ``.terms``; the jet dual product
+(``jets._transpose``) and the leg projections of ``drinfeld`` read
+``num`` by leg id.  Ids follow the order in which monomials are first
+seen, so nothing sorts by id; every ordered output sorts the monomials.
 
 Legs are multiplied through the structure's one product table
 (``spec._leg_table``: {ia: {ib: the product of the legs ia and ib as
@@ -87,7 +87,6 @@ MAX_LEGS = 8
 __all__ = [
     "TensorElement", "env_coproduct", "tensor_mul", "tensor_series_mul",
     "counit_contract", "tensor_reduce", "same_class", "takeuchi_check",
-    "iterated_coproduct",
 ]
 
 
@@ -491,18 +490,6 @@ def tensor_coproduct_leg(spec, T, leg):
             else:
                 del out[kk]
     return _tensor(T.nvars, T.rank, T.legs + 1, out, T.den * den)
-
-
-def iterated_coproduct(spec, u, n):
-    """Left-nested n-fold coproduct on a lifted representative."""
-    if n < 1:
-        raise ConfigError("need n >= 1")
-    if n + 1 > MAX_LEGS:
-        raise ConfigError("iterated coproduct beyond configured bound")
-    T = env_coproduct(spec, u)
-    for _ in range(n - 1):
-        T = tensor_coproduct_leg(spec, T, 0)
-    return T
 
 
 # -- reduction and class checks ---------------------------------------------------

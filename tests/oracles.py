@@ -5,7 +5,9 @@ engine; no command of the CLI calls these.
 input generator, comparison).  A reference is the slow path at the end of
 its chain of oracles, or an earlier link that its own entry checks against
 that end: the generator-by-generator rewriting for the envelope and its
-product table, the Cauchy conjugation G . S . F for every lift, the sweeps
+product table, the Cauchy conjugation G . S . F for every lift, one
+summed series per basis term for the twisted coproduct of an element, the
+projections of the membership test on nested monomial keys, the sweeps
 over the twistor's terms for s_F, t_F and the star product, the
 back-substitution of the whole series for a decomposition, ``HLaurent``
 chains over whole decompositions for the jet pairings, products built
@@ -38,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from qgroupoid import deform, jets
+from qgroupoid import deform, drinfeld, jets
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, basis_decompose, defelem_from_env,
     defelem_mul, deformed_coproduct_leg, exp_twistor, reduce_series,
@@ -912,6 +914,47 @@ def spliced_coproduct_leg(dfa, HT, leg):
     at that leg and the next."""
     spliced = HT.map(lambda t: tensor_coproduct_leg(dfa.spec, t, leg))
     return conjugate_legs(dfa, spliced, leg)
+
+
+def summed_twisted_coproduct(dfa, u):
+    """G . Delta(u) . F as the sum of one whole series per basis term of
+    u: the cached lift of its monomial, scaled and shifted to its order."""
+    spec = dfa.spec
+    zero = TensorElement.zero(spec.nvars, spec.rank, 2)
+    out = hs_zero(dfa.order, zero)
+    for k, uk in enumerate(u.coeffs):
+        for alpha, poly in uk.terms.items():
+            for gamma, q in poly.terms.items():
+                piece = dfa.lift_mono((gamma, alpha))
+                out = out + piece.map(lambda t: t.scale(q)).shift(k)
+    return out
+
+
+def nested_project_leg(dfa, HT, leg, flavor):
+    """The projection w -> w - map_F(eps(w)) at one leg of a tensor
+    series, on nested monomial keys read from ``.terms``."""
+    spec = dfa.spec
+    n = dfa.order
+    mapper = dfa.source if flavor == "source" else dfa.target
+    zeros_a = (0,) * spec.rank
+    acc = [dict() for _ in range(n + 1)]
+    for k, Tk in enumerate(HT.coeffs):
+        for key, c in Tk.terms.items():
+            gamma, alpha = key[leg]
+            _bump_term(acc[k], key, c)
+            if alpha != zeros_a:
+                continue
+            ser = mapper(CPoly.monomial(spec.nvars, gamma))
+            for j, env in enumerate(ser.coeffs):
+                if k + j > n:
+                    break
+                for a2, p2 in env.terms.items():
+                    for g2, q2 in p2.terms.items():
+                        k2 = key[:leg] + ((g2, a2),) + key[leg + 1:]
+                        _bump_term(acc[k + j], k2, -c * q2)
+    legs = HT.zero.legs
+    return HSeries(n, [TensorElement(spec.nvars, spec.rank, legs, d)
+                       for d in acc], HT.zero)
 
 
 def whole_decompose(dfa, key, flavor):
@@ -1906,6 +1949,54 @@ def _splice_args(dfa, flavors):
     return splice_args(dfa, low_monomials(dfa.spec, 1))
 
 
+def coproduct_elements(dfa):
+    """The generators, the zero series, a source image (a member of H',
+    whose projections cancel) and random series whose orders mix basis
+    monomials of degree <= 2 with pure base terms, which the projections
+    map."""
+    spec = dfa.spec
+    n = dfa.order
+    rng = random.Random(12)
+    zero = EnvElement.zero(spec.nvars, spec.rank)
+    out = sample_defelems(dfa, 1) + [hs_zero(n, zero)]
+    if spec.nvars:
+        out.append(dfa.source_series(hs_const(
+            CPoly.var(spec.nvars, 0), n, CPoly.zero(spec.nvars))))
+    for _ in range(3):
+        out.append(HSeries(n, [
+            random_elem(spec, rng, 2) + EnvElement.from_poly(
+                spec.rank, random_poly(spec, rng))
+            if rng.random() < 0.7 else zero for _ in range(n + 1)], zero))
+    return out
+
+
+def _twisted_args(dfa, flavors):
+    return [(u,) for u in coproduct_elements(dfa)]
+
+
+def projection_args(dfa):
+    """Each leg of the 1-leg series of ``coproduct_elements``, of their
+    twisted coproducts and of the 3-leg coproduct of the first, each as
+    built and after the projection of the legs before it, for both
+    flavors."""
+    elems = coproduct_elements(dfa)
+    series = [u.map(TensorElement.of) for u in elems]
+    lifts = [twisted_coproduct(dfa, u) for u in elems]
+    series += lifts + [deformed_coproduct_leg(dfa, lifts[0], 0)]
+    out = []
+    for flavor in ("source", "target"):
+        for HT in series:
+            chained = HT
+            for leg in range(HT.zero.legs):
+                out += [(HT, leg, flavor), (chained, leg, flavor)]
+                chained = drinfeld._project_leg(dfa, chained, leg, flavor)
+    return out
+
+
+def _projection_args(dfa, flavors):
+    return projection_args(dfa)
+
+
 def image_polys(dfa):
     """Monomials of degree <= 2 and three random polynomials."""
     rng = random.Random(3)
@@ -2461,6 +2552,10 @@ PARITY = [
      _lift_keys, same_keys),
     ("deformed_coproduct_leg", deformed_coproduct_leg, spliced_coproduct_leg,
      _splice_args, same_keys),
+    ("twisted_coproduct", twisted_coproduct, summed_twisted_coproduct,
+     _twisted_args, same_terms),
+    ("_project_leg", drinfeld._project_leg, nested_project_leg,
+     _projection_args, same_terms),
     ("source_target", lambda dfa, leg, p: (dfa.source, dfa.target)[leg](p),
      lambda dfa, leg, p: sweep_base_map(dfa.spec, dfa.twistor, p, leg),
      _base_args, same_keys),

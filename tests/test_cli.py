@@ -639,6 +639,22 @@ def test_n_max_is_bounded_by_the_legs_of_a_coproduct(tmp_path):
     assert code == 0
 
 
+def test_sample_degree_is_bounded_by_the_truncation_budget(tmp_path):
+    """[samples] max_degree, whose C(nvars + d, nvars) monomials ``validate``
+    enumerates, is at most ``MAX_TRUNCATION`` and a larger one is refused
+    before any work.  It was only checked to be >= 1, so the work grew
+    without bound in it."""
+    from qgroupoid.specfile import MAX_TRUNCATION
+    big = tmp_path / "big.spec"
+    big.write_text(open(SPEC).read().replace(
+        "max_degree = 2", "max_degree = %d" % (MAX_TRUNCATION + 1)))
+    start = time.perf_counter()
+    code, out, err = run_cli(["validate", str(big), "--json-only"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (
+        3, "", "error: [samples] max_degree must be <= %d\n" % MAX_TRUNCATION)
+
+
 def test_invariant_violation_is_a_failing_check(monkeypatch):
     import qgroupoid.specfile as specfile
     from qgroupoid.deform import Twistor, exp_twistor

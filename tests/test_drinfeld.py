@@ -23,7 +23,7 @@ from qgroupoid.scalars import CPoly
 from qgroupoid.series import hs_const
 from qgroupoid.tensorspace import TensorElement
 
-from oracles import poisson_from_pair
+from oracles import nested_project_leg, poisson_from_pair
 
 
 def der2():
@@ -72,8 +72,10 @@ def test_hprime_members_closed_under_product():
 
 def rebuilt_failure(dfa, u, n_max, visited):
     """The first (n, flavor) whose delta^n is not divisible by h^n, each
-    (n, flavor) rebuilding the (n-1)-fold twisted coproduct from scratch;
-    ``visited`` records every (n, flavor) tested."""
+    (n, flavor) rebuilding the (n-1)-fold twisted coproduct from scratch
+    and projecting its legs on nested monomial keys
+    (``oracles.nested_project_leg``); ``visited`` records every (n, flavor)
+    tested."""
     for n in range(1, n_max + 1):
         for flavor in ("source", "target"):
             visited.append((n, flavor))
@@ -86,16 +88,17 @@ def rebuilt_failure(dfa, u, n_max, visited):
                 for _ in range(n - 2):
                     d = deformed_coproduct_leg(dfa, d, 0)
                 for leg in range(n):
-                    d = drinfeld._project_leg(dfa, d, leg, flavor)
+                    d = nested_project_leg(dfa, d, leg, flavor)
             if any(not d.coeffs[k].is_zero() for k in range(n)):
                 return n, flavor
     return None
 
 
 def test_hprime_member_shares_one_iterated_coproduct(monkeypatch):
-    """Each n >= 2 extends one twisted coproduct by one leg and projects it
-    with both flavors; the answer, and the (n, flavor) it stops at, are
-    those of rebuilding the coproduct per (n, flavor)."""
+    """u starts as a series of 1-leg tensors; each n >= 2 extends it by one
+    twisted coproduct at leg 0, and each n, n = 1 included, projects its n
+    legs with both flavors; the answer, and the (n, flavor) it stops at,
+    are those of rebuilding the coproduct per (n, flavor)."""
     dfa = make_dfa(3)
     spec = dfa.spec
     gen = [defelem_from_env(spec, EnvElement.gen(2, 2, i), 3) for i in (0, 1)]
@@ -132,10 +135,10 @@ def test_hprime_member_shares_one_iterated_coproduct(monkeypatch):
         counts.clear()
         assert hprime_member(dfa, u, n_max=3) == (want is None)
         top = visited[-1][0]
-        assert counts["twisted"] == (top >= 2)
-        assert counts["leg"] == max(top - 2, 0)
-        # each visited (n, flavor) with n >= 2 projects the n legs once
-        for n in range(2, top + 1):
+        assert counts["twisted"] == 0
+        assert counts["leg"] == top - 1
+        # each visited (n, flavor) projects the n legs once
+        for n in range(1, top + 1):
             for flavor in ("source", "target"):
                 assert counts[n, flavor] == \
                     (n if (n, flavor) in visited else 0)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgroupoid import deform, jets, kernel, tensorspace
+from qgroupoid import deform, drinfeld, jets, kernel, tensorspace
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, Twistor, deformed_axiom_suite, exp_twistor,
     reduce_series, trivial_twistor, twisted_coproduct, twistor_validate,
@@ -337,6 +337,18 @@ def test_spliced_lifts_match_conjugated_splices(make):
 
 
 @pytest.mark.parametrize("make", TABLE_CASES)
+def test_twisted_coproducts_and_projections_match_the_parent_loops(make):
+    """The twisted coproduct of an element is one splice of its 1-leg
+    series, against one summed series per basis term; the leg projections
+    of the membership test read leg ids, against the loop on nested keys.
+    Some projection maps a pure base leg."""
+    dfa = shared(make)
+    assert check(dfa, "twisted_coproduct", "_project_leg")
+    assert any(drinfeld._project_leg(dfa, HT, leg, flavor) != HT
+               for HT, leg, flavor in oracles.projection_args(dfa))
+
+
+@pytest.mark.parametrize("make", TABLE_CASES)
 def test_monomial_images_match_term_sweeps(make):
     """s_F and t_F read one table of monomial images per structure, filled
     with exactly the monomials met."""
@@ -366,8 +378,8 @@ def test_star_pair_table_matches_direct_star(make):
 def test_source_target_match_sweeps(make, which, monkeypatch):
     """A combination whose image cancels a term, where two images of
     monomials share one (on the axb and explicit-order twistors each image
-    term remembers its monomial, so none do); with the polynomial memo
-    emptied, the map only reads the monomial table."""
+    term remembers its monomial, so none do); the map only reads the
+    monomial table."""
     dfa = make()
     spec = dfa.spec
     leg = 0 if which == "source" else 1
@@ -380,7 +392,6 @@ def test_source_target_match_sweeps(make, which, monkeypatch):
     assert set(table) >= {m for p in polys for m in p.terms}
     want = [sweep_base_map(spec, dfa.twistor, p, leg) for p in polys]
     filled = dict(table)
-    (dfa._sF if which == "source" else dfa._tF).clear()
     monkeypatch.setattr(deform, "_sweep_image", None)
     assert [getattr(dfa, which)(p) for p in polys] == want
     assert table == filled
@@ -388,9 +399,8 @@ def test_source_target_match_sweeps(make, which, monkeypatch):
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
 def test_star_coeffs_match_sweeps(make, monkeypatch):
-    """(x1 + x1 x2)(x2 - 1) cancels its two x1 x2 terms at order zero; with
-    the polynomial memos emptied, the product only reads the table of
-    monomial pairs."""
+    """(x1 + x1 x2)(x2 - 1) cancels its two x1 x2 terms at order zero; the
+    product only reads the table of monomial pairs."""
     dfa = make()
     pairs = oracles.star_sweep_pairs(dfa)
     assert check(dfa, "star_coeffs", inputs=pairs)
@@ -398,8 +408,6 @@ def test_star_coeffs_match_sweeps(make, monkeypatch):
     assert (0, (1, 1)) not in flat_terms(dfa.star_coeffs(x1 + x1 * x2, x2 - 1))
     want = [dfa.star_coeffs(p, q) for p, q in pairs]
     filled = dict(dfa._star_mono)
-    dfa._star.clear()
-    dfa._sF.clear()
     monkeypatch.setattr(deform, "_sweep_image", None)
     monkeypatch.setattr(deform, "anchor_action", None)
     assert [dfa.star_coeffs(p, q) for p, q in pairs] == want

@@ -150,6 +150,9 @@ HOSTILE_SPECS = {
     "n-max-above-legs":
         ("validate", BASE + "[truncation]\nn_max = 9\n",
          "n_max must be <= 8"),
+    "sample-degree-above-budget":
+        ("validate", BASE + "[samples]\nmax_degree = 11\n",
+         "[samples] max_degree must be <= 10"),
     "empty-polynomial":
         ("validate", BASE + "w 2 2 =\n", "line 7: empty polynomial"),
     "dangling-sign":
@@ -470,12 +473,6 @@ UNREACHED = [
      "every reduction has 2 or 3 legs; test_reduce_kernels_match_the_loop "
      "reaches it",
      ('raise ConfigError("tensor reductions have 2 or 3 legs")',)),
-    ("tensorspace", "iterated_coproduct", "guard",
-     "the one caller asks for n = 2; test_iterated_coproduct_guard reaches "
-     "it", (
-         'raise ConfigError("iterated coproduct beyond configured bound")',
-         'raise ConfigError("need n >= 1")',
-     )),
     # -- kept -----------------------------------------------------------------
     ("deform", "DeformedEnvAlgebroid.__init__", "kept",
      "validate=True: every caller passes False, but perfbench/values.py "
@@ -509,6 +506,13 @@ UNREACHED = [
      None),
     ("envelope", "EnvElement.__sub__", "kept",
      "the value type's difference, as __add__", None),
+    ("series", "HSeries.__add__", "kept",
+     "the series sum, which the oracles and tests use "
+     "(test_deform.py::test_source_target_series, the series_images "
+     "registry entry); every twisted coproduct a command builds is one "
+     "splice", None),
+    ("series", "hs_zero", "kept",
+     "the zero series, which the oracles and tests build", None),
     ("envelope", "EnvElement.__hash__", "kept",
      "defining __eq__ leaves a class unhashable without __hash__", None),
     ("tensorspace", "TensorElement.__hash__", "kept",

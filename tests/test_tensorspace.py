@@ -4,8 +4,8 @@ from qgroupoid.envelope import EnvElement, env_counit, pbw_mul
 from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
 from qgroupoid.tensorspace import (
-    TensorElement, counit_contract, env_coproduct, iterated_coproduct,
-    takeuchi_check, tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    TensorElement, counit_contract, env_coproduct, takeuchi_check,
+    tensor_coproduct_leg, tensor_mul, tensor_reduce,
 )
 
 
@@ -78,7 +78,7 @@ def test_coassociativity():
     spec = axb_lie()
     e1, e2 = EnvElement.gen(0, 2, 0), EnvElement.gen(0, 2, 1)
     for u in (e1, pbw_mul(spec, e1, e2), pbw_mul(spec, e2, e2)):
-        left = iterated_coproduct(spec, u, 2)
+        left = tensor_coproduct_leg(spec, env_coproduct(spec, u), 0)
         # right-nested variant
         right = tensor_coproduct_leg(spec, env_coproduct(spec, u), 1)
         assert tensor_reduce(spec, left) == tensor_reduce(spec, right)
@@ -118,7 +118,7 @@ def test_iterated_on_primitive():
     spec = axb_lie()
     e1 = EnvElement.gen(0, 2, 0)
     one = EnvElement.one(0, 2)
-    T = iterated_coproduct(spec, e1, 2)
+    T = tensor_coproduct_leg(spec, env_coproduct(spec, e1), 0)
     expected = TensorElement.of(e1, one, one) + TensorElement.of(one, e1, one) \
         + TensorElement.of(one, one, e1)
     assert T == expected
@@ -129,7 +129,7 @@ def test_iterated_on_e1e2():
     e1, e2 = EnvElement.gen(0, 2, 0), EnvElement.gen(0, 2, 1)
     e12 = pbw_mul(spec, e1, e2)
     one = EnvElement.one(0, 2)
-    T = iterated_coproduct(spec, e12, 2)
+    T = tensor_coproduct_leg(spec, env_coproduct(spec, e12), 0)
     expected = TensorElement.zero(0, 2, 3)
     # expand (Delta (x) id)(Delta(e1 e2)) by hand from the four-term coproduct
     for (a, b) in ((e12, one), (e1, e2), (e2, e1), (one, e12)):
@@ -191,12 +191,3 @@ def test_tensor_mul_descends_to_classes():
     P1 = tensor_mul(spec, T1, S)
     P2 = tensor_mul(spec, T2, S)
     assert tensor_reduce(spec, P1) == tensor_reduce(spec, P2)
-
-
-def test_iterated_coproduct_guard():
-    import pytest
-    from qgroupoid.errors import ConfigError
-    spec = der1()
-    e = EnvElement.gen(1, 1, 0)
-    with pytest.raises(ConfigError):
-        iterated_coproduct(spec, e, 9)

@@ -100,6 +100,15 @@ MUTANTS = [
      "cc = cl * cw", "cc = cl",
      [FAST + "test_reduce_leg_matches_nested_keys",
       FAST + "test_reduce_series_matches_uncached"]),
+    # delta^n as one loop on leg ids
+    ("delta-n-skips-the-first-leg", "drinfeld.py",
+     "for leg in range(n):", "for leg in range(1, n):",
+     ["tests/test_drinfeld.py::test_hprime_members_positive",
+      "tests/test_cli.py::test_report_bytes_match_the_reference_digest"]),
+    ("projection-drops-order-offset", "drinfeld.py",
+     "zip(acc[k:], ser.coeffs)", "zip(acc, ser.coeffs)",
+     ["tests/test_drinfeld.py::test_hprime_members_positive",
+      "tests/test_acceptance.py::test_criterion_06_membership_witnesses"]),
     # membership products built once
     ("membership-product-not-multiplied", "drinfeld.py",
      "cur[combo] = prod = a if head is None else defelem_mul(spec, head, a)",

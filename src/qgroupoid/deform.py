@@ -861,11 +861,12 @@ def _counit_contract(dfa, HT, leg):
     mapper = dfa.source if leg == 0 else dfa.target
     rows = [{} for _ in range(n + 1)]
     for k, Tk in enumerate(HT.coeffs):
-        for key, c in Tk.terms.items():
-            (g_eps, a_eps), other = key[leg], key[1 - leg]
+        for key, c in Tk.num.items():
+            g_eps, a_eps = LEGS[key[leg]]
             if any(a_eps):
                 continue
             eps = mapper(CPoly.monomial(spec.nvars, g_eps)).coeffs
+            other, c = LEGS[key[1 - leg]], Fraction(c, Tk.den)
             for acc, w in zip(rows[k:], eps):
                 _mul_mono_into(acc, spec, w, other, c)
     return _rows_series(spec, n, rows)

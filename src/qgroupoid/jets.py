@@ -808,9 +808,9 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
     # (ab)c and a(bc) read ab and bc on the legs of the lifts of the checked
     # monomials, which reach above the jet degree when h_order is larger
     reach = max([ctx.jet_degree] + [
-        sum(alpha) for beta in checked
+        sum(LEGS[i][1]) for beta in checked
         for T in ctx.dfa.lift_mono(((0,) * spec.nvars, beta)).coeffs
-        for key in T.terms for _, alpha in key])
+        for key in T.num for i in key])
     pool = sample[:2]
     pairs = {(i, j): jet_product(ctx, pool[i], pool[j], degree=reach)
              for i in range(len(pool)) for j in range(len(pool))}

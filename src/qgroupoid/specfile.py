@@ -10,8 +10,10 @@ one twistor term.
     [generators]  names = d1 d2            (or: rank = 2)
     [bracket]     c i j k = <poly>         ([e_i, e_j] component k; i < j)
     [anchor]      w i j = <poly>
-    [twistor]     form = exp | none
+    [twistor]     form = exp | orders | none
                   term = <weight> | <left monomial> | <right monomial>
+                  order n = <weight> | <left monomial> | <right monomial>
+                  (term lines need form = exp, order lines form = orders)
     [truncation]  h_order / pbw_degree / jet_degree / n_max
                   (n_max <= 8; pbw_degree is bounded but unused)
     [samples]     max_degree = 2 (<= 10), extra = <poly>; <poly>
@@ -281,6 +283,13 @@ def _validate(spec):
     for (i, j, _, line) in spec.anchor_entries:
         if not 1 <= i <= m or not 1 <= j <= spec.nvars:
             raise SemanticError("line %d: anchor index out of range" % line)
+    # build_twistor reads terms under exp and orders under orders alone
+    for entries, form, what in ((spec.twistor_terms, "exp", "term"),
+                                (spec.twistor_orders, "orders", "order")):
+        if entries and spec.twistor_form != form:
+            raise SemanticError("line %d: %s entries need form = %s, not %s"
+                                % (entries[0][-1], what, form,
+                                   spec.twistor_form))
     check_truncation(spec.h_order, spec.jet_degree, spec.n_max,
                      spec.pbw_degree, spec.sample_degree)
 

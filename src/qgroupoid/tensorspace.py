@@ -25,11 +25,11 @@ tuples costs about three times as much.  The public face keeps the
 monomials: the constructor takes nested keys ((gamma, alpha), ...),
 ``.terms`` gives them back.  ``__hash__``, ``__repr__`` and the readers
 that walk a tensor by monomial (``counit_contract``, the twistor's
-acting legs and the counit contraction of ``deform``, the order-h
-cobracket of ``drinfeld``, the associativity reach of
-``jets.jet_axiom_suite``) read ``.terms``; the jet dual product
-(``jets._transpose``) and the leg projections of ``drinfeld`` read
-``num`` by leg id.  Ids follow the order in which monomials are first
+acting legs in ``deform``, the order-h cobracket of ``drinfeld``) read
+``.terms``; the jet dual product (``jets._transpose``), the
+associativity reach of ``jets.jet_axiom_suite``, the counit contraction
+of ``deform`` and the leg projections of ``drinfeld`` read ``num`` by leg
+id.  Ids follow the order in which monomials are first
 seen, so nothing sorts by id; every ordered output sorts the monomials.
 
 Legs are multiplied through the structure's one product table
@@ -163,21 +163,19 @@ class TensorElement:
 
     @classmethod
     def of(cls, *factors):
-        """Outer product of EnvElements."""
+        """Outer product of EnvElements: each factor's terms as integer
+        numerators by leg id over the lcm of its denominators, multiplied
+        over the product of those lcms.  The legs of one factor have
+        distinct ids, so no two products share a key."""
         first = factors[0]
-        terms = {(): Fraction(1)}
+        num, den = {(): 1}, 1
         for u in factors:
-            legs = [(leg_id((gamma, alpha)), q) for alpha, poly in u.terms.items()
-                    for gamma, q in poly.terms.items()]
-            new = {}
-            for key, c in terms.items():
-                for i, q in legs:
-                    k2 = key + (i,)
-                    cur = new.get(k2)
-                    val = c * q
-                    new[k2] = val if cur is None else cur + val
-            terms = new
-        num, den = _common_den(terms)
+            legs, d = _common_den({leg_id((gamma, alpha)): q
+                                   for alpha, poly in u.terms.items()
+                                   for gamma, q in poly.terms.items()})
+            num = {key + (i,): c * q for key, c in num.items()
+                   for i, q in legs.items()}
+            den *= d
         return _tensor(first.nvars, first.rank, len(factors), num, den)
 
     # -- ring-ish operations ---------------------------------------------------

@@ -1255,6 +1255,26 @@ def frac_scale(T, c):
     return {k: v * c for k, v in T.terms.items() if v * c}
 
 
+def frac_tensor_of(*factors):
+    """The outer product of EnvElements as ``Fraction`` products from a
+    ``Fraction(1)`` start, one factor at a time."""
+    first = factors[0]
+    terms = {(): Fraction(1)}
+    for u in factors:
+        legs = [(leg_id((gamma, alpha)), q) for alpha, poly in u.terms.items()
+                for gamma, q in poly.terms.items()]
+        new = {}
+        for key, c in terms.items():
+            for i, q in legs:
+                k2 = key + (i,)
+                cur = new.get(k2)
+                val = c * q
+                new[k2] = val if cur is None else cur + val
+        terms = new
+    num, den = _common_den(terms)
+    return _tensor(first.nvars, first.rank, len(factors), num, den)
+
+
 @per_spec
 def frac_copro_mono(spec, alpha):
     """Delta(e^alpha) as the product of the primitive (e_i (x) 1 + 1 (x) e_i)
@@ -2196,6 +2216,26 @@ def _env_copro_args(dfa, flavors):
     return [(u,) for u in gens + [sum(gens[1:], gens[0])]]
 
 
+def _of_args(dfa, flavors):
+    """One, two and three factors among elements with rational
+    coefficients (over 6, 3 and 2 and random ones), the unit and a zero."""
+    spec = dfa.spec
+    rng = random.Random(31)
+    elems = [u for (u,) in _env_copro_args(dfa, flavors)][-2:] + [
+        random_elem(spec, rng, 2).scale(Fraction(5, 6)),
+        EnvElement.one(spec.nvars, spec.rank),
+        EnvElement.zero(spec.nvars, spec.rank)]
+    return [(u,) for u in elems] + [(u, v) for u in elems for v in elems] \
+        + [tuple(elems[:3]), (elems[2], elems[3], elems[0])]
+
+
+def same_ordered_terms(got, want):
+    """Tensors with the same ``.terms`` in the same order, the first with
+    integral numerators."""
+    assert list(assert_integral(got).terms.items()) \
+        == list(want.terms.items())
+
+
 def _arith_args(dfa, flavors):
     two, three = integer_layer_inputs(dfa.spec)
     return [(s, t) for group in (two, three) for s in group for t in group]
@@ -2593,6 +2633,8 @@ PARITY = [
         env_coproduct(dfa.spec, u)).terms,
      lambda dfa, u: frac_coproduct_leg(dfa.spec, TensorElement.of(u), 0),
      _env_copro_args, equal),
+    ("TensorElement.of", lambda dfa, *us: TensorElement.of(*us),
+     lambda dfa, *us: frac_tensor_of(*us), _of_args, same_ordered_terms),
     ("tensor_arithmetic", _fast_arith, _ref_arith, _arith_args, equal),
     ("tensor_series_mul", lambda dfa, a, b: tensor_series_mul(dfa.spec, a, b),
      lambda dfa, a, b: hseries_mul(a, b, lambda s, t: tensor_mul_legs(

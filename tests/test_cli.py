@@ -655,6 +655,40 @@ def test_sample_degree_is_bounded_by_the_truncation_budget(tmp_path):
         3, "", "error: [samples] max_degree must be <= %d\n" % MAX_TRUNCATION)
 
 
+def _twistor_mismatch(tmp_path, form, entry):
+    """Exit, stdout and stderr of ``twist`` on axb with its twistor section
+    replaced by ``form`` and one ``entry`` at line 17, and the time taken."""
+    text = open(SPEC).read().replace(
+        "form = exp\nterm = 1/2 | x1*d1 | d2\nterm = -1/2 | d2 | x1*d1",
+        "form = %s\n%s" % (form, entry))
+    path = tmp_path / "mismatch.spec"
+    path.write_text(text)
+    start = time.perf_counter()
+    got = run_cli(["twist", str(path), "--json-only"])
+    return got, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("form", ["none", "orders"])
+def test_term_entries_need_the_exp_form(tmp_path, form):
+    """``build_twistor`` reads ``term`` lines under ``form = exp`` alone, so
+    under another form they were ignored and the untwisted structure passed
+    every check."""
+    got, took = _twistor_mismatch(tmp_path, form, "term = 1/2 | x1*d1 | d2")
+    assert took < 1
+    assert got == (3, "", "error: line 17: term entries need form = exp, "
+                   "not %s\n" % form)
+
+
+@pytest.mark.parametrize("form", ["none", "exp"])
+def test_order_entries_need_the_orders_form(tmp_path, form):
+    """``build_twistor`` reads ``order n`` lines under ``form = orders``
+    alone; under another form they were ignored."""
+    got, took = _twistor_mismatch(tmp_path, form, "order 1 = 1 | x1*d1 | d2")
+    assert took < 1
+    assert got == (3, "", "error: line 17: order entries need form = orders, "
+                   "not %s\n" % form)
+
+
 def test_invariant_violation_is_a_failing_check(monkeypatch):
     import qgroupoid.specfile as specfile
     from qgroupoid.deform import Twistor, exp_twistor

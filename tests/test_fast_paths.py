@@ -480,8 +480,9 @@ INTEGER_LAYER_STRUCTURES = [axb_structure, bracketed_structure,
 
 @pytest.mark.parametrize("make", INTEGER_LAYER_STRUCTURES)
 def test_integer_layer_matches_fraction_loops(make):
-    """Sums, scales, coproduct legs, element coproducts and reductions on
-    integer numerators against the Fraction loops; the memo may hold
+    """Sums, scales, outer products of elements, coproduct legs, element
+    coproducts and reductions on integer numerators against the Fraction
+    loops; the memo may hold
     Delta(e^alpha) over any denominator, which the coproduct leg aligns;
     the leg table holds ints, and Fractions only where an entry is not
     integral (the rational structure)."""
@@ -489,7 +490,7 @@ def test_integer_layer_matches_fraction_loops(make):
     spec = dfa.spec
     two, three = oracles.integer_layer_inputs(spec)
     legs = oracles.copro_args(two + three)
-    assert check(dfa, "tensor_arithmetic", "env_coproduct")
+    assert check(dfa, "tensor_arithmetic", "env_coproduct", "TensorElement.of")
     assert check(dfa, "tensor_reduce", inputs=[(T,) for T in two + three])
     assert check(dfa, "tensor_coproduct_leg", inputs=legs)
     for i, alpha in enumerate(list(spec._copro_table)):

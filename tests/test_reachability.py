@@ -153,6 +153,12 @@ HOSTILE_SPECS = {
     "sample-degree-above-budget":
         ("validate", BASE + "[samples]\nmax_degree = 11\n",
          "[samples] max_degree must be <= 10"),
+    "term-without-exp":
+        ("validate", BASE + "[twistor]\nterm = 1 | d1 | d2\n",
+         "line 8: term entries need form = exp, not none"),
+    "order-without-orders":
+        ("validate", BASE + "[twistor]\nform = exp\norder 1 = 1 | d1 | d2\n",
+         "line 9: order entries need form = orders, not exp"),
     "empty-polynomial":
         ("validate", BASE + "w 2 2 =\n", "line 7: empty polynomial"),
     "dangling-sign":

@@ -109,6 +109,13 @@ MUTANTS = [
      "zip(acc[k:], ser.coeffs)", "zip(acc, ser.coeffs)",
      ["tests/test_drinfeld.py::test_hprime_members_positive",
       "tests/test_acceptance.py::test_criterion_06_membership_witnesses"]),
+    # one table of the worked example's identities
+    ("identity-table-ignores-flavor-sign", "axb.py",
+     "sign = -1 if flavor == LEFT else 1", "sign = -1",
+     ["tests/test_axb.py", "tests/test_acceptance.py"]),
+    ("transport-reads-the-right-table", "axb.py",
+     "_identities(ctx, LEFT, ", "_identities(ctx, ctx.flavor, ",
+     ["tests/test_axb.py", "tests/test_acceptance.py"]),
     # membership products built once
     ("membership-product-not-multiplied", "drinfeld.py",
      "cur[combo] = prod = a if head is None else defelem_mul(spec, head, a)",

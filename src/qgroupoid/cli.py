@@ -233,7 +233,7 @@ def _run(args):
                                       "seed": espec.seed})
     if _twistor_failed(report, twrep):
         return report
-    delta, dual, rep = semiclassical_cobracket(dfa)
+    dual, rep = semiclassical_cobracket(dfa)
     report.extend(rep, prefix="cobracket")
     ctxR = JetContext(dfa, RIGHT, espec.jet_degree)
     dualR, repR = semiclassical_dual_bracket(ctxR)

@@ -6,8 +6,13 @@ functor selects elements whose n-fold reduced coproducts are divisible by
 h^n, built as one loop on leg ids: the element as a series of 1-leg
 tensors, one twisted coproduct at leg 0 per n, and the projection of each
 leg.  Semiclassical limits read off the induced structure on the dual
-module from order-h data; the roundtrip check composes the two functors
-and compares generators and relations with the originals at truncation.
+module from order-h data: the cobracket from the order-h coproduct, and
+the vee limit and the dual bracket by one reader of the same functional
+commutators.  The roundtrip check composes the two functors and compares
+generators and relations with the originals at truncation; on the
+canonical functionals (``generators=None``) those two comparisons set the
+functionals against themselves, so only its integrality and membership
+checks carry information there.
 """
 
 import itertools
@@ -29,8 +34,7 @@ from .jets import (
     tensor_functional_from_pair, unit_functional, xi_functional,
 )
 from .lierinehart import (
-    LieRinehartSpec, MultiVector, cobracket_from_dual_spec,
-    lr_bialgebra_validate, lr_validate,
+    LieRinehartSpec, lr_bialgebra_validate, lr_validate,
 )
 from .report import Check, Report
 from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
@@ -69,76 +73,88 @@ class VeeAlgebroid:
         return self.gen_names + self.base_names
 
 
+def _too_deep(comm):
+    """The first (beta, valuation) at which a commutator of rescaled
+    functionals lies below h^-|beta|, or None: a table entry at depth beta
+    may carry at worst one inverse power of h per rescaled generator."""
+    for beta, val in comm.table.items():
+        norm = val.normalize()
+        if norm.coeffs and norm.val < -sum(beta):
+            return beta, norm.val
+    return None
+
+
 def vee_build(jctx, degree=None):
     """Construct the rescaled dual algebroid and its relation table.
 
-    Every pairwise commutator must stay inside the rescaled algebra: the
-    table entry at depth beta may carry at worst h^-|beta| (one inverse
-    power per rescaled generator).  Anything deeper raises NonIntegralError
-    naming the offending pair.
+    Every pairwise commutator must stay inside the rescaled algebra
+    (``_too_deep``); anything deeper raises NonIntegralError naming the
+    offending pair.
     """
     v = VeeAlgebroid(jctx)
     names = v.names()
     for ia, na in enumerate(names):
         for nb in names[ia + 1:]:
-            a, b = v.gens[na], v.gens[nb]
-            comm = jet_commutator(jctx, a, b, degree)
-            for beta, val in comm.table.items():
-                norm = val.normalize()
-                if norm.coeffs and norm.val < -sum(beta):
-                    raise NonIntegralError(
-                        norm.val,
-                        "commutator [%s, %s] exceeds the rescaling depth "
-                        "at %s" % (na, nb, beta))
+            comm = jet_commutator(jctx, v.gens[na], v.gens[nb], degree)
+            deep = _too_deep(comm)
+            if deep:
+                raise NonIntegralError(
+                    deep[1], "commutator [%s, %s] exceeds the rescaling depth "
+                    "at %s" % (na, nb, deep[0]))
             v.relations[(na, nb)] = comm
     return v
+
+
+def _dual_structure(v, name):
+    """The dual Lie-Rinehart structure read off the relation table of ``v``,
+    with its ``dual-structure-valid`` check.
+
+    c^k_ij is the h^-1 coefficient of [xv_i, xv_j] at e_k (the generators
+    carry an h^-1 scale), and anchor(f_i)(x_j) the h^0 coefficient of
+    [xv_i, b_j] at the unit.  Only these relations are read.
+    """
+    jctx = v.jctx
+    m = jctx.spec.rank
+    unit = (0,) * m
+    dirs = [tuple(int(t == k) for t in range(m)) for k in range(m)]
+    bracket = {}
+    for i, na in enumerate(v.gen_names):
+        for j in range(i + 1, m):
+            comm = v.relations[(na, v.gen_names[j])]
+            bracket[(i, j)] = [comm.value(jctx, e).coeff(-1) for e in dirs]
+    anchor = [[v.relations[(na, nb)].value(jctx, unit).coeff(0)
+               for nb in v.base_names] for na in v.gen_names]
+    dual = LieRinehartSpec(jctx.spec.nvars, m, bracket, anchor, name=name)
+    rep = lr_validate(dual)
+    return dual, Check("dual-structure-valid", rep.ok(), rep.first_failure())
 
 
 def vee_semiclassical(v):
     """Read the order-zero structure off the relation table.
 
     Generator commutators give the dual bracket constants, generator-base
-    commutators the dual anchor; the result must validate and the
-    generators must be primitive modulo h.
+    commutators the dual anchor (``_dual_structure``); nothing below the
+    generator scale may survive in a generator commutator, the result must
+    validate and the generators must be primitive modulo h.
     """
     jctx = v.jctx
-    spec = jctx.spec
     report = Report("vee-semiclassical",
                     {"h_order": jctx.order, "flavor": jctx.flavor})
-    m, p = spec.rank, spec.nvars
-    zero = CPoly.zero(p)
 
-    bracket, below_scale = {}, []
-    for i in range(m):
-        for j in range(i + 1, m):
-            comm = v.relations[(v.gen_names[i], v.gen_names[j])]
-            vec = []
-            for k in range(m):
-                beta = tuple(1 if t == k else 0 for t in range(m))
-                # generators carry an h^-1 scale; their coefficient in the
-                # commutator sits at Laurent order -1
-                vec.append(comm.value(jctx, beta).coeff(-1))
-            if any(not c.is_zero() for c in vec):
-                bracket[(i, j)] = tuple(vec)
-            # nothing below the generator scale may survive
-            for val in comm.table.values():
+    below_scale = []
+    for i, na in enumerate(v.gen_names):
+        for nb in v.gen_names[i + 1:]:
+            for val in v.relations[(na, nb)].table.values():
                 norm = val.normalize()
                 if norm.coeffs and norm.val < -1:
                     below_scale.append(
                         "relation [%s,%s] has terms below the generator scale"
-                        % (v.gen_names[i], v.gen_names[j]))
+                        % (na, nb))
                     break
     report.check("relations-at-generator-scale", below_scale)
 
-    anchor = [[zero] * p for _ in range(m)]
-    for i in range(m):
-        for j in range(p):
-            comm = v.relations[(v.gen_names[i], v.base_names[j])]
-            anchor[i][j] = comm.value(jctx, (0,) * m).coeff(0)
-
-    dual = LieRinehartSpec(p, m, bracket, anchor, name="dual-of-%s" % jctx.flavor)
-    rep = lr_validate(dual)
-    report.add(Check("dual-structure-valid", rep.ok(), rep.first_failure()))
+    dual, valid = _dual_structure(v, "dual-of-%s" % jctx.flavor)
+    report.add(valid)
 
     eps = unit_functional(jctx)
 
@@ -284,32 +300,32 @@ def hprime_basis(dfa, jctx, degree, n_max=None):
 
 
 def semiclassical_cobracket(dfa):
-    """Order-h data of the deformation: delta on base variables (values in
-    the module) and on generators (values in wedge^2), assembled into the
-    dual structure; the induced pair must validate as a bialgebra."""
+    """Order-h data of the deformation, read straight into the dual
+    structure: delta(x_j) (values in the module) has anchor(f_i)(x_j) as its
+    e_i coefficient, and delta(e_k) (values in wedge^2) has -c^k_ij as its
+    e_i ^ e_j coefficient; the induced pair must validate as a bialgebra.
+    ``cobracket_from_dual_spec`` gives delta back from the dual."""
     spec = dfa.spec
     p, m = spec.nvars, spec.rank
     report = Report("semiclassical-cobracket", {"h_order": dfa.order})
     zero = CPoly.zero(p)
 
-    delta_base, witnesses = [], []
+    anchor, witnesses = [[zero] * p for _ in range(m)], []
     for j in range(p):
         xj = CPoly.var(p, j)
         # orders 0 and 1 of t_F(x_j) - s_F(x_j)
         d0, val = _difference(spec, dfa.target(xj), dfa.source(xj), 2)
         if not d0.is_zero():
             witnesses.append("source/target differ at order zero")
-        terms = {}
         for alpha, poly in val.terms.items():
             if sum(alpha) != 1:
                 witnesses.append("delta(x%d) is not module-valued" % (j + 1))
                 continue
             i = alpha.index(1)
-            terms[(i,)] = terms.get((i,), zero) + poly
-        delta_base.append(MultiVector(p, 1, terms))
+            anchor[i][j] = anchor[i][j] + poly
     report.check("delta-on-base-is-linear", witnesses)
 
-    delta_gens, witnesses = [], []
+    bracket, witnesses = {}, []
     for i in range(m):
         u = defelem_from_env(spec, EnvElement.gen(p, m, i), dfa.order)
         lift = twisted_coproduct(dfa, u)
@@ -318,7 +334,6 @@ def semiclassical_cobracket(dfa):
         anti = first.flip() - first
         # reduce again so both legs sit in canonical position
         anti = tensor_reduce(spec, anti)
-        terms = {}
         for key, c in anti.terms.items():
             (g1, a1), (g2, a2) = key
             if sum(a1) != 1 or sum(a2) != 1:
@@ -332,65 +347,49 @@ def semiclassical_cobracket(dfa):
                     witnesses.append("diagonal term in delta(e%d)" % (i + 1))
                 continue
             if ia < ib:
-                terms[(ia, ib)] = terms.get((ia, ib), zero) + coeff
-        delta_gens.append(MultiVector(p, 2, terms))
+                vec = bracket.setdefault((ia, ib), [zero] * m)
+                vec[i] = vec[i] - coeff
     report.check("delta-on-generators-in-wedge2", witnesses)
 
-    # read the dual structure off delta
-    anchor = [[delta_base[j].terms.get((i,), zero) for j in range(p)]
-              for i in range(m)]
-    bracket = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            vec = []
-            for k in range(m):
-                vec.append(-delta_gens[k].terms.get((i, j), zero))
-            if any(not c.is_zero() for c in vec):
-                bracket[(i, j)] = tuple(vec)
     dual = LieRinehartSpec(p, m, bracket, anchor, name="cobracket-dual")
     pair_rep = lr_bialgebra_validate(spec, dual)
     report.add(Check("induced-pair-is-bialgebra", pair_rep.ok(),
                      pair_rep.first_failure()))
-    delta = cobracket_from_dual_spec(spec, dual)
-    return delta, dual, report
+    return dual, report
 
 
 def semiclassical_dual_bracket(jctx):
     """Bracket and anchor on the dual module from functional commutators,
-    with canonical liftings in the counit kernel."""
-    spec = jctx.spec
-    p, m = spec.nvars, spec.rank
+    with canonical liftings in the counit kernel, read by the vee functor's
+    reader (``_dual_structure``) off the relations it needs: generator
+    pairs at degree 2 and generator-coordinate pairs at degree 1.
+
+    ``bracket-lands-in-augmentation`` asks that h^-1[xi_i, xi_j] have
+    nothing below h^1 at the unit (no counit component at order zero).
+    With xv_i = h^-1 xi_i, h^-1[xi_i, xi_j] = h^-1 h^2 [xv_i, xv_j]
+    = h [xv_i, xv_j], so this is the unit value of [xv_i, xv_j] having
+    nothing below h^0.
+    """
+    m = jctx.spec.rank
     report = Report("semiclassical-dual-bracket",
                     {"h_order": jctx.order, "flavor": jctx.flavor})
-    zero = CPoly.zero(p)
-    gens = [xi_functional(jctx, i) for i in range(spec.rank)]
-    coords = [coordinate_functional(jctx, j) for j in range(p)]
-
-    bracket, witnesses = {}, []
-    for i in range(m):
-        for j in range(i + 1, m):
-            comm = jet_commutator(jctx, gens[i], gens[j], 2).shift(-1)
-            vec = []
-            for k in range(m):
-                beta = tuple(1 if t == k else 0 for t in range(m))
-                vec.append(comm.value(jctx, beta).coeff(0))
-            if any(not c.is_zero() for c in vec):
-                bracket[(i, j)] = tuple(vec)
+    v = VeeAlgebroid(jctx)
+    witnesses = []
+    for i, na in enumerate(v.gen_names):
+        for nb in v.gen_names[i + 1:]:
+            comm = jet_commutator(jctx, v.gens[na], v.gens[nb], 2)
+            v.relations[(na, nb)] = comm
             unitval = comm.value(jctx, (0,) * m).normalize()
-            if unitval.coeffs and unitval.val < 1:
+            if unitval.coeffs and unitval.val < 0:
                 witnesses.append("commutator has a counit component")
     report.check("bracket-lands-in-augmentation", witnesses)
+    for na in v.gen_names:
+        for nb in v.base_names:
+            v.relations[(na, nb)] = jet_commutator(
+                jctx, v.gens[na], v.gens[nb], 1)
 
-    anchor = [[zero] * p for _ in range(m)]
-    for i in range(m):
-        for j in range(p):
-            comm = jet_commutator(jctx, gens[i], coords[j], 1).shift(-1)
-            anchor[i][j] = comm.value(jctx, (0,) * m).coeff(0)
-
-    dual = LieRinehartSpec(p, m, bracket, anchor,
-                           name="dual-bracket-%s" % jctx.flavor)
-    rep = lr_validate(dual)
-    report.add(Check("dual-structure-valid", rep.ok(), rep.first_failure()))
+    dual, valid = _dual_structure(v, "dual-bracket-%s" % jctx.flavor)
+    report.add(valid)
     return dual, report
 
 
@@ -454,6 +453,11 @@ def duality_roundtrip(jctx, generators=None, n_max=3, degree=None):
 
     ``generators`` defaults to the canonical augmentation functionals; a
     rescaled input is reported as a mismatch against the canonical table.
+    With the default, ``generator-tables-recovered`` and
+    ``relation-table-recovered`` compare the canonical functionals with
+    themselves (h^-1 then h is the identity on them), so they pass by
+    construction; ``vee-relations-integral`` (``_too_deep``) and the
+    membership check are the ones that test the input.
     """
     spec = jctx.spec
     report = Report("duality-roundtrip",
@@ -467,12 +471,10 @@ def duality_roundtrip(jctx, generators=None, n_max=3, degree=None):
 
     def integrality_failures():
         for i, a in enumerate(checked):
-            for j in range(i + 1, len(checked)):
-                comm = jet_commutator(jctx, a, checked[j], degree)
-                for beta, val in comm.table.items():
-                    norm = val.normalize()
-                    if norm.coeffs and norm.val < -sum(beta):
-                        yield "rescaled commutator exceeds depth at %s" % (beta,)
+            for b in checked[i + 1:]:
+                deep = _too_deep(jet_commutator(jctx, a, b, degree))
+                if deep:
+                    yield "rescaled commutator exceeds depth at %s" % (deep[0],)
 
     report.check("vee-relations-integral", integrality_failures())
 

@@ -118,7 +118,7 @@ def test_criterion_06_membership_witnesses(bundle):
 
 def test_criterion_07_semiclassical_consistency(bundle):
     dfa = bundle.dfa
-    _, dual, rep = semiclassical_cobracket(dfa)
+    dual, rep = semiclassical_cobracket(dfa)
     ok = rep.ok()
     x1, x2 = CPoly.var(2, 0), CPoly.var(2, 1)
     ok = ok and poisson_from_pair(dfa.spec, dual, x1, x2) == x1

@@ -18,12 +18,12 @@ from qgroupoid.drinfeld import (
 from qgroupoid.envelope import EnvElement
 from qgroupoid.errors import ConfigError, InvariantViolation
 from qgroupoid.jets import LEFT, RIGHT, JetContext, jets_equal, xi_functional
-from qgroupoid.lierinehart import LieRinehartSpec
+from qgroupoid.lierinehart import LieRinehartSpec, cobracket_from_dual_spec
 from qgroupoid.scalars import CPoly
 from qgroupoid.series import hs_const
 from qgroupoid.tensorspace import TensorElement
 
-from oracles import nested_project_leg, poisson_from_pair
+from oracles import generated_dfa, nested_project_leg, poisson_from_pair
 
 
 def der2():
@@ -191,8 +191,9 @@ def test_hprime_basis_rejects_a_nonmember(monkeypatch):
 
 def test_cobracket_values():
     dfa = make_dfa(3)
-    delta, dual, rep = semiclassical_cobracket(dfa)
+    dual, rep = semiclassical_cobracket(dfa)
     assert rep.ok(), rep.first_failure()
+    delta = cobracket_from_dual_spec(dfa.spec, dual)
     x1 = CPoly.var(2, 0)
     # delta(x2) = x1 d1, delta(x1) = -x1 d2
     assert delta.delta_base[1].terms == {(0,): x1}
@@ -209,7 +210,7 @@ def test_cobracket_values():
 def test_cobracket_trivial():
     spec = der2()
     dfa = DeformedEnvAlgebroid(spec, trivial_twistor(spec, 2), validate=False)
-    delta, dual, rep = semiclassical_cobracket(dfa)
+    dual, rep = semiclassical_cobracket(dfa)
     assert rep.ok()
     assert not dual.bracket
     assert all(c.is_zero() for row in dual.anchor for c in row)
@@ -217,7 +218,7 @@ def test_cobracket_trivial():
 
 def test_cobracket_poisson_matches_star_commutator():
     dfa = make_dfa(3)
-    _, dual, rep = semiclassical_cobracket(dfa)
+    dual, rep = semiclassical_cobracket(dfa)
     assert rep.ok()
     spec = dfa.spec
     from qgroupoid.scalars import monomials_upto
@@ -232,7 +233,7 @@ def test_cobracket_poisson_matches_star_commutator():
 
 def test_dual_bracket_right_matches_cobracket():
     dfa = make_dfa(4)
-    _, dual_cb, _ = semiclassical_cobracket(dfa)
+    dual_cb, _ = semiclassical_cobracket(dfa)
     ctx = JetContext(dfa, RIGHT, 4)
     dual_r, rep = semiclassical_dual_bracket(ctx)
     assert rep.ok(), rep.first_failure()
@@ -242,7 +243,7 @@ def test_dual_bracket_right_matches_cobracket():
 
 def test_dual_bracket_left_is_opposite():
     dfa = make_dfa(4)
-    _, dual_cb, _ = semiclassical_cobracket(dfa)
+    dual_cb, _ = semiclassical_cobracket(dfa)
     ctx = JetContext(dfa, LEFT, 4)
     dual_l, rep = semiclassical_dual_bracket(ctx)
     assert rep.ok(), rep.first_failure()
@@ -252,6 +253,25 @@ def test_dual_bracket_left_is_opposite():
     for i in range(2):
         for j in range(2):
             assert dual_l.anchor[i][j] == -dual_cb.anchor[i][j]
+
+
+@pytest.mark.parametrize("case", [0, 2])
+def test_dual_bracket_matches_cobracket_above_rank_two(case):
+    # rank 4 and 5 on three variables, each with a nonzero dual anchor
+    dfa = generated_dfa(case)
+    dual_cb, rep = semiclassical_cobracket(dfa)
+    assert rep.ok(), rep.first_failure()
+    assert any(not c.is_zero() for row in dual_cb.anchor for c in row)
+    dual_r, rep_r = semiclassical_dual_bracket(JetContext(dfa, RIGHT, 2))
+    dual_l, rep_l = semiclassical_dual_bracket(JetContext(dfa, LEFT, 2))
+    assert rep_r.ok(), rep_r.first_failure()
+    assert rep_l.ok(), rep_l.first_failure()
+    assert dual_r.bracket == dual_cb.bracket
+    assert dual_r.anchor == dual_cb.anchor
+    assert dual_l.bracket == {key: tuple(-c for c in vec)
+                              for key, vec in dual_cb.bracket.items()}
+    assert dual_l.anchor == tuple(tuple(-c for c in row)
+                                  for row in dual_cb.anchor)
 
 
 def test_dual_bracket_undeformed_zero():
@@ -338,12 +358,18 @@ def test_vee_nonintegral_detection():
     e1 = coordinate_functional(ctx, 0).shift(-1)
     e2 = coordinate_functional(ctx, 1).shift(-1)
     comm = jet_product(ctx, e1, e2, 2).sub(jet_product(ctx, e2, e1, 2))
-    bad = False
-    for beta, val in comm.table.items():
-        norm = val.normalize()
-        if norm.coeffs and norm.val < -sum(beta):
-            bad = True
-    assert bad
+    # read through the rule vee_build and the roundtrip share
+    assert drinfeld._too_deep(comm) == ((0, 0), -1)
+
+
+def test_roundtrip_reports_a_nonintegral_generator():
+    # xi_1 rescaled once more: [h^-2 xi_1, h^-1 xi_2] has h^-2 at depth 1
+    ctx = make_ctx(LEFT, 3, 3)
+    gens = [xi_functional(ctx, 0).shift(-1), xi_functional(ctx, 1)]
+    rep = duality_roundtrip(ctx, generators=gens, n_max=2, degree=2)
+    check, = [c for c in rep.checks if c.name == "vee-relations-integral"]
+    assert check.status == "fail"
+    assert check.witness == "rescaled commutator exceeds depth at (1, 0)"
 
 
 # -- roundtrip ---------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_twist_on_mixed_structure():
 
 def test_semiclassics_on_mixed_structure():
     dfa = mixed_dfa(3)
-    _, dual, rep = semiclassical_cobracket(dfa)
+    dual, rep = semiclassical_cobracket(dfa)
     assert rep.ok(), rep.first_failure()
     # symmetric twist: trivial cobracket again
     assert not dual.bracket

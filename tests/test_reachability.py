@@ -267,8 +267,11 @@ UNREACHED = [
      "spec builds", ("return report [1]",)),
     ("deform", "twistor_validate.counit_failures", "check-failure", WITNESS,
      ('yield "counit condition fails at order h^%d" % n',)),
+    ("drinfeld", "_too_deep", "check-failure",
+     "the depth rule's witness; every valid twist is integral",
+     ("return beta, norm.val",)),
     ("drinfeld", "duality_roundtrip.integrality_failures", "check-failure",
-     WITNESS, ('yield "rescaled commutator exceeds depth at %s" % (beta,)',)),
+     WITNESS, ('yield "rescaled commutator exceeds depth at %s" % (deep[0],)',)),
     ("drinfeld", "duality_roundtrip.membership_failures", "check-failure",
      WITNESS, ('yield "recovered generator %d: %s" % (i + 1, why)',)),
     ("drinfeld", "duality_roundtrip.relation_failures", "check-failure",
@@ -293,11 +296,11 @@ UNREACHED = [
      ('witnesses.append("commutator has a counit component")',)),
     ("drinfeld", "vee_build", "check-failure",
      "the vee functor's integrality failure; every valid twist is integral",
-     ('raise NonIntegralError( norm.val, "commutator [%s, %s] exceeds the '
-      'rescaling depth " "at %s" % (na, nb, beta))',)),
+     ('raise NonIntegralError( deep[1], "commutator [%s, %s] exceeds the '
+      'rescaling depth " "at %s" % (na, nb, deep[0]))',)),
     ("drinfeld", "vee_semiclassical", "check-failure", WITNESS, (
         'below_scale.append( "relation [%s,%s] has terms below the '
-        'generator scale" % (v.gen_names[i], v.gen_names[j]))',
+        'generator scale" % (na, nb))',
         "break",
     )),
     ("drinfeld", "vee_semiclassical.primitivity_failures", "check-failure",

@@ -116,6 +116,19 @@ MUTANTS = [
     ("transport-reads-the-right-table", "axb.py",
      "_identities(ctx, LEFT, ", "_identities(ctx, ctx.flavor, ",
      ["tests/test_axb.py", "tests/test_acceptance.py"]),
+    # one reader of the semiclassical dual, one integrality rule
+    ("dual-reader-reads-order-zero", "drinfeld.py",
+     "comm.value(jctx, e).coeff(-1)", "comm.value(jctx, e).coeff(0)",
+     ["tests/test_drinfeld.py::test_dual_bracket_right_matches_cobracket",
+      "tests/test_drinfeld.py::test_dual_bracket_left_is_opposite",
+      "tests/test_drinfeld.py::test_vee_semiclassical_left",
+      "tests/test_drinfeld.py::test_vee_semiclassical_right_is_coopposite",
+      "tests/test_acceptance.py::test_criterion_07_semiclassical_consistency"]),
+    ("vee-depth-off-by-one", "drinfeld.py",
+     "norm.val < -sum(beta)", "norm.val < -sum(beta) - 1",
+     ["tests/test_drinfeld.py::test_vee_nonintegral_detection",
+      "tests/test_drinfeld.py::"
+      "test_roundtrip_reports_a_nonintegral_generator"]),
     # membership products built once
     ("membership-product-not-multiplied", "drinfeld.py",
      "cur[combo] = prod = a if head is None else defelem_mul(spec, head, a)",

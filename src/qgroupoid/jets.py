@@ -21,8 +21,8 @@ e^alpha; for an impure x^gamma e^alpha, the indices delta of the
 leg-table terms of every e^beta e^alpha, e^beta over the decomposition of
 x^gamma, which the deformation keeps (``pairing_support``), or None where
 such a term is impure.  One test reads it (``_misses``), for a basis
-monomial (``_pair_mono``), a product-table entry (``_pair_entry``) and
-the product rows of a functional's image (``_pair_image``).
+monomial (``_pair_mono``) and for the rows of a product of a basis
+monomial with an element (``_pair_image``).
 
 Dual products are tabulated as the transpose of the coproduct lift
 (``jet_product``).  The lift of each PBW index up to the degree is read
@@ -37,18 +37,20 @@ which only narrow the windows of the sums that exist.  An index no
 nonzero factor reaches is zero.  One index is evaluated on its own by
 ``jet_product_eval``, through the same images and rows.
 
-A context keeps what depends on no functional: each product-table entry
-e^b1 e^b2 with its support (``_pair_entry``, read by
-``jet_coproduct_functional``) and the dual source and target of each base
-element per degree (``jet_source_target``).  Each functional memoises,
-keyed by the deformation object first, its pairings with basis monomials
-(``_pair_cache``) and its images (``_image``): a first pairing mapped by
-s_F or t_F, with the product rows of that image by each basis monomial
-met and their support.  A dual product reads its first factor's images
-on the paired lift legs, a tensor functional its first factor's on the
-paired indices; no image depends on a partner, so every partner reads the
-same rows.  The partner's pairing of each row is kept by no memo: a
-tabulation computes it once per (paired leg, other leg).
+One reader evaluates a functional on the product of a basis monomial m
+with an element W (``_pair_image``), from an entry (W, rows) that keeps
+the product rows by each m met and their support.  Each functional
+memoises, keyed by the deformation object first, its pairings with basis
+monomials (``_pair_cache``) and its images (``_image``): W a first
+pairing mapped by s_F or t_F.  A dual product reads its first factor's
+images on the paired lift legs, a tensor functional its first factor's
+on the paired indices; no image depends on a partner, so every partner
+reads the same rows.  The dual coproduct, the transpose of the product,
+is the tensor functional's table with W the basis monomial e^beta
+itself, whose entries the context keeps (``_monomial``); one loop
+tabulates both (``_pair_table``).  The partner's pairing of each row is
+kept by no memo: a tabulation computes it once per (paired leg, other
+leg).
 
 Every sum of this layer is accumulated in place in one
 ``series.LaurentSum`` per result: the star pairings over a decomposition,
@@ -61,7 +63,7 @@ element: the envelope's one product loop (``envelope._mul_mono_into``)
 sums its terms from the structure's product table into one
 {alpha: {gamma: q}} row per h-order, which holds exactly the nonzero
 terms of the product's normal form, and the pairing reads the row
-(``_pair_product``).  Every pairing reads that row format
+(``_pair_image``).  Every pairing reads that row format
 (``_pair_rows``), and the s_F or t_F image of a pairing is summed into
 such rows too (``_apply_series_map``).
 """
@@ -71,8 +73,7 @@ from bisect import bisect_right
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import (
-    LEGS, EnvElement, _acc_rows, _act_into, _mul_mono_into, _row_element,
-    _series_rows, leg_id, leg_product,
+    LEGS, EnvElement, _act_into, _mul_mono_into, _row_element, _series_rows,
 )
 from .errors import ConfigError, FlavorError
 from .report import Report
@@ -93,15 +94,15 @@ LEFT, RIGHT = "left", "right"
 class JetContext:
     """A deformed algebroid together with a dual flavor and jet degree.
 
-    Three memos hold what depends on the context alone, never on a
-    functional: ``_entries`` maps a pair of basis monomials (la, lb) to
-    their product-table entry and its ``_support`` (``_pair_entry``),
-    ``_source_target`` maps (a, degree) to the dual source and target
-    images of the base element a (``jet_source_target``), and
-    ``_transposes`` maps a degree to the lifts of the PBW indices up to it
-    and their transpose (``_transpose``).  Each context fills its own, so a
-    left and a right context on one deformation, or contexts on two
-    deformations of one structure, never read each other's entries.
+    Two memos hold what depends on the context alone, never on a
+    functional: ``_monomials`` maps a PBW index beta to an entry of the
+    shape ``_image`` keeps, (the constant series e^beta, the rows of each
+    product m . e^beta met and their support), read by
+    ``jet_coproduct_functional`` (``_monomial``), and ``_transposes`` maps
+    a degree to the lifts of the PBW indices up to it and their transpose
+    (``_transpose``).  Each context fills its own, so a left and a right
+    context on one deformation, or contexts on two deformations of one
+    structure, never read each other's entries.
     """
 
     def __init__(self, dfa, flavor, jet_degree):
@@ -113,8 +114,7 @@ class JetContext:
         self.flavor = flavor
         self.jet_degree = jet_degree
         self._zero = HLaurent.zero_upto(dfa.order, CPoly.zero(dfa.spec.nvars))
-        self._entries = {}
-        self._source_target = {}
+        self._monomials = {}
         self._transposes = {}
 
     @property
@@ -382,34 +382,6 @@ def _product_rows(spec, W, m, mono_right=True):
     return out
 
 
-def _pair_product(ctx, lam, W, m, mono_right=True):
-    """lam(W . m) (``mono_right``) or lam(m . W) for a Laurent series W of
-    elements and a basis monomial key m, without building the product:
-    equal to ``_pair_env_laurent`` of the product series, window
-    included, as each row holds exactly the product's nonzero terms."""
-    return _pair_rows(ctx, lam, _product_rows(ctx.spec, W, m, mono_right),
-                      W.top)
-
-
-def _pair_entry(ctx, lam, la, lb):
-    """lam on the product of two basis monomials: their table entry,
-    paired as a plain element.  The entry (the product table's own tuple
-    of basis terms) and its ``_support`` are read once per context
-    (``JetContext._entries``).  An entry whose support misses lam's table
-    pairs to the shared zero, the value and window the pairing of its
-    terms would give; only the others are summed into a row."""
-    key = (la, lb)
-    hit = ctx._entries.get(key)
-    if hit is None:
-        entry = leg_product(ctx.spec, leg_id(la), leg_id(lb))
-        hit = ctx._entries[key] = (
-            entry, _support(ctx, (LEGS[i] for i, _ in entry), ctx.flavor))
-    entry, support = hit
-    if _misses(lam, support):
-        return ctx.zero_value()
-    return _pair_rows(ctx, lam, [(0, _acc_rows({}, entry, 1))], ctx.order)
-
-
 def jet_pair(ctx, lam, u):
     """<lam, u> for u a DefEnvElement, an ``HSeries`` of normal-form
     elements: the shifted pairings of its orders' rows, summed from zero
@@ -517,10 +489,26 @@ def _image(ctx, lam, w, lift):
     return entry
 
 
-def _pair_image(ctx, mu, image, m, lift):
-    """mu(W . m) with ``lift``, mu(m . W) without, for image = (W, rows) an
-    entry of ``_image`` with that ``lift`` and W not None; the rows of the
-    product and their support are kept in rows on first use.
+def _monomial(ctx, beta):
+    """The context's entry (W, rows) for the PBW index beta, of the shape
+    ``_image`` keeps: W the constant series e^beta up to the truncation
+    order, rows filled by ``_pair_image``."""
+    entry = ctx._monomials.get(beta)
+    if entry is None:
+        spec = ctx.spec
+        entry = ctx._monomials[beta] = (HLaurent.const(
+            EnvElement.monomial(spec.nvars, spec.rank, beta), ctx.order,
+            EnvElement.zero(spec.nvars, spec.rank)), {})
+    return entry
+
+
+def _pair_image(ctx, mu, image, m, right):
+    """mu(W . m) when ``right`` (m multiplies W on the right), mu(m . W)
+    otherwise, for image = (W, rows) with W not None: an entry of
+    ``_image`` (``right`` is its ``lift``), of ``_monomial``, or a fresh
+    (W, {}).  An entry is read with one ``right`` and functionals of one
+    flavor, as the rows of the product and their support are kept in rows
+    on first use.
 
     The value is ``_pair_rows(ctx, mu, r, W.top)`` for the rows r.  When
     the support misses mu's table (``_misses``) it is zero_upto(N + q0),
@@ -530,18 +518,21 @@ def _pair_image(ctx, mu, image, m, lift):
     zero_upto(N): with no row it returns zero_upto(W.top); a lone unit
     term returns its pairing shifted by q0, zero_upto(N + q0); any other
     rows start a sum at zero_upto(N + q0) that skips each shared zero and
-    keeps that start as its value."""
+    keeps that start as its value.  zero_upto(N) is returned as the shared
+    ``ctx.zero_value()``, which most pairings of a basis monomial's rows
+    are."""
     W, rows = image
     hit = rows.get(m)
     if hit is None:
-        r = _product_rows(ctx.spec, W, m, lift)
+        r = _product_rows(ctx.spec, W, m, right)
         hit = rows[m] = (r, _support(ctx, (
             (gamma, alpha) for _, row in r for alpha, terms in row.items()
             for gamma in terms), mu.flavor))
     r, support = hit
     if _misses(mu, support):
-        return HLaurent.zero_upto(
-            ctx.order + r[0][0] if r else W.top, ctx.zero_poly())
+        top = ctx.order + r[0][0] if r else W.top
+        return ctx.zero_value() if top == ctx.order \
+            else HLaurent.zero_upto(top, ctx.zero_poly())
     return _pair_rows(ctx, mu, r, W.top)
 
 
@@ -656,16 +647,8 @@ def jet_source_target(ctx, a, degree=None):
     each order of the image, and the counit of e^beta . image is e^beta
     acting through the anchor on that coefficient, read from the
     structure's action table (``envelope._act_into``).
-
-    The pair is built once per (context, a, degree) and kept on the
-    context (``JetContext._source_target``); every call returns the same
-    two functionals, whose own memos then serve every caller.
     """
     degree = ctx.jet_degree if degree is None else degree
-    ckey = (a, degree)
-    hit = ctx._source_target.get(ckey)
-    if hit is not None:
-        return hit
     spec = ctx.spec
     zeros, unit = (0,) * spec.nvars, (0,) * spec.rank
     zero = ctx.zero_poly()
@@ -681,9 +664,8 @@ def jet_source_target(ctx, a, degree=None):
     at_unit = JetElement(ctx.flavor, {unit: table[unit]}
                          if unit in table else {})
     tabulated = JetElement(ctx.flavor, table)
-    hit = ctx._source_target[ckey] = (at_unit, tabulated) \
-        if ctx.flavor == LEFT else (tabulated, at_unit)
-    return hit
+    return (at_unit, tabulated) if ctx.flavor == LEFT \
+        else (tabulated, at_unit)
 
 
 # -- dual coproduct (functional level) -------------------------------------------------
@@ -691,24 +673,14 @@ def jet_source_target(ctx, a, degree=None):
 
 def jet_coproduct_functional(ctx, lam, degree=None):
     """Table (beta, beta') -> lam(e^beta e^beta') (left) or lam(e^beta' e^beta)
-    (right): the transpose of the (opposite) multiplication.  An entry whose
-    support misses lam's table is the shared zero (``_pair_entry``) and is
-    left out without a test of its coefficients.  The context keeps the
-    entries' supports for its own flavor, so lam must be of that flavor."""
+    (right): the transpose of the (opposite) multiplication, tabulated by
+    ``_pair_table`` with each first pairing's image replaced by the basis
+    monomial itself (``_monomial``).  The context keeps the rows of each
+    product and their support for its own flavor, so lam must be of that
+    flavor."""
     if lam.flavor != ctx.flavor:
         raise FlavorError("mixed dual flavors")
-    degree = degree if degree is not None else ctx.jet_degree
-    zeros = (0,) * ctx.spec.nvars
-    zero = ctx.zero_value()
-    left = ctx.flavor == LEFT
-    out = {}
-    for b1, inner in _index_pairs(ctx.spec.rank, degree):
-        for b2 in inner:
-            la, lb = (b1, b2) if left else (b2, b1)
-            v = _pair_entry(ctx, lam, (zeros, la), (zeros, lb))
-            if v is not zero and not v.is_zero():
-                out[(b1, b2)] = v
-    return out
+    return _pair_table(ctx, lam, lambda beta: _monomial(ctx, beta), degree)
 
 
 def _index_pairs(rank, degree):
@@ -722,6 +694,32 @@ def _index_pairs(rank, degree):
             for b1, s in zip(idx, sums)]
 
 
+def _pair_table(ctx, reader, image, degree):
+    """{(b1, b2): reader(e^moved . W)} over ``_index_pairs`` up to
+    ``degree`` (the jet degree by default), zeros left out, where (paired,
+    moved) is (b2, b1) for the left dual and (b1, b2) for the right and
+    image(paired) = (W, rows) is an entry read by ``_pair_image``.  An
+    entry whose W is None is zero and skipped, and so is one whose rows'
+    support misses reader's table (``_pair_image``)."""
+    degree = degree if degree is not None else ctx.jet_degree
+    zeros = (0,) * ctx.spec.nvars
+    zero = ctx.zero_value()
+    left = ctx.flavor == LEFT
+    pairs = _index_pairs(ctx.spec.rank, degree)
+    images = {beta: image(beta) for beta, _ in pairs}
+    out = {}
+    for b1, inner in pairs:
+        for b2 in inner:
+            paired, moved = (b2, b1) if left else (b1, b2)
+            entry = images[paired]
+            if entry[0] is None:
+                continue
+            val = _pair_image(ctx, reader, entry, (zeros, moved), False)
+            if val is not zero and not val.is_zero():
+                out[(b1, b2)] = val
+    return out
+
+
 def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     """The pair lam (x) mu as a functional table on (beta, beta').
 
@@ -731,31 +729,15 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     The first pairing, lam(u') or mu(u), its image under s_F or t_F and
     the rows of each product e^moved . image depend on the first
     functional alone, so they live in its memo (``_image``) and every call
-    reads them.  An entry whose first pairing vanishes is zero and is
-    skipped, and so is one whose rows' support misses the second
-    functional's table (``_pair_image``).  Every functional must be of the
-    context's flavor, which picks the map.
+    reads them; the second functional reads them through ``_pair_table``.
+    Every functional must be of the context's flavor, which picks the map.
     """
     if not lam.flavor == mu.flavor == ctx.flavor:
         raise FlavorError("mixed dual flavors")
-    degree = degree if degree is not None else ctx.jet_degree
     zeros = (0,) * ctx.spec.nvars
-    left = ctx.flavor == LEFT
-    first, second = (lam, mu) if left else (mu, lam)
-    pairs = _index_pairs(ctx.spec.rank, degree)
-    images = {beta: _image(ctx, first, (zeros, beta), False)
-              for beta, _ in pairs}
-    out = {}
-    for b1, inner in pairs:
-        for b2 in inner:
-            paired, moved = (b2, b1) if left else (b1, b2)
-            image = images[paired]
-            if image[0] is None:
-                continue
-            val = _pair_image(ctx, second, image, (zeros, moved), False)
-            if not val.is_zero():
-                out[(b1, b2)] = val
-    return out
+    first, second = (lam, mu) if ctx.flavor == LEFT else (mu, lam)
+    return _pair_table(ctx, second, lambda beta: _image(
+        ctx, first, (zeros, beta), False), degree)
 
 
 def table_sum(tables):
@@ -829,12 +811,12 @@ def jet_axiom_suite(ctx, sample_degree=2, witnesses=()):
         zeros = (0,) * spec.nvars
         for xj in polys:
             src, tgt = jet_source_target(ctx, xj)
-            image = HLaurent.from_hseries(_base_image(ctx, xj))
+            image = (HLaurent.from_hseries(_base_image(ctx, xj)), {})
             for lam in sample:
                 left_action = jet_product(ctx, src, lam, dom_degree)
                 for beta in dom:
-                    direct = _pair_product(ctx, lam, image, (zeros, beta),
-                                           ctx.flavor == LEFT)
+                    direct = _pair_image(ctx, lam, image, (zeros, beta),
+                                         ctx.flavor == LEFT)
                     if not left_action.value(ctx, beta).eq_to_order(direct):
                         yield "source-action compatibility fails at %s" % (beta,)
 

@@ -115,11 +115,6 @@ def _strip(table):
     return {k: v for k, v in table.items() if not v.is_zero()}
 
 
-def _elem_eq(X, Y):
-    return _strip({k: X.get(k, 0) - Y.get(k, 0)
-                   for k in set(X) | set(Y)}) == {} if (X or Y) else True
-
-
 # -- multivectors and forms ---------------------------------------------------
 
 
@@ -257,7 +252,7 @@ def lr_validate(spec, sample_degree=2):
                                                   spec.basis_elem(j)))
                     rhs = {k: v * f for k, v in rhs.items()}
                     _acc(rhs, j, spec.anchor_apply(i, f))
-                    if not _elem_eq(lhs, _strip(rhs)):
+                    if lhs != _strip(rhs):
                         yield "[e%d, f e%d] != anchor(e%d)(f) e%d + f [e%d,e%d] for f=%s" \
                             % (i + 1, j + 1, i + 1, j + 1, i + 1, j + 1, f)
 

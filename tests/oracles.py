@@ -1719,15 +1719,14 @@ def evaluation_iso_check(ctx, degree):
             want = CPoly.one(spec.nvars) if kappa == beta else CPoly.zero(spec.nvars)
             if val != want:
                 return False
-    zeros = (0,) * spec.nvars
     half = [b for b in idx if 2 * sum(b) <= degree]
     for b1 in half:
         for b2 in half:
             m1 = EnvElement.monomial(spec.nvars, spec.rank, b1)
             m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
+            prod = pbw_mul(spec, m1, m2)
             for kappa in idx:
-                lhs = jets._pair_entry(ctx, powers[kappa], (zeros, b1),
-                                       (zeros, b2)).coeff(0)
+                lhs = _pair_env(ctx, powers[kappa], prod).coeff(0)
                 rhs = CPoly.zero(spec.nvars)
                 for k1 in idx:
                     k2 = tuple(a - b for a, b in zip(kappa, k1))
@@ -2660,8 +2659,8 @@ PARITY = [
         ctx, lam, rows, ctx.order + 2),
      lambda dfa, ctx, lam, rows: pair_rows_loop(ctx, lam, rows, ctx.order + 2),
      _rows_args, same_window),
-    ("_pair_product", lambda dfa, ctx, lam, W, key, right: jets._pair_product(
-        ctx, lam, W, key, right),
+    ("_pair_image", lambda dfa, ctx, lam, W, key, right: jets._pair_image(
+        ctx, lam, (W, {}), key, right),
      lambda dfa, ctx, lam, W, key, right: chain_pair_env_laurent(
          ctx, lam, built_product_series(dfa.spec, W, key, right)),
      _product_args, same_window),

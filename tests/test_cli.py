@@ -199,47 +199,59 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
 
 
 def test_entry_rows_are_built_once_per_context(monkeypatch):
-    """On ``example axb`` at N=4 each entry of e^b1 e^b2, read by
-    ``jet_coproduct_functional`` through ``_pair_entry``, is taken from the
-    product table once per context, with its support, and read again by
-    every functional of that context; it is summed into a row only where
-    its support meets the functional's table.  Building the row for every
-    pairing made 2,520 rows on ``example axb`` at N=6, where its two
-    contexts hold 210 entries each."""
-    real_entry, real_product = jets._pair_entry, jets.leg_product
-    real_rows = jets._acc_rows
-    active, built, read, keep = [], Counter(), Counter(), []
-    rows = []
+    """On ``example axb`` at N=4 ``jet_coproduct_functional`` reads each
+    product e^b1 e^b2 through ``_pair_image`` on the context's entry for
+    one factor (``jets._monomial``).  The rows of each product and their
+    support are built once per context and read again by every functional
+    of that context; they are paired only where their support meets the
+    functional's table.  Building the row for every pairing made 2,520
+    rows on ``example axb`` at N=6, where its two contexts hold 210
+    entries each."""
+    real_coproduct = jets.jet_coproduct_functional
+    real_image, real_rows = jets._pair_image, jets._product_rows
+    real_pair = jets._pair_rows
+    active, built, read, keep, paired = [], Counter(), Counter(), [], []
 
-    def pair_entry(ctx, lam, la, lb):
+    def coproduct(ctx, lam, degree=None):
         keep.append(ctx)
         active.append(ctx)
-        read[id(ctx), la, lb] += 1
         try:
-            return real_entry(ctx, lam, la, lb)
+            return real_coproduct(ctx, lam, degree)
         finally:
             active.pop()
 
-    def leg_product(spec, ia, ib):
+    def pair_image(ctx, mu, image, m, right):
         if active:
-            built[id(active[-1]), envelope.LEGS[ia], envelope.LEGS[ib]] += 1
-        return real_product(spec, ia, ib)
+            beta, = image[0].coeffs[0].terms
+            read[id(ctx), beta, m] += 1
+        return real_image(ctx, mu, image, m, right)
 
-    def acc_rows(*args):
-        rows.append(None)
-        return real_rows(*args)
+    def product_rows(spec, W, m, mono_right=True):
+        if active:
+            beta, = W.coeffs[0].terms
+            built[id(active[-1]), beta, m] += 1
+        return real_rows(spec, W, m, mono_right)
 
-    monkeypatch.setattr(jets, "_pair_entry", pair_entry)
-    monkeypatch.setattr(jets, "leg_product", leg_product)
-    monkeypatch.setattr(jets, "_acc_rows", acc_rows)
+    def pair_rows(*args):
+        if active:
+            paired.append(None)
+        return real_pair(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qgroupoid") and getattr(
+                module, "jet_coproduct_functional", None) is real_coproduct:
+            monkeypatch.setattr(module, "jet_coproduct_functional", coproduct)
+    monkeypatch.setattr(jets, "_pair_image", pair_image)
+    monkeypatch.setattr(jets, "_product_rows", product_rows)
+    monkeypatch.setattr(jets, "_pair_rows", pair_rows)
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
     assert built and set(built.values()) == {1}
     assert built.keys() == read.keys()
-    # the entries are read again, by later functionals of the same context,
-    # and few of those pairings build a row
+    # the rows are read again, by later functionals of the same context,
+    # and few of those reads pair them
     assert sum(read.values()) > len(read)
-    assert 0 < len(rows) < sum(read.values()) / 10
+    assert 0 < len(paired) < sum(read.values()) / 10
 
 
 # the loops of the tensor reduction
@@ -306,19 +318,23 @@ def test_dual_products_build_each_row_once(monkeypatch):
 
     def product_rows(spec, W, m, mono_right=True):
         rows = real_rows(spec, W, m, mono_right)
-        owner = owners.get(id(W))
+        # the context's entries of basis monomials (``jets._monomial``)
+        # have no owner
+        owner = key = owners.get(id(W))
         if owner is not None:
             assert mono_right == owner[2]
             key = (id(owner[0]), owner[1], owner[2], m)
             built[key] += 1
-            pending.append(key)
+        pending.append(key)
         return rows
 
     def support(ctx, monos, flavor):
         # a product's rows have their support built right after them
         if sys._getframe(1).f_code is pair_image:
             assert len(pending) == 1
-            supported[pending.pop()] += 1
+            key = pending.pop()
+            if key is not None:
+                supported[key] += 1
         return real_support(ctx, monos, flavor)
 
     monkeypatch.setattr(jets, "_image", image)

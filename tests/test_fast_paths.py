@@ -34,8 +34,8 @@ from qgroupoid.envelope import (
 )
 from qgroupoid.errors import ConfigError
 from qgroupoid.jets import (
-    LEFT, RIGHT, JetContext, jet_coproduct_functional, jet_source_target,
-    pbw_indices, tensor_functional_from_pair,
+    LEFT, RIGHT, JetContext, jet_coproduct_functional, pbw_indices,
+    tensor_functional_from_pair,
 )
 from qgroupoid.lierinehart import LieRinehartSpec, lr_validate
 from qgroupoid.scalars import CPoly, monomials_upto
@@ -909,7 +909,9 @@ def test_pair_mono_matches_the_decomposed_pairing(flavor):
                                   rational_exp_dfa])
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_pair_product_matches_built_product(make, flavor):
-    assert check(shared(make), "_pair_product", flavors=(flavor,))
+    """lam on W . m and m . W read by ``_pair_image`` on a fresh entry
+    (W, {}), against the product built and paired through the chains."""
+    assert check(shared(make), "_pair_image", flavors=(flavor,))
 
 
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
@@ -937,7 +939,7 @@ def test_pair_product_merges_cancelling_terms(flavor):
     cancelled = (x1, e0)
     assert [c for t, c in unmerged if t == cancelled] == [1, -1]
     assert cancelled not in flat(_mul_mono_into({}, spec, w, mono, 1, False))
-    got = jets._pair_product(ctx, lam, W, mono, False)
+    got = jets._pair_image(ctx, lam, (W, {}), mono, False)
     built = built_product_series(spec, W, mono, False)
     assert window(got) == window(chain_pair_env_laurent(ctx, lam, built))
     assert got.top == n
@@ -1035,11 +1037,6 @@ def test_jet_product_matches_the_gather(make, flavor):
     assert set(ctx._transposes) == set(jet_product_degrees(ctx))
 
 
-def impure_entry(entry):
-    """Whether a product-table entry has a term x^gamma e^alpha, gamma != 0."""
-    return any(GAMMA[i] is not None for i, _ in entry)
-
-
 def impure_rows(rows):
     """Whether rows (q, {alpha: {gamma: c}}) hold a term with gamma != 0."""
     return any(any(gamma) for _, row in rows for terms in row.values()
@@ -1050,13 +1047,13 @@ def impure_rows(rows):
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_context_and_functional_tables_match_loops(make, flavor):
     """The paths that read tables built once per context or functional
-    (the coproduct functional's entry rows, the images and rows of a
-    pair's first functional, the dual source/target) against the bodies
-    that build every product; the source/target pair is built once per
-    (a, degree).  On the structures with polynomial structure functions
-    some entry rows are impure and at least three entries with pure
-    indices off lam's table are kept by the supports of their impure
-    terms."""
+    (the rows of the context's basis monomials that the coproduct
+    functional reads, the images and rows of a pair's first functional),
+    and the dual source/target at degrees 1 and 2, against the bodies
+    that build every product.  On the structures with polynomial
+    structure functions some product rows of the context's basis
+    monomials are impure and at least three with pure indices off lam's
+    table are kept by the supports of their impure terms."""
     dfa = shared(make)
     spec = dfa.spec
     ctx = JetContext(dfa, flavor, 2)
@@ -1067,22 +1064,21 @@ def test_context_and_functional_tables_match_loops(make, flavor):
         (ctx, lam, mu, 2) for lam in funcs[1:] for mu in funcs[1:]])
     p = spec.nvars
     x1, xl = CPoly.var(p, 0), CPoly.var(p, p - 1)
-    # the degree is part of the key: a table at degree 1 is not one at 2
+    # a table at degree 1 is not one at 2
     args = [(ctx, a, degree) for degree in (1, 2) for a in (
         CPoly.zero(p), x1, x1 * xl - CPoly.const(p, Fraction(2, 3)))]
     assert check(dfa, "jet_source_target", inputs=args)
-    for _, a, degree in args:
-        assert jet_source_target(ctx, a, degree) \
-            is jet_source_target(ctx, a, degree)
     zeros = (0,) * spec.nvars
     fallbacks = 0
     for lam in funcs + dual_functionals(ctx):
         for b1, b2 in jet_coproduct_functional(ctx, lam, 2):
-            la, lb = (b1, b2) if flavor == LEFT else (b2, b1)
-            entry, _ = ctx._entries[(zeros, la), (zeros, lb)]
-            pure = {LEGS[i][1] for i, _ in entry if GAMMA[i] is None}
-            fallbacks += impure_entry(entry) and not pure & lam.table.keys()
-    impure = sum(impure_entry(entry) for entry, _ in ctx._entries.values())
+            paired, moved = (b2, b1) if flavor == LEFT else (b1, b2)
+            r, _ = ctx._monomials[paired][1][zeros, moved]
+            pure = {alpha for _, row in r for alpha, terms in row.items()
+                    if zeros in terms}
+            fallbacks += impure_rows(r) and not pure & lam.table.keys()
+    impure = sum(impure_rows(r) for _, per in ctx._monomials.values()
+                 for r, _ in per.values())
     if polynomial_brackets(spec):
         assert impure and fallbacks >= 3
     else:
@@ -1092,13 +1088,14 @@ def test_context_and_functional_tables_match_loops(make, flavor):
 def test_impure_entries_and_rows_skip_by_pairing_support():
     """On the structures with polynomial structure functions (the
     polynomial and central fixtures and the seeded structures 13-3 and
-    17-3), both flavors, the coproduct functional skips some product-table
-    entries that hold an impure term, and the tensor functional of a pair
-    some product rows that hold one, by the pairing supports of those
-    terms and without a pairing; each result equals the body that builds
-    every product.  On the polynomial fixture every impure entry and row
-    holds a term whose own pairing support is None, so nothing is skipped
-    by a support and every pairing is checked."""
+    17-3), both flavors, the coproduct functional skips some product rows
+    of the context's basis monomials that hold an impure term, and the
+    tensor functional of a pair some product rows of an image that hold
+    one, by the pairing supports of those terms and without a pairing;
+    each result equals the body that builds every product.  On the
+    polynomial fixture every impure row holds a term whose own pairing
+    support is None, so nothing is skipped by a support and every pairing
+    is checked."""
     skips = Counter()
     for name, make in (("polynomial", polynomial_exp_dfa),
                        ("central", central_exp_dfa),
@@ -1112,10 +1109,11 @@ def test_impure_entries_and_rows_skip_by_pairing_support():
             for lam in funcs:
                 assert windows(jet_coproduct_functional(ctx, lam, 2)) \
                     == windows(built_coproduct_functional(ctx, lam, 2))
-                # every entry of the context was read by lam
+                # lam read every row of the context's basis monomials
                 skips["entries", name] += sum(
-                    impure_entry(entry) and jets._misses(lam, support)
-                    for entry, support in ctx._entries.values())
+                    impure_rows(r) and jets._misses(lam, support)
+                    for _, per in ctx._monomials.values()
+                    for r, support in per.values())
             for lam in funcs[1:]:
                 for mu in funcs:
                     assert windows(tensor_functional_from_pair(
@@ -1137,7 +1135,7 @@ def test_tables_never_cross_contexts_or_deformations():
     """The left and right contexts on one deformation, and the exponential
     and trivial deformations of one structure (as the classical-limit
     check of ``jet_axiom_suite`` builds them), each read only their own
-    pairing supports, entry rows, source/target tables and images.  One
+    pairing supports, basis-monomial rows and images.  One
     functional of each flavor is the first factor of a tensor functional
     in both contexts of its flavor, lam in a left one and mu in a right
     one, and its image there is mapped by s_F (left) and t_F (right),
@@ -1175,8 +1173,7 @@ def test_tables_never_cross_contexts_or_deformations():
             check(d, "_pair_mono", inputs=[(ctx, other, key) for key in keys])
     # every context filled its own tables
     for a, b in itertools.combinations(contexts_, 2):
-        assert a._entries is not b._entries and a._entries
-        assert a._source_target is not b._source_target
+        assert a._monomials is not b._monomials and a._monomials
     for f in (LEFT, RIGHT):
         assert {k[:2] for k in shared[f]._images} \
             == {(d, lift) for d in (triv, dfa) for lift in (True, False)}

@@ -57,6 +57,24 @@ def test_validate_jacobi_failure():
     assert "jacobi" in rep.first_failure()
 
 
+def test_leibniz_mismatch_fails(monkeypatch):
+    """A bracket that drops a term of [e_i, f e_j] for a nonconstant f
+    fails ``leibniz-compatibility``: the dropped key is on one side only,
+    and the comparison reports it instead of raising."""
+    real = LieRinehartSpec.bracket_elems
+    one = CPoly.one(1)
+
+    def dropped(self, X, Y):
+        out = real(self, X, Y)
+        if out and any(c != one for c in Y.values()):
+            del out[min(out)]
+        return out
+
+    monkeypatch.setattr(LieRinehartSpec, "bracket_elems", dropped)
+    checks = {c.name: c for c in lr_validate(der_spec()).checks}
+    assert checks["leibniz-compatibility"].status == "fail"
+
+
 def test_differential_on_function():
     spec = der_spec()
     d = lr_differential(spec, MultiVector(1, 0, {(): parse_poly("x1^2", 1)}))

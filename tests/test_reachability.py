@@ -499,7 +499,7 @@ UNREACHED = [
      "item 2)", None),
     ("jets", "jet_axiom_suite.filtration_failures", "kept",
      "filtration-growth evaluates the witnesses it is given, and no caller "
-     "gives any yet (ROADMAP item 1)", (
+     "gives any yet (ROADMAP item 5)", (
          "for combo in itertools.product(range(len(gens)), repeat=r):",
          "for idx in combo[1:]:",
          "for r in range(1, min(3, n) + 1):",

@@ -51,8 +51,8 @@ MUTANTS = [
      "hit = self._supports[ckey] = None if impure else tuple(",
      "hit = self._supports[ckey] = None if False else tuple(",
      [FAST + "test_pair_mono_matches_the_decomposed_pairing"]),
-    ("source-target-memo-without-degree", "jets.py",
-     "ckey = (a, degree)", "ckey = a",
+    ("source-target-ignores-degree", "jets.py",
+     "table = _tabulate(ctx, acted, degree)", "table = _tabulate(ctx, acted)",
      [FAST + "test_context_and_functional_tables_match_loops"]),
     ("reduce3-second-gamma-dropped", "tensorspace.py",
      "g = tuple(map(add, ga, gb))", "g = ga",
@@ -66,13 +66,12 @@ MUTANTS = [
      "j = leg_id((tuple(map(add, gamma, mu)), alpha))",
      ["tests/test_cli.py::test_shifts_are_interned_once_per_process"]),
     ("entry-memo-not-stored", "jets.py",
-     "hit = ctx._entries[key] = (", "hit = (",
+     "entry = ctx._monomials[beta] = (", "entry = (",
      ["tests/test_cli.py::test_entry_rows_are_built_once_per_context"]),
     # dual products through their transpose
     ("zero-factor-is-the-shared-zero", "jets.py",
-     "        return HLaurent.zero_upto(\n"
-     "            ctx.order + r[0][0] if r else W.top, ctx.zero_poly())",
-     "        return ctx.zero_value()",
+     "else HLaurent.zero_upto(top, ctx.zero_poly())",
+     "else ctx.zero_value()",
      [FAST + "test_jet_product_matches_the_gather"]),
     ("transpose-of-the-first-degree", "jets.py",
      "hit = ctx._transposes.get(degree)",
@@ -91,6 +90,10 @@ MUTANTS = [
     ("image-key-without-lift", "jets.py",
      "ckey = (ctx.dfa, lift, w)", "ckey = (ctx.dfa, True, w)",
      [FAST + "test_tables_never_cross_contexts_or_deformations"]),
+    ("coproduct-right-orientation-dropped", "jets.py",
+     "paired, moved = (b2, b1) if left else (b1, b2)",
+     "paired, moved = (b2, b1)",
+     [FAST + "test_coproduct_and_source_target_match_built_products"]),
     ("support-reads-impure-as-pure", "jets.py",
      "        if not any(gamma):\n            out[alpha] = None",
      "        if True:\n            out[alpha] = None",

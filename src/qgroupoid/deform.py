@@ -35,12 +35,13 @@ order into one dict of integer numerators over one denominator.
 The base maps s_F and t_F let the legs of F act on the base through the
 anchor (the structure's action table, ``envelope.monomial_action``).  The
 maps are linear in the base element, so each image s_F(x^m), t_F(x^m) of a
-basis monomial is swept once per twistor and structure into one table on
-the twistor (``_monomial_image``), which ``twistor_validate`` and the
+basis monomial is swept once per twistor and structure into the twistor's
+memos (``_monomial_image``), which ``twistor_validate`` and the
 deformation share; a sweep reads F's terms grouped by the acting leg
-e^b, takes e^b . x^m once per group and skips the groups where it
-vanishes.  A polynomial maps as the linear combination of its monomials'
-images, and a monomial with coefficient 1 is its table entry.
+e^b (``_acting_groups``, memoised there too), takes e^b . x^m once per
+group and skips the groups where it vanishes.  A polynomial maps as the
+linear combination of its monomials' images, and a monomial with
+coefficient 1 is its table entry.
 The star product reads the source image: with s_F(a) = sum (F1 . a) F2,
 a *_F b = sum (F1 . a)(F2 . b) is s_F(a) acting on b
 (``envelope.anchor_action``), bilinear in (a, b), so
@@ -65,11 +66,11 @@ t_F(c_beta) e^beta gives x^gamma e^alpha = sum_beta t_F(c_beta)
 (e^beta e^alpha), so the leg becomes e^beta e^alpha, read from the
 structure's leg table (``envelope.leg_product``, nested by leg ids and
 memoising the products at monomial granularity), and s_F(c_beta)
-multiplies the next leg through the same table.  The deformation caches,
+multiplies the next leg through the same table.  The deformation keeps,
 per leg id of x^gamma (``envelope.leg_id``), the nonzero basis terms of
 the s_F(c_beta) (``DeformedEnvAlgebroid.migrants``), each tagged with its
 h-order, as leg ids with integer numerators over one denominator: one
-entry per gamma, whatever the alpha.
+memo entry per gamma, whatever the alpha.
 Where the structure functions are polynomial, e^beta e^alpha can have
 terms x^g e^delta with g != 0; c_beta = O(h) for beta != 0, so those land
 at least one h-order up and another pass moves them (at most N more
@@ -104,6 +105,7 @@ h^(N+1), and by the uniqueness of the triangular decomposition it is that
 of the whole monomial.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -112,7 +114,7 @@ from operator import add
 from .envelope import (
     LEGS, PURE, EnvElement, _add_rows, _bump, _bump_term, _last_nonzero,
     _mul_mono_into, _pbw_mul_into, _rows_series, _series_rows, anchor_action,
-    leg_id, leg_product, monomial_action,
+    leg_id, leg_product, memo, monomial_action,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
@@ -138,19 +140,18 @@ __all__ = [
 class Twistor:
     """Series F with F_0 = 1 (x) 1, optionally remembered as exp(h r).
 
-    ``images`` holds, per structure the twistor is used with (keyed by
-    the structure object itself), the images s_F(x^m) and t_F(x^m) of base
-    monomials (``_monomial_image``), which ``twistor_validate`` and the
-    deformation share; ``acting`` holds F's terms grouped by the acting
-    leg, per leg.  Both fill on first use, so the series must not change
-    after that.
+    ``_memos`` (``envelope.memo``) holds, per structure it is used with
+    (the structure object itself is the key), the images s_F(x^m) and
+    t_F(x^m) of base monomials (``_monomial_image``), which
+    ``twistor_validate`` and the deformation share, and F's terms grouped
+    by the acting leg (``_acting_groups``).  Both fill on first use, so the
+    series must not change after that.
     """
 
     def __init__(self, series, exponent=None):
         self.series = series
         self.exponent = exponent
-        self.images = {}
-        self.acting = {}
+        self._memos = defaultdict(dict)
 
     @property
     def order(self):
@@ -200,17 +201,12 @@ def defelem_mul(spec, a, b):
     return _rows_series(spec, n, rows)
 
 
-def _monomial_image(spec, twistor, m, leg):
+@memo
+def _monomial_image(twistor, spec, m, leg):
     """s_F(x^m) (leg 0) or t_F(x^m) (leg 1) as a series of envelope
-    elements, read from the twistor's table for the structure ``spec`` and
-    swept into it on a miss (``_sweep_image``)."""
-    tables = twistor.images.get(spec)
-    if tables is None:
-        tables = twistor.images[spec] = ({}, {})
-    hit = tables[leg].get(m)
-    if hit is None:
-        hit = tables[leg][m] = _sweep_image(spec, twistor, m, leg)
-    return hit
+    elements for the structure ``spec``, swept once per twistor
+    (``_sweep_image``)."""
+    return _sweep_image(spec, twistor, m, leg)
 
 
 def _sweep_image(spec, twistor, m, leg):
@@ -220,12 +216,8 @@ def _sweep_image(spec, twistor, m, leg):
     grouped by the acting e^b once per twistor, so e^b . x^m is read from
     the action table once per group, and a group whose action vanishes is
     skipped."""
-    groups = twistor.acting.get(leg)
-    if groups is None:
-        groups = twistor.acting[leg] = [_acting_groups(Fn, leg)
-                                        for Fn in twistor.series.coeffs]
     rows = []
-    for per_order in groups:
+    for per_order in _acting_groups(twistor, leg):
         acc = {}
         for b, partners in per_order.items():
             act = monomial_action(spec, b, m).terms
@@ -241,16 +233,21 @@ def _sweep_image(spec, twistor, m, leg):
     return _rows_series(spec, twistor.order, rows)
 
 
-def _acting_groups(T, leg):
-    """The terms c x^g e^b (x) x^gamma e^alpha of a 2-tensor, acting leg
-    ``leg`` first, as {b: [(g + gamma or None for 0, alpha, c)]}."""
-    groups = {}
-    for key, c in T.terms.items():
-        (g, b), (gamma, alpha) = key[leg], key[1 - leg]
-        shift = tuple(map(add, g, gamma))
-        groups.setdefault(b, []).append(
-            (shift if any(shift) else None, alpha, c))
-    return groups
+@memo
+def _acting_groups(twistor, leg):
+    """The terms c x^g e^b (x) x^gamma e^alpha of each order of F, acting
+    leg ``leg`` first, as one {b: [(g + gamma or None for 0, alpha, c)]}
+    per order."""
+    out = []
+    for T in twistor.series.coeffs:
+        groups = {}
+        for key, c in T.terms.items():
+            (g, b), (gamma, alpha) = key[leg], key[1 - leg]
+            shift = tuple(map(add, g, gamma))
+            groups.setdefault(b, []).append(
+                (shift if any(shift) else None, alpha, c))
+        out.append(groups)
+    return out
 
 
 # -- twistor validation -----------------------------------------------------------
@@ -313,8 +310,8 @@ def twistor_validate(spec, twistor):
     def compatibility_failures():
         for a in monomials_upto(spec.nvars, 2):
             m, = a.terms
-            sa = _monomial_image(spec, twistor, m, 0)
-            ta = _monomial_image(spec, twistor, m, 1)
+            sa = _monomial_image(twistor, spec, m, 0)
+            ta = _monomial_image(twistor, spec, m, 1)
             left = ta.map(lambda u: TensorElement.of(u, one))
             right = sa.map(lambda u: TensorElement.of(one, u))
             diff = tensor_series_mul(spec, F, left - right)
@@ -332,8 +329,9 @@ def twistor_validate(spec, twistor):
 class DeformedEnvAlgebroid:
     """Twisted bialgebroid data: spec + validated twistor + caches.
 
-    Immutable after construction; every cache is keyed by hashable
-    monomials so results are shared across operations.
+    Immutable after construction.  Every cache is an ``envelope.memo``
+    entry of ``_memos``, keyed by its method's arguments (the methods
+    marked "cached"), so results are shared across operations.
     """
 
     def __init__(self, spec, twistor, validate=True):
@@ -348,14 +346,7 @@ class DeformedEnvAlgebroid:
             if not rep.ok():
                 raise ConfigError("invalid twistor: %s" % rep.first_failure())
         self.G = twistor_invert(spec, twistor)
-        # a *_F b on pairs of basis monomials: (m, m') -> its h-expansion
-        self._star_mono = {}
-        self._decomp = {}
-        self._base_legs = {}
-        self._supports = {}
-        self._migrants = {}
-        self._lift = {}
-        self._takeuchi = {}
+        self._memos = defaultdict(dict)
 
     # -- base maps ---------------------------------------------------------------
 
@@ -382,16 +373,13 @@ class DeformedEnvAlgebroid:
         nvars = self.spec.nvars
         return [CPoly(nvars, row) for row in rows]
 
+    @memo
     def _star_pair(self, m, m2):
         """x^m *_F x^m' = s_F(x^m) acting on x^m' (cached)."""
-        hit = self._star_mono.get((m, m2))
-        if hit is None:
-            spec = self.spec
-            b = CPoly.monomial(spec.nvars, m2)
-            hit = self._star_mono[(m, m2)] = [
-                anchor_action(spec, u, b)
-                for u in _monomial_image(spec, self.twistor, m, 0).coeffs]
-        return hit
+        spec = self.spec
+        b = CPoly.monomial(spec.nvars, m2)
+        return [anchor_action(spec, u, b)
+                for u in _monomial_image(self.twistor, spec, m, 0).coeffs]
 
     def _linear_image(self, leg, a):
         """sum_m a_m map(x^m) for the base map whose F-legs ``leg`` act,
@@ -403,10 +391,10 @@ class DeformedEnvAlgebroid:
         if len(terms) == 1:
             (m, c), = terms.items()
             if c == 1:
-                return _monomial_image(spec, self.twistor, m, leg)
+                return _monomial_image(self.twistor, spec, m, leg)
         out = [{} for _ in range(self.order + 1)]
         for m, c in terms.items():
-            _add_rows(out, _monomial_image(spec, self.twistor, m, leg).coeffs, c)
+            _add_rows(out, _monomial_image(self.twistor, spec, m, leg).coeffs, c)
         return _rows_series(spec, self.order, out)
 
     def source_series(self, aser):
@@ -419,19 +407,17 @@ class DeformedEnvAlgebroid:
         return _rows_series(self.spec, self.order, _series_rows(
             self.target, aser.coeffs, self.order + 1))
 
+    @memo
     def takeuchi_sides(self, a):
         """(t_F(a) (x) 1, 1 (x) s_F(a)) as 2-leg tensor series (cached),
         the right factors of the two sides of the Takeuchi condition."""
-        hit = self._takeuchi.get(a)
-        if hit is None:
-            one = EnvElement.one(self.spec.nvars, self.spec.rank)
-            hit = self._takeuchi[a] = (
-                self.target(a).map(lambda u: TensorElement.of(u, one)),
+        one = EnvElement.one(self.spec.nvars, self.spec.rank)
+        return (self.target(a).map(lambda u: TensorElement.of(u, one)),
                 self.source(a).map(lambda u: TensorElement.of(one, u)))
-        return hit
 
     # -- coproduct lift ------------------------------------------------------------
 
+    @memo
     def lift_mono(self, key):
         """G . Delta(x^gamma e^alpha) . F as a tensor series (cached).
 
@@ -443,22 +429,17 @@ class DeformedEnvAlgebroid:
         h^(N+1) on both ``twistor_invert`` paths, so the lift is the
         truncated Cauchy product of the two factors' lifts, exactly.
         """
-        hit = self._lift.get(key)
-        if hit is None:
-            spec = self.spec
-            gamma, alpha = key
-            j = _last_nonzero(alpha)
-            if j is None or (sum(alpha) == 1 and not any(gamma)):
-                zero = TensorElement.zero(spec.nvars, spec.rank, 2)
-                hit = self.conjugate(hs_const(copro_basis(spec, leg_id(key)),
-                                              self.order, zero))
-            else:
-                gen = ((0,) * spec.nvars, _bump((0,) * spec.rank, j))
-                hit = tensor_series_mul(
-                    spec, self.lift_mono((gamma, _bump(alpha, j, -1))),
-                    self.lift_mono(gen))
-            self._lift[key] = hit
-        return hit
+        spec = self.spec
+        gamma, alpha = key
+        j = _last_nonzero(alpha)
+        if j is None or (sum(alpha) == 1 and not any(gamma)):
+            zero = TensorElement.zero(spec.nvars, spec.rank, 2)
+            return self.conjugate(hs_const(copro_basis(spec, leg_id(key)),
+                                           self.order, zero))
+        gen = ((0,) * spec.nvars, _bump((0,) * spec.rank, j))
+        return tensor_series_mul(
+            spec, self.lift_mono((gamma, _bump(alpha, j, -1))),
+            self.lift_mono(gen))
 
     def conjugate(self, S):
         """G . S . F for a 2-leg tensor series S (``lift_mono`` passes only
@@ -488,6 +469,7 @@ class DeformedEnvAlgebroid:
 
     # -- decompositions --------------------------------------------------------------
 
+    @memo
     def decompose_mono(self, key, flavor):
         """x^gamma e^alpha = sum_beta map(a_beta) e^beta, triangular in h
         (cached).
@@ -506,54 +488,39 @@ class DeformedEnvAlgebroid:
         monomial.  As in ``basis_decompose``, no a_delta is zero and the keys
         come by first nonzero order, then by delta.
         """
-        ckey = (flavor, key)
-        hit = self._decomp.get(ckey)
-        if hit is None:
-            gamma, alpha = key
-            if any(alpha):
-                hit = self._decompose_product(gamma, alpha, flavor)
-            else:
-                u = defelem_from_env(
-                    self.spec,
-                    EnvElement.from_poly(self.spec.rank,
-                                         CPoly.monomial(self.spec.nvars, gamma)),
-                    self.order)
-                hit = basis_decompose(self, u, flavor)
-            self._decomp[ckey] = hit
-        return hit
+        gamma, alpha = key
+        if any(alpha):
+            return self._decompose_product(gamma, alpha, flavor)
+        spec = self.spec
+        u = defelem_from_env(spec, EnvElement.from_poly(
+            spec.rank, CPoly.monomial(spec.nvars, gamma)), self.order)
+        return basis_decompose(self, u, flavor)
 
+    @memo
     def base_legs(self, gamma, flavor):
         """The leg ids of the e^beta of the decomposition of x^gamma alone,
-        in its order (cached, keyed like ``decompose_mono``): the factors
-        that ``_decompose_product`` multiplies by e^alpha."""
-        ckey = (flavor, (gamma, (0,) * self.spec.rank))
-        hit = self._base_legs.get(ckey)
-        if hit is None:
-            zeros = (0,) * self.spec.nvars
-            hit = self._base_legs[ckey] = tuple(
-                leg_id((zeros, beta))
-                for beta in self.decompose_mono(ckey[1], flavor))
-        return hit
+        in its order (cached): the factors that ``_decompose_product``
+        multiplies by e^alpha."""
+        zeros = (0,) * self.spec.nvars
+        return tuple(leg_id((zeros, beta)) for beta in self.decompose_mono(
+            (gamma, (0,) * self.spec.rank), flavor))
 
+    @memo
     def pairing_support(self, key, flavor):
         """The indices delta of the leg-table terms q e^delta of every
         e^beta e^alpha, e^beta over the decomposition of x^gamma alone, for
         key = (gamma, alpha), as a tuple without repeats; None when some
-        term is impure, x^g e^delta with g != 0 (cached, keyed like
-        ``decompose_mono``).  Without an impure term, the keys of the
-        decomposition of x^gamma e^alpha are among these indices."""
-        ckey = (flavor, key)
-        hit = self._supports.get(ckey, False)
-        if hit is False:
-            spec = self.spec
-            gamma, alpha = key
-            a = leg_id(((0,) * spec.nvars, alpha))
-            legs = [LEGS[i] for b in self.base_legs(gamma, flavor)
-                    for i, _ in leg_product(spec, b, a)]
-            impure = any(any(g) for g, _ in legs)
-            hit = self._supports[ckey] = None if impure else tuple(
-                dict.fromkeys(delta for _, delta in legs))
-        return hit
+        term is impure, x^g e^delta with g != 0 (cached).  Without an
+        impure term, the keys of the decomposition of x^gamma e^alpha are
+        among these indices."""
+        spec = self.spec
+        gamma, alpha = key
+        a = leg_id(((0,) * spec.nvars, alpha))
+        legs = [LEGS[i] for b in self.base_legs(gamma, flavor)
+                for i, _ in leg_product(spec, b, a)]
+        impure = any(any(g) for g, _ in legs)
+        return None if impure else tuple(
+            dict.fromkeys(delta for _, delta in legs))
 
     def _decompose_product(self, gamma, alpha, flavor):
         """The decomposition of x^gamma e^alpha from that of x^gamma, as
@@ -596,6 +563,7 @@ class DeformedEnvAlgebroid:
                         CPoly(nvars, acc[delta])
         return {delta: HSeries(n, cs, zero_p) for delta, cs in coeffs.items()}
 
+    @memo
     def migrants(self, g):
         """(d, [(id of e^beta, the nonzero basis terms of s_F(c_beta))])
         for the leg id g of a pure base monomial x^gamma = (gamma, 0) and
@@ -611,21 +579,17 @@ class DeformedEnvAlgebroid:
         (``leg_product``).  c_beta = O(h) for beta != 0, because t_F is
         plain multiplication at order zero.
         """
-        hit = self._migrants.get(g)
-        if hit is None:
-            zeros = (0,) * self.spec.nvars
-            moved = [(leg_id((zeros, beta)),
-                      [_basis_terms(u) for u in self.source_series(cser).coeffs])
-                     for beta, cser
-                     in self.decompose_mono(LEGS[g], "target").items()]
-            d = lcm(*[q.denominator for _, orders in moved
-                      for terms in orders for _, q in terms])
-            hit = self._migrants[g] = (d, [
-                (pure, tuple((j, leg_id(key), q.numerator * (d // q.denominator))
-                             for j, terms in enumerate(orders)
-                             for key, q in terms))
-                for pure, orders in moved])
-        return hit
+        zeros = (0,) * self.spec.nvars
+        moved = [(leg_id((zeros, beta)),
+                  [_basis_terms(u) for u in self.source_series(cser).coeffs])
+                 for beta, cser in self.decompose_mono(LEGS[g], "target").items()]
+        d = lcm(*[q.denominator for _, orders in moved
+                  for terms in orders for _, q in terms])
+        return d, [
+            (pure, tuple((j, leg_id(key), q.numerator * (d // q.denominator))
+                         for j, terms in enumerate(orders)
+                         for key, q in terms))
+            for pure, orders in moved]
 
 
 # -- public operations ---------------------------------------------------------------

@@ -27,6 +27,7 @@ and ``anchor_action`` sums it over the basis terms of an element.
 """
 
 from collections import defaultdict
+from functools import wraps
 from operator import add
 
 from .errors import ConfigError
@@ -37,6 +38,28 @@ __all__ = [
     "EnvElement", "pbw_mul", "leg_id", "leg_product", "monomial_action",
     "env_counit", "anchor_action",
 ]
+
+
+# -- per-object memos -------------------------------------------------------------
+
+_MISS = object()
+
+
+def memo(f):
+    """Keep ``f(owner, *args)`` in ``owner._memos[f.__name__][args]``: a
+    table built once per object is an entry of its owner's ``_memos``, a
+    ``defaultdict(dict)``.  A sentinel tells a miss, as a stored value may
+    be None."""
+    name = f.__name__
+
+    @wraps(f)
+    def memoised(owner, *args):
+        table = owner._memos[name]
+        hit = table.get(args, _MISS)
+        if hit is _MISS:
+            hit = table[args] = f(owner, *args)
+        return hit
+    return memoised
 
 
 class EnvElement:
@@ -283,8 +306,9 @@ def _bump_term(d, key, c):
 # -- anchor action -----------------------------------------------------------
 #
 # e^alpha acts on the base by composing anchors, the last generator first.
-# The structure's second table holds e^alpha acting on the monomial x^gamma,
-# built by peeling the first generator e_i off e^alpha:
+# The structure's second table, a memo entry keyed by (alpha, gamma), holds
+# e^alpha acting on the monomial x^gamma, built by peeling the first
+# generator e_i off e^alpha:
 #
 #   e^alpha . x^gamma = anchor(e_i)(e^(alpha - e_i) . x^gamma).
 #
@@ -293,22 +317,14 @@ def _bump_term(d, key, c):
 # the sum of its basis terms' actions (``anchor_action``).
 
 
+@memo
 def monomial_action(spec, alpha, gamma):
     """e^alpha acting on x^gamma through the anchor (the structure's table)."""
-    table = spec._act_table
-    key = (alpha, gamma)
-    hit = table.get(key)
-    if hit is not None:
-        return hit
     i = _first_nonzero(alpha)
     if i is None:
-        res = CPoly.monomial(spec.nvars, gamma)
-    else:
-        res = monomial_action(spec, _bump(alpha, i, -1), gamma)
-        if not res.is_zero():
-            res = spec.anchor_apply(i, res)
-    table[key] = res
-    return res
+        return CPoly.monomial(spec.nvars, gamma)
+    res = monomial_action(spec, _bump(alpha, i, -1), gamma)
+    return spec.anchor_apply(i, res) if not res.is_zero() else res
 
 
 def _act_into(out, spec, key, a, c):

@@ -70,10 +70,12 @@ such rows too (``_apply_series_map``).
 
 import itertools
 from bisect import bisect_right
+from collections import defaultdict
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import (
     LEGS, EnvElement, _act_into, _mul_mono_into, _row_element, _series_rows,
+    memo,
 )
 from .errors import ConfigError, FlavorError
 from .report import Report
@@ -94,12 +96,12 @@ LEFT, RIGHT = "left", "right"
 class JetContext:
     """A deformed algebroid together with a dual flavor and jet degree.
 
-    Two memos hold what depends on the context alone, never on a
-    functional: ``_monomials`` maps a PBW index beta to an entry of the
+    ``_memos`` (``envelope.memo``) holds what depends on the context
+    alone, never on a functional: per PBW index beta, an entry of the
     shape ``_image`` keeps, (the constant series e^beta, the rows of each
     product m . e^beta met and their support), read by
-    ``jet_coproduct_functional`` (``_monomial``), and ``_transposes`` maps
-    a degree to the lifts of the PBW indices up to it and their transpose
+    ``jet_coproduct_functional`` (``_monomial``), and per degree, the
+    lifts of the PBW indices up to it and their transpose
     (``_transpose``).  Each context fills its own, so a left and a right
     context on one deformation, or contexts on two deformations of one
     structure, never read each other's entries.
@@ -114,8 +116,7 @@ class JetContext:
         self.flavor = flavor
         self.jet_degree = jet_degree
         self._zero = HLaurent.zero_upto(dfa.order, CPoly.zero(dfa.spec.nvars))
-        self._monomials = {}
-        self._transposes = {}
+        self._memos = defaultdict(dict)
 
     @property
     def spec(self):
@@ -413,9 +414,10 @@ def _tabulate(ctx, fn, degree=None):
     return table
 
 
+@memo
 def _transpose(ctx, degree):
     """(indices, lifts, pairs) for the context and ``degree``, built once
-    per context and degree (``JetContext._transposes``).  ``indices`` is
+    per context and degree (a memo entry of the context).  ``indices`` is
     ``pbw_indices(rank, degree)`` and ``lifts[p]`` the orders of the lift
     of indices[p] (``lift_mono``).  ``pairs`` maps the leg id of each
     paired leg w (u_(2) for the left dual, u_(1) for the right) to {the
@@ -427,29 +429,25 @@ def _transpose(ctx, degree):
     of a pair's terms are read back from lifts[p] (``_scatter``), which
     the deformation caches anyway: a tuple per term held about a fifth
     more memory there."""
-    hit = ctx._transposes.get(degree)
-    if hit is None:
-        spec = ctx.spec
-        zeros = (0,) * spec.nvars
-        leg = 1 if ctx.flavor == LEFT else 0
-        indices = pbw_indices(spec.rank, degree)
-        lifts = [ctx.dfa.lift_mono((zeros, beta)).coeffs for beta in indices]
-        found = {}
-        for p, lift in enumerate(lifts):
-            for Tk in lift:
-                for pair in Tk.num:
-                    row = found.get(pair[leg])
-                    if row is None:
-                        row = found[pair[leg]] = {}
-                    at = row.get(pair)
-                    if at is None:
-                        row[pair] = [p]
-                    elif at[-1] != p:
-                        at.append(p)
-        hit = ctx._transposes[degree] = (indices, lifts, {
-            w: {pair: tuple(at) for pair, at in row.items()}
-            for w, row in found.items()})
-    return hit
+    spec = ctx.spec
+    zeros = (0,) * spec.nvars
+    leg = 1 if ctx.flavor == LEFT else 0
+    indices = pbw_indices(spec.rank, degree)
+    lifts = [ctx.dfa.lift_mono((zeros, beta)).coeffs for beta in indices]
+    found = {}
+    for p, lift in enumerate(lifts):
+        for Tk in lift:
+            for pair in Tk.num:
+                row = found.get(pair[leg])
+                if row is None:
+                    row = found[pair[leg]] = {}
+                at = row.get(pair)
+                if at is None:
+                    row[pair] = [p]
+                elif at[-1] != p:
+                    at.append(p)
+    return indices, lifts, {w: {pair: tuple(at) for pair, at in row.items()}
+                            for w, row in found.items()}
 
 
 def _scatter(acc, P, lift, pair):
@@ -489,17 +487,15 @@ def _image(ctx, lam, w, lift):
     return entry
 
 
+@memo
 def _monomial(ctx, beta):
     """The context's entry (W, rows) for the PBW index beta, of the shape
     ``_image`` keeps: W the constant series e^beta up to the truncation
     order, rows filled by ``_pair_image``."""
-    entry = ctx._monomials.get(beta)
-    if entry is None:
-        spec = ctx.spec
-        entry = ctx._monomials[beta] = (HLaurent.const(
-            EnvElement.monomial(spec.nvars, spec.rank, beta), ctx.order,
-            EnvElement.zero(spec.nvars, spec.rank)), {})
-    return entry
+    spec = ctx.spec
+    return (HLaurent.const(EnvElement.monomial(spec.nvars, spec.rank, beta),
+                           ctx.order, EnvElement.zero(spec.nvars, spec.rank)),
+            {})
 
 
 def _pair_image(ctx, mu, image, m, right):
@@ -548,14 +544,15 @@ def jet_product_eval(ctx, lam, mu, arg):
     leg and its product rows with each other leg depend on lam alone and
     live in lam's memo (``_image``), so every partner mu reads the same
     rows.  Every piece is added, zeros included, as each narrows the
-    window of the value.
+    window of the value.  lam and mu must be of the context's flavor,
+    which picks the paired leg.
     """
-    if lam.flavor != mu.flavor:
+    if not lam.flavor == mu.flavor == ctx.flavor:
         raise FlavorError("mixed dual flavors")
     spec = ctx.spec
     if isinstance(arg, tuple) and (not arg or not isinstance(arg[0], tuple)):
         arg = ((0,) * spec.nvars, tuple(arg))
-    leg = 1 if lam.flavor == LEFT else 0
+    leg = 1 if ctx.flavor == LEFT else 0
     acc = LaurentSum(ctx.zero_poly())
     for k, Tk in enumerate(ctx.dfa.lift_mono(arg).coeffs):
         for pair, c in Tk.num.items():
@@ -583,11 +580,12 @@ def jet_product(ctx, lam, mu, degree=None):
     window, and the value and window of a ``LaurentSum`` do not depend on
     the order of its pieces, so the zero factors are added afterwards,
     into the sums that exist.  An index no nonzero factor reaches is zero
-    and left out, as is any index whose pieces cancel.
+    and left out, as is any index whose pieces cancel.  lam and mu must be
+    of the context's flavor, which picks the paired leg of the transpose.
     """
-    if lam.flavor != mu.flavor:
+    if not lam.flavor == mu.flavor == ctx.flavor:
         raise FlavorError("mixed dual flavors")
-    other = 0 if lam.flavor == LEFT else 1
+    other = 0 if ctx.flavor == LEFT else 1
     indices, lifts, pairs = _transpose(
         ctx, ctx.jet_degree if degree is None else degree)
     sums, zeros = {}, []

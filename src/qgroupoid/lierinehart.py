@@ -26,8 +26,9 @@ class LieRinehartSpec:
     """Structure constants and anchor for (A, L) with L free of rank m.
 
     ``bracket`` is a read-only mapping and ``anchor`` a tuple of tuples:
-    the product and anchor-action tables below are memoised on the structure,
-    so it must not change after construction.
+    the product table ``_leg_table`` (``envelope.leg_product``) and the
+    ``envelope.memo`` tables of ``_memos`` (the anchor action, Delta(e^alpha))
+    are filled on the structure, so it must not change after construction.
     """
 
     def __init__(self, nvars, rank, bracket=None, anchor=None, name=""):
@@ -54,8 +55,7 @@ class LieRinehartSpec:
             raise ConfigError("anchor matrix must be rank x nvars")
         # leg id -> {leg id: their product as (id, q)}
         self._leg_table = defaultdict(dict)
-        self._act_table = {}    # (alpha, gamma) -> e^alpha acting on x^gamma
-        self._copro_table = {}  # alpha -> Delta(e^alpha), a lifted 2-tensor
+        self._memos = defaultdict(dict)
 
     # -- basic structure maps ------------------------------------------------
 
@@ -204,7 +204,11 @@ class MultiVector:
 
 
 def lr_validate(spec, sample_degree=2):
-    """Check Jacobi, the anchor morphism property and Leibniz compatibility."""
+    """Check Jacobi, the anchor morphism property and Leibniz compatibility.
+
+    ``leibniz-compatibility`` holds for every bracket and anchor: it guards
+    ``bracket_elems``, which applies the Leibniz rule itself, against that
+    expansion written out by hand, not the input."""
     report = Report("lie-rinehart-validate")
     samples = monomials_upto(spec.nvars, sample_degree)
     m = spec.rank

@@ -15,7 +15,8 @@ one twistor term.
                   order n = <weight> | <left monomial> | <right monomial>
                   (term lines need form = exp, order lines form = orders)
     [truncation]  h_order / pbw_degree / jet_degree / n_max
-                  (n_max <= 8; pbw_degree is bounded but unused)
+                  (h_order, pbw_degree, jet_degree <= 10; n_max <= 8;
+                  pbw_degree is bounded but unused)
     [samples]     max_degree = 2 (<= 10), extra = <poly>; <poly>
                   (extra lines add up)
     [rng]         seed = 7
@@ -297,15 +298,17 @@ def _validate(spec):
 def check_truncation(h_order, jet_degree, n_max, pbw_degree=1,
                      sample_degree=1):
     """Bounds on the truncation parameters, for spec files and overrides:
-    every degree at least 1; h_order, jet_degree and the sample degree
-    ([samples] max_degree, whose monomials ``validate`` enumerates) at most
-    ``MAX_TRUNCATION``; and n_max, the most legs of the iterated coproducts
-    the membership tests build, at most ``MAX_LEGS``."""
+    every degree at least 1; h_order, jet_degree, pbw_degree and the sample
+    degree ([samples] max_degree, whose monomials ``validate`` enumerates)
+    at most ``MAX_TRUNCATION``; and n_max, the most legs of the iterated
+    coproducts the membership tests build, at most ``MAX_LEGS``."""
     if min(h_order, jet_degree, n_max, pbw_degree, sample_degree) < 1:
         raise SemanticError("all truncation degrees must be >= 1")
     if max(h_order, jet_degree) > MAX_TRUNCATION:
         raise SemanticError("h_order and jet_degree must be <= %d"
                             % MAX_TRUNCATION)
+    if pbw_degree > MAX_TRUNCATION:
+        raise SemanticError("pbw_degree must be <= %d" % MAX_TRUNCATION)
     if sample_degree > MAX_TRUNCATION:
         raise SemanticError("[samples] max_degree must be <= %d"
                             % MAX_TRUNCATION)

@@ -63,8 +63,11 @@ h-order into one dict of integer numerators over one denominator, the lcm
 of the den_i den_j of its products, where a chain of ``+`` would realign
 the denominators and copy the dict once per product.
 
-Every coproduct reads the memoised Delta(x^gamma e^alpha) of a leg id
-(``copro_basis``): ``tensor_coproduct_leg`` splices it into one leg, and
+Every coproduct reads Delta(x^gamma e^alpha) of a leg id
+(``copro_basis``), Delta(e^alpha) with gamma loaded on its left legs;
+Delta(e^alpha) is built once per structure and kept in the structure's
+memos (``_copro_mono``, an ``envelope.memo`` entry keyed by alpha).
+``tensor_coproduct_leg`` splices it into one leg, and
 the coproduct of an element is that splice on the element as a 1-leg
 tensor.  ``counit_contract`` is the one counit contraction of a classical
 2-tensor, multiplying the other leg on the left.
@@ -75,7 +78,8 @@ from operator import add
 from types import MappingProxyType
 
 from .envelope import (
-    GAMMA, LEGS, PURE, EnvElement, _bump_term, leg_id, leg_product, shift_id,
+    GAMMA, LEGS, PURE, EnvElement, _bump_term, leg_id, leg_product, memo,
+    shift_id,
 )
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
@@ -426,12 +430,9 @@ def _tensor_cleared(nvars, rank, legs, out, den):
 # -- coproduct ------------------------------------------------------------------
 
 
+@memo
 def _copro_mono(spec, alpha):
     """Delta(e^alpha) as a lifted 2-tensor, memoised on the structure."""
-    cache = spec._copro_table
-    hit = cache.get(alpha)
-    if hit is not None:
-        return hit
     T = TensorElement.unit(spec.nvars, spec.rank, 2)
     for i in range(spec.rank):
         if not alpha[i]:
@@ -441,7 +442,6 @@ def _copro_mono(spec, alpha):
         prim = TensorElement.of(gen, one) + TensorElement.of(one, gen)
         for _ in range(alpha[i]):
             T = tensor_mul(spec, T, prim)
-    cache[alpha] = T
     return T
 
 

@@ -1555,7 +1555,7 @@ def gathered_jet_product(ctx, lam, mu, degree=None):
     lam, the factors of (lam, mu) and the value at each index depend on
     neither the degree nor the call, so they are memoised per context in
     the oracles' memo."""
-    if lam.flavor != mu.flavor:
+    if not lam.flavor == mu.flavor == ctx.flavor:
         raise FlavorError("mixed dual flavors")
     spec = ctx.spec
     zeros = (0,) * spec.nvars

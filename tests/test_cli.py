@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from qgroupoid import deform, envelope, jets, tensorspace
+from qgroupoid import cli, deform, envelope, jets, tensorspace
 from qgroupoid.cli import main
 from qgroupoid.scalars import pbw_indices
 
@@ -132,6 +132,36 @@ def test_one_triangular_solve_per_base_monomial(argv, solves, monkeypatch):
     code, _, _ = run_cli(argv)
     assert code == 0
     assert len(solved) == len(bases) == solves
+
+
+def test_every_cache_is_a_memo_entry(monkeypatch):
+    """After ``example axb`` at 2/2 the deformation, both contexts, the
+    twistor and the structure keep every table in one dict each,
+    ``_memos``, beside the structure's product table ``_leg_table``.  Each
+    table of ``_memos`` is named after a function that ``envelope.memo``
+    wraps and is keyed by argument tuples."""
+    real, bundles = cli.build_axb, []
+
+    def build_axb(h_order, jet_degree):
+        bundles.append(real(h_order, jet_degree))
+        return bundles[-1]
+
+    monkeypatch.setattr(cli, "build_axb", build_axb)
+    code, _, _ = run_cli(["example", "axb", "--h-order", "2",
+                          "--jet-degree", "2", "--json-only"])
+    assert code == 0
+    b, = bundles
+    for owner in (b.dfa, b.left, b.right, b.dfa.twistor, b.spec):
+        dicts = {name for name, v in vars(owner).items()
+                 if isinstance(v, dict)}
+        assert dicts == ({"_memos", "_leg_table"} if owner is b.spec
+                         else {"_memos"})
+        assert owner._memos
+        for name, table in owner._memos.items():
+            assert any(hasattr(getattr(where, name, None), "__wrapped__")
+                       for where in (type(owner), envelope, tensorspace,
+                                     deform, jets)), name
+            assert table and all(type(k) is tuple for k in table), name
 
 
 def test_first_pairings_are_mapped_once_per_index(monkeypatch):

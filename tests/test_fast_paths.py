@@ -204,7 +204,7 @@ def test_action_table_matches_anchor_chain(make):
     assert check(exp_dfa(spec, 2), "monomial_action")
     alpha, gamma = EARLY_ZEROS[make]
     assert monomial_action(spec, alpha, gamma).is_zero()
-    assert (alpha, gamma) in spec._act_table
+    assert (alpha, gamma) in spec._memos["monomial_action"]
 
 
 @pytest.mark.parametrize("make", STRUCTURES)
@@ -324,7 +324,7 @@ def test_lift_products_match_conjugated_lifts(make):
     dfa = make()
     keys = oracles._lift_keys(dfa, ())
     assert check(dfa, "lift_mono", inputs=keys)
-    assert set(dfa._lift) == {key for key, in keys}
+    assert set(dfa._memos["lift_mono"]) == set(keys)
 
 
 @pytest.mark.parametrize("make", TABLE_CASES)
@@ -358,8 +358,10 @@ def test_monomial_images_match_term_sweeps(make):
     assert check(dfa, "source_target", inputs=[
         (leg, p) for p in polys for leg in (0, 1)])
     monos = {m for p in polys for m in p.terms}
-    assert set(tw.images) == {spec}
-    assert set(tw.images[spec][0]) == set(tw.images[spec][1]) == monos
+    images = tw._memos["_monomial_image"]
+    assert {s for s, _, _ in images} == {spec}
+    assert {m for _, m, leg in images if leg == 0} \
+        == {m for _, m, leg in images if leg == 1} == monos
 
 
 @pytest.mark.parametrize("make", TABLE_CASES)
@@ -369,7 +371,7 @@ def test_star_pair_table_matches_direct_star(make):
     dfa = make()
     pairs = oracles.star_table_pairs(dfa)
     assert check(dfa, "star_coeffs", inputs=pairs)
-    assert set(dfa._star_mono) == {
+    assert set(dfa._memos["_star_pair"]) == {
         (m, m2) for p, q in pairs for m in p.terms for m2 in q.terms}
 
 
@@ -388,8 +390,9 @@ def test_source_target_match_sweeps(make, which, monkeypatch):
     cancel = oracles.base_cancel(dfa, leg)
     if cancel is not None:
         assert cancel[1] not in flat_terms(getattr(dfa, which)(cancel[0]))
-    table = dfa.twistor.images[spec][leg]
-    assert set(table) >= {m for p in polys for m in p.terms}
+    table = dfa.twistor._memos["_monomial_image"]
+    assert {m for s, m, l in table if (s, l) == (spec, leg)} \
+        >= {m for p in polys for m in p.terms}
     want = [sweep_base_map(spec, dfa.twistor, p, leg) for p in polys]
     filled = dict(table)
     monkeypatch.setattr(deform, "_sweep_image", None)
@@ -407,11 +410,11 @@ def test_star_coeffs_match_sweeps(make, monkeypatch):
     x1, x2 = CPoly.var(2, 0), CPoly.var(2, 1)
     assert (0, (1, 1)) not in flat_terms(dfa.star_coeffs(x1 + x1 * x2, x2 - 1))
     want = [dfa.star_coeffs(p, q) for p, q in pairs]
-    filled = dict(dfa._star_mono)
+    filled = dict(dfa._memos["_star_pair"])
     monkeypatch.setattr(deform, "_sweep_image", None)
     monkeypatch.setattr(deform, "anchor_action", None)
     assert [dfa.star_coeffs(p, q) for p, q in pairs] == want
-    assert dfa._star_mono == filled
+    assert dfa._memos["_star_pair"] == filled
 
 
 def test_twistor_images_are_kept_per_structure():
@@ -448,8 +451,9 @@ def test_twistor_images_are_kept_per_structure():
         seen[make] = images(make)
         gc.collect()
     assert seen[axb_structure][0] != seen[doubled][0]
-    assert len(tw.images) == 4
-    assert all(isinstance(spec, LieRinehartSpec) for spec in tw.images)
+    structures = {s for s, _, _ in tw._memos["_monomial_image"]}
+    assert len(structures) == 4
+    assert all(isinstance(spec, LieRinehartSpec) for spec in structures)
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
@@ -493,10 +497,10 @@ def test_integer_layer_matches_fraction_loops(make):
     assert check(dfa, "tensor_arithmetic", "env_coproduct", "TensorElement.of")
     assert check(dfa, "tensor_reduce", inputs=[(T,) for T in two + three])
     assert check(dfa, "tensor_coproduct_leg", inputs=legs)
-    for i, alpha in enumerate(list(spec._copro_table)):
-        spec._copro_table[alpha] = spec._copro_table[alpha].scale(i + 2) \
-            .scale(Fraction(1, i + 2))
-    assert len({T.den for T in spec._copro_table.values()}) > 2
+    copro = spec._memos["_copro_mono"]
+    for i, alpha in enumerate(list(copro)):
+        copro[alpha] = copro[alpha].scale(i + 2).scale(Fraction(1, i + 2))
+    assert len({T.den for T in copro.values()}) > 2
     assert check(dfa, "tensor_coproduct_leg", inputs=legs)
     assert_integral(two[0].flip())
     assert_integral(two[0].embed(4, 2))
@@ -631,7 +635,7 @@ def test_reduce_series_matches_uncached(make):
     before = len(leg_table_entries(dfa.spec))
     assert check(dfa, "reduce_series")
     filled = len(leg_table_entries(dfa.spec))
-    assert filled > before and dfa._migrants
+    assert filled > before and dfa._memos["migrants"]
     for HT in inputs:
         reduce_series(dfa, HT)
     assert len(leg_table_entries(dfa.spec)) == filled
@@ -667,8 +671,10 @@ def test_migrants_are_keyed_by_base_monomial():
         reduce_series(dfa, HT)
     # one t_F-decomposition and one set of s_F images per x^gamma
     zeros = (0,) * spec.rank
-    assert set(dfa._decomp) == {("target", (g, zeros)) for g in gammas}
-    assert {LEGS[g] for g in dfa._migrants} == {(g, zeros) for g in gammas}
+    assert set(dfa._memos["decompose_mono"]) \
+        == {((g, zeros), "target") for g in gammas}
+    assert {LEGS[g] for g, in dfa._memos["migrants"]} \
+        == {(g, zeros) for g in gammas}
 
 
 @pytest.mark.parametrize("make", REDUCTION_CASES)
@@ -1034,7 +1040,8 @@ def test_jet_product_matches_the_gather(make, flavor):
     assert any(tables)
     assert any((v.val, v.top) != (0, ctx.order)
                for t in tables for v in t.values())
-    assert set(ctx._transposes) == set(jet_product_degrees(ctx))
+    assert {d for d, in ctx._memos["_transpose"]} \
+        == set(jet_product_degrees(ctx))
 
 
 def impure_rows(rows):
@@ -1073,11 +1080,11 @@ def test_context_and_functional_tables_match_loops(make, flavor):
     for lam in funcs + dual_functionals(ctx):
         for b1, b2 in jet_coproduct_functional(ctx, lam, 2):
             paired, moved = (b2, b1) if flavor == LEFT else (b1, b2)
-            r, _ = ctx._monomials[paired][1][zeros, moved]
+            r, _ = ctx._memos["_monomial"][(paired,)][1][zeros, moved]
             pure = {alpha for _, row in r for alpha, terms in row.items()
                     if zeros in terms}
             fallbacks += impure_rows(r) and not pure & lam.table.keys()
-    impure = sum(impure_rows(r) for _, per in ctx._monomials.values()
+    impure = sum(impure_rows(r) for _, per in ctx._memos["_monomial"].values()
                  for r, _ in per.values())
     if polynomial_brackets(spec):
         assert impure and fallbacks >= 3
@@ -1112,7 +1119,7 @@ def test_impure_entries_and_rows_skip_by_pairing_support():
                 # lam read every row of the context's basis monomials
                 skips["entries", name] += sum(
                     impure_rows(r) and jets._misses(lam, support)
-                    for _, per in ctx._monomials.values()
+                    for _, per in ctx._memos["_monomial"].values()
                     for r, support in per.values())
             for lam in funcs[1:]:
                 for mu in funcs:
@@ -1173,7 +1180,7 @@ def test_tables_never_cross_contexts_or_deformations():
             check(d, "_pair_mono", inputs=[(ctx, other, key) for key in keys])
     # every context filled its own tables
     for a, b in itertools.combinations(contexts_, 2):
-        assert a._monomials is not b._monomials and a._monomials
+        assert a._memos is not b._memos and a._memos["_monomial"]
     for f in (LEFT, RIGHT):
         assert {k[:2] for k in shared[f]._images} \
             == {(d, lift) for d in (triv, dfa) for lift in (True, False)}

@@ -290,7 +290,7 @@ def test_flavor_mismatch():
             jet_product(ctx, a, b)
         with pytest.raises(FlavorError):
             jet_product_eval(ctx, a, b, (1, 1))
-    assert not ctx._transposes and not lam._images and not mu._images
+    assert not ctx._memos and not lam._images and not mu._images
     # a tensor functional of a pair raises when its functionals differ in
     # flavor from each other or from the context, and the coproduct
     # functional when its functional differs from the context, before any
@@ -307,7 +307,25 @@ def test_flavor_mismatch():
             jet_coproduct_functional(c, a)
     for f in (left, right):
         assert not f._images and not f._pair_cache
-    assert not ctx._monomials and not ctx2._monomials
+    assert not ctx._memos and not ctx2._memos
+
+
+def test_products_of_the_other_flavor_raise():
+    """The paired leg of a dual product is the context's (u_(2) on the
+    left, u_(1) on the right), so functionals of the other flavor are
+    refused, as the coproduct functional refuses them.  Read through the
+    left context, the product of the right duals xi_1 xi_2 on axb paired
+    the wrong leg: the table came out empty and the evaluation at e1 e2
+    gave 1, where the right context tabulates (1, 0) and (1, 1)."""
+    from qgroupoid.axb import build_axb
+    b = build_axb(3, 3)
+    xi0, xi1 = xi_functional(b.right, 0), xi_functional(b.right, 1)
+    assert set(jet_product(b.right, xi0, xi1).table) == {(1, 0), (1, 1)}
+    with pytest.raises(FlavorError):
+        jet_product(b.left, xi0, xi1)
+    with pytest.raises(FlavorError):
+        jet_product_eval(b.left, xi0, xi1, (1, 1))
+    assert not b.left._memos
 
 
 def test_axiom_suite_undeformed():

@@ -147,6 +147,9 @@ HOSTILE_SPECS = {
     "truncation-above-budget":
         ("validate", BASE + "[truncation]\nh_order = 11\n",
          "h_order and jet_degree must be <= 10"),
+    "pbw-degree-above-budget":
+        ("validate", BASE + "[truncation]\npbw_degree = 11\n",
+         "pbw_degree must be <= 10"),
     "n-max-above-legs":
         ("validate", BASE + "[truncation]\nn_max = 9\n",
          "n_max must be <= 8"),
@@ -400,9 +403,11 @@ UNREACHED = [
     ("jets", "jet_coproduct_functional", "guard",
      "every functional is of its context's flavor",
      ('raise FlavorError("mixed dual flavors")',)),
-    ("jets", "jet_product", "guard", "every product is of one flavor",
+    ("jets", "jet_product", "guard",
+     "every product is of its context's flavor",
      ('raise FlavorError("mixed dual flavors")',)),
-    ("jets", "jet_product_eval", "guard", "every product is of one flavor",
+    ("jets", "jet_product_eval", "guard",
+     "every product is of its context's flavor",
      ('raise FlavorError("mixed dual flavors")',)),
     ("jets", "tensor_functional_from_pair", "guard",
      "every pair is of its context's flavor",
@@ -483,6 +488,10 @@ UNREACHED = [
      "reaches it",
      ('raise ConfigError("tensor reductions have 2 or 3 legs")',)),
     # -- kept -----------------------------------------------------------------
+    ("envelope", "memo", "kept",
+     "runs once per memoised function, when its module is imported, before "
+     "any command is traced; its wrapper ``memo.memoised`` runs on every "
+     "call", None),
     ("deform", "DeformedEnvAlgebroid.__init__", "kept",
      "validate=True: every caller passes False, but perfbench/values.py "
      "passes the keyword, so the parameter goes with a change to the "

@@ -5,7 +5,10 @@ import pytest
 from qgroupoid.axb import axb_exponent, axb_spec
 from qgroupoid.errors import ParseError, SemanticError
 from qgroupoid.scalars import CPoly, parse_poly
-from qgroupoid.specfile import load_spec, load_spec_file, parse_env_monomial
+from qgroupoid.specfile import (
+    MAX_TRUNCATION, check_truncation, load_spec, load_spec_file,
+    parse_env_monomial,
+)
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 
@@ -76,6 +79,17 @@ def test_semantic_errors():
                   "[bracket]\nc 1 2 3 = x1\n")
     with pytest.raises(SemanticError):
         load_spec("[base]\nvars = y1\n[generators]\nrank = 1\n")
+
+
+def test_pbw_degree_is_bounded_like_the_others():
+    """``pbw_degree`` up to ``MAX_TRUNCATION`` passes; one more is refused
+    with a message that names the key, as h_order and jet_degree are."""
+    check_truncation(4, 4, 2, MAX_TRUNCATION)
+    with pytest.raises(SemanticError, match=r"^pbw_degree must be <= %d$"
+                       % MAX_TRUNCATION):
+        check_truncation(4, 4, 2, MAX_TRUNCATION + 1)
+    with pytest.raises(SemanticError, match="must be >= 1"):
+        check_truncation(4, 4, 2, 0)
 
 
 def test_env_monomial_parser():

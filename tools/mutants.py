@@ -47,9 +47,20 @@ MUTANTS = [
      "c1 = c0\n                    key = (k0, k1)",
      [FAST + "test_loop_nests_match_general_loop"]),
     # tables built once per structure, context or functional
+    ("memo-not-stored", "envelope.py",
+     "hit = table[args] = f(owner, *args)", "hit = f(owner, *args)",
+     [FAST + "test_lift_products_match_conjugated_lifts",
+      "tests/test_cli.py::"
+      "test_cli_sweeps_each_monomial_image_once_per_twistor"]),
+    ("memo-key-ignores-arguments", "envelope.py",
+     "hit = table.get(args, _MISS)",
+     "hit = next(iter(table.values()), _MISS)",
+     ["tests/test_deform.py::"
+      "test_takeuchi_sides_are_built_once_per_base_element",
+      FAST + "test_star_pair_table_matches_direct_star"]),
     ("pairing-support-without-impure-fallback", "deform.py",
-     "hit = self._supports[ckey] = None if impure else tuple(",
-     "hit = self._supports[ckey] = None if False else tuple(",
+     "return None if impure else tuple(",
+     "return None if False else tuple(",
      [FAST + "test_pair_mono_matches_the_decomposed_pairing"]),
     ("source-target-ignores-degree", "jets.py",
      "table = _tabulate(ctx, acted, degree)", "table = _tabulate(ctx, acted)",
@@ -66,16 +77,16 @@ MUTANTS = [
      "j = leg_id((tuple(map(add, gamma, mu)), alpha))",
      ["tests/test_cli.py::test_shifts_are_interned_once_per_process"]),
     ("entry-memo-not-stored", "jets.py",
-     "entry = ctx._monomials[beta] = (", "entry = (",
+     "@memo\ndef _monomial(ctx, beta):", "def _monomial(ctx, beta):",
      ["tests/test_cli.py::test_entry_rows_are_built_once_per_context"]),
     # dual products through their transpose
     ("zero-factor-is-the-shared-zero", "jets.py",
      "else HLaurent.zero_upto(top, ctx.zero_poly())",
      "else ctx.zero_value()",
      [FAST + "test_jet_product_matches_the_gather"]),
-    ("transpose-of-the-first-degree", "jets.py",
-     "hit = ctx._transposes.get(degree)",
-     "hit = next(iter(ctx._transposes.values()), None)",
+    ("transpose-of-the-jet-degree", "jets.py",
+     "ctx, ctx.jet_degree if degree is None else degree)",
+     "ctx, ctx.jet_degree)",
      [FAST + "test_jet_product_matches_the_gather"]),
     ("zero-factors-not-added", "jets.py",
      "    for P, pair, positions in zeros:",

@@ -39,15 +39,15 @@ nonzero factor reaches is zero.  One index is evaluated on its own by
 
 One reader evaluates a functional on the product of a basis monomial m
 with an element W (``_pair_image``), from an entry (W, rows) that keeps
-the product rows by each m met and their support.  Each functional
-memoises, keyed by the deformation object first, its pairings with basis
-monomials (``_pair_cache``) and its images (``_image``): W a first
-pairing mapped by s_F or t_F.  A dual product reads its first factor's
-images on the paired lift legs, a tensor functional its first factor's
-on the paired indices; no image depends on a partner, so every partner
-reads the same rows.  The dual coproduct, the transpose of the product,
-is the tensor functional's table with W the basis monomial e^beta
-itself, whose entries the context keeps (``_monomial``); one loop
+the product rows by each m met and their support.  Each functional keeps
+two ``envelope.memo`` tables, keyed by the context first: its pairings
+with basis monomials (``_pair_mono``) and its images (``_image``), W a
+first pairing mapped by s_F or t_F.  A dual product reads its first
+factor's images on the paired lift legs, a tensor functional its first
+factor's on the paired indices; no image depends on a partner, so every
+partner reads the same rows.  The dual coproduct, the transpose of the
+product, is the tensor functional's table with W the basis monomial
+e^beta itself, whose entries the context keeps (``_monomial``); one loop
 tabulates both (``_pair_table``).  The partner's pairing of each row is
 kept by no memo: a tabulation computes it once per (paired leg, other
 leg).
@@ -138,30 +138,30 @@ class JetContext:
 class JetElement:
     """Sparse value table {beta: HLaurent base value}; absent keys are zero.
 
-    Two memos.  ``_pair_cache`` maps ``(dfa, w)``, w a basis monomial, to
-    the pairing with w.  ``_images`` maps ``(dfa, lift, w)`` to the image
-    entry ``_image`` builds: a first pairing with w mapped by s_F or t_F,
-    None where it vanishes, and the product rows of that image by each
-    basis monomial met, with their support.  ``lift`` tells the two
-    transposes apart: w a paired leg of a coproduct lift (dual product) or
-    w = e^beta paired as the first factor of a tensor functional.  The
-    deformation object comes first in every key (the key keeps it alive,
-    so a later deformation never reuses an entry).  No entry refers to
-    another functional: the values are base series and envelope rows, and
-    a dual product keeps no pairing of its partner, so a functional never
-    keeps a partner alive.
+    ``_memos`` (``envelope.memo``) holds two tables.  ``_pair_mono`` maps
+    ``(ctx, w)``, w a basis monomial, to the pairing with w.  ``_image``
+    maps ``(ctx, w, lift)`` to the image entry: a first pairing with w
+    mapped by s_F or t_F, None where it vanishes, and the product rows of
+    that image by each basis monomial met, with their support.  ``lift``
+    tells the two transposes apart: w a paired leg of a coproduct lift
+    (dual product) or w = e^beta paired as the first factor of a tensor
+    functional.  The context comes first in every key (the key keeps it
+    alive, so a later context never reuses an entry), and a cached zero
+    is that context's own ``zero_value()``.  No entry refers to another
+    functional: the values are base series and envelope rows, and a dual
+    product keeps no pairing of its partner, so a functional never keeps
+    a partner alive.
 
     The table must not change after construction.
     """
 
-    __slots__ = ("flavor", "table", "_pair_cache", "_images")
+    __slots__ = ("flavor", "table", "_memos")
 
     def __init__(self, flavor, table=None):
         self.flavor = flavor
         self.table = {b: v for b, v in (table or {}).items()
                       if not v.is_zero()}
-        self._pair_cache = {}
-        self._images = {}
+        self._memos = defaultdict(dict)
 
     def value(self, ctx, beta):
         v = self.table.get(tuple(beta))
@@ -275,9 +275,10 @@ def _misses(lam, support):
     return support is not None and lam.table.keys().isdisjoint(support)
 
 
-def _pair_mono(ctx, lam, key):
+@memo
+def _pair_mono(lam, ctx, key):
     """lam on a basis monomial x^gamma e^alpha, via the flavor decomposition,
-    memoised on lam.  A pairing that is the empty window up to the
+    a memo entry of lam.  A pairing that is the empty window up to the
     truncation order is the shared ``ctx.zero_value()``, which
     ``_pair_rows`` skips.
 
@@ -287,32 +288,26 @@ def _pair_mono(ctx, lam, key):
     misses lam's table, lam vanishes on every key, the sum below would add
     nothing and its value would be the shared zero, so that is returned
     without building the decomposition."""
-    ckey = (ctx.dfa, key)
-    hit = lam._pair_cache.get(ckey)
-    if hit is not None:
-        return hit
     gamma, alpha = key
     if not any(gamma):
-        out = lam.value(ctx, alpha)
-    elif _misses(lam, _support(ctx, (key,), lam.flavor)):
-        out = ctx.zero_value()
-    else:
-        dec = ctx.dfa.decompose_mono(
-            key, "source" if lam.flavor == LEFT else "target")
-        acc = LaurentSum(ctx.zero_poly(), ctx.order)
-        for beta, aser in dec.items():
-            lv = lam.value(ctx, beta)
-            if lv.is_zero():
-                continue
-            al = HLaurent.from_hseries(aser)
-            if lam.flavor == LEFT:
-                acc.add_product(al, lv, ctx.dfa.star_coeffs, ctx.order)
-            else:
-                acc.add_product(lv, al, ctx.dfa.star_coeffs, ctx.order)
-        out = acc.value()
-        if not out.coeffs and out.top == ctx.order:
-            out = ctx.zero_value()
-    lam._pair_cache[ckey] = out
+        return lam.value(ctx, alpha)
+    if _misses(lam, _support(ctx, (key,), lam.flavor)):
+        return ctx.zero_value()
+    dec = ctx.dfa.decompose_mono(
+        key, "source" if lam.flavor == LEFT else "target")
+    acc = LaurentSum(ctx.zero_poly(), ctx.order)
+    for beta, aser in dec.items():
+        lv = lam.value(ctx, beta)
+        if lv.is_zero():
+            continue
+        al = HLaurent.from_hseries(aser)
+        if lam.flavor == LEFT:
+            acc.add_product(al, lv, ctx.dfa.star_coeffs, ctx.order)
+        else:
+            acc.add_product(lv, al, ctx.dfa.star_coeffs, ctx.order)
+    out = acc.value()
+    if not out.coeffs and out.top == ctx.order:
+        return ctx.zero_value()
     return out
 
 
@@ -338,7 +333,7 @@ def _pair_rows(ctx, lam, rows, top):
         if len(terms) == 1:
             (gamma, c), = terms.items()
             if c == 1:
-                v = _pair_mono(ctx, lam, (gamma, alpha))
+                v = _pair_mono(lam, ctx, (gamma, alpha))
                 if v.top <= ctx.order:
                     return v.shift(q0) if q0 else v
     zero = ctx.zero_value()
@@ -346,28 +341,10 @@ def _pair_rows(ctx, lam, rows, top):
     for q, row in rows:
         for alpha, terms in row.items():
             for gamma, c in terms.items():
-                v = _pair_mono(ctx, lam, (gamma, alpha))
+                v = _pair_mono(lam, ctx, (gamma, alpha))
                 if v is not zero:
                     acc.add(v, c, q)
     return acc.value()
-
-
-def _env_row(w):
-    """A normal-form element as a row {alpha: {gamma: c}}."""
-    return {alpha: poly.terms for alpha, poly in w.terms.items()}
-
-
-def _pair_env(ctx, lam, w):
-    """lam on a plain normal-form element: a sum that starts from zero up
-    to the truncation order."""
-    return _pair_rows(ctx, lam, [(0, _env_row(w))], ctx.order)
-
-
-def _pair_env_laurent(ctx, lam, W):
-    """lam on a Laurent series of normal-form elements (k[[h]]-linearity)."""
-    return _pair_rows(ctx, lam, ((q, _env_row(w))
-                                 for q, w in enumerate(W.coeffs, W.val)),
-                      W.top)
 
 
 def _product_rows(spec, W, m, mono_right=True):
@@ -385,9 +362,12 @@ def _product_rows(spec, W, m, mono_right=True):
 
 def jet_pair(ctx, lam, u):
     """<lam, u> for u a DefEnvElement, an ``HSeries`` of normal-form
-    elements: the shifted pairings of its orders' rows, summed from zero
-    up to the truncation order (``_pair_env_laurent``)."""
-    return _pair_env_laurent(ctx, lam, HLaurent.from_hseries(u))
+    elements: each order q read as the row {alpha: {gamma: c}} of its
+    normal form, and the rows' pairings shifted by q and summed from zero
+    up to the truncation order (``_pair_rows``, k[[h]]-linearity)."""
+    return _pair_rows(ctx, lam, (
+        (q, {alpha: poly.terms for alpha, poly in w.terms.items()})
+        for q, w in enumerate(u.coeffs)), u.order)
 
 
 def _apply_series_map(ctx, val, mapper):
@@ -459,7 +439,8 @@ def _scatter(acc, P, lift, pair):
             acc.add(P, Fraction(c, Tk.den), k)
 
 
-def _image(ctx, lam, w, lift):
+@memo
+def _image(lam, ctx, w, lift):
     """lam's image memo entry for the basis monomial w: (W, rows), W a
     first pairing of lam with w mapped into the envelope or None when that
     vanishes, and rows {m: (the ``_product_rows`` of W and m, their
@@ -467,24 +448,18 @@ def _image(ctx, lam, w, lift):
     product), w is a paired lift leg, W = t_F(lam(w)) (left dual) or
     s_F(lam(w)) (right) and the products are W . m.  Without (a tensor
     functional), w = e^beta, W = s_F(lam(e^beta)) (left) or t_F (right),
-    the pairing seen through a plain element's window (``_pair_env`` cuts
-    a top above N, ``_pair_mono`` does not), and the products m . W."""
-    ckey = (ctx.dfa, lift, w)
-    entry = lam._images.get(ckey)
-    if entry is None:
-        if lift:
-            v = _pair_mono(ctx, lam, w)
-        else:
-            spec = ctx.spec
-            v = _pair_env(ctx, lam, EnvElement.monomial(
-                spec.nvars, spec.rank, w[1]))
-        W = None
-        if not v.is_zero():
-            left = lam.flavor == LEFT
-            W = _apply_series_map(
-                ctx, v, ctx.dfa.target if left == lift else ctx.dfa.source)
-        entry = lam._images[ckey] = (W, {})
-    return entry
+    the pairing seen through a plain element's window (one unit term at
+    order 0 in ``_pair_rows``, which cuts a top above N where
+    ``_pair_mono`` does not), and the products m . W."""
+    if lift:
+        v = _pair_mono(lam, ctx, w)
+    else:
+        v = _pair_rows(ctx, lam, [(0, {w[1]: {w[0]: 1}})], ctx.order)
+    if v.is_zero():
+        return None, {}
+    left = lam.flavor == LEFT
+    return _apply_series_map(
+        ctx, v, ctx.dfa.target if left == lift else ctx.dfa.source), {}
 
 
 @memo
@@ -556,7 +531,7 @@ def jet_product_eval(ctx, lam, mu, arg):
     acc = LaurentSum(ctx.zero_poly())
     for k, Tk in enumerate(ctx.dfa.lift_mono(arg).coeffs):
         for pair, c in Tk.num.items():
-            image = _image(ctx, lam, LEGS[pair[leg]], True)
+            image = _image(lam, ctx, LEGS[pair[leg]], True)
             if image[0] is not None:
                 acc.add(_pair_image(ctx, mu, image, LEGS[pair[1 - leg]], True),
                         Fraction(c, Tk.den), k)
@@ -590,7 +565,7 @@ def jet_product(ctx, lam, mu, degree=None):
         ctx, ctx.jet_degree if degree is None else degree)
     sums, zeros = {}, []
     for w, others in pairs.items():
-        image = _image(ctx, lam, LEGS[w], True)
+        image = _image(lam, ctx, LEGS[w], True)
         if image[0] is None:
             continue
         for pair, positions in others.items():
@@ -735,7 +710,7 @@ def tensor_functional_from_pair(ctx, lam, mu, degree=None):
     zeros = (0,) * ctx.spec.nvars
     first, second = (lam, mu) if ctx.flavor == LEFT else (mu, lam)
     return _pair_table(ctx, second, lambda beta: _image(
-        ctx, first, (zeros, beta), False), degree)
+        first, ctx, (zeros, beta), False), degree)
 
 
 def table_sum(tables):

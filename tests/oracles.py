@@ -55,11 +55,11 @@ from qgroupoid.errors import (
     ConfigError, FlavorError, TruncationInsufficientError,
 )
 from qgroupoid.jets import (
-    LEFT, RIGHT, JetContext, JetElement, _apply_series_map, _pair_env,
-    _pair_mono, _pair_rows, _product_rows, _tabulate, coordinate_functional,
-    divided_xi_powers, jet_coproduct_functional, jet_product, table_sum,
-    tensor_functional_from_pair, tensor_tables_equal, unit_functional,
-    xi_functional,
+    LEFT, RIGHT, JetContext, JetElement, _apply_series_map, _pair_mono,
+    _pair_rows, _product_rows, _tabulate, coordinate_functional,
+    divided_xi_powers, jet_coproduct_functional, jet_pair, jet_product,
+    table_sum, tensor_functional_from_pair, tensor_tables_equal,
+    unit_functional, xi_functional,
 )
 from qgroupoid.lierinehart import LieRinehartSpec, cobracket_from_dual_spec
 from qgroupoid.scalars import CPoly, monomials_upto, pbw_indices
@@ -1405,6 +1405,21 @@ def chain_pair_env_laurent(ctx, lam, W):
     return out
 
 
+def pair_element(ctx, lam, w):
+    """lam on a normal-form element w: ``jets.jet_pair`` on the constant
+    series w up to the truncation order."""
+    zero = EnvElement.zero(ctx.spec.nvars, ctx.spec.rank)
+    return jet_pair(ctx, lam, hs_const(w, ctx.order, zero))
+
+
+def pair_laurent(ctx, lam, W):
+    """lam on a Laurent series W of normal-form elements, by
+    k[[h]]-linearity: ``jets.jet_pair`` on the series h^-val W, whose
+    orders 0..top-val are W's, shifted back by val."""
+    return jet_pair(ctx, lam, HSeries(W.top - W.val, W.coeffs, W.zero)) \
+        .shift(W.val)
+
+
 def unmemoised_images(ctx, lam, arg):
     """The dual product's body up to the pairing with mu: for every lift
     term on whose paired leg lam does not vanish, (k, c, W) with W lam's
@@ -1576,7 +1591,7 @@ def gathered_jet_product(ctx, lam, mu, degree=None):
         for paired, terms in groups.items():
             W = memo.get(("image", lam, paired), False)
             if W is False:
-                v = _pair_mono(ctx, lam, paired)
+                v = _pair_mono(lam, ctx, paired)
                 W = memo["image", lam, paired] = None if v.is_zero() \
                     else _apply_series_map(ctx, v, mapper)
             if W is None:
@@ -1623,8 +1638,8 @@ def watch_tabulations(monkeypatch):
                             "paired_vanishing": 0, "evaluations": 0})
         return real_transpose(ctx, degree)
 
-    def image(ctx, lam, w, lift):
-        entry = real_image(ctx, lam, w, lift)
+    def image(lam, ctx, w, lift):
+        entry = real_image(lam, ctx, w, lift)
         if from_tabulation():
             legs[id(entry)] = (w, entry)
             if entry[0] is None:
@@ -1715,7 +1730,7 @@ def evaluation_iso_check(ctx, degree):
     for kappa in idx:
         for beta in idx:
             mono = EnvElement.monomial(spec.nvars, spec.rank, beta)
-            val = _pair_env(ctx, powers[kappa], mono).coeff(0)
+            val = pair_element(ctx, powers[kappa], mono).coeff(0)
             want = CPoly.one(spec.nvars) if kappa == beta else CPoly.zero(spec.nvars)
             if val != want:
                 return False
@@ -1726,14 +1741,14 @@ def evaluation_iso_check(ctx, degree):
             m2 = EnvElement.monomial(spec.nvars, spec.rank, b2)
             prod = pbw_mul(spec, m1, m2)
             for kappa in idx:
-                lhs = _pair_env(ctx, powers[kappa], prod).coeff(0)
+                lhs = pair_element(ctx, powers[kappa], prod).coeff(0)
                 rhs = CPoly.zero(spec.nvars)
                 for k1 in idx:
                     k2 = tuple(a - b for a, b in zip(kappa, k1))
                     if any(t < 0 for t in k2):
                         continue
-                    rhs = rhs + _pair_env(ctx, powers[k1], m1).coeff(0) \
-                        * _pair_env(ctx, powers[k2], m2).coeff(0)
+                    rhs = rhs + pair_element(ctx, powers[k1], m1).coeff(0) \
+                        * pair_element(ctx, powers[k2], m2).coeff(0)
                 if lhs != rhs:
                     return False
     return True
@@ -2381,7 +2396,7 @@ def _ref_pair_mono(dfa, ctx, lam, key):
 
 
 def _fast_pair_mono(dfa, ctx, lam, key):
-    got = jets._pair_mono(ctx, lam, key)
+    got = jets._pair_mono(lam, ctx, key)
     return got, got is ctx.zero_value()
 
 
@@ -2392,7 +2407,7 @@ def _cmp_pair_mono(got, want):
     assert got[1] == want[1]
 
 
-def _pair_env_args(dfa, flavors):
+def _jet_pair_args(dfa, flavors):
     out = []
     for ctx in contexts(dfa, flavors):
         elems = edge_elements(ctx.spec)
@@ -2401,13 +2416,13 @@ def _pair_env_args(dfa, flavors):
     return out
 
 
-def _fast_pair_env(dfa, ctx, lam, x):
+def _fast_jet_pair(dfa, ctx, lam, x):
     if isinstance(x, EnvElement):
-        return jets._pair_env(ctx, lam, x)
-    return jets._pair_env_laurent(ctx, lam, x)
+        return pair_element(ctx, lam, x)
+    return pair_laurent(ctx, lam, x)
 
 
-def _ref_pair_env(dfa, ctx, lam, x):
+def _ref_jet_pair(dfa, ctx, lam, x):
     if isinstance(x, EnvElement):
         return chain_pair_env(ctx, lam, x)
     return chain_pair_env_laurent(ctx, lam, x)
@@ -2649,7 +2664,7 @@ PARITY = [
      _cmp_decomposition),
     ("_pair_mono", _fast_pair_mono, _ref_pair_mono, _pair_mono_args,
      _cmp_pair_mono),
-    ("_pair_env", _fast_pair_env, _ref_pair_env, _pair_env_args, same_window),
+    ("jet_pair", _fast_jet_pair, _ref_jet_pair, _jet_pair_args, same_window),
     ("laurent_mul", lambda dfa, ctx, x, y: laurent_mul(
         x, y, dfa.star_coeffs, ctx.order),
      lambda dfa, ctx, x, y: chain_laurent_mul(

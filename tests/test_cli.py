@@ -137,9 +137,11 @@ def test_one_triangular_solve_per_base_monomial(argv, solves, monkeypatch):
 def test_every_cache_is_a_memo_entry(monkeypatch):
     """After ``example axb`` at 2/2 the deformation, both contexts, the
     twistor and the structure keep every table in one dict each,
-    ``_memos``, beside the structure's product table ``_leg_table``.  Each
-    table of ``_memos`` is named after a function that ``envelope.memo``
-    wraps and is keyed by argument tuples."""
+    ``_memos``, beside the structure's product table ``_leg_table``; and
+    after dual products, tensor functionals and coproduct functionals on
+    both contexts, so does each functional, beside its value ``table``.
+    Each table of ``_memos`` is named after a function that
+    ``envelope.memo`` wraps and is keyed by argument tuples."""
     real, bundles = cli.build_axb, []
 
     def build_axb(h_order, jet_degree):
@@ -151,11 +153,26 @@ def test_every_cache_is_a_memo_entry(monkeypatch):
                           "--jet-degree", "2", "--json-only"])
     assert code == 0
     b, = bundles
-    for owner in (b.dfa, b.left, b.right, b.dfa.twistor, b.spec):
-        dicts = {name for name, v in vars(owner).items()
-                 if isinstance(v, dict)}
-        assert dicts == ({"_memos", "_leg_table"} if owner is b.spec
-                         else {"_memos"})
+    functionals = []
+    for ctx in (b.left, b.right):
+        lam = jets.xi_functional(ctx, 0).add(jets.coordinate_functional(ctx, 1))
+        mu = jets.xi_functional(ctx, 1)
+        jets.jet_product(ctx, lam, mu)
+        jets.tensor_functional_from_pair(ctx, lam, mu)
+        jets.jet_coproduct_functional(ctx, lam)
+        functionals += [lam, mu]
+    for owner in (b.dfa, b.left, b.right, b.dfa.twistor, b.spec,
+                  *functionals):
+        if isinstance(owner, jets.JetElement):
+            dicts = {name for name in jets.JetElement.__slots__
+                     if isinstance(getattr(owner, name), dict)}
+            want = {"_memos", "table"}
+        else:
+            dicts = {name for name, v in vars(owner).items()
+                     if isinstance(v, dict)}
+            want = {"_memos", "_leg_table"} if owner is b.spec \
+                else {"_memos"}
+        assert dicts == want
         assert owner._memos
         for name, table in owner._memos.items():
             assert any(hasattr(getattr(where, name, None), "__wrapped__")
@@ -166,15 +183,15 @@ def test_every_cache_is_a_memo_entry(monkeypatch):
 
 def test_first_pairings_are_mapped_once_per_index(monkeypatch):
     """On ``example axb`` at N=4 the first pairing of a tensor functional
-    (``_pair_env``) runs once per (functional, deformation, flavor, index)
-    across all ``tensor_functional_from_pair`` calls, and
-    ``_apply_series_map`` once per such key whose pairing is nonzero: both
-    live on the first functional (``_image``).  Every call finds
-    an entry for each of its indices.  Pairing once per call made 504
-    first pairings on ``example axb`` at N=6, where 308 keys were
+    (``_pair_rows`` on one unit term, called by ``_image``) runs once per
+    (functional, context, index) across all ``tensor_functional_from_pair``
+    calls, and ``_apply_series_map`` once per such key whose pairing is
+    nonzero: both live on the first functional (``_image``).  Every call
+    finds an entry for each of its indices.  Pairing once per call made
+    504 first pairings on ``example axb`` at N=6, where 308 keys were
     distinct."""
     real_tf = jets.tensor_functional_from_pair
-    real_pair, real_map = jets._pair_env, jets._apply_series_map
+    real_pair, real_map = jets._pair_rows, jets._apply_series_map
     active, calls, paired, mapped = [], [], Counter(), []
     keep = []
 
@@ -188,12 +205,14 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
             active.pop()
             calls.append((ctx, first, degree))
 
-    def pair_env(ctx, lam, w):
-        v = real_pair(ctx, lam, w)
-        if active:
+    def pair_rows(ctx, lam, rows, top):
+        v = real_pair(ctx, lam, rows, top)
+        if active and sys._getframe(1).f_code.co_name == "_image":
             assert active[-1] == (ctx, lam)
-            alpha, = w.terms
-            paired[id(lam), ctx.dfa, ctx.flavor, alpha] += 1
+            (q, row), = rows
+            (alpha, terms), = row.items()
+            assert q == 0 and top == ctx.order and terms == {(0, 0): 1}
+            paired[id(lam), ctx, alpha] += 1
             if not v.is_zero():
                 mapped.append(None)
         return v
@@ -208,7 +227,7 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
                 getattr(module, "tensor_functional_from_pair", None) is real_tf:
             monkeypatch.setattr(module, "tensor_functional_from_pair",
                                 tensor_functional_from_pair)
-    monkeypatch.setattr(jets, "_pair_env", pair_env)
+    monkeypatch.setattr(jets, "_pair_rows", pair_rows)
     monkeypatch.setattr(jets, "_apply_series_map", apply_series_map)
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
@@ -219,13 +238,14 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
         degree = ctx.jet_degree if degree is None else degree
         zeros = (0,) * ctx.spec.nvars
         assert first.flavor == ctx.flavor
-        assert all((ctx.dfa, False, (zeros, beta)) in first._images
+        assert all((ctx, (zeros, beta), False) in first._memos["_image"]
                    for beta in pbw_indices(ctx.spec.rank, degree))
     # a first functional meets several calls, and some first pairing
     # vanishes, so its index is left unmapped
     assert len(calls) > len({id(first) for _, first, _ in calls})
     assert any(W is None for first in keep
-               for (_, lift, _), (W, _) in first._images.items() if not lift)
+               for (_, _, lift), (W, _) in first._memos["_image"].items()
+               if not lift)
 
 
 def test_entry_rows_are_built_once_per_context(monkeypatch):
@@ -339,8 +359,8 @@ def test_dual_products_build_each_row_once(monkeypatch):
     real_support, pair_image = jets._support, jets._pair_image.__code__
     owners, built, supported, pending = {}, Counter(), Counter(), []
 
-    def image(ctx, lam, w, lift):
-        entry = real_image(ctx, lam, w, lift)
+    def image(lam, ctx, w, lift):
+        entry = real_image(lam, ctx, w, lift)
         if entry[0] is not None:
             # holding lam and W keeps their ids from being reused
             owners[id(entry[0])] = (lam, w, lift, entry[0])
@@ -423,10 +443,10 @@ def test_pairings_decompose_only_keys_that_meet_the_table(monkeypatch):
     real_product = deform.DeformedEnvAlgebroid._decompose_product
     active, built = [], []
 
-    def pair_mono(ctx, lam, key):
+    def pair_mono(lam, ctx, key):
         active.append([])
         try:
-            out = real_pair(ctx, lam, key)
+            out = real_pair(lam, ctx, key)
         finally:
             made = active.pop()
         built.extend((ctx.dfa, k, flavor, out) for k, flavor in made)

@@ -1,7 +1,12 @@
 import itertools
 import random
+from collections import defaultdict
 
-from qgroupoid.envelope import EnvElement, anchor_action, env_counit, pbw_mul
+import pytest
+
+from qgroupoid.envelope import (
+    EnvElement, anchor_action, env_counit, memo, pbw_mul,
+)
 from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly, Fraction, parse_poly
 
@@ -115,3 +120,29 @@ def test_anchor_action_agrees_with_counit_route():
             via_product = env_counit(pbw_mul(spec, u, EnvElement.from_poly(1, a)))
             assert anchor_action(spec, u, a) == via_product
 
+
+
+def test_memo_stores_nothing_when_the_function_raises():
+    """A call of a ``memo`` function that raises stores no entry, so the
+    next call with the same arguments runs the function again; a stored
+    None is a hit."""
+    calls = []
+
+    @memo
+    def table(owner, key):
+        calls.append(key)
+        if len(calls) == 1:
+            raise ValueError("read past the table's domain")
+        return None
+
+    class Owner:
+        def __init__(self):
+            self._memos = defaultdict(dict)
+
+    owner = Owner()
+    with pytest.raises(ValueError):
+        table(owner, 1)
+    assert not owner._memos["table"]
+    assert table(owner, 1) is None and table(owner, 1) is None
+    assert calls == [1, 1]
+    assert owner._memos["table"] == {(1,): None}

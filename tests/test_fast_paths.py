@@ -754,11 +754,11 @@ def test_pairing_sums_match_chains(make, flavor):
     funcs = edge_functionals(ctx)
     assert check(dfa, "_pair_mono", inputs=[
         (ctx, lam, key) for lam in funcs for key in pairing_keys(dfa.spec)])
-    assert check(dfa, "_pair_env", "laurent_mul", flavors=(flavor,))
+    assert check(dfa, "jet_pair", "laurent_mul", flavors=(flavor,))
     assert check(dfa, "jet_product_eval", inputs=oracles._eval_args(
         dfa, (flavor,), 1, edge_functionals))
     elems = oracles.edge_elements(dfa.spec)
-    val, top, coeffs = window(jets._pair_env(ctx, funcs[1], elems[1]))
+    val, top, coeffs = window(oracles.pair_element(ctx, funcs[1], elems[1]))
     assert (val, top) == (0, ctx.order) and all(c.is_zero() for c in coeffs)
     empty = HLaurent.zero_upto(-1, ctx.zero_poly())
     for mul in (laurent_mul, oracles.chain_laurent_mul):
@@ -791,9 +791,10 @@ def test_jet_product_eval_matches_unmemoised(make, flavor, monkeypatch):
         for mu in funcs:
             for a in args:
                 jets.jet_product_eval(ctx, lam, mu, a)
-            assert all(lift for _, lift, _ in lam._images)
+            images = lam._memos["_image"]
+            assert all(lift for _, _, lift in images)
             rows = {(ckey, other): hit
-                    for ckey, (_, per) in lam._images.items()
+                    for ckey, (_, per) in images.items()
                     for other, hit in per.items()}
             if built is None:
                 built = rows
@@ -805,7 +806,7 @@ def test_jet_product_eval_matches_unmemoised(make, flavor, monkeypatch):
             assert rows.keys() == built.keys()
             assert all(r is built[k][0] and support is built[k][1]
                        for k, (r, support) in rows.items())
-        for (_, _, paired), (W, per) in lam._images.items():
+        for (_, paired, _), (W, per) in lam._memos["_image"].items():
             assert (W is None) == chain_pair_mono(ctx, lam, paired).is_zero()
             assert W is not None or not per
     records = oracles.watch_tabulations(monkeypatch)
@@ -849,7 +850,7 @@ def test_pair_rows_match_the_plain_loop(make, flavor):
     funcs = rows_functionals(ctx)
     mixed = False
     for lam in funcs:
-        pairing = {key: jets._pair_mono(ctx, lam, key) for key in keys}
+        pairing = {key: jets._pair_mono(lam, ctx, key) for key in keys}
         for rows in rows_cases(dfa.spec):
             found = [pairing[g, a] for _, row in rows
                      for a, terms in row.items() for g in terms]
@@ -865,7 +866,7 @@ def test_pair_rows_match_the_plain_loop(make, flavor):
                                               n)) == window(v.shift(2))
             else:
                 assert got.top == n
-    assert all(jets._pair_mono(ctx, funcs[0], key) is zero for key in keys)
+    assert all(jets._pair_mono(funcs[0], ctx, key) is zero for key in keys)
     assert mixed
 
 
@@ -949,7 +950,7 @@ def test_pair_product_merges_cancelling_terms(flavor):
     built = built_product_series(spec, W, mono, False)
     assert window(got) == window(chain_pair_env_laurent(ctx, lam, built))
     assert got.top == n
-    assert jets._pair_mono(ctx, lam, cancelled).top < got.top
+    assert jets._pair_mono(lam, ctx, cancelled).top < got.top
 
 
 # -- functionals of pairs, coproducts and the dual source/target -------------------
@@ -970,7 +971,7 @@ def test_tensor_functional_from_pair_matches_unskipped(make, flavor):
     args = oracles._from_pair_args(dfa, (flavor,), degree)
     assert check(dfa, "tensor_functional_from_pair", inputs=args)
     zeros = (0,) * dfa.spec.nvars
-    assert any(jets._pair_mono(ctx, lam if flavor == LEFT else mu,
+    assert any(jets._pair_mono(lam if flavor == LEFT else mu, ctx,
                                (zeros, beta)).is_zero()
                for ctx, lam, mu, _ in args
                for beta in pbw_indices(dfa.spec.rank, degree))
@@ -1132,7 +1133,8 @@ def test_impure_entries_and_rows_skip_by_pairing_support():
                     # images
                     skips["rows", name] += sum(
                         impure_rows(r) and jets._misses(second, support)
-                        for (_, lift, _), (_, per) in first._images.items()
+                        for (_, _, lift), (_, per)
+                        in first._memos["_image"].items()
                         if not lift for r, support in per.values())
     for name in ("central", "seed13-3", "seed17-3"):
         assert skips["entries", name] and skips["rows", name], name
@@ -1149,8 +1151,7 @@ def test_tables_never_cross_contexts_or_deformations():
     which differ on its coordinate value; it is also the first factor of
     dual products, whose images on the same keys are mapped by the other
     map and multiplied on the other side, so an image keyed without the
-    deformation or without telling the two transposes apart is read
-    wrongly.  The trivial context goes first, so a stale support (x^gamma
+    context or without telling the two transposes apart is read wrongly.  The trivial context goes first, so a stale support (x^gamma
     alone) would skip pairings the twist needs."""
     dfa = axb_exp_dfa()
     spec = dfa.spec
@@ -1182,15 +1183,15 @@ def test_tables_never_cross_contexts_or_deformations():
     for a, b in itertools.combinations(contexts_, 2):
         assert a._memos is not b._memos and a._memos["_monomial"]
     for f in (LEFT, RIGHT):
-        assert {k[:2] for k in shared[f]._images} \
+        assert {(c.dfa, lift) for c, _, lift in shared[f]._memos["_image"]} \
             == {(d, lift) for d in (triv, dfa) for lift in (True, False)}
     # on one key of one deformation, the two transposes' images of a
     # shared functional differ, and so do its s_F and t_F images as a
     # first factor; so do the supports of the two deformations
     images = {}
     for f in (LEFT, RIGHT):
-        for (d, lift, key), (W, _) in shared[f]._images.items():
-            if d is dfa and W is not None:
+        for (c, key, lift), (W, _) in shared[f]._memos["_image"].items():
+            if c.dfa is dfa and W is not None:
                 images.setdefault(key, {})[f, lift] = window(W)
     assert any(im[f, True] != im[f, False] for im in images.values()
                for f in (LEFT, RIGHT) if (f, True) in im and (f, False) in im)

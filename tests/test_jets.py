@@ -9,8 +9,7 @@ from qgroupoid.deform import DeformedEnvAlgebroid, defelem_from_env, exp_twistor
 from qgroupoid.envelope import EnvElement, pbw_mul
 from qgroupoid.errors import FlavorError
 from qgroupoid.jets import (
-    LEFT, RIGHT, JetContext, JetElement, _pair_env, _pair_mono,
-    coordinate_functional,
+    LEFT, RIGHT, JetContext, JetElement, _pair_mono, coordinate_functional,
     jet_axiom_suite, jet_coproduct_functional,
     jet_counit, jet_product, jet_product_eval, jet_source_target,
     jets_equal, tensor_functional_from_pair, tensor_tables_equal,
@@ -20,7 +19,9 @@ from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly
 from qgroupoid.series import HLaurent
 
-from oracles import evaluation_iso_check, jet_coproduct_decompose
+from oracles import (
+    evaluation_iso_check, jet_coproduct_decompose, pair_element, pair_laurent,
+)
 from test_cli import parse_lines, run_cli
 from test_reachability import POLYNOMIAL_SPEC
 
@@ -70,13 +71,13 @@ def test_pairing_basics():
     de1 = xi_functional(ctx, 0)
     e2 = coordinate_functional(ctx, 1)
     x2 = CPoly.var(2, 1)
-    assert_val(_pair_mono(ctx, de1, ((0, 0), (1, 0))), {0: CPoly.one(2)})
-    assert_val(_pair_mono(ctx, de1, ((0, 0), (0, 1))), {})
-    assert_val(_pair_mono(ctx, e2, ((0, 0), (0, 0))), {0: x2})
+    assert_val(_pair_mono(de1, ctx, ((0, 0), (1, 0))), {0: CPoly.one(2)})
+    assert_val(_pair_mono(de1, ctx, ((0, 0), (0, 1))), {})
+    assert_val(_pair_mono(e2, ctx, ((0, 0), (0, 0))), {0: x2})
     # the counit functional is the dual unit and pairs to eps
     eps = unit_functional(ctx)
     u = EnvElement(2, 2, {(0, 0): x2, (1, 0): CPoly.one(2)})
-    assert_val(_pair_env(ctx, eps, u), {0: x2})
+    assert_val(pair_element(ctx, eps, u), {0: x2})
 
 
 def test_pairing_memo_follows_the_deformation(monkeypatch):
@@ -88,11 +89,33 @@ def test_pairing_memo_follows_the_deformation(monkeypatch):
     key = ((1, 0), (0, 0))  # x1 = s_F(x1) - (h/2) x1 d2 + ... when twisted
     ctx = make_ctx(LEFT, order=3)
     lam = xi_functional(ctx, 1)
-    deformed = _pair_mono(ctx, lam, key)
+    deformed = _pair_mono(lam, ctx, key)
     ctx = make_trivial_ctx(LEFT, order=3)
     fresh = xi_functional(ctx, 1)
-    assert _pair_mono(ctx, lam, key).eq_to_order(_pair_mono(ctx, fresh, key))
-    assert not deformed.eq_to_order(_pair_mono(ctx, fresh, key))
+    assert _pair_mono(lam, ctx, key).eq_to_order(_pair_mono(fresh, ctx, key))
+    assert not deformed.eq_to_order(_pair_mono(fresh, ctx, key))
+
+
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_pairing_memo_follows_the_context(flavor):
+    """One functional paired under two contexts of one deformation and
+    flavor, at jet degrees 2 and 3: the pairings are equal, window
+    included, and a pairing that misses lam's table is the reading
+    context's own ``zero_value()``, which ``_pair_rows`` skips by
+    identity.  A memo keyed by the deformation returned the first
+    context's zero to the second."""
+    ctx2 = make_ctx(flavor, order=3, d=2)
+    ctx3 = JetContext(ctx2.dfa, flavor, 3)
+    lam = xi_functional(ctx2, 1).add(coordinate_functional(ctx2, 0))
+    keys = [(gamma, alpha) for gamma in ((0, 0), (1, 0), (0, 1))
+            for alpha in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))]
+    missed = 0
+    for key in keys:
+        v2, v3 = _pair_mono(lam, ctx2, key), _pair_mono(lam, ctx3, key)
+        assert (v2.val, v2.top, v2.coeffs) == (v3.val, v3.top, v3.coeffs)
+        assert (v2 is ctx2.zero_value()) == (v3 is ctx3.zero_value())
+        missed += v3 is ctx3.zero_value()
+    assert missed and ctx2.zero_value() is not ctx3.zero_value()
 
 
 def _reachable(obj):
@@ -112,10 +135,10 @@ def _reachable(obj):
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_pair_cache_holds_only_pairings(flavor):
     """After a tabulated product and a direct evaluation, the memos on lam
-    map (deformation, basis monomial) to a pairing (``_pair_cache``) and
-    (deformation, True, paired lift leg) to the mapped image and its
-    product rows (``_images``), and nothing in either refers to the
-    partner functional, which they would keep alive."""
+    map (context, basis monomial) to a pairing (``_pair_mono``) and
+    (context, paired lift leg, True) to the mapped image and its product
+    rows (``_image``), and nothing in either refers to the partner
+    functional, which they would keep alive."""
     ctx = make_ctx(flavor, order=3, d=2)
     spec = ctx.spec
     lam = xi_functional(ctx, 0).add(coordinate_functional(ctx, 1))
@@ -124,21 +147,23 @@ def test_pair_cache_holds_only_pairings(flavor):
     jet_product_eval(ctx, lam, mu, (1, 1))
 
     def assert_leg_key(ckey):
-        assert len(ckey) == 2 and ckey[0] is ctx.dfa
+        assert len(ckey) == 2 and ckey[0] is ctx
         assert isinstance(ckey[1], tuple) and len(ckey[1]) == 2
         gamma, alpha = ckey[1]
         assert len(gamma) == spec.nvars and len(alpha) == spec.rank
         assert all(isinstance(t, int) for t in gamma + alpha)
 
-    assert lam._pair_cache
-    for ckey, val in lam._pair_cache.items():
+    assert set(lam._memos) == {"_pair_mono", "_image"}
+    pairings, images = lam._memos["_pair_mono"], lam._memos["_image"]
+    assert pairings
+    for ckey, val in pairings.items():
         assert_leg_key(ckey)
         assert isinstance(val, HLaurent)
-    assert any(W is not None and rows for W, rows in lam._images.values())
-    for ckey, (W, rows) in lam._images.items():
+    assert any(W is not None and rows for W, rows in images.values())
+    for ckey, (W, rows) in images.items():
         # a dual product's images are keyed as lift images
-        assert len(ckey) == 3 and ckey[1] is True
-        assert_leg_key(ckey[::2])
+        assert len(ckey) == 3 and ckey[2] is True
+        assert_leg_key(ckey[:2])
         if W is None:
             assert not rows
             continue
@@ -155,9 +180,9 @@ def test_pair_cache_holds_only_pairings(flavor):
             assert all(isinstance(a, tuple) and len(a) == spec.rank
                        and all(isinstance(t, int) for t in a)
                        for a in support)
-    partner = {id(mu), id(mu.table), id(mu._pair_cache), id(mu._images)}
-    for memo in (lam._pair_cache, lam._images):
-        assert not any(id(x) in partner for x in _reachable(memo))
+    partner = {id(mu), id(mu.table), id(mu._memos)} | {
+        id(table) for table in mu._memos.values()}
+    assert not any(id(x) in partner for x in _reachable(lam._memos))
 
 
 def test_product_table_left_dual():
@@ -204,7 +229,7 @@ def test_undeformed_right_dual_product():
     ctx = make_trivial_ctx(RIGHT, spec=spec, order=2, d=4)
     xi1, xi2 = xi_functional(ctx, 0), xi_functional(ctx, 1)
     e12 = pbw_mul(spec, EnvElement.gen(0, 2, 0), EnvElement.gen(0, 2, 1))
-    v = _pair_env(ctx, jet_product(ctx, xi1, xi2), e12)
+    v = pair_element(ctx, jet_product(ctx, xi1, xi2), e12)
     assert_val(v, {0: CPoly.one(0)})
 
 
@@ -290,7 +315,7 @@ def test_flavor_mismatch():
             jet_product(ctx, a, b)
         with pytest.raises(FlavorError):
             jet_product_eval(ctx, a, b, (1, 1))
-    assert not ctx._memos and not lam._images and not mu._images
+    assert not ctx._memos and not lam._memos and not mu._memos
     # a tensor functional of a pair raises when its functionals differ in
     # flavor from each other or from the context, and the coproduct
     # functional when its functional differs from the context, before any
@@ -306,7 +331,7 @@ def test_flavor_mismatch():
         with pytest.raises(FlavorError):
             jet_coproduct_functional(c, a)
     for f in (left, right):
-        assert not f._images and not f._pair_cache
+        assert not f._memos
     assert not ctx._memos and not ctx2._memos
 
 
@@ -395,19 +420,19 @@ def test_opcoop_flavor_duality_on_generators():
         # transformed context: legs of the coproduct lift are flipped and
         # the tensor relation moves s_F across; the well-defined product
         # reads lam( s_F(mu(v2)) . v1 ) on the flipped legs (v1, v2).
-        from qgroupoid.jets import _apply_series_map, _pair_env_laurent, _pair_mono
+        from qgroupoid.jets import _apply_series_map
         lift = ctxR.dfa.lift_mono(((0, 0), beta))
         out = None
         for k, Tk in enumerate(lift.coeffs):
             for key, c in Tk.terms.items():
                 v1, v2 = key[1], key[0]   # flipped legs
-                v = _pair_mono(ctxR, mu, v2)
+                v = _pair_mono(mu, ctxR, v2)
                 if v.is_zero():
                     continue
                 W = _apply_series_map(ctxR, v, ctxR.dfa.source)
                 other = EnvElement.monomial(2, 2, v1[1], CPoly.monomial(2, v1[0]))
                 W = W.map(lambda t: pbw_mul(spec, t, other))
-                piece = _pair_env_laurent(ctxR, lam, W).shift(k).map(lambda t: t * c)
+                piece = pair_laurent(ctxR, lam, W).shift(k).map(lambda t: t * c)
                 out = piece if out is None else out + piece
         return out if out is not None else ctxR.zero_value()
 
@@ -427,7 +452,7 @@ def test_product_values_are_lift_independent():
     the coproduct; the canonical reduced lift must give the same values as
     the raw one (the well-definedness of the transpose formulas)."""
     from qgroupoid.deform import reduce_series
-    from qgroupoid.jets import _apply_series_map, _pair_env_laurent, _pair_mono
+    from qgroupoid.jets import _apply_series_map
     ctx = make_ctx(LEFT, order=3, d=3)
     spec = ctx.spec
     de1, de2 = xi_functional(ctx, 0), xi_functional(ctx, 1)
@@ -438,13 +463,13 @@ def test_product_values_are_lift_independent():
         for k, Tk in enumerate(lift.coeffs):
             for key, c in Tk.terms.items():
                 w1, w2 = key
-                v = _pair_mono(ctx, lam, w2)
+                v = _pair_mono(lam, ctx, w2)
                 if v.is_zero():
                     continue
                 W = _apply_series_map(ctx, v, ctx.dfa.target)
                 other = EnvElement.monomial(2, 2, w1[1], CPoly.monomial(2, w1[0]))
                 W = W.map(lambda t: pbw_mul(spec, t, other))
-                piece = _pair_env_laurent(ctx, mu, W).shift(k).map(lambda t: t * c)
+                piece = pair_laurent(ctx, mu, W).shift(k).map(lambda t: t * c)
                 out = piece if out is None else out + piece
         return out if out is not None else ctx.zero_value()
 

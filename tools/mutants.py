@@ -98,8 +98,8 @@ MUTANTS = [
      "acc.add(P, Fraction(c, Tk.den), 0)",
      [FAST + "test_jet_product_matches_the_gather"]),
     # one pairing path in the jet dual
-    ("image-key-without-lift", "jets.py",
-     "ckey = (ctx.dfa, lift, w)", "ckey = (ctx.dfa, True, w)",
+    ("tensor-functional-reads-the-lift-image", "jets.py",
+     "first, ctx, (zeros, beta), False)", "first, ctx, (zeros, beta), True)",
      [FAST + "test_tables_never_cross_contexts_or_deformations"]),
     ("coproduct-right-orientation-dropped", "jets.py",
      "paired, moved = (b2, b1) if left else (b1, b2)",

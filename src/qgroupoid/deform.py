@@ -51,8 +51,8 @@ h-adic product ``series.laurent_mul`` over those coefficients, as in the
 jet pairing.  The Takeuchi check builds t_F(a) (x) 1 and 1 (x) s_F(a) once
 per base element a (``DeformedEnvAlgebroid.takeuchi_sides``).
 The images of a base series (``source_series``, ``target_series``) sum
-the shifted images of its orders into one {alpha: {gamma: q}} row per
-h-order, as the linear images of polynomials do.
+the shifted images of its orders into one element per h-order, as the
+linear images of polynomials do (``envelope._combination``).
 The twistor's counit conditions contract a classical 2-tensor by
 ``tensorspace.counit_contract``.
 The jet dual reads the cached lift of a monomial as it is, by the leg
@@ -85,12 +85,15 @@ All series are truncated at a single engine order N; the deformed target
 map is h-triangular (plain multiplication at order zero), which makes the
 basis decompositions and tensor reductions exact triangular solves.
 Envelope series (``defelem_mul``, the sweeps behind s_F and t_F, the
-counit contraction) are summed in the envelope's rows,
-one {alpha: {gamma: coefficient}} per h-order, by its one product loop
-(``envelope._mul_mono_into``).  ``basis_decompose`` keeps its remainder
-in such rows, subtracts each image times e^alpha in place, and
-multiplies out only the orders a term's image contributes below the
-truncation, skipping order zero, which cancels the term itself.
+counit contraction, the decompositions) are summed as the envelope sums
+them: per h-order, one dict of integer numerators by leg id over the lcm
+of the pieces' denominators, filled by its one product loop
+(``envelope._mul_mono_into``), as ``tensor_series_mul`` sums tensors.
+``basis_decompose`` keeps its remainder that way, raises an order's
+denominator once per step to take the images it subtracts, subtracts
+each image times e^alpha in place, and multiplies out only the orders a
+term's image contributes below the truncation, skipping order zero,
+which cancels the term itself.
 ``DeformedEnvAlgebroid.decompose_mono`` solves only the pure base monomial
 x^gamma this way, once per flavor and gamma, and builds x^gamma e^alpha
 from it: x^gamma = sum_beta map(c_beta) e^beta gives x^gamma e^alpha =
@@ -112,9 +115,9 @@ from math import lcm
 from operator import add
 
 from .envelope import (
-    LEGS, PURE, EnvElement, _add_rows, _bump, _bump_term, _last_nonzero,
-    _mul_mono_into, _pbw_mul_into, _rows_series, _series_rows, anchor_action,
-    leg_id, leg_product, memo, monomial_action,
+    GAMMA, LEGS, PURE, EnvElement, _bump, _bump_term, _combination, _element,
+    _last_nonzero, _mul_mono_into, _pbw_mul_into, _products, _series_image,
+    anchor_action, leg_id, leg_product, memo, monomial_action, shift_id,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
@@ -123,7 +126,7 @@ from .series import (
     HLaurent, HSeries, hs_const, hseries_invert, laurent_mul,
 )
 from .tensorspace import (
-    TensorElement, _basis_terms, _tensor, _tensor_cleared, copro_basis,
+    TensorElement, _tensor, _tensor_cleared, copro_basis,
     counit_contract, env_coproduct, same_class, tensor_coproduct_leg,
     tensor_mul, tensor_reduce, tensor_series_mul,
 )
@@ -189,16 +192,21 @@ def defelem_from_env(spec, u, order):
 
 
 def defelem_mul(spec, a, b):
-    """Cauchy product of envelope series under truncation, each order's
-    products a_i b_j summed into one row."""
+    """Cauchy product of envelope series under truncation.  Each order
+    sums its products a_i b_(k-i) into one dict of numerators over the
+    lcm of their denominators den(a_i) den(b_(k-i))."""
     a._check(b)
     n = a.order
-    rows = [{} for _ in range(n + 1)]
-    for i, ai in enumerate(a.coeffs):
-        if ai.terms:
-            for row, bj in zip(rows[i:], b.coeffs):
-                _pbw_mul_into(row, spec, ai, bj)
-    return _rows_series(spec, n, rows)
+    out = []
+    for k in range(n + 1):
+        pairs = [(ai, bj) for ai, bj in zip(a.coeffs[:k + 1], b.coeffs[k::-1])
+                 if ai.num and bj.num]
+        den = lcm(*[ai.den * bj.den for ai, bj in pairs])
+        acc = {}
+        for ai, bj in pairs:
+            _pbw_mul_into(acc, spec, ai, bj, den // (ai.den * bj.den))
+        out.append(_element(spec.nvars, spec.rank, acc, den))
+    return HSeries(n, out, a.zero)
 
 
 @memo
@@ -212,41 +220,42 @@ def _monomial_image(twistor, spec, m, leg):
 def _sweep_image(spec, twistor, m, leg):
     """The legs ``leg`` of F act on x^m, the other legs multiply: a term
     c x^g e^b (x) x^gamma e^alpha (acting leg first) adds
-    c x^(g + gamma) (e^b . x^m) e^alpha to its order's row.  F's terms are
+    c x^(g + gamma) (e^b . x^m) e^alpha to its order.  F's terms are
     grouped by the acting e^b once per twistor, so e^b . x^m is read from
     the action table once per group, and a group whose action vanishes is
-    skipped."""
-    rows = []
-    for per_order in _acting_groups(twistor, leg):
+    skipped.  An order's numerators are over den(F_k) times the lcm of
+    the denominators of the actions it reads."""
+    out = []
+    for den, per_order in _acting_groups(twistor, leg):
+        acts = [(monomial_action(spec, b, m).terms, partners)
+                for b, partners in per_order.items()]
+        acts = [(act, partners) for act, partners in acts if act]
+        d = lcm(*[v.denominator for act, _ in acts for v in act.values()])
         acc = {}
-        for b, partners in per_order.items():
-            act = monomial_action(spec, b, m).terms
-            if not act:
-                continue
-            for shift, alpha, c in partners:
-                row = acc.setdefault(alpha, {})
-                for mu, v in act.items():
-                    if shift is not None:
-                        mu = tuple(map(add, shift, mu))
-                    _bump_term(row, mu, c if v == 1 else c * v)
-        rows.append(acc)
-    return _rows_series(spec, twistor.order, rows)
+        for act, partners in acts:
+            act = [(mu, v.numerator * (d // v.denominator))
+                   for mu, v in act.items()]
+            for p, c in partners:
+                for mu, v in act:
+                    _bump_term(acc, shift_id(p, mu), c * v)
+        out.append(_element(spec.nvars, spec.rank, acc, den * d))
+    return HSeries(twistor.order, out, EnvElement.zero(spec.nvars, spec.rank))
 
 
 @memo
 def _acting_groups(twistor, leg):
     """The terms c x^g e^b (x) x^gamma e^alpha of each order of F, acting
-    leg ``leg`` first, as one {b: [(g + gamma or None for 0, alpha, c)]}
-    per order."""
+    leg ``leg`` first, as (den(F_k), {b: [(the leg id of
+    x^(g + gamma) e^alpha, the numerator c)]}) per order."""
     out = []
     for T in twistor.series.coeffs:
         groups = {}
-        for key, c in T.terms.items():
-            (g, b), (gamma, alpha) = key[leg], key[1 - leg]
-            shift = tuple(map(add, g, gamma))
-            groups.setdefault(b, []).append(
-                (shift if any(shift) else None, alpha, c))
-        out.append(groups)
+        for key, c in T.num.items():
+            acting, partner = key[leg], key[1 - leg]
+            g = GAMMA[acting]
+            groups.setdefault(LEGS[acting][1], []).append(
+                (partner if g is None else shift_id(partner, g), c))
+        out.append((T.den, groups))
     return out
 
 
@@ -392,20 +401,25 @@ class DeformedEnvAlgebroid:
             (m, c), = terms.items()
             if c == 1:
                 return _monomial_image(self.twistor, spec, m, leg)
-        out = [{} for _ in range(self.order + 1)]
-        for m, c in terms.items():
-            _add_rows(out, _monomial_image(self.twistor, spec, m, leg).coeffs, c)
-        return _rows_series(spec, self.order, out)
+        images = [(c, _monomial_image(self.twistor, spec, m, leg).coeffs)
+                  for m, c in terms.items()]
+        return HSeries(self.order, [
+            _combination(spec.nvars, spec.rank, [(c, img[k]) for c, img in images])
+            for k in range(self.order + 1)], EnvElement.zero(spec.nvars, spec.rank))
 
     def source_series(self, aser):
-        """s_F of a base series: sum_k h^k s_F(a_k), one row per order."""
-        return _rows_series(self.spec, self.order, _series_rows(
-            self.source, aser.coeffs, self.order + 1))
+        """s_F of a base series: sum_k h^k s_F(a_k), one sum per order."""
+        return self._series(self.source, aser)
 
     def target_series(self, aser):
-        """t_F of a base series: sum_k h^k t_F(a_k), one row per order."""
-        return _rows_series(self.spec, self.order, _series_rows(
-            self.target, aser.coeffs, self.order + 1))
+        """t_F of a base series: sum_k h^k t_F(a_k), one sum per order."""
+        return self._series(self.target, aser)
+
+    def _series(self, mapper, aser):
+        spec = self.spec
+        return HSeries(self.order, _series_image(
+            spec, mapper, aser.coeffs, self.order + 1),
+            EnvElement.zero(spec.nvars, spec.rank))
 
     @memo
     def takeuchi_sides(self, a):
@@ -524,44 +538,37 @@ class DeformedEnvAlgebroid:
 
     def _decompose_product(self, gamma, alpha, flavor):
         """The decomposition of x^gamma e^alpha from that of x^gamma, as
-        ``decompose_mono`` describes."""
+        ``decompose_mono`` describes.  Each h-order is one sum of products
+        with leg-table terms (``envelope._products``): c_beta e^delta for
+        the pure terms q e^delta of e^beta e^alpha, then the solved
+        remainder of the impure ones."""
         spec = self.spec
         n = self.order
-        nvars = spec.nvars
+        nvars, rank = spec.nvars, spec.rank
         zeros_g = (0,) * nvars
         mapper = self.source_series if flavor == "source" else self.target_series
         a = leg_id((zeros_g, alpha))
-        rows = [{} for _ in range(n + 1)]   # per h-order {delta: {gamma: q}}
-        rest = [{} for _ in range(n + 1)]   # the same, of the impure terms
+        pure = [[] for _ in range(n + 1)]   # per h-order (element, leg, q)
+        rest = [[] for _ in range(n + 1)]   # the same, of the impure terms
 
         def add(delta, coeffs, q):
-            for acc, ck in zip(rows, coeffs):
-                if ck.terms:
-                    row = acc.setdefault(delta, {})
-                    for m, c in ck.terms.items():
-                        _bump_term(row, m, c if q == 1 else q * c)
+            for acc, c in zip(pure, coeffs):
+                acc.append((EnvElement.from_poly(rank, c), delta, q))
 
-        base = self.decompose_mono((gamma, (0,) * spec.rank), flavor)
+        base = self.decompose_mono((gamma, (0,) * rank), flavor)
         for b, cser in zip(self.base_legs(gamma, flavor), base.values()):
             for l, q in leg_product(spec, b, a):
-                g, delta = LEGS[l]
-                if any(g):
+                if PURE[l] != l:
                     for acc, u in zip(rest, mapper(cser).coeffs):
-                        _mul_mono_into(acc, spec, u, (g, delta), q)
+                        acc.append((u, l, q))
                 else:
-                    add(delta, cser.coeffs, q)
+                    add(l, cser.coeffs, q)
         if any(rest):
-            for delta, rser in basis_decompose(
-                    self, _rows_series(spec, n, rest), flavor).items():
-                add(delta, rser.coeffs, 1)
-        zero_p = CPoly.zero(nvars)
-        coeffs = {}
-        for k, acc in enumerate(rows):
-            for delta in sorted(acc):
-                if acc[delta]:
-                    coeffs.setdefault(delta, [zero_p] * (n + 1))[k] = \
-                        CPoly(nvars, acc[delta])
-        return {delta: HSeries(n, cs, zero_p) for delta, cs in coeffs.items()}
+            zero = EnvElement.zero(nvars, rank)
+            for delta, rser in basis_decompose(self, HSeries(n, [
+                    _products(spec, acc) for acc in rest], zero), flavor).items():
+                add(leg_id((zeros_g, delta)), rser.coeffs, 1)
+        return _by_index(nvars, [_products(spec, acc) for acc in pure])
 
     @memo
     def migrants(self, g):
@@ -580,15 +587,13 @@ class DeformedEnvAlgebroid:
         plain multiplication at order zero.
         """
         zeros = (0,) * self.spec.nvars
-        moved = [(leg_id((zeros, beta)),
-                  [_basis_terms(u) for u in self.source_series(cser).coeffs])
+        moved = [(leg_id((zeros, beta)), self.source_series(cser).coeffs)
                  for beta, cser in self.decompose_mono(LEGS[g], "target").items()]
-        d = lcm(*[q.denominator for _, orders in moved
-                  for terms in orders for _, q in terms])
+        d = lcm(*[u.den for _, orders in moved for u in orders])
         return d, [
-            (pure, tuple((j, leg_id(key), q.numerator * (d // q.denominator))
-                         for j, terms in enumerate(orders)
-                         for key, q in terms))
+            (pure, tuple((j, i, c * (d // u.den))
+                         for j, u in enumerate(orders)
+                         for i, c in u.num.items()))
             for pure, orders in moved]
 
 
@@ -670,7 +675,8 @@ def basis_decompose(dfa, u, flavor="source"):
     """u = sum_beta map_F(a_beta) e^beta, solved by triangular back-substitution.
 
     ``flavor`` picks the source or the target map.  The remainder is kept
-    per h-order as {alpha: {gamma: coefficient}}.  A term a h^k e^alpha
+    per h-order as integer numerators by leg id over one denominator,
+    brought to lowest terms when its order is read.  A term a h^k e^alpha
     goes into a_alpha and its image map_F(a) e^alpha h^k comes off the
     remainder; the image is a + O(h) because F_0 = 1 (x) 1, so order k
     cancels the term itself and only the orders k + j, 1 <= j <= N - k,
@@ -684,25 +690,49 @@ def basis_decompose(dfa, u, flavor="source"):
     spec = dfa.spec
     nvars = spec.nvars
     n = dfa.order
-    zeros_g = (0,) * nvars
-    zero_p = CPoly.zero(nvars)
     mapper = dfa.source if flavor == "source" else dfa.target
-    remaining = [{alpha: dict(p.terms) for alpha, p in uk.terms.items()}
-                 for uk in u.coeffs]
-    coeffs = {}
+    remaining = [[dict(uk.num), uk.den] for uk in u.coeffs]
+    layers = []
     for k in range(n + 1):
-        layer = remaining[k]
-        for alpha in sorted(layer):
-            terms = layer[alpha]
-            coeffs.setdefault(alpha, [zero_p] * (n + 1))[k] = CPoly(nvars, terms)
-            if k == n:
+        rem = _element(nvars, spec.rank, *remaining[k])
+        layers.append(rem)
+        if k == n:
+            continue
+        den = rem.den
+        terms = [(PURE[i], c, mapper(CPoly.monomial(nvars, LEGS[i][0])).coeffs)
+                 for i, c in rem.num.items()]
+        for j in range(1, n - k + 1):
+            pieces = [(mono, c, mapped[j]) for mono, c, mapped in terms
+                      if mapped[j].num]
+            if not pieces:
                 continue
-            mono = (zeros_g, alpha)
-            for gamma, c in terms.items():
-                mapped = mapper(CPoly.monomial(nvars, gamma)).coeffs
-                for j in range(1, n - k + 1):
-                    _mul_mono_into(remaining[k + j], spec, mapped[j], mono, -c)
-    return {beta: HSeries(n, cs, zero_p) for beta, cs in coeffs.items()}
+            # bring the remainder of order k + j and these pieces over one
+            # denominator, then subtract c / den map(x^gamma)_j e^alpha
+            acc = remaining[k + j]
+            step = den * lcm(*[w.den for _, _, w in pieces])
+            total = lcm(acc[1], step)
+            if total != acc[1]:
+                up = total // acc[1]
+                acc[0] = {i: c * up for i, c in acc[0].items()}
+                acc[1] = total
+            for mono, c, w in pieces:
+                _mul_mono_into(acc[0], spec, w, mono,
+                               -c * (total // (den * w.den)))
+    return _by_index(nvars, layers)
+
+
+def _by_index(nvars, elements):
+    """{alpha: the series of a_alpha} for the series sum_k h^k sum_alpha
+    a_alpha e^alpha whose orders are the elements: keys by first nonzero
+    order, then by alpha, and no series zero."""
+    n = len(elements) - 1
+    zero_p = CPoly.zero(nvars)
+    coeffs = {}
+    for k, u in enumerate(elements):
+        terms = u.terms
+        for alpha in sorted(terms):
+            coeffs.setdefault(alpha, [zero_p] * (n + 1))[k] = terms[alpha]
+    return {alpha: HSeries(n, cs, zero_p) for alpha, cs in coeffs.items()}
 
 
 def reduce_series(dfa, HT):
@@ -815,7 +845,7 @@ def takeuchi_check_deformed(dfa, HT, samples):
 
 
 def _counit_contract(dfa, HT, leg):
-    """Contract the lift with the counit on leg ``leg``, one row per
+    """Contract the lift with the counit on leg ``leg``, one sum per
     order.
 
     leg 0:  sum s_F(eps(w1)) . w2;  leg 1: sum t_F(eps(w2)) . w1.
@@ -823,17 +853,18 @@ def _counit_contract(dfa, HT, leg):
     spec = dfa.spec
     n = dfa.order
     mapper = dfa.source if leg == 0 else dfa.target
-    rows = [{} for _ in range(n + 1)]
+    pieces = [[] for _ in range(n + 1)]
     for k, Tk in enumerate(HT.coeffs):
         for key, c in Tk.num.items():
             g_eps, a_eps = LEGS[key[leg]]
             if any(a_eps):
                 continue
             eps = mapper(CPoly.monomial(spec.nvars, g_eps)).coeffs
-            other, c = LEGS[key[1 - leg]], Fraction(c, Tk.den)
-            for acc, w in zip(rows[k:], eps):
-                _mul_mono_into(acc, spec, w, other, c)
-    return _rows_series(spec, n, rows)
+            c = Fraction(c, Tk.den)
+            for acc, w in zip(pieces[k:], eps):
+                acc.append((w, key[1 - leg], c))
+    return HSeries(n, [_products(spec, acc) for acc in pieces],
+                   EnvElement.zero(spec.nvars, spec.rank))
 
 
 def sample_defelems(dfa, max_degree=2):

@@ -16,13 +16,13 @@ checks carry information there.
 """
 
 import itertools
+from math import lcm
 
 from .deform import (
     defelem_from_env, defelem_mul, deformed_coproduct_leg, twisted_coproduct,
 )
 from .envelope import (
-    LEGS, EnvElement, _add_rows, _bump_term, _row_element, env_counit,
-    leg_id, pbw_mul,
+    LEGS, EnvElement, _bump_term, _combination, env_counit, pbw_mul,
 )
 from .errors import (
     ConfigError, InvariantViolation, NonIntegralError,
@@ -37,10 +37,10 @@ from .lierinehart import (
     LieRinehartSpec, lr_bialgebra_validate, lr_validate,
 )
 from .report import Check, Report
-from .scalars import CPoly, Fraction, monomials_upto, pbw_indices
+from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import HSeries
 from .tensorspace import (
-    MAX_LEGS, TensorElement, _tensor_cleared, tensor_reduce,
+    MAX_LEGS, TensorElement, _tensor, tensor_reduce,
 )
 
 __all__ = [
@@ -189,11 +189,9 @@ def _counit_series(u):
 
 def _difference(spec, a, b, orders):
     """Orders 0..orders-1 of a - b for envelope series a and b, each order
-    summed in one row {alpha: {gamma: q}}."""
-    rows = [{} for _ in range(orders)]
-    _add_rows(rows, a.coeffs, 1)
-    _add_rows(rows, b.coeffs, -1)
-    return [_row_element(spec, row) for row in rows]
+    one ``_combination`` over the lcm of the two denominators."""
+    return [_combination(spec.nvars, spec.rank, ((1, x), (-1, y)))
+            for x, y in zip(a.coeffs[:orders], b.coeffs[:orders])]
 
 
 def _project_leg(dfa, HT, leg, flavor):
@@ -201,28 +199,33 @@ def _project_leg(dfa, HT, leg, flavor):
     read and written by leg id: a term c h^k with a pure base monomial
     x^gamma on leg ``leg`` also subtracts c h^(k+j) times each term of
     order j of map_F(x^gamma) in that leg's place.  Each order is summed
-    in one dict of Fractions and cleared to integer numerators once."""
+    on integer numerators over the lcm of its pieces' denominators."""
     spec = dfa.spec
     n = dfa.order
     mapper = dfa.source if flavor == "source" else dfa.target
-    acc = [dict() for _ in range(n + 1)]
+    moved = [[] for _ in range(n + 1)]  # per order (key, c, den(T_k), env)
     for k, Tk in enumerate(HT.coeffs):
         for key, c in Tk.num.items():
-            c = Fraction(c, Tk.den)
-            _bump_term(acc[k], key, c)
             gamma, alpha = LEGS[key[leg]]
             if any(alpha):
                 continue
-            head, tail = key[:leg], key[leg + 1:]
             ser = mapper(CPoly.monomial(spec.nvars, gamma))
-            for out, env in zip(acc[k:], ser.coeffs):
-                for a2, p2 in env.terms.items():
-                    for g2, q2 in p2.terms.items():
-                        _bump_term(out, head + (leg_id((g2, a2)),) + tail,
-                                   -c * q2)
-    zero = HT.zero
-    return HSeries(n, [_tensor_cleared(spec.nvars, spec.rank, zero.legs, d, 1)
-                       for d in acc], zero)
+            for acc, env in zip(moved[k:], ser.coeffs):
+                if env.num:
+                    acc.append((key, c, Tk.den, env))
+    out = []
+    for Tk, acc in zip(HT.coeffs, moved):
+        den = lcm(Tk.den, *[d * env.den for _, _, d, env in acc])
+        up = den // Tk.den
+        terms = {key: c * up for key, c in Tk.num.items()}
+        for key, c, d, env in acc:
+            c *= -(den // (d * env.den))
+            head, tail = key[:leg], key[leg + 1:]
+            for i, q in env.num.items():
+                _bump_term(terms, head + (i,) + tail, c * q)
+        out.append(_tensor(spec.nvars, spec.rank, HT.zero.legs, terms,
+                           den if terms else 1))
+    return HSeries(n, out, HT.zero)
 
 
 def hprime_member(dfa, u, n_max=None):

@@ -1,38 +1,48 @@
 """Enveloping algebra of a Lie-Rinehart structure, in PBW normal form.
 
-An ``EnvElement`` is a sparse map from multi-indices alpha to polynomial
-coefficients, standing for sum_alpha a_alpha e^alpha with the coefficient
-on the left and e^alpha = e_1^a1 ... e_m^am in fixed generator order.
+An ``EnvElement`` stands for sum_alpha a_alpha e^alpha with the
+coefficient on the left and e^alpha = e_1^a1 ... e_m^am in fixed
+generator order.  It keeps its coefficients as integer numerators by leg
+id over one denominator, as ``tensorspace.TensorElement`` does: ``num``
+maps the interned id (``leg_id``) of each basis monomial x^gamma e^alpha
+to a nonzero ``int`` and ``den`` is one positive ``int``, in lowest terms.
+``.terms`` is a read-only {alpha: CPoly} view built once per element,
+which hashing, printing and ``env_counit`` read; ``__eq__``
+cross-multiplies.
 Multiplication rewrites e_i a -> a e_i + anchor(e_i)(a) and
 e_j e_i -> e_i e_j - [e_i, e_j] (j > i) until normal; rewriting terminates
 because every step lowers (total degree, inversion count) lexicographically.
 The rewriting runs once per pair of basis monomials x^gamma e^alpha, into
 the structure's one product table (``leg_product``), which every product
 of the engine reads.  Envelope products read it through one loop,
-``_mul_mono_into``: an element times a basis monomial, on either side,
-summed into rows {alpha: {gamma: q}} that hold exactly the nonzero terms.
-``pbw_mul`` sums it over the right factor's basis terms, and every sum
-or difference of envelope elements that a command computes, in
-``deform``, ``jets`` and ``drinfeld``, goes into such rows, one per
-h-order (``_add_rows``, ``_rows_series``), never through a chain of
-``+``.  The tensor loops of ``tensorspace`` and ``deform`` read the table
-on leg ids.  The table is nested by the monomials' interned ids
-(``leg_id``), {ia: {ib: entry}}: every basis monomial (gamma, alpha) gets
-a small int the first time it is seen, so a lookup hashes an int per
-level instead of nested exponent tuples, and a loop over the right
-factors of one left leg holds that leg's row.  The anchor action
-reads a second table, of e^alpha acting on x^gamma: ``_act_into`` sums
-a basis monomial acting on a polynomial into {exponent: coefficient},
-and ``anchor_action`` sums it over the basis terms of an element.
+``_mul_mono_into``: an element's numerators times a basis monomial, on
+either side, summed into one dict of numerators by leg id that holds
+exactly the nonzero terms, a left coordinate x^gamma shifting each entry
+by its interned shift (``shift_id``).  ``pbw_mul`` sums it over the right
+factor's basis terms, and every sum or difference of envelope elements
+that a command computes, in ``deform``, ``jets`` and ``drinfeld``, goes
+into such a dict, one per h-order, over a denominator fixed first as the
+lcm of its pieces' denominators (``_combination``, ``_products``), never
+through a chain of ``+``; the result becomes an element once
+(``_element``).  The tensor loops of ``tensorspace`` and ``deform`` read
+the table on leg ids too.  The table is nested by the monomials' interned
+ids, {ia: {ib: entry}}: every basis monomial (gamma, alpha) gets a small
+int the first time it is seen, so a lookup hashes an int per level
+instead of nested exponent tuples, and a loop over the right factors of
+one left leg holds that leg's row.  The anchor action reads a second
+table, of e^alpha acting on x^gamma: ``_act_into`` sums a basis monomial
+acting on a polynomial into {exponent: coefficient}, and
+``anchor_action`` sums it over the basis terms of an element.
 """
 
 from collections import defaultdict
 from functools import wraps
+from math import gcd, lcm
 from operator import add
+from types import MappingProxyType
 
 from .errors import ConfigError
 from .scalars import CPoly, Fraction
-from .series import HSeries
 
 __all__ = [
     "EnvElement", "pbw_mul", "leg_id", "leg_product", "monomial_action",
@@ -63,15 +73,42 @@ def memo(f):
 
 
 class EnvElement:
-    """Normal-form element: {multi-index alpha: CPoly coefficient}."""
+    """Normal-form element sum_alpha a_alpha e^alpha as integer numerators
+    by leg id over one denominator: ``num`` maps the id (``leg_id``) of
+    each basis monomial x^gamma e^alpha to a nonzero ``int`` and ``den``
+    is one positive ``int``, in lowest terms.
 
-    __slots__ = ("nvars", "rank", "terms", "_hash")
+    ``EnvElement(nvars, rank, terms)`` takes {alpha: CPoly} and brings the
+    coefficients over the lcm of their denominators.  Every operation
+    returns a new element and none changes ``num`` in place, so elements
+    may share it.  ``.terms`` is the value as a read-only {alpha: CPoly}
+    view, built once per element; ``__eq__`` cross-multiplies.
+    """
+
+    __slots__ = ("nvars", "rank", "num", "den", "_terms", "_hash")
 
     def __init__(self, nvars, rank, terms=None):
         self.nvars = nvars
         self.rank = rank
-        self.terms = {a: c for a, c in (terms or {}).items() if not c.is_zero()}
+        self.num, self.den = _common_den({
+            leg_id((gamma, alpha)): q for alpha, c in (terms or {}).items()
+            for gamma, q in c.terms.items()})
+        self._terms = None
         self._hash = None
+
+    @property
+    def terms(self):
+        view = self._terms
+        if view is None:
+            den = self.den
+            rows = {}
+            for i, c in self.num.items():
+                gamma, alpha = LEGS[i]
+                rows.setdefault(alpha, {})[gamma] = \
+                    c if den == 1 else Fraction(c, den)
+            view = self._terms = MappingProxyType(
+                {alpha: CPoly(self.nvars, r) for alpha, r in rows.items()})
+        return view
 
     # -- constructors --------------------------------------------------------
 
@@ -101,7 +138,7 @@ class EnvElement:
     # -- structure -----------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def scale(self, poly):
         """Left multiplication by a coefficient (polynomial or rational)."""
@@ -111,21 +148,18 @@ class EnvElement:
                           {a: poly * c for a, c in self.terms.items()})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for a, c in other.terms.items():
-            cur = out.get(a)
-            out[a] = c if cur is None else cur + c
-        return EnvElement(self.nvars, self.rank, out)
+        return _combination(self.nvars, self.rank, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return self + (-other)
+        return _combination(self.nvars, self.rank, ((1, self), (-1, other)))
 
     def __neg__(self):
-        return EnvElement(self.nvars, self.rank,
-                          {a: -c for a, c in self.terms.items()})
+        return _element(self.nvars, self.rank,
+                        {i: -c for i, c in self.num.items()}, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, EnvElement) and self.terms == other.terms
+        return isinstance(other, EnvElement) and \
+            _same_value(self.num, self.den, other.num, other.den)
 
     def __hash__(self):
         if self._hash is None:
@@ -134,15 +168,71 @@ class EnvElement:
         return self._hash
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
+        terms = self.terms
         parts = []
-        for alpha in sorted(self.terms, key=lambda a: (sum(a), a)):
+        for alpha in sorted(terms, key=lambda a: (sum(a), a)):
             word = "".join("e%d^%d" % (i + 1, k) if k > 1 else "e%d" % (i + 1)
                            for i, k in enumerate(alpha) if k)
-            c = str(self.terms[alpha])
+            c = str(terms[alpha])
             parts.append("(%s)%s" % (c, word) if word else "(%s)" % c)
         return " + ".join(parts)
+
+
+def _element(nvars, rank, num, den=1):
+    """The EnvElement on the numerators ``num`` (nonzero, not copied) over
+    the positive int ``den``, brought to lowest terms: a ``Fraction``
+    value, which a rational leg-table entry leaves, is cleared into the
+    denominator first, and the content common to ``den`` and every
+    numerator is divided out."""
+    num, den = _cleared(num, den)
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {i: c // g for i, c in num.items()}
+            den //= g
+    u = object.__new__(EnvElement)
+    u.nvars = nvars
+    u.rank = rank
+    u.num = num
+    u.den = den
+    u._terms = None
+    u._hash = None
+    return u
+
+
+def _cleared(num, den):
+    """(num, den) for the numerators ``num`` over ``den`` whose values are
+    ints, or Fractions where a leg-table entry was one: the Fractions'
+    denominators cleared into ``den`` once, exactly.  The types are read
+    by one C-level pass."""
+    if not {int}.issuperset(map(type, num.values())):
+        num, d = _common_den(num)
+        den *= d
+    return num, den
+
+
+def _common_den(terms):
+    """(num, den) of a {key: int or Fraction} dict: integer numerators over
+    the lcm of the denominators, zero entries dropped."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items() if c}, den
+
+
+def _same_value(a, da, b, db):
+    """Whether the numerators a over da and b over db are one value, by
+    cross-multiplying: no gcd is taken."""
+    if da == db:
+        return a == b
+    if len(a) != len(b):
+        return False
+    for k, c in a.items():
+        d = b.get(k)
+        if d is None or c * db != d * da:
+            return False
+    return True
 
 
 def _bump(alpha, i, by=1):
@@ -254,16 +344,15 @@ def _leg_entry(spec, alpha, gamma, beta):
     if j is None:
         return ((leg_id((gamma, beta)), 1),)
     ej = leg_id((zeros, _bump((0,) * rank, j)))
-    rows = {}
+    out = {}
     if sum(alpha) > 1:
         head = leg_id((zeros, _bump(alpha, j, -1)))
         for w, q in leg_product(spec, ej, leg_id((gamma, beta))):
-            _acc_rows(rows, leg_product(spec, head, w), q)
+            _acc_terms(out, leg_product(spec, head, w), q)
     elif any(gamma):
-        _acc_rows(rows, leg_product(spec, ej, leg_id((zeros, beta))), 1, gamma)
-        row = rows.setdefault(beta, {})
+        _acc_terms(out, leg_product(spec, ej, leg_id((zeros, beta))), 1, gamma)
         for mu, v in monomial_action(spec, alpha, gamma).terms.items():
-            _bump_term(row, mu, v)
+            _bump_term(out, leg_id((mu, beta)), v)
     else:
         i = _first_nonzero(beta)
         if i is None or j <= i:
@@ -271,26 +360,22 @@ def _leg_entry(spec, alpha, gamma, beta):
         rest = leg_id((zeros, _bump(beta, i, -1)))
         ei = leg_id((zeros, _bump((0,) * rank, i)))
         for w, q in leg_product(spec, ej, rest):
-            _acc_rows(rows, leg_product(spec, ei, w), q)
+            _acc_terms(out, leg_product(spec, ei, w), q)
         for k, c in enumerate(spec.bracket_basis(i, j)):
             if c.terms:
                 ek = leg_product(spec, leg_id((zeros, _bump((0,) * rank, k))),
                                  rest)
                 for mu, v in c.terms.items():
-                    _acc_rows(rows, ek, -v, mu)
-    return tuple((leg_id((g, a)), q.numerator if q.denominator == 1 else q)
-                 for a, row in rows.items() for g, q in row.items())
+                    _acc_terms(out, ek, -v, mu)
+    return tuple((i, q.numerator if q.denominator == 1 else q)
+                 for i, q in out.items())
 
 
-def _acc_rows(rows, terms, c, mu=None):
-    """rows += c x^mu * terms, rows kept as {alpha: {gamma: q}}; returns
-    rows."""
+def _acc_terms(out, terms, c, mu=None):
+    """out += c x^mu * terms on {leg id: q}, the shift by x^mu read from
+    ``shift_id``."""
     for i, q in terms:
-        g, a = LEGS[i]
-        if mu:
-            g = tuple(map(add, g, mu))
-        _bump_term(rows.setdefault(a, {}), g, c * q)
-    return rows
+        _bump_term(out, shift_id(i, mu) if mu else i, c * q)
 
 
 def _bump_term(d, key, c):
@@ -344,109 +429,124 @@ def _act_into(out, spec, key, a, c):
 
 
 # -- products and sums of elements ----------------------------------------------
+#
+# Every product and sum of elements is accumulated on integer numerators by
+# leg id, {id: numerator}, over one denominator that the caller fixes first
+# as the lcm of its pieces' denominators, and becomes an element once
+# (``_element``), as ``tensorspace`` sums its tensors.
 
 
-def _mul_mono_into(rows, spec, w, key, c=1, right=True):
-    """rows += c (w . x^gamma e^alpha) (``right``) or c (x^gamma e^alpha . w)
-    for a normal-form element w, the basis monomial key = (gamma, alpha)
-    and a nonzero rational c, read from the product table; returns rows.
-    The left factor's x^gamma shifts the entry of its pure part e^alpha.
-    Like terms merge, a term that cancels is dropped and so is a row it
-    empties, so rows hold exactly the nonzero terms of the sum."""
-    zeros = (0,) * spec.nvars
-    table, legs = spec._leg_table, LEGS
-    scaled = c != 1
-    if right:
-        ib = leg_id(key)
-    else:
-        ia = leg_id((zeros, key[1]))
+def _mul_mono_into(out, spec, w, key, m=1, right=True):
+    """out += m (numerators of w) . x^gamma e^alpha (``right``) or
+    m x^gamma e^alpha . (numerators of w), for a normal-form element w, the
+    leg id ``key`` of the basis monomial x^gamma e^alpha and a nonzero int
+    m, read from the product table; returns out.  The left factor's
+    x^gamma shifts the entry of its pure part e^alpha (``shift_id``).
+    Like terms merge and a term that cancels is dropped, so out holds
+    exactly the nonzero numerators of the sum; they are over w.den times
+    the caller's own denominator."""
+    table = spec._leg_table
+    if not right:
+        ia, shift = PURE[key], GAMMA[key]
         row_a = table[ia]
-        shift = key[0] if any(key[0]) else None
-    for alpha, poly in w.terms.items():
+        shifts = SHIFTS[shift] if shift is not None else None
+    for i, c in w.num.items():
         if right:
-            ia = leg_id((zeros, alpha))
-            entry = table[ia].get(ib)
+            ia, shift = PURE[i], GAMMA[i]
+            entry = table[ia].get(key)
             if entry is None:
-                entry = leg_product(spec, ia, ib)
-        for gamma, q in poly.terms.items():
-            if right:
-                shift = gamma if any(gamma) else None
+                entry = leg_product(spec, ia, key)
+            shifts = SHIFTS[shift] if shift is not None else None
+        else:
+            entry = row_a.get(i)
+            if entry is None:
+                entry = leg_product(spec, ia, i)
+        if m != 1:
+            c *= m
+        for j, r in entry:
+            if shifts is not None:
+                k = shifts.get(j)
+                j = k if k is not None else shift_id(j, shift)
+            v = c if r == 1 else c * r
+            cur = out.get(j)
+            if cur is None:
+                out[j] = v
             else:
-                ib = leg_id((gamma, alpha))
-                entry = row_a.get(ib)
-                if entry is None:
-                    entry = leg_product(spec, ia, ib)
-            if scaled:
-                q = c if q == 1 else q * c
-            for i, r in entry:
-                g, a = legs[i]
-                if shift is not None:
-                    g = tuple(map(add, g, shift))
-                v = q if r == 1 else q * r
-                row = rows.get(a)
-                if row is None:
-                    rows[a] = {g: v}
-                    continue
-                cur = row.get(g)
-                if cur is not None:
-                    v += cur
-                    if not v:
-                        del row[g]
-                        if not row:
-                            del rows[a]
-                        continue
-                row[g] = v
-    return rows
+                v += cur
+                if v:
+                    out[j] = v
+                else:
+                    del out[j]
+    return out
 
 
 def pbw_mul(spec, u, v):
     """Associative product in PBW normal form."""
     if u.rank != v.rank or u.nvars != v.nvars:
         raise ConfigError("operands over different structures")
-    return _row_element(spec, _pbw_mul_into({}, spec, u, v))
+    return _element(spec.nvars, spec.rank, _pbw_mul_into({}, spec, u, v),
+                    u.den * v.den)
 
 
-def _pbw_mul_into(rows, spec, u, v):
-    """rows += u v: u times each basis term q x^gamma e^beta of v."""
-    for beta, b in v.terms.items():
-        for gamma, q in b.terms.items():
-            _mul_mono_into(rows, spec, u, (gamma, beta), q)
-    return rows
+def _pbw_mul_into(out, spec, u, v, m=1):
+    """out += m (numerators of u) (numerators of v): u times each basis
+    term of v; the sum is over u.den v.den times the caller's
+    denominator."""
+    for j, q in v.num.items():
+        _mul_mono_into(out, spec, u, j, q * m)
+    return out
 
 
-def _add_rows(rows, coeffs, c):
-    """rows[k] += c * coeffs[k] for envelope elements, each row kept as
-    {alpha: {gamma: q}}; stops at the shorter of the two."""
-    for acc, u in zip(rows, coeffs):
-        for alpha, p in u.terms.items():
-            row = acc.setdefault(alpha, {})
-            for g, q in p.terms.items():
-                _bump_term(row, g, q if c == 1 else c * q)
+def _combination(nvars, rank, pieces):
+    """sum c u over pieces (c, u), c rational and u an element, on
+    numerators over the lcm of the c.denominator u.den; a lone piece 1 u
+    is u itself."""
+    pieces = [(c, u) for c, u in pieces if u.num]
+    if len(pieces) == 1 and pieces[0][0] == 1:
+        return pieces[0][1]
+    return _element(nvars, rank, *_aligned_sum(
+        [(c, u.num, u.den) for c, u in pieces]))
 
 
-def _series_rows(mapper, coeffs, n):
-    """sum_k h^k mapper(a_k) over the base coefficients a_k, as n per-order
-    rows {alpha: {gamma: q}}: the image of a base series under a
-    base-to-envelope series map (source or target) up to n orders."""
-    rows = [{} for _ in range(n)]
-    for k, ak in enumerate(coeffs[:n]):
-        if not ak.is_zero():
-            _add_rows(rows[k:], mapper(ak).coeffs, 1)
-    return rows
+def _aligned_sum(pieces):
+    """(numerators, denominator) of sum c num / den over pieces
+    (c, num, den), c rational and num {key: int}: the numerators over the
+    lcm of the c.denominator den, zero entries dropped."""
+    den = lcm(*[c.denominator * d for c, _, d in pieces])
+    out = {}
+    for c, num, d in pieces:
+        m = c.numerator * (den // (c.denominator * d))
+        for i, q in num.items():
+            cur = out.get(i)
+            v = q * m if cur is None else cur + q * m
+            if v:
+                out[i] = v
+            else:
+                del out[i]
+    return out, den
 
 
-def _row_element(spec, row):
-    """The normal-form element whose terms are the row {alpha: {gamma: q}};
-    an emptied alpha is dropped."""
-    nvars = spec.nvars
-    return EnvElement(nvars, spec.rank,
-                      {alpha: CPoly(nvars, r) for alpha, r in row.items()})
+def _products(spec, pieces):
+    """The element sum q (u . x^gamma e^alpha) over pieces (u, leg id of
+    x^gamma e^alpha, q), u an element and q rational, on numerators over
+    the lcm of the u.den q.denominator."""
+    pieces = [piece for piece in pieces if piece[0].num]
+    den = lcm(*[u.den * q.denominator for u, _, q in pieces])
+    out = {}
+    for u, i, q in pieces:
+        _mul_mono_into(out, spec, u, i,
+                       q.numerator * (den // (u.den * q.denominator)))
+    return _element(spec.nvars, spec.rank, out, den)
 
 
-def _rows_series(spec, order, rows):
-    """The series of envelope elements whose orders are the rows."""
-    return HSeries(order, [_row_element(spec, acc) for acc in rows],
-                   EnvElement.zero(spec.nvars, spec.rank))
+def _series_image(spec, mapper, coeffs, n):
+    """sum_k h^k mapper(a_k) over the base coefficients a_k, as its first n
+    orders: the image of a base series under a base-to-envelope series map
+    (source or target), each order one ``_combination``."""
+    images = [(k, mapper(ak).coeffs) for k, ak in enumerate(coeffs[:n])
+              if not ak.is_zero()]
+    return [_combination(spec.nvars, spec.rank, [
+        (1, img[t - k]) for k, img in images if k <= t]) for t in range(n)]
 
 
 def env_counit(u):
@@ -458,7 +558,7 @@ def anchor_action(spec, u, a):
     """u acting on the base: counit(u * a), the sum of its basis terms'
     actions."""
     out = {}
-    for alpha, poly in u.terms.items():
-        for gamma, q in poly.terms.items():
-            _act_into(out, spec, (gamma, alpha), a, q)
+    den = u.den
+    for i, c in u.num.items():
+        _act_into(out, spec, LEGS[i], a, c if den == 1 else Fraction(c, den))
     return CPoly(spec.nvars, out)

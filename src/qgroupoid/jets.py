@@ -60,12 +60,16 @@ of ``HLaurent`` additions it stands for, window included.
 
 A product that is only paired or counit-evaluated is never built as an
 element: the envelope's one product loop (``envelope._mul_mono_into``)
-sums its terms from the structure's product table into one
-{alpha: {gamma: q}} row per h-order, which holds exactly the nonzero
-terms of the product's normal form, and the pairing reads the row
-(``_pair_image``).  Every pairing reads that row format
-(``_pair_rows``), and the s_F or t_F image of a pairing is summed into
-such rows too (``_apply_series_map``).
+sums its terms from the structure's product table into one row
+(q, numerators by leg id, denominator) per h-order, the numerators
+holding exactly the nonzero terms of the product's normal form, and the
+pairing reads the row (``_pair_image``).  Every pairing reads that row
+format (``_pair_rows``), an element's order being its numerators and
+denominator as they are (``jet_pair``), and the s_F or t_F image of a
+pairing is summed over one denominator per order too
+(``_apply_series_map``).  A term on a pure leg e^alpha (``envelope.PURE``)
+pairs as a read of the functional's table and is not memoised
+(``_pair_leg``); only the impure ones go through ``_pair_mono``.
 """
 
 import itertools
@@ -74,8 +78,8 @@ from collections import defaultdict
 
 from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import (
-    LEGS, EnvElement, _act_into, _mul_mono_into, _row_element, _series_rows,
-    memo,
+    LEGS, PURE, EnvElement, _act_into, _element, _mul_mono_into,
+    _series_image, leg_id, memo,
 )
 from .errors import ConfigError, FlavorError
 from .report import Report
@@ -139,7 +143,9 @@ class JetElement:
     """Sparse value table {beta: HLaurent base value}; absent keys are zero.
 
     ``_memos`` (``envelope.memo``) holds two tables.  ``_pair_mono`` maps
-    ``(ctx, w)``, w a basis monomial, to the pairing with w.  ``_image``
+    ``(ctx, w)``, w an impure basis monomial x^gamma e^alpha (gamma != 0),
+    to the pairing with w; a pure e^alpha is a read of ``table``
+    (``_pair_leg``).  ``_image``
     maps ``(ctx, w, lift)`` to the image entry: a first pairing with w
     mapped by s_F or t_F, None where it vanishes, and the product rows of
     that image by each basis monomial met, with their support.  ``lift``
@@ -275,12 +281,22 @@ def _misses(lam, support):
     return support is not None and lam.table.keys().isdisjoint(support)
 
 
+def _pair_leg(lam, ctx, i):
+    """lam on the basis monomial with leg id i: a pure e^alpha reads lam's
+    table, lam.value(ctx, alpha), and keeps no memo entry; an impure one
+    is its memoised pairing (``_pair_mono``)."""
+    key = LEGS[i]
+    if PURE[i] == i:
+        return lam.value(ctx, key[1])
+    return _pair_mono(lam, ctx, key)
+
+
 @memo
 def _pair_mono(lam, ctx, key):
-    """lam on a basis monomial x^gamma e^alpha, via the flavor decomposition,
-    a memo entry of lam.  A pairing that is the empty window up to the
-    truncation order is the shared ``ctx.zero_value()``, which
-    ``_pair_rows`` skips.
+    """lam on an impure basis monomial x^gamma e^alpha (gamma != 0), via
+    the flavor decomposition, a memo entry of lam.  A pairing that is the
+    empty window up to the truncation order is the shared
+    ``ctx.zero_value()``, which ``_pair_rows`` skips.
 
     Without an impure term, the keys of the decomposition of x^gamma
     e^alpha are among the indices delta of the terms of e^beta e^alpha,
@@ -288,9 +304,6 @@ def _pair_mono(lam, ctx, key):
     misses lam's table, lam vanishes on every key, the sum below would add
     nothing and its value would be the shared zero, so that is returned
     without building the decomposition."""
-    gamma, alpha = key
-    if not any(gamma):
-        return lam.value(ctx, alpha)
     if _misses(lam, _support(ctx, (key,), lam.flavor)):
         return ctx.zero_value()
     dec = ctx.dfa.decompose_mono(
@@ -312,73 +325,74 @@ def _pair_mono(lam, ctx, key):
 
 
 def _pair_rows(ctx, lam, rows, top):
-    """sum_q h^q lam(row_q) for rows (q, {alpha: {gamma: c}}) in increasing
-    q, an empty row skipped.  The pairing of each row, as of a plain
-    element, starts from zero up to the truncation order N before its
-    shift, so the one sum starts from zero up to N + (the first q with a
-    term); with no terms it is zero up to ``top``.
+    """sum_q h^q lam(row_q) for rows (q, num, den) in increasing q, num an
+    element's numerators by leg id over den, an empty row skipped.  The
+    pairing of each row, as of a plain element, starts from zero up to the
+    truncation order N before its shift, so the one sum starts from zero
+    up to N + (the first q with a term); with no terms it is zero up to
+    ``top``.
 
     Two shortcuts leave the value and its window as the sum makes them.  A
     pairing that is the shared zero is skipped: at a shift q at or above
     the first row's, its empty window [N+q+1, N+q] lowers neither the
     sum's valuation nor its top.  A single term 1 x^gamma e^alpha at order
     q is its pairing shifted by q when that pairing's top is at most N
-    (a higher top is cut to N + q by the sum's start)."""
-    rows = [(q, row) for q, row in rows if row]
+    (a higher top is cut to N + q by the sum's start).  Each term pairs
+    through ``_pair_leg``, so a pure one reads lam's table."""
+    rows = [row for row in rows if row[1]]
     if not rows:
         return HLaurent.zero_upto(top, ctx.zero_poly())
-    q0, row0 = rows[0]
-    if len(rows) == 1 and len(row0) == 1:
-        (alpha, terms), = row0.items()
-        if len(terms) == 1:
-            (gamma, c), = terms.items()
-            if c == 1:
-                v = _pair_mono(lam, ctx, (gamma, alpha))
-                if v.top <= ctx.order:
-                    return v.shift(q0) if q0 else v
+    q0, num0, den0 = rows[0]
+    if len(rows) == 1 and len(num0) == 1 and den0 == 1:
+        (i, c), = num0.items()
+        if c == 1:
+            v = _pair_leg(lam, ctx, i)
+            if v.top <= ctx.order:
+                return v.shift(q0) if q0 else v
     zero = ctx.zero_value()
     acc = LaurentSum(ctx.zero_poly(), ctx.order + q0)
-    for q, row in rows:
-        for alpha, terms in row.items():
-            for gamma, c in terms.items():
-                v = _pair_mono(lam, ctx, (gamma, alpha))
-                if v is not zero:
-                    acc.add(v, c, q)
+    for q, num, den in rows:
+        for i, c in num.items():
+            v = _pair_leg(lam, ctx, i)
+            if v is not zero:
+                acc.add(v, c if den == 1 else Fraction(c, den), q)
     return acc.value()
 
 
 def _product_rows(spec, W, m, mono_right=True):
-    """The nonempty rows (q, {alpha: {gamma: c}}) of W . m (``mono_right``)
-    or m . W, for a Laurent series W of elements and a basis monomial key
-    m, in increasing q."""
+    """The nonempty rows (q, num, den) of W . m (``mono_right``) or m . W,
+    for a Laurent series W of elements and a basis monomial key m, in
+    increasing q: each order's product (``envelope._mul_mono_into``) as
+    an element's numerators by leg id and denominator."""
     out = []
+    key = leg_id(m)
     for q, w in enumerate(W.coeffs, W.val):
-        if w.terms:
-            row = _mul_mono_into({}, spec, w, m, 1, mono_right)
-            if row:
-                out.append((q, row))
+        if w.num:
+            p = _element(spec.nvars, spec.rank,
+                         _mul_mono_into({}, spec, w, key, 1, mono_right), w.den)
+            if p.num:
+                out.append((q, p.num, p.den))
     return out
 
 
 def jet_pair(ctx, lam, u):
     """<lam, u> for u a DefEnvElement, an ``HSeries`` of normal-form
-    elements: each order q read as the row {alpha: {gamma: c}} of its
-    normal form, and the rows' pairings shifted by q and summed from zero
-    up to the truncation order (``_pair_rows``, k[[h]]-linearity)."""
-    return _pair_rows(ctx, lam, (
-        (q, {alpha: poly.terms for alpha, poly in w.terms.items()})
-        for q, w in enumerate(u.coeffs)), u.order)
+    elements: each order q read as the row (q, numerators, denominator) of
+    its normal form, and the rows' pairings shifted by q and summed from
+    zero up to the truncation order (``_pair_rows``, k[[h]]-linearity)."""
+    return _pair_rows(ctx, lam, ((q, w.num, w.den)
+                                 for q, w in enumerate(u.coeffs)), u.order)
 
 
 def _apply_series_map(ctx, val, mapper):
     """Turn a base-valued Laurent into an envelope-valued one through a
-    base-to-envelope series map (source or target), the images summed
-    into one row per order (``envelope._series_rows``)."""
+    base-to-envelope series map (source or target), each order's images
+    summed over one denominator (``envelope._series_image``)."""
     spec = ctx.spec
     val_top = min(val.top, ctx.order + val.val)
-    rows = _series_rows(mapper, val.coeffs, val_top - val.val + 1)
-    return HLaurent(val.val, val_top, [_row_element(spec, r) for r in rows],
-                    EnvElement.zero(spec.nvars, spec.rank))
+    return HLaurent(val.val, val_top, _series_image(
+        spec, mapper, val.coeffs, val_top - val.val + 1),
+        EnvElement.zero(spec.nvars, spec.rank))
 
 
 # -- dual product ------------------------------------------------------------------
@@ -452,9 +466,9 @@ def _image(lam, ctx, w, lift):
     order 0 in ``_pair_rows``, which cuts a top above N where
     ``_pair_mono`` does not), and the products m . W."""
     if lift:
-        v = _pair_mono(lam, ctx, w)
+        v = _pair_leg(lam, ctx, leg_id(w))
     else:
-        v = _pair_rows(ctx, lam, [(0, {w[1]: {w[0]: 1}})], ctx.order)
+        v = _pair_rows(ctx, lam, [(0, {leg_id(w): 1}, 1)], ctx.order)
     if v.is_zero():
         return None, {}
     left = lam.flavor == LEFT
@@ -497,8 +511,7 @@ def _pair_image(ctx, mu, image, m, right):
     if hit is None:
         r = _product_rows(ctx.spec, W, m, right)
         hit = rows[m] = (r, _support(ctx, (
-            (gamma, alpha) for _, row in r for alpha, terms in row.items()
-            for gamma in terms), mu.flavor))
+            LEGS[i] for _, num, _ in r for i in num), mu.flavor))
     r, support = hit
     if _misses(mu, support):
         top = ctx.order + r[0][0] if r else W.top

@@ -11,6 +11,7 @@ import itertools
 from collections import defaultdict
 from types import MappingProxyType
 
+from .envelope import EnvElement, pbw_mul
 from .errors import ConfigError, DegreeUnsupportedError
 from .report import Check, Report
 from .scalars import CPoly, monomials_upto
@@ -206,9 +207,10 @@ class MultiVector:
 def lr_validate(spec, sample_degree=2):
     """Check Jacobi, the anchor morphism property and Leibniz compatibility.
 
-    ``leibniz-compatibility`` holds for every bracket and anchor: it guards
-    ``bracket_elems``, which applies the Leibniz rule itself, against that
-    expansion written out by hand, not the input."""
+    ``leibniz-compatibility`` compares ``bracket_elems(e_i, f e_j)``, which
+    applies the Leibniz rule itself, with the envelope commutator
+    e_i (f e_j) - (f e_j) e_i, which the product table computes from the
+    bracket and the anchor by rewriting, without ``bracket_elems``."""
     report = Report("lie-rinehart-validate")
     samples = monomials_upto(spec.nvars, sample_degree)
     m = spec.rank
@@ -248,15 +250,17 @@ def lr_validate(spec, sample_degree=2):
     report.check("anchor-lie-morphism", anchor_failures())
 
     def leibniz_failures():
+        p = spec.nvars
+        unit = [tuple(int(t == k) for t in range(m)) for k in range(m)]
         for i in range(m):
+            ei = EnvElement.monomial(p, m, unit[i])
             for j in range(m):
                 for f in samples:
-                    lhs = spec.bracket_elems(spec.basis_elem(i), {j: f})
-                    rhs = dict(spec.bracket_elems(spec.basis_elem(i),
-                                                  spec.basis_elem(j)))
-                    rhs = {k: v * f for k, v in rhs.items()}
-                    _acc(rhs, j, spec.anchor_apply(i, f))
-                    if lhs != _strip(rhs):
+                    bracket = spec.bracket_elems(spec.basis_elem(i), {j: f})
+                    lhs = EnvElement(p, m, {unit[k]: c
+                                            for k, c in bracket.items()})
+                    fej = EnvElement.monomial(p, m, unit[j], f)
+                    if lhs != pbw_mul(spec, ei, fej) - pbw_mul(spec, fej, ei):
                         yield "[e%d, f e%d] != anchor(e%d)(f) e%d + f [e%d,e%d] for f=%s" \
                             % (i + 1, j + 1, i + 1, j + 1, i + 1, j + 1, f)
 

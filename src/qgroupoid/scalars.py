@@ -6,9 +6,10 @@ number of variables x1..xp, stored as a sparse map from exponent tuples to
 coefficients.  Instances are immutable and hashable so they can key caches
 throughout the engine.
 
-Lifted tensors (``tensorspace.TensorElement``) do not keep lowest-terms
-Fractions internally: they hold integer numerators over one denominator
-and give Fractions only through their read-only ``.terms`` view.
+Enveloping elements (``envelope.EnvElement``) and lifted tensors
+(``tensorspace.TensorElement``) do not keep Fractions internally: they
+hold integer numerators over one denominator and give Fractions only
+through their read-only ``.terms`` view.
 """
 
 import re

@@ -23,13 +23,14 @@ is seen, for every structure alike).  ``num`` is keyed by tuples of leg
 ids, so a lookup hashes a tuple of ints, where a tuple of nested exponent
 tuples costs about three times as much.  The public face keeps the
 monomials: the constructor takes nested keys ((gamma, alpha), ...),
-``.terms`` gives them back.  ``__hash__``, ``__repr__`` and the readers
-that walk a tensor by monomial (``counit_contract``, the twistor's
-acting legs in ``deform``, the order-h cobracket of ``drinfeld``) read
-``.terms``; the jet dual product (``jets._transpose``), the
-associativity reach of ``jets.jet_axiom_suite``, the counit contraction
-of ``deform`` and the leg projections of ``drinfeld`` read ``num`` by leg
-id.  Ids follow the order in which monomials are first
+``.terms`` gives them back.  ``__hash__``, ``__repr__`` and the order-h
+cobracket of ``drinfeld`` read ``.terms``; everything else reads ``num``
+by leg id: the jet dual product (``jets._transpose``), the associativity
+reach of ``jets.jet_axiom_suite``, the twistor's acting legs and the
+counit contraction of ``deform``, the leg projections of ``drinfeld``,
+and ``counit_contract`` and ``TensorElement.of``, which meet an
+``envelope.EnvElement`` on its own numerators by leg id over its one
+denominator.  Ids follow the order in which monomials are first
 seen, so nothing sorts by id; every ordered output sorts the monomials.
 
 Legs are multiplied through the structure's one product table
@@ -70,7 +71,9 @@ memos (``_copro_mono``, an ``envelope.memo`` entry keyed by alpha).
 ``tensor_coproduct_leg`` splices it into one leg, and
 the coproduct of an element is that splice on the element as a 1-leg
 tensor.  ``counit_contract`` is the one counit contraction of a classical
-2-tensor, multiplying the other leg on the left.
+2-tensor, multiplying the other leg on the left: the counit leg's gamma
+shifts the other leg's id (``envelope.shift_id``), over the tensor's
+denominator.
 """
 
 from math import lcm
@@ -78,11 +81,11 @@ from operator import add
 from types import MappingProxyType
 
 from .envelope import (
-    GAMMA, LEGS, PURE, EnvElement, _bump_term, leg_id, leg_product, memo,
-    shift_id,
+    GAMMA, LEGS, PURE, EnvElement, _aligned_sum, _bump_term, _cleared,
+    _common_den, _element, _same_value, leg_id, leg_product, memo, shift_id,
 )
 from .errors import ConfigError
-from .scalars import CPoly, Fraction
+from .scalars import Fraction
 from .series import HSeries
 
 # the most legs an iterated coproduct may build
@@ -92,14 +95,6 @@ __all__ = [
     "TensorElement", "env_coproduct", "tensor_mul", "tensor_series_mul",
     "counit_contract", "tensor_reduce", "same_class", "takeuchi_check",
 ]
-
-
-def _common_den(terms):
-    """(num, den) of a {key: int or Fraction} dict: integer numerators over
-    the lcm of the denominators, zero entries dropped."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    return {k: c.numerator * (den // c.denominator)
-            for k, c in terms.items() if c}, den
 
 
 def _unit_id(nvars, rank):
@@ -167,19 +162,16 @@ class TensorElement:
 
     @classmethod
     def of(cls, *factors):
-        """Outer product of EnvElements: each factor's terms as integer
-        numerators by leg id over the lcm of its denominators, multiplied
-        over the product of those lcms.  The legs of one factor have
-        distinct ids, so no two products share a key."""
+        """Outer product of EnvElements: the factors' numerators by leg id
+        multiplied, over the product of their denominators.  The legs of
+        one factor have distinct ids, so no two products share a key."""
         first = factors[0]
         num, den = {(): 1}, 1
         for u in factors:
-            legs, d = _common_den({leg_id((gamma, alpha)): q
-                                   for alpha, poly in u.terms.items()
-                                   for gamma, q in poly.terms.items()})
+            legs = u.num.items()
             num = {key + (i,): c * q for key, c in num.items()
-                   for i, q in legs.items()}
-            den *= d
+                   for i, q in legs}
+            den *= u.den
         return _tensor(first.nvars, first.rank, len(factors), num, den)
 
     # -- ring-ish operations ---------------------------------------------------
@@ -199,19 +191,9 @@ class TensorElement:
         """self + sign * other over the lcm of the two denominators."""
         if not other.num:
             return self
-        da, db = self.den, other.den
-        den = da if da == db else lcm(da, db)
-        ma, mb = den // da, sign * (den // db)
-        out = dict(self.num) if ma == 1 else \
-            {k: c * ma for k, c in self.num.items()}
-        for k, c in other.num.items():
-            cur = out.get(k)
-            s = c * mb if cur is None else cur + c * mb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return _tensor(self.nvars, self.rank, self.legs, out, den if out else 1)
+        num, den = _aligned_sum(((1, self.num, self.den),
+                                 (sign, other.num, other.den)))
+        return _tensor(self.nvars, self.rank, self.legs, num, den if num else 1)
 
     def __neg__(self):
         return _tensor(self.nvars, self.rank, self.legs,
@@ -250,19 +232,8 @@ class TensorElement:
             raise ConfigError("tensor shape mismatch")
 
     def __eq__(self, other):
-        if not isinstance(other, TensorElement) or self.legs != other.legs:
-            return False
-        a, b = self.num, other.num
-        da, db = self.den, other.den
-        if da == db:
-            return a == b
-        if len(a) != len(b):
-            return False
-        for k, c in a.items():
-            d = b.get(k)
-            if d is None or c * db != d * da:
-                return False
-        return True
+        return isinstance(other, TensorElement) and self.legs == other.legs \
+            and _same_value(self.num, self.den, other.num, other.den)
 
     def __hash__(self):
         if self._hash is None:
@@ -291,12 +262,6 @@ class TensorElement:
 
 
 # -- products -------------------------------------------------------------------
-
-
-def _basis_terms(u):
-    """The monomials q x^gamma e^alpha of u as [((gamma, alpha), q)]."""
-    return [((gamma, alpha), q) for alpha, poly in u.terms.items()
-            for gamma, q in poly.terms.items()]
 
 
 def tensor_mul(spec, s, t):
@@ -421,10 +386,7 @@ def _tensor_cleared(nvars, rank, legs, out, den):
     """The tensor ``out`` / ``den`` for an accumulated ``out`` whose values
     are ints, or Fractions where a leg coefficient was one; the Fractions'
     denominators are cleared into ``den`` once, exactly."""
-    if any(type(c) is not int for c in out.values()):
-        out, d = _common_den(out)
-        den *= d
-    return _tensor(nvars, rank, legs, out, den)
+    return _tensor(nvars, rank, legs, *_cleared(out, den))
 
 
 # -- coproduct ------------------------------------------------------------------
@@ -587,14 +549,13 @@ def counit_contract(T, leg):
     at alpha = 0 and zero otherwise.  The counit value multiplies the other
     leg on the left, t(eps(v)) u = eps(v) u, which is well defined on the
     tensor product over the base, where a u (x) v = u (x) a v."""
-    rows = {}
-    for key, c in T.terms.items():
-        (g_eps, a_eps), (gamma, alpha) = key[leg], key[1 - leg]
-        if not any(a_eps):
-            _bump_term(rows.setdefault(alpha, {}),
-                       tuple(map(add, g_eps, gamma)), c)
-    return EnvElement(T.nvars, T.rank, {alpha: CPoly(T.nvars, row)
-                                        for alpha, row in rows.items()})
+    out = {}
+    for key, c in T.num.items():
+        e, other = key[leg], key[1 - leg]
+        if not any(LEGS[e][1]):
+            g = GAMMA[e]
+            _bump_term(out, other if g is None else shift_id(other, g), c)
+    return _element(T.nvars, T.rank, out, T.den)
 
 
 def takeuchi_check(spec, T, samples):

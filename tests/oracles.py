@@ -37,7 +37,7 @@ import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from qgroupoid import deform, drinfeld, jets
@@ -48,14 +48,14 @@ from qgroupoid.deform import (
     twisted_coproduct, twistor_validate,
 )
 from qgroupoid.envelope import (
-    LEGS, EnvElement, _act_into, _bump_term, _mul_mono_into, _rows_series,
-    anchor_action, env_counit, leg_id, leg_product, monomial_action, pbw_mul,
+    LEGS, EnvElement, _act_into, _bump_term, _mul_mono_into, anchor_action,
+    env_counit, leg_id, leg_product, monomial_action, pbw_mul,
 )
 from qgroupoid.errors import (
     ConfigError, FlavorError, TruncationInsufficientError,
 )
 from qgroupoid.jets import (
-    LEFT, RIGHT, JetContext, JetElement, _apply_series_map, _pair_mono,
+    LEFT, RIGHT, JetContext, JetElement, _apply_series_map, _pair_leg,
     _pair_rows, _product_rows, _tabulate, coordinate_functional,
     divided_xi_powers, jet_coproduct_functional, jet_pair, jet_product,
     table_sum, tensor_functional_from_pair, tensor_tables_equal,
@@ -69,7 +69,7 @@ from qgroupoid.series import (
 )
 from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
-    TensorElement, _basis_terms, _common_den, _copro_mono, _mul_into,
+    TensorElement, _common_den, _copro_mono, _mul_into,
     _tensor, _tensor_cleared, _unit_id, copro_basis, env_coproduct,
     tensor_coproduct_leg, tensor_mul, tensor_reduce, tensor_series_mul,
 )
@@ -798,12 +798,6 @@ def env_rows(w):
     return {alpha: dict(p.terms) for alpha, p in w.terms.items()}
 
 
-def assert_clean(rows):
-    """No empty row and no zero entry."""
-    assert all(rows.values())
-    assert all(q for row in rows.values() for q in row.values())
-
-
 def chain_act_mono(spec, key, a):
     """x^gamma e^alpha acting on a, applying the last generator first."""
     gamma, alpha = key
@@ -818,20 +812,190 @@ def chain_act_mono(spec, key, a):
     return val
 
 
+# -- Fraction rows --------------------------------------------------------------------
+#
+# The envelope's loops as they ran before elements carried integer
+# numerators by leg id: every product and sum of envelope elements summed
+# into nested rows {alpha: {gamma: Fraction}}, one per h-order.  They read
+# an element through its ``.terms`` view and are the references of the
+# integer loops (the "/fraction-rows" entries of ``PARITY``).
+
+
+def frac_mul_mono_into(rows, spec, w, key, c=1, right=True):
+    """rows += c (w . x^gamma e^alpha) (``right``) or c (x^gamma e^alpha . w)
+    on {alpha: {gamma: q}}, key = (gamma, alpha) and c rational; like terms
+    merge and an emptied row is dropped; returns rows."""
+    zeros = (0,) * spec.nvars
+    if right:
+        ib = leg_id(key)
+    else:
+        ia = leg_id((zeros, key[1]))
+        shift = key[0] if any(key[0]) else None
+    for alpha, poly in w.terms.items():
+        if right:
+            ia = leg_id((zeros, alpha))
+        for gamma, q in poly.terms.items():
+            if right:
+                shift = gamma if any(gamma) else None
+                entry = leg_product(spec, ia, ib)
+            else:
+                entry = leg_product(spec, ia, leg_id((gamma, alpha)))
+            for i, r in entry:
+                g, a = LEGS[i]
+                if shift is not None:
+                    g = tuple(map(add, g, shift))
+                row = rows.setdefault(a, {})
+                _bump_term(row, g, c * q * r)
+                if not row:
+                    del rows[a]
+    return rows
+
+
+def frac_add_rows(rows, coeffs, c):
+    """rows[k] += c * coeffs[k] for envelope elements."""
+    for acc, u in zip(rows, coeffs):
+        for alpha, p in u.terms.items():
+            row = acc.setdefault(alpha, {})
+            for g, q in p.terms.items():
+                _bump_term(row, g, c * q)
+            if not row:
+                del acc[alpha]
+
+
+def frac_rows_series(spec, order, rows):
+    """The series of envelope elements whose orders are the rows."""
+    nvars = spec.nvars
+    return HSeries(order, [EnvElement(nvars, spec.rank, {
+        alpha: CPoly(nvars, r) for alpha, r in acc.items()}) for acc in rows],
+        EnvElement.zero(nvars, spec.rank))
+
+
+def frac_pbw_mul(spec, u, v):
+    rows = {}
+    for beta, b in v.terms.items():
+        for gamma, q in b.terms.items():
+            frac_mul_mono_into(rows, spec, u, (gamma, beta), q)
+    return frac_rows_series(spec, 0, [rows]).coeffs[0]
+
+
+def frac_defelem_mul(spec, a, b):
+    """The Cauchy product, each order's products a_i b_j in one row."""
+    n = a.order
+    rows = [{} for _ in range(n + 1)]
+    for i, ai in enumerate(a.coeffs):
+        for row, bj in zip(rows[i:], b.coeffs):
+            for beta, p in bj.terms.items():
+                for gamma, q in p.terms.items():
+                    frac_mul_mono_into(row, spec, ai, (gamma, beta), q)
+    return frac_rows_series(spec, n, rows)
+
+
+def frac_series_image(dfa, leg, aser):
+    """s_F (leg 0) or t_F (leg 1) of a base series: sum_k h^k map(a_k),
+    the images added into one row per order."""
+    mapper = (dfa.source, dfa.target)[leg]
+    n = dfa.order + 1
+    rows = [{} for _ in range(n)]
+    for k, ak in enumerate(aser.coeffs):
+        if not ak.is_zero():
+            frac_add_rows(rows[k:], mapper(ak).coeffs, 1)
+    return frac_rows_series(dfa.spec, dfa.order, rows)
+
+
+def frac_basis_decompose(dfa, u, flavor):
+    """The back-substitution on Fraction rows: a term a h^k e^alpha goes
+    into a_alpha and map_F(a) e^alpha h^k comes off the remainder."""
+    spec = dfa.spec
+    nvars = spec.nvars
+    n = dfa.order
+    zeros_g = (0,) * nvars
+    zero_p = CPoly.zero(nvars)
+    mapper = dfa.source if flavor == "source" else dfa.target
+    remaining = [{alpha: dict(p.terms) for alpha, p in uk.terms.items()}
+                 for uk in u.coeffs]
+    coeffs = {}
+    for k in range(n + 1):
+        layer = remaining[k]
+        for alpha in sorted(layer):
+            terms = layer[alpha]
+            coeffs.setdefault(alpha, [zero_p] * (n + 1))[k] = \
+                CPoly(nvars, terms)
+            if k == n:
+                continue
+            for gamma, c in terms.items():
+                mapped = mapper(CPoly.monomial(nvars, gamma)).coeffs
+                for j in range(1, n - k + 1):
+                    frac_mul_mono_into(remaining[k + j], spec, mapped[j],
+                                       (zeros_g, alpha), -c)
+    return {beta: HSeries(n, cs, zero_p) for beta, cs in coeffs.items()}
+
+
+def frac_counit_contract(dfa, HT, leg):
+    """leg 0: sum s_F(eps(w1)) . w2; leg 1: sum t_F(eps(w2)) . w1, one row
+    per order."""
+    spec = dfa.spec
+    n = dfa.order
+    mapper = dfa.source if leg == 0 else dfa.target
+    rows = [{} for _ in range(n + 1)]
+    for k, Tk in enumerate(HT.coeffs):
+        for key, c in Tk.terms.items():
+            g_eps, a_eps = key[leg]
+            if any(a_eps):
+                continue
+            eps = mapper(CPoly.monomial(spec.nvars, g_eps)).coeffs
+            for acc, w in zip(rows[k:], eps):
+                frac_mul_mono_into(acc, spec, w, key[1 - leg], c)
+    return frac_rows_series(spec, n, rows)
+
+
+def frac_product_rows(spec, W, m, mono_right=True):
+    """The nonempty rows (q, {alpha: {gamma: c}}) of W . m or m . W."""
+    out = []
+    for q, w in enumerate(W.coeffs, W.val):
+        row = frac_mul_mono_into({}, spec, w, m, 1, mono_right)
+        if row:
+            out.append((q, row))
+    return out
+
+
+def assert_env_integral(u):
+    """An element's numerators are nonzero ints over a positive int
+    denominator in lowest terms; returns u."""
+    assert type(u.den) is int and u.den > 0
+    assert all(type(c) is int and c for c in u.num.values())
+    assert gcd(u.den, *u.num.values()) == 1
+    return u
+
+
+def integral_values(x):
+    """Every element of x (an element, a series of elements, a list or a
+    dict of them) integral by ``assert_env_integral``; returns x."""
+    if isinstance(x, EnvElement):
+        assert_env_integral(x)
+    elif isinstance(x, (HSeries, HLaurent)):
+        integral_values(list(x.coeffs))
+    elif isinstance(x, dict):
+        integral_values(list(x.values()))
+    elif isinstance(x, (list, tuple)):
+        for y in x:
+            integral_values(y)
+    return x
+
+
 # -- deformations ---------------------------------------------------------------
 
 
 def reexpand(dfa, decomposition, flavor="source"):
     """Inverse of basis_decompose, for round-trip checks: sum_beta
-    map_F(a_beta) e^beta, one row per order."""
+    map_F(a_beta) e^beta, one Fraction row per order."""
     spec = dfa.spec
     zeros = (0,) * spec.nvars
     rows = [{} for _ in range(dfa.order + 1)]
     mapper = dfa.source_series if flavor == "source" else dfa.target_series
     for beta, aser in decomposition.items():
         for acc, w in zip(rows, mapper(aser).coeffs):
-            _mul_mono_into(acc, spec, w, (zeros, beta))
-    return _rows_series(spec, dfa.order, rows)
+            frac_mul_mono_into(acc, spec, w, (zeros, beta))
+    return frac_rows_series(spec, dfa.order, rows)
 
 
 def sweep_base_map(spec, twistor, a, leg):
@@ -847,7 +1011,7 @@ def sweep_base_map(spec, twistor, a, leg):
             _act_into(acc.setdefault(alpha, {}), spec,
                       (tuple(map(add, g, gamma)), b), a, c)
         rows.append(acc)
-    return _rows_series(spec, twistor.order, rows)
+    return frac_rows_series(spec, twistor.order, rows)
 
 
 def star_from(spec, F, a, b):
@@ -1165,12 +1329,18 @@ def nested_coproduct_leg(spec, T, leg):
     return list(out.items()), tden * den
 
 
+def basis_terms(u):
+    """The monomials q x^gamma e^alpha of u as [((gamma, alpha), q)], in
+    the order of its numerators."""
+    return [(LEGS[i], Fraction(c, u.den)) for i, c in u.num.items()]
+
+
 def nested_migrants(dfa, w):
     memo = memo_of(dfa)
     hit = memo.get(("migrants", w))
     if hit is not None:
         return hit
-    moved = [(beta, [_basis_terms(u) for u in dfa.source_series(aser).coeffs])
+    moved = [(beta, [basis_terms(u) for u in dfa.source_series(aser).coeffs])
              for beta, aser in whole_decompose(dfa, w, "target").items()]
     d = lcm(*[q.denominator for _, orders in moved
               for terms in orders for _, q in terms])
@@ -1469,14 +1639,13 @@ def pair_rows_loop(ctx, lam, rows, top):
     zero up to N + (the first q with a term); zero up to ``top`` when no
     row has a term."""
     acc = None
-    for q, row in rows:
-        if not row:
+    for q, num, den in rows:
+        if not num:
             continue
         if acc is None:
             acc = LaurentSum(ctx.zero_poly(), ctx.order + q)
-        for alpha, terms in row.items():
-            for gamma, c in terms.items():
-                acc.add(chain_pair_mono(ctx, lam, (gamma, alpha)), c, q)
+        for i, c in num.items():
+            acc.add(chain_pair_mono(ctx, lam, LEGS[i]), Fraction(c, den), q)
     if acc is None:
         return HLaurent.zero_upto(top, ctx.zero_poly())
     return acc.value()
@@ -1563,7 +1732,7 @@ def gathered_jet_product(ctx, lam, mu, degree=None):
     lift (``lift_mono(...).terms``) grouped here by the paired leg, zeros
     left out (``jets._tabulate``).
     Each first pairing lam(w) and each factor mu(W . other) is paired
-    through ``jets._pair_mono`` and ``jets._pair_rows`` (checked against
+    through ``jets._pair_leg`` and ``jets._pair_rows`` (checked against
     the chains by their own entries) without a support test, and the
     terms c h^k P are summed as
     ``jets.jet_product_eval`` sums them.  The images and product rows of
@@ -1591,7 +1760,7 @@ def gathered_jet_product(ctx, lam, mu, degree=None):
         for paired, terms in groups.items():
             W = memo.get(("image", lam, paired), False)
             if W is False:
-                v = _pair_mono(lam, ctx, paired)
+                v = _pair_leg(lam, ctx, leg_id(paired))
                 W = memo["image", lam, paired] = None if v.is_zero() \
                     else _apply_series_map(ctx, v, mapper)
             if W is None:
@@ -1875,20 +2044,31 @@ def mono_scales(key, right):
 
 def _mono_rows(dfa, flavors):
     """Each element of ``mono_loop_inputs`` times each of its monomials on
-    either side, into no accumulator and into each element's rows, some
-    of which the product cancels (the first three above rank 3)."""
+    either side, into no accumulator and into each element's numerators,
+    some of which the product cancels (the first three above rank 3)."""
     elems, keys = mono_loop_inputs(dfa.spec)
     if dfa.spec.rank > 3:
         keys = keys[:2 * (dfa.spec.rank + 1)]
-    starts = [{}] + [env_rows(s) for s in elems[:None if dfa.spec.rank <= 3
-                                                else 3]]
+    starts = [EnvElement.zero(dfa.spec.nvars, dfa.spec.rank)] + \
+        elems[:None if dfa.spec.rank <= 3 else 3]
     return [(w, key, right, starts) for w in elems for key in keys
             for right in (True, False)]
 
 
+def mono_loop_run(spec, s, w, key, c, right):
+    """s + c (w . m) (``right``) or s + c (m . w) for elements s, w, the
+    basis monomial key m and a rational c, through ``_mul_mono_into`` on
+    numerators over den = lcm(den(s), den(c) den(w)): (the numerators,
+    den), the numerators holding no zero."""
+    den = lcm(s.den, c.denominator * w.den)
+    out = {i: q * (den // s.den) for i, q in s.num.items()}
+    _mul_mono_into(out, spec, w, leg_id(key),
+                   c.numerator * (den // (c.denominator * w.den)), right)
+    return out, den
+
+
 def _fast_mono_rows(dfa, w, key, right, starts):
-    return [_mul_mono_into(dict((a, dict(r)) for a, r in s.items()), dfa.spec,
-                           w, key, c, right)
+    return [mono_loop_run(dfa.spec, s, w, key, Fraction(c), right)
             for c in mono_scales(key, right) for s in starts]
 
 
@@ -1900,7 +2080,7 @@ def _ref_mono_rows(dfa, w, key, right, starts):
     out = []
     for c in mono_scales(key, right):
         for s in starts:
-            acc = flat(s)
+            acc = flat(env_rows(s))
             for k, q in prod.items():
                 _bump_term(acc, k, c * q)
             out.append(acc)
@@ -1909,9 +2089,10 @@ def _ref_mono_rows(dfa, w, key, right, starts):
 
 def _cmp_mono_rows(got, want):
     assert len(got) == len(want)
-    for rows, w in zip(got, want):
-        assert_clean(rows)
-        assert flat(rows) == w
+    for (num, den), w in zip(got, want):
+        assert all(num.values())
+        assert {LEGS[i]: Fraction(q, den) for i, q in num.items()} \
+            == {(g, a): q for (g, a), q in w.items()}
 
 
 def _defelem_pairs(dfa, flavors):
@@ -2395,8 +2576,15 @@ def _ref_pair_mono(dfa, ctx, lam, key):
     return want, not want.coeffs and want.top == ctx.order
 
 
+def pair_basis(ctx, lam, key):
+    """lam on the basis monomial key = (gamma, alpha) as the engine pairs a
+    term of a row: a pure key reads lam's table, an impure one its
+    memoised pairing (``jets._pair_leg``)."""
+    return _pair_leg(lam, ctx, leg_id(key))
+
+
 def _fast_pair_mono(dfa, ctx, lam, key):
-    got = jets._pair_mono(lam, ctx, key)
+    got = pair_basis(ctx, lam, key)
     return got, got is ctx.zero_value()
 
 
@@ -2466,10 +2654,19 @@ def _ref_eval(dfa, ctx, lam, mu, args):
     return [want, want]
 
 
+def id_rows(rows):
+    """Rows (q, {alpha: {gamma: c}}) as the rows (q, num, den) that
+    ``jets._pair_rows`` reads: numerators by leg id over the lcm of the
+    row's denominators."""
+    return [(q,) + _common_den({leg_id((g, a)): c for a, terms in row.items()
+                                for g, c in terms.items()})
+            for q, row in rows]
+
+
 def rows_cases(spec):
-    """Rows (q, {alpha: {gamma: c}}): one term with c = 1 at q = 0, q > 0
-    and q < 0, between empty rows, one with c != 1, seeded row sets that
-    mix the shared zero with nonzero pairings, and no rows."""
+    """Rows (q, num, den) of: one term with c = 1 at q = 0, q > 0 and
+    q < 0, between empty rows, one with c != 1, seeded row sets that mix
+    the shared zero with nonzero pairings, and no rows."""
     keys = pairing_keys(spec, 1)
     cases = []
     for g, a in keys:
@@ -2485,7 +2682,7 @@ def rows_cases(spec):
                 row.setdefault(a, {})[g] = rng.choice([1, 2, Fraction(-3, 2)])
             rows.append((q, row))
         cases.append(rows)
-    return cases + [[]]
+    return [id_rows(rows) for rows in cases] + [[]]
 
 
 def rows_functionals(ctx):
@@ -2584,6 +2781,39 @@ def _fast_jet_product(dfa, ctx, lam, mu, degree):
 
 def _ref_jet_product(dfa, ctx, lam, mu, degree):
     return gathered_jet_product(ctx, lam, mu, degree).table
+
+
+def _counit_args(dfa, flavors):
+    """The lifts of the elements of ``coproduct_elements``, contracted on
+    either leg."""
+    return [(twisted_coproduct(dfa, u), leg)
+            for u in coproduct_elements(dfa) for leg in (0, 1)]
+
+
+def _fraction_product_args(dfa, flavors):
+    """The products of ``_product_args`` under one flavor, each once."""
+    args = {}
+    for _, _, W, key, right in _product_args(dfa, flavors[:1]):
+        args.setdefault((id(W), key, right), (W, key, right))
+    return list(args.values())
+
+
+def _fast_product_rows(dfa, W, key, right):
+    """``jets._product_rows`` read back as rows {alpha: {gamma: q}}."""
+    out = []
+    for q, num, den in _product_rows(dfa.spec, W, key, right):
+        assert type(den) is int and den > 0
+        assert all(type(c) is int and c for c in num.values())
+        row = {}
+        for i, c in num.items():
+            g, a = LEGS[i]
+            row.setdefault(a, {})[g] = Fraction(c, den)
+        out.append((q, row))
+    return out
+
+
+def _ordered_decomposition(got, want):
+    assert list(got.items()) == list(want.items())
 
 
 PARITY = [
@@ -2692,6 +2922,28 @@ PARITY = [
      _source_target_args, same_window_tables),
     ("jet_product", _fast_jet_product, _ref_jet_product, _jet_product_args,
      same_ordered_windows),
+    # the integer loops against the Fraction rows they replaced, every
+    # element they return integral in lowest terms
+    ("pbw_mul/fraction-rows",
+     lambda dfa, u, v: integral_values(pbw_mul(dfa.spec, u, v)),
+     lambda dfa, u, v: frac_pbw_mul(dfa.spec, u, v), _pbw_pairs, equal),
+    ("defelem_mul/fraction-rows",
+     lambda dfa, x, y: integral_values(defelem_mul(dfa.spec, x, y)),
+     lambda dfa, x, y: frac_defelem_mul(dfa.spec, x, y), _defelem_pairs,
+     equal),
+    ("basis_decompose/fraction-rows", basis_decompose, frac_basis_decompose,
+     _decompose_args, _ordered_decomposition),
+    ("series_images/fraction-rows",
+     lambda dfa, leg, s: integral_values((dfa.source_series,
+                                          dfa.target_series)[leg](s)),
+     frac_series_image, _series_args, equal),
+    ("_counit_contract/fraction-rows",
+     lambda dfa, HT, leg: integral_values(
+         deform._counit_contract(dfa, HT, leg)),
+     frac_counit_contract, _counit_args, equal),
+    ("_product_rows/fraction-rows", _fast_product_rows,
+     lambda dfa, W, key, right: frac_product_rows(dfa.spec, W, key, right),
+     _fraction_product_args, equal),
 ]
 
 REGISTRY = {entry[0]: entry for entry in PARITY}

@@ -209,9 +209,11 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
         v = real_pair(ctx, lam, rows, top)
         if active and sys._getframe(1).f_code.co_name == "_image":
             assert active[-1] == (ctx, lam)
-            (q, row), = rows
-            (alpha, terms), = row.items()
-            assert q == 0 and top == ctx.order and terms == {(0, 0): 1}
+            (q, num, den), = rows
+            (i, c), = num.items()
+            gamma, alpha = envelope.LEGS[i]
+            assert q == 0 and top == ctx.order and (c, den) == (1, 1)
+            assert gamma == (0, 0)
             paired[id(lam), ctx, alpha] += 1
             if not v.is_zero():
                 mapped.append(None)
@@ -574,10 +576,10 @@ def test_cli_sweeps_each_monomial_image_once_per_twistor(tmp_path,
 
 def test_cli_sums_no_envelope_elements_by_addition(monkeypatch):
     """``example axb`` and the eight spec commands on axb at N=4 sum every
-    envelope product and every envelope series, differences included, in
-    {alpha: {gamma: q}} rows (``envelope._mul_mono_into``, ``_add_rows``)
-    and compare series without differences, so they make no
-    ``EnvElement.__add__`` call.  The chains of ``+`` and the subtracting
+    envelope product and every envelope series, differences included, on
+    integer numerators by leg id over one denominator per h-order
+    (``envelope._mul_mono_into``, ``_combination``) and compare series
+    without differences, so they make no ``EnvElement.__add__`` call.  The chains of ``+`` and the subtracting
     comparisons made 2,329 in ``twist`` and 185 in ``dualize``; the
     subtractions of the membership tests and of the order-h cobracket made
     40 in ``example``, 20 and 30 in ``drinfeld`` roundtrip and prime and 10

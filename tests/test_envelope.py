@@ -5,7 +5,7 @@ from collections import defaultdict
 import pytest
 
 from qgroupoid.envelope import (
-    EnvElement, anchor_action, env_counit, memo, pbw_mul,
+    EnvElement, anchor_action, env_counit, leg_id, memo, pbw_mul,
 )
 from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly, Fraction, parse_poly
@@ -120,6 +120,32 @@ def test_anchor_action_agrees_with_counit_route():
             via_product = env_counit(pbw_mul(spec, u, EnvElement.from_poly(1, a)))
             assert anchor_action(spec, u, a) == via_product
 
+
+
+def test_element_sums_align_denominators():
+    """An element is integer numerators by leg id over one positive
+    denominator in lowest terms.  A sum or difference brings its operands
+    over the lcm of their denominators, so x1/2 e1 + x1/3 e1 is 5 x1/6 e1,
+    and x1/2 e1 - x1/6 e1 is x1/3 e1 once the content is divided out; a
+    product multiplies the denominators."""
+    spec = der1()
+    x = CPoly.var(1, 0)
+    x_e1 = leg_id(((1,), (1,)))
+    half = EnvElement(1, 1, {(1,): x * Fraction(1, 2)})
+    third = EnvElement(1, 1, {(1,): x * Fraction(1, 3)})
+    total = half + third
+    assert (total.num, total.den) == ({x_e1: 5}, 6)
+    assert total == EnvElement(1, 1, {(1,): x * Fraction(5, 6)})
+    diff = half - EnvElement(1, 1, {(1,): x * Fraction(1, 6)})
+    assert (diff.num, diff.den) == ({x_e1: 1}, 3)
+    assert ((half - half).num, (half - half).den) == ({}, 1)
+    assert (-half).num == {x_e1: -1} and (-half).den == 2
+    # d1 . x1/2 = x1/2 d1 + 1/2
+    prod = pbw_mul(spec, EnvElement.gen(1, 1, 0),
+                   EnvElement.from_poly(1, x * Fraction(1, 2)))
+    assert prod.den == 2 and sorted(prod.num.values()) == [1, 1]
+    assert prod.terms == {(0,): CPoly.const(1, Fraction(1, 2)),
+                          (1,): x * Fraction(1, 2)}
 
 
 def test_memo_stores_nothing_when_the_function_raises():

@@ -29,7 +29,7 @@ from qgroupoid.deform import (
     reduce_series, trivial_twistor, twisted_coproduct, twistor_validate,
 )
 from qgroupoid.envelope import (
-    GAMMA, LEGS, EnvElement, _mul_mono_into, leg_id, leg_product,
+    GAMMA, LEGS, PURE, EnvElement, _mul_mono_into, leg_id, leg_product,
     monomial_action, pbw_mul,
 )
 from qgroupoid.errors import ConfigError
@@ -52,9 +52,10 @@ from oracles import (
     bracketed_exp_dfa, bracketed_structure, built_coproduct_functional,
     built_product_series, built_source_target, carries, central_exp_dfa,
     chain_pair_env_laurent, chain_pair_mono, check, contexts, dual_functionals,
-    edge_functionals, exp_dfa, flat, flat_terms, generated_dfa,
+    edge_functionals, exp_dfa, flat_terms, generated_dfa,
     impure_leg_product, jet_product_degrees, leg_table_entries,
-    nested_leg_product, orders_dfa, pairing_keys, polynomial_brackets,
+    nested_leg_product, orders_dfa, pair_basis, pairing_keys,
+    polynomial_brackets,
     polynomial_exp_dfa, polynomial_structure, random_dfa, rank4_dfa,
     rational_exp_dfa, rational_structure, reduce_args, reduction_inputs,
     rows_cases, rows_functionals, sweep_base_map, tensor_groups,
@@ -124,6 +125,25 @@ def test_table_product_matches_rewriting(make):
     assert check(dfa, "pbw_mul", inputs=oracles.random_pairs(dfa))
 
 
+FRACTION_ROWS = [entry[0] for entry in PARITY
+                 if entry[0].endswith("/fraction-rows")]
+
+
+@pytest.mark.parametrize("make", [bracketed_exp_dfa, rational_exp_dfa])
+def test_integer_rows_match_fraction_rows(make):
+    """The envelope's loops on integer numerators by leg id against the
+    nested Fraction rows they replaced (``oracles.frac_*``: ``pbw_mul``,
+    ``defelem_mul``, ``basis_decompose``, the source and target series,
+    ``_counit_contract`` and ``jets._product_rows``), on the bracketed
+    structure at a = 2 and its rational variant, whose leg table holds
+    halves; ``test_fast_path_matches_reference`` drives the same entries
+    over the generated structures.  Every element they return has nonzero
+    int numerators over a positive int denominator in lowest terms."""
+    assert len(FRACTION_ROWS) == 6
+    dfa = shared(make)
+    assert all(check(dfa, name) for name in FRACTION_ROWS)
+
+
 @pytest.mark.parametrize("make", STRUCTURES + [rational_structure,
                                                polynomial_structure])
 def test_mono_loop_matches_replaced_loops(make):
@@ -134,17 +154,18 @@ def test_mono_loop_matches_replaced_loops(make):
 
 def test_mono_loop_drops_a_row_it_empties():
     """On the bracketed structure anchor(e_0) x1 = x1, so e_0 . (x1 - x1 e_0)
-    = x1 e_0 + x1 - x1 e_0^2 - x1 e_0: the row of e_0 cancels to empty and
-    is dropped, on its own and accumulated with c != 1."""
+    = x1 e_0 + x1 - x1 e_0^2 - x1 e_0: the numerator of x1 e_0 cancels and
+    is dropped, on its own and accumulated with m != 1."""
     spec = bracketed_structure()
     p, m = spec.nvars, spec.rank
     x1, e0, e00 = _bump((0,) * p, 0), _bump((0,) * m, 0), _bump((0,) * m, 0, 2)
     w = EnvElement(p, m, {(0,) * m: CPoly.var(p, 0), e0: -CPoly.var(p, 0)})
-    key = ((0,) * p, e0)
+    key = leg_id(((0,) * p, e0))
+    x1_id, x1e00 = leg_id((x1, (0,) * m)), leg_id((x1, e00))
     assert _mul_mono_into({}, spec, w, key, 1, False) \
-        == {(0,) * m: {x1: 1}, e00: {x1: -1}}
-    start = {(0,) * m: {x1: 3}, e00: {x1: 1}}
-    assert _mul_mono_into(start, spec, w, key, -3, False) == {e00: {x1: 4}}
+        == {x1_id: 1, x1e00: -1}
+    start = {x1_id: 3, x1e00: 1}
+    assert _mul_mono_into(start, spec, w, key, -3, False) == {x1e00: 4}
 
 
 @pytest.mark.parametrize("make", STRUCTURES)
@@ -800,9 +821,7 @@ def test_jet_product_eval_matches_unmemoised(make, flavor, monkeypatch):
                 built = rows
                 for r, support in built.values():
                     assert support == jets._support(ctx, (
-                        (gamma, alpha) for _, row in r
-                        for alpha, terms in row.items() for gamma in terms),
-                        flavor)
+                        LEGS[i] for _, num, _ in r for i in num), flavor)
             assert rows.keys() == built.keys()
             assert all(r is built[k][0] and support is built[k][1]
                        for k, (r, support) in rows.items())
@@ -850,23 +869,23 @@ def test_pair_rows_match_the_plain_loop(make, flavor):
     funcs = rows_functionals(ctx)
     mixed = False
     for lam in funcs:
-        pairing = {key: jets._pair_mono(lam, ctx, key) for key in keys}
+        pairing = {key: pair_basis(ctx, lam, key) for key in keys}
         for rows in rows_cases(dfa.spec):
-            found = [pairing[g, a] for _, row in rows
-                     for a, terms in row.items() for g in terms]
+            found = [pairing[LEGS[i]] for _, num, _ in rows for i in num]
             mixed |= any(v is zero for v in found) \
                 and any(not v.is_zero() for v in found)
         for (g, a), v in pairing.items():
             if not v.coeffs and v.top == n:
                 assert v is zero
-            got = jets._pair_rows(ctx, lam, [(0, {a: {g: 1}})], n)
+            unit = {leg_id((g, a)): 1}
+            got = jets._pair_rows(ctx, lam, [(0, unit, 1)], n)
             if v.top <= n:
                 assert got is v
-                assert window(jets._pair_rows(ctx, lam, [(2, {a: {g: 1}})],
+                assert window(jets._pair_rows(ctx, lam, [(2, unit, 1)],
                                               n)) == window(v.shift(2))
             else:
                 assert got.top == n
-    assert all(jets._pair_mono(funcs[0], ctx, key) is zero for key in keys)
+    assert all(pair_basis(ctx, funcs[0], key) is zero for key in keys)
     assert mixed
 
 
@@ -945,7 +964,8 @@ def test_pair_product_merges_cancelling_terms(flavor):
                 for t, r in nested_leg_product(spec, mono, (gamma, alpha))]
     cancelled = (x1, e0)
     assert [c for t, c in unmerged if t == cancelled] == [1, -1]
-    assert cancelled not in flat(_mul_mono_into({}, spec, w, mono, 1, False))
+    assert leg_id(cancelled) not in _mul_mono_into({}, spec, w, leg_id(mono),
+                                                   1, False)
     got = jets._pair_image(ctx, lam, (W, {}), mono, False)
     built = built_product_series(spec, W, mono, False)
     assert window(got) == window(chain_pair_env_laurent(ctx, lam, built))
@@ -971,8 +991,8 @@ def test_tensor_functional_from_pair_matches_unskipped(make, flavor):
     args = oracles._from_pair_args(dfa, (flavor,), degree)
     assert check(dfa, "tensor_functional_from_pair", inputs=args)
     zeros = (0,) * dfa.spec.nvars
-    assert any(jets._pair_mono(lam if flavor == LEFT else mu, ctx,
-                               (zeros, beta)).is_zero()
+    assert any(pair_basis(ctx, lam if flavor == LEFT else mu,
+                          (zeros, beta)).is_zero()
                for ctx, lam, mu, _ in args
                for beta in pbw_indices(dfa.spec.rank, degree))
 
@@ -1046,9 +1066,9 @@ def test_jet_product_matches_the_gather(make, flavor):
 
 
 def impure_rows(rows):
-    """Whether rows (q, {alpha: {gamma: c}}) hold a term with gamma != 0."""
-    return any(any(gamma) for _, row in rows for terms in row.values()
-               for gamma in terms)
+    """Whether rows (q, num, den) hold a term x^gamma e^alpha with
+    gamma != 0."""
+    return any(PURE[i] != i for _, num, _ in rows for i in num)
 
 
 @pytest.mark.parametrize("make", JET_TABLE_CASES)
@@ -1082,8 +1102,8 @@ def test_context_and_functional_tables_match_loops(make, flavor):
         for b1, b2 in jet_coproduct_functional(ctx, lam, 2):
             paired, moved = (b2, b1) if flavor == LEFT else (b1, b2)
             r, _ = ctx._memos["_monomial"][(paired,)][1][zeros, moved]
-            pure = {alpha for _, row in r for alpha, terms in row.items()
-                    if zeros in terms}
+            pure = {LEGS[i][1] for _, num, _ in r for i in num
+                    if PURE[i] == i}
             fallbacks += impure_rows(r) and not pure & lam.table.keys()
     impure = sum(impure_rows(r) for _, per in ctx._memos["_monomial"].values()
                  for r, _ in per.values())

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qgroupoid import jets
+from qgroupoid.axb import build_axb
 from qgroupoid.deform import DeformedEnvAlgebroid, defelem_from_env, exp_twistor, trivial_twistor
 from qgroupoid.envelope import EnvElement, pbw_mul
 from qgroupoid.errors import FlavorError
@@ -20,7 +21,8 @@ from qgroupoid.scalars import CPoly
 from qgroupoid.series import HLaurent
 
 from oracles import (
-    evaluation_iso_check, jet_coproduct_decompose, pair_element, pair_laurent,
+    evaluation_iso_check, jet_coproduct_decompose, pair_basis, pair_element,
+    pair_laurent,
 )
 from test_cli import parse_lines, run_cli
 from test_reachability import POLYNOMIAL_SPEC
@@ -71,9 +73,9 @@ def test_pairing_basics():
     de1 = xi_functional(ctx, 0)
     e2 = coordinate_functional(ctx, 1)
     x2 = CPoly.var(2, 1)
-    assert_val(_pair_mono(de1, ctx, ((0, 0), (1, 0))), {0: CPoly.one(2)})
-    assert_val(_pair_mono(de1, ctx, ((0, 0), (0, 1))), {})
-    assert_val(_pair_mono(e2, ctx, ((0, 0), (0, 0))), {0: x2})
+    assert_val(pair_basis(ctx, de1, ((0, 0), (1, 0))), {0: CPoly.one(2)})
+    assert_val(pair_basis(ctx, de1, ((0, 0), (0, 1))), {})
+    assert_val(pair_basis(ctx, e2, ((0, 0), (0, 0))), {0: x2})
     # the counit functional is the dual unit and pairs to eps
     eps = unit_functional(ctx)
     u = EnvElement(2, 2, {(0, 0): x2, (1, 0): CPoly.one(2)})
@@ -111,7 +113,7 @@ def test_pairing_memo_follows_the_context(flavor):
             for alpha in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0))]
     missed = 0
     for key in keys:
-        v2, v3 = _pair_mono(lam, ctx2, key), _pair_mono(lam, ctx3, key)
+        v2, v3 = pair_basis(ctx2, lam, key), pair_basis(ctx3, lam, key)
         assert (v2.val, v2.top, v2.coeffs) == (v3.val, v3.top, v3.coeffs)
         assert (v2 is ctx2.zero_value()) == (v3 is ctx3.zero_value())
         missed += v3 is ctx3.zero_value()
@@ -133,12 +135,29 @@ def _reachable(obj):
 
 
 @pytest.mark.parametrize("flavor", [LEFT, RIGHT])
+def test_pair_mono_memoises_only_impure_keys(flavor):
+    """A pure basis monomial e^alpha pairs as a read of the functional's
+    own table (``jets._pair_leg``), so after dual products on each context
+    of the worked example no key of a functional's ``_pair_mono`` memo is
+    pure, while the impure keys its partner pairs are kept there."""
+    bundle = build_axb(4, 4)
+    ctx = bundle.left if flavor == LEFT else bundle.right
+    lam = xi_functional(ctx, 0).add(coordinate_functional(ctx, 1))
+    mu = xi_functional(ctx, 1)
+    jet_product(ctx, lam, mu)
+    jet_product(ctx, mu, lam)
+    keys = [key for f in (lam, mu) for key in f._memos["_pair_mono"]]
+    assert keys and all(c is ctx and any(gamma) for c, (gamma, _) in keys)
+
+
+@pytest.mark.parametrize("flavor", [LEFT, RIGHT])
 def test_pair_cache_holds_only_pairings(flavor):
     """After a tabulated product and a direct evaluation, the memos on lam
-    map (context, basis monomial) to a pairing (``_pair_mono``) and
-    (context, paired lift leg, True) to the mapped image and its product
-    rows (``_image``), and nothing in either refers to the partner
-    functional, which they would keep alive."""
+    map (context, paired lift leg, True) to the mapped image and its
+    product rows (``_image``), and those of its partner map (context,
+    impure basis monomial) to a pairing (``_pair_mono``); nothing in lam's
+    memos refers to the partner functional, which they would keep
+    alive."""
     ctx = make_ctx(flavor, order=3, d=2)
     spec = ctx.spec
     lam = xi_functional(ctx, 0).add(coordinate_functional(ctx, 1))
@@ -153,11 +172,12 @@ def test_pair_cache_holds_only_pairings(flavor):
         assert len(gamma) == spec.nvars and len(alpha) == spec.rank
         assert all(isinstance(t, int) for t in gamma + alpha)
 
-    assert set(lam._memos) == {"_pair_mono", "_image"}
-    pairings, images = lam._memos["_pair_mono"], lam._memos["_image"]
+    assert set(lam._memos) <= {"_pair_mono", "_image"}
+    pairings, images = mu._memos["_pair_mono"], lam._memos["_image"]
     assert pairings
     for ckey, val in pairings.items():
         assert_leg_key(ckey)
+        assert any(ckey[1][0])
         assert isinstance(val, HLaurent)
     assert any(W is not None and rows for W, rows in images.values())
     for ckey, (W, rows) in images.items():
@@ -171,7 +191,8 @@ def test_pair_cache_holds_only_pairings(flavor):
         assert all(isinstance(w, EnvElement) for w in W.coeffs)
         for other, (built, support) in rows.items():
             assert isinstance(other, tuple) and len(other) == 2
-            assert all(isinstance(q, int) and row for q, row in built)
+            assert all(isinstance(q, int) and num and type(den) is int
+                       for q, num, den in built)
             # the support is None (an impure term) or PBW indices, each once
             if support is None:
                 continue
@@ -426,7 +447,7 @@ def test_opcoop_flavor_duality_on_generators():
         for k, Tk in enumerate(lift.coeffs):
             for key, c in Tk.terms.items():
                 v1, v2 = key[1], key[0]   # flipped legs
-                v = _pair_mono(mu, ctxR, v2)
+                v = pair_basis(ctxR, mu, v2)
                 if v.is_zero():
                     continue
                 W = _apply_series_map(ctxR, v, ctxR.dfa.source)
@@ -463,7 +484,7 @@ def test_product_values_are_lift_independent():
         for k, Tk in enumerate(lift.coeffs):
             for key, c in Tk.terms.items():
                 w1, w2 = key
-                v = _pair_mono(lam, ctx, w2)
+                v = pair_basis(ctx, lam, w2)
                 if v.is_zero():
                     continue
                 W = _apply_series_map(ctx, v, ctx.dfa.target)

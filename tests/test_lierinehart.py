@@ -1,5 +1,8 @@
+import inspect
+
 import pytest
 
+from qgroupoid import envelope
 from qgroupoid.errors import DegreeUnsupportedError
 from qgroupoid.lierinehart import (
     LieRinehartSpec, MultiVector, lr_bialgebra_validate, lr_differential,
@@ -7,7 +10,7 @@ from qgroupoid.lierinehart import (
 )
 from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
 
-from oracles import poisson_from_pair
+from oracles import bracketed_structure, poisson_from_pair
 
 
 def der_spec(p=1):
@@ -73,6 +76,47 @@ def test_leibniz_mismatch_fails(monkeypatch):
     monkeypatch.setattr(LieRinehartSpec, "bracket_elems", dropped)
     checks = {c.name: c for c in lr_validate(der_spec()).checks}
     assert checks["leibniz-compatibility"].status == "fail"
+
+
+def hand_leibniz_failures(spec):
+    """The comparison ``leibniz-compatibility`` made before it read the
+    envelope: ``bracket_elems(e_i, f e_j)`` against anchor(e_i)(f) e_j +
+    f [e_i, e_j] written out by hand from ``bracket_elems`` itself."""
+    out = []
+    for i in range(spec.rank):
+        for j in range(spec.rank):
+            for f in monomials_upto(spec.nvars, 2):
+                lhs = spec.bracket_elems(spec.basis_elem(i), {j: f})
+                rhs = {k: v * f for k, v in spec.bracket_elems(
+                    spec.basis_elem(i), spec.basis_elem(j)).items()}
+                rhs[j] = rhs.get(j, CPoly.zero(spec.nvars)) \
+                    + spec.anchor_apply(i, f)
+                if lhs != {k: v for k, v in rhs.items() if not v.is_zero()}:
+                    out.append((i, j, f))
+    return out
+
+
+def test_leibniz_check_reads_the_product_table(monkeypatch):
+    """``leibniz-compatibility`` compares ``bracket_elems(e_i, f e_j)`` with
+    the envelope commutator e_i (f e_j) - (f e_j) e_i, which the product
+    table computes by rewriting.  With the sign of the bracket term
+    flipped in ``envelope._leg_entry`` (e_j e_i rewritten as e_i e_j +
+    [e_i, e_j]) it fails on the bracketed structure, while the hand-written
+    Leibniz expansion it replaced reads no product and still passes."""
+    source = inspect.getsource(envelope._leg_entry)
+    flipped = source.replace("_acc_terms(out, ek, -v, mu)",
+                             "_acc_terms(out, ek, v, mu)")
+    assert flipped != source
+    scope = {}
+    exec(compile(flipped, envelope.__file__, "exec"), vars(envelope), scope)
+    spec = bracketed_structure()
+    checks = {c.name: c for c in lr_validate(spec).checks}
+    assert checks["leibniz-compatibility"].status == "pass"
+    monkeypatch.setattr(envelope, "_leg_entry", scope["_leg_entry"])
+    spec = bracketed_structure()
+    checks = {c.name: c for c in lr_validate(spec).checks}
+    assert checks["leibniz-compatibility"].status == "fail"
+    assert hand_leibniz_failures(spec) == []
 
 
 def test_differential_on_function():

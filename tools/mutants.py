@@ -28,16 +28,27 @@ FAST = "tests/test_fast_paths.py::"
 MUTANTS = [
     # decompose x^gamma e^alpha through the decomposition of x^gamma alone
     ("decompose-impure-terms-dropped", "deform.py",
-     "_mul_mono_into(acc, spec, u, (g, delta), q)", "continue",
+     "acc.append((u, l, q))", "pass",
      [FAST + "test_decompose_mono_matches_whole_monomial",
       FAST + "test_pairing_sums_match_chains"]),
     ("decompose-leg-coefficient-dropped", "deform.py",
-     "_bump_term(row, m, c if q == 1 else q * c)", "_bump_term(row, m, c)",
+     "acc.append((EnvElement.from_poly(rank, c), delta, q))",
+     "acc.append((EnvElement.from_poly(rank, c), delta, 1))",
      [FAST + "test_decompose_mono_matches_whole_monomial"]),
     ("decompose-keys-unsorted", "deform.py",
-     "            for delta in sorted(acc):\n                if acc[delta]:",
-     "            for delta in acc:\n                if acc[delta]:",
+     "for alpha in sorted(terms):", "for alpha in terms:",
      [FAST + "test_decompose_mono_matches_whole_monomial"]),
+    # envelope elements on integer numerators by leg id
+    ("env-sum-ignores-denominators", "envelope.py",
+     "m = c.numerator * (den // (c.denominator * d))",
+     "m = c.numerator",
+     ["tests/test_envelope.py::test_element_sums_align_denominators",
+      FAST + "test_integer_rows_match_fraction_rows"]),
+    ("env-shift-drops-coordinate", "envelope.py",
+     "            if shifts is not None:\n                k = shifts.get(j)",
+     "            if False:\n                k = shifts.get(j)",
+     [FAST + "test_mono_loop_matches_replaced_loops",
+      FAST + "test_integer_rows_match_fraction_rows"]),
     # fixed loop nests for 2- and 3-leg tensor products
     ("mul3-last-leg-coefficient-dropped", "tensorspace.py",
      "c2 = c1 if q2 == 1 else c1 * q2", "c2 = c1",
@@ -120,7 +131,7 @@ MUTANTS = [
      ["tests/test_drinfeld.py::test_hprime_members_positive",
       "tests/test_cli.py::test_report_bytes_match_the_reference_digest"]),
     ("projection-drops-order-offset", "drinfeld.py",
-     "zip(acc[k:], ser.coeffs)", "zip(acc, ser.coeffs)",
+     "zip(moved[k:], ser.coeffs)", "zip(moved, ser.coeffs)",
      ["tests/test_drinfeld.py::test_hprime_members_positive",
       "tests/test_acceptance.py::test_criterion_06_membership_witnesses"]),
     # one table of the worked example's identities

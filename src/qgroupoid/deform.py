@@ -13,10 +13,11 @@ coproduct Delta(e_j) of a generator, and lifts x^gamma e^alpha as the
 truncated Cauchy product of the lifts of x^gamma e^(alpha - e_j) and e_j,
 e_j its last generator.  The twisted coproduct at one leg of a lifted
 tensor (``deformed_coproduct_leg``) puts F and G on the two slots that leg
-becomes, so it splices each leg monomial's cached lift in place; no series
-of three or more legs is conjugated.  The twisted coproduct of an element
-(``twisted_coproduct``) is that splice on the element as a series of 1-leg
-tensors, so every twisted coproduct is one splice.
+becomes, so it splices each leg monomial's cached lift in place by the
+splice of the coproduct and the H' projection (``tensorspace._splice``);
+no series of three or more legs is conjugated.  The twisted coproduct of
+an element (``twisted_coproduct``) is that splice on the element as a
+series of 1-leg tensors, so every twisted coproduct is one splice.
 
 Two paths compute G . S . F for those 2-leg series
 (``DeformedEnvAlgebroid.conjugate``).  A twistor built by ``exp_twistor``
@@ -88,7 +89,8 @@ Envelope series (``defelem_mul``, the sweeps behind s_F and t_F, the
 counit contraction, the decompositions) are summed as the envelope sums
 them: per h-order, one dict of integer numerators by leg id over the lcm
 of the pieces' denominators, filled by its one product loop
-(``envelope._mul_mono_into``), as ``tensor_series_mul`` sums tensors.
+(``envelope._mul_mono_into``); ``defelem_mul`` and ``tensor_series_mul``
+are one Cauchy loop (``envelope._cauchy``) on the two products.
 ``basis_decompose`` keeps its remainder that way, raises an order's
 denominator once per step to take the images it subtracts, subtracts
 each image times e^alpha in place, and multiplies out only the orders a
@@ -115,9 +117,10 @@ from math import lcm
 from operator import add
 
 from .envelope import (
-    GAMMA, LEGS, PURE, EnvElement, _bump, _bump_term, _combination, _element,
-    _last_nonzero, _mul_mono_into, _pbw_mul_into, _products, _series_image,
-    anchor_action, leg_id, leg_product, memo, monomial_action, shift_id,
+    GAMMA, LEGS, PURE, EnvElement, _bump, _bump_term, _cauchy, _combination,
+    _element, _last_nonzero, _mul_mono_into, _pbw_mul_into, _products,
+    _series_image, anchor_action, leg_id, leg_product, memo, monomial_action,
+    shift_id,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
 from .report import Check, Report
@@ -126,7 +129,7 @@ from .series import (
     HLaurent, HSeries, hs_const, hseries_invert, laurent_mul,
 )
 from .tensorspace import (
-    TensorElement, _tensor, _tensor_cleared, copro_basis,
+    TensorElement, _splice, _tensor_cleared, copro_basis,
     counit_contract, env_coproduct, same_class, tensor_coproduct_leg,
     tensor_mul, tensor_reduce, tensor_series_mul,
 )
@@ -192,21 +195,12 @@ def defelem_from_env(spec, u, order):
 
 
 def defelem_mul(spec, a, b):
-    """Cauchy product of envelope series under truncation.  Each order
-    sums its products a_i b_(k-i) into one dict of numerators over the
-    lcm of their denominators den(a_i) den(b_(k-i))."""
-    a._check(b)
-    n = a.order
-    out = []
-    for k in range(n + 1):
-        pairs = [(ai, bj) for ai, bj in zip(a.coeffs[:k + 1], b.coeffs[k::-1])
-                 if ai.num and bj.num]
-        den = lcm(*[ai.den * bj.den for ai, bj in pairs])
-        acc = {}
-        for ai, bj in pairs:
-            _pbw_mul_into(acc, spec, ai, bj, den // (ai.den * bj.den))
-        out.append(_element(spec.nvars, spec.rank, acc, den))
-    return HSeries(n, out, a.zero)
+    """Cauchy product of envelope series under truncation: each order sums
+    its products a_i b_(k-i) by the envelope's product loop into one dict
+    of numerators over the lcm of their denominators (``_cauchy``)."""
+    return HSeries(a.order, _cauchy(
+        spec, a, b, _pbw_mul_into,
+        lambda num, den: _element(spec.nvars, spec.rank, num, den)), a.zero)
 
 
 @memo
@@ -624,51 +618,14 @@ def deformed_coproduct_leg(dfa, HT, leg):
     on every other, so G . (id (x) Delta (x) id)(T) . F replaces each
     monomial w on that leg by its cached lift G . Delta(w) . F
     (``lift_mono``): a term c h^k (x) w (x) v contributes c h^(k+j) times
-    each order j of the lift of w, spliced between its other legs.  Each
-    order sums its contributions into one dict of integer numerators over
-    the lcm of their denominators.
+    each order j of the lift of w, spliced between its other legs
+    (``tensorspace._splice``, the splice of the classical coproduct).
     """
     spec = dfa.spec
-    n = dfa.order
-    lifts = {}
-    groups = []     # per order of HT: {w: [(head, tail, numerator)]}
-    for T in HT.coeffs:
-        by_leg = {}
-        for key, c in T.num.items():
-            w = key[leg]
-            if w not in lifts:
-                lifts[w] = dfa.lift_mono(LEGS[w]).coeffs
-            by_leg.setdefault(w, []).append((key[:leg], key[leg + 1:], c))
-        groups.append(by_leg)
-    legs = HT.zero.legs + 1
-    zero = TensorElement.zero(spec.nvars, spec.rank, legs)
-    out = []
-    for total in range(n + 1):
-        pieces = [(terms, HT.coeffs[k].den, lifts[w][total - k])
-                  for k in range(total + 1)
-                  for w, terms in groups[k].items()
-                  if lifts[w][total - k].num]
-        if not pieces:
-            out.append(zero)
-            continue
-        den = lcm(*[d * L.den for _, d, L in pieces])
-        acc = {}
-        for terms, d, L in pieces:
-            up = den // (d * L.den)
-            lnum = L.num.items()
-            for head, tail, c in terms:
-                c *= up
-                for pair, cl in lnum:
-                    kk = head + pair + tail
-                    cur = acc.get(kk)
-                    v = c * cl if cur is None else cur + c * cl
-                    if v:
-                        acc[kk] = v
-                    else:
-                        del acc[kk]
-        out.append(_tensor(spec.nvars, spec.rank, legs, acc,
-                           den if acc else 1))
-    return HSeries(n, out, zero)
+    zero = TensorElement.zero(spec.nvars, spec.rank, HT.zero.legs + 1)
+    return HSeries(dfa.order, _splice(
+        HT.coeffs, leg, lambda w: dfa.lift_mono(LEGS[w]).coeffs, zero.legs),
+        zero)
 
 
 def basis_decompose(dfa, u, flavor="source"):

@@ -5,9 +5,10 @@ checks that all generator relations stay h-integral; the envelope-side
 functor selects elements whose n-fold reduced coproducts are divisible by
 h^n, built as one loop on leg ids: the element as a series of 1-leg
 tensors, one twisted coproduct at leg 0 per n, and the projection of each
-leg.  Semiclassical limits read off the induced structure on the dual
-module from order-h data: the cobracket from the order-h coproduct, and
-the vee limit and the dual bracket by one reader of the same functional
+leg, both the splice of the classical coproduct (``tensorspace._splice``).
+Semiclassical limits read off the induced structure on the dual module
+from order-h data: the cobracket from the order-h coproduct, and the vee
+limit and the dual bracket by one reader of the same functional
 commutators.  The roundtrip check composes the two functors and compares
 generators and relations with the originals at truncation; on the
 canonical functionals (``generators=None``) those two comparisons set the
@@ -16,13 +17,12 @@ checks carry information there.
 """
 
 import itertools
-from math import lcm
 
 from .deform import (
     defelem_from_env, defelem_mul, deformed_coproduct_leg, twisted_coproduct,
 )
 from .envelope import (
-    LEGS, EnvElement, _bump_term, _combination, env_counit, pbw_mul,
+    LEGS, EnvElement, _combination, env_counit, pbw_mul,
 )
 from .errors import (
     ConfigError, InvariantViolation, NonIntegralError,
@@ -40,7 +40,7 @@ from .report import Check, Report
 from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import HSeries
 from .tensorspace import (
-    MAX_LEGS, TensorElement, _tensor, tensor_reduce,
+    MAX_LEGS, TensorElement, _splice, _tensor, tensor_reduce,
 )
 
 __all__ = [
@@ -196,36 +196,22 @@ def _difference(spec, a, b, orders):
 
 def _project_leg(dfa, HT, leg, flavor):
     """Per-leg projection w -> w - map_F(eps(w)) on a lifted tensor series,
-    read and written by leg id: a term c h^k with a pure base monomial
-    x^gamma on leg ``leg`` also subtracts c h^(k+j) times each term of
-    order j of map_F(x^gamma) in that leg's place.  Each order is summed
-    on integer numerators over the lcm of its pieces' denominators."""
+    the splice (``tensorspace._splice``) of 1-leg pieces: w alone for a leg
+    with a generator, and w - map_F(x^gamma)_0 at order zero, then
+    -map_F(x^gamma)_j at order j, for a pure base monomial w = x^gamma."""
     spec = dfa.spec
-    n = dfa.order
     mapper = dfa.source if flavor == "source" else dfa.target
-    moved = [[] for _ in range(n + 1)]  # per order (key, c, den(T_k), env)
-    for k, Tk in enumerate(HT.coeffs):
-        for key, c in Tk.num.items():
-            gamma, alpha = LEGS[key[leg]]
-            if any(alpha):
-                continue
-            ser = mapper(CPoly.monomial(spec.nvars, gamma))
-            for acc, env in zip(moved[k:], ser.coeffs):
-                if env.num:
-                    acc.append((key, c, Tk.den, env))
-    out = []
-    for Tk, acc in zip(HT.coeffs, moved):
-        den = lcm(Tk.den, *[d * env.den for _, _, d, env in acc])
-        up = den // Tk.den
-        terms = {key: c * up for key, c in Tk.num.items()}
-        for key, c, d, env in acc:
-            c *= -(den // (d * env.den))
-            head, tail = key[:leg], key[leg + 1:]
-            for i, q in env.num.items():
-                _bump_term(terms, head + (i,) + tail, c * q)
-        out.append(_tensor(spec.nvars, spec.rank, HT.zero.legs, terms,
-                           den if terms else 1))
-    return HSeries(n, out, HT.zero)
+
+    def pieces(w):
+        own = _tensor(spec.nvars, spec.rank, 1, {(w,): 1})
+        gamma, alpha = LEGS[w]
+        if any(alpha):
+            return (own,)
+        image = [TensorElement.of(env) for env in
+                 mapper(CPoly.monomial(spec.nvars, gamma)).coeffs]
+        return [own - image[0]] + [-t for t in image[1:]]
+    return HSeries(dfa.order, _splice(HT.coeffs, leg, pieces, HT.zero.legs),
+                   HT.zero)
 
 
 def hprime_member(dfa, u, n_max=None):

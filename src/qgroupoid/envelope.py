@@ -526,6 +526,25 @@ def _aligned_sum(pieces):
     return out, den
 
 
+def _cauchy(spec, a, b, mul_into, build):
+    """The orders of the Cauchy product of the series a and b: order k
+    sums its products a_i b_(k-i) of nonzero factors, each by
+    ``mul_into(out, spec, a_i, b_(k-i), m)``, into one dict of numerators
+    over the lcm of their den(a_i) den(b_(k-i)), m that lcm's cofactor,
+    and ``build(out, lcm)`` makes it one value."""
+    a._check(b)
+    out = []
+    for k in range(a.order + 1):
+        pairs = [(s, t) for s, t in zip(a.coeffs[:k + 1], b.coeffs[k::-1])
+                 if s.num and t.num]
+        den = lcm(*[s.den * t.den for s, t in pairs])
+        acc = {}
+        for s, t in pairs:
+            mul_into(acc, spec, s, t, den // (s.den * t.den))
+        out.append(build(acc, den))
+    return out
+
+
 def _products(spec, pieces):
     """The element sum q (u . x^gamma e^alpha) over pieces (u, leg id of
     x^gamma e^alpha, q), u an element and q rational, on numerators over

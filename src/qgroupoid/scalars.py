@@ -148,6 +148,16 @@ class CPoly:
 _TOKEN = re.compile(r"\s*(?:(?P<num>-?\d+(?:/\d+)?)|(?P<var>x\d+)(?:\^(?P<pow>\d+))?)\s*")
 
 
+def parse_number(parse, text, line):
+    """parse(text) for ``int`` or ``Fraction``; a ParseError naming the line
+    past Python's limit on digits (4,300 by default)."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ParseError(line, "number too long: %d digits"
+                         % sum(map(str.isdigit, text))) from None
+
+
 def parse_poly(text, nvars, line=0):
     """Parse "3/2*x1^2*x2 - x1 + 4" into a CPoly.
 
@@ -175,15 +185,15 @@ def parse_poly(text, nvars, line=0):
                 raise ParseError(line, "bad factor %r" % factor)
             if m.group("num") is not None:
                 try:
-                    coeff *= Fraction(m.group("num"))
+                    coeff *= parse_number(Fraction, m.group("num"), line)
                 except ZeroDivisionError:
                     raise ParseError(line, "zero denominator in %r"
                                      % factor) from None
             else:
-                j = int(m.group("var")[1:]) - 1
+                j = parse_number(int, m.group("var")[1:], line) - 1
                 if not 0 <= j < nvars:
                     raise ParseError(line, "variable %s out of range" % m.group("var"))
-                exp[j] += int(m.group("pow") or 1)
+                exp[j] += parse_number(int, m.group("pow") or "1", line)
         out = out + CPoly.monomial(nvars, exp, coeff)
     return out
 

@@ -16,7 +16,8 @@ one twistor term.
                   (term lines need form = exp, order lines form = orders)
     [truncation]  h_order / pbw_degree / jet_degree / n_max
                   (h_order, pbw_degree, jet_degree <= 10; n_max <= 8;
-                  pbw_degree is bounded but unused)
+                  pbw_degree bounds the generator degree of each
+                  twistor monomial)
     [samples]     max_degree = 2 (<= 10), extra = <poly>; <poly>
                   (extra lines add up)
     [rng]         seed = 7
@@ -29,7 +30,7 @@ from .deform import Twistor, exp_twistor, trivial_twistor
 from .envelope import EnvElement
 from .errors import ParseError, SemanticError
 from .lierinehart import LieRinehartSpec
-from .scalars import CPoly, parse_poly
+from .scalars import CPoly, parse_number, parse_poly
 from .series import HSeries
 from .tensorspace import MAX_LEGS, TensorElement
 
@@ -90,10 +91,8 @@ class EngineSpec:
             return trivial_twistor(spec, order)
         if self.twistor_form == "exp":
             r = TensorElement.zero(spec.nvars, spec.rank, 2)
-            for (weight, left, right, line) in self.twistor_terms:
-                lenv = parse_env_monomial(left, self.var_names, self.gen_names, line)
-                renv = parse_env_monomial(right, self.var_names, self.gen_names, line)
-                r = r + TensorElement.of(lenv, renv).scale(weight)
+            for entry in self.twistor_terms:
+                r = r + self._term(*entry)
             return exp_twistor(spec, r, order)
         # explicit per-order tensor lists; order 0 is always the unit
         zero = TensorElement.zero(spec.nvars, spec.rank, 2)
@@ -105,18 +104,24 @@ class EngineSpec:
                                     "at h^1" % line)
             if n > order:
                 continue
-            lenv = parse_env_monomial(left, self.var_names, self.gen_names, line)
-            renv = parse_env_monomial(right, self.var_names, self.gen_names, line)
-            coeffs[n] = coeffs[n] + TensorElement.of(lenv, renv).scale(weight)
+            coeffs[n] = coeffs[n] + self._term(weight, left, right, line)
         return Twistor(HSeries(order, coeffs, zero))
+
+    def _term(self, weight, left, right, line):
+        """weight left (x) right for one twistor entry."""
+        return TensorElement.of(*[parse_env_monomial(
+            text, self.var_names, self.gen_names, self.pbw_degree, line)
+            for text in (left, right)]).scale(weight)
 
 
 _INT = re.compile(r"-?\d+$")
 _POWER = re.compile(r"\d+")
 
 
-def parse_env_monomial(text, var_names, gen_names, line=0):
-    """A product of a rational, base variables and generator names."""
+def parse_env_monomial(text, var_names, gen_names, max_degree, line=0):
+    """A product of a rational, base variables and generator names, of
+    generator degree at most ``max_degree``; a number's power is at most
+    ``MAX_TRUNCATION``."""
     p, m = len(var_names), len(gen_names)
     coeff = Fraction(1)
     gamma = [0] * p
@@ -129,15 +134,21 @@ def parse_env_monomial(text, var_names, gen_names, line=0):
         if caret and not _POWER.fullmatch(power):
             raise ParseError(line, "power must be a non-negative integer "
                              "in %r" % factor)
-        power = int(power) if caret else 1
+        power = parse_number(int, power, line) if caret else 1
         if name in var_names:
             gamma[var_names.index(name)] += power
         elif name in gen_names:
             alpha[gen_names.index(name)] += power
         elif re.fullmatch(r"-?\d+(/\d+)?", name):
+            if power > MAX_TRUNCATION:
+                raise ParseError(line, "power of %r is above %d"
+                                 % (factor, MAX_TRUNCATION))
             coeff *= _fraction(name, line, "coefficient") ** power
         else:
             raise ParseError(line, "unknown factor %r" % name)
+    if sum(alpha) > max_degree:
+        raise ParseError(line, "generator degree of %r is above pbw_degree "
+                         "= %d" % (text.strip(), max_degree))
     return EnvElement.monomial(p, m, tuple(alpha),
                                CPoly.monomial(p, tuple(gamma), coeff))
 
@@ -257,7 +268,7 @@ def _fraction(text, lineno, what):
 def _int(value, lineno):
     if not _INT.match(value.strip()):
         raise ParseError(lineno, "expected an integer, got %r" % value)
-    return int(value)
+    return parse_number(int, value, lineno)
 
 
 def _validate(spec):

@@ -62,18 +62,21 @@ dict, where comparing two reductions builds both.
 A Cauchy product of tensor series (``tensor_series_mul``) sums each
 h-order into one dict of integer numerators over one denominator, the lcm
 of the den_i den_j of its products, where a chain of ``+`` would realign
-the denominators and copy the dict once per product.
+the denominators and copy the dict once per product (``envelope._cauchy``,
+the envelope's Cauchy loop).
 
-Every coproduct reads Delta(x^gamma e^alpha) of a leg id
-(``copro_basis``), Delta(e^alpha) with gamma loaded on its left legs;
-Delta(e^alpha) is built once per structure and kept in the structure's
-memos (``_copro_mono``, an ``envelope.memo`` entry keyed by alpha).
-``tensor_coproduct_leg`` splices it into one leg, and
-the coproduct of an element is that splice on the element as a 1-leg
-tensor.  ``counit_contract`` is the one counit contraction of a classical
-2-tensor, multiplying the other leg on the left: the counit leg's gamma
-shifts the other leg's id (``envelope.shift_id``), over the tensor's
-denominator.
+One splice (``_splice``) replaces leg w of each term c h^k of a tensor
+series by order j of the pieces of w at order k + j.  It serves the
+coproduct, whose one piece is Delta(x^gamma e^alpha) of a leg id
+(``copro_basis``: Delta(e^alpha), built once per structure in its memos
+as ``_copro_mono``, with gamma loaded on its left legs); the twisted
+coproduct of ``deform``, whose pieces are the orders of the cached lift
+G . Delta(w) . F; and the projection w -> w - map_F(eps(w)) of
+``drinfeld``'s H' test.  The coproduct of an element is the splice on
+the element as a 1-leg tensor.  ``counit_contract`` is the one counit
+contraction of a classical 2-tensor, multiplying the other leg on the
+left: the counit leg's gamma shifts the other leg's id
+(``envelope.shift_id``), over the tensor's denominator.
 """
 
 from math import lcm
@@ -81,8 +84,9 @@ from operator import add
 from types import MappingProxyType
 
 from .envelope import (
-    GAMMA, LEGS, PURE, EnvElement, _aligned_sum, _bump_term, _cleared,
-    _common_den, _element, _same_value, leg_id, leg_product, memo, shift_id,
+    GAMMA, LEGS, PURE, EnvElement, _aligned_sum, _bump_term, _cauchy,
+    _cleared, _common_den, _element, _same_value, leg_id, leg_product, memo,
+    shift_id,
 )
 from .errors import ConfigError
 from .scalars import Fraction
@@ -358,28 +362,13 @@ def _mul3_into(out, spec, snum, tnum, m):
 
 
 def tensor_series_mul(spec, a, b):
-    """Cauchy product of two tensor series under truncation.  Each order
-    sums its products a_i b_(k-i) into one dict of numerators over the
-    lcm of their denominators den(a_i) den(b_(k-i)), a Fraction leg
-    coefficient cleared once; an order with no product is ``a.zero``."""
-    a._check(b)
-    n = a.order
+    """Cauchy product of two tensor series under truncation
+    (``envelope._cauchy``), a Fraction leg coefficient cleared once."""
     zero = a.zero
-    nvars, rank, legs = zero.nvars, zero.rank, zero.legs
-    out = []
-    for k in range(n + 1):
-        pairs = [(s, t) for s, t in zip(a.coeffs[:k + 1], b.coeffs[k::-1])
-                 if s.num and t.num]
-        if not pairs:
-            out.append(zero)
-            continue
-        den = lcm(*[s.den * t.den for s, t in pairs])
-        acc = {}
-        for s, t in pairs:
-            s._check(t)
-            _mul_into(acc, spec, s, t, den // (s.den * t.den))
-        out.append(_tensor_cleared(nvars, rank, legs, acc, den if acc else 1))
-    return HSeries(n, out, zero)
+    zero._check(b.zero)
+    return HSeries(a.order, _cauchy(
+        spec, a, b, _mul_into, lambda num, den: _tensor_cleared(
+            zero.nvars, zero.rank, zero.legs, num, den if num else 1)), zero)
 
 
 def _tensor_cleared(nvars, rank, legs, out, den):
@@ -428,28 +417,51 @@ def env_coproduct(spec, u):
 
 
 def tensor_coproduct_leg(spec, T, leg):
-    """Apply the coproduct at one leg of a lifted tensor (legs grow by one)."""
-    pieces = {}
-    for key in T.num:
-        w = key[leg]
-        if w not in pieces:
-            pieces[w] = copro_basis(spec, w)
-    den = lcm(*[p.den for p in pieces.values()])
-    out = {}
-    for key, c in T.num.items():
-        piece = pieces[key[leg]]
-        if piece.den != den:
-            c *= den // piece.den
-        head, tail = key[:leg], key[leg + 1:]
-        for k2, c2 in piece.num.items():
-            kk = head + k2 + tail
-            cur = out.get(kk)
-            s = c * c2 if cur is None else cur + c * c2
-            if s:
-                out[kk] = s
-            else:
-                del out[kk]
-    return _tensor(T.nvars, T.rank, T.legs + 1, out, T.den * den)
+    """Apply the coproduct at one leg of a lifted tensor (legs grow by one):
+    the splice of each leg's Delta (``copro_basis``) into its place."""
+    return _splice([T], leg, lambda w: (copro_basis(spec, w),), T.legs + 1)[0]
+
+
+def _splice(orders, leg, pieces, legs):
+    """The orders T_0, T_1, ... with leg ``leg`` spliced: order t sums, over
+    k + j = t, the terms c h^k of T_k with their leg w replaced by
+    ``pieces(w)[j]`` (nothing past its end), a tensor whose legs take w's
+    place, so the result has ``legs`` legs.  ``pieces`` is called once per
+    leg id; each order is summed in term order into one dict of integer
+    numerators over the lcm of its products' denominators."""
+    got = {}
+    rows = []       # per order k: [(w, head, tail, numerator)]
+    for T in orders:
+        row = []
+        for key, c in T.num.items():
+            w = key[leg]
+            if w not in got:
+                got[w] = pieces(w)
+            row.append((w, key[:leg], key[leg + 1:], c))
+        rows.append(row)
+    out = []
+    for t in range(len(orders)):
+        # (den(T_k), piece j = t - k, head, tail, c) of each term c h^k
+        # whose leg has a nonzero piece there
+        parts = [(T.den, p, head, tail, c)
+                 for k, (T, row) in enumerate(zip(orders[:t + 1], rows))
+                 for w, head, tail, c in row
+                 for p in got[w][t - k:t - k + 1] if p.num]
+        den = lcm(*[d * p.den for d, p, _, _, _ in parts])
+        acc = {}
+        for d, p, head, tail, c in parts:
+            c *= den // (d * p.den)
+            for k2, c2 in p.num.items():
+                kk = head + k2 + tail
+                cur = acc.get(kk)
+                v = c * c2 if cur is None else cur + c * c2
+                if v:
+                    acc[kk] = v
+                else:
+                    del acc[kk]
+        out.append(_tensor(orders[0].nvars, orders[0].rank, legs, acc,
+                           den if acc else 1))
+    return out
 
 
 # -- reduction and class checks ---------------------------------------------------

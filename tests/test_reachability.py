@@ -37,8 +37,11 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import qgroupoid
 
@@ -56,6 +59,9 @@ names = d1 d2
 [anchor]
 w 1 1 = 1
 """
+
+# more digits than Python's int string limit (4,300 by default)
+LONG = "1" * 5000
 
 # name: (command, spec text, the error message after "error: ")
 HOSTILE_SPECS = {
@@ -191,6 +197,32 @@ HOSTILE_SPECS = {
     "order-zero":
         ("twist", BASE + "[twistor]\nform = orders\norder 0 = 1 | d1 | d2\n",
          "line 9: explicit twistor orders start at h^1"),
+    # bounded twistor monomials: generator degree at most pbw_degree (6 by
+    # default), a number's power at most MAX_TRUNCATION
+    "twistor-degree-above-pbw-degree":
+        ("twist", BASE + "[twistor]\nform = exp\nterm = 1 | d1^990 | d2\n",
+         "line 9: generator degree of 'd1^990' is above pbw_degree = 6"),
+    "twistor-number-power-above-budget":
+        ("twist", BASE + "[twistor]\nform = exp\n"
+         "term = 1 | 7^20000000*d1 | d2\n",
+         "line 9: power of '7^20000000' is above 10"),
+    # a number with more digits than Python converts to an int, at each
+    # place the reader converts one
+    "integer-too-long":
+        ("validate", BASE + "[truncation]\nh_order = %s\n" % LONG,
+         "line 8: number too long: 5000 digits"),
+    "coefficient-too-long":
+        ("validate", BASE + "w 2 2 = %s\n" % LONG,
+         "line 7: number too long: 5000 digits"),
+    "variable-index-too-long":
+        ("validate", BASE + "w 2 2 = x%s\n" % LONG,
+         "line 7: number too long: 5000 digits"),
+    "variable-power-too-long":
+        ("validate", BASE + "w 2 2 = x1^%s\n" % LONG,
+         "line 7: number too long: 5000 digits"),
+    "twistor-power-too-long":
+        ("twist", BASE + "[twistor]\nform = exp\nterm = 1 | d1^%s | d2\n"
+         % LONG, "line 9: number too long: 5000 digits"),
 }
 
 # rho(e1) = d1, rho(e2) = x1^2 d1 + d2, [e1, e2] = 2 x1 e1, twisted by
@@ -559,11 +591,6 @@ UNREACHED = [
      "a scale by a number of another type, or by zero, which the tests use",
      ("c = Fraction(c)",
       "return TensorElement.zero(self.nvars, self.rank, self.legs)")),
-    ("tensorspace", "tensor_coproduct_leg", "kept",
-     "a memo entry over another denominator, which "
-     "test_integer_layer_matches_fraction_loops plants, and terms that "
-     "cancel; the coproducts a run builds are integral and cancel nothing",
-     ("c *= den // piece.den", "del out[kk]")),
     ("lierinehart", "LieRinehartSpec.__init__", "kept",
      "a structure built without an anchor, as the tests build them",
      ("anchor = [[zero] * nvars for _ in range(rank)]",)),
@@ -780,6 +807,18 @@ def test_every_engine_statement_runs_under_a_command(tmp_path):
     # a statement no run reaches, and a listed one that a run reaches
     assert sorted(unreached - listed) == []
     assert sorted(listed - unreached) == []
+
+
+@pytest.mark.parametrize("name", HOSTILE_SPECS)
+def test_hostile_spec_exits_3_within_a_second(tmp_path, name):
+    """Each hostile input exits 3 with its exact message, in under 1 s."""
+    command, text, message = HOSTILE_SPECS[name]
+    path = tmp_path / "hostile.spec"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli([command, str(path), "--json-only"])
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (3, "", "error: %s\n" % message)
 
 
 if __name__ == "__main__":

@@ -93,10 +93,25 @@ def test_pbw_degree_is_bounded_like_the_others():
 
 
 def test_env_monomial_parser():
-    u = parse_env_monomial("3/2*x1^2*d1*d2^2", ["x1", "x2"], ["d1", "d2"])
+    u = parse_env_monomial("3/2*x1^2*d1*d2^2", ["x1", "x2"], ["d1", "d2"], 6)
     assert u.terms == {(1, 2): parse_poly("3/2*x1^2", 2)}
     with pytest.raises(ParseError):
-        parse_env_monomial("z1", ["x1"], ["d1"])
+        parse_env_monomial("z1", ["x1"], ["d1"], 6)
+
+
+def test_env_monomial_bounds():
+    """A monomial's generator degree is at most the bound it is given and
+    a number's power at most ``MAX_TRUNCATION``; the base variables' powers
+    are not bounded."""
+    names = ["x1"], ["d1", "d2"]
+    u = parse_env_monomial("2^%d*x1^20*d1^2*d2" % MAX_TRUNCATION, *names, 3)
+    assert u.terms == {(2, 1): parse_poly("%d*x1^20" % 2 ** MAX_TRUNCATION, 1)}
+    with pytest.raises(ParseError, match=r"^line 4: generator degree of "
+                       r"'d1\^2\*d2' is above pbw_degree = 2$"):
+        parse_env_monomial("d1^2*d2", *names, 2, 4)
+    with pytest.raises(ParseError, match=r"^line 4: power of '2\^%d' is "
+                       r"above %d$" % (MAX_TRUNCATION + 1, MAX_TRUNCATION)):
+        parse_env_monomial("2^%d*d1" % (MAX_TRUNCATION + 1), *names, 2, 4)
 
 
 def test_explicit_order_twistor():

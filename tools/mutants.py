@@ -49,6 +49,19 @@ MUTANTS = [
      "            if False:\n                k = shifts.get(j)",
      [FAST + "test_mono_loop_matches_replaced_loops",
       FAST + "test_integer_rows_match_fraction_rows"]),
+    # one splice at a leg: the coproduct, its twist and the H' projection
+    ("splice-drops-order-offset", "tensorspace.py",
+     "for p in got[w][t - k:t - k + 1] if p.num]",
+     "for p in got[w][t:t + 1] if p.num]",
+     [FAST + "test_fast_path_matches_reference[deformed_coproduct_leg-gen1]",
+      FAST + "test_fast_path_matches_reference[_project_leg-gen0]",
+      FAST + "test_hadamard_coproduct_leg_matches_cauchy",
+      FAST + "test_spliced_lifts_match_conjugated_splices"]),
+    ("splice-at-the-first-leg", "tensorspace.py",
+     "kk = head + k2 + tail", "kk = k2 + head + tail",
+     [FAST + "test_fast_path_matches_reference[tensor_coproduct_leg-gen0]",
+      FAST + "test_hadamard_coproduct_leg_matches_cauchy",
+      FAST + "test_fast_path_matches_reference[_project_leg-gen0]"]),
     # fixed loop nests for 2- and 3-leg tensor products
     ("mul3-last-leg-coefficient-dropped", "tensorspace.py",
      "c2 = c1 if q2 == 1 else c1 * q2", "c2 = c1",
@@ -130,10 +143,11 @@ MUTANTS = [
      "for leg in range(n):", "for leg in range(1, n):",
      ["tests/test_drinfeld.py::test_hprime_members_positive",
       "tests/test_cli.py::test_report_bytes_match_the_reference_digest"]),
-    ("projection-drops-order-offset", "drinfeld.py",
-     "zip(moved[k:], ser.coeffs)", "zip(moved, ser.coeffs)",
-     ["tests/test_drinfeld.py::test_hprime_members_positive",
-      "tests/test_acceptance.py::test_criterion_06_membership_witnesses"]),
+    ("projection-keeps-the-counit-part", "drinfeld.py",
+     "return [own - image[0]] + [-t for t in image[1:]]",
+     "return [own] + [-t for t in image[1:]]",
+     [FAST + "test_fast_path_matches_reference[_project_leg-gen0]",
+      "tests/test_drinfeld.py::test_hprime_members_positive"]),
     # one table of the worked example's identities
     ("identity-table-ignores-flavor-sign", "axb.py",
      "sign = -1 if flavor == LEFT else 1", "sign = -1",

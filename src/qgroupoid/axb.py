@@ -15,6 +15,7 @@ images in the right dual.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .deform import DeformedEnvAlgebroid, exp_twistor, twistor_validate
@@ -27,7 +28,7 @@ from .jets import (
     tensor_tables_equal, unit_functional, xi_functional,
 )
 from .lierinehart import LieRinehartSpec
-from .report import Check, Report
+from .report import Report
 from .scalars import CPoly
 from .series import HLaurent
 from .tensorspace import TensorElement
@@ -78,11 +79,6 @@ def _expected_table_value(ctx, sign, a, b):
     # (a, b) == (1, 0): +- h/2
     val = HLaurent.const(CPoly.const(2, Fraction(sign, 2)), n, zero_p)
     return val.shift(1)
-
-
-def _check_value(report, name, got, want):
-    ok = got.eq_to_order(want)
-    report.add(Check(name, ok, None if ok else "got %r, want %r" % (got, want)))
 
 
 def _identities(ctx, flavor, dv, e):
@@ -153,51 +149,52 @@ def axb_relation_suite(h_order=4, jet_degree=4, bundle=None, table_range=3):
     report = Report("axb-relations",
                     {"h_order": h_order, "jet_degree": jet_degree})
 
-    rep_tw = twistor_validate(bundle.spec, bundle.dfa.twistor)
-    report.add(Check("twistor-valid", rep_tw.ok(), rep_tw.first_failure()))
+    report.check("twistor-valid",
+                 [twistor_validate(bundle.spec, bundle.dfa.twistor)],
+                 Report.first_failure)
 
     # displayed source/target series on the base variables
     x1 = CPoly.var(2, 0)
     sF1 = bundle.dfa.source(x1)
     tF1 = bundle.dfa.target(x1)
-    def series_failures():
-        for n in range(h_order + 1):
-            want = EnvElement(2, 2, {(0, n): x1 * Fraction(1, 2 ** n * factorial(n))})
-            if sF1.coeffs[n] != want:
-                yield "source series on x1 differs at h^%d" % n
-            if tF1.coeffs[n] != (want if n % 2 == 0 else -want):
-                yield "target series on x1 differs at h^%d" % n
 
-    report.check("source-target-series-x1", series_failures())
+    def series_failure(n):
+        want = EnvElement(2, 2, {(0, n): x1 * Fraction(1, 2 ** n * factorial(n))})
+        if sF1.coeffs[n] != want:
+            return "source series on x1 differs at h^%d" % n
+        if tF1.coeffs[n] != (want if n % 2 == 0 else -want):
+            return "target series on x1 differs at h^%d" % n
+
+    report.check("source-target-series-x1", range(h_order + 1), series_failure)
 
     x2 = CPoly.var(2, 1)
-    theta = EnvElement(2, 2, {(1, 0): x1})
-    sF2 = bundle.dfa.source(x2)
-    tF2 = bundle.dfa.target(x2)
-    half_theta = theta.scale(Fraction(1, 2))
-    ok = sF2.coeffs[0] == EnvElement.from_poly(2, x2) \
-        and sF2.coeffs[1] == -half_theta \
-        and all(c.is_zero() for c in sF2.coeffs[2:]) \
-        and tF2.coeffs[0] == EnvElement.from_poly(2, x2) \
-        and tF2.coeffs[1] == half_theta \
-        and all(c.is_zero() for c in tF2.coeffs[2:])
-    report.add(Check("source-target-series-x2", ok, "series on x2 differ"))
+    x2_0 = EnvElement.from_poly(2, x2)
+    half_theta = EnvElement(2, 2, {(1, 0): x1}).scale(Fraction(1, 2))
+
+    def x2_failure(x2):
+        sF2, tF2 = bundle.dfa.source(x2).coeffs, bundle.dfa.target(x2).coeffs
+        if sF2[:2] != (x2_0, -half_theta) or tF2[:2] != (x2_0, half_theta) \
+                or not all(c.is_zero() for c in sF2[2:] + tF2[2:]):
+            return "series on x2 differ"
+
+    report.check("source-target-series-x2", [x2], x2_failure)
 
     ctx = bundle.left
     de1, de2 = xi_functional(ctx, 0), xi_functional(ctx, 1)
-    for a in range(table_range + 1):
-        for b in range(table_range + 1):
-            got = jet_product_eval(ctx, de1, de2, (a, b))
-            want = _expected_table_value(ctx, -1, a, b)
-            _check_value(report, "left/pairing-de1de2-%d%d" % (a, b), got, want)
-            got = jet_product_eval(ctx, de2, de1, (a, b))
-            want = _expected_table_value(ctx, +1, a, b)
-            _check_value(report, "left/pairing-de2de1-%d%d" % (a, b), got, want)
+    for a, b in product(range(table_range + 1), repeat=2):
+        for name, lam, mu, sign in (("de1de2", de1, de2, -1),
+                                    ("de2de1", de2, de1, +1)):
+            want = _expected_table_value(ctx, sign, a, b)
+            report.check("left/pairing-%s-%d%d" % (name, a, b),
+                         [jet_product_eval(ctx, lam, mu, (a, b))],
+                         lambda got: None if got.eq_to_order(want)
+                         else "got %r, want %r" % (got, want))
 
     for ctx in (bundle.left, bundle.right):
         dv, e = _generators(ctx)
         for name, ok, witness in _identities(ctx, ctx.flavor, dv, e):
-            report.add(Check("%s/%s" % (ctx.flavor, name), ok, witness))
+            report.check("%s/%s" % (ctx.flavor, name), [ok],
+                         lambda ok: None if ok else witness)
     return report
 
 
@@ -229,5 +226,6 @@ def axb_iso_phi(h_order=4, jet_degree=4, bundle=None):
     renames += [("counit-transport-%d" % i, ["counit-dv%d" % i, "counit-e%d" % i],
                  "counit transport differs") for i in (1, 2)]
     for name, reads, witness in renames:
-        report.add(Check(name, all(holds[r] for r in reads), witness))
+        report.check(name, [reads], lambda reads: (
+            None if all(holds[r] for r in reads) else witness))
     return report

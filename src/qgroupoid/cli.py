@@ -29,7 +29,7 @@ from .errors import (
 )
 from .jets import LEFT, RIGHT, JetContext, jet_axiom_suite
 from .properties import structure_property_suite
-from .report import Check, Report
+from .report import FAIL, INDETERMINATE, PASS, Report
 from .specfile import check_truncation, load_spec_file
 
 EXIT = {"pass": 0, "fail": 1, "indeterminate": 2}
@@ -77,10 +77,8 @@ def main(argv=None):
         return 3
     except EngineError as exc:
         report = Report(args.command)
-        if isinstance(exc, InvariantViolation):
-            report.add(Check("engine", False, str(exc)))
-        else:
-            report.add(Check("engine", True, str(exc), status="indeterminate"))
+        report.record("engine", FAIL if isinstance(exc, InvariantViolation)
+                      else INDETERMINATE, str(exc), None)
         _emit(report, args)
         return EXIT[report.verdict()]
     _emit(report, args)
@@ -149,9 +147,9 @@ def _run(args):
         for i in (0, 1):
             u = defelem_from_env(bundle.spec,
                                  EnvElement.gen(2, 2, i), n).shift(1)
-            ok = hprime_member(bundle.dfa, u, n_max=n_max)
-            report.add(Check("membership/h-d%d" % (i + 1), ok,
-                             "rescaled generator rejected"))
+            report.check("membership/h-d%d" % (i + 1), [u], lambda u: (
+                None if hprime_member(bundle.dfa, u, n_max=n_max)
+                else "rescaled generator rejected"))
         return report
 
     espec = _load(args)
@@ -189,8 +187,8 @@ def _run(args):
         for (na, nb), rel in sorted(v.relations.items()):
             entries = "; ".join(
                 "%s: %r" % (beta, val) for beta, val in sorted(rel.table.items()))
-            report.add(Check("relation/%s-%s" % (na, nb), True,
-                             meta={"table": entries or "0"}))
+            report.record("relation/%s-%s" % (na, nb), PASS, None,
+                          {"table": entries or "0"})
         return report
 
     if args.command == "drinfeld":
@@ -205,22 +203,21 @@ def _run(args):
             try:
                 v = vee_build(ctx, degree=min(espec.jet_degree, 3))
             except NonIntegralError as exc:
-                report.add(Check("vee-integrality", False, str(exc)))
+                report.check("vee-integrality", [exc], str)
                 return report
             dual, rep = vee_semiclassical(v)
             report.extend(rep, prefix="vee")
         elif args.functor == "prime":
+            n_max = min(espec.n_max, espec.h_order)
             for i in range(spec.rank):
-                u = defelem_from_env(spec, EnvElement.gen(
-                    spec.nvars, spec.rank, i), espec.h_order).shift(1)
-                ok = hprime_member(dfa, u, n_max=min(espec.n_max, espec.h_order))
-                report.add(Check("member/h-gen%d" % (i + 1), ok,
-                                 "rescaled generator rejected"))
                 u0 = defelem_from_env(spec, EnvElement.gen(
                     spec.nvars, spec.rank, i), espec.h_order)
-                ok = not hprime_member(dfa, u0, n_max=1)
-                report.add(Check("nonmember/gen%d" % (i + 1), ok,
-                                 "unrescaled generator accepted"))
+                report.check("member/h-gen%d" % (i + 1), [u0.shift(1)],
+                             lambda u: None if hprime_member(dfa, u, n_max)
+                             else "rescaled generator rejected")
+                report.check("nonmember/gen%d" % (i + 1), [u0], lambda u: (
+                    "unrescaled generator accepted"
+                    if hprime_member(dfa, u, n_max=1) else None))
         else:
             report.extend(duality_roundtrip(
                 ctx, n_max=min(espec.n_max, 3),
@@ -238,9 +235,9 @@ def _run(args):
     ctxR = JetContext(dfa, RIGHT, espec.jet_degree)
     dualR, repR = semiclassical_dual_bracket(ctxR)
     report.extend(repR, prefix="dual-bracket")
-    ok = dualR.bracket == dual.bracket and dualR.anchor == dual.anchor
-    report.add(Check("dual-bracket-matches-cobracket", ok,
-                     "right-dual structure differs"))
+    report.check("dual-bracket-matches-cobracket", [dualR], lambda d: (
+        None if d.bracket == dual.bracket and d.anchor == dual.anchor
+        else "right-dual structure differs"))
     return report
 
 

@@ -113,6 +113,7 @@ of the whole monomial.
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
+from itertools import chain, product
 from math import lcm
 from operator import add
 
@@ -123,7 +124,7 @@ from .envelope import (
     shift_id,
 )
 from .errors import ConfigError, InvariantViolation, TriangularityViolation
-from .report import Check, Report
+from .report import Report
 from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import (
     HLaurent, HSeries, hs_const, hseries_invert, laurent_mul,
@@ -287,18 +288,17 @@ def twistor_validate(spec, twistor):
     unit2 = TensorElement.unit(spec.nvars, spec.rank, 2)
     one = EnvElement.one(spec.nvars, spec.rank)
 
-    report.add(Check("leading-term-is-unit", F.coeffs[0] == unit2,
-                     "F_0 != 1 (x) 1"))
-    if F.coeffs[0] != unit2:
+    if report.check("leading-term-is-unit", F.coeffs[:1], lambda F0: (
+            None if F0 == unit2 else "F_0 != 1 (x) 1")).witness:
         return report
 
-    def counit_failures():
-        for n, Fn in enumerate(F.coeffs):
-            want = one if n == 0 else EnvElement.zero(spec.nvars, spec.rank)
-            if counit_contract(Fn, 0) != want or counit_contract(Fn, 1) != want:
-                yield "counit condition fails at order h^%d" % n
+    def counit_failure(case):
+        n, Fn = case
+        want = one if n == 0 else EnvElement.zero(spec.nvars, spec.rank)
+        if counit_contract(Fn, 0) != want or counit_contract(Fn, 1) != want:
+            return "counit condition fails at order h^%d" % n
 
-    report.check("counit-conditions", counit_failures())
+    report.check("counit-conditions", enumerate(F.coeffs), counit_failure)
 
     cop0 = F.map(lambda t: tensor_coproduct_leg(spec, t, 0))
     cop1 = F.map(lambda t: tensor_coproduct_leg(spec, t, 1))
@@ -306,23 +306,23 @@ def twistor_validate(spec, twistor):
     f23 = F.map(lambda t: t.embed(3, 1))
     lhs = tensor_series_mul(spec, cop0, f12)
     rhs = tensor_series_mul(spec, cop1, f23)
-    report.check("cocycle-identity", (
-        "cocycle identity fails at order h^%d" % n for n in range(order + 1)
-        if not same_class(spec, lhs.coeffs[n], rhs.coeffs[n])))
+    report.check("cocycle-identity", range(order + 1), lambda n: (
+        None if same_class(spec, lhs.coeffs[n], rhs.coeffs[n])
+        else "cocycle identity fails at order h^%d" % n))
 
-    def compatibility_failures():
-        for a in monomials_upto(spec.nvars, 2):
-            m, = a.terms
-            sa = _monomial_image(twistor, spec, m, 0)
-            ta = _monomial_image(twistor, spec, m, 1)
-            left = ta.map(lambda u: TensorElement.of(u, one))
-            right = sa.map(lambda u: TensorElement.of(one, u))
-            diff = tensor_series_mul(spec, F, left - right)
-            for n in range(order + 1):
-                if not tensor_reduce(spec, diff.coeffs[n]).is_zero():
-                    yield "F (t_F(a) (x) 1 - 1 (x) s_F(a)) != 0 for a=%s at h^%d" % (a, n)
+    def compatibility_failure(a):
+        m, = a.terms
+        sa = _monomial_image(twistor, spec, m, 0)
+        ta = _monomial_image(twistor, spec, m, 1)
+        left = ta.map(lambda u: TensorElement.of(u, one))
+        right = sa.map(lambda u: TensorElement.of(one, u))
+        diff = tensor_series_mul(spec, F, left - right)
+        for n in range(order + 1):
+            if not tensor_reduce(spec, diff.coeffs[n]).is_zero():
+                return "F (t_F(a) (x) 1 - 1 (x) s_F(a)) != 0 for a=%s at h^%d" % (a, n)
 
-    report.check("source-target-compatibility", compatibility_failures())
+    report.check("source-target-compatibility",
+                 monomials_upto(spec.nvars, 2), compatibility_failure)
     return report
 
 
@@ -866,73 +866,78 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
     def lift(i):
         return twisted_coproduct(dfa, elems[i])
 
-    report.check("star-associativity", (
-        "star product not associative"
-        for a in pidx for b in pidx for c in pidx
-        if star_product(dfa, star(a, b), psers[c])
-        != star_product(dfa, psers[a], star(b, c))))
+    def assoc_failure(abc):
+        a, b, c = abc
+        if star_product(dfa, star(a, b), psers[c]) \
+                != star_product(dfa, psers[a], star(b, c)):
+            return "star product not associative"
+
+    report.check("star-associativity", product(pidx, repeat=3), assoc_failure)
 
     one = hs_const(CPoly.one(spec.nvars), n, CPoly.zero(spec.nvars))
-    report.check("star-unitality", (
-        "unit law fails" for a in psers
-        if star_product(dfa, a, one) != a or star_product(dfa, one, a) != a))
+    report.check("star-unitality", psers, lambda a: (
+        None if star_product(dfa, a, one) == a and star_product(dfa, one, a) == a
+        else "unit law fails"))
 
-    def morphism_failures():
-        for a in pidx:
-            for b in pidx:
-                if defelem_mul(spec, src(a), src(b)) \
-                        != dfa.source_series(star(a, b)):
-                    yield "source map not a star morphism"
-                if defelem_mul(spec, tgt(a), tgt(b)) \
-                        != dfa.target_series(star(b, a)):
-                    yield "target map not a star antimorphism"
+    pairs = list(product(pidx, repeat=2))
 
-    report.check("source-target-morphisms", morphism_failures())
+    def morphism_failure(ab):
+        a, b = ab
+        if defelem_mul(spec, src(a), src(b)) != dfa.source_series(star(a, b)):
+            return "source map not a star morphism"
+        if defelem_mul(spec, tgt(a), tgt(b)) != dfa.target_series(star(b, a)):
+            return "target map not a star antimorphism"
 
-    report.check("source-target-commute", (
-        "source and target images do not commute"
-        for a in pidx for b in pidx
-        if defelem_mul(spec, src(a), tgt(b)) != defelem_mul(spec, tgt(b), src(a))))
+    report.check("source-target-morphisms", pairs, morphism_failure)
 
-    def coassociativity_failures():
-        for i in eidx:
-            A = deformed_coproduct_leg(dfa, lift(i), 0)
-            B = deformed_coproduct_leg(dfa, lift(i), 1)
-            if reduce_series(dfa, A) != reduce_series(dfa, B):
-                yield "coassociativity fails on %r" % (elems[i].coeffs[0],)
+    def commute_failure(ab):
+        a, b = ab
+        if defelem_mul(spec, src(a), tgt(b)) != defelem_mul(spec, tgt(b), src(a)):
+            return "source and target images do not commute"
 
-    report.check("coassociativity", coassociativity_failures())
+    report.check("source-target-commute", pairs, commute_failure)
 
-    def counit_failures():
-        for i, u in enumerate(elems):
-            if _counit_contract(dfa, lift(i), 0) != u:
-                yield "left counit axiom fails on %r" % (u.coeffs[0],)
-            if _counit_contract(dfa, lift(i), 1) != u:
-                yield "right counit axiom fails on %r" % (u.coeffs[0],)
+    def coassociativity_failure(i):
+        A = deformed_coproduct_leg(dfa, lift(i), 0)
+        B = deformed_coproduct_leg(dfa, lift(i), 1)
+        if reduce_series(dfa, A) != reduce_series(dfa, B):
+            return "coassociativity fails on %r" % (elems[i].coeffs[0],)
 
-    report.check("counit-axioms", counit_failures())
+    report.check("coassociativity", eidx, coassociativity_failure)
 
-    report.check("coproduct-multiplicative", (
-        "coproduct not multiplicative"
-        for i in eidx[:3] for j in eidx[:3]
+    def counit_failure(i):
+        u = elems[i]
+        if _counit_contract(dfa, lift(i), 0) != u:
+            return "left counit axiom fails on %r" % (u.coeffs[0],)
+        if _counit_contract(dfa, lift(i), 1) != u:
+            return "right counit axiom fails on %r" % (u.coeffs[0],)
+
+    report.check("counit-axioms", eidx, counit_failure)
+
+    def multiplicative_failure(ij):
+        i, j = ij
         if reduce_series(dfa, twisted_coproduct(
-            dfa, defelem_mul(spec, elems[i], elems[j])))
-        != reduce_series(dfa, tensor_series_mul(spec, lift(i), lift(j)))))
+                dfa, defelem_mul(spec, elems[i], elems[j]))) \
+                != reduce_series(dfa, tensor_series_mul(spec, lift(i), lift(j))):
+            return "coproduct not multiplicative"
 
-    report.check("takeuchi-membership", (
-        "coproduct image outside Takeuchi subspace" for i in eidx
-        if not takeuchi_check_deformed(dfa, lift(i), polys)))
+    report.check("coproduct-multiplicative", product(eidx[:3], repeat=2),
+                 multiplicative_failure)
 
-    def classical_failures():
-        for a in polys:
-            if dfa.source(a).coeffs[0] != EnvElement.from_poly(spec.rank, a):
-                yield "source map deformed at order zero"
-            if dfa.target(a).coeffs[0] != EnvElement.from_poly(spec.rank, a):
-                yield "target map deformed at order zero"
-        for i, u in enumerate(elems):
-            if not same_class(spec, lift(i).coeffs[0],
-                              env_coproduct(spec, u.coeffs[0])):
-                yield "coproduct deformed at order zero"
+    report.check("takeuchi-membership", eidx, lambda i: (
+        None if takeuchi_check_deformed(dfa, lift(i), polys)
+        else "coproduct image outside Takeuchi subspace"))
 
-    report.check("classical-limit", classical_failures())
+    # the base polynomials, then the indices of the samples
+    def classical_failure(case):
+        if isinstance(case, int):
+            if not same_class(spec, lift(case).coeffs[0],
+                              env_coproduct(spec, elems[case].coeffs[0])):
+                return "coproduct deformed at order zero"
+        elif dfa.source(case).coeffs[0] != EnvElement.from_poly(spec.rank, case):
+            return "source map deformed at order zero"
+        elif dfa.target(case).coeffs[0] != EnvElement.from_poly(spec.rank, case):
+            return "target map deformed at order zero"
+
+    report.check("classical-limit", chain(polys, eidx), classical_failure)
     return report

@@ -36,7 +36,7 @@ from .jets import (
 from .lierinehart import (
     LieRinehartSpec, lr_bialgebra_validate, lr_validate,
 )
-from .report import Check, Report
+from .report import Report
 from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import HSeries
 from .tensorspace import (
@@ -105,9 +105,15 @@ def vee_build(jctx, degree=None):
     return v
 
 
-def _dual_structure(v, name):
-    """The dual Lie-Rinehart structure read off the relation table of ``v``,
-    with its ``dual-structure-valid`` check.
+def _first(witnesses):
+    """The test of a one-case check over the witnesses a loop collected
+    while it built data: the first of them, or None."""
+    return witnesses[0] if witnesses else None
+
+
+def _dual_structure(v, name, report):
+    """The dual Lie-Rinehart structure read off the relation table of ``v``;
+    its ``dual-structure-valid`` check goes into ``report``.
 
     c^k_ij is the h^-1 coefficient of [xv_i, xv_j] at e_k (the generators
     carry an h^-1 scale), and anchor(f_i)(x_j) the h^0 coefficient of
@@ -125,8 +131,9 @@ def _dual_structure(v, name):
     anchor = [[v.relations[(na, nb)].value(jctx, unit).coeff(0)
                for nb in v.base_names] for na in v.gen_names]
     dual = LieRinehartSpec(jctx.spec.nvars, m, bracket, anchor, name=name)
-    rep = lr_validate(dual)
-    return dual, Check("dual-structure-valid", rep.ok(), rep.first_failure())
+    report.check("dual-structure-valid", [lr_validate(dual)],
+                 Report.first_failure)
+    return dual
 
 
 def vee_semiclassical(v):
@@ -151,31 +158,29 @@ def vee_semiclassical(v):
                         "relation [%s,%s] has terms below the generator scale"
                         % (na, nb))
                     break
-    report.check("relations-at-generator-scale", below_scale)
-
-    dual, valid = _dual_structure(v, "dual-of-%s" % jctx.flavor)
-    report.add(valid)
+    report.check("relations-at-generator-scale", [below_scale], _first)
+    dual = _dual_structure(v, "dual-of-%s" % jctx.flavor, report)
 
     eps = unit_functional(jctx)
 
-    def primitivity_failures():
-        for name in v.gen_names:
-            g = v.gens[name]
-            T = jet_coproduct_functional(jctx, g, degree=2)
-            W1 = tensor_functional_from_pair(jctx, g, eps, degree=2)
-            W2 = tensor_functional_from_pair(jctx, eps, g, degree=2)
-            keys = set(T) | set(W1) | set(W2)
-            zval = jctx.zero_value()
-            for key in keys:
-                diff = T.get(key, zval) - (W1.get(key, zval) + W2.get(key, zval))
-                norm = diff.normalize()
-                # the correction must lie in h * (rescaled x rescaled), whose
-                # table entries at depth (b1, b2) reach down to h^(1-|b1|-|b2|)
-                depth = 1 - sum(key[0]) - sum(key[1])
-                if norm.coeffs and norm.val < depth:
-                    yield "%s not primitive modulo h" % name
+    def primitivity_failure(name):
+        g = v.gens[name]
+        T = jet_coproduct_functional(jctx, g, degree=2)
+        W1 = tensor_functional_from_pair(jctx, g, eps, degree=2)
+        W2 = tensor_functional_from_pair(jctx, eps, g, degree=2)
+        keys = set(T) | set(W1) | set(W2)
+        zval = jctx.zero_value()
+        for key in keys:
+            diff = T.get(key, zval) - (W1.get(key, zval) + W2.get(key, zval))
+            norm = diff.normalize()
+            # the correction must lie in h * (rescaled x rescaled), whose
+            # table entries at depth (b1, b2) reach down to h^(1-|b1|-|b2|)
+            depth = 1 - sum(key[0]) - sum(key[1])
+            if norm.coeffs and norm.val < depth:
+                return "%s not primitive modulo h" % name
 
-    report.check("generators-primitive-mod-h", primitivity_failures())
+    report.check("generators-primitive-mod-h", v.gen_names,
+                 primitivity_failure)
     return dual, report
 
 
@@ -312,7 +317,7 @@ def semiclassical_cobracket(dfa):
                 continue
             i = alpha.index(1)
             anchor[i][j] = anchor[i][j] + poly
-    report.check("delta-on-base-is-linear", witnesses)
+    report.check("delta-on-base-is-linear", [witnesses], _first)
 
     bracket, witnesses = {}, []
     for i in range(m):
@@ -338,12 +343,11 @@ def semiclassical_cobracket(dfa):
             if ia < ib:
                 vec = bracket.setdefault((ia, ib), [zero] * m)
                 vec[i] = vec[i] - coeff
-    report.check("delta-on-generators-in-wedge2", witnesses)
+    report.check("delta-on-generators-in-wedge2", [witnesses], _first)
 
     dual = LieRinehartSpec(p, m, bracket, anchor, name="cobracket-dual")
-    pair_rep = lr_bialgebra_validate(spec, dual)
-    report.add(Check("induced-pair-is-bialgebra", pair_rep.ok(),
-                     pair_rep.first_failure()))
+    report.check("induced-pair-is-bialgebra",
+                 [lr_bialgebra_validate(spec, dual)], Report.first_failure)
     return dual, report
 
 
@@ -371,15 +375,13 @@ def semiclassical_dual_bracket(jctx):
             unitval = comm.value(jctx, (0,) * m).normalize()
             if unitval.coeffs and unitval.val < 0:
                 witnesses.append("commutator has a counit component")
-    report.check("bracket-lands-in-augmentation", witnesses)
+    report.check("bracket-lands-in-augmentation", [witnesses], _first)
     for na in v.gen_names:
         for nb in v.base_names:
             v.relations[(na, nb)] = jet_commutator(
                 jctx, v.gens[na], v.gens[nb], 1)
 
-    dual, valid = _dual_structure(v, "dual-bracket-%s" % jctx.flavor)
-    report.add(valid)
-    return dual, report
+    return _dual_structure(v, "dual-bracket-%s" % jctx.flavor, report), report
 
 
 # -- quantum-duality roundtrip ----------------------------------------------------------
@@ -458,37 +460,37 @@ def duality_roundtrip(jctx, generators=None, n_max=3, degree=None):
 
     checked = [g.shift(-1) for g in gens]
 
-    def integrality_failures():
-        for i, a in enumerate(checked):
-            for b in checked[i + 1:]:
-                deep = _too_deep(jet_commutator(jctx, a, b, degree))
-                if deep:
-                    yield "rescaled commutator exceeds depth at %s" % (deep[0],)
+    def integrality_failure(ab):
+        deep = _too_deep(jet_commutator(jctx, *ab, degree))
+        if deep:
+            return "rescaled commutator exceeds depth at %s" % (deep[0],)
 
-    report.check("vee-relations-integral", integrality_failures())
+    report.check("vee-relations-integral", itertools.combinations(checked, 2),
+                 integrality_failure)
 
     recovered = [g.shift(1) for g in checked]
+    products = augmentation_products(jctx.dfa, n_max)
 
-    def membership_failures():
-        products = augmentation_products(jctx.dfa, n_max)
-        for i, r in enumerate(recovered):
-            member, why = functional_prime_member(jctx, r, products)
-            if not member:
-                yield "recovered generator %d: %s" % (i + 1, why)
+    def membership_failure(i):
+        member, why = functional_prime_member(jctx, recovered[i], products)
+        if not member:
+            return "recovered generator %d: %s" % (i + 1, why)
 
-    report.check("recovered-generators-pass-membership", membership_failures())
+    indices = range(len(recovered))
+    report.check("recovered-generators-pass-membership", indices,
+                 membership_failure)
 
-    report.check("generator-tables-recovered", (
-        "recovered generator %d differs from the canonical one" % (i + 1)
-        for i, r in enumerate(recovered) if not jets_equal(jctx, r, canonical[i])))
+    report.check("generator-tables-recovered", indices, lambda i: (
+        None if jets_equal(jctx, recovered[i], canonical[i])
+        else "recovered generator %d differs from the canonical one" % (i + 1)))
 
-    def relation_failures():
-        for i in range(len(recovered)):
-            for j in range(i + 1, len(recovered)):
-                got = jet_commutator(jctx, recovered[i], recovered[j], degree)
-                want = jet_commutator(jctx, canonical[i], canonical[j], degree)
-                if not jets_equal(jctx, got, want):
-                    yield "relation table differs on pair (%d, %d)" % (i + 1, j + 1)
+    def relation_failure(ij):
+        i, j = ij
+        got = jet_commutator(jctx, recovered[i], recovered[j], degree)
+        want = jet_commutator(jctx, canonical[i], canonical[j], degree)
+        if not jets_equal(jctx, got, want):
+            return "relation table differs on pair (%d, %d)" % (i + 1, j + 1)
 
-    report.check("relation-table-recovered", relation_failures())
+    report.check("relation-table-recovered", itertools.combinations(indices, 2),
+                 relation_failure)
     return report

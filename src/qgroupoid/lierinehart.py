@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 from .envelope import EnvElement, pbw_mul
 from .errors import ConfigError, DegreeUnsupportedError
-from .report import Check, Report
+from .report import Report
 from .scalars import CPoly, monomials_upto
 
 __all__ = [
@@ -215,56 +215,54 @@ def lr_validate(spec, sample_degree=2):
     samples = monomials_upto(spec.nvars, sample_degree)
     m = spec.rank
 
-    def jacobi_failures():
-        for i in range(m):
-            for j in range(i + 1, m):
-                for k in range(j + 1, m):
-                    ei, ej, ek = (spec.basis_elem(t) for t in (i, j, k))
-                    jac = {}
-                    for term in (spec.bracket_elems(spec.bracket_elems(ei, ej), ek),
-                                 spec.bracket_elems(spec.bracket_elems(ej, ek), ei),
-                                 spec.bracket_elems(spec.bracket_elems(ek, ei), ej)):
-                        for t, c in term.items():
-                            _acc(jac, t, c)
-                    jac = _strip(jac)
-                    if jac:
-                        yield "jacobi(e%d,e%d,e%d) = %s" % (i + 1, j + 1, k + 1, jac)
+    def jacobi_failure(ijk):
+        i, j, k = ijk
+        ei, ej, ek = (spec.basis_elem(t) for t in ijk)
+        jac = {}
+        for term in (spec.bracket_elems(spec.bracket_elems(ei, ej), ek),
+                     spec.bracket_elems(spec.bracket_elems(ej, ek), ei),
+                     spec.bracket_elems(spec.bracket_elems(ek, ei), ej)):
+            for t, c in term.items():
+                _acc(jac, t, c)
+        jac = _strip(jac)
+        if jac:
+            return "jacobi(e%d,e%d,e%d) = %s" % (i + 1, j + 1, k + 1, jac)
 
-    report.check("jacobi-basis-triples", jacobi_failures())
+    report.check("jacobi-basis-triples", itertools.combinations(range(m), 3),
+                 jacobi_failure)
 
-    def anchor_failures():
-        for i in range(m):
-            for j in range(i + 1, m):
-                bij = spec.bracket_basis(i, j)
-                for f in samples:
-                    lhs = CPoly.zero(spec.nvars)
-                    for k, c in enumerate(bij):
-                        if not c.is_zero():
-                            lhs = lhs + c * spec.anchor_apply(k, f)
-                    rhs = spec.anchor_apply(i, spec.anchor_apply(j, f)) \
-                        - spec.anchor_apply(j, spec.anchor_apply(i, f))
-                    if lhs != rhs:
-                        yield "anchor([e%d,e%d]) != [anchor(e%d),anchor(e%d)] on %s" \
-                            % (i + 1, j + 1, i + 1, j + 1, f)
+    def anchor_failure(ij):
+        i, j = ij
+        bij = spec.bracket_basis(i, j)
+        for f in samples:
+            lhs = CPoly.zero(spec.nvars)
+            for k, c in enumerate(bij):
+                if not c.is_zero():
+                    lhs = lhs + c * spec.anchor_apply(k, f)
+            rhs = spec.anchor_apply(i, spec.anchor_apply(j, f)) \
+                - spec.anchor_apply(j, spec.anchor_apply(i, f))
+            if lhs != rhs:
+                return "anchor([e%d,e%d]) != [anchor(e%d),anchor(e%d)] on %s" \
+                    % (i + 1, j + 1, i + 1, j + 1, f)
 
-    report.check("anchor-lie-morphism", anchor_failures())
+    report.check("anchor-lie-morphism", itertools.combinations(range(m), 2),
+                 anchor_failure)
 
-    def leibniz_failures():
-        p = spec.nvars
-        unit = [tuple(int(t == k) for t in range(m)) for k in range(m)]
-        for i in range(m):
-            ei = EnvElement.monomial(p, m, unit[i])
-            for j in range(m):
-                for f in samples:
-                    bracket = spec.bracket_elems(spec.basis_elem(i), {j: f})
-                    lhs = EnvElement(p, m, {unit[k]: c
-                                            for k, c in bracket.items()})
-                    fej = EnvElement.monomial(p, m, unit[j], f)
-                    if lhs != pbw_mul(spec, ei, fej) - pbw_mul(spec, fej, ei):
-                        yield "[e%d, f e%d] != anchor(e%d)(f) e%d + f [e%d,e%d] for f=%s" \
-                            % (i + 1, j + 1, i + 1, j + 1, i + 1, j + 1, f)
+    p = spec.nvars
+    unit = [tuple(int(t == k) for t in range(m)) for k in range(m)]
 
-    report.check("leibniz-compatibility", leibniz_failures())
+    def leibniz_failure(ijf):
+        i, j, f = ijf
+        ei = EnvElement.monomial(p, m, unit[i])
+        bracket = spec.bracket_elems(spec.basis_elem(i), {j: f})
+        lhs = EnvElement(p, m, {unit[k]: c for k, c in bracket.items()})
+        fej = EnvElement.monomial(p, m, unit[j], f)
+        if lhs != pbw_mul(spec, ei, fej) - pbw_mul(spec, fej, ei):
+            return "[e%d, f e%d] != anchor(e%d)(f) e%d + f [e%d,e%d] for f=%s" \
+                % (i + 1, j + 1, i + 1, j + 1, i + 1, j + 1, f)
+
+    report.check("leibniz-compatibility",
+                 itertools.product(range(m), range(m), samples), leibniz_failure)
     return report
 
 
@@ -406,33 +404,32 @@ def lr_bialgebra_validate(specL, specLstar, sample_degree=2):
     checked on pairs (e_i, f e_j) with f running over low-degree monomials.
     """
     report = Report("lie-rinehart-bialgebra")
-    if specL.rank != specLstar.rank or specL.nvars != specLstar.nvars:
-        report.add(Check("ranks-match", False,
-                         "rank/base mismatch between L and L*"))
+    if report.check("ranks-match", [(specL, specLstar)], lambda pair: (
+            None if len({(s.rank, s.nvars) for s in pair}) == 1
+            else "rank/base mismatch between L and L*")).witness:
         return report
     repL = lr_validate(specL, sample_degree)
     repD = lr_validate(specLstar, sample_degree)
-    report.add(Check("l-structure-valid", repL.ok(), repL.first_failure()))
-    report.add(Check("dual-structure-valid", repD.ok(), repD.first_failure()))
-    if not (repL.ok() and repD.ok()):
+    report.check("l-structure-valid", [repL], Report.first_failure)
+    report.check("dual-structure-valid", [repD], Report.first_failure)
+    if not report.ok():
         return report
 
     delta = cobracket_from_dual_spec(specL, specLstar)
     samples = monomials_upto(specL.nvars, sample_degree)
 
-    def derivation_failures():
-        for i in range(specL.rank):
-            for j in range(specL.rank):
-                for f in samples:
-                    X = specL.basis_elem(i)
-                    Y = {j: f}
-                    lhs = delta.on_elem(specL.bracket_elems(X, Y))
-                    mvX = MultiVector.from_elem(specL.nvars, X)
-                    mvY = MultiVector.from_elem(specL.nvars, Y)
-                    rhs = schouten_bracket(specL, mvX, delta.on_elem(Y)) \
-                        - schouten_bracket(specL, mvY, delta.on_elem(X))
-                    if lhs != rhs:
-                        yield "delta[e%d, f e%d] mismatch for f=%s" % (i + 1, j + 1, f)
+    def derivation_failure(ijf):
+        i, j, f = ijf
+        X = specL.basis_elem(i)
+        Y = {j: f}
+        lhs = delta.on_elem(specL.bracket_elems(X, Y))
+        mvX = MultiVector.from_elem(specL.nvars, X)
+        mvY = MultiVector.from_elem(specL.nvars, Y)
+        rhs = schouten_bracket(specL, mvX, delta.on_elem(Y)) \
+            - schouten_bracket(specL, mvY, delta.on_elem(X))
+        if lhs != rhs:
+            return "delta[e%d, f e%d] mismatch for f=%s" % (i + 1, j + 1, f)
 
-    report.check("cobracket-derivation", derivation_failures())
+    report.check("cobracket-derivation", itertools.product(
+        range(specL.rank), range(specL.rank), samples), derivation_failure)
     return report

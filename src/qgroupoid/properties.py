@@ -12,7 +12,7 @@ from .deform import DeformedEnvAlgebroid, trivial_twistor
 from .envelope import EnvElement, pbw_mul
 from .jets import LEFT, JetContext, jet_axiom_suite
 from .lierinehart import MultiVector, lr_differential, lr_validate
-from .report import Check, Report
+from .report import Report
 from .scalars import CPoly, Fraction, monomials_upto
 from .tensorspace import (
     counit_contract, env_coproduct, same_class, takeuchi_check,
@@ -49,45 +49,46 @@ def structure_property_suite(spec, seed=0, sample_degree=2, h_order=2,
         return report
 
     elems = [_random_env(spec, rng) for _ in range(4)]
-    report.check("pbw-associativity", (
-        "associativity fails"
-        for u, v, w in (rng.sample(elems, 3) for _ in range(4))
-        if pbw_mul(spec, pbw_mul(spec, u, v), w)
-        != pbw_mul(spec, u, pbw_mul(spec, v, w))))
+    report.check("pbw-associativity", (rng.sample(elems, 3) for _ in range(4)),
+                 lambda t: None if pbw_mul(spec, pbw_mul(spec, t[0], t[1]), t[2])
+                 == pbw_mul(spec, t[0], pbw_mul(spec, t[1], t[2]))
+                 else "associativity fails")
 
     copros = [env_coproduct(spec, u) for u in elems]
-    report.check("coassociativity", (
-        "coassociativity fails" for T in copros
-        if not same_class(spec, tensor_coproduct_leg(spec, T, 0),
-                          tensor_coproduct_leg(spec, T, 1))))
+    report.check("coassociativity", copros, lambda T: (
+        None if same_class(spec, tensor_coproduct_leg(spec, T, 0),
+                           tensor_coproduct_leg(spec, T, 1))
+        else "coassociativity fails"))
 
-    def counit_failures():
-        for u, T in zip(elems, copros):
-            if counit_contract(T, 0) != u or counit_contract(T, 1) != u:
-                yield "counit axioms fail"
+    def counit_failure(uT):
+        u, T = uT
+        if counit_contract(T, 0) != u or counit_contract(T, 1) != u:
+            return "counit axioms fail"
 
-    report.check("counit-axioms", counit_failures())
+    report.check("counit-axioms", zip(elems, copros), counit_failure)
 
     samples = monomials_upto(spec.nvars, sample_degree)
-    report.check("takeuchi-membership", (
-        "coproduct image escapes the subspace" for T in copros
-        if not takeuchi_check(spec, T, samples)))
+    report.check("takeuchi-membership", copros, lambda T: (
+        None if takeuchi_check(spec, T, samples)
+        else "coproduct image escapes the subspace"))
 
-    def differential_failures():
-        for f in samples:
-            df = lr_differential(spec, MultiVector(spec.nvars, 0, {(): f}))
-            if not lr_differential(spec, df).is_zero():
-                yield "d^2 f != 0 for f=%s" % f
-        for i in range(spec.rank):
-            lam = MultiVector(spec.nvars, 1, {(i,): CPoly.one(spec.nvars)})
+    # the base monomials, then the generator indices
+    def differential_failure(case):
+        if isinstance(case, int):
+            lam = MultiVector(spec.nvars, 1, {(case,): CPoly.one(spec.nvars)})
             if not lr_differential(spec, lr_differential(spec, lam)).is_zero():
-                yield "d^2 e*%d != 0" % (i + 1)
+                return "d^2 e*%d != 0" % (case + 1)
+        else:
+            df = lr_differential(spec, MultiVector(spec.nvars, 0, {(): case}))
+            if not lr_differential(spec, df).is_zero():
+                return "d^2 f != 0 for f=%s" % case
 
-    report.check("differential-squares-to-zero", differential_failures())
+    report.check("differential-squares-to-zero",
+                 samples + list(range(spec.rank)), differential_failure)
 
     dfa = DeformedEnvAlgebroid(spec, trivial_twistor(spec, h_order),
                                validate=False)
     ctx = JetContext(dfa, LEFT, jet_degree)
-    jrep = jet_axiom_suite(ctx, sample_degree=min(sample_degree, 2))
-    report.add(Check("pairing-axioms", jrep.ok(), jrep.first_failure()))
+    report.check("pairing-axioms", [jet_axiom_suite(
+        ctx, sample_degree=min(sample_degree, 2))], Report.first_failure)
     return report

@@ -5,13 +5,20 @@ optional witness string.  Serialization is deterministic: checks sort by
 name and the header carries the truncation parameters, so identical runs
 produce byte-identical output.
 
-Most checks certify an identity over a finite set of cases and fail on
-the first case that breaks it.  ``Report.check(name, witnesses)`` is the
-one runner for them: ``witnesses`` yields a witness string for each
-failing case (nothing for a passing one) and is read lazily, so the check
-passes when it yields nothing and otherwise fails with the first witness,
-without evaluating the cases after it.  Loops that also build data collect
-their witnesses in a list and hand that over instead.
+Every check certifies an identity over a finite set of cases, and
+``Report.check(name, cases, test)`` is the one place its status is
+decided: ``test(case)`` returns a witness string for a case that breaks
+the identity and None for one that holds; the cases are read lazily and in
+order, and the first witness fails the check without evaluating the cases
+after it; it passes when no case gives a witness.  A caller that builds
+its witnesses while it builds data, or folds a sub-report, makes a check of
+one case: the list, or the sub-report with ``Report.first_failure`` as its
+test.  Each check keeps how many cases it read (``Check.cases``), so a
+check that read none, and so passed without evaluating anything, can be
+told from one that held on every case; the count is carried by
+``Report.extend`` and never written to stdout or stderr.  Records that
+read no case (an engine error, a table shown as metadata) go through
+``Report.record``.
 """
 
 import json
@@ -20,16 +27,14 @@ PASS, FAIL, INDETERMINATE = "pass", "fail", "indeterminate"
 
 
 class Check:
-    __slots__ = ("name", "status", "witness", "meta")
+    __slots__ = ("name", "status", "witness", "cases", "meta")
 
-    def __init__(self, name, ok, witness=None, meta=None, status=None):
+    def __init__(self, name, status, witness, cases, meta):
         self.name = name
-        if status is not None:
-            self.status = status
-        else:
-            self.status = PASS if ok else FAIL
-        self.witness = None if ok and status is None else witness
-        self.meta = dict(meta) if meta else {}
+        self.status = status
+        self.witness = witness
+        self.cases = cases
+        self.meta = meta
 
     def as_record(self):
         rec = {"check": self.name, "status": self.status}
@@ -46,43 +51,45 @@ class Report:
         self.params = dict(params) if params else {}
         self.checks = []
 
-    def add(self, check):
-        self.checks.append(check)
-        return check
+    def check(self, name, cases, test):
+        """Fail with the first witness ``test`` returns on ``cases``, read
+        in order; pass if there is none.  The check keeps the cases read."""
+        read, witness = 0, None
+        for case in cases:
+            read += 1
+            witness = test(case)
+            if witness is not None:
+                break
+        status = PASS if witness is None else FAIL
+        self.checks.append(Check(name, status, witness, read, None))
+        return self.checks[-1]
 
-    def check(self, name, witnesses):
-        """Pass if ``witnesses`` yields nothing, else fail with its first item."""
-        witness = next(iter(witnesses), None)
-        return self.add(Check(name, witness is None, witness))
+    def record(self, name, status, witness, meta):
+        """A record that reads no case: an engine error or a table."""
+        self.checks.append(Check(name, status, witness, 0, meta))
 
     def extend(self, other, prefix=None):
         for c in other.checks:
             name = "%s/%s" % (prefix, c.name) if prefix else c.name
-            self.checks.append(Check(name, True, c.witness, c.meta, status=c.status))
+            self.checks.append(Check(name, c.status, c.witness, c.cases, c.meta))
         return self
 
     def ok(self):
         return all(c.status == PASS for c in self.checks)
 
     def verdict(self):
-        if any(c.status == INDETERMINATE for c in self.checks):
-            return INDETERMINATE if self.ok_except_indeterminate() else FAIL
-        return PASS if self.ok() else FAIL
-
-    def ok_except_indeterminate(self):
-        return all(c.status != FAIL for c in self.checks)
+        counts = self.counts()
+        return FAIL if counts[FAIL] else \
+            INDETERMINATE if counts[INDETERMINATE] else PASS
 
     def first_failure(self):
         for c in self.checks:
             if c.status != PASS:
                 return "%s: %s" % (c.name, c.witness or c.status)
-        return None
 
     def counts(self):
-        out = {PASS: 0, FAIL: 0, INDETERMINATE: 0}
-        for c in self.checks:
-            out[c.status] += 1
-        return out
+        statuses = [c.status for c in self.checks]
+        return {s: statuses.count(s) for s in (PASS, FAIL, INDETERMINATE)}
 
     def json_lines(self):
         header = {"report": self.title}

@@ -19,7 +19,9 @@ one twistor term.
                   pbw_degree bounds the generator degree of each
                   twistor monomial)
     [samples]     max_degree = 2 (<= 10), extra = <poly>; <poly>
-                  (extra lines add up)
+                  (extra lines add up, to at most 8 polynomials)
+
+A spec declares at most 12 generators and 8 base variables.
     [rng]         seed = 7
 """
 
@@ -36,12 +38,21 @@ from .tensorspace import MAX_LEGS, TensorElement
 
 __all__ = [
     "EngineSpec", "load_spec", "load_spec_file", "parse_env_monomial",
-    "check_truncation", "MAX_TRUNCATION",
+    "check_truncation", "MAX_TRUNCATION", "MAX_RANK", "MAX_VARS", "MAX_EXTRA",
 ]
 
 # Input budget: the largest h_order and jet_degree a run accepts.  Cost
 # grows about sixfold from order 4 to order 6; the shipped spec uses 4.
 MAX_TRUNCATION = 10
+# The largest rank, number of base variables and number of [samples] extra
+# polynomials a spec declares.  On specs/axb.spec at its own truncation,
+# widened to one bound or to all three, every command finished in under
+# 10 s on one core: dualize 2.6 s at rank 12, twist 3.2 s on 8 variables
+# (its star-associativity loop is cubic in the base monomials of degree
+# <= 2) and 8.7 s at all three bounds.
+MAX_RANK = 12
+MAX_VARS = 8
+MAX_EXTRA = 8
 
 _SECTIONS = ("base", "generators", "bracket", "anchor", "twistor",
              "truncation", "samples", "rng")
@@ -199,7 +210,9 @@ def _dispatch(spec, section, key, value, lineno):
         if key == "names":
             spec.gen_names = value.split()
         elif key == "rank":
-            spec.gen_names = ["e%d" % (i + 1) for i in range(_int(value, lineno))]
+            # names past the bound are not built; _validate rejects the rank
+            spec.gen_names = ["e%d" % (i + 1) for i in
+                              range(min(_int(value, lineno), MAX_RANK + 1))]
         else:
             raise ParseError(lineno, "unknown generators key %r" % key)
     elif section == "bracket":
@@ -272,6 +285,13 @@ def _int(value, lineno):
 
 
 def _validate(spec):
+    for count, what, bound in (
+            (spec.rank, "the rank", MAX_RANK),
+            (spec.nvars, "the number of base variables", MAX_VARS),
+            (len(spec.extra_entries),
+             "the number of [samples] extra polynomials", MAX_EXTRA)):
+        if count > bound:
+            raise SemanticError("%s must be <= %d" % (what, bound))
     if not spec.var_names and not spec.gen_names:
         raise SemanticError("spec declares neither variables nor generators")
     if not spec.gen_names:

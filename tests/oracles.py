@@ -271,18 +271,17 @@ GENERATED_SEED = 31
 GENERATED = 3
 
 
-def generated_dfa(i):
+def generated_dfa(i, order=2):
     """The i-th generated case: one of the structures 6, 7, 8 of
     ``random_valid_specs`` (its makers of rank 4 and 5, one, two or three
-    variables), for the seeds 31, 32, ... in turn, at N = 2, twisted by
-    exp(h r) with r = c (X (x) Y - Y (x) X) for two generators e_a, e_b
-    whose bracket vanishes, X = e_a or x_k e_a, Y = e_b, when
-    ``twistor_validate`` accepts it, and by the trivial twistor
-    otherwise."""
+    variables), for the seeds 31, 32, ... in turn, at truncation ``order``,
+    twisted by exp(h r) with r = c (X (x) Y - Y (x) X) for two generators
+    e_a, e_b whose bracket vanishes, X = e_a or x_k e_a, Y = e_b, when
+    ``twistor_validate`` accepts it at N = 2, and by the trivial twistor
+    otherwise; so the twistor does not depend on the order."""
     spec = random_valid_specs(GENERATED_SEED + i // 3, 9)[6 + i % 3]
     rng = random.Random(GENERATED_SEED * 100 + i)
     p, m = spec.nvars, spec.rank
-    order = 2
     pairs = [(a, b) for a, b in itertools.combinations(range(m), 2)
              if all(c.is_zero() for c in spec.bracket_basis(a, b))]
     a, b = rng.choice(pairs)
@@ -292,9 +291,8 @@ def generated_dfa(i):
     Y = EnvElement.monomial(p, m, _bump((0,) * m, b))
     r = (TensorElement.of(X, Y) - TensorElement.of(Y, X)).scale(
         Fraction(rng.choice((1, -1, 2)), 2))
-    tw = exp_twistor(spec, r, order)
-    if not twistor_validate(spec, tw).ok():
-        tw = trivial_twistor(spec, order)
+    valid = twistor_validate(spec, exp_twistor(spec, r, 2)).ok()
+    tw = exp_twistor(spec, r, order) if valid else trivial_twistor(spec, order)
     return DeformedEnvAlgebroid(spec, tw, validate=False)
 
 
@@ -1074,10 +1072,14 @@ def conjugated_lift(dfa, key):
 
 def spliced_coproduct_leg(dfa, HT, leg):
     """The twisted coproduct at leg ``leg`` of a lifted tensor series: the
-    classical coproduct spliced into the leg, then conjugated by F and G
-    at that leg and the next."""
-    spliced = HT.map(lambda t: tensor_coproduct_leg(dfa.spec, t, leg))
-    return conjugate_legs(dfa, spliced, leg)
+    classical coproduct spliced into the leg on nested monomial keys
+    (``nested_coproduct_leg``, so no code is shared with the engine's
+    splice), then conjugated by F and G at that leg and the next."""
+    spec = dfa.spec
+    legs = HT.zero.legs + 1
+    return conjugate_legs(dfa, HT.map(lambda t: TensorElement(
+        spec.nvars, spec.rank, legs,
+        nested_values([nested_coproduct_leg(spec, t, leg)])[0])), leg)
 
 
 def summed_twisted_coproduct(dfa, u):
@@ -1493,6 +1495,39 @@ def window(v):
 
 def windows(table):
     return {k: window(v) for k, v in table.items()}
+
+
+def _dual_products(dfa, flavor, degree):
+    """{(path, i, j, beta): value} of the dual product of every two of the
+    xi_i and coordinate functionals, at every PBW index up to ``degree``,
+    read from ``jet_product``'s table and from ``jet_product_eval``."""
+    ctx = JetContext(dfa, flavor, degree)
+    spec = dfa.spec
+    base = [xi_functional(ctx, i) for i in range(spec.rank)] \
+        + [coordinate_functional(ctx, j) for j in range(spec.nvars)]
+    out = {}
+    for (i, lam), (j, mu) in itertools.product(enumerate(base), repeat=2):
+        table = jet_product(ctx, lam, mu, degree)
+        for beta in pbw_indices(spec.rank, degree):
+            out["jet_product", i, j, beta] = table.value(ctx, beta)
+            out["jet_product_eval", i, j, beta] = jets.jet_product_eval(
+                ctx, lam, mu, beta)
+    return out
+
+
+def truncation_mismatches(build, order, flavor, degree=3):
+    """The truncation-consistency oracle for the dual product: every
+    coefficient that a value at truncation ``order`` claims (its orders
+    val..top) and that the same value at ``order + 2`` does not confirm,
+    as (path, i, j, beta, n).  A value may be less precise than it could
+    be, never wrong.  ``build(N)`` is the deformation at truncation N; the
+    oracle needs no reference implementation, so it shares no code with
+    the engine's window bookkeeping."""
+    low = _dual_products(build(order), flavor, degree)
+    high = _dual_products(build(order + 2), flavor, degree)
+    return [key + (n,) for key, value in low.items()
+            for n in range(value.val, value.top + 1)
+            if n > high[key].top or value.coeff(n) != high[key].coeff(n)]
 
 
 def chain_laurent_mul(x, y, mulser, series_order):

@@ -19,11 +19,13 @@ from qgroupoid.envelope import EnvElement
 from qgroupoid.errors import ConfigError, InvariantViolation
 from qgroupoid.jets import LEFT, RIGHT, JetContext, jets_equal, xi_functional
 from qgroupoid.lierinehart import LieRinehartSpec, cobracket_from_dual_spec
-from qgroupoid.scalars import CPoly
+from qgroupoid.scalars import CPoly, pbw_indices
 from qgroupoid.series import hs_const
 from qgroupoid.tensorspace import TensorElement
 
-from oracles import generated_dfa, nested_project_leg, poisson_from_pair
+from oracles import (
+    axb_structure, generated_dfa, nested_project_leg, poisson_from_pair,
+)
 
 
 def der2():
@@ -57,6 +59,23 @@ def test_hprime_member_negative():
     dfa = make_dfa(3)
     d1 = defelem_from_env(dfa.spec, EnvElement.gen(2, 2, 0), 3)
     assert not hprime_member(dfa, d1, n_max=1)
+
+
+@pytest.mark.parametrize("case", ["axb", 0, 1, 2])
+def test_hprime_membership_is_two_sided_on_the_pbw_filtration(case):
+    """Undeformed (the trivial twistor at N = n_max = 3), H' is the
+    h-adic PBW filtration: for 1 <= |alpha| <= 2, h^|alpha| e^alpha is a
+    member and h^(|alpha|-1) e^alpha is not.  A splice that loses terms
+    accepts the non-members."""
+    spec = axb_structure() if case == "axb" else generated_dfa(case).spec
+    dfa = DeformedEnvAlgebroid(spec, trivial_twistor(spec, 3), validate=False)
+    for alpha in pbw_indices(spec.rank, 2):
+        if not any(alpha):
+            continue
+        u = defelem_from_env(
+            spec, EnvElement.monomial(spec.nvars, spec.rank, alpha), 3)
+        assert hprime_member(dfa, u.shift(sum(alpha)), n_max=3), alpha
+        assert not hprime_member(dfa, u.shift(sum(alpha) - 1), n_max=3), alpha
 
 
 def test_hprime_members_closed_under_product():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import types
 from fractions import Fraction
@@ -21,10 +22,11 @@ from qgroupoid.scalars import CPoly
 from qgroupoid.series import HLaurent
 
 from oracles import (
-    evaluation_iso_check, jet_coproduct_decompose, pair_basis, pair_element,
-    pair_laurent,
+    GENERATED, SPEC, _spec_dfa, evaluation_iso_check, generated_dfa,
+    jet_coproduct_decompose, pair_basis, pair_element, pair_laurent,
+    truncation_mismatches,
 )
-from test_cli import parse_lines, run_cli
+from test_cli import _bracket_spec_text, parse_lines, run_cli
 from test_reachability import POLYNOMIAL_SPEC
 
 
@@ -553,3 +555,38 @@ def test_dualize_passes_on_the_polynomial_frame(tmp_path, order, side):
     failed = [line["check"] for line in parse_lines(out)
               if line.get("status") == "fail"]
     assert code == 0 and not failed, failed
+
+
+def _axb_dfa(order):
+    with open(SPEC) as fh:
+        return _spec_dfa(fh.read(), order)
+
+
+# name: the deformation at truncation N
+TRUNCATION_BUILDS = {
+    "axb": _axb_dfa,
+    "bracket(a=2)": lambda order: _spec_dfa(_bracket_spec_text(2), order),
+    "polynomial": lambda order: _spec_dfa(POLYNOMIAL_SPEC, order),
+}
+TRUNCATION_BUILDS.update(
+    ("gen%d" % i, functools.partial(generated_dfa, i)) for i in range(GENERATED))
+WRONG_WINDOW = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: a lam-zero lift term leaves the "
+    "window above the truncation")
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("name,order", [
+    ("axb", 2), ("axb", 3), ("axb", 4), ("axb", 6), ("bracket(a=2)", 2)]
+    + [("gen%d" % i, n) for i in range(GENERATED) for n in (2, 3)] + [
+    pytest.param("polynomial", 1, marks=WRONG_WINDOW),
+    pytest.param("polynomial", 3, marks=WRONG_WINDOW)])
+def test_dual_products_claim_no_coefficient_a_longer_run_contradicts(
+        name, order, side):
+    """Each value of ``jet_product`` and ``jet_product_eval`` on two of the
+    xi_i and coordinate functionals, jet degree 3, agrees with the same
+    value at truncation N + 2 on every order of its window.  On the
+    polynomial frame, at N = 1 xi1 xi1 at (0, 1) claims h^2, and at N = 3
+    at (0, 2) and (0, 3) it claims h^4, wrongly; its N = 2 and 4 pass and
+    are left out for their cost (1.4 and 4.2 s for both sides)."""
+    assert truncation_mismatches(TRUNCATION_BUILDS[name], order, side) == []

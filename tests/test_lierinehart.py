@@ -194,6 +194,12 @@ def test_bialgebra_validate_sixpair():
     assert rep2.ok(), rep2.first_failure()
 
 
+def test_bialgebra_validate_rejects_a_pair_of_other_ranks():
+    rep = lr_bialgebra_validate(axplusb_spec(), LieRinehartSpec(0, 3, {}, None))
+    assert [(c.name, c.status, c.witness, c.cases) for c in rep.checks] == [
+        ("ranks-match", "fail", "rank/base mismatch between L and L*", 1)]
+
+
 def test_bialgebra_validate_corrupted():
     L, Lstar = sixpair_specs()
     # perturb [f1, f2] -> [f1, f2] + f2

@@ -206,6 +206,22 @@ HOSTILE_SPECS = {
         ("twist", BASE + "[twistor]\nform = exp\n"
          "term = 1 | 7^20000000*d1 | d2\n",
          "line 9: power of '7^20000000' is above 10"),
+    # the size of a structure, one above each bound (specfile.MAX_RANK,
+    # MAX_VARS and MAX_EXTRA)
+    "rank-above-budget":
+        ("validate", "[base]\nvars = x1\n[generators]\nrank = 13\n",
+         "the rank must be <= 12"),
+    "generator-names-above-budget":
+        ("dualize", "[base]\nvars = x1\n[generators]\nnames = %s\n"
+         % " ".join("d%d" % i for i in range(1, 14)), "the rank must be <= 12"),
+    "variables-above-budget":
+        ("twist", "[base]\nvars = %s\n[generators]\nnames = d1\n"
+         % " ".join("x%d" % i for i in range(1, 10)),
+         "the number of base variables must be <= 8"),
+    "extra-polynomials-above-budget":
+        ("twist", BASE + "[samples]\nextra = x1; x2; x1*x2; x1^2; x2^2\n"
+         "extra = 1; 2; 3; 4\n",
+         "the number of [samples] extra polynomials must be <= 8"),
     # a number with more digits than Python converts to an int, at each
     # place the reader converts one
     "integer-too-long":
@@ -274,43 +290,47 @@ GROUPS = ("check-failure", "guard", "kept")
 WITNESS = "a failing check's witness; every valid input passes the check"
 UNREACHED = [
     # -- check-failure ------------------------------------------------------
-    ("axb", "axb_relation_suite.series_failures", "check-failure", WITNESS, (
-        'yield "source series on x1 differs at h^%d" % n',
-        'yield "target series on x1 differs at h^%d" % n',
+    ("axb", "axb_relation_suite.series_failure", "check-failure", WITNESS, (
+        'return "source series on x1 differs at h^%d" % n',
+        'return "target series on x1 differs at h^%d" % n',
     )),
+    ("axb", "axb_relation_suite.x2_failure", "check-failure", WITNESS,
+     ('return "series on x2 differ"',)),
     ("cli", "_run", "check-failure",
      "the vee functor's integrality failure, which vee_build raises only "
      "on a failing rescaling", (
-         'report.add(Check("vee-integrality", False, str(exc)))',
+         'report.check("vee-integrality", [exc], str)',
          "return report [7]",
      )),
-    ("deform", "deformed_axiom_suite.classical_failures", "check-failure",
+    ("deform", "deformed_axiom_suite.classical_failure", "check-failure",
      WITNESS, (
-         'yield "coproduct deformed at order zero"',
-         'yield "source map deformed at order zero"',
-         'yield "target map deformed at order zero"',
+         'return "coproduct deformed at order zero"',
+         'return "source map deformed at order zero"',
+         'return "target map deformed at order zero"',
      )),
-    ("deform", "deformed_axiom_suite.counit_failures", "check-failure",
+    ("deform", "deformed_axiom_suite.counit_failure", "check-failure",
      WITNESS, (
-         'yield "left counit axiom fails on %r" % (u.coeffs[0],)',
-         'yield "right counit axiom fails on %r" % (u.coeffs[0],)',
+         'return "left counit axiom fails on %r" % (u.coeffs[0],)',
+         'return "right counit axiom fails on %r" % (u.coeffs[0],)',
      )),
-    ("deform", "deformed_axiom_suite.morphism_failures", "check-failure",
-     WITNESS, ('yield "source map not a star morphism"',)),
+    ("deform", "deformed_axiom_suite.morphism_failure", "check-failure",
+     WITNESS, ('return "source map not a star morphism"',)),
+    ("deform", "deformed_axiom_suite.multiplicative_failure", "check-failure",
+     WITNESS, ('return "coproduct not multiplicative"',)),
     ("deform", "twistor_validate", "check-failure",
      "the early return after a leading term that is not 1 (x) 1, which no "
      "spec builds", ("return report [1]",)),
-    ("deform", "twistor_validate.counit_failures", "check-failure", WITNESS,
-     ('yield "counit condition fails at order h^%d" % n',)),
+    ("deform", "twistor_validate.counit_failure", "check-failure", WITNESS,
+     ('return "counit condition fails at order h^%d" % n',)),
     ("drinfeld", "_too_deep", "check-failure",
      "the depth rule's witness; every valid twist is integral",
      ("return beta, norm.val",)),
-    ("drinfeld", "duality_roundtrip.integrality_failures", "check-failure",
-     WITNESS, ('yield "rescaled commutator exceeds depth at %s" % (deep[0],)',)),
-    ("drinfeld", "duality_roundtrip.membership_failures", "check-failure",
-     WITNESS, ('yield "recovered generator %d: %s" % (i + 1, why)',)),
-    ("drinfeld", "duality_roundtrip.relation_failures", "check-failure",
-     WITNESS, ('yield "relation table differs on pair (%d, %d)" '
+    ("drinfeld", "duality_roundtrip.integrality_failure", "check-failure",
+     WITNESS, ('return "rescaled commutator exceeds depth at %s" % (deep[0],)',)),
+    ("drinfeld", "duality_roundtrip.membership_failure", "check-failure",
+     WITNESS, ('return "recovered generator %d: %s" % (i + 1, why)',)),
+    ("drinfeld", "duality_roundtrip.relation_failure", "check-failure",
+     WITNESS, ('return "relation table differs on pair (%d, %d)" '
                '% (i + 1, j + 1)',)),
     ("drinfeld", "functional_prime_member", "check-failure", WITNESS, (
         'return False, "pairing with a %d-fold augmentation product " \\ '
@@ -338,51 +358,49 @@ UNREACHED = [
         'generator scale" % (na, nb))',
         "break",
     )),
-    ("drinfeld", "vee_semiclassical.primitivity_failures", "check-failure",
-     WITNESS, ('yield "%s not primitive modulo h" % name',)),
+    ("drinfeld", "vee_semiclassical.primitivity_failure", "check-failure",
+     WITNESS, ('return "%s not primitive modulo h" % name',)),
     ("envelope", "_same_value", "check-failure",
      "the unequal answers of the element and tensor comparisons, which "
      "every check passes", ("return False [1]", "return False [2]")),
     ("errors", "NonIntegralError.__init__", "check-failure",
      "raised by the vee functor's integrality failure alone", None),
-    ("jets", "jet_axiom_suite.action_failures", "check-failure", WITNESS,
-     ('yield "source-action compatibility fails at %s" % (beta,)',)),
-    ("jets", "jet_axiom_suite.associativity_failures", "check-failure",
-     WITNESS, ('yield "associativity fails on %s" % (beta,)',)),
-    ("jets", "jet_axiom_suite.classical_failures", "check-failure", WITNESS,
-     ('yield "classical limit mismatch at %s" % (beta,)',)),
-    ("jets", "jet_axiom_suite.commutativity_failures", "check-failure",
-     WITNESS, ('yield "dual ring not commutative at h^0 on %s" % (beta,)',)),
+    ("jets", "jet_axiom_suite.action_failure", "check-failure", WITNESS,
+     ('return "source-action compatibility fails at %s" % (beta,)',)),
+    ("jets", "jet_axiom_suite.associativity_failure", "check-failure",
+     WITNESS, ('return "associativity fails on %s" % (beta,)',)),
+    ("jets", "jet_axiom_suite.classical_failure", "check-failure", WITNESS,
+     ('return "classical limit mismatch at %s" % (beta,)',)),
+    ("jets", "jet_axiom_suite.commutativity_failure", "check-failure",
+     WITNESS, ('return "dual ring not commutative at h^0 on %s" % (beta,)',)),
     ("jets", "tensor_tables_equal", "check-failure",
      "the unequal answer of a comparison that every check passes",
      ("return False",)),
     ("lierinehart", "lr_bialgebra_validate", "check-failure",
      "the early returns of a pair whose ranks differ or whose structures "
      "fail; the command builds the pair from one valid structure", (
-         'report.add(Check("ranks-match", False, "rank/base mismatch '
-         'between L and L*"))',
          "return report [1]",
          "return report [2]",
      )),
-    ("lierinehart", "lr_bialgebra_validate.derivation_failures",
+    ("lierinehart", "lr_bialgebra_validate.derivation_failure",
      "check-failure", WITNESS, (
-         'yield "delta[e%d, f e%d] mismatch for f=%s" % (i + 1, j + 1, f)',
+         'return "delta[e%d, f e%d] mismatch for f=%s" % (i + 1, j + 1, f)',
      )),
-    ("lierinehart", "lr_validate.anchor_failures", "check-failure", WITNESS, (
-        'yield "anchor([e%d,e%d]) != [anchor(e%d),anchor(e%d)] on %s" \\ '
+    ("lierinehart", "lr_validate.anchor_failure", "check-failure", WITNESS, (
+        'return "anchor([e%d,e%d]) != [anchor(e%d),anchor(e%d)] on %s" \\ '
         '% (i + 1, j + 1, i + 1, j + 1, f)',
     )),
-    ("lierinehart", "lr_validate.leibniz_failures", "check-failure",
+    ("lierinehart", "lr_validate.leibniz_failure", "check-failure",
      WITNESS, (
-         'yield "[e%d, f e%d] != anchor(e%d)(f) e%d + f [e%d,e%d] for f=%s" '
+         'return "[e%d, f e%d] != anchor(e%d)(f) e%d + f [e%d,e%d] for f=%s" '
          '\\ % (i + 1, j + 1, i + 1, j + 1, i + 1, j + 1, f)',
      )),
-    ("properties", "structure_property_suite.counit_failures",
-     "check-failure", WITNESS, ('yield "counit axioms fail"',)),
-    ("properties", "structure_property_suite.differential_failures",
+    ("properties", "structure_property_suite.counit_failure",
+     "check-failure", WITNESS, ('return "counit axioms fail"',)),
+    ("properties", "structure_property_suite.differential_failure",
      "check-failure", WITNESS, (
-         'yield "d^2 e*%d != 0" % (i + 1)',
-         'yield "d^2 f != 0 for f=%s" % f',
+         'return "d^2 e*%d != 0" % (case + 1)',
+         'return "d^2 f != 0 for f=%s" % case',
      )),
     ("report", "Report.first_failure", "check-failure",
      "the witness of a failing sub-report, which no valid input makes",
@@ -398,11 +416,9 @@ UNREACHED = [
      "test_invariant_violation_is_a_failing_check replaces exp_twistor to "
      "reach it", (
          "_emit(report, args) [1]",
-         "if isinstance(exc, InvariantViolation):",
          "report = Report(args.command)",
-         'report.add(Check("engine", False, str(exc)))',
-         'report.add(Check("engine", True, str(exc), '
-         'status="indeterminate"))',
+         'report.record("engine", FAIL if isinstance(exc, InvariantViolation) '
+         'else INDETERMINATE, str(exc), None)',
          "return EXIT[report.verdict()] [1]",
      )),
     ("deform", "DeformedEnvAlgebroid.__init__", "guard",
@@ -463,13 +479,6 @@ UNREACHED = [
      "test_schouten_examples reaches it",
      ('raise DegreeUnsupportedError("schouten bracket limited to degrees 1 '
       'x <=2")',)),
-    ("report", "Report.ok_except_indeterminate", "guard",
-     "the verdict with an indeterminate check, which only the engine-error "
-     "path makes", None),
-    ("report", "Report.verdict", "guard",
-     "the verdict with an indeterminate check, which only the engine-error "
-     "path makes",
-     ("return INDETERMINATE if self.ok_except_indeterminate() else FAIL",)),
     ("scalars", "CPoly._check", "guard", "every operation is on one base",
      ('raise ConfigError("polynomials over different variable counts")',)),
     ("scalars", "CPoly.const", "guard",
@@ -534,22 +543,13 @@ UNREACHED = [
      )),
     ("drinfeld", "hprime_basis", "kept",
      "the H' dual basis that the duality round trip is to compare its "
-     "recovered generators with (ROADMAP item 2)", None),
+     "recovered generators with (ROADMAP item 5)", None),
     ("jets", "divided_xi_powers", "kept",
      "the divided xi-powers that hprime_basis solves against (ROADMAP "
-     "item 2)", None),
-    ("jets", "jet_axiom_suite.filtration_failures", "kept",
+     "item 5)", None),
+    ("jets", "jet_axiom_suite.filtration_failure", "kept",
      "filtration-growth evaluates the witnesses it is given, and no caller "
-     "gives any yet (ROADMAP item 5)", (
-         "for combo in itertools.product(range(len(gens)), repeat=r):",
-         "for idx in combo[1:]:",
-         "for r in range(1, min(3, n) + 1):",
-         "if norm.coeffs and norm.val < r:",
-         "norm = jet_pair(ctx, prod, u0).normalize()",
-         "prod = gens[combo[0]]",
-         "prod = jet_product(ctx, prod, gens[idx], degree=ctx.jet_degree)",
-         'yield "filtration pairing below h^%d on %s" % (r, combo)',
-     )),
+     "gives any yet (ROADMAP item 7)", None),
     ("envelope", "EnvElement.__add__", "kept",
      "the value type's sum, which the oracles and tests use; "
      "test_cli_sums_no_envelope_elements_by_addition keeps commands off it",

@@ -150,7 +150,7 @@ def axb_relation_suite(h_order=4, jet_degree=4, bundle=None, table_range=3):
                     {"h_order": h_order, "jet_degree": jet_degree})
 
     report.check("twistor-valid",
-                 [twistor_validate(bundle.spec, bundle.dfa.twistor)],
+                 [twistor_validate(bundle.dfa)],
                  Report.first_failure)
 
     # displayed source/target series on the base variables

@@ -115,7 +115,7 @@ def _dfa_from(espec):
     spec = espec.build_structure()
     tw = espec.build_twistor(spec, espec.h_order)
     dfa = DeformedEnvAlgebroid(spec, tw, validate=False)
-    return spec, dfa, twistor_validate(spec, tw)
+    return spec, dfa, twistor_validate(dfa)
 
 
 def _twistor_failed(report, twrep):

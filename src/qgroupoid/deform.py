@@ -36,21 +36,31 @@ order into one dict of integer numerators over one denominator.
 The base maps s_F and t_F let the legs of F act on the base through the
 anchor (the structure's action table, ``envelope.monomial_action``).  The
 maps are linear in the base element, so each image s_F(x^m), t_F(x^m) of a
-basis monomial is swept once per twistor and structure into the twistor's
-memos (``_monomial_image``), which ``twistor_validate`` and the
-deformation share; a sweep reads F's terms grouped by the acting leg
-e^b (``_acting_groups``, memoised there too), takes e^b . x^m once per
-group and skips the groups where it vanishes.  A polynomial maps as the
-linear combination of its monomials' images, and a monomial with
-coefficient 1 is its table entry.
+basis monomial is swept once into the deformation's memos
+(``DeformedEnvAlgebroid._monomial_image``); a sweep reads F's terms
+grouped by the acting leg e^b (``_acting_groups``, a memo entry there
+too), takes e^b . x^m once per group and skips the groups where it
+vanishes.  The deformation is the one owner of every table its twistor
+derives: a ``Twistor`` is its series and exponent alone, and
+``twistor_validate`` takes the deformation and reads its tables.  A
+polynomial maps as the linear combination of its monomials' images, and a
+monomial with coefficient 1 is its table entry.
 The star product reads the source image: with s_F(a) = sum (F1 . a) F2,
 a *_F b = sum (F1 . a)(F2 . b) is s_F(a) acting on b
 (``envelope.anchor_action``), bilinear in (a, b), so
 ``DeformedEnvAlgebroid.star_coeffs`` sums a table of products of basis
 monomials x^m *_F x^m' weighted by the coefficients; on series it is the
 h-adic product ``series.laurent_mul`` over those coefficients, as in the
-jet pairing.  The Takeuchi check builds t_F(a) (x) 1 and 1 (x) s_F(a) once
-per base element a (``DeformedEnvAlgebroid.takeuchi_sides``).
+jet pairing.  The Takeuchi relation t_F(a) (x) 1 - 1 (x) s_F(a) is one
+memoised series per base element a
+(``DeformedEnvAlgebroid.takeuchi_relation``): a lifted tensor lies in the
+Takeuchi product at a when its product with the relation reduces to zero,
+and F times it is the source/target compatibility of ``twistor_validate``.
+Each deformed class test (coassociativity, the multiplicativity of the
+coproduct, Takeuchi membership) reduces one signed difference of its two
+sides and asks for zero (``_reduces_to_zero``), as the classical
+``tensorspace.same_class`` does: ``reduce_series`` is linear, so this is
+the verdict of comparing the two reductions for any twistor.
 The images of a base series (``source_series``, ``target_series``) sum
 the shifted images of its orders into one element per h-order, as the
 linear images of polynomials do (``envelope._combination``).
@@ -147,18 +157,16 @@ __all__ = [
 class Twistor:
     """Series F with F_0 = 1 (x) 1, optionally remembered as exp(h r).
 
-    ``_memos`` (``envelope.memo``) holds, per structure it is used with
-    (the structure object itself is the key), the images s_F(x^m) and
-    t_F(x^m) of base monomials (``_monomial_image``), which
-    ``twistor_validate`` and the deformation share, and F's terms grouped
-    by the acting leg (``_acting_groups``).  Both fill on first use, so the
-    series must not change after that.
+    A twistor is its series and exponent alone.  What F derives on a
+    structure (the images s_F(x^m), t_F(x^m) and F's terms grouped by the
+    acting leg) is kept by the deformation that pairs the two
+    (``DeformedEnvAlgebroid``), so the series must not change after it is
+    given to one.
     """
 
     def __init__(self, series, exponent=None):
         self.series = series
         self.exponent = exponent
-        self._memos = defaultdict(dict)
 
     @property
     def order(self):
@@ -204,24 +212,17 @@ def defelem_mul(spec, a, b):
         lambda num, den: _element(spec.nvars, spec.rank, num, den)), a.zero)
 
 
-@memo
-def _monomial_image(twistor, spec, m, leg):
-    """s_F(x^m) (leg 0) or t_F(x^m) (leg 1) as a series of envelope
-    elements for the structure ``spec``, swept once per twistor
-    (``_sweep_image``)."""
-    return _sweep_image(spec, twistor, m, leg)
-
-
-def _sweep_image(spec, twistor, m, leg):
+def _sweep_image(dfa, m, leg):
     """The legs ``leg`` of F act on x^m, the other legs multiply: a term
     c x^g e^b (x) x^gamma e^alpha (acting leg first) adds
     c x^(g + gamma) (e^b . x^m) e^alpha to its order.  F's terms are
-    grouped by the acting e^b once per twistor, so e^b . x^m is read from
-    the action table once per group, and a group whose action vanishes is
-    skipped.  An order's numerators are over den(F_k) times the lcm of
-    the denominators of the actions it reads."""
+    grouped by the acting e^b once per deformation, so e^b . x^m is read
+    from the action table once per group, and a group whose action
+    vanishes is skipped.  An order's numerators are over den(F_k) times
+    the lcm of the denominators of the actions it reads."""
+    spec = dfa.spec
     out = []
-    for den, per_order in _acting_groups(twistor, leg):
+    for den, per_order in dfa._acting_groups(leg):
         acts = [(monomial_action(spec, b, m).terms, partners)
                 for b, partners in per_order.items()]
         acts = [(act, partners) for act, partners in acts if act]
@@ -234,24 +235,7 @@ def _sweep_image(spec, twistor, m, leg):
                 for mu, v in act:
                     _bump_term(acc, shift_id(p, mu), c * v)
         out.append(_element(spec.nvars, spec.rank, acc, den * d))
-    return HSeries(twistor.order, out, EnvElement.zero(spec.nvars, spec.rank))
-
-
-@memo
-def _acting_groups(twistor, leg):
-    """The terms c x^g e^b (x) x^gamma e^alpha of each order of F, acting
-    leg ``leg`` first, as (den(F_k), {b: [(the leg id of
-    x^(g + gamma) e^alpha, the numerator c)]}) per order."""
-    out = []
-    for T in twistor.series.coeffs:
-        groups = {}
-        for key, c in T.num.items():
-            acting, partner = key[leg], key[1 - leg]
-            g = GAMMA[acting]
-            groups.setdefault(LEGS[acting][1], []).append(
-                (partner if g is None else shift_id(partner, g), c))
-        out.append((T.den, groups))
-    return out
+    return HSeries(dfa.order, out, EnvElement.zero(spec.nvars, spec.rank))
 
 
 # -- twistor validation -----------------------------------------------------------
@@ -276,15 +260,18 @@ def twistor_invert(spec, twistor):
     return hseries_invert(twistor.series, _tmul(spec), a0_inv=unit, one=unit)
 
 
-def twistor_validate(spec, twistor):
+def twistor_validate(dfa):
     """Counit conditions, 3-leg cocycle identity and the derived
     source/target compatibility on the base monomials of degree <= 2, all
-    checked per h-order.  The cocycle identity holds at order n when the
-    signed difference of its two sides, over their common denominator,
-    reduces to zero (``tensorspace.same_class``)."""
-    order = twistor.order
+    checked per h-order, for the twistor of the deformation ``dfa``.  The
+    cocycle identity holds at order n when the signed difference of its
+    two sides, over their common denominator, reduces to zero
+    (``tensorspace.same_class``); the compatibility multiplies F by the
+    one Takeuchi relation of each monomial (``takeuchi_relation``)."""
+    spec = dfa.spec
+    order = dfa.order
     report = Report("twistor-validate", {"h_order": order})
-    F = twistor.series
+    F = dfa.twistor.series
     unit2 = TensorElement.unit(spec.nvars, spec.rank, 2)
     one = EnvElement.one(spec.nvars, spec.rank)
 
@@ -311,12 +298,7 @@ def twistor_validate(spec, twistor):
         else "cocycle identity fails at order h^%d" % n))
 
     def compatibility_failure(a):
-        m, = a.terms
-        sa = _monomial_image(twistor, spec, m, 0)
-        ta = _monomial_image(twistor, spec, m, 1)
-        left = ta.map(lambda u: TensorElement.of(u, one))
-        right = sa.map(lambda u: TensorElement.of(one, u))
-        diff = tensor_series_mul(spec, F, left - right)
+        diff = tensor_series_mul(spec, F, dfa.takeuchi_relation(a))
         for n in range(order + 1):
             if not tensor_reduce(spec, diff.coeffs[n]).is_zero():
                 return "F (t_F(a) (x) 1 - 1 (x) s_F(a)) != 0 for a=%s at h^%d" % (a, n)
@@ -334,7 +316,9 @@ class DeformedEnvAlgebroid:
 
     Immutable after construction.  Every cache is an ``envelope.memo``
     entry of ``_memos``, keyed by its method's arguments (the methods
-    marked "cached"), so results are shared across operations.
+    marked "cached"), so results are shared across operations; the
+    deformation is the one owner of what its twistor derives on its
+    structure.
     """
 
     def __init__(self, spec, twistor, validate=True):
@@ -344,12 +328,12 @@ class DeformedEnvAlgebroid:
         unit = TensorElement.unit(spec.nvars, spec.rank, 2)
         if twistor.series.coeffs[0] != unit:
             raise TriangularityViolation("twistor order-0 term must be 1 (x) 1")
+        self._memos = defaultdict(dict)
         if validate:
-            rep = twistor_validate(spec, twistor)
+            rep = twistor_validate(self)
             if not rep.ok():
                 raise ConfigError("invalid twistor: %s" % rep.first_failure())
         self.G = twistor_invert(spec, twistor)
-        self._memos = defaultdict(dict)
 
     # -- base maps ---------------------------------------------------------------
 
@@ -379,14 +363,35 @@ class DeformedEnvAlgebroid:
     @memo
     def _star_pair(self, m, m2):
         """x^m *_F x^m' = s_F(x^m) acting on x^m' (cached)."""
-        spec = self.spec
-        b = CPoly.monomial(spec.nvars, m2)
-        return [anchor_action(spec, u, b)
-                for u in _monomial_image(self.twistor, spec, m, 0).coeffs]
+        b = CPoly.monomial(self.spec.nvars, m2)
+        return [anchor_action(self.spec, u, b)
+                for u in self._monomial_image(m, 0).coeffs]
+
+    @memo
+    def _monomial_image(self, m, leg):
+        """s_F(x^m) (leg 0) or t_F(x^m) (leg 1) as a series of envelope
+        elements, swept once (``_sweep_image``) (cached)."""
+        return _sweep_image(self, m, leg)
+
+    @memo
+    def _acting_groups(self, leg):
+        """The terms c x^g e^b (x) x^gamma e^alpha of each order of F, acting
+        leg ``leg`` first, as (den(F_k), {b: [(the leg id of
+        x^(g + gamma) e^alpha, the numerator c)]}) per order (cached)."""
+        out = []
+        for T in self.twistor.series.coeffs:
+            groups = {}
+            for key, c in T.num.items():
+                acting, partner = key[leg], key[1 - leg]
+                g = GAMMA[acting]
+                groups.setdefault(LEGS[acting][1], []).append(
+                    (partner if g is None else shift_id(partner, g), c))
+            out.append((T.den, groups))
+        return out
 
     def _linear_image(self, leg, a):
         """sum_m a_m map(x^m) for the base map whose F-legs ``leg`` act,
-        the images of the monomials read from the twistor's table
+        the images of the monomials read from the deformation's table
         (``_monomial_image``); a single monomial with coefficient 1 is its
         table entry."""
         spec = self.spec
@@ -394,8 +399,8 @@ class DeformedEnvAlgebroid:
         if len(terms) == 1:
             (m, c), = terms.items()
             if c == 1:
-                return _monomial_image(self.twistor, spec, m, leg)
-        images = [(c, _monomial_image(self.twistor, spec, m, leg).coeffs)
+                return self._monomial_image(m, leg)
+        images = [(c, self._monomial_image(m, leg).coeffs)
                   for m, c in terms.items()]
         return HSeries(self.order, [
             _combination(spec.nvars, spec.rank, [(c, img[k]) for c, img in images])
@@ -416,12 +421,14 @@ class DeformedEnvAlgebroid:
             EnvElement.zero(spec.nvars, spec.rank))
 
     @memo
-    def takeuchi_sides(self, a):
-        """(t_F(a) (x) 1, 1 (x) s_F(a)) as 2-leg tensor series (cached),
-        the right factors of the two sides of the Takeuchi condition."""
+    def takeuchi_relation(self, a):
+        """t_F(a) (x) 1 - 1 (x) s_F(a) as a 2-leg tensor series (cached):
+        T lies in the Takeuchi product at a when T times it reduces to
+        zero (``takeuchi_check_deformed``), and F times it is the
+        source/target compatibility of ``twistor_validate``."""
         one = EnvElement.one(self.spec.nvars, self.spec.rank)
-        return (self.target(a).map(lambda u: TensorElement.of(u, one)),
-                self.source(a).map(lambda u: TensorElement.of(one, u)))
+        return self.target(a).map(lambda u: TensorElement.of(u, one)) \
+            - self.source(a).map(lambda u: TensorElement.of(one, u))
 
     # -- coproduct lift ------------------------------------------------------------
 
@@ -441,20 +448,18 @@ class DeformedEnvAlgebroid:
         gamma, alpha = key
         j = _last_nonzero(alpha)
         if j is None or (sum(alpha) == 1 and not any(gamma)):
-            zero = TensorElement.zero(spec.nvars, spec.rank, 2)
-            return self.conjugate(hs_const(copro_basis(spec, leg_id(key)),
-                                           self.order, zero))
+            return self.conjugate(copro_basis(spec, leg_id(key)))
         gen = ((0,) * spec.nvars, _bump((0,) * spec.rank, j))
         return tensor_series_mul(
             spec, self.lift_mono((gamma, _bump(alpha, j, -1))),
             self.lift_mono(gen))
 
-    def conjugate(self, S):
-        """G . S . F for a 2-leg tensor series S (``lift_mono`` passes only
-        x^gamma (x) 1 and Delta(e_j)).
+    def conjugate(self, T):
+        """G . T . F for the classical 2-leg tensor T (``lift_mono`` passes
+        only x^gamma (x) 1 and Delta(e_j)).
 
         An exponential twistor F = exp(h r) takes the Hadamard expansion
-        G . Y . F = sum_m h^m/m! ad_{-r}^m(Y), ad_{-r}(Y) = Y r - r Y, so
+        G . T . F = sum_m h^m/m! ad_{-r}^m(T), ad_{-r}(Y) = Y r - r Y, so
         every order costs two products with r.  The series is exp(h r)
         because ``twistor_invert`` checked it against ``exp_twistor(r)``
         before taking exp(-h r) as G.  Other twistors take the two Cauchy
@@ -462,18 +467,18 @@ class DeformedEnvAlgebroid:
         """
         spec = self.spec
         r = self.twistor.exponent
+        zero = TensorElement.zero(spec.nvars, spec.rank, 2)
         if r is None:
-            return tensor_series_mul(
-                spec, self.G, tensor_series_mul(spec, S, self.twistor.series))
-        out = list(S.coeffs)
-        for k, Y in enumerate(S.coeffs):
-            for m in range(1, self.order - k + 1):
-                if Y.is_zero():
-                    break
-                Y = (tensor_mul(spec, Y, r) - tensor_mul(spec, r, Y)).scale(
-                    Fraction(1, m))
-                out[k + m] = out[k + m] + Y
-        return HSeries(self.order, out, S.zero)
+            return tensor_series_mul(spec, self.G, tensor_series_mul(
+                spec, hs_const(T, self.order, zero), self.twistor.series))
+        out = [T] + [zero] * self.order
+        for m in range(1, self.order + 1):
+            T = (tensor_mul(spec, T, r) - tensor_mul(spec, r, T)).scale(
+                Fraction(1, m))
+            if T.is_zero():
+                break
+            out[m] = T
+        return HSeries(self.order, out, zero)
 
     # -- decompositions --------------------------------------------------------------
 
@@ -786,19 +791,24 @@ def _reduce_leg(dfa, HT, leg):
 
 def takeuchi_check_deformed(dfa, HT, samples):
     """sum (u_i t_F(a)) (x) u'_i == sum u_i (x) (u'_i s_F(a)) after
-    reduction, for each base element a of ``samples``.  A sample whose two
-    sides are equal series (a = 1 when the twistor meets the counit
-    conditions) multiplies equal inputs and is not compared."""
-    spec = dfa.spec
+    reduction, for each base element a of ``samples``: HT times the
+    relation t_F(a) (x) 1 - 1 (x) s_F(a) (``takeuchi_relation``) reduces
+    to zero.  A sample whose relation is zero (a = 1 when the twistor
+    meets the counit conditions) is not compared."""
     for a in samples:
-        ta, sa = dfa.takeuchi_sides(a)
-        if ta == sa:
-            continue
-        lhs = tensor_series_mul(spec, HT, ta)
-        rhs = tensor_series_mul(spec, HT, sa)
-        if reduce_series(dfa, lhs) != reduce_series(dfa, rhs):
+        rel = dfa.takeuchi_relation(a)
+        if any(T.num for T in rel.coeffs) and not _reduces_to_zero(
+                dfa, tensor_series_mul(dfa.spec, HT, rel)):
             return False
     return True
+
+
+def _reduces_to_zero(dfa, HT):
+    """Whether the lifted tensor series HT, the signed difference of two
+    sides, is zero in the deformed tensor product.  ``reduce_series`` is
+    linear, so this is the verdict of comparing the two sides' reductions,
+    from one reduction."""
+    return not any(T.num for T in reduce_series(dfa, HT).coeffs)
 
 
 def _counit_contract(dfa, HT, leg):
@@ -898,9 +908,8 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
     report.check("source-target-commute", pairs, commute_failure)
 
     def coassociativity_failure(i):
-        A = deformed_coproduct_leg(dfa, lift(i), 0)
-        B = deformed_coproduct_leg(dfa, lift(i), 1)
-        if reduce_series(dfa, A) != reduce_series(dfa, B):
+        if not _reduces_to_zero(dfa, deformed_coproduct_leg(dfa, lift(i), 0)
+                                - deformed_coproduct_leg(dfa, lift(i), 1)):
             return "coassociativity fails on %r" % (elems[i].coeffs[0],)
 
     report.check("coassociativity", eidx, coassociativity_failure)
@@ -916,9 +925,9 @@ def deformed_axiom_suite(dfa, sample_degree=2, extra_polys=()):
 
     def multiplicative_failure(ij):
         i, j = ij
-        if reduce_series(dfa, twisted_coproduct(
-                dfa, defelem_mul(spec, elems[i], elems[j]))) \
-                != reduce_series(dfa, tensor_series_mul(spec, lift(i), lift(j))):
+        if not _reduces_to_zero(dfa, twisted_coproduct(
+                dfa, defelem_mul(spec, elems[i], elems[j]))
+                - tensor_series_mul(spec, lift(i), lift(j))):
             return "coproduct not multiplicative"
 
     report.check("coproduct-multiplicative", product(eidx[:3], repeat=2),

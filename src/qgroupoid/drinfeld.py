@@ -5,7 +5,9 @@ checks that all generator relations stay h-integral; the envelope-side
 functor selects elements whose n-fold reduced coproducts are divisible by
 h^n, built as one loop on leg ids: the element as a series of 1-leg
 tensors, one twisted coproduct at leg 0 per n, and the projection of each
-leg, both the splice of the classical coproduct (``tensorspace._splice``).
+leg, both the splice of the classical coproduct (``tensorspace._splice``);
+the projection's 1-leg pieces are memo entries of the deformation, one per
+(leg id, flavor) (``_projection_pieces``).
 Semiclassical limits read off the induced structure on the dual module
 from order-h data: the cobracket from the order-h coproduct, and the vee
 limit and the dual bracket by one reader of the same functional
@@ -22,7 +24,7 @@ from .deform import (
     defelem_from_env, defelem_mul, deformed_coproduct_leg, twisted_coproduct,
 )
 from .envelope import (
-    LEGS, EnvElement, _combination, env_counit, pbw_mul,
+    LEGS, EnvElement, _combination, env_counit, memo, pbw_mul,
 )
 from .errors import (
     ConfigError, InvariantViolation, NonIntegralError,
@@ -199,24 +201,31 @@ def _difference(spec, a, b, orders):
             for x, y in zip(a.coeffs[:orders], b.coeffs[:orders])]
 
 
+@memo
+def _projection_pieces(dfa, w, flavor):
+    """The 1-leg pieces of the projection w -> w - map_F(eps(w)) at the
+    leg id w, one memo entry of the deformation per (w, flavor): w alone
+    for a leg with a generator, and w - map_F(x^gamma)_0 at order zero,
+    then -map_F(x^gamma)_j at order j, for a pure base monomial
+    w = x^gamma."""
+    spec = dfa.spec
+    own = _tensor(spec.nvars, spec.rank, 1, {(w,): 1})
+    gamma, alpha = LEGS[w]
+    if any(alpha):
+        return (own,)
+    mapper = dfa.source if flavor == "source" else dfa.target
+    image = [TensorElement.of(env) for env in
+             mapper(CPoly.monomial(spec.nvars, gamma)).coeffs]
+    return [own - image[0]] + [-t for t in image[1:]]
+
+
 def _project_leg(dfa, HT, leg, flavor):
     """Per-leg projection w -> w - map_F(eps(w)) on a lifted tensor series,
-    the splice (``tensorspace._splice``) of 1-leg pieces: w alone for a leg
-    with a generator, and w - map_F(x^gamma)_0 at order zero, then
-    -map_F(x^gamma)_j at order j, for a pure base monomial w = x^gamma."""
-    spec = dfa.spec
-    mapper = dfa.source if flavor == "source" else dfa.target
-
-    def pieces(w):
-        own = _tensor(spec.nvars, spec.rank, 1, {(w,): 1})
-        gamma, alpha = LEGS[w]
-        if any(alpha):
-            return (own,)
-        image = [TensorElement.of(env) for env in
-                 mapper(CPoly.monomial(spec.nvars, gamma)).coeffs]
-        return [own - image[0]] + [-t for t in image[1:]]
-    return HSeries(dfa.order, _splice(HT.coeffs, leg, pieces, HT.zero.legs),
-                   HT.zero)
+    the splice (``tensorspace._splice``) of the leg's memoised 1-leg pieces
+    (``_projection_pieces``)."""
+    return HSeries(dfa.order, _splice(
+        HT.coeffs, leg, lambda w: _projection_pieces(dfa, w, flavor),
+        HT.zero.legs), HT.zero)
 
 
 def hprime_member(dfa, u, n_max=None):

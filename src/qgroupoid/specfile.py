@@ -21,12 +21,15 @@ one twistor term.
     [samples]     max_degree = 2 (<= 10), extra = <poly>; <poly>
                   (extra lines add up, to at most 8 polynomials)
 
-A spec declares at most 12 generators and 8 base variables.
+A spec declares at most 12 generators and 8 base variables, and at most
+1000 sample monomials of degree <= max_degree, C(p + max_degree,
+max_degree) on p variables.
     [rng]         seed = 7
 """
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .deform import Twistor, exp_twistor, trivial_twistor
 from .envelope import EnvElement
@@ -39,6 +42,7 @@ from .tensorspace import MAX_LEGS, TensorElement
 __all__ = [
     "EngineSpec", "load_spec", "load_spec_file", "parse_env_monomial",
     "check_truncation", "MAX_TRUNCATION", "MAX_RANK", "MAX_VARS", "MAX_EXTRA",
+    "MAX_SAMPLES",
 ]
 
 # Input budget: the largest h_order and jet_degree a run accepts.  Cost
@@ -53,6 +57,12 @@ MAX_TRUNCATION = 10
 MAX_RANK = 12
 MAX_VARS = 8
 MAX_EXTRA = 8
+# The most sample monomials C(p + max_degree, max_degree) that validate
+# enumerates.  The bounds above hold one at a time, not in products: at
+# rank 12, validate took 4.8 s on 8 variables at max_degree 4 (495
+# monomials), 7.2 s on 6 variables at 6 (924) and 9.2 s on 8 at 5 (1,287),
+# one process on a shared 2-core machine.
+MAX_SAMPLES = 1000
 
 _SECTIONS = ("base", "generators", "bracket", "anchor", "twistor",
              "truncation", "samples", "rng")
@@ -324,6 +334,11 @@ def _validate(spec):
                                    spec.twistor_form))
     check_truncation(spec.h_order, spec.jet_degree, spec.n_max,
                      spec.pbw_degree, spec.sample_degree)
+    samples = comb(spec.nvars + spec.sample_degree, spec.sample_degree)
+    if samples > MAX_SAMPLES:
+        raise SemanticError("the number of sample monomials, C(p + max_degree, "
+                            "max_degree) = %d, must be <= %d"
+                            % (samples, MAX_SAMPLES))
 
 
 def check_truncation(h_order, jet_degree, n_max, pbw_degree=1,

@@ -291,7 +291,8 @@ def generated_dfa(i, order=2):
     Y = EnvElement.monomial(p, m, _bump((0,) * m, b))
     r = (TensorElement.of(X, Y) - TensorElement.of(Y, X)).scale(
         Fraction(rng.choice((1, -1, 2)), 2))
-    valid = twistor_validate(spec, exp_twistor(spec, r, 2)).ok()
+    valid = twistor_validate(DeformedEnvAlgebroid(
+        spec, exp_twistor(spec, r, 2), validate=False)).ok()
     tw = exp_twistor(spec, r, order) if valid else trivial_twistor(spec, order)
     return DeformedEnvAlgebroid(spec, tw, validate=False)
 
@@ -1523,11 +1524,68 @@ def truncation_mismatches(build, order, flavor, degree=3):
     be, never wrong.  ``build(N)`` is the deformation at truncation N; the
     oracle needs no reference implementation, so it shares no code with
     the engine's window bookkeeping."""
-    low = _dual_products(build(order), flavor, degree)
-    high = _dual_products(build(order + 2), flavor, degree)
-    return [key + (n,) for key, value in low.items()
-            for n in range(value.val, value.top + 1)
-            if n > high[key].top or value.coeff(n) != high[key].coeff(n)]
+    return _contradicted(_dual_products(build(order), flavor, degree),
+                         _dual_products(build(order + 2), flavor, degree))
+
+
+def _contradicted(low, high):
+    """(key..., n) of every coefficient a value of ``low`` claims (its
+    orders val..top) that the same key of ``high``, the run at a longer
+    truncation, does not confirm; a key ``high`` lacks reads as zero up to
+    every order."""
+    out = []
+    for key, value in low.items():
+        other = high.get(key)
+        for n in range(value.val, value.top + 1):
+            if other is None:
+                if not value.coeff(n).is_zero():
+                    out.append(key + (n,))
+            elif n > other.top or value.coeff(n) != other.coeff(n):
+                out.append(key + (n,))
+    return out
+
+
+def functional_mismatches(build, order, flavor, degree=3):
+    """The truncation-consistency oracle of ``truncation_mismatches`` for
+    the jet dual's pairings and functional tables (``_functional_values``)
+    at truncation ``order`` against ``order + 2``, as (path, indices...,
+    key, n)."""
+    return _contradicted(_functional_values(build(order), flavor, degree),
+                         _functional_values(build(order + 2), flavor, degree))
+
+
+def _functional_values(dfa, flavor, degree):
+    """{(path, indices..., key): value} on the inputs xi_i, the coordinate
+    functionals, the unit and the rescaled h^-1 xi_i: ``jet_pair`` of each
+    on every product of ``drinfeld.augmentation_products(dfa, 2)``, the
+    table of ``jet_coproduct_functional`` of each and of
+    ``tensor_functional_from_pair`` of every two, and the two tables of
+    ``jet_source_target`` of the unit and of each coordinate, all to
+    ``degree``."""
+    ctx = JetContext(dfa, flavor, degree)
+    spec = dfa.spec
+    xis = [xi_functional(ctx, i) for i in range(spec.rank)]
+    inputs = xis + [coordinate_functional(ctx, j) for j in range(spec.nvars)] \
+        + [unit_functional(ctx)] + [xi.shift(-1) for xi in xis]
+    products = [u for _, u in drinfeld.augmentation_products(dfa, 2)]
+    out = {}
+    for i, lam in enumerate(inputs):
+        for k, u in enumerate(products):
+            out["jet_pair", i, k, None] = jet_pair(ctx, lam, u)
+        for key, v in jet_coproduct_functional(ctx, lam, degree).items():
+            out["jet_coproduct_functional", i, key] = v
+        for j, mu in enumerate(inputs):
+            for key, v in tensor_functional_from_pair(
+                    ctx, lam, mu, degree).items():
+                out["tensor_functional_from_pair", i, j, key] = v
+    base = [CPoly.one(spec.nvars)] \
+        + [CPoly.var(spec.nvars, j) for j in range(spec.nvars)]
+    for i, a in enumerate(base):
+        for path, functional in zip(("source", "target"),
+                                    jets.jet_source_target(ctx, a, degree)):
+            for beta, v in functional.table.items():
+                out["jet_source_target", path, i, beta] = v
+    return out
 
 
 def chain_laurent_mul(x, y, mulser, series_order):
@@ -2522,7 +2580,7 @@ def valid_reduction(dfa):
     leg's decomposition: constant structure functions, or a twistor the
     validator accepts."""
     return not polynomial_brackets(dfa.spec) \
-        or twistor_validate(dfa.spec, dfa.twistor).ok()
+        or twistor_validate(dfa).ok()
 
 
 def _ref_reduce_leg(dfa, HT, leg):

@@ -26,7 +26,7 @@ def test_iso_phi_full():
 def test_twistor_validate_small_orders():
     for n in (1, 2, 3):
         bundle = build_axb(n, 2)
-        rep = twistor_validate(bundle.spec, bundle.dfa.twistor)
+        rep = twistor_validate(bundle.dfa)
         assert rep.ok(), (n, rep.first_failure())
 
 

@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from qgroupoid import cli, deform, envelope, jets, tensorspace
+from qgroupoid import cli, deform, drinfeld, envelope, jets, tensorspace
 from qgroupoid.cli import main
 from qgroupoid.scalars import pbw_indices
 
@@ -135,13 +135,14 @@ def test_one_triangular_solve_per_base_monomial(argv, solves, monkeypatch):
 
 
 def test_every_cache_is_a_memo_entry(monkeypatch):
-    """After ``example axb`` at 2/2 the deformation, both contexts, the
-    twistor and the structure keep every table in one dict each,
-    ``_memos``, beside the structure's product table ``_leg_table``; and
-    after dual products, tensor functionals and coproduct functionals on
-    both contexts, so does each functional, beside its value ``table``.
-    Each table of ``_memos`` is named after a function that
-    ``envelope.memo`` wraps and is keyed by argument tuples."""
+    """After ``example axb`` at 2/2 the deformation, both contexts and
+    the structure keep every table in one dict each, ``_memos``, beside
+    the structure's product table ``_leg_table``; and after dual products,
+    tensor functionals and coproduct functionals on both contexts, so does
+    each functional, beside its value ``table``.  The twistor holds no
+    dict: what it derives is the deformation's.  Each table of ``_memos``
+    is named after a function that ``envelope.memo`` wraps and is keyed by
+    argument tuples."""
     real, bundles = cli.build_axb, []
 
     def build_axb(h_order, jet_degree):
@@ -161,8 +162,9 @@ def test_every_cache_is_a_memo_entry(monkeypatch):
         jets.tensor_functional_from_pair(ctx, lam, mu)
         jets.jet_coproduct_functional(ctx, lam)
         functionals += [lam, mu]
-    for owner in (b.dfa, b.left, b.right, b.dfa.twistor, b.spec,
-                  *functionals):
+    assert not [v for v in vars(b.dfa.twistor).values()
+                if isinstance(v, dict)]
+    for owner in (b.dfa, b.left, b.right, b.spec, *functionals):
         if isinstance(owner, jets.JetElement):
             dicts = {name for name in jets.JetElement.__slots__
                      if isinstance(getattr(owner, name), dict)}
@@ -177,7 +179,7 @@ def test_every_cache_is_a_memo_entry(monkeypatch):
         for name, table in owner._memos.items():
             assert any(hasattr(getattr(where, name, None), "__wrapped__")
                        for where in (type(owner), envelope, tensorspace,
-                                     deform, jets)), name
+                                     deform, drinfeld, jets)), name
             assert table and all(type(k) is tuple for k in table), name
 
 
@@ -470,10 +472,11 @@ def test_pairings_decompose_only_keys_that_meet_the_table(monkeypatch):
 
 
 def test_takeuchi_compares_no_sample_with_equal_sides(monkeypatch):
-    """``twist`` on axb at N=6 makes 78 ``reduce_series`` calls: the
-    Takeuchi check skips a = 1, whose two sides t_F(1) (x) 1 and
-    1 (x) s_F(1) are both 1 (x) 1 for a twistor that meets the counit
-    conditions.  Comparing it made 88, 5 lifted samples x 2 sides more."""
+    """``twist`` on axb at N=6 makes 39 ``reduce_series`` calls: each
+    class test reduces one signed difference, and the Takeuchi check
+    skips a = 1, whose relation t_F(1) (x) 1 - 1 (x) s_F(1) is zero for a
+    twistor that meets the counit conditions.  Reducing both sides made
+    78, and comparing a = 1 as well made 88."""
     real = deform.reduce_series
     calls = []
 
@@ -484,7 +487,7 @@ def test_takeuchi_compares_no_sample_with_equal_sides(monkeypatch):
     monkeypatch.setattr(deform, "reduce_series", reduce_series)
     code, _, _ = run_cli(["twist", SPEC, "--h-order", "6", "--json-only"])
     assert code == 0
-    assert len(calls) == 78
+    assert len(calls) == 39
 
 
 def test_cli_tensor_products_have_two_or_three_legs(monkeypatch):
@@ -519,7 +522,7 @@ def _table_runs(tmp_path):
 
 def test_cli_conjugates_only_generators_and_base_monomials(tmp_path,
                                                            monkeypatch):
-    """``conjugate`` sees only constant 2-leg series Delta(e_j) and
+    """``conjugate`` is given only the 2-leg tensors Delta(e_j) and
     Delta(x^gamma) = x^gamma (x) 1, each once per deformation: every other
     lift is a product of these (``lift_mono``), and the twisted coproduct
     of a leg splices cached lifts (``deformed_coproduct_leg``).
@@ -529,20 +532,18 @@ def test_cli_conjugates_only_generators_and_base_monomials(tmp_path,
     real = deform.DeformedEnvAlgebroid.conjugate
     seen = []
 
-    def conjugate(dfa, S):
-        seen.append((dfa, S))
-        return real(dfa, S)
+    def conjugate(dfa, T):
+        seen.append((dfa, T))
+        return real(dfa, T)
 
     monkeypatch.setattr(deform.DeformedEnvAlgebroid, "conjugate", conjugate)
     for argv in _table_runs(tmp_path):
         code, _, _ = run_cli(argv + ["--json-only"])
         assert code == 0, argv
     conjugated = Counter()
-    for dfa, S in seen:
+    for dfa, T in seen:
         spec = dfa.spec
-        T = S.coeffs[0]
-        assert S.zero.legs == 2
-        assert all(Tk.is_zero() for Tk in S.coeffs[1:])
+        assert isinstance(T, tensorspace.TensorElement) and T.legs == 2
         # Delta(e_j), or x^gamma (x) 1 read off its left leg
         gens = [((0,) * spec.nvars,
                  tuple(int(i == j) for i in range(spec.rank)))
@@ -556,16 +557,16 @@ def test_cli_conjugates_only_generators_and_base_monomials(tmp_path,
 
 def test_cli_sweeps_each_monomial_image_once_per_twistor(tmp_path,
                                                          monkeypatch):
-    """Each image s_F(x^m) or t_F(x^m) is swept once per twistor and
-    structure: ``twistor_validate`` and the deformation read one table.
-    Each sweeping its own made ``twist`` at N=6 sweep 42 times for 30
-    distinct images."""
+    """Each image s_F(x^m) or t_F(x^m) is swept once per deformation:
+    ``twistor_validate`` and the base maps read the deformation's one
+    table.  Each sweeping its own made ``twist`` at N=6 sweep 42 times for
+    30 distinct images."""
     real = deform._sweep_image
     sweeps = Counter()
 
-    def sweep(spec, twistor, m, leg):
-        sweeps[(twistor, spec, leg, m)] += 1
-        return real(spec, twistor, m, leg)
+    def sweep(dfa, m, leg):
+        sweeps[(dfa, leg, m)] += 1
+        return real(dfa, m, leg)
 
     monkeypatch.setattr(deform, "_sweep_image", sweep)
     for argv in _table_runs(tmp_path):

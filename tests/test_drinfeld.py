@@ -163,6 +163,33 @@ def test_hprime_member_shares_one_iterated_coproduct(monkeypatch):
                     (n if (n, flavor) in visited else 0)
 
 
+def test_hprime_member_projects_each_flavor_by_its_own_map(monkeypatch):
+    """Every leg projection of ``hprime_member`` equals the projection on
+    nested monomial keys (``oracles.nested_project_leg``) of its own
+    flavor, though the deformation keeps the 1-leg pieces of both flavors
+    in its memos: on axb at N = 3, s_F and t_F differ at h^1, and so do
+    some source and target projections of one input."""
+    dfa = make_dfa(3)
+    spec = dfa.spec
+    sx = dfa.source_series(hs_const(CPoly.var(2, 0), 3, CPoly.zero(2)))
+    h_d2 = defelem_from_env(spec, EnvElement.gen(2, 2, 1), 3).shift(1)
+    real = drinfeld._project_leg
+    seen = []
+
+    def project(dfa, HT, leg, flavor):
+        out = real(dfa, HT, leg, flavor)
+        assert out == nested_project_leg(dfa, HT, leg, flavor), flavor
+        seen.append((HT, leg, flavor, out))
+        return out
+
+    monkeypatch.setattr(drinfeld, "_project_leg", project)
+    for u in (sx, defelem_mul(spec, sx, h_d2)):
+        assert hprime_member(dfa, u, n_max=3)
+    assert any(HT is HT2 and leg == leg2 and out != out2
+               for HT, leg, flavor, out in seen if flavor == "source"
+               for HT2, leg2, flavor2, out2 in seen if flavor2 == "target")
+
+
 def test_hprime_member_stops_at_the_leg_bound(monkeypatch):
     dfa = make_dfa(3)
     u = defelem_from_env(dfa.spec, EnvElement.gen(2, 2, 0), 3).shift(1)

@@ -14,7 +14,6 @@ shapes their inputs reach, and the memos and tables a fast path fills.
 """
 
 import functools
-import gc
 import itertools
 import random
 from collections import Counter
@@ -96,7 +95,7 @@ def test_generated_cases_reach_rank_variables_and_twists():
     assert all(d.order <= 3 for d in dfas)
     twisted = [d for d in dfas if d.twistor.exponent is not None]
     assert len(twisted) >= 3
-    assert all(twistor_validate(d.spec, d.twistor).ok() for d in twisted)
+    assert all(twistor_validate(d).ok() for d in twisted)
 
 
 # -- products, actions and the product table ----------------------------------------
@@ -114,7 +113,7 @@ def test_rational_structure_is_lie_rinehart():
 
 def test_polynomial_fixture_is_a_valid_twist():
     dfa = polynomial_exp_dfa()
-    for rep in (lr_validate(dfa.spec), twistor_validate(dfa.spec, dfa.twistor),
+    for rep in (lr_validate(dfa.spec), twistor_validate(dfa),
                 deformed_axiom_suite(dfa)):
         assert rep.ok(), rep.first_failure()
 
@@ -329,9 +328,9 @@ def test_table_cases_include_failing_and_explicit_twistors():
     # the lift identity needs only F . G = 1, so the oracles also run on
     # invertible twistors that are not cocycles, and on form = orders
     dfas = [bracketed_exp_dfa()] + [random_dfa(i) for i in range(6)]
-    assert not twistor_validate(dfas[0].spec, dfas[0].twistor).ok()
+    assert not twistor_validate(dfas[0]).ok()
     assert any(d.twistor.exponent is None for d in dfas)
-    assert sum(not twistor_validate(d.spec, d.twistor).ok() for d in dfas) >= 4
+    assert sum(not twistor_validate(d).ok() for d in dfas) >= 4
     assert all(d.spec.rank <= 4 and d.spec.nvars <= 3 and d.order <= 3
                for d in dfas[1:])
     assert {d.spec.rank for d in dfas} == {2, 3}
@@ -371,18 +370,16 @@ def test_twisted_coproducts_and_projections_match_the_parent_loops(make):
 
 @pytest.mark.parametrize("make", TABLE_CASES)
 def test_monomial_images_match_term_sweeps(make):
-    """s_F and t_F read one table of monomial images per structure, filled
-    with exactly the monomials met."""
+    """s_F and t_F read one table of monomial images per deformation,
+    filled with exactly the monomials met."""
     dfa = make()
-    spec, tw = dfa.spec, dfa.twistor
     polys = oracles.image_polys(dfa)
     assert check(dfa, "source_target", inputs=[
         (leg, p) for p in polys for leg in (0, 1)])
     monos = {m for p in polys for m in p.terms}
-    images = tw._memos["_monomial_image"]
-    assert {s for s, _, _ in images} == {spec}
-    assert {m for _, m, leg in images if leg == 0} \
-        == {m for _, m, leg in images if leg == 1} == monos
+    images = dfa._memos["_monomial_image"]
+    assert {m for m, leg in images if leg == 0} \
+        == {m for m, leg in images if leg == 1} == monos
 
 
 @pytest.mark.parametrize("make", TABLE_CASES)
@@ -411,8 +408,8 @@ def test_source_target_match_sweeps(make, which, monkeypatch):
     cancel = oracles.base_cancel(dfa, leg)
     if cancel is not None:
         assert cancel[1] not in flat_terms(getattr(dfa, which)(cancel[0]))
-    table = dfa.twistor._memos["_monomial_image"]
-    assert {m for s, m, l in table if (s, l) == (spec, leg)} \
+    table = dfa._memos["_monomial_image"]
+    assert {m for m, l in table if l == leg} \
         >= {m for p in polys for m in p.terms}
     want = [sweep_base_map(spec, dfa.twistor, p, leg) for p in polys]
     filled = dict(table)
@@ -439,11 +436,10 @@ def test_star_coeffs_match_sweeps(make, monkeypatch):
 
 
 def test_twistor_images_are_kept_per_structure():
-    """One twistor on two structures of the same shape whose anchors differ
-    by a factor 2: each structure's s_F and t_F come from its own sweeps.
-    The tables are keyed by the structure objects, which they keep alive;
-    a key by ``id`` would let a new structure at a dead one's address read
-    its images."""
+    """One twistor series on two structures of the same shape whose
+    anchors differ by a factor 2: each of the two deformations sweeps its
+    own s_F and t_F images into its own memos, checked against the term
+    sweeps, and the twistor they share keeps no table."""
     espec = load_spec_file(SPEC)
     # the series alone: exp(h r) on axb is not exp(h r) on the other
     tw = Twistor(espec.build_twistor(espec.build_structure(), 3).series)
@@ -455,26 +451,18 @@ def test_twistor_images_are_kept_per_structure():
                                name="doubled")
 
     monos = monomials_upto(2, 2)
-
-    def images(make):
-        """The structure's s_F and t_F images of ``monos``, after checking
-        them against the sweeps; the structure dies on return."""
-        spec = make()
-        twistor_validate(spec, tw)
-        dfa = DeformedEnvAlgebroid(spec, tw, validate=False)
+    seen = []
+    for make in (axb_structure, doubled):
+        dfa = DeformedEnvAlgebroid(make(), tw, validate=False)
+        twistor_validate(dfa)
         check(dfa, "source_target", inputs=[(leg, a) for a in monos
                                             for leg in (0, 1)])
-        return [[mapper(a) for a in monos]
-                for mapper in (dfa.source, dfa.target)]
-
-    seen = {}
-    for make in (axb_structure, doubled, axb_structure, doubled):
-        seen[make] = images(make)
-        gc.collect()
-    assert seen[axb_structure][0] != seen[doubled][0]
-    structures = {s for s, _, _ in tw._memos["_monomial_image"]}
-    assert len(structures) == 4
-    assert all(isinstance(spec, LieRinehartSpec) for spec in structures)
+        assert set(dfa._memos["_monomial_image"]) == {
+            (m, leg) for a in monos for m in a.terms for leg in (0, 1)}
+        seen.append([[mapper(a) for a in monos]
+                     for mapper in (dfa.source, dfa.target)])
+    assert seen[0][0] != seen[1][0]
+    assert not [v for v in vars(tw).values() if isinstance(v, dict)]
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])

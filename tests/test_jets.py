@@ -23,8 +23,8 @@ from qgroupoid.series import HLaurent
 
 from oracles import (
     GENERATED, SPEC, _spec_dfa, evaluation_iso_check, generated_dfa,
-    jet_coproduct_decompose, pair_basis, pair_element, pair_laurent,
-    truncation_mismatches,
+    functional_mismatches, jet_coproduct_decompose, pair_basis, pair_element,
+    pair_laurent, truncation_mismatches,
 )
 from test_cli import _bracket_spec_text, parse_lines, run_cli
 from test_reachability import POLYNOMIAL_SPEC
@@ -590,3 +590,19 @@ def test_dual_products_claim_no_coefficient_a_longer_run_contradicts(
     at (0, 2) and (0, 3) it claims h^4, wrongly; its N = 2 and 4 pass and
     are left out for their cost (1.4 and 4.2 s for both sides)."""
     assert truncation_mismatches(TRUNCATION_BUILDS[name], order, side) == []
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("name,order", [
+    ("axb", 2), ("axb", 3), ("axb", 4), ("bracket(a=2)", 2)]
+    + [("gen%d" % i, 2) for i in range(GENERATED)]
+    + [("polynomial", n) for n in (1, 2, 3)])
+def test_pairings_and_functional_tables_claim_no_coefficient_a_longer_run_contradicts(
+        name, order, side):
+    """``jet_pair`` on the augmentation products of ``drinfeld`` (n <= 2),
+    and the tables of ``jet_coproduct_functional``,
+    ``tensor_functional_from_pair`` and ``jet_source_target``, on the xi_i,
+    the coordinate functionals, the unit and the rescaled h^-1 xi_i, jet
+    degree 3, agree with the same values at truncation N + 2 on every
+    order of their windows (``oracles.functional_mismatches``)."""
+    assert functional_mismatches(TRUNCATION_BUILDS[name], order, side) == []

@@ -61,7 +61,7 @@ def mixed_dfa(order=3):
 
 def test_twist_on_mixed_structure():
     dfa = mixed_dfa(3)
-    rep = twistor_validate(dfa.spec, dfa.twistor)
+    rep = twistor_validate(dfa)
     assert rep.ok(), rep.first_failure()
     rep = deformed_axiom_suite(dfa, sample_degree=1)
     assert rep.ok(), rep.first_failure()

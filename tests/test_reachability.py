@@ -218,6 +218,14 @@ HOSTILE_SPECS = {
         ("twist", "[base]\nvars = %s\n[generators]\nnames = d1\n"
          % " ".join("x%d" % i for i in range(1, 10)),
          "the number of base variables must be <= 8"),
+    # [samples] max_degree = 5 on 8 variables: C(13, 5) sample monomials
+    # (specfile.MAX_SAMPLES)
+    "sample-monomials-above-budget":
+        ("validate", "[base]\nvars = %s\n[generators]\nnames = d1\n"
+         "[samples]\nmax_degree = 5\n" % " ".join(
+             "x%d" % i for i in range(1, 9)),
+         "the number of sample monomials, C(p + max_degree, max_degree) = "
+         "1287, must be <= 1000"),
     "extra-polynomials-above-budget":
         ("twist", BASE + "[samples]\nextra = x1; x2; x1*x2; x1^2; x2^2\n"
          "extra = 1; 2; 3; 4\n",
@@ -318,8 +326,9 @@ UNREACHED = [
     ("deform", "deformed_axiom_suite.multiplicative_failure", "check-failure",
      WITNESS, ('return "coproduct not multiplicative"',)),
     ("deform", "twistor_validate", "check-failure",
-     "the early return after a leading term that is not 1 (x) 1, which no "
-     "spec builds", ("return report [1]",)),
+     "the early return after a leading term that is not 1 (x) 1: the "
+     "deformation's constructor guarantees F_0 = 1 (x) 1, and the check "
+     "stays for the report bytes", ("return report [1]",)),
     ("deform", "twistor_validate.counit_failure", "check-failure", WITNESS,
      ('return "counit condition fails at order h^%d" % n',)),
     ("drinfeld", "_too_deep", "check-failure",
@@ -539,7 +548,7 @@ UNREACHED = [
      "benchmark", (
          "if not rep.ok():",
          'raise ConfigError("invalid twistor: %s" % rep.first_failure())',
-         "rep = twistor_validate(spec, twistor)",
+         "rep = twistor_validate(self)",
      )),
     ("drinfeld", "hprime_basis", "kept",
      "the H' dual basis that the duality round trip is to compare its "
@@ -550,6 +559,13 @@ UNREACHED = [
     ("jets", "jet_axiom_suite.filtration_failure", "kept",
      "filtration-growth evaluates the witnesses it is given, and no caller "
      "gives any yet (ROADMAP item 7)", None),
+    ("envelope", "_same_value", "kept",
+     "equality of numerators over two different denominators, which "
+     "tensors need (their den is not in lowest terms); each deformed class "
+     "test reduces one signed difference, so no command compares two "
+     "tensors over different denominators, while the oracles and tests do",
+     ("if len(a) != len(b):", "for k, c in a.items():", "d = b.get(k)",
+      "if d is None or c * db != d * da:", "return True")),
     ("envelope", "EnvElement.__add__", "kept",
      "the value type's sum, which the oracles and tests use; "
      "test_cli_sums_no_envelope_elements_by_addition keeps commands off it",

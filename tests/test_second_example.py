@@ -41,7 +41,7 @@ def closed_form_star(a, b, order):
 
 def test_symmetric_twist_is_valid():
     dfa = sym_dfa(3)
-    rep = twistor_validate(dfa.spec, dfa.twistor)
+    rep = twistor_validate(dfa)
     assert rep.ok(), rep.first_failure()
 
 

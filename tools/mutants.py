@@ -180,6 +180,28 @@ MUTANTS = [
      ["tests/test_report.py::test_check_counts_the_cases_it_read",
       "tests/test_report.py::"
       "test_extend_keeps_names_statuses_witnesses_and_counts"]),
+    # the deformation owns its twistor's tables; one signed reduction
+    ("takeuchi-relation-drops-source-side", "deform.py",
+     "        return self.target(a).map(lambda u: TensorElement.of(u, one)) \\\n"
+     "            - self.source(a).map(lambda u: TensorElement.of(one, u))",
+     "        return self.target(a).map(lambda u: TensorElement.of(u, one))",
+     ["tests/test_deform.py::test_takeuchi_deformed_coproduct",
+      "tests/test_deform.py::"
+      "test_takeuchi_sides_are_built_once_per_base_element",
+      "tests/test_deform.py::test_std_twistor_valid_order4"]),
+    ("signed-difference-checked-at-h0-only", "deform.py",
+     "for T in reduce_series(dfa, HT).coeffs)",
+     "for T in reduce_series(dfa, HT).coeffs[:1])",
+     ["tests/test_deform.py::"
+      "test_takeuchi_compares_a_unit_sample_when_the_counit_breaks",
+      "tests/test_deform.py::test_deformed_class_tests_see_every_order"]),
+    ("projection-memo-ignores-flavor", "drinfeld.py",
+     "@memo\ndef _projection_pieces(",
+     "@(lambda f: lambda dfa, w, flavor: dfa._memos[f.__name__].setdefault(\n"
+     "    (w,), f(dfa, w, flavor)))\ndef _projection_pieces(",
+     ["tests/test_drinfeld.py::"
+      "test_hprime_member_projects_each_flavor_by_its_own_map",
+      FAST + "test_fast_path_matches_reference[_project_leg-gen0]"]),
     # membership products built once
     ("membership-product-not-multiplied", "drinfeld.py",
      "cur[combo] = prod = a if head is None else defelem_mul(spec, head, a)",

@@ -110,21 +110,15 @@ def _load(args):
     return espec
 
 
-def _dfa_from(espec):
-    """The deformation of the spec and the one validation of its twistor."""
-    spec = espec.build_structure()
-    tw = espec.build_twistor(spec, espec.h_order)
-    dfa = DeformedEnvAlgebroid(spec, tw, validate=False)
-    return spec, dfa, twistor_validate(dfa)
-
-
-def _twistor_failed(report, twrep):
-    """Put a failed twistor validation into the report, so nothing is
-    certified on that twistor; True if it failed."""
-    if twrep.ok():
-        return False
-    report.extend(twrep, prefix="twistor")
-    return True
+# command: (the option its report title names, the spec fields its header
+# shows); every command but validate is built on the spec's twistor
+HEADERS = {
+    "validate": (None, ("seed", "sample_degree")),
+    "twist": (None, ("h_order", "seed")),
+    "dualize": ("side", ("h_order", "jet_degree", "seed")),
+    "drinfeld": ("functor", ("h_order", "n_max", "jet_degree", "seed")),
+    "semiclassical": (None, ("h_order", "seed")),
+}
 
 
 def _run(args):
@@ -153,32 +147,32 @@ def _run(args):
         return report
 
     espec = _load(args)
+    option, fields = HEADERS[args.command]
+    title = args.command if option is None \
+        else "%s-%s" % (args.command, getattr(args, option))
+    report = Report(title, {f: getattr(espec, f) for f in fields})
+    spec = espec.build_structure()
     if args.command == "validate":
-        spec = espec.build_structure()
-        report = Report("validate", {"seed": espec.seed,
-                                     "sample_degree": espec.sample_degree})
         report.extend(structure_property_suite(
             spec, espec.seed, espec.sample_degree,
             min(espec.h_order, 2), espec.jet_degree))
         return report
 
-    if args.command == "twist":
-        spec, dfa, twrep = _dfa_from(espec)
-        report = Report("twist", {"h_order": espec.h_order,
-                                  "seed": espec.seed})
+    # one validation of the twistor: twist reports its checks, the others
+    # only a failure, and then certify nothing else on that twistor
+    dfa = DeformedEnvAlgebroid(
+        spec, espec.build_twistor(spec, espec.h_order), validate=False)
+    twrep = twistor_validate(dfa)
+    if args.command == "twist" or not twrep.ok():
         report.extend(twrep, prefix="twistor")
+        if args.command != "twist":
+            return report
+
+    if args.command == "twist":
         report.extend(deformed_axiom_suite(
             dfa, min(espec.sample_degree, 2), espec.extra_polys),
             prefix="axioms")
-        return report
-
-    if args.command == "dualize":
-        spec, dfa, twrep = _dfa_from(espec)
-        report = Report("dualize-%s" % args.side,
-                        {"h_order": espec.h_order,
-                         "jet_degree": espec.jet_degree, "seed": espec.seed})
-        if _twistor_failed(report, twrep):
-            return report
+    elif args.command == "dualize":
         flavor = LEFT if args.side == "left" else RIGHT
         ctx = JetContext(dfa, flavor, espec.jet_degree)
         report.extend(jet_axiom_suite(ctx, min(espec.sample_degree, 2)),
@@ -189,24 +183,16 @@ def _run(args):
                 "%s: %r" % (beta, val) for beta, val in sorted(rel.table.items()))
             report.record("relation/%s-%s" % (na, nb), PASS, None,
                           {"table": entries or "0"})
-        return report
-
-    if args.command == "drinfeld":
-        spec, dfa, twrep = _dfa_from(espec)
-        report = Report("drinfeld-%s" % args.functor,
-                        {"h_order": espec.h_order, "n_max": espec.n_max,
-                         "jet_degree": espec.jet_degree, "seed": espec.seed})
-        if _twistor_failed(report, twrep):
-            return report
+    elif args.command == "drinfeld":
         ctx = JetContext(dfa, LEFT, espec.jet_degree)
         if args.functor == "vee":
             try:
                 v = vee_build(ctx, degree=min(espec.jet_degree, 3))
             except NonIntegralError as exc:
                 report.check("vee-integrality", [exc], str)
-                return report
-            dual, rep = vee_semiclassical(v)
-            report.extend(rep, prefix="vee")
+            else:
+                dual, rep = vee_semiclassical(v)
+                report.extend(rep, prefix="vee")
         elif args.functor == "prime":
             n_max = min(espec.n_max, espec.h_order)
             for i in range(spec.rank):
@@ -222,24 +208,16 @@ def _run(args):
             report.extend(duality_roundtrip(
                 ctx, n_max=min(espec.n_max, 3),
                 degree=min(espec.jet_degree, 3)))
-        return report
-
-    # semiclassical, the last choice the parser allows
-    spec, dfa, twrep = _dfa_from(espec)
-    report = Report("semiclassical", {"h_order": espec.h_order,
-                                      "seed": espec.seed})
-    if _twistor_failed(report, twrep):
-        return report
-    dual, rep = semiclassical_cobracket(dfa)
-    report.extend(rep, prefix="cobracket")
-    ctxR = JetContext(dfa, RIGHT, espec.jet_degree)
-    dualR, repR = semiclassical_dual_bracket(ctxR)
-    report.extend(repR, prefix="dual-bracket")
-    report.check("dual-bracket-matches-cobracket", [dualR], lambda d: (
-        None if d.bracket == dual.bracket and d.anchor == dual.anchor
-        else "right-dual structure differs"))
+    else:  # semiclassical, the last choice the parser allows
+        dual, rep = semiclassical_cobracket(dfa)
+        report.extend(rep, prefix="cobracket")
+        ctxR = JetContext(dfa, RIGHT, espec.jet_degree)
+        dualR, repR = semiclassical_dual_bracket(ctxR)
+        report.extend(repR, prefix="dual-bracket")
+        report.check("dual-bracket-matches-cobracket", [dualR], lambda d: (
+            None if d.bracket == dual.bracket and d.anchor == dual.anchor
+            else "right-dual structure differs"))
     return report
-
 
 if __name__ == "__main__":
     sys.exit(main())

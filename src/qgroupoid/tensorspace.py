@@ -39,13 +39,13 @@ basis terms (id, q)}}, an integral coefficient stored as an ``int``),
 which the envelope's product loop reads as well and
 ``envelope.leg_product`` fills.  ``tensor_mul`` multiplies leg by leg
 through it, and the tensor reduction of ``deform`` multiplies its basis
-terms by it.  The classical Takeuchi check is two such products,
-T (a (x) 1) and T (1 (x) a), compared after reduction.  A product has 2
-or 3 legs: it holds the table rows of each left term's legs, reads the
-entries of each pair of terms in place (a unit leg's entry passes the
-other leg through) and expands them in a fixed loop nest.  None is wider,
-since the twisted coproduct of
-a leg splices cached 2-leg lifts rather than multiplying wider tensors.
+terms by it.  The classical Takeuchi check is one such product,
+T (a (x) 1 - 1 (x) a), reduced to zero.  A product has 2 or 3 legs: it
+holds the table rows of each left term's legs, reads the entries of each
+pair of terms in place (a unit leg's entry passes the other leg through)
+and expands them in a fixed loop nest.  None is wider, since the twisted
+coproduct of a leg splices cached 2-leg lifts rather than multiplying
+wider tensors.
 A structure with rational structure functions may store a ``Fraction``;
 ``tensor_mul`` then brings its result back to integer numerators once.
 ``tensor_reduce`` reads, per leg id, the id of its pure part (0, alpha)
@@ -571,17 +571,17 @@ def counit_contract(T, leg):
 
 
 def takeuchi_check(spec, T, samples):
-    """Membership in the Takeuchi subspace, classical structure maps.
-
-    For every sampled base element a the reductions of
-    sum (u_i t(a)) (x) u'_i = T (a (x) 1) and sum u_i (x) (u'_i s(a)) =
-    T (1 (x) a) must agree.
+    """Membership in the Takeuchi subspace, classical structure maps: for
+    every sampled base element a, sum (u_i t(a)) (x) u'_i and
+    sum u_i (x) (u'_i s(a)) are one class, that is T times the relation
+    a (x) 1 - 1 (x) a reduces to zero (one product and one reduction per
+    sample, as ``deform.takeuchi_check_deformed``).  A sample whose
+    relation is zero (a constant) is not compared.
     """
     one = EnvElement.one(spec.nvars, spec.rank)
     for a in samples:
         a_env = EnvElement.from_poly(spec.rank, a)
-        if not same_class(spec,
-                          tensor_mul(spec, T, TensorElement.of(a_env, one)),
-                          tensor_mul(spec, T, TensorElement.of(one, a_env))):
+        rel = TensorElement.of(a_env, one) - TensorElement.of(one, a_env)
+        if rel.num and _reduce_into({}, tensor_mul(spec, T, rel), 1):
             return False
     return True

@@ -71,7 +71,8 @@ from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
     TensorElement, _common_den, _copro_mono, _mul_into,
     _tensor, _tensor_cleared, _unit_id, copro_basis, env_coproduct,
-    tensor_coproduct_leg, tensor_mul, tensor_reduce, tensor_series_mul,
+    takeuchi_check, tensor_coproduct_leg, tensor_mul, tensor_reduce,
+    tensor_series_mul,
 )
 
 SPEC = os.path.join(os.path.dirname(__file__), "..", "specs", "axb.spec")
@@ -1015,15 +1016,15 @@ def sweep_base_map(spec, twistor, a, leg):
 
 def star_from(spec, F, a, b):
     """a *_F b as an h-expansion (list of CPoly per order): the legs of F
-    act on a and on b."""
+    act on a and on b, one generator at a time (``chain_act_mono``)."""
     out = []
     for Fn in F.series.coeffs:
         acc = CPoly.zero(spec.nvars)
         for key, c in Fn.terms.items():
-            va = CPoly(spec.nvars, _act_into({}, spec, key[0], a, 1))
+            va = chain_act_mono(spec, key[0], a)
             if va.is_zero():
                 continue
-            vb = CPoly(spec.nvars, _act_into({}, spec, key[1], b, 1))
+            vb = chain_act_mono(spec, key[1], b)
             if vb.is_zero():
                 continue
             acc = acc + va * vb * c
@@ -1049,14 +1050,13 @@ def tensor_mul_legs(spec, s, t):
 
 def conjugate_legs(dfa, S, leg):
     """G . S . F for a tensor series S, with F and G at legs leg, leg+1,
-    as the two Cauchy products, whatever the twistor: by ``tensor_mul``
-    (checked against the loop on nested keys by its own entry) up to three
-    legs and by the general loop ``mul_into_legs`` on four."""
+    as the two Cauchy products, whatever the twistor, by the general loop
+    ``mul_into_legs`` (``tensor_mul_legs``)."""
     spec = dfa.spec
     legs = S.zero.legs
 
     def mt(a, b):
-        return (tensor_mul if legs < 4 else tensor_mul_legs)(spec, a, b)
+        return tensor_mul_legs(spec, a, b)
 
     G = dfa.G.map(lambda t: t.embed(legs, leg))
     F = dfa.twistor.series.map(lambda t: t.embed(legs, leg))
@@ -1198,7 +1198,7 @@ def uncached_reduce_leg(dfa, HT, leg):
             moved = memo.get(("moved", w))
             if moved is None:
                 moved = memo["moved", w] = [
-                    (beta, dfa.source_series(aser))
+                    (beta, chain_series_image(dfa, dfa.source, aser))
                     for beta, aser in whole_decompose(dfa, w, "target").items()]
             for beta, sser in moved:
                 for j, w_env in enumerate(sser.coeffs):
@@ -1516,16 +1516,18 @@ def _dual_products(dfa, flavor, degree):
     return out
 
 
-def truncation_mismatches(build, order, flavor, degree=3):
-    """The truncation-consistency oracle for the dual product: every
-    coefficient that a value at truncation ``order`` claims (its orders
-    val..top) and that the same value at ``order + 2`` does not confirm,
-    as (path, i, j, beta, n).  A value may be less precise than it could
-    be, never wrong.  ``build(N)`` is the deformation at truncation N; the
+def truncation_mismatches(build, order, flavor, degree=3,
+                          values=_dual_products):
+    """The truncation-consistency oracle, for the dual product by default:
+    every coefficient that a value at truncation ``order`` claims (its
+    orders val..top) and that the same value at ``order + 2`` does not
+    confirm, as (path, indices..., n).  A value may be less precise than it
+    could be, never wrong.  ``build(N)`` is the deformation at truncation
+    N and ``values(dfa, flavor, degree)`` the {key: value} compared; the
     oracle needs no reference implementation, so it shares no code with
     the engine's window bookkeeping."""
-    return _contradicted(_dual_products(build(order), flavor, degree),
-                         _dual_products(build(order + 2), flavor, degree))
+    return _contradicted(values(build(order), flavor, degree),
+                         values(build(order + 2), flavor, degree))
 
 
 def _contradicted(low, high):
@@ -1550,8 +1552,8 @@ def functional_mismatches(build, order, flavor, degree=3):
     the jet dual's pairings and functional tables (``_functional_values``)
     at truncation ``order`` against ``order + 2``, as (path, indices...,
     key, n)."""
-    return _contradicted(_functional_values(build(order), flavor, degree),
-                         _functional_values(build(order + 2), flavor, degree))
+    return truncation_mismatches(build, order, flavor, degree,
+                                 _functional_values)
 
 
 def _functional_values(dfa, flavor, degree):
@@ -1585,6 +1587,73 @@ def _functional_values(dfa, flavor, degree):
                                     jets.jet_source_target(ctx, a, degree)):
             for beta, v in functional.table.items():
                 out["jet_source_target", path, i, beta] = v
+    return out
+
+
+def pair_image_values(dfa, flavor, degree):
+    """{("_pair_image", entry, i, w, j, m, right): value} of
+    ``jets._pair_image`` on its own: mu_j(W . m) (``right``) and
+    mu_j(m . W) for each first pairing W of an entry of ``jets._image``
+    (a dual product's lift leg w, and a tensor functional's e^beta) and
+    of ``jets._monomial`` (e^beta), both values of ``right`` on each, a
+    fresh rows dict per entry and ``right``; lam_i and mu_j range over
+    the first and last xi, h^-1 xi_1 and x1, w over x^gamma e^alpha with
+    gamma 0 or x1 and |alpha| <= 1 (|alpha| <= ``degree`` for e^beta), m
+    over 1, e_1, e_last and x1 e_1."""
+    ctx = JetContext(dfa, flavor, degree)
+    spec = dfa.spec
+    p, rank = spec.nvars, spec.rank
+    xis = [xi_functional(ctx, i) for i in (0, rank - 1)]
+    funcs = xis + [xis[0].shift(-1), coordinate_functional(ctx, 0)]
+    zero, e1 = (0,) * p, _bump((0,) * rank, 0)
+    gammas = [zero, _bump(zero, 0)]
+    leaves = [(g, a) for g in gammas for a in pbw_indices(rank, 1)]
+    monos = [(zero, (0,) * rank), (zero, e1),
+             (zero, _bump((0,) * rank, rank - 1)), (gammas[1], e1)]
+    entries = [(("monomial", None, beta), jets._monomial(ctx, beta)[0])
+               for beta in pbw_indices(rank, degree)]
+    for i, lam in enumerate(funcs):
+        entries += [(("lift", i, w), jets._image(lam, ctx, w, True)[0])
+                    for w in leaves]
+        entries += [(("functional", i, (zero, beta)), jets._image(
+            lam, ctx, (zero, beta), False)[0])
+            for beta in pbw_indices(rank, degree)]
+    out = {}
+    for (kind, i, w), W in entries:
+        if W is None:
+            continue
+        for right in (True, False):
+            image = (W, {})
+            for j, mu in enumerate(funcs):
+                for m in monos:
+                    out["_pair_image", kind, i, w, j, m, right] = \
+                        jets._pair_image(ctx, mu, image, m, right)
+    return out
+
+
+def rescaled_values(dfa, flavor, degree):
+    """{(path, indices..., key): value} of ``drinfeld``'s h-rescaled
+    functionals: the table of ``jet_product`` of every two generators
+    h^-1 xi_i of ``VeeAlgebroid``, ``jet_pair`` of each generator and
+    each such product on every member of ``hprime_basis``, and
+    ``jet_pair(powers[beta], member)`` for the divided xi-powers the basis
+    is solved against, all to ``degree``."""
+    ctx = JetContext(dfa, flavor, degree)
+    v = drinfeld.VeeAlgebroid(ctx)
+    gens = [v.gens[name] for name in v.gen_names]
+    basis = drinfeld.hprime_basis(dfa, ctx, degree)
+    powers = divided_xi_powers(ctx, degree)
+    out = {}
+    funcs = [(("gen", i), g) for i, g in enumerate(gens)]
+    for (i, lam), (j, mu) in itertools.product(enumerate(gens), repeat=2):
+        prod = jet_product(ctx, lam, mu, degree)
+        funcs.append((("product", i, j), prod))
+        for beta, val in prod.table.items():
+            out["jet_product", i, j, beta] = val
+    funcs += [(("power", beta), f) for beta, f in powers.items()]
+    for key, lam in funcs:
+        for alpha, member in basis.items():
+            out[("jet_pair",) + key + (alpha,)] = jet_pair(ctx, lam, member)
     return out
 
 
@@ -2381,7 +2450,7 @@ def _ref_invert(dfa):
     spec = dfa.spec
     unit = TensorElement.unit(spec.nvars, spec.rank, 2)
     return hseries_invert(dfa.twistor.series,
-                          lambda a, b: tensor_mul(spec, a, b),
+                          lambda a, b: tensor_mul_legs(spec, a, b),
                           a0_inv=unit, one=unit)
 
 
@@ -2476,6 +2545,36 @@ def _ref_class(dfa, s, t):
     want = nested_values([nested_tensor_reduce(dfa.spec, s)]) \
         == nested_values([nested_tensor_reduce(dfa.spec, t)])
     return want, want
+
+
+def two_product_takeuchi(spec, T, samples):
+    """``tensorspace.takeuchi_check`` as it was: for every sample a, the
+    two products T (a (x) 1) and T (1 (x) a) on nested keys, each reduced
+    on its own, must be one class."""
+    one = EnvElement.one(spec.nvars, spec.rank)
+    for a in samples:
+        a_env = EnvElement.from_poly(spec.rank, a)
+        sides = []
+        for factors in ((a_env, one), (one, a_env)):
+            product = nested_values([nested_tensor_mul(
+                spec, T, TensorElement.of(*factors))])[0]
+            sides.append(nested_values([nested_tensor_reduce(
+                spec, TensorElement(spec.nvars, spec.rank, 2, product))]))
+        if sides[0] != sides[1]:
+            return False
+    return True
+
+
+def _takeuchi_args(dfa, flavors):
+    """The coproducts of ``edge_elements`` (members) and the 2-leg inputs
+    of the tensor layer (r, its flip and scales, the unit, gen (x) x1, a
+    zero, the twistor's coefficients), against the base monomials of
+    degree <= 2, the constant one among them, and against x1 alone."""
+    spec = dfa.spec
+    samples = monomials_upto(spec.nvars, 2)
+    tensors = [env_coproduct(spec, u) for u in edge_elements(spec)] \
+        + loop_nest_inputs(dfa)[0]
+    return [(T, s) for T in tensors for s in (samples, samples[1:2])]
 
 
 def copro_args(tensors):
@@ -2959,6 +3058,10 @@ PARITY = [
     ("same_class", lambda dfa, s, t: (_same_class(dfa.spec, s, t),
                                       _same_class(dfa.spec, t, s)),
      _ref_class, _class_pairs, equal),
+    ("takeuchi_check", lambda dfa, T, samples: takeuchi_check(
+        dfa.spec, T, samples),
+     lambda dfa, T, samples: two_product_takeuchi(dfa.spec, T, samples),
+     _takeuchi_args, equal),
     ("tensor_coproduct_leg",
      lambda dfa, T, leg: tensor_coproduct_leg(dfa.spec, T, leg),
      lambda dfa, T, leg: (nested_coproduct_leg(dfa.spec, T, leg),

@@ -24,7 +24,7 @@ from qgroupoid.series import HLaurent
 from oracles import (
     GENERATED, SPEC, _spec_dfa, evaluation_iso_check, generated_dfa,
     functional_mismatches, jet_coproduct_decompose, pair_basis, pair_element,
-    pair_laurent, truncation_mismatches,
+    pair_image_values, pair_laurent, rescaled_values, truncation_mismatches,
 )
 from test_cli import _bracket_spec_text, parse_lines, run_cli
 from test_reachability import POLYNOMIAL_SPEC
@@ -606,3 +606,46 @@ def test_pairings_and_functional_tables_claim_no_coefficient_a_longer_run_contra
     degree 3, agree with the same values at truncation N + 2 on every
     order of their windows (``oracles.functional_mismatches``)."""
     assert functional_mismatches(TRUNCATION_BUILDS[name], order, side) == []
+
+
+# axb at N = 2, 3, 4 and the bracketed and generated structures at N = 2;
+# on the polynomial frame N = 1 fails, for the reasons given on each test
+SLICE_CASES = [("axb", 2), ("axb", 3), ("axb", 4), ("bracket(a=2)", 2)] \
+    + [("gen%d" % i, 2) for i in range(GENERATED)]
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("name,order", SLICE_CASES + [pytest.param(
+    "polynomial", 1, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1: the pairing of a first "
+        "pairing W that starts at h^1 claims h^(N+1), above W's top N"))])
+def test_pair_image_claims_no_coefficient_a_longer_run_contradicts(
+        name, order, side):
+    """``jets._pair_image`` on its own, on entries of ``_image`` (lift and
+    tensor functional) and of ``_monomial`` with both values of
+    ``right``, jet degree 2 (``oracles.pair_image_values``), agrees with
+    the same values at truncation N + 2 on every order of their windows.
+    On the polynomial frame xi_1 on x1 is zero at h^0, so the lift entry
+    W = t_F(xi_1(x1)) starts at h^1 with top N, and every pairing of its
+    rows claims N + 1: at N = 1, xi_1(W . 1) claims 1/2 x1^3 at h^2, where
+    the run at N = 3 gives x1^3."""
+    assert truncation_mismatches(TRUNCATION_BUILDS[name], order, side, 2,
+                                 pair_image_values) == []
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("name,order", SLICE_CASES + [
+    pytest.param("polynomial", 1, marks=WRONG_WINDOW)])
+def test_rescaled_functionals_claim_no_coefficient_a_longer_run_contradicts(
+        name, order, side):
+    """``drinfeld``'s h-rescaled functionals, jet degree 2: the products of
+    two generators h^-1 xi_i of ``VeeAlgebroid`` and the pairings of the
+    generators, of those products and of the divided xi-powers with the
+    members of ``hprime_basis`` (``oracles.rescaled_values``), agree with
+    the same values at truncation N + 2 on every order of their windows.
+    On the polynomial frame at N = 1 the product of h^-1 xi_1 with itself
+    at (0, 1) claims h^0, the rescaled image of the h^2 that xi_1 xi_1
+    claims there wrongly (the polynomial case of the dual products'
+    test above)."""
+    assert truncation_mismatches(TRUNCATION_BUILDS[name], order, side, 2,
+                                 rescaled_values) == []

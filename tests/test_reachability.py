@@ -308,7 +308,6 @@ UNREACHED = [
      "the vee functor's integrality failure, which vee_build raises only "
      "on a failing rescaling", (
          'report.check("vee-integrality", [exc], str)',
-         "return report [7]",
      )),
     ("deform", "deformed_axiom_suite.classical_failure", "check-failure",
      WITNESS, (

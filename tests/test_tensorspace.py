@@ -1,5 +1,6 @@
 import random
 
+from qgroupoid import tensorspace
 from qgroupoid.envelope import EnvElement, env_counit, pbw_mul
 from qgroupoid.lierinehart import LieRinehartSpec
 from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
@@ -148,6 +149,25 @@ def test_takeuchi_coproduct_images():
         assert takeuchi_check(spec, env_coproduct(spec, e), samples)
         u = pbw_mul(spec, e, e)
         assert takeuchi_check(spec, env_coproduct(spec, u), samples)
+
+
+def test_takeuchi_check_makes_one_product_per_nonconstant_sample(
+        monkeypatch):
+    """Each sample a costs one product T (a (x) 1 - 1 (x) a), and the
+    constant sample, whose relation is zero, none."""
+    spec = der1()
+    samples = monomials_upto(spec.nvars, 2)
+    T = env_coproduct(spec, EnvElement.gen(spec.nvars, spec.rank, 0))
+    calls = []
+    real = tensorspace.tensor_mul
+
+    def counted(spec, s, t):
+        calls.append(t)
+        return real(spec, s, t)
+
+    monkeypatch.setattr(tensorspace, "tensor_mul", counted)
+    assert takeuchi_check(spec, T, samples)
+    assert len(samples) == 3 and len(calls) == 2
 
 
 def test_takeuchi_violation():

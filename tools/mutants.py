@@ -202,6 +202,11 @@ MUTANTS = [
      ["tests/test_drinfeld.py::"
       "test_hprime_member_projects_each_flavor_by_its_own_map",
       FAST + "test_fast_path_matches_reference[_project_leg-gen0]"]),
+    # one prologue for the commands built on the twistor
+    ("command-goes-past-a-failed-twistor", "cli.py",
+     '        if args.command != "twist":\n            return report',
+     '        if False:\n            return report',
+     ["tests/test_cli.py::test_no_command_certifies_an_invalid_twistor"]),
     # membership products built once
     ("membership-product-not-multiplied", "drinfeld.py",
      "cur[combo] = prod = a if head is None else defelem_mul(spec, head, a)",

@@ -23,7 +23,7 @@ from .envelope import EnvElement
 from .errors import ConfigError
 from .jets import (
     LEFT, RIGHT, JetContext, JetElement, coordinate_functional,
-    jet_commutator, jet_coproduct_functional, jet_counit, jet_product_eval,
+    jet_commutator, jet_coproduct_functional, jet_counit, jet_product,
     jet_source_target, jets_equal, table_sum, tensor_functional_from_pair,
     tensor_tables_equal, unit_functional, xi_functional,
 )
@@ -181,12 +181,13 @@ def axb_relation_suite(h_order=4, jet_degree=4, bundle=None, table_range=3):
 
     ctx = bundle.left
     de1, de2 = xi_functional(ctx, 0), xi_functional(ctx, 1)
+    tables = (("de1de2", jet_product(ctx, de1, de2, 2 * table_range), -1),
+              ("de2de1", jet_product(ctx, de2, de1, 2 * table_range), +1))
     for a, b in product(range(table_range + 1), repeat=2):
-        for name, lam, mu, sign in (("de1de2", de1, de2, -1),
-                                    ("de2de1", de2, de1, +1)):
+        for name, table, sign in tables:
             want = _expected_table_value(ctx, sign, a, b)
             report.check("left/pairing-%s-%d%d" % (name, a, b),
-                         [jet_product_eval(ctx, lam, mu, (a, b))],
+                         [table.value(ctx, (a, b))],
                          lambda got: None if got.eq_to_order(want)
                          else "got %r, want %r" % (got, want))
 

@@ -34,23 +34,27 @@ and adds it, at the order and coefficient read back from the lift, into
 the sum of every index the pair lists (``_scatter``): the nonzero factors
 first, each index's sum created by its first, then the zero factors,
 which only narrow the windows of the sums that exist.  An index no
-nonzero factor reaches is zero.  One index is evaluated on its own by
-``jet_product_eval``, through the same images and rows.
+nonzero factor reaches is zero.  ``jet_product_eval`` evaluates one index
+on its own, through the same images and rows; no command calls it, and
+it is kept only because the benchmark's value fingerprint and tracer
+name it.
 
-One reader evaluates a functional on the product of a basis monomial m
-with an element W (``_pair_image``), from an entry (W, rows) that keeps
-the product rows by each m met and their support.  Each functional keeps
-two ``envelope.memo`` tables, keyed by the context first: its pairings
-with basis monomials (``_pair_mono``) and its images (``_image``), W a
-first pairing mapped by s_F or t_F.  A dual product reads its first
-factor's images on the paired lift legs, a tensor functional its first
-factor's on the paired indices; no image depends on a partner, so every
-partner reads the same rows.  The dual coproduct, the transpose of the
-product, is the tensor functional's table with W the basis monomial
-e^beta itself, whose entries the context keeps (``_monomial``); one loop
-tabulates both (``_pair_table``).  The partner's pairing of each row is
-kept by no memo: a tabulation computes it once per (paired leg, other
-leg).
+One reader decides the value and window of every row sum
+(``_pair_rows``), skipping the pairing when the rows' support misses the
+functional's table.  A functional is evaluated on the product of a basis
+monomial m with an element W (``_pair_image``) from an entry (W, rows)
+that keeps the product rows by each m met and their support.  Each
+functional keeps two ``envelope.memo`` tables, keyed by the context
+first: its pairings with basis monomials (``_pair_mono``) and its images
+(``_image``), W a first pairing mapped by s_F or t_F.  A dual product
+reads its first factor's images on the paired lift legs, a tensor
+functional its first factor's on the paired indices; no image depends on
+a partner, so every partner reads the same rows.  The dual coproduct, the
+transpose of the product, is the tensor functional's table with W the
+basis monomial e^beta itself, whose entries the context keeps
+(``_monomial``); one loop tabulates both (``_pair_table``).  The
+partner's pairing of each row is kept by no memo: a tabulation computes
+it once per (paired leg, other leg).
 
 Every sum of this layer is accumulated in place in one
 ``series.LaurentSum`` per result: the star pairings over a decomposition,
@@ -324,31 +328,30 @@ def _pair_mono(lam, ctx, key):
     return out
 
 
-def _pair_rows(ctx, lam, rows, top):
-    """sum_q h^q lam(row_q) for rows (q, num, den) in increasing q, num an
-    element's numerators by leg id over den, an empty row skipped.  The
-    pairing of each row, as of a plain element, starts from zero up to the
-    truncation order N before its shift, so the one sum starts from zero
-    up to N + (the first q with a term); with no terms it is zero up to
-    ``top``.
+def _pair_rows(ctx, lam, rows, top, support=None):
+    """sum_q h^q lam(row_q) for a sequence of rows (q, num, den) in
+    increasing q, num an element's numerators by leg id over den, an
+    empty row adding nothing: the one reader of a row sum's value and
+    window.  The pairing of each row, as of a plain element, starts from
+    zero up to the truncation order N before its shift, so the one sum
+    starts from zero up to N + q0, q0 the first q with a term; with no
+    terms it is zero up to ``top``.
 
-    Two shortcuts leave the value and its window as the sum makes them.  A
-    pairing that is the shared zero is skipped: at a shift q at or above
-    the first row's, its empty window [N+q+1, N+q] lowers neither the
-    sum's valuation nor its top.  A single term 1 x^gamma e^alpha at order
-    q is its pairing shifted by q when that pairing's top is at most N
-    (a higher top is cut to N + q by the sum's start).  Each term pairs
-    through ``_pair_leg``, so a pure one reads lam's table."""
-    rows = [row for row in rows if row[1]]
-    if not rows:
+    Each term pairs through ``_pair_leg``, so a pure one reads lam's
+    table, and a pairing that is the shared zero is skipped: at a shift q
+    at or above q0, its empty window [N+q+1, N+q] lowers neither the sum's
+    valuation nor its top.  When ``support``, the rows' ``_support``,
+    misses lam's table (``_misses``) every term pairs to the shared zero,
+    so the sum is its start, zero up to N + q0, returned without pairing
+    (as the shared ``ctx.zero_value()`` when q0 = 0)."""
+    for q0, num, _ in rows:
+        if num:
+            break
+    else:
         return HLaurent.zero_upto(top, ctx.zero_poly())
-    q0, num0, den0 = rows[0]
-    if len(rows) == 1 and len(num0) == 1 and den0 == 1:
-        (i, c), = num0.items()
-        if c == 1:
-            v = _pair_leg(lam, ctx, i)
-            if v.top <= ctx.order:
-                return v.shift(q0) if q0 else v
+    if _misses(lam, support):
+        return ctx.zero_value() if q0 == 0 \
+            else HLaurent.zero_upto(ctx.order + q0, ctx.zero_poly())
     zero = ctx.zero_value()
     acc = LaurentSum(ctx.zero_poly(), ctx.order + q0)
     for q, num, den in rows:
@@ -380,8 +383,8 @@ def jet_pair(ctx, lam, u):
     elements: each order q read as the row (q, numerators, denominator) of
     its normal form, and the rows' pairings shifted by q and summed from
     zero up to the truncation order (``_pair_rows``, k[[h]]-linearity)."""
-    return _pair_rows(ctx, lam, ((q, w.num, w.den)
-                                 for q, w in enumerate(u.coeffs)), u.order)
+    return _pair_rows(ctx, lam, [(q, w.num, w.den)
+                                 for q, w in enumerate(u.coeffs)], u.order)
 
 
 def _apply_series_map(ctx, val, mapper):
@@ -493,19 +496,8 @@ def _pair_image(ctx, mu, image, m, right):
     ``_image`` (``right`` is its ``lift``), of ``_monomial``, or a fresh
     (W, {}).  An entry is read with one ``right`` and functionals of one
     flavor, as the rows of the product and their support are kept in rows
-    on first use.
-
-    The value is ``_pair_rows(ctx, mu, r, W.top)`` for the rows r.  When
-    the support misses mu's table (``_misses``) it is zero_upto(N + q0),
-    q0 the order of the first row, or zero_upto(W.top) when there is no
-    row, and it is returned without pairing.  That is the value
-    ``_pair_rows`` returns, as every term pairs to the shared zero,
-    zero_upto(N): with no row it returns zero_upto(W.top); a lone unit
-    term returns its pairing shifted by q0, zero_upto(N + q0); any other
-    rows start a sum at zero_upto(N + q0) that skips each shared zero and
-    keeps that start as its value.  zero_upto(N) is returned as the shared
-    ``ctx.zero_value()``, which most pairings of a basis monomial's rows
-    are."""
+    on first use.  The value is ``_pair_rows`` of those rows up to W.top,
+    which reads their support to skip a pairing that misses mu's table."""
     W, rows = image
     hit = rows.get(m)
     if hit is None:
@@ -513,11 +505,7 @@ def _pair_image(ctx, mu, image, m, right):
         hit = rows[m] = (r, _support(ctx, (
             LEGS[i] for _, num, _ in r for i in num), mu.flavor))
     r, support = hit
-    if _misses(mu, support):
-        top = ctx.order + r[0][0] if r else W.top
-        return ctx.zero_value() if top == ctx.order \
-            else HLaurent.zero_upto(top, ctx.zero_poly())
-    return _pair_rows(ctx, mu, r, W.top)
+    return _pair_rows(ctx, mu, r, W.top, support)
 
 
 def jet_product_eval(ctx, lam, mu, arg):
@@ -534,6 +522,10 @@ def jet_product_eval(ctx, lam, mu, arg):
     rows.  Every piece is added, zeros included, as each narrows the
     window of the value.  lam and mu must be of the context's flavor,
     which picks the paired leg.
+
+    No command calls it: ``jet_product`` tabulates the same values.  It
+    stays because the benchmark's value fingerprint hashes it and its
+    tracer wraps it (``tests/test_exports.py``).
     """
     if not lam.flavor == mu.flavor == ctx.flavor:
         raise FlavorError("mixed dual flavors")

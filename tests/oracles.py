@@ -185,9 +185,9 @@ h_order = 2
 """
 
 
-def axb_exp_dfa():
+def axb_exp_dfa(order=3):
     with open(SPEC) as f:
-        return _spec_dfa(f.read(), 3)
+        return _spec_dfa(f.read(), order)
 
 
 def orders_dfa():
@@ -206,15 +206,17 @@ def rational_exp_dfa():
     return exp_dfa(rational_structure(), 2)
 
 
-def polynomial_exp_dfa():
+def polynomial_exp_dfa(order=3):
     """The abelian twist exp(h r), r = (X (x) Y - Y (x) X) / 2 with X = e1 and
-    Y = e2 - x1^2 e1, so [X, Y] = 0, rho(X) = d1 and rho(Y) = d2."""
+    Y = e2 - x1^2 e1, so [X, Y] = 0, rho(X) = d1 and rho(Y) = d2, at
+    truncation ``order``."""
     spec = polynomial_structure()
     X = EnvElement.monomial(2, 2, (1, 0))
     Y = EnvElement.monomial(2, 2, (0, 1)) \
         - EnvElement.monomial(2, 2, (1, 0), CPoly.var(2, 0) * CPoly.var(2, 0))
     r = (TensorElement.of(X, Y) - TensorElement.of(Y, X)).scale(Fraction(1, 2))
-    return DeformedEnvAlgebroid(spec, exp_twistor(spec, r, 3), validate=False)
+    return DeformedEnvAlgebroid(spec, exp_twistor(spec, r, order),
+                                validate=False)
 
 
 def central_exp_dfa():

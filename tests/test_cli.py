@@ -207,8 +207,8 @@ def test_first_pairings_are_mapped_once_per_index(monkeypatch):
             active.pop()
             calls.append((ctx, first, degree))
 
-    def pair_rows(ctx, lam, rows, top):
-        v = real_pair(ctx, lam, rows, top)
+    def pair_rows(ctx, lam, rows, top, support=None):
+        v = real_pair(ctx, lam, rows, top, support)
         if active and sys._getframe(1).f_code.co_name == "_image":
             assert active[-1] == (ctx, lam)
             (q, num, den), = rows
@@ -258,12 +258,12 @@ def test_entry_rows_are_built_once_per_context(monkeypatch):
     one factor (``jets._monomial``).  The rows of each product and their
     support are built once per context and read again by every functional
     of that context; they are paired only where their support meets the
-    functional's table.  Building the row for every pairing made 2,520
-    rows on ``example axb`` at N=6, where its two contexts hold 210
-    entries each."""
+    functional's table: few reads get past ``_pair_rows``' miss test.
+    Building the row for every pairing made 2,520 rows on ``example axb``
+    at N=6, where its two contexts hold 210 entries each."""
     real_coproduct = jets.jet_coproduct_functional
     real_image, real_rows = jets._pair_image, jets._product_rows
-    real_pair = jets._pair_rows
+    real_misses, pair_rows = jets._misses, jets._pair_rows.__code__
     active, built, read, keep, paired = [], Counter(), Counter(), [], []
 
     def coproduct(ctx, lam, degree=None):
@@ -286,10 +286,11 @@ def test_entry_rows_are_built_once_per_context(monkeypatch):
             built[id(active[-1]), beta, m] += 1
         return real_rows(spec, W, m, mono_right)
 
-    def pair_rows(*args):
-        if active:
+    def misses(lam, support):
+        out = real_misses(lam, support)
+        if active and not out and sys._getframe(1).f_code is pair_rows:
             paired.append(None)
-        return real_pair(*args)
+        return out
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("qgroupoid") and getattr(
@@ -297,7 +298,7 @@ def test_entry_rows_are_built_once_per_context(monkeypatch):
             monkeypatch.setattr(module, "jet_coproduct_functional", coproduct)
     monkeypatch.setattr(jets, "_pair_image", pair_image)
     monkeypatch.setattr(jets, "_product_rows", product_rows)
-    monkeypatch.setattr(jets, "_pair_rows", pair_rows)
+    monkeypatch.setattr(jets, "_misses", misses)
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
     assert built and set(built.values()) == {1}
@@ -402,15 +403,16 @@ def test_dual_products_build_each_row_once(monkeypatch):
 
 
 def test_dual_products_evaluate_only_marked_indices(monkeypatch):
-    """On ``example axb`` at N=4 a tabulated dual product (``jet_product``)
-    evaluates no index on its own (``jet_product_eval``): it pairs each
-    factor mu(W . o) of a (paired leg w, other leg o) at most once, none
-    on a leg where lam vanishes, and leaves out far more indices than it
-    tabulates.  Evaluating every index made 1,100 evaluations on
-    ``example axb`` at N=6; evaluating the indices a nonzero factor marks
-    made 108, each reading its lift a second time."""
+    """On ``example axb`` at N=4 every dual product is tabulated
+    (``jet_product``), 44 tabulations, and no index is evaluated on its
+    own (``jet_product_eval``): a tabulation pairs each factor mu(W . o)
+    of a (paired leg w, other leg o) at most once, none on a leg where
+    lam vanishes, and leaves out far more indices than it tabulates.
+    Evaluating every index made 1,100 evaluations on ``example axb`` at
+    N=6; evaluating the indices a nonzero factor marks made 108, each
+    reading its lift a second time."""
     real_transpose = jets._transpose
-    sizes = []
+    sizes, evaluations = [], []
 
     def transpose(ctx, degree):
         hit = real_transpose(ctx, degree)
@@ -426,10 +428,21 @@ def test_dual_products_evaluate_only_marked_indices(monkeypatch):
         tables.append(len(out.table))
         return out
 
-    monkeypatch.setattr(jets, "jet_product", jet_product)
+    real_eval = jets.jet_product_eval
+
+    def jet_product_eval(*args):
+        evaluations.append(None)
+        return real_eval(*args)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("qgroupoid") and \
+                getattr(module, "jet_product", None) is real_product:
+            monkeypatch.setattr(module, "jet_product", jet_product)
+    monkeypatch.setattr(jets, "jet_product_eval", jet_product_eval)
     code, _, _ = run_cli(["example", "axb", "--json-only"])
     assert code == 0
-    assert records and len(records) == len(sizes) == len(tables)
+    assert len(records) == len(sizes) == len(tables) == 44
+    assert not evaluations
     assert not any(r["evaluations"] or r["paired_vanishing"] for r in records)
     assert all(set(r["pairs"].values()) <= {1} for r in records)
     assert any(r["pairs"] for r in records)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from qgroupoid import drinfeld
 from qgroupoid.deform import (
     DeformedEnvAlgebroid, defelem_from_env, defelem_mul,
     deformed_coproduct_leg, exp_twistor, star_product, trivial_twistor,
-    twisted_coproduct,
+    twisted_coproduct, twistor_validate,
 )
 from qgroupoid.drinfeld import (
     augmentation_products, duality_roundtrip, functional_prime_member,
@@ -15,14 +16,15 @@ from qgroupoid.drinfeld import (
     semiclassical_cobracket, semiclassical_dual_bracket, vee_build,
     vee_semiclassical,
 )
-from qgroupoid.envelope import EnvElement
+from qgroupoid.envelope import LEGS, EnvElement, leg_id
 from qgroupoid.errors import ConfigError, InvariantViolation
 from qgroupoid.jets import LEFT, RIGHT, JetContext, jets_equal, xi_functional
 from qgroupoid.lierinehart import LieRinehartSpec, cobracket_from_dual_spec
-from qgroupoid.scalars import CPoly, pbw_indices
+from qgroupoid.scalars import CPoly, monomials_upto, pbw_indices
 from qgroupoid.series import hs_const
 from qgroupoid.tensorspace import TensorElement
 
+import oracles
 from oracles import (
     axb_structure, generated_dfa, nested_project_leg, poisson_from_pair,
 )
@@ -230,6 +232,115 @@ def test_hprime_basis_rejects_a_nonmember(monkeypatch):
     monkeypatch.setattr(drinfeld, "hprime_member", lambda *args: False)
     with pytest.raises(InvariantViolation, match="membership test"):
         hprime_basis(dfa, ctx, degree=1, n_max=2)
+
+
+# -- one projection flavor (ROADMAP item 6) ------------------------------------
+
+
+# the validated fixtures of the flavor argument, at N = 2
+VALIDATED = {"axb": lambda: oracles.axb_exp_dfa(2),
+             "polynomial": lambda: oracles.polynomial_exp_dfa(2)}
+VALIDATED.update(("generated-%d" % i, lambda i=i: generated_dfa(i))
+                 for i in range(9))
+
+
+def unit_on_second_leg(dfa, key):
+    """Whether the part of the lift of the basis monomial ``key`` whose
+    second leg is a pure base monomial is exactly key (x) 1: one term of
+    coefficient 1 at h^0 and none at higher orders.  Then the counit on
+    the second leg of the lift only inserts a unit."""
+    spec = dfa.spec
+    unit = leg_id(((0,) * spec.nvars, (0,) * spec.rank))
+    for k, T in enumerate(dfa.lift_mono(key).coeffs):
+        pure = {pair: Fraction(c, T.den) for pair, c in T.num.items()
+                if not any(LEGS[pair[1]][1])}
+        if pure != ({(leg_id(key), unit): 1} if k == 0 else {}):
+            return False
+    return True
+
+
+def basis_keys(spec, degree):
+    """The basis monomials x^gamma e^alpha with |gamma| + |alpha| <=
+    ``degree``."""
+    gammas = [next(iter(g.terms)) for g in monomials_upto(spec.nvars, degree)]
+    return [(gamma, alpha) for gamma in gammas
+            for alpha in pbw_indices(spec.rank, degree - sum(gamma))]
+
+
+@pytest.mark.parametrize("name", list(VALIDATED))
+def test_counit_on_a_second_lift_leg_inserts_a_unit(name):
+    """The hypothesis of item 6's conditional theorem: on each validated
+    fixture, for every basis monomial w of degree <= 2, the lift
+    G.Delta(w).F has w (x) 1 as its whole part with a pure base second
+    leg.  No term of these twistors has a non-constant pure base monomial
+    on its second leg."""
+    dfa = VALIDATED[name]()
+    assert twistor_validate(dfa).ok()
+    assert all(unit_on_second_leg(dfa, key)
+               for key in basis_keys(dfa.spec, 2))
+
+
+def test_counit_hypothesis_fails_on_twistors_with_base_second_legs():
+    """The twistors of ``oracles.random_dfa(4)`` and ``random_dfa(5)`` have
+    terms with a non-constant pure base second leg; they fail the
+    hypothesis on e_2, and neither validates."""
+    for i in (4, 5):
+        dfa = oracles.random_dfa(i)
+        assert not twistor_validate(dfa).ok()
+        key = ((0,) * dfa.spec.nvars, (0, 1) + (0,) * (dfa.spec.rank - 2))
+        assert not unit_on_second_leg(dfa, key)
+
+
+def one_flavor_member(dfa, u, n_max, flavor):
+    """``hprime_member`` with the projection of one flavor alone."""
+    HT = u.map(TensorElement.of)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            HT = deformed_coproduct_leg(dfa, HT, 0)
+        d = HT
+        for leg in range(n):
+            d = drinfeld._project_leg(dfa, d, leg, flavor)
+        if any(c.num for c in d.coeffs[:n]):
+            return False
+    return True
+
+
+def generated_elements(dfa, rng, count):
+    """``count`` sums of 1-3 terms c h^k x^gamma e^alpha, |gamma|, |alpha|
+    <= 2 and k <= 2, each sum times a random basis monomial in 30 % of
+    cases."""
+    spec = dfa.spec
+    p, m, n = spec.nvars, spec.rank, dfa.order
+    gammas, alphas = monomials_upto(p, 2), pbw_indices(m, 2)
+
+    def mono(c=1):
+        return defelem_from_env(spec, EnvElement.monomial(
+            p, m, rng.choice(alphas), rng.choice(gammas) * c), n)
+
+    out = []
+    for _ in range(count):
+        terms = [mono(Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2))))
+                 .shift(rng.randint(0, 2)) for _ in range(rng.randint(1, 3))]
+        u = terms[0]
+        for t in terms[1:]:
+            u = u + t
+        out.append(defelem_mul(spec, u, mono()) if rng.random() < 0.3 else u)
+    return out
+
+
+@pytest.mark.parametrize("name", list(VALIDATED)[:5])
+def test_single_flavor_membership_verdicts_agree(name):
+    """At N = n_max = 2 the source and the target projection alone give
+    one verdict on 20 generated elements of each structure, the verdict
+    of ``hprime_member``; members and non-members both occur."""
+    dfa = VALIDATED[name]()
+    verdicts = set()
+    for u in generated_elements(dfa, random.Random(5), 20):
+        source = one_flavor_member(dfa, u, 2, "source")
+        assert one_flavor_member(dfa, u, 2, "target") == source
+        assert hprime_member(dfa, u, 2) == source
+        verdicts.add(source)
+    assert verdicts == {True, False}
 
 
 # -- semiclassical limits -------------------------------------------------------

@@ -108,9 +108,13 @@ MUTANTS = [
      ["tests/test_cli.py::test_entry_rows_are_built_once_per_context"]),
     # dual products through their transpose
     ("zero-factor-is-the-shared-zero", "jets.py",
-     "else HLaurent.zero_upto(top, ctx.zero_poly())",
+     "else HLaurent.zero_upto(ctx.order + q0, ctx.zero_poly())",
      "else ctx.zero_value()",
      [FAST + "test_jet_product_matches_the_gather"]),
+    ("pair-image-drops-the-support", "jets.py",
+     "return _pair_rows(ctx, mu, r, W.top, support)",
+     "return _pair_rows(ctx, mu, r, W.top)",
+     ["tests/test_cli.py::test_entry_rows_are_built_once_per_context"]),
     ("transpose-of-the-jet-degree", "jets.py",
      "ctx, ctx.jet_degree if degree is None else degree)",
      "ctx, ctx.jet_degree)",
@@ -207,6 +211,11 @@ MUTANTS = [
      '        if args.command != "twist":\n            return report',
      '        if False:\n            return report',
      ["tests/test_cli.py::test_no_command_certifies_an_invalid_twistor"]),
+    # a value no report reads, seen only by the value digests
+    ("hprime-basis-one-h-too-many", "drinfeld.py",
+     "member = cand.shift(sum(alpha))", "member = cand.shift(sum(alpha) + 1)",
+     ["tests/test_value_digests.py::"
+      "test_value_lines_agree_across_seeds_and_match_the_pinned_lines"]),
     # membership products built once
     ("membership-product-not-multiplied", "drinfeld.py",
      "cur[combo] = prod = a if head is None else defelem_mul(spec, head, a)",

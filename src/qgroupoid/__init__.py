@@ -8,9 +8,9 @@ over exact rationals, certified at an explicit truncation order.
 """
 
 from .deform import (
-    DeformedEnvAlgebroid, Twistor, basis_decompose, deformed_axiom_suite,
+    DeformedEnvAlgebroid, basis_decompose, deformed_axiom_suite,
     exp_twistor, star_product, trivial_twistor, twisted_coproduct,
-    twistor_invert, twistor_validate,
+    twistor_exponent, twistor_invert, twistor_validate,
 )
 from .drinfeld import (
     VeeAlgebroid, duality_roundtrip, hprime_basis, hprime_member,

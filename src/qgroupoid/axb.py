@@ -14,6 +14,7 @@ onto the right one is checked by reading the left dual's table on phi's
 images in the right dual.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -49,12 +50,8 @@ def axb_exponent(spec):
     return r.scale(Fraction(1, 2))
 
 
-class AxbBundle:
-    def __init__(self, spec, dfa, left, right):
-        self.spec = spec
-        self.dfa = dfa
-        self.left = left
-        self.right = right
+# the worked example's deformation and its two jet contexts
+AxbBundle = namedtuple("AxbBundle", "dfa left right")
 
 
 def build_axb(h_order, jet_degree):
@@ -63,7 +60,7 @@ def build_axb(h_order, jet_degree):
     spec = axb_spec()
     tw = exp_twistor(spec, axb_exponent(spec), h_order)
     dfa = DeformedEnvAlgebroid(spec, tw, validate=False)
-    return AxbBundle(spec, dfa,
+    return AxbBundle(dfa,
                      JetContext(dfa, LEFT, jet_degree),
                      JetContext(dfa, RIGHT, jet_degree))
 
@@ -143,11 +140,14 @@ def _generators(ctx):
             [coordinate_functional(ctx, i) for i in range(2)])
 
 
-def axb_relation_suite(h_order=4, jet_degree=4, bundle=None, table_range=3):
-    """Every displayed identity of the worked example, both dual flavors."""
-    bundle = bundle or build_axb(h_order, jet_degree)
-    report = Report("axb-relations",
-                    {"h_order": h_order, "jet_degree": jet_degree})
+def _header(bundle):
+    return {"h_order": bundle.dfa.order, "jet_degree": bundle.left.jet_degree}
+
+
+def axb_relation_suite(bundle, table_range=3):
+    """Every displayed identity of the worked example, both dual flavors,
+    at the truncation of ``bundle`` (``build_axb``)."""
+    report = Report("axb-relations", _header(bundle))
 
     report.check("twistor-valid",
                  [twistor_validate(bundle.dfa)],
@@ -165,7 +165,8 @@ def axb_relation_suite(h_order=4, jet_degree=4, bundle=None, table_range=3):
         if tF1.coeffs[n] != (want if n % 2 == 0 else -want):
             return "target series on x1 differs at h^%d" % n
 
-    report.check("source-target-series-x1", range(h_order + 1), series_failure)
+    report.check("source-target-series-x1", range(bundle.dfa.order + 1),
+                 series_failure)
 
     x2 = CPoly.var(2, 1)
     x2_0 = EnvElement.from_poly(2, x2)
@@ -199,13 +200,12 @@ def axb_relation_suite(h_order=4, jet_degree=4, bundle=None, table_range=3):
     return report
 
 
-def axb_iso_phi(h_order=4, jet_degree=4, bundle=None):
+def axb_iso_phi(bundle):
     """Generator-level transport under phi(e_i) = e_i + h dv_i,
-    phi(dv_i) = -dv_i, from the left rescaled dual onto the right one:
-    the left dual's identity table (``_identities``) taken on phi's images
-    in the right dual, each check under its transport name."""
-    bundle = bundle or build_axb(h_order, jet_degree)
-    report = Report("axb-iso-phi", {"h_order": h_order, "jet_degree": jet_degree})
+    phi(dv_i) = -dv_i, from the left rescaled dual onto the right one of
+    ``bundle``: the left dual's identity table (``_identities``) taken on
+    phi's images in the right dual, each check under its transport name."""
+    report = Report("axb-iso-phi", _header(bundle))
     ctx = bundle.right
     dv, e = _generators(ctx)
     phi_dv = [d.neg() for d in dv]

@@ -134,12 +134,12 @@ def _run(args):
         report = Report("example-axb",
                         {"h_order": n, "jet_degree": d, "n_max": n_max,
                          "seed": args.seed if args.seed is not None else 0})
-        report.extend(axb_relation_suite(n, d, bundle=bundle), prefix="relations")
-        report.extend(axb_iso_phi(n, d, bundle=bundle), prefix="iso")
+        report.extend(axb_relation_suite(bundle), prefix="relations")
+        report.extend(axb_iso_phi(bundle), prefix="iso")
         report.extend(duality_roundtrip(bundle.left, n_max=n_max,
                                         degree=min(d, 3)), prefix="roundtrip")
         for i in (0, 1):
-            u = defelem_from_env(bundle.spec,
+            u = defelem_from_env(bundle.dfa.spec,
                                  EnvElement.gen(2, 2, i), n).shift(1)
             report.check("membership/h-d%d" % (i + 1), [u], lambda u: (
                 None if hprime_member(bundle.dfa, u, n_max=n_max)

@@ -20,18 +20,20 @@ an element (``twisted_coproduct``) is that splice on the element as a
 series of 1-leg tensors, so every twisted coproduct is one splice.
 
 Two paths compute G . S . F for those 2-leg series
-(``DeformedEnvAlgebroid.conjugate``).  A twistor built by ``exp_twistor``
-remembers its exponent r, so F = exp(h r) and the Hadamard expansion
-G . Y . F = sum_m h^m/m! ad_{-r}^m(Y) costs two products with r per order;
-``twistor_invert`` checks that its series is exp_twistor(r) and takes
-G = exp(-h r) in closed form.  Every other twistor (``trivial_twistor``,
-the explicit per-order series of a spec file) is inverted order by order
-and takes the two Cauchy products against the dense series F and G.
-``twistor_validate`` never takes the shortcut.  Every Cauchy product of
-tensor series here (the conjugation, the lifts of products, the cocycle
-identity and the source/target compatibility, the Takeuchi condition and
-the multiplicativity check) is ``tensor_series_mul``, which sums each
-order into one dict of integer numerators over one denominator.
+(``DeformedEnvAlgebroid.conjugate``).  Whether F = exp(h r) is a property
+of F alone: ``twistor_exponent`` takes r = F_1 and compares F with
+``exp_twistor(r)``, which costs N products, and the deformation keeps the
+result as its ``exponent``.  When F is exp(h r) (the trivial twistor is
+exp(h 0)), G = exp(-h r) in closed form and the Hadamard expansion
+G . Y . F = sum_m h^m/m! ad_{-r}^m(Y) costs two products with r per order.
+Every other series (the explicit per-order series of a spec file) is
+inverted order by order and takes the two Cauchy products against the
+dense series F and G.  ``twistor_validate`` never takes the shortcut.
+Every Cauchy product of tensor series here (the conjugation, the lifts of
+products, the cocycle identity and the source/target compatibility, the
+Takeuchi condition and the multiplicativity check) is
+``tensor_series_mul``, which sums each order into one dict of integer
+numerators over one denominator.
 
 The base maps s_F and t_F let the legs of F act on the base through the
 anchor (the structure's action table, ``envelope.monomial_action``).  The
@@ -41,8 +43,8 @@ basis monomial is swept once into the deformation's memos
 grouped by the acting leg e^b (``_acting_groups``, a memo entry there
 too), takes e^b . x^m once per group and skips the groups where it
 vanishes.  The deformation is the one owner of every table its twistor
-derives: a ``Twistor`` is its series and exponent alone, and
-``twistor_validate`` takes the deformation and reads its tables.  A
+derives: a twistor is its series F alone, and ``twistor_validate``
+takes the deformation and reads its tables.  A
 polynomial maps as the linear combination of its monomials' images, and a
 monomial with coefficient 1 is its table entry.
 The star product reads the source image: with s_F(a) = sum (F1 . a) F2,
@@ -133,7 +135,7 @@ from .envelope import (
     _series_image, anchor_action, leg_id, leg_product, memo, monomial_action,
     shift_id,
 )
-from .errors import ConfigError, InvariantViolation, TriangularityViolation
+from .errors import ConfigError, TriangularityViolation
 from .report import Report
 from .scalars import CPoly, monomials_upto, pbw_indices
 from .series import (
@@ -146,7 +148,7 @@ from .tensorspace import (
 )
 
 __all__ = [
-    "Twistor", "exp_twistor", "trivial_twistor", "twistor_validate",
+    "exp_twistor", "trivial_twistor", "twistor_exponent", "twistor_validate",
     "twistor_invert", "DeformedEnvAlgebroid", "star_product",
     "twisted_coproduct", "basis_decompose", "deformed_axiom_suite",
     "reduce_series", "takeuchi_check_deformed", "defelem_from_env",
@@ -154,29 +156,11 @@ __all__ = [
 ]
 
 
-class Twistor:
-    """Series F with F_0 = 1 (x) 1, optionally remembered as exp(h r).
-
-    A twistor is its series and exponent alone.  What F derives on a
-    structure (the images s_F(x^m), t_F(x^m) and F's terms grouped by the
-    acting leg) is kept by the deformation that pairs the two
-    (``DeformedEnvAlgebroid``), so the series must not change after it is
-    given to one.
-    """
-
-    def __init__(self, series, exponent=None):
-        self.series = series
-        self.exponent = exponent
-
-    @property
-    def order(self):
-        return self.series.order
-
-
 def trivial_twistor(spec, order):
+    """F = 1 (x) 1 = exp(h 0)."""
     unit = TensorElement.unit(spec.nvars, spec.rank, 2)
     zero = TensorElement.zero(spec.nvars, spec.rank, 2)
-    return Twistor(hs_const(unit, order, zero))
+    return hs_const(unit, order, zero)
 
 
 def exp_twistor(spec, r, order):
@@ -189,14 +173,10 @@ def exp_twistor(spec, r, order):
         power = tensor_mul(spec, power, r)
         fact *= n
         coeffs.append(power.scale(Fraction(1, fact)))
-    return Twistor(HSeries(order, coeffs, zero), exponent=r)
+    return HSeries(order, coeffs, zero)
 
 
 # -- series helpers over tensors and envelope elements ---------------------------
-
-
-def _tmul(spec):
-    return lambda a, b: tensor_mul(spec, a, b)
 
 
 def defelem_from_env(spec, u, order):
@@ -241,23 +221,28 @@ def _sweep_image(dfa, m, leg):
 # -- twistor validation -----------------------------------------------------------
 
 
-def twistor_invert(spec, twistor):
-    """Lifted inverse G with F . G = G . F = 1 (x) 1 up to order N.
+def twistor_exponent(spec, F):
+    """r with F = exp(h r) up to order N, or None: r = F_1 when
+    ``exp_twistor(r)`` is F (N products), and r = 0 when N = 0."""
+    r = F.coeffs[1] if F.order else TensorElement.zero(
+        spec.nvars, spec.rank, 2)
+    return r if exp_twistor(spec, r, F.order) == F else None
 
-    An exponential twistor's series is first checked to be exp(h r) for
-    its exponent r, which costs the N products of ``exp_twistor``; G is
-    then the closed form exp(-h r).  Every other twistor takes the
-    order-by-order inversion.
-    """
-    r = twistor.exponent
+
+def twistor_invert(spec, F):
+    """Lifted inverse G with F . G = G . F = 1 (x) 1 up to order N: the
+    closed form exp(-h r) when F is exp(h r) (``twistor_exponent``), the
+    order-by-order inversion otherwise.  A deformation takes G from the
+    exponent it keeps (``_inverse``)."""
+    return _inverse(spec, F, twistor_exponent(spec, F))
+
+
+def _inverse(spec, F, r):
     if r is not None:
-        if exp_twistor(spec, r, twistor.order).series != twistor.series:
-            raise InvariantViolation(
-                "twistor series is not exp(h r) for its exponent, so the "
-                "closed-form inverse exp(-h r) does not apply")
-        return exp_twistor(spec, -r, twistor.order).series
+        return exp_twistor(spec, -r, F.order)
     unit = TensorElement.unit(spec.nvars, spec.rank, 2)
-    return hseries_invert(twistor.series, _tmul(spec), a0_inv=unit, one=unit)
+    return hseries_invert(F, lambda a, b: tensor_mul(spec, a, b),
+                          a0_inv=unit, one=unit)
 
 
 def twistor_validate(dfa):
@@ -271,7 +256,7 @@ def twistor_validate(dfa):
     spec = dfa.spec
     order = dfa.order
     report = Report("twistor-validate", {"h_order": order})
-    F = dfa.twistor.series
+    F = dfa.twistor
     unit2 = TensorElement.unit(spec.nvars, spec.rank, 2)
     one = EnvElement.one(spec.nvars, spec.rank)
 
@@ -314,11 +299,13 @@ def twistor_validate(dfa):
 class DeformedEnvAlgebroid:
     """Twisted bialgebroid data: spec + validated twistor + caches.
 
-    Immutable after construction.  Every cache is an ``envelope.memo``
-    entry of ``_memos``, keyed by its method's arguments (the methods
-    marked "cached"), so results are shared across operations; the
-    deformation is the one owner of what its twistor derives on its
-    structure.
+    ``twistor`` is the series F, which must not change once given;
+    ``exponent`` is r when F = exp(h r) (``twistor_exponent``, run once
+    here), else None, and ``G`` the inverse of F read from it.  Immutable
+    after construction.  Every cache is an ``envelope.memo`` entry of
+    ``_memos``, keyed by its method's arguments (the methods marked
+    "cached"), so results are shared across operations; the deformation
+    is the one owner of what its twistor derives on its structure.
     """
 
     def __init__(self, spec, twistor, validate=True):
@@ -326,14 +313,15 @@ class DeformedEnvAlgebroid:
         self.order = twistor.order
         self.twistor = twistor
         unit = TensorElement.unit(spec.nvars, spec.rank, 2)
-        if twistor.series.coeffs[0] != unit:
+        if twistor.coeffs[0] != unit:
             raise TriangularityViolation("twistor order-0 term must be 1 (x) 1")
         self._memos = defaultdict(dict)
         if validate:
             rep = twistor_validate(self)
             if not rep.ok():
                 raise ConfigError("invalid twistor: %s" % rep.first_failure())
-        self.G = twistor_invert(spec, twistor)
+        self.exponent = twistor_exponent(spec, twistor)
+        self.G = _inverse(spec, twistor, self.exponent)
 
     # -- base maps ---------------------------------------------------------------
 
@@ -379,7 +367,7 @@ class DeformedEnvAlgebroid:
         leg ``leg`` first, as (den(F_k), {b: [(the leg id of
         x^(g + gamma) e^alpha, the numerator c)]}) per order (cached)."""
         out = []
-        for T in self.twistor.series.coeffs:
+        for T in self.twistor.coeffs:
             groups = {}
             for key, c in T.num.items():
                 acting, partner = key[leg], key[1 - leg]
@@ -441,7 +429,7 @@ class DeformedEnvAlgebroid:
         times e_j, with e_j its last generator; Delta is multiplicative
         (``tensorspace._copro_mono`` multiplies the primitive factors in
         generator order, x^gamma loading the left legs) and F . G = 1 mod
-        h^(N+1) on both ``twistor_invert`` paths, so the lift is the
+        h^(N+1) on both paths of ``twistor_invert``, so the lift is the
         truncated Cauchy product of the two factors' lifts, exactly.
         """
         spec = self.spec
@@ -458,19 +446,18 @@ class DeformedEnvAlgebroid:
         """G . T . F for the classical 2-leg tensor T (``lift_mono`` passes
         only x^gamma (x) 1 and Delta(e_j)).
 
-        An exponential twistor F = exp(h r) takes the Hadamard expansion
-        G . T . F = sum_m h^m/m! ad_{-r}^m(T), ad_{-r}(Y) = Y r - r Y, so
-        every order costs two products with r.  The series is exp(h r)
-        because ``twistor_invert`` checked it against ``exp_twistor(r)``
-        before taking exp(-h r) as G.  Other twistors take the two Cauchy
+        A twistor F = exp(h r) (the deformation's ``exponent``, r = 0 for
+        the trivial twistor) takes the Hadamard expansion G . T . F =
+        sum_m h^m/m! ad_{-r}^m(T), ad_{-r}(Y) = Y r - r Y, so every order
+        costs two products with r.  Other twistors take the two Cauchy
         products (``tensor_series_mul``).
         """
         spec = self.spec
-        r = self.twistor.exponent
+        r = self.exponent
         zero = TensorElement.zero(spec.nvars, spec.rank, 2)
         if r is None:
             return tensor_series_mul(spec, self.G, tensor_series_mul(
-                spec, hs_const(T, self.order, zero), self.twistor.series))
+                spec, hs_const(T, self.order, zero), self.twistor))
         out = [T] + [zero] * self.order
         for m in range(1, self.order + 1):
             T = (tensor_mul(spec, T, r) - tensor_mul(spec, r, T)).scale(

@@ -80,9 +80,9 @@ def _too_deep(comm):
     functionals lies below h^-|beta|, or None: a table entry at depth beta
     may carry at worst one inverse power of h per rescaled generator."""
     for beta, val in comm.table.items():
-        norm = val.normalize()
-        if norm.coeffs and norm.val < -sum(beta):
-            return beta, norm.val
+        low = val.valuation()
+        if low is not None and low < -sum(beta):
+            return beta, low
     return None
 
 
@@ -154,8 +154,8 @@ def vee_semiclassical(v):
     for i, na in enumerate(v.gen_names):
         for nb in v.gen_names[i + 1:]:
             for val in v.relations[(na, nb)].table.values():
-                norm = val.normalize()
-                if norm.coeffs and norm.val < -1:
+                low = val.valuation()
+                if low is not None and low < -1:
                     below_scale.append(
                         "relation [%s,%s] has terms below the generator scale"
                         % (na, nb))
@@ -174,11 +174,11 @@ def vee_semiclassical(v):
         zval = jctx.zero_value()
         for key in keys:
             diff = T.get(key, zval) - (W1.get(key, zval) + W2.get(key, zval))
-            norm = diff.normalize()
+            low = diff.valuation()
             # the correction must lie in h * (rescaled x rescaled), whose
             # table entries at depth (b1, b2) reach down to h^(1-|b1|-|b2|)
             depth = 1 - sum(key[0]) - sum(key[1])
-            if norm.coeffs and norm.val < depth:
+            if low is not None and low < depth:
                 return "%s not primitive modulo h" % name
 
     report.check("generators-primitive-mod-h", v.gen_names,
@@ -256,11 +256,11 @@ def hprime_member(dfa, u, n_max=None):
     return True
 
 
-def hprime_basis(dfa, jctx, degree, n_max=None):
-    """The rescaled dual basis {h^|alpha| theta_alpha} with theta_alpha dual
-    to the divided xi-powers, solved by exact triangular inversion."""
-    if jctx.dfa is not dfa:
-        raise ConfigError("jet context must wrap the same deformation")
+def hprime_basis(jctx, degree, n_max=None):
+    """The rescaled dual basis {h^|alpha| theta_alpha} of the deformation
+    of ``jctx``, with theta_alpha dual to the divided xi-powers, solved by
+    exact triangular inversion."""
+    dfa = jctx.dfa
     spec = dfa.spec
     n = dfa.order
     idx = pbw_indices(spec.rank, degree)
@@ -381,8 +381,8 @@ def semiclassical_dual_bracket(jctx):
         for nb in v.gen_names[i + 1:]:
             comm = jet_commutator(jctx, v.gens[na], v.gens[nb], 2)
             v.relations[(na, nb)] = comm
-            unitval = comm.value(jctx, (0,) * m).normalize()
-            if unitval.coeffs and unitval.val < 0:
+            low = comm.value(jctx, (0,) * m).valuation()
+            if low is not None and low < 0:
                 witnesses.append("commutator has a counit component")
     report.check("bracket-lands-in-augmentation", [witnesses], _first)
     for na in v.gen_names:
@@ -441,10 +441,10 @@ def functional_prime_member(jctx, lam, products):
     """Pairing test: lam on each n-fold augmentation product of
     ``products`` (``augmentation_products``) must be divisible by h^n."""
     for n, prod in products:
-        val = jet_pair(jctx, lam, prod).normalize()
-        if val.coeffs and val.val < n:
+        low = jet_pair(jctx, lam, prod).valuation()
+        if low is not None and low < n:
             return False, "pairing with a %d-fold augmentation product " \
-                "has order h^%d" % (n, val.val)
+                "has order h^%d" % (n, low)
     return True, None
 
 

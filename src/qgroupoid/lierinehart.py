@@ -280,7 +280,7 @@ def lr_differential(spec, form):
         val = CPoly.zero(spec.nvars)
         for pos, i in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
-            lam = form.terms.get(rest, None) if n else form.terms.get((), None)
+            lam = form.terms.get(rest)
             if lam is not None:
                 sgn = 1 if pos % 2 == 0 else -1
                 val = val + sgn * spec.anchor_apply(i, lam)

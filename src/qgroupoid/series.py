@@ -166,12 +166,12 @@ class HLaurent:
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 
-    def normalize(self):
-        val, coeffs = self.val, list(self.coeffs)
-        while coeffs and coeffs[0].is_zero():
-            coeffs.pop(0)
-            val += 1
-        return HLaurent(val, self.top, coeffs, self.zero)
+    def valuation(self):
+        """The lowest order with a nonzero coefficient; None for zero."""
+        for k, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                return self.val + k
+        return None
 
     def shift(self, k):
         """Multiply by h^k (k may be negative)."""

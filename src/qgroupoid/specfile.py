@@ -31,7 +31,7 @@ import re
 from fractions import Fraction
 from math import comb
 
-from .deform import Twistor, exp_twistor, trivial_twistor
+from .deform import exp_twistor, trivial_twistor
 from .envelope import EnvElement
 from .errors import ParseError, SemanticError
 from .lierinehart import LieRinehartSpec
@@ -126,7 +126,7 @@ class EngineSpec:
             if n > order:
                 continue
             coeffs[n] = coeffs[n] + self._term(weight, left, right, line)
-        return Twistor(HSeries(order, coeffs, zero))
+        return HSeries(order, coeffs, zero)
 
     def _term(self, weight, left, right, line):
         """weight left (x) right for one twistor entry."""

@@ -42,7 +42,7 @@ from operator import add
 
 from qgroupoid import deform, drinfeld, jets
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, basis_decompose, defelem_from_env,
+    DeformedEnvAlgebroid, basis_decompose, defelem_from_env,
     defelem_mul, deformed_coproduct_leg, exp_twistor, reduce_series,
     sample_defelems, same_class as _same_class, trivial_twistor,
     twisted_coproduct, twistor_validate,
@@ -263,8 +263,8 @@ def random_dfa(i, seed=11):
     if i % 2:
         zero = TensorElement.zero(spec.nvars, spec.rank)
         unit = TensorElement.unit(spec.nvars, spec.rank)
-        tw = Twistor(HSeries(order, [unit] + [random_tensor(spec, rng)
-                                              for _ in range(order)], zero))
+        tw = HSeries(order, [unit] + [random_tensor(spec, rng)
+                                      for _ in range(order)], zero)
     else:
         tw = exp_twistor(spec, random_tensor(spec, rng), order)
     return DeformedEnvAlgebroid(spec, tw, validate=False)
@@ -544,7 +544,7 @@ def loop_nest_inputs(dfa):
     them (F12, F23 and (Delta (x) id) F)."""
     spec = dfa.spec
     two, three = integer_layer_inputs(spec)
-    F = dfa.twistor.series.coeffs[1:3]
+    F = dfa.twistor.coeffs[1:3]
     two += F
     three += [T for Fk in F for T in (Fk.embed(3, 0), Fk.embed(3, 1),
                                       tensor_coproduct_leg(spec, Fk, 0))]
@@ -556,7 +556,7 @@ def cocycle_sides(dfa):
     the cocycle identity, order by order, as ``twistor_validate`` builds
     them."""
     spec = dfa.spec
-    F = dfa.twistor.series
+    F = dfa.twistor
     lhs = tensor_series_mul(spec, F.map(
         lambda t: tensor_coproduct_leg(spec, t, 0)), F.map(
         lambda t: t.embed(3, 0)))
@@ -1006,7 +1006,7 @@ def sweep_base_map(spec, twistor, a, leg):
     (acting leg first) adds c x^(g + gamma) (e^b . a) e^alpha to the
     order's row."""
     rows = []
-    for Fn in twistor.series.coeffs:
+    for Fn in twistor.coeffs:
         acc = {}
         for key, c in Fn.terms.items():
             (g, b), (gamma, alpha) = key[leg], key[1 - leg]
@@ -1020,7 +1020,7 @@ def star_from(spec, F, a, b):
     """a *_F b as an h-expansion (list of CPoly per order): the legs of F
     act on a and on b, one generator at a time (``chain_act_mono``)."""
     out = []
-    for Fn in F.series.coeffs:
+    for Fn in F.coeffs:
         acc = CPoly.zero(spec.nvars)
         for key, c in Fn.terms.items():
             va = chain_act_mono(spec, key[0], a)
@@ -1061,7 +1061,7 @@ def conjugate_legs(dfa, S, leg):
         return tensor_mul_legs(spec, a, b)
 
     G = dfa.G.map(lambda t: t.embed(legs, leg))
-    F = dfa.twistor.series.map(lambda t: t.embed(legs, leg))
+    F = dfa.twistor.map(lambda t: t.embed(legs, leg))
     return hseries_mul(G, hseries_mul(S, F, mt), mt)
 
 
@@ -1643,7 +1643,7 @@ def rescaled_values(dfa, flavor, degree):
     ctx = JetContext(dfa, flavor, degree)
     v = drinfeld.VeeAlgebroid(ctx)
     gens = [v.gens[name] for name in v.gen_names]
-    basis = drinfeld.hprime_basis(dfa, ctx, degree)
+    basis = drinfeld.hprime_basis(ctx, degree)
     powers = divided_xi_powers(ctx, degree)
     out = {}
     funcs = [(("gen", i), g) for i, g in enumerate(gens)]
@@ -2445,13 +2445,13 @@ def _cmp_series(got, want):
 
 
 def _invert_args(dfa, flavors):
-    return [()] if dfa.twistor.exponent is not None else []
+    return [()] if dfa.exponent is not None else []
 
 
 def _ref_invert(dfa):
     spec = dfa.spec
     unit = TensorElement.unit(spec.nvars, spec.rank, 2)
-    return hseries_invert(dfa.twistor.series,
+    return hseries_invert(dfa.twistor,
                           lambda a, b: tensor_mul_legs(spec, a, b),
                           a0_inv=unit, one=unit)
 
@@ -2645,7 +2645,7 @@ def _ref_arith(dfa, s, t):
 def _series_mul_pairs(dfa, flavors):
     spec = dfa.spec
     n = dfa.order
-    F, G = dfa.twistor.series, dfa.G
+    F, G = dfa.twistor, dfa.G
     one = EnvElement.one(spec.nvars, spec.rank)
     ta = dfa.target(CPoly.var(spec.nvars, 0) if spec.nvars
                     else CPoly.one(0)).map(lambda u: TensorElement.of(u, one))

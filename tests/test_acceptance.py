@@ -91,7 +91,7 @@ def test_criterion_03_pairing_tables(bundle):
 
 def test_criterion_04_relation_suites(bundle):
     t0 = time.monotonic()
-    rep = axb_relation_suite(4, 4, bundle=bundle)
+    rep = axb_relation_suite(bundle)
     elapsed = time.monotonic() - t0
     ok = rep.ok() and elapsed < 60.0
     _line(4, ok, "both dual relation suites, source/target, coproducts and "
@@ -99,7 +99,7 @@ def test_criterion_04_relation_suites(bundle):
 
 
 def test_criterion_05_iso_phi(bundle):
-    rep = axb_iso_phi(4, 4, bundle=bundle)
+    rep = axb_iso_phi(bundle)
     _line(5, rep.ok(), "generator-level transport of the relation table "
           "under phi: %s" % (rep.first_failure() or "all pass"))
 
@@ -154,16 +154,15 @@ def test_criterion_09_property_suites():
     bad = structure_property_suite(jacobi_violating_spec(), seed=1)
     ok = ok and not bad.ok() and bad.first_failure() is not None
 
-    from qgroupoid.deform import Twistor
     from qgroupoid.series import HSeries
     from qgroupoid.tensorspace import TensorElement
     from qgroupoid.axb import axb_spec
     spec = axb_spec()
     theta = EnvElement(2, 2, {(1, 0): CPoly.var(2, 0)})
     d2 = EnvElement.gen(2, 2, 1)
-    unbalanced = Twistor(HSeries(
+    unbalanced = HSeries(
         2, [TensorElement.unit(2, 2, 2), TensorElement.of(theta, d2),
-            TensorElement.zero(2, 2, 2)], TensorElement.zero(2, 2, 2)))
+            TensorElement.zero(2, 2, 2)], TensorElement.zero(2, 2, 2))
     rep = twistor_validate(DeformedEnvAlgebroid(spec, unbalanced,
                                                 validate=False))
     ok = ok and not rep.ok() and "h^2" in rep.first_failure()

@@ -3,23 +3,23 @@ from qgroupoid.deform import twistor_validate
 
 
 def test_relation_suite_n2():
-    rep = axb_relation_suite(2, 2, table_range=2)
+    rep = axb_relation_suite(build_axb(2, 2), table_range=2)
     assert rep.ok(), rep.first_failure()
 
 
 def test_relation_suite_full():
     bundle = build_axb(4, 4)
-    rep = axb_relation_suite(4, 4, bundle=bundle)
+    rep = axb_relation_suite(bundle)
     assert rep.ok(), rep.first_failure()
 
 
 def test_iso_phi():
-    rep = axb_iso_phi(3, 3)
+    rep = axb_iso_phi(build_axb(3, 3))
     assert rep.ok(), rep.first_failure()
 
 
 def test_iso_phi_full():
-    rep = axb_iso_phi(4, 4)
+    rep = axb_iso_phi(build_axb(4, 4))
     assert rep.ok(), rep.first_failure()
 
 
@@ -31,18 +31,20 @@ def test_twistor_validate_small_orders():
 
 
 def test_relation_suite_small_orders():
+    # the headers read the truncation off the bundle
     for n, d in ((1, 2), (3, 3)):
-        rep = axb_relation_suite(n, d, table_range=2)
-        assert rep.ok(), (n, d, rep.first_failure())
-        rep = axb_iso_phi(n, d)
-        assert rep.ok(), (n, d, rep.first_failure())
+        bundle = build_axb(n, d)
+        for rep in (axb_relation_suite(bundle, table_range=2),
+                    axb_iso_phi(bundle)):
+            assert rep.ok(), (n, d, rep.first_failure())
+            assert rep.params == {"h_order": n, "jet_degree": d}
 
 
 def test_relation_suite_top_order():
     bundle = build_axb(5, 5)
-    rep = axb_relation_suite(5, 5, bundle=bundle, table_range=2)
+    rep = axb_relation_suite(bundle, table_range=2)
     assert rep.ok(), rep.first_failure()
-    rep = axb_iso_phi(5, 5, bundle=bundle)
+    rep = axb_iso_phi(bundle)
     assert rep.ok(), rep.first_failure()
 
 

@@ -14,6 +14,7 @@ import pytest
 from qgroupoid import cli, deform, drinfeld, envelope, jets, tensorspace
 from qgroupoid.cli import main
 from qgroupoid.scalars import pbw_indices
+from qgroupoid.series import HSeries
 
 import oracles
 from oracles import impure_leg_product
@@ -139,8 +140,9 @@ def test_every_cache_is_a_memo_entry(monkeypatch):
     the structure keep every table in one dict each, ``_memos``, beside
     the structure's product table ``_leg_table``; and after dual products,
     tensor functionals and coproduct functionals on both contexts, so does
-    each functional, beside its value ``table``.  The twistor holds no
-    dict: what it derives is the deformation's.  Each table of ``_memos``
+    each functional, beside its value ``table``.  The twistor is its
+    series, which holds no dict: what it derives is the deformation's.
+    Each table of ``_memos``
     is named after a function that ``envelope.memo`` wraps and is keyed by
     argument tuples."""
     real, bundles = cli.build_axb, []
@@ -162,9 +164,8 @@ def test_every_cache_is_a_memo_entry(monkeypatch):
         jets.tensor_functional_from_pair(ctx, lam, mu)
         jets.jet_coproduct_functional(ctx, lam)
         functionals += [lam, mu]
-    assert not [v for v in vars(b.dfa.twistor).values()
-                if isinstance(v, dict)]
-    for owner in (b.dfa, b.left, b.right, b.spec, *functionals):
+    assert type(b.dfa.twistor) is HSeries
+    for owner in (b.dfa, b.left, b.right, b.dfa.spec, *functionals):
         if isinstance(owner, jets.JetElement):
             dicts = {name for name in jets.JetElement.__slots__
                      if isinstance(getattr(owner, name), dict)}
@@ -172,7 +173,7 @@ def test_every_cache_is_a_memo_entry(monkeypatch):
         else:
             dicts = {name for name, v in vars(owner).items()
                      if isinstance(v, dict)}
-            want = {"_memos", "_leg_table"} if owner is b.spec \
+            want = {"_memos", "_leg_table"} if owner is b.dfa.spec \
                 else {"_memos"}
         assert dicts == want
         assert owner._memos
@@ -772,20 +773,22 @@ def test_order_entries_need_the_orders_form(tmp_path, form):
 
 
 def test_invariant_violation_is_a_failing_check(monkeypatch):
-    import qgroupoid.specfile as specfile
-    from qgroupoid.deform import Twistor, exp_twistor
+    """An engine call that raises ``InvariantViolation`` (a failed
+    internal cross-check) makes a failing ``engine`` record, where any
+    other engine error would leave the verdict indeterminate."""
+    from qgroupoid.errors import InvariantViolation
 
-    def mismatched(spec, r, order):
-        return Twistor(exp_twistor(spec, r, order).series, exponent=r.scale(2))
+    def broken(*args, **kwargs):
+        raise InvariantViolation("cross-check failed")
 
-    monkeypatch.setattr(specfile, "exp_twistor", mismatched)
+    monkeypatch.setattr(cli, "deformed_axiom_suite", broken)
     code, out, _ = run_cli(["twist", SPEC, "--h-order", "2", "--json-only"])
     assert code == 1
     lines = parse_lines(out)
     assert lines[-1]["verdict"] == "fail"
     engine = [l for l in lines[1:-1] if l["check"] == "engine"]
     assert engine[0]["status"] == "fail"
-    assert "closed-form inverse" in engine[0]["witness"]
+    assert engine[0]["witness"] == "cross-check failed"
 
 
 # the commands built on the spec's twistor

@@ -8,7 +8,7 @@ import pytest
 from qgroupoid import deform
 from qgroupoid.axb import axb_spec
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, _counit_contract, basis_decompose,
+    DeformedEnvAlgebroid, _counit_contract, basis_decompose,
     defelem_from_env, deformed_axiom_suite, exp_twistor, reduce_series,
     sample_defelems, star_product, takeuchi_check_deformed, trivial_twistor,
     twisted_coproduct, twistor_invert, twistor_validate,
@@ -68,7 +68,7 @@ def test_unbalanced_twistor_cocycle_fails_at_h2():
     B = TensorElement.of(theta, d2)
     unit = TensorElement.unit(2, 2, 2)
     zero = TensorElement.zero(2, 2, 2)
-    F = Twistor(HSeries(2, [unit, B, zero], zero))
+    F = HSeries(2, [unit, B, zero], zero)
     rep = twistor_validate(DeformedEnvAlgebroid(spec, F, validate=False))
     assert not rep.ok()
     assert "cocycle identity fails at order h^2" in rep.first_failure()
@@ -80,7 +80,7 @@ def counit_check(F1):
     spec = axb_spec()
     unit, zero = TensorElement.unit(2, 2, 2), TensorElement.zero(2, 2, 2)
     rep = twistor_validate(DeformedEnvAlgebroid(
-        spec, Twistor(HSeries(2, [unit, F1, zero], zero)), validate=False))
+        spec, HSeries(2, [unit, F1, zero], zero), validate=False))
     return next(c for c in rep.checks if c.name == "counit-conditions")
 
 
@@ -104,17 +104,17 @@ def test_counit_conditions_multiply_on_the_left():
 def test_invert_trivial():
     spec = der2()
     G = twistor_invert(spec, trivial_twistor(spec, 2))
-    assert G == trivial_twistor(spec, 2).series
+    assert G == trivial_twistor(spec, 2)
 
 
 def test_invert_std_matches_closed_form():
     spec = der2()
-    tw = std_twistor(spec, 3)
-    G = twistor_invert(spec, tw)
+    F = std_twistor(spec, 3)
+    G = twistor_invert(spec, F)
     mt = lambda a, b: tensor_mul(spec, a, b)
     unit = hs_const(TensorElement.unit(2, 2, 2), 3, TensorElement.zero(2, 2, 2))
-    assert hseries_mul(tw.series, G, mt) == unit
-    assert hseries_mul(G, tw.series, mt) == unit
+    assert hseries_mul(F, G, mt) == unit
+    assert hseries_mul(G, F, mt) == unit
 
 
 def test_invert_generic_geometric():
@@ -122,7 +122,7 @@ def test_invert_generic_geometric():
     B = theta_tensor(spec)
     unit = TensorElement.unit(2, 2, 2)
     zero = TensorElement.zero(2, 2, 2)
-    F = Twistor(HSeries(2, [unit, B, zero], zero))
+    F = HSeries(2, [unit, B, zero], zero)
     G = twistor_invert(spec, F)
     B2 = tensor_mul(spec, B, B)
     assert G == HSeries(2, [unit, -B, B2], zero)
@@ -312,7 +312,7 @@ def test_takeuchi_compares_a_unit_sample_when_the_counit_breaks(
     unit, zero = TensorElement.unit(2, 2, 2), TensorElement.zero(2, 2, 2)
     e1 = TensorElement.of(EnvElement.gen(2, 2, 0), EnvElement.one(2, 2))
     broken = DeformedEnvAlgebroid(
-        spec, Twistor(HSeries(2, [unit, e1, zero], zero)), validate=False)
+        spec, HSeries(2, [unit, e1, zero], zero), validate=False)
     one = CPoly.one(2)
     real = deform.reduce_series
     calls = []
@@ -369,8 +369,8 @@ def test_deformed_class_tests_see_every_order():
     spec = der2()
     theta = EnvElement(2, 2, {(1, 0): CPoly.var(2, 0)})
     unit, zero = TensorElement.unit(2, 2, 2), TensorElement.zero(2, 2, 2)
-    F = Twistor(HSeries(2, [unit, TensorElement.of(theta, EnvElement.gen(
-        2, 2, 1)), zero], zero))
+    F = HSeries(2, [unit, TensorElement.of(theta, EnvElement.gen(
+        2, 2, 1)), zero], zero)
     dfa = DeformedEnvAlgebroid(spec, F, validate=False)
     failed = {c.name: c.witness for c in deformed_axiom_suite(
         dfa, sample_degree=1).checks if c.status == "fail"}
@@ -387,11 +387,8 @@ def test_deformed_class_tests_see_every_order():
 
 def test_axiom_suite_detects_corruption():
     spec = der2()
-    tw = std_twistor(spec, 2)
-    series = tw.series
-    doubled = HSeries(2, [series.coeffs[0], series.coeffs[1],
-                          series.coeffs[2].scale(2)], series.zero)
-    bad = Twistor(doubled)
+    F = std_twistor(spec, 2)
+    bad = HSeries(2, [F.coeffs[0], F.coeffs[1], F.coeffs[2].scale(2)], F.zero)
     rep = twistor_validate(DeformedEnvAlgebroid(spec, bad, validate=False))
     assert not rep.ok()
     assert "h^2" in rep.first_failure()
@@ -406,9 +403,9 @@ def test_bad_leading_term_rejected():
     theta = EnvElement(2, 2, {(1, 0): CPoly.var(2, 0)})
     bad0 = TensorElement.of(theta, EnvElement.one(2, 2))
     zero = TensorElement.zero(2, 2, 2)
-    tw = Twistor(HSeries(1, [bad0, zero], zero))
+    F = HSeries(1, [bad0, zero], zero)
     with pytest.raises(TriangularityViolation):
-        DeformedEnvAlgebroid(spec, tw, validate=False)
+        DeformedEnvAlgebroid(spec, F, validate=False)
 
 
 def test_lift_first_order_is_half_exponent_commutator():

@@ -206,7 +206,7 @@ def test_hprime_basis_undeformed():
     spec = der2()
     dfa = DeformedEnvAlgebroid(spec, trivial_twistor(spec, 2), validate=False)
     ctx = JetContext(dfa, LEFT, 4)
-    basis = hprime_basis(dfa, ctx, degree=1)
+    basis = hprime_basis(ctx, degree=1)
     for alpha, member in basis.items():
         want = defelem_from_env(
             spec, EnvElement.monomial(2, 2, alpha), 2).shift(sum(alpha))
@@ -216,7 +216,7 @@ def test_hprime_basis_undeformed():
 def test_hprime_basis_deformed():
     dfa = make_dfa(3)
     ctx = JetContext(dfa, LEFT, 4)
-    basis = hprime_basis(dfa, ctx, degree=2, n_max=3)
+    basis = hprime_basis(ctx, degree=2, n_max=3)
     assert len(basis) == 6
     theta10 = basis[(1, 0)]
     # h * theta_(1,0) with theta = d1 + O(h)
@@ -231,7 +231,7 @@ def test_hprime_basis_rejects_a_nonmember(monkeypatch):
     ctx = JetContext(dfa, LEFT, 2)
     monkeypatch.setattr(drinfeld, "hprime_member", lambda *args: False)
     with pytest.raises(InvariantViolation, match="membership test"):
-        hprime_basis(dfa, ctx, degree=1, n_max=2)
+        hprime_basis(ctx, degree=1, n_max=2)
 
 
 # -- one projection flavor (ROADMAP item 6) ------------------------------------

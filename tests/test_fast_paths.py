@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgroupoid import deform, drinfeld, jets, kernel, tensorspace
 from qgroupoid.deform import (
-    DeformedEnvAlgebroid, Twistor, deformed_axiom_suite, exp_twistor,
+    DeformedEnvAlgebroid, deformed_axiom_suite, exp_twistor,
     reduce_series, trivial_twistor, twisted_coproduct, twistor_validate,
 )
 from qgroupoid.envelope import (
@@ -39,7 +39,7 @@ from qgroupoid.jets import (
 from qgroupoid.lierinehart import LieRinehartSpec, lr_validate
 from qgroupoid.scalars import CPoly, monomials_upto
 from qgroupoid.series import HLaurent, HSeries, laurent_mul
-from qgroupoid.specfile import load_spec_file
+from qgroupoid.specfile import load_spec, load_spec_file
 from qgroupoid.tensorspace import (
     TensorElement, same_class, tensor_mul, tensor_reduce, tensor_series_mul,
 )
@@ -93,7 +93,8 @@ def test_generated_cases_reach_rank_variables_and_twists():
     assert max(d.spec.rank for d in dfas) >= 4
     assert max(d.spec.nvars for d in dfas) == 3
     assert all(d.order <= 3 for d in dfas)
-    twisted = [d for d in dfas if d.twistor.exponent is not None]
+    twisted = [d for d in dfas
+               if d.exponent is not None and not d.exponent.is_zero()]
     assert len(twisted) >= 3
     assert all(twistor_validate(d).ok() for d in twisted)
 
@@ -291,29 +292,98 @@ def test_hadamard_coproduct_leg_matches_cauchy(make):
         dfa, oracles.low_monomials(dfa.spec, 1), wide=False))
 
 
-def test_series_exponent_mismatch_rejected():
-    spec = axb_structure()
+def exp_but_top(spec):
+    """exp(h r) at N = 3 for an arbitrary exponent r, except at its top
+    order, and r."""
     r = arbitrary_exponent(spec)
-    series = exp_twistor(spec, r, 3).series
-    with pytest.raises(ConfigError, match="closed-form inverse"):
-        DeformedEnvAlgebroid(spec, Twistor(series, exponent=r.scale(2)),
-                             validate=False)
-    # a series that is exp(h r) except at its top order
-    top = series.coeffs[:3] + (series.coeffs[3] + r.scale(Fraction(1, 7)),)
-    with pytest.raises(ConfigError, match="closed-form inverse"):
-        deform.twistor_invert(spec, Twistor(HSeries(3, top, series.zero),
-                                            exponent=r))
+    F = exp_twistor(spec, r, 3)
+    top = F.coeffs[3] + r.scale(Fraction(1, 7))
+    return HSeries(3, F.coeffs[:3] + (top,), F.zero), r
+
+
+def test_series_exponent_mismatch_rejected():
+    """A series that is exp(h r) except at its top order is not exp(h r):
+    ``twistor_invert`` inverts it order by order, not as exp(-h r)."""
+    spec = axb_structure()
+    F, r = exp_but_top(spec)
+    G = deform.twistor_invert(spec, F)
+    assert G != exp_twistor(spec, -r, 3)
+    assert tensor_series_mul(spec, F, G) == trivial_twistor(spec, 3)
+
+
+# an orders series written out as exp(h r), r = d1 (x) d2 on axb: the
+# generators commute, so r^n = d1^n (x) d2^n
+EXP_ORDERS_SPEC = """[base]
+vars = x1 x2
+[generators]
+names = d1 d2
+[anchor]
+w 1 1 = 1
+w 2 2 = 1
+[twistor]
+form = orders
+order 1 = 1 | d1 | d2
+order 2 = 1/2 | d1^2 | d2^2
+order 3 = 1/6 | d1^3 | d2^3
+"""
+
+
+def _spec_twistor(espec):
+    spec = espec.build_structure()
+    return spec, espec.build_twistor(spec, 3)
+
+
+def _axb_twistor(make):
+    spec = axb_structure()
+    return spec, make(spec)
+
+
+# (make (spec, F), whether F is exp(h F_1))
+RECOGNITION_CASES = {
+    "trivial": (lambda: _axb_twistor(lambda s: trivial_twistor(s, 3)), True),
+    "axb-exp": (lambda: _spec_twistor(load_spec_file(SPEC)), True),
+    "orders-spec": (lambda: _spec_twistor(load_spec(oracles.ORDERS_SPEC)),
+                    False),
+    "orders-written-as-exp": (
+        lambda: _spec_twistor(load_spec(EXP_ORDERS_SPEC)), True),
+    "exp-but-top": (lambda: _axb_twistor(lambda s: exp_but_top(s)[0]), False),
+}
+
+
+@pytest.mark.parametrize("case", RECOGNITION_CASES)
+def test_twistor_exponent_is_recognised_from_the_whole_series(
+        case, monkeypatch):
+    """The deformation recognises F = exp(h r) from F alone: then r = F_1,
+    G is exp(-h r) and no series is inverted order by order; otherwise G
+    is the one order-by-order inverse.  Either way F G = G F = 1 and the
+    lifts equal the two Cauchy products against F and G."""
+    make, recognised = RECOGNITION_CASES[case]
+    spec, F = make()
+    real, inverted = deform.hseries_invert, []
+    monkeypatch.setattr(deform, "hseries_invert", lambda *args, **kw: (
+        inverted.append(args) or real(*args, **kw)))
+    dfa = DeformedEnvAlgebroid(spec, F, validate=False)
+    assert len(inverted) == (not recognised)
+    assert dfa.exponent == (F.coeffs[1] if recognised else None)
+    unit = trivial_twistor(spec, 3)
+    assert tensor_series_mul(spec, F, dfa.G) == unit
+    assert tensor_series_mul(spec, dfa.G, F) == unit
+    assert check(dfa, "lift_mono")
 
 
 def test_exp_twistor_inverse_matches_series_inversion():
-    # the spec file's exp twistor at every order 1..10, and an arbitrary
-    # exponent on the bracketed structure at low orders
+    # the spec file's exp twistor at every order 1..10, an arbitrary
+    # exponent on the bracketed structure at low orders, and the
+    # order-by-order inverse of a series that is not exp(h F_1)
     espec = load_spec_file(SPEC)
     spec = espec.build_structure()
     dfas = [DeformedEnvAlgebroid(spec, espec.build_twistor(spec, order),
                                  validate=False) for order in range(1, 11)]
     dfas += [exp_dfa(bracketed_structure(), order) for order in range(1, 4)]
     assert sum(check(dfa, "twistor_invert") for dfa in dfas) == len(dfas)
+    orders = orders_dfa()
+    assert orders.exponent is None
+    assert check(orders, "twistor_invert", inputs=[()]) == 1
 
 
 def random_table_case(i):
@@ -329,7 +399,7 @@ def test_table_cases_include_failing_and_explicit_twistors():
     # invertible twistors that are not cocycles, and on form = orders
     dfas = [bracketed_exp_dfa()] + [random_dfa(i) for i in range(6)]
     assert not twistor_validate(dfas[0]).ok()
-    assert any(d.twistor.exponent is None for d in dfas)
+    assert any(d.exponent is None for d in dfas)
     assert sum(not twistor_validate(d).ok() for d in dfas) >= 4
     assert all(d.spec.rank <= 4 and d.spec.nvars <= 3 and d.order <= 3
                for d in dfas[1:])
@@ -439,10 +509,9 @@ def test_twistor_images_are_kept_per_structure():
     """One twistor series on two structures of the same shape whose
     anchors differ by a factor 2: each of the two deformations sweeps its
     own s_F and t_F images into its own memos, checked against the term
-    sweeps, and the twistor they share keeps no table."""
+    sweeps, and the series they share, an ``HSeries``, keeps no table."""
     espec = load_spec_file(SPEC)
-    # the series alone: exp(h r) on axb is not exp(h r) on the other
-    tw = Twistor(espec.build_twistor(espec.build_structure(), 3).series)
+    tw = espec.build_twistor(espec.build_structure(), 3)
     zero = CPoly.zero(2)
 
     def doubled():
@@ -462,7 +531,7 @@ def test_twistor_images_are_kept_per_structure():
         seen.append([[mapper(a) for a in monos]
                      for mapper in (dfa.source, dfa.target)])
     assert seen[0][0] != seen[1][0]
-    assert not [v for v in vars(tw).values() if isinstance(v, dict)]
+    assert type(tw) is HSeries
 
 
 @pytest.mark.parametrize("make", [axb_exp_dfa, orders_dfa, bracketed_exp_dfa])
@@ -579,7 +648,7 @@ def test_tensor_series_mul_matches_chain(make):
     dfa = shared(make)
     assert check(dfa, "tensor_series_mul")
     # F G = 1 (x) 1: every order above zero cancels to the empty tensor
-    FG = tensor_series_mul(dfa.spec, dfa.twistor.series, dfa.G)
+    FG = tensor_series_mul(dfa.spec, dfa.twistor, dfa.G)
     assert all(not T.num and T.den == 1 for T in FG.coeffs[1:])
 
 

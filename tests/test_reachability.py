@@ -22,7 +22,8 @@ structure at truncation 2, ``example axb`` at 2/2, the spec whose twistor
 fails validation under every command built on the twistor, one hostile
 input per error path of the CLI and the spec reader (each asserting exit 3
 and its message), a spec with a polynomial structure function and a valid
-exponential twistor, and the value fingerprint of axb at N=2.  They go in
+exponential twistor, a valid twistor that is not exp(h F_1), and the value
+fingerprint of axb at N=2.  They go in
 a fresh process, ``python tests/test_reachability.py DIR``, which prints
 the lines each module ran.  Each statement no run reaches is either a
 failing check's witness, an internal guard that no valid input reaches,
@@ -278,6 +279,26 @@ n_max = 2
 extra = x1*x2
 """
 
+# axb's structure under a valid explicit twistor that is not exp(h F_1):
+# F_2 != F_1^2 / 2, so the deformation inverts it order by order and
+# conjugates by the two Cauchy products
+NONEXP_SPEC = """[base]
+vars = x1 x2
+[generators]
+names = d1 d2
+[anchor]
+w 1 1 = 1
+w 2 2 = 1
+[twistor]
+form = orders
+order 1 = 1 | d1 | x1
+order 1 = -1 | x1*d1 | 1
+order 2 = 1 | d2 | x1*x2
+order 2 = -1 | x1*x2*d2 | 1
+[truncation]
+h_order = 3
+"""
+
 # a rank-3 bracket that breaks the Jacobi identity
 JACOBI_SPEC = """[base]
 vars =
@@ -332,7 +353,7 @@ UNREACHED = [
      ('return "counit condition fails at order h^%d" % n',)),
     ("drinfeld", "_too_deep", "check-failure",
      "the depth rule's witness; every valid twist is integral",
-     ("return beta, norm.val",)),
+     ("return beta, low",)),
     ("drinfeld", "duality_roundtrip.integrality_failure", "check-failure",
      WITNESS, ('return "rescaled commutator exceeds depth at %s" % (deep[0],)',)),
     ("drinfeld", "duality_roundtrip.membership_failure", "check-failure",
@@ -342,7 +363,7 @@ UNREACHED = [
                '% (i + 1, j + 1)',)),
     ("drinfeld", "functional_prime_member", "check-failure", WITNESS, (
         'return False, "pairing with a %d-fold augmentation product " \\ '
-        '"has order h^%d" % (n, val.val)',
+        '"has order h^%d" % (n, low)',
     )),
     ("drinfeld", "semiclassical_cobracket", "check-failure", WITNESS, (
         "continue [1]",
@@ -369,8 +390,9 @@ UNREACHED = [
     ("drinfeld", "vee_semiclassical.primitivity_failure", "check-failure",
      WITNESS, ('return "%s not primitive modulo h" % name',)),
     ("envelope", "_same_value", "check-failure",
-     "the unequal answers of the element and tensor comparisons, which "
-     "every check passes", ("return False [1]", "return False [2]")),
+     "the unequal answer of two same-sized numerator dicts over different "
+     "denominators, which every check passes; recognising exp(h F_1) on a "
+     "series that is not meets unequal sizes first", ("return False [2]",)),
     ("errors", "NonIntegralError.__init__", "check-failure",
      "raised by the vee functor's integrality failure alone", None),
     ("jets", "jet_axiom_suite.action_failure", "check-failure", WITNESS,
@@ -421,7 +443,7 @@ UNREACHED = [
      ('raise ConfigError("h order and jet degree must be >= 1")',)),
     ("cli", "main", "guard",
      "an engine error that no valid input raises; "
-     "test_invariant_violation_is_a_failing_check replaces exp_twistor to "
+     "test_invariant_violation_is_a_failing_check patches an engine call to "
      "reach it", (
          "_emit(report, args) [1]",
          "report = Report(args.command)",
@@ -436,11 +458,6 @@ UNREACHED = [
     ("deform", "basis_decompose", "guard",
      "every caller passes source or target",
      ('raise ConfigError("flavor must be source or target")',)),
-    ("deform", "twistor_invert", "guard",
-     "an exponential twistor's series is exp(h r) by construction; "
-     "test_invariant_violation_is_a_failing_check patches it",
-     ('raise InvariantViolation( "twistor series is not exp(h r) for its '
-      'exponent, so the " "closed-form inverse exp(-h r) does not apply")',)),
     ("drinfeld", "hprime_member", "guard",
      "the CLI bounds n_max by h_order and by MAX_LEGS", (
          'raise ConfigError("iterated coproduct beyond configured bound")',
@@ -549,6 +566,10 @@ UNREACHED = [
          'raise ConfigError("invalid twistor: %s" % rep.first_failure())',
          "rep = twistor_validate(self)",
      )),
+    ("deform", "twistor_invert", "kept",
+     "the inverse of a twistor series on its own, which the tests compare "
+     "and the benchmark tracer names; a deformation takes G from the "
+     "exponent it recognised (``_inverse``)", None),
     ("drinfeld", "hprime_basis", "kept",
      "the H' dual basis that the duality round trip is to compare its "
      "recovered generators with (ROADMAP item 5)", None),
@@ -559,12 +580,12 @@ UNREACHED = [
      "filtration-growth evaluates the witnesses it is given, and no caller "
      "gives any yet (ROADMAP item 7)", None),
     ("envelope", "_same_value", "kept",
-     "equality of numerators over two different denominators, which "
-     "tensors need (their den is not in lowest terms); each deformed class "
-     "test reduces one signed difference, so no command compares two "
-     "tensors over different denominators, while the oracles and tests do",
-     ("if len(a) != len(b):", "for k, c in a.items():", "d = b.get(k)",
-      "if d is None or c * db != d * da:", "return True")),
+     "equality of nonzero numerators over two different denominators, "
+     "which tensors need (their den is not in lowest terms); each deformed "
+     "class test reduces one signed difference, and the commands' twistors "
+     "meet it in recognising exp(h F_1) only as zero orders or unequal "
+     "sizes, while the oracles and tests compare nonzero ones",
+     ("d = b.get(k)", "if d is None or c * db != d * da:")),
     ("envelope", "EnvElement.__add__", "kept",
      "the value type's sum, which the oracles and tests use; "
      "test_cli_sums_no_envelope_elements_by_addition keeps commands off it",
@@ -726,6 +747,7 @@ def _cli_runs(tmp_path):
     invalid = write("cocycle.spec", INVALID_TWISTOR_SPEC.replace(
         "[truncation]", "order 4 = -1/3 | d1 | x2*d2\n[truncation]"))
     polynomial = write("polynomial.spec", POLYNOMIAL_SPEC)
+    nonexp = write("nonexp.spec", NONEXP_SPEC)
     jacobi = write("jacobi.spec", JACOBI_SPEC)
     missing = str(tmp_path / "missing.spec")
     small = ["--h-order", "2", "--jet-degree", "2", "--n-max", "2"]
@@ -752,6 +774,8 @@ def _cli_runs(tmp_path):
     # second pass; the other commands, and twist at N=2, reach nothing more
     runs += [(["semiclassical", polynomial, "--json-only"], 0, ""),
              (["twist", polynomial, "--h-order", "1", "--json-only"], 0, "")]
+    # twist reaches the order-by-order inverse and the Cauchy conjugation
+    runs += [(["twist", nonexp, "--json-only"], 0, "")]
     for name, (command, text, message) in HOSTILE_SPECS.items():
         runs.append(([command, write(name + ".spec", text), "--json-only"], 3,
                      "error: %s\n" % message))

@@ -106,18 +106,18 @@ def lmul(x, y):
     return laurent_mul(x, y, lambda a, b: [a * b], 4)
 
 
-def test_laurent_normalize_strips():
-    a = HLaurent(-1, 3, [ZERO, X, ZERO, ONE, ZERO], ZERO)
-    n = a.normalize()
-    assert (n.val, n.top) == (0, 3)
-    assert n.normalize() == n or n.eq_to_order(n.normalize())
+def test_laurent_valuation_skips_leading_zeros():
+    assert HLaurent(-1, 3, [ZERO, X, ZERO, ONE, ZERO], ZERO).valuation() == 0
+    assert HLaurent(-2, 2, [ZERO, ZERO, ONE, X, ZERO], ZERO).valuation() == 0
+    # below h^0
+    assert HLaurent(-3, 1, [ZERO, X, ONE, ZERO, ZERO], ZERO).valuation() == -2
+    assert HLaurent(1, 3, [X, ZERO, ZERO], ZERO).valuation() == 1
 
 
-def test_laurent_normalize_idempotent():
-    a = HLaurent(-2, 2, [ZERO, ZERO, ONE, X, ZERO], ZERO)
-    once = a.normalize()
-    twice = once.normalize()
-    assert (once.val, once.top, once.coeffs) == (twice.val, twice.top, twice.coeffs)
+def test_laurent_valuation_of_zero_is_none():
+    assert HLaurent(-2, 2, [ZERO] * 5, ZERO).valuation() is None
+    # the empty window
+    assert HLaurent.zero_upto(3, ZERO).valuation() is None
 
 
 def _summed(pieces):
@@ -169,10 +169,10 @@ def test_laurent_integrality():
     # h^-1 * (h u) -> u, valuation 0
     u = HLaurent(0, 4, [X, ONE, ZERO, ZERO, ZERO], ZERO)
     a = u.shift(1).shift(-1)
-    assert a.normalize().val == 0
+    assert a.valuation() == 0
     # h^-1 u with u0 != 0 keeps its negative valuation
     b = u.shift(-1)
-    assert b.normalize().val == -1
+    assert b.valuation() == -1
 
 
 def test_laurent_mul_precision():

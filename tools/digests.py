@@ -143,7 +143,7 @@ def value_parts(path, n):
             ("vee_relations", lambda: {
                 key: rel.table for key, rel in vee_build(
                     ctx, degree=min(d, 3)).relations.items()}),
-            ("hprime_basis", lambda: hprime_basis(dfa, ctx, min(d, 2), n_max))]
+            ("hprime_basis", lambda: hprime_basis(ctx, min(d, 2), n_max))]
 
     parts = [(flavor + "/" + name, thunk) for flavor in (LEFT, RIGHT)
              for name, thunk in dual_parts(JetContext(dfa, flavor, d))]

@@ -171,7 +171,8 @@ MUTANTS = [
       "tests/test_drinfeld.py::test_vee_semiclassical_right_is_coopposite",
       "tests/test_acceptance.py::test_criterion_07_semiclassical_consistency"]),
     ("vee-depth-off-by-one", "drinfeld.py",
-     "norm.val < -sum(beta)", "norm.val < -sum(beta) - 1",
+     "low is not None and low < -sum(beta)",
+     "low is not None and low < -sum(beta) - 1",
      ["tests/test_drinfeld.py::test_vee_nonintegral_detection",
       "tests/test_drinfeld.py::"
       "test_roundtrip_reports_a_nonintegral_generator"]),
@@ -206,6 +207,12 @@ MUTANTS = [
      ["tests/test_drinfeld.py::"
       "test_hprime_member_projects_each_flavor_by_its_own_map",
       FAST + "test_fast_path_matches_reference[_project_leg-gen0]"]),
+    # a twist is its series: the exponent is recognised from all of F
+    ("exponent-recognised-from-two-orders", "deform.py",
+     "return r if exp_twistor(spec, r, F.order) == F else None",
+     "return r if exp_twistor(spec, r, F.order).coeffs[:2] == F.coeffs[:2] "
+     "else None",
+     [FAST + "test_twistor_exponent_is_recognised_from_the_whole_series"]),
     # one prologue for the commands built on the twistor
     ("command-goes-past-a-failed-twistor", "cli.py",
      '        if args.command != "twist":\n            return report',

@@ -30,10 +30,11 @@ Every other series (the explicit per-order series of a spec file) is
 inverted order by order and takes the two Cauchy products against the
 dense series F and G.  ``twistor_validate`` never takes the shortcut.
 Every Cauchy product of tensor series here (the conjugation, the lifts of
-products, the cocycle identity and the source/target compatibility, the
-Takeuchi condition and the multiplicativity check) is
-``tensor_series_mul``, which sums each order into one dict of integer
-numerators over one denominator.
+products, the source/target compatibility, the Takeuchi condition and the
+multiplicativity check) is ``tensor_series_mul``, which sums each order
+into one dict of integer numerators over one denominator.  The cocycle
+identity multiplies no 3-leg tensors: each of its sides is F spliced at
+one leg with the 2-leg products Delta(w) F (``_cocycle_sides``).
 
 The base maps s_F and t_F let the legs of F act on the base through the
 anchor (the structure's action table, ``envelope.monomial_action``).  The
@@ -142,9 +143,8 @@ from .series import (
     HLaurent, HSeries, hs_const, hseries_invert, laurent_mul,
 )
 from .tensorspace import (
-    TensorElement, _splice, _tensor_cleared, copro_basis,
-    counit_contract, env_coproduct, same_class, tensor_coproduct_leg,
-    tensor_mul, tensor_reduce, tensor_series_mul,
+    TensorElement, _splice, _tensor_cleared, copro_basis, counit_contract,
+    env_coproduct, same_class, tensor_mul, tensor_reduce, tensor_series_mul,
 )
 
 __all__ = [
@@ -246,11 +246,11 @@ def _inverse(spec, F, r):
 
 
 def twistor_validate(dfa):
-    """Counit conditions, 3-leg cocycle identity and the derived
-    source/target compatibility on the base monomials of degree <= 2, all
-    checked per h-order, for the twistor of the deformation ``dfa``.  The
-    cocycle identity holds at order n when the signed difference of its
-    two sides, over their common denominator, reduces to zero
+    """Counit conditions, cocycle identity and the derived source/target
+    compatibility on the base monomials of degree <= 2, all checked per
+    h-order, for the twistor of the deformation ``dfa``.  The cocycle
+    identity holds at order n when the signed difference of its two sides
+    (``_cocycle_sides``), over their common denominator, reduces to zero
     (``tensorspace.same_class``); the compatibility multiplies F by the
     one Takeuchi relation of each monomial (``takeuchi_relation``)."""
     spec = dfa.spec
@@ -272,14 +272,9 @@ def twistor_validate(dfa):
 
     report.check("counit-conditions", enumerate(F.coeffs), counit_failure)
 
-    cop0 = F.map(lambda t: tensor_coproduct_leg(spec, t, 0))
-    cop1 = F.map(lambda t: tensor_coproduct_leg(spec, t, 1))
-    f12 = F.map(lambda t: t.embed(3, 0))
-    f23 = F.map(lambda t: t.embed(3, 1))
-    lhs = tensor_series_mul(spec, cop0, f12)
-    rhs = tensor_series_mul(spec, cop1, f23)
+    lhs, rhs = _cocycle_sides(dfa)
     report.check("cocycle-identity", range(order + 1), lambda n: (
-        None if same_class(spec, lhs.coeffs[n], rhs.coeffs[n])
+        None if same_class(spec, lhs[n], rhs[n])
         else "cocycle identity fails at order h^%d" % n))
 
     def compatibility_failure(a):
@@ -291,6 +286,32 @@ def twistor_validate(dfa):
     report.check("source-target-compatibility",
                  monomials_upto(spec.nvars, 2), compatibility_failure)
     return report
+
+
+def _cocycle_sides(dfa):
+    """The orders of the two sides (Delta (x) id)(F) F_12 and
+    (id (x) Delta)(F) F_23 of the cocycle identity.  A term c h^k w (x) v
+    of F_k adds c h^k (Delta(w) F) (x) v to the first and
+    c h^k w (x) (Delta(v) F) to the second, so each side is the splice of
+    F at one leg (``tensorspace._splice``) with the pieces Delta(w) F_j
+    of its leg w, one 2-leg product per order j.  The pieces of w are
+    built once for both sides, and only up to j = N - k_w, k_w the first
+    order at which w is a leg of F, as no term of F reads them further."""
+    spec = dfa.spec
+    F = dfa.twistor.coeffs
+    first = {}
+    for k, T in enumerate(F):
+        for key in T.num:
+            for w in key:
+                first.setdefault(w, k)
+
+    @cache
+    def pieces(w):
+        delta = copro_basis(spec, w)
+        return [tensor_mul(spec, delta, Fj)
+                for Fj in F[:dfa.order - first[w] + 1]]
+
+    return _splice(F, 0, pieces, 3), _splice(F, 1, pieces, 3)
 
 
 # -- the deformed algebroid --------------------------------------------------------

@@ -10,7 +10,7 @@ A ``TensorElement`` keeps its coefficients as integer numerators over one
 denominator, as FLINT's ``fmpq_poly`` keeps a polynomial: ``num`` maps each
 key to a nonzero ``int`` and ``den`` is one positive ``int``.  Products
 multiply the denominators, sums align them to their lcm, and negation,
-``flip``, ``embed`` and the reduction copy the numerators, so the layer does
+``flip`` and the reduction copy the numerators, so the layer does
 integer arithmetic only.  ``den`` is not kept in lowest terms: content is
 removed only where a value leaves the layer.  ``.terms`` is a read-only
 ``{monomial key: Fraction}`` view in lowest terms, built once per tensor,
@@ -40,24 +40,25 @@ which the envelope's product loop reads as well and
 ``envelope.leg_product`` fills.  ``tensor_mul`` multiplies leg by leg
 through it, and the tensor reduction of ``deform`` multiplies its basis
 terms by it.  The classical Takeuchi check is one such product,
-T (a (x) 1 - 1 (x) a), reduced to zero.  A product has 2 or 3 legs: it
+T (a (x) 1 - 1 (x) a), reduced to zero.  A product has 2 legs: it
 holds the table rows of each left term's legs, reads the entries of each
 pair of terms in place (a unit leg's entry passes the other leg through)
-and expands them in a fixed loop nest.  None is wider, since the twisted
-coproduct of a leg splices cached 2-leg lifts rather than multiplying
-wider tensors.
+and expands them in one fixed loop nest.  No command multiplies wider
+tensors: the twisted coproduct of a leg splices cached 2-leg lifts, and
+each side of the cocycle identity splices 2-leg products Delta(w) F
+into F.
 A structure with rational structure functions may store a ``Fraction``;
 ``tensor_mul`` then brings its result back to integer numerators once.
 ``tensor_reduce`` reads, per leg id, the id of its pure part (0, alpha)
 and its gamma from tables beside the registry (``PURE``, ``GAMMA``) and
 migrates the gamma of every leg that is not pure onto the last leg; each
 (last id, total gamma) shift is interned once per process (``SHIFTS``).
-Like the product, it has fixed loops for 2 and 3 legs and refuses any
-other width; ``tests/oracles.nested_tensor_reduce``, one loop for every
-width on nested monomial keys, is the reference.  Two tensors are
-one class when their signed difference, over the lcm of their
-denominators, reduces to zero (``same_class``): one reduction into one
-dict, where comparing two reductions builds both.
+It has fixed loops for 2 and 3 legs and refuses any other width;
+``tests/oracles.nested_tensor_reduce``, one loop for every width on
+nested monomial keys, is the reference.  Two tensors are one class when
+their signed difference, over the lcm of their denominators, reduces to
+zero (``same_class``): one reduction into one dict, where comparing two
+reductions builds both.
 
 A Cauchy product of tensor series (``tensor_series_mul``) sums each
 h-order into one dict of integer numerators over one denominator, the lcm
@@ -71,12 +72,14 @@ coproduct, whose one piece is Delta(x^gamma e^alpha) of a leg id
 (``copro_basis``: Delta(e^alpha), built once per structure in its memos
 as ``_copro_mono``, with gamma loaded on its left legs); the twisted
 coproduct of ``deform``, whose pieces are the orders of the cached lift
-G . Delta(w) . F; and the projection w -> w - map_F(eps(w)) of
-``drinfeld``'s H' test.  The coproduct of an element is the splice on
-the element as a 1-leg tensor.  ``counit_contract`` is the one counit
-contraction of a classical 2-tensor, multiplying the other leg on the
-left: the counit leg's gamma shifts the other leg's id
-(``envelope.shift_id``), over the tensor's denominator.
+G . Delta(w) . F; the two sides of ``deform``'s cocycle identity, whose
+pieces are the orders of Delta(w) . F; and the projection
+w -> w - map_F(eps(w)) of ``drinfeld``'s H' test.  The coproduct of an
+element is the splice on the element as a 1-leg tensor.
+``counit_contract`` is the one counit contraction of a classical
+2-tensor, multiplying the other leg on the left: the counit leg's gamma
+shifts the other leg's id (``envelope.shift_id``), over the tensor's
+denominator.
 """
 
 from math import lcm
@@ -222,15 +225,6 @@ class TensorElement:
         return _tensor(self.nvars, self.rank, 2,
                        {(k[1], k[0]): c for k, c in self.num.items()}, self.den)
 
-    def embed(self, legs, pos):
-        """Place this tensor at slots pos..pos+self.legs-1 of a wider tensor."""
-        unit = _unit_id(self.nvars, self.rank)
-        pre = (unit,) * pos
-        post = (unit,) * (legs - pos - self.legs)
-        return _tensor(self.nvars, self.rank, legs,
-                       {pre + k + post: c for k, c in self.num.items()},
-                       self.den)
-
     def _check(self, other):
         if self.legs != other.legs or self.rank != other.rank:
             raise ConfigError("tensor shape mismatch")
@@ -272,8 +266,8 @@ def tensor_mul(spec, s, t):
     """Factorwise multiplication of lifted tensors.
 
     Every leg product is read from the structure's product table, where a
-    unit leg x^0 e^0 passes the other operand's leg through.  A 2- or
-    3-leg pair expands its leg products in a fixed loop nest, which adds a
+    unit leg x^0 e^0 passes the other operand's leg through.  A 2-leg
+    pair expands its leg products in a fixed loop nest, which adds a
     single-term product as one term; any other width is a
     ``ConfigError``.  The numerators multiply with the leg coefficients
     and the denominators multiply; a ``Fraction`` leg coefficient is
@@ -287,25 +281,17 @@ def tensor_mul(spec, s, t):
 def _mul_into(out, spec, s, t, m):
     """out += m * (numerators of s times those of t), leg by leg; returns
     out, whose values are ints or, where a leg coefficient was one,
-    Fractions.  A product has 2 or 3 legs and takes a fixed loop nest that
-    reads the leg products from the structure's table in place; any other
-    width is a ``ConfigError``."""
-    if s.legs not in (2, 3):
-        raise ConfigError("tensor products have 2 or 3 legs")
+    Fractions.  A product has 2 legs, the only width a command multiplies,
+    and takes one fixed loop nest: the table rows of each left term's legs
+    are held and read in place, and an entry not yet in them is filled by
+    ``leg_product``.  Any other width is a ``ConfigError``."""
+    if s.legs != 2:
+        raise ConfigError("tensor products have 2 legs")
     if not (s.num and t.num):
         return out
-    if s.legs == 2:
-        return _mul2_into(out, spec, s.num, t.num, m)
-    return _mul3_into(out, spec, s.num, t.num, m)
-
-
-def _mul2_into(out, spec, snum, tnum, m):
-    """``_mul_into`` for 2-leg tensors: the table rows of each left term's
-    legs are held, and an entry not yet in them is filled by
-    ``leg_product``."""
     table = spec._leg_table
-    tnum = tnum.items()
-    for (a0, a1), ca in snum.items():
+    tnum = t.num.items()
+    for (a0, a1), ca in s.num.items():
         if m != 1:
             ca *= m
         r0, r1 = table[a0], table[a1]
@@ -326,38 +312,6 @@ def _mul2_into(out, spec, snum, tnum, m):
                         out[key] = v
                     else:
                         del out[key]
-    return out
-
-
-def _mul3_into(out, spec, snum, tnum, m):
-    """``_mul_into`` for 3-leg tensors, read as ``_mul2_into`` reads."""
-    table = spec._leg_table
-    tnum = tnum.items()
-    for (a0, a1, a2), ca in snum.items():
-        if m != 1:
-            ca *= m
-        r0, r1, r2 = table[a0], table[a1], table[a2]
-        for (b0, b1, b2), cb in tnum:
-            try:
-                e0, e1, e2 = r0[b0], r1[b1], r2[b2]
-            except KeyError:
-                e0, e1, e2 = (leg_product(spec, a0, b0),
-                              leg_product(spec, a1, b1),
-                              leg_product(spec, a2, b2))
-            c = ca * cb
-            for k0, q0 in e0:
-                c0 = c if q0 == 1 else c * q0
-                for k1, q1 in e1:
-                    c1 = c0 if q1 == 1 else c0 * q1
-                    for k2, q2 in e2:
-                        c2 = c1 if q2 == 1 else c1 * q2
-                        key = (k0, k1, k2)
-                        cur = out.get(key)
-                        v = c2 if cur is None else cur + c2
-                        if v:
-                            out[key] = v
-                        else:
-                            del out[key]
     return out
 
 
@@ -497,7 +451,7 @@ def _reduce_into(out, T, m):
     """out += m * (the reduced numerators of T); returns out, whose
     entries stay nonzero.  A tensor has 2 or 3 legs, the only widths a
     command reduces, and takes a fixed loop; any other width is a
-    ``ConfigError``, as in ``_mul_into``."""
+    ``ConfigError``."""
     if T.legs == 2:
         return _reduce2_into(out, T.num, m)
     if T.legs == 3:

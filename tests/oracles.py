@@ -164,6 +164,26 @@ order 2 = -1/3 | d1 | x2*d2
 h_order = 3
 """
 
+# axb's structure under a valid explicit twistor that is not exp(h F_1):
+# F_2 != F_1^2 / 2, so the deformation inverts it order by order and
+# conjugates by the two Cauchy products
+NONEXP_SPEC = """[base]
+vars = x1 x2
+[generators]
+names = d1 d2
+[anchor]
+w 1 1 = 1
+w 2 2 = 1
+[twistor]
+form = orders
+order 1 = 1 | d1 | x1
+order 1 = -1 | x1*d1 | 1
+order 2 = 1 | d2 | x1*x2
+order 2 = -1 | x1*x2*d2 | 1
+[truncation]
+h_order = 3
+"""
+
 # axb widened to rank 4: d3 and d4 act by zero, [d3, d4] = d3, and the
 # twistor carries a d3 (x) d4 term
 RANK4_SPEC = """[base]
@@ -506,6 +526,15 @@ def base_cancel(dfa, leg):
         for m in itertools.product(range(3), repeat=spec.nvars)})
 
 
+def embedded(T, legs, pos):
+    """T at the slots pos, pos + 1, ... of a ``legs``-leg tensor, with unit
+    legs at every other slot."""
+    unit = _unit_id(T.nvars, T.rank)
+    pre, post = (unit,) * pos, (unit,) * (legs - pos - T.legs)
+    return _tensor(T.nvars, T.rank, legs,
+                   {pre + k + post: c for k, c in T.num.items()}, T.den)
+
+
 def wide_tensors(spec, legs):
     """(1 + e + e^2) and (e^2 - e + 1) on the first leg, whose product
     cancels e, e^2 and e^3 and then adds e^2 again; r at every slot (unit legs
@@ -517,7 +546,7 @@ def wide_tensors(spec, legs):
     out = [TensorElement.of(first, *[one] * (legs - 1))
            for first in (one + e + e2, e2 - e + one)]
     r = arbitrary_exponent(spec)
-    out += [r.embed(legs, pos) for pos in range(legs - 1)]
+    out += [embedded(r, legs, pos) for pos in range(legs - 1)]
     for pos in range(legs):
         out.append(TensorElement.of(*[
             one if l == pos else random_elem(spec, rng, 2)
@@ -535,35 +564,47 @@ def integer_layer_inputs(spec):
     two = [r, r.flip(), r.scale(Fraction(-3, 4)), r + r.flip().scale(3),
            TensorElement.unit(spec.nvars, spec.rank),
            TensorElement.of(gen, x1), r - r]
-    return two, wide_tensors(spec, 3)[:4] + [r.embed(3, 1).scale(Fraction(1, 4))]
+    return two, wide_tensors(spec, 3)[:4] + [
+        embedded(r, 3, 1).scale(Fraction(1, 4))]
 
 
 def loop_nest_inputs(dfa):
-    """2- and 3-leg tensors: the integer-layer inputs, the twistor's
-    coefficients, and their 3-leg images as the cocycle identity builds
-    them (F12, F23 and (Delta (x) id) F)."""
-    spec = dfa.spec
-    two, three = integer_layer_inputs(spec)
-    F = dfa.twistor.coeffs[1:3]
-    two += F
-    three += [T for Fk in F for T in (Fk.embed(3, 0), Fk.embed(3, 1),
-                                      tensor_coproduct_leg(spec, Fk, 0))]
-    return two, three
+    """The 2-leg tensors of the product's loop nest: the integer-layer
+    inputs and the twistor's coefficients."""
+    return integer_layer_inputs(dfa.spec)[0] + list(dfa.twistor.coeffs[1:3])
 
 
 def cocycle_sides(dfa):
     """The two sides (Delta (x) id)(F) F_12 and (id (x) Delta)(F) F_23 of
-    the cocycle identity, order by order, as ``twistor_validate`` builds
-    them."""
+    the cocycle identity, order by order, as 3-leg Cauchy products on
+    nested monomial keys: the coproduct at one leg of F_i
+    (``nested_coproduct_leg``) times F_j on the two legs it leaves
+    (``nested_tensor_mul``), summed in Fractions over i + j = n, so no code
+    is shared with the splice of ``deform._cocycle_sides``."""
     spec = dfa.spec
-    F = dfa.twistor
-    lhs = tensor_series_mul(spec, F.map(
-        lambda t: tensor_coproduct_leg(spec, t, 0)), F.map(
-        lambda t: t.embed(3, 0)))
-    rhs = tensor_series_mul(spec, F.map(
-        lambda t: tensor_coproduct_leg(spec, t, 1)), F.map(
-        lambda t: t.embed(3, 1)))
-    return list(zip(lhs.coeffs, rhs.coeffs))
+    F = dfa.twistor.coeffs
+    sides = []
+    for leg in (0, 1):
+        copro = [TensorElement(spec.nvars, spec.rank, 3, nested_values(
+            [nested_coproduct_leg(spec, Fi, leg)])[0]) for Fi in F]
+        wide = [embedded(Fj, 3, leg) for Fj in F]
+        orders = []
+        for n in range(len(F)):
+            out = {}
+            for i in range(n + 1):
+                for key, c in nested_values([nested_tensor_mul(
+                        spec, copro[i], wide[n - i])])[0].items():
+                    _bump_term(out, key, c)
+            orders.append(TensorElement(spec.nvars, spec.rank, 3, out))
+        sides.append(orders)
+    return list(zip(*sides))
+
+
+def cocycle_classes(dfa, sides):
+    """The classes of the pairs of sides ``sides`` on nested monomial keys
+    (``nested_tensor_reduce``)."""
+    return [tuple(nested_values([nested_tensor_reduce(dfa.spec, T)])[0]
+                  for T in pair) for pair in sides]
 
 
 def doubled(T):
@@ -1060,8 +1101,8 @@ def conjugate_legs(dfa, S, leg):
     def mt(a, b):
         return tensor_mul_legs(spec, a, b)
 
-    G = dfa.G.map(lambda t: t.embed(legs, leg))
-    F = dfa.twistor.map(lambda t: t.embed(legs, leg))
+    G = dfa.G.map(lambda t: embedded(t, legs, leg))
+    F = dfa.twistor.map(lambda t: embedded(t, legs, leg))
     return hseries_mul(G, hseries_mul(S, F, mt), mt)
 
 
@@ -2457,12 +2498,18 @@ def _ref_invert(dfa):
 
 
 def tensor_groups(dfa):
-    """The 2-, 3- and 4-leg inputs of the tensor layer: the integer-layer
-    tensors, the twistor's coefficients and their 3-leg images, the sides
-    of the cocycle identity and the wide 4-leg tensors."""
-    two, three = loop_nest_inputs(dfa)
+    """The 2-, 3- and 4-leg inputs of the tensor layer: the 2-leg inputs of
+    the loop nest; the 3-leg integer-layer tensors, the twistor's first
+    coefficients on the first two and the last two of three legs and
+    under the coproduct at their first leg, and the sides of the cocycle
+    identity; the wide 4-leg tensors."""
+    spec = dfa.spec
+    three = integer_layer_inputs(spec)[1] + [
+        T for Fk in dfa.twistor.coeffs[1:3]
+        for T in (embedded(Fk, 3, 0), embedded(Fk, 3, 1),
+                  tensor_coproduct_leg(spec, Fk, 0))]
     three += [t for pair in cocycle_sides(dfa) for t in pair]
-    return two, three, wide_tensors(dfa.spec, 4)
+    return loop_nest_inputs(dfa), three, wide_tensors(spec, 4)
 
 
 def factor_pairs(dfa):
@@ -2486,12 +2533,10 @@ def factor_pairs(dfa):
 
 
 def layer_pairs(dfa):
-    """Products within the 2- and 3-leg groups of ``tensor_groups`` (the
-    3-leg ones by the integer-layer tensors) and of the 4-leg group by
-    its first five and last."""
-    two, three, four = tensor_groups(dfa)
+    """Products within the 2-leg group of ``tensor_groups`` and of the
+    4-leg group by its first five and last."""
+    two, _, four = tensor_groups(dfa)
     return [(s, t) for s in two for t in two] \
-        + [(s, t) for s in three for t in three[:5]] \
         + [(s, t) for s in four for t in four[:5] + four[-1:]]
 
 
@@ -2500,23 +2545,22 @@ def _mul_pairs(dfa, flavors):
 
 
 def _fast_tensor_mul(dfa, s, t):
-    return (tensor_mul if s.legs < 4 else tensor_mul_legs)(dfa.spec, s, t)
+    return (tensor_mul if s.legs == 2 else tensor_mul_legs)(dfa.spec, s, t)
 
 
 def _nest_pairs(dfa, flavors):
-    """Each pair of a group, into an empty accumulator, into the previous
-    pair's product with m = 6 and m = 1, and into the negated product,
-    which it cancels to empty."""
+    """Each pair of the loop nest's inputs, into an empty accumulator, into
+    the previous pair's product with m = 6 and m = 1, and into the negated
+    product, which it cancels to empty."""
     out = []
-    for group in loop_nest_inputs(dfa):
-        prev = {}
-        for s in group:
-            for t in group:
-                want = mul_into_legs({}, dfa.spec, s, t, 1)
-                negated = {k: -c for k, c in want.items()}
-                out.append((s, t, (({}, 1), (prev, 6), (prev, 1),
-                                   (negated, 1))))
-                prev = want
+    group = loop_nest_inputs(dfa)
+    prev = {}
+    for s in group:
+        for t in group:
+            want = mul_into_legs({}, dfa.spec, s, t, 1)
+            negated = {k: -c for k, c in want.items()}
+            out.append((s, t, (({}, 1), (prev, 6), (prev, 1), (negated, 1))))
+            prev = want
     return out
 
 
@@ -2575,7 +2619,7 @@ def _takeuchi_args(dfa, flavors):
     spec = dfa.spec
     samples = monomials_upto(spec.nvars, 2)
     tensors = [env_coproduct(spec, u) for u in edge_elements(spec)] \
-        + loop_nest_inputs(dfa)[0]
+        + loop_nest_inputs(dfa)
     return [(T, s) for T in tensors for s in (samples, samples[1:2])]
 
 
@@ -2644,19 +2688,13 @@ def _ref_arith(dfa, s, t):
 
 def _series_mul_pairs(dfa, flavors):
     spec = dfa.spec
-    n = dfa.order
     F, G = dfa.twistor, dfa.G
     one = EnvElement.one(spec.nvars, spec.rank)
     ta = dfa.target(CPoly.var(spec.nvars, 0) if spec.nvars
                     else CPoly.one(0)).map(lambda u: TensorElement.of(u, one))
     lifts = [twisted_coproduct(dfa, u) for u in sample_defelems(dfa, 1)]
-    zero3 = TensorElement.zero(spec.nvars, spec.rank, 3)
-    r3 = hs_const(arbitrary_exponent(spec).embed(3, 1).scale(Fraction(1, 6)),
-                  n, zero3)
     return [(F, G), (G, F), (lifts[0], lifts[-1]), (lifts[-1], ta),
-            (F, ta - ta.shift(1)),
-            (deformed_coproduct_leg(dfa, lifts[0], 1), r3),
-            (F.map(lambda t: t.embed(3, 0)), r3)]
+            (F, ta - ta.shift(1))]
 
 
 def reduce_args(dfa):
@@ -3060,6 +3098,10 @@ PARITY = [
     ("same_class", lambda dfa, s, t: (_same_class(dfa.spec, s, t),
                                       _same_class(dfa.spec, t, s)),
      _ref_class, _class_pairs, equal),
+    ("_cocycle_sides", lambda dfa: cocycle_classes(
+        dfa, zip(*deform._cocycle_sides(dfa))),
+     lambda dfa: cocycle_classes(dfa, cocycle_sides(dfa)),
+     lambda dfa, flavors: [()], equal),
     ("takeuchi_check", lambda dfa, T, samples: takeuchi_check(
         dfa.spec, T, samples),
      lambda dfa, T, samples: two_product_takeuchi(dfa.spec, T, samples),

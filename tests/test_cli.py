@@ -504,10 +504,10 @@ def test_takeuchi_compares_no_sample_with_equal_sides(monkeypatch):
     assert len(calls) == 39
 
 
-def test_cli_tensor_products_have_two_or_three_legs(monkeypatch):
+def test_cli_tensor_products_have_two_legs(monkeypatch):
     """Every tensor product of ``example axb`` and of the eight spec
-    commands on axb at N=4 has 2 or 3 legs, so it takes a fixed loop nest
-    of ``tensorspace._mul_into``, which refuses any other width."""
+    commands on axb at N=4 has 2 legs, so it takes the one loop nest of
+    ``tensorspace._mul_into``, which refuses any other width."""
     real = tensorspace._mul_into
     legs = Counter()
 
@@ -521,7 +521,7 @@ def test_cli_tensor_products_have_two_or_three_legs(monkeypatch):
     for argv in runs:
         code, _, _ = run_cli(argv + ["--json-only"])
         assert code == 0, argv
-    assert set(legs) == {2, 3}
+    assert set(legs) == {2}
 
 
 def _table_runs(tmp_path):

@@ -19,7 +19,7 @@ from qgroupoid.scalars import CPoly, monomials_upto, parse_poly
 from qgroupoid.series import HSeries, hs_const, hseries_mul
 from qgroupoid.tensorspace import TensorElement, tensor_mul
 
-from oracles import reexpand
+from oracles import check, reexpand
 
 
 def der2():
@@ -389,10 +389,14 @@ def test_axiom_suite_detects_corruption():
     spec = der2()
     F = std_twistor(spec, 2)
     bad = HSeries(2, [F.coeffs[0], F.coeffs[1], F.coeffs[2].scale(2)], F.zero)
-    rep = twistor_validate(DeformedEnvAlgebroid(spec, bad, validate=False))
+    dfa = DeformedEnvAlgebroid(spec, bad, validate=False)
+    rep = twistor_validate(dfa)
     assert not rep.ok()
     assert "h^2" in rep.first_failure()
-    dfa = DeformedEnvAlgebroid(spec, bad, validate=False)
+    failed = {c.name: c.witness for c in rep.checks if c.status == "fail"}
+    assert failed["cocycle-identity"] == "cocycle identity fails at order h^2"
+    # the spliced sides against the 3-leg products on nested keys
+    assert check(dfa, "_cocycle_sides")
     rep2 = deformed_axiom_suite(dfa, sample_degree=1)
     assert not rep2.ok()
 

@@ -544,16 +544,18 @@ def test_series_images_match_chains(make):
 
 @pytest.mark.parametrize("make", STRUCTURES)
 def test_tensor_mul_matches_plain_loop(make):
-    """Products of 2, 3 and 4 legs, from an emptied leg table; a 4-leg pair
-    takes the general loop of the oracles, which the engine refuses."""
+    """Products of 2, 3 and 4 legs, from an emptied leg table; a 3- or
+    4-leg pair takes the general loop of the oracles, which the engine
+    refuses."""
     dfa = exp_dfa(make(), 2)
     spec = dfa.spec
     spec._leg_table.clear()
     assert check(dfa, "tensor_mul", inputs=oracles.factor_pairs(dfa))
     assert leg_table_entries(spec)
-    four = tensor_groups(dfa)[2]
-    with pytest.raises(ConfigError, match="2 or 3 legs"):
-        tensor_mul(spec, four[0], four[-1])
+    _, three, four = tensor_groups(dfa)
+    for wide in (three, four):
+        with pytest.raises(ConfigError, match="have 2 legs"):
+            tensor_mul(spec, wide[0], wide[-1])
 
 
 INTEGER_LAYER_STRUCTURES = [axb_structure, bracketed_structure,
@@ -581,7 +583,7 @@ def test_integer_layer_matches_fraction_loops(make):
     assert len({T.den for T in copro.values()}) > 2
     assert check(dfa, "tensor_coproduct_leg", inputs=legs)
     assert_integral(two[0].flip())
-    assert_integral(two[0].embed(4, 2))
+    assert_integral(oracles.embedded(two[0], 4, 2))
     entries = [q for hit in leg_table_entries(spec).values() for _, q in hit]
     assert all(type(q) in (int, Fraction) for q in entries)
     assert all(type(q) is int for q in entries if q.denominator == 1)
@@ -592,11 +594,11 @@ def test_integer_layer_matches_fraction_loops(make):
 @pytest.mark.parametrize("make", [axb_exp_dfa, bracketed_exp_dfa,
                                   rational_exp_dfa, polynomial_exp_dfa])
 def test_loop_nests_match_general_loop(make):
-    """``_mul_into`` on 2- and 3-leg tensors against the general loop
+    """``_mul_into`` on 2-leg tensors against the general loop
     ``oracles.mul_into_legs``: the same terms in the same order, the same
     int or Fraction values, from empty and non-empty accumulators, with
     m = 1 and m != 1, and into an accumulator the product cancels to
-    empty.  The nests run first, from an emptied table, and meet a leg
+    empty.  The nest runs first, from an emptied table, and meets a leg
     product with several terms and, on the rational structure only,
     Fraction leg coefficients."""
     dfa = make()
@@ -694,6 +696,22 @@ def test_reduce_kernels_match_the_loop(make):
     assert any(gb is not None and ga is not None for ga, gb in middle)
     assert any(same_class(spec, s, t) and s.den != t.den
                for s, t in oracles._class_pairs(dfa, ()))
+
+
+@pytest.mark.parametrize("make, exponential", [
+    (functools.partial(axb_exp_dfa, 4), True),
+    (functools.partial(axb_exp_dfa, 6), True),
+    (functools.partial(oracles._spec_dfa, oracles.NONEXP_SPEC, 3), False)],
+    ids=["axb4", "axb6", "nonexp"])
+def test_cocycle_sides_match_nested_products(make, exponential):
+    """The two sides of the cocycle identity as ``twistor_validate`` builds
+    them, F spliced at one leg with Delta(w) F, against the 3-leg Cauchy
+    products on nested keys, class by class at every order: on axb at
+    N = 4 and 6 and on an explicit twistor that is not exp(h r)."""
+    dfa = make()
+    assert check(dfa, "_cocycle_sides")
+    assert twistor_validate(dfa).ok()
+    assert (dfa.exponent is not None) == exponential
 
 
 # -- reductions and decompositions -------------------------------------------------

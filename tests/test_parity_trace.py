@@ -37,9 +37,9 @@ MEMOISED = memo(lambda owner: None).__code__
 LOOP_HELPERS = {
     "envelope._mul_mono_into", "envelope._pbw_mul_into", "envelope._cauchy",
     "envelope._act_into", "envelope._series_image",
-    "tensorspace._splice", "tensorspace._mul_into", "tensorspace._mul2_into",
-    "tensorspace._mul3_into", "tensorspace._reduce_into",
-    "tensorspace._reduce2_into", "tensorspace._reduce3_into",
+    "tensorspace._splice", "tensorspace._mul_into",
+    "tensorspace._reduce_into", "tensorspace._reduce2_into",
+    "tensorspace._reduce3_into",
     "deform._sweep_image", "deform._reduce_leg",
     "jets._pair_rows", "jets._product_rows", "jets._transpose",
     "jets._scatter", "series._add_terms",

@@ -46,6 +46,7 @@ import pytest
 
 import qgroupoid
 
+from oracles import NONEXP_SPEC
 from test_cli import (
     DEFAULT_SPEC_COMMANDS, INVALID_TWISTOR_SPEC, SPEC, TWISTOR_COMMANDS,
     _bracket_spec_text, _load_values, run_cli,
@@ -277,26 +278,6 @@ jet_degree = 2
 n_max = 2
 [samples]
 extra = x1*x2
-"""
-
-# axb's structure under a valid explicit twistor that is not exp(h F_1):
-# F_2 != F_1^2 / 2, so the deformation inverts it order by order and
-# conjugates by the two Cauchy products
-NONEXP_SPEC = """[base]
-vars = x1 x2
-[generators]
-names = d1 d2
-[anchor]
-w 1 1 = 1
-w 2 2 = 1
-[twistor]
-form = orders
-order 1 = 1 | d1 | x1
-order 1 = -1 | x1*d1 | 1
-order 2 = 1 | d2 | x1*x2
-order 2 = -1 | x1*x2*d2 | 1
-[truncation]
-h_order = 3
 """
 
 # a rank-3 bracket that breaks the Jacobi identity
@@ -546,9 +527,8 @@ UNREACHED = [
      "only 2-leg tensors are flipped",
      ('raise ConfigError("flip is for 2-leg tensors")',)),
     ("tensorspace", "_mul_into", "guard",
-     "every product has 2 or 3 legs "
-     "(test_cli_tensor_products_have_two_or_three_legs)",
-     ('raise ConfigError("tensor products have 2 or 3 legs")',)),
+     "every product has 2 legs (test_cli_tensor_products_have_two_legs)",
+     ('raise ConfigError("tensor products have 2 legs")',)),
     ("tensorspace", "_reduce_into", "guard",
      "every reduction has 2 or 3 legs; test_reduce_kernels_match_the_loop "
      "reaches it",

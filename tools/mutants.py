@@ -49,6 +49,14 @@ MUTANTS = [
      "            if False:\n                k = shifts.get(j)",
      [FAST + "test_mono_loop_matches_replaced_loops",
       FAST + "test_integer_rows_match_fraction_rows"]),
+    # each cocycle side is F spliced at one leg with the pieces Delta(w) F
+    ("cocycle-piece-cut-short", "deform.py",
+     "for Fj in F[:dfa.order - first[w] + 1]]",
+     "for Fj in F[:dfa.order - first[w]]]",
+     [FAST + "test_cocycle_sides_match_nested_products[axb4]",
+      FAST + "test_fast_path_matches_reference[_cocycle_sides-gen0]",
+      "tests/test_deform.py::test_std_twistor_valid_order4",
+      "tests/test_deform.py::test_axiom_suite_detects_corruption"]),
     # one splice at a leg: the coproduct, its twist and the H' projection
     ("splice-drops-order-offset", "tensorspace.py",
      "for p in got[w][t - k:t - k + 1] if p.num]",
@@ -65,10 +73,7 @@ MUTANTS = [
       FAST + "test_fast_path_matches_reference[deformed_coproduct_leg-gen0]",
       FAST + "test_hadamard_coproduct_leg_matches_cauchy",
       FAST + "test_fast_path_matches_reference[_project_leg-gen0]"]),
-    # fixed loop nests for 2- and 3-leg tensor products
-    ("mul3-last-leg-coefficient-dropped", "tensorspace.py",
-     "c2 = c1 if q2 == 1 else c1 * q2", "c2 = c1",
-     [FAST + "test_loop_nests_match_general_loop"]),
+    # one loop nest for 2-leg tensor products
     ("mul2-second-leg-coefficient-dropped", "tensorspace.py",
      "c1 = c0 if q1 == 1 else c0 * q1\n                    key = (k0, k1)",
      "c1 = c0\n                    key = (k0, k1)",
